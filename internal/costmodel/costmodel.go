@@ -418,6 +418,45 @@ func ConvAssignment(net *nn.Network, convStrategy, fcStrategy Strategy) Assignme
 	return a
 }
 
+// AutoAssignment gives every conv layer the cheapest strategy available
+// to it on grid g at batch B, and every FC layer Model (domain halos
+// there would ship whole activation panels). Domain is available when
+// g.Pr fits the layer's input height, BatchOnly when g.P() ≤ B; ties keep
+// Model, then Domain. A layer's Eq. 9 cost depends only on its own
+// strategy, so one pricer prices each candidate directly with the
+// per-layer terms FullIntegrated would charge — one placement
+// classification per call (a lookup when the Env carries a SpanMemo).
+// On a hierarchical topology the choice is placement-sensitive: a
+// strategy whose collective groups pack onto nodes gets cheaper.
+func (e Env) AutoAssignment(net *nn.Network, B int, g grid.Grid) Assignment {
+	widx := net.WeightedLayers()
+	pr := e.pricerFor(g)
+	a := make(Assignment, len(widx))
+	for _, li := range widx {
+		l := &net.Layers[li]
+		if l.Kind != nn.Conv {
+			a[li] = Model
+			continue
+		}
+		lc := modelLayerCost(net, li, B, pr, li == widx[0])
+		best, bestCost := Model, lc.TotalSeconds()
+		if g.Pr <= l.In.H {
+			lc = domainLayerCost(net, li, B, pr)
+			if c := lc.TotalSeconds(); c < bestCost {
+				best, bestCost = Domain, c
+			}
+		}
+		if g.P() <= B {
+			lc = batchOnlyLayerCost(net, li, pr)
+			if lc.TotalSeconds() < bestCost {
+				best = BatchOnly
+			}
+		}
+		a[li] = best
+	}
+	return a
+}
+
 // FullIntegrated returns Eq. 9: the fully integrated model+batch+domain
 // cost on a Pr × Pc grid with a per-layer strategy assignment. L_M layers
 // pay Eq. 8 terms over the Pr/Pc groups; L_D layers pay halo exchanges at

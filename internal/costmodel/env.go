@@ -18,6 +18,10 @@ import (
 type Env struct {
 	Topo      machine.Topology
 	Placement grid.Placement
+	// Spans, when non-nil, supplies memoized level-span classifications
+	// of the collective groups (see SpanMemo). Prices are bit-identical
+	// with or without it; nil classifies afresh per pricing call.
+	Spans *SpanMemo
 }
 
 // FlatEnv wraps a flat machine as the one-level environment. Every
@@ -30,8 +34,95 @@ func FlatEnv(m machine.Machine) Env {
 // Flat reports whether the environment degenerates to a flat machine.
 func (e Env) Flat() bool { return e.Topo.Uniform() }
 
-// pricer caches the level spans of one grid's collective groups so each
-// FullIntegrated call classifies the placement once, not per layer.
+// spanKey identifies one classification: a grid at a rank offset under a
+// placement.
+type spanKey struct {
+	g      grid.Grid
+	pl     grid.Placement
+	offset int
+}
+
+// spanSet is one grid's classification: the distinct level spans of
+// its column groups and row groups, the span of its whole rank block,
+// and the innermost topology level containing every halo-exchange pair.
+type spanSet struct {
+	col, row  []grid.LevelSpan
+	all       grid.LevelSpan
+	haloLevel int
+}
+
+func classifySpans(sizes []int, k spanKey) spanSet {
+	return spanSet{
+		col:       k.g.ColGroupSpansAt(sizes, k.pl, k.offset),
+		row:       k.g.RowGroupSpansAt(sizes, k.pl, k.offset),
+		all:       k.g.AllSpanAt(sizes, k.offset),
+		haloLevel: k.g.ColNeighborsLevelAt(sizes, k.pl, k.offset),
+	}
+}
+
+// SpanMemo memoizes the level-span classification of one topology's
+// collective groups per (grid, placement, rank offset). A search prices
+// the same (grid, placement, offset) many times over — per strategy
+// choice, per micro-batch count, per partition — and the classification
+// depends on nothing else. Fill is not safe for concurrent use; once
+// filling stops, any number of goroutines may price through Envs
+// carrying the memo (the planner fills it serially while enumerating
+// one search and reads it from the worker pool, then drops it). A key
+// that was never filled is classified afresh without being stored, and
+// a stored classification is the fresh one, so the memo can never
+// change a price. A nil *SpanMemo is valid and memoizes nothing.
+type SpanMemo struct {
+	sizes []int
+	m     map[spanKey]spanSet
+}
+
+// NewSpanMemo returns an empty memo for topology t.
+func NewSpanMemo(t machine.Topology) *SpanMemo {
+	return &SpanMemo{sizes: t.GroupSizes(), m: make(map[spanKey]spanSet)}
+}
+
+// Fill classifies grid g at rank offset `offset` under placement pl,
+// unless already memoized.
+func (m *SpanMemo) Fill(g grid.Grid, pl grid.Placement, offset int) {
+	if m == nil {
+		return
+	}
+	k := spanKey{g, pl, offset}
+	if _, ok := m.m[k]; !ok {
+		m.m[k] = classifySpans(m.sizes, k)
+	}
+}
+
+// spans returns the classification of (g, e.Placement, offset) on
+// e.Topo: the one memoized in e.Spans when that memo classifies against
+// the same level sizes, a fresh one otherwise.
+func (e Env) spans(g grid.Grid, offset int) spanSet {
+	k := spanKey{g, e.Placement, offset}
+	if m := e.Spans; m != nil && m.matches(e.Topo) {
+		if set, ok := m.m[k]; ok {
+			return set
+		}
+	}
+	return classifySpans(e.Topo.GroupSizes(), k)
+}
+
+// matches reports whether t has the level sizes the memo classifies
+// against.
+func (m *SpanMemo) matches(t machine.Topology) bool {
+	if len(t.Levels) != len(m.sizes) {
+		return false
+	}
+	for i, lv := range t.Levels {
+		if lv.GroupSize != m.sizes[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// pricer prices the per-layer Eq. 3–9 collectives of one grid at one
+// rank offset against its level spans, classified once per pricer (or
+// looked up in the Env's SpanMemo).
 type pricer struct {
 	env Env
 	g   grid.Grid
@@ -45,8 +136,8 @@ type pricer struct {
 	// one Uniform() scan per pricer instead of one per collective.
 	flat bool
 	m    machine.Machine
-	// spans backs the single-span slices above so the search loop's
-	// pricer costs one allocation, not four.
+	// spans backs the single-span slices (all three on the flat path,
+	// all alone otherwise) so they cost no allocation of their own.
 	spans [3]grid.LevelSpan
 }
 
@@ -73,12 +164,10 @@ func (e Env) pricerAt(g grid.Grid, offset int) *pricer {
 		p.all = p.spans[2:3:3]
 		return p
 	}
-	sizes := e.Topo.GroupSizes()
-	p.col = g.ColGroupSpansAt(sizes, e.Placement, offset)
-	p.row = g.RowGroupSpansAt(sizes, e.Placement, offset)
-	p.spans[2] = g.AllSpanAt(sizes, offset)
+	set := e.spans(g, offset)
+	p.col, p.row, p.haloLevel = set.col, set.row, set.haloLevel
+	p.spans[2] = set.all
 	p.all = p.spans[2:3:3]
-	p.haloLevel = g.ColNeighborsLevelAt(sizes, e.Placement, offset)
 	return p
 }
 

@@ -3,6 +3,7 @@ package costmodel
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dnnparallel/internal/grid"
@@ -192,5 +193,47 @@ func TestTwoLevelBracketsFlat(t *testing.T) {
 	if colPacked.TotalSeconds() >= flatBD.TotalSeconds() {
 		t.Fatalf("packing the heavy groups on-node (%g) must beat the flat Aries-only model (%g)",
 			colPacked.TotalSeconds(), flatBD.TotalSeconds())
+	}
+}
+
+// A SpanMemo never changes a price: pricing through a filled memo, an
+// unfilled key, or a memo built for a different hierarchy (whose
+// classifications must be ignored) matches classifying afresh, at every
+// rank offset a stage can start at.
+func TestSpanMemoNeverChangesPrices(t *testing.T) {
+	net := nn.AlexNet()
+	nodes := machine.CoriKNLNodes(16)
+	other := machine.CoriKNLNodes(12)
+	g := grid.Grid{Pr: 8, Pc: 16}
+	memo := NewSpanMemo(nodes)
+	wrong := NewSpanMemo(other)
+	for _, pl := range grid.Placements() {
+		for _, off := range []int{0, 128, 200} {
+			memo.Fill(g, pl, off)
+			wrong.Fill(g, pl, off)
+		}
+	}
+	for _, pl := range grid.Placements() {
+		fresh := Env{Topo: nodes, Placement: pl}
+		for _, env := range []Env{
+			{Topo: nodes, Placement: pl, Spans: memo},
+			{Topo: nodes, Placement: pl, Spans: wrong},
+			{Topo: nodes, Placement: pl, Spans: NewSpanMemo(nodes)}, // every key a miss
+		} {
+			for _, off := range []int{0, 128, 200} {
+				want, got := fresh.pricerAt(g, off), env.pricerAt(g, off)
+				if !reflect.DeepEqual(got.col, want.col) || !reflect.DeepEqual(got.row, want.row) ||
+					!reflect.DeepEqual(got.all, want.all) || got.haloLevel != want.haloLevel {
+					t.Fatalf("%v offset %d: memoized spans differ from fresh ones", pl, off)
+				}
+			}
+			a := env.AutoAssignment(net, 512, g)
+			if !reflect.DeepEqual(a, fresh.AutoAssignment(net, 512, g)) {
+				t.Fatalf("%v: AutoAssignment differs through the memo", pl)
+			}
+			if got, want := env.FullIntegrated(net, 512, g, a), fresh.FullIntegrated(net, 512, g, a); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: FullIntegrated differs through the memo", pl)
+			}
+		}
 	}
 }

@@ -2,6 +2,8 @@ package grid
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -141,54 +143,141 @@ func levelUnit(r, size int) int {
 	return 0
 }
 
-// SpanOf classifies a set of machine ranks against a hierarchy of group
-// sizes (innermost first, as machine.Topology.GroupSizes returns them;
-// the outermost size may be 0 = the whole machine). Non-outermost sizes
-// must be ≥ 1.
-func SpanOf(ranks []int, sizes []int) LevelSpan {
+// checkSizes panics unless sizes is a valid hierarchy for fn: at least
+// one level, every non-outermost size ≥ 1.
+func checkSizes(fn string, sizes []int) {
 	if len(sizes) == 0 {
-		panic("grid: SpanOf needs at least one level size")
+		panic("grid: " + fn + " needs at least one level size")
 	}
 	for i, size := range sizes[:len(sizes)-1] {
 		if size < 1 {
-			panic(fmt.Sprintf("grid: SpanOf level %d needs a group size ≥ 1, got %d", i, size))
+			panic(fmt.Sprintf("grid: %s level %d needs a group size ≥ 1, got %d", fn, i, size))
 		}
 	}
+}
+
+// checkRank panics on a negative machine rank: levelUnit truncates
+// toward zero, so rank −1 would silently share unit 0 with ranks 0…size−1.
+func checkRank(fn string, r int) {
+	if r < 0 {
+		panic(fmt.Sprintf("grid: %s needs non-negative machine ranks, got %d", fn, r))
+	}
+}
+
+// SpanOf classifies a set of machine ranks against a hierarchy of group
+// sizes (innermost first, as machine.Topology.GroupSizes returns them;
+// the outermost size may be 0 = the whole machine). Non-outermost sizes
+// must be ≥ 1 and ranks must be non-negative; they may come in any
+// order (an unsorted set is classified from a sorted copy).
+func SpanOf(ranks []int, sizes []int) LevelSpan {
+	checkSizes("SpanOf", sizes)
 	if len(ranks) == 0 {
 		return LevelSpan{}
 	}
-	s := LevelSpan{Ranks: len(ranks), Levels: make([]LevelStat, len(sizes))}
-	prevMaxRanks := 1
-	for i, size := range sizes {
-		rankCount := make(map[int]int)
-		subUnits := make(map[int]map[int]struct{})
-		for _, r := range ranks {
-			gid := levelUnit(r, size)
-			rankCount[gid]++
-			sub := r
-			if i > 0 {
-				sub = levelUnit(r, sizes[i-1])
-			}
-			set := subUnits[gid]
-			if set == nil {
-				set = make(map[int]struct{})
-				subUnits[gid] = set
-			}
-			set[sub] = struct{}{}
-		}
-		st := LevelStat{Groups: len(rankCount), Planes: prevMaxRanks}
-		for gid, n := range rankCount {
-			if n > st.MaxRanks {
-				st.MaxRanks = n
-			}
-			if f := len(subUnits[gid]); f > st.Fanout {
-				st.Fanout = f
-			}
-		}
-		s.Levels[i] = st
-		prevMaxRanks = st.MaxRanks
+	if !sort.IntsAreSorted(ranks) {
+		ranks = append([]int(nil), ranks...)
+		sort.Ints(ranks)
 	}
+	checkRank("SpanOf", ranks[0])
+	s := LevelSpan{Ranks: len(ranks), Levels: make([]LevelStat, len(sizes))}
+	classify(ranks, sizes, s.Levels)
 	return s
+}
+
+// classify fills levels[i] for every level size from a non-empty,
+// non-decreasing list of non-negative ranks. Unit ids are monotone in
+// the rank, so on sorted ranks each touched level-i unit is one run of
+// equal unit ids, and within it each touched sub-unit (the rank itself
+// at level 0, its level-(i−1) unit above) is one run of equal sub ids:
+// one pass per level counting runs yields every LevelStat without maps.
+// A run ends where a rank reaches its unit's (or sub-unit's) exclusive
+// upper bound, so the pass divides only at run boundaries.
+func classify(ranks, sizes []int, levels []LevelStat) {
+	planes := 1
+	for i, size := range sizes {
+		subSize := 1
+		if i > 0 {
+			subSize = sizes[i-1]
+		}
+		st := LevelStat{Planes: planes}
+		unitEnd, subEnd := unitBound(ranks[0], size), unitBound(ranks[0], subSize)
+		n, fanout := 1, 1
+		for _, r := range ranks[1:] {
+			if r >= unitEnd {
+				st.Groups++
+				st.MaxRanks = max(st.MaxRanks, n)
+				st.Fanout = max(st.Fanout, fanout)
+				unitEnd, subEnd = unitBound(r, size), unitBound(r, subSize)
+				n, fanout = 1, 1
+				continue
+			}
+			n++
+			if r >= subEnd {
+				subEnd = unitBound(r, subSize)
+				fanout++
+			}
+		}
+		st.Groups++
+		st.MaxRanks = max(st.MaxRanks, n)
+		st.Fanout = max(st.Fanout, fanout)
+		levels[i] = st
+		planes = st.MaxRanks
+	}
+}
+
+// unitBound returns the first rank past the size-`size` unit holding
+// rank r (MaxInt for the unbounded size 0).
+func unitBound(r, size int) int {
+	switch size {
+	case 0:
+		return math.MaxInt
+	case 1:
+		return r + 1
+	}
+	return (r/size + 1) * size
+}
+
+// classifyAP fills levels[i] for every level size from the n ≥ 1 ranks
+// first + j·stride (j < n, first ≥ 0, stride ≥ 1) without listing them:
+// it walks the touched level-i units, each holding a consecutive run of
+// terms. When stride ≥ size every term opens a new unit; otherwise a
+// unit's terms are found by division. Within a unit, a stride ≥ the
+// sub-unit size puts every term in its own sub-unit, and a smaller one
+// cannot jump over a sub-unit, so the touched sub-units are exactly the
+// consecutive ids from the first term's to the last's.
+func classifyAP(first, stride, n int, sizes []int, levels []LevelStat) {
+	last := first + (n-1)*stride
+	planes := 1
+	for i, size := range sizes {
+		subSize := 1
+		if i > 0 {
+			subSize = sizes[i-1]
+		}
+		st := LevelStat{Planes: planes}
+		if size > 0 && stride >= size {
+			st.Groups, st.MaxRanks, st.Fanout = n, 1, 1
+		} else {
+			for j := 0; j < n; {
+				lo := first + j*stride
+				end := last
+				if size > 0 {
+					end = min(end, (lo/size+1)*size-1)
+				}
+				jhi := (end - first) / stride
+				count := jhi - j + 1
+				fanout := count
+				if stride < subSize {
+					fanout = (first+jhi*stride)/subSize - lo/subSize + 1
+				}
+				st.Groups++
+				st.MaxRanks = max(st.MaxRanks, count)
+				st.Fanout = max(st.Fanout, fanout)
+				j = jhi + 1
+			}
+		}
+		levels[i] = st
+		planes = st.MaxRanks
+	}
 }
 
 // compareSpans orders spans deterministically (Ranks, then per-level
@@ -217,17 +306,91 @@ func compareSpans(a, b LevelSpan) int {
 	return 0
 }
 
-// dedupeSpans sorts and deduplicates spans so callers price each distinct
-// group shape once.
-func dedupeSpans(spans []LevelSpan) []LevelSpan {
-	sort.Slice(spans, func(i, j int) bool { return compareSpans(spans[i], spans[j]) < 0 })
-	out := spans[:0]
-	for i, s := range spans {
-		if i == 0 || compareSpans(s, out[len(out)-1]) != 0 {
-			out = append(out, s)
+// progression describes the collective groups of one grid dimension
+// under a placement: group k (k < count) holds the n machine ranks
+// offset + k·step + j·stride, j < n — an ascending arithmetic
+// progression, because every placement is affine in (r, c).
+type progression struct {
+	count, step, n, stride int
+}
+
+// colGroups returns the column groups' progression (Pr ranks each, one
+// group per column c) under a placement; see MachineRank.
+func (g Grid) colGroups(pl Placement) progression {
+	if pl == ColMajor {
+		return progression{count: g.Pc, step: g.Pr, n: g.Pr, stride: 1}
+	}
+	return progression{count: g.Pc, step: 1, n: g.Pr, stride: g.Pc}
+}
+
+// rowGroups returns the row groups' progression (Pc ranks each, one
+// group per row r) under a placement.
+func (g Grid) rowGroups(pl Placement) progression {
+	if pl == ColMajor {
+		return progression{count: g.Pr, step: 1, n: g.Pc, stride: g.Pr}
+	}
+	return progression{count: g.Pr, step: g.Pc, n: g.Pc, stride: 1}
+}
+
+// spans classifies every group of the progression at a rank offset and
+// returns the distinct shapes in compareSpans order. The distinct
+// shapes' Levels share one slab: each group is classified straight into
+// the slab's free tail, which is kept only when the shape is new (the
+// distinct shapes are few, so the linear duplicate scan is cheaper than
+// sorting all groups). Shapes repeat with the groups' period (see
+// shapePeriod), so only the first period's groups are classified.
+func (pg progression) spans(fn string, sizes []int, offset int) []LevelSpan {
+	checkSizes(fn, sizes)
+	checkRank(fn, offset)
+	L := len(sizes)
+	slab := make([]LevelStat, 0, 4*L)
+	for k := 0; k < shapePeriod(sizes, pg.step, pg.count); k++ {
+		slab = slices.Grow(slab, L)
+		tail := slab[len(slab) : len(slab)+L]
+		classifyAP(offset+k*pg.step, pg.stride, pg.n, sizes, tail)
+		seen := false
+		for d := 0; d < len(slab) && !seen; d += L {
+			seen = slices.Equal(slab[d:d+L], tail)
+		}
+		if !seen {
+			slab = slab[:len(slab)+L]
 		}
 	}
+	out := make([]LevelSpan, len(slab)/L)
+	for d := range out {
+		out[d] = LevelSpan{Ranks: pg.n, Levels: slab[d*L : (d+1)*L : (d+1)*L]}
+	}
+	slices.SortFunc(out, compareSpans)
 	return out
+}
+
+// shapePeriod returns the smallest p ≥ 1 for which p·step is a multiple
+// of every bounded level size, capped at limit. Shifting a rank set by
+// such a multiple moves each of its units and sub-units onto another
+// unit one for one, so groups k and k+p of a progression with that step
+// have the same shape.
+func shapePeriod(sizes []int, step, limit int) int {
+	m := 1 // lcm of the bounded sizes so far
+	for _, size := range sizes {
+		if size == 0 {
+			continue
+		}
+		if size >= limit*step { // m/gcd(m, step) ≥ m/step ≥ limit
+			return limit
+		}
+		m = m / gcd(m, size) * size
+		if m >= limit*step {
+			return limit
+		}
+	}
+	return min(m/gcd(m, step), limit)
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // ColGroupSpans returns the distinct level spans of the Pc column groups
@@ -245,15 +408,7 @@ func (g Grid) ColGroupSpans(sizes []int, pl Placement) []LevelSpan {
 // across node or rack boundaries, so the spans (and hence the Eq. 3–9
 // prices) genuinely depend on where the block starts.
 func (g Grid) ColGroupSpansAt(sizes []int, pl Placement, offset int) []LevelSpan {
-	spans := make([]LevelSpan, 0, g.Pc)
-	ranks := make([]int, g.Pr)
-	for c := 0; c < g.Pc; c++ {
-		for r := 0; r < g.Pr; r++ {
-			ranks[r] = offset + g.MachineRank(r, c, pl)
-		}
-		spans = append(spans, SpanOf(ranks, sizes))
-	}
-	return dedupeSpans(spans)
+	return g.colGroups(pl).spans("ColGroupSpans", sizes, offset)
 }
 
 // RowGroupSpans returns the distinct level spans of the Pr row groups
@@ -265,15 +420,7 @@ func (g Grid) RowGroupSpans(sizes []int, pl Placement) []LevelSpan {
 // RowGroupSpansAt is RowGroupSpans for a grid whose rank block starts at
 // machine rank `offset` (see ColGroupSpansAt).
 func (g Grid) RowGroupSpansAt(sizes []int, pl Placement, offset int) []LevelSpan {
-	spans := make([]LevelSpan, 0, g.Pr)
-	ranks := make([]int, g.Pc)
-	for r := 0; r < g.Pr; r++ {
-		for c := 0; c < g.Pc; c++ {
-			ranks[c] = offset + g.MachineRank(r, c, pl)
-		}
-		spans = append(spans, SpanOf(ranks, sizes))
-	}
-	return dedupeSpans(spans)
+	return g.rowGroups(pl).spans("RowGroupSpans", sizes, offset)
 }
 
 // AllSpan returns the level span of the whole machine — machine ranks
@@ -285,14 +432,14 @@ func (g Grid) AllSpan(sizes []int) LevelSpan {
 }
 
 // AllSpanAt is AllSpan for a grid whose rank block starts at machine
-// rank `offset`: the block's full-group collectives span ranks
-// offset … offset+P−1.
+// rank `offset`: the block's full-group collectives span the contiguous
+// ranks offset … offset+P−1.
 func (g Grid) AllSpanAt(sizes []int, offset int) LevelSpan {
-	ranks := make([]int, g.P())
-	for i := range ranks {
-		ranks[i] = offset + i
-	}
-	return SpanOf(ranks, sizes)
+	checkSizes("AllSpan", sizes)
+	checkRank("AllSpan", offset)
+	s := LevelSpan{Ranks: g.P(), Levels: make([]LevelStat, len(sizes))}
+	classifyAP(offset, 1, g.P(), sizes, s.Levels)
+	return s
 }
 
 // ColNeighborsLevel returns the innermost level whose groups contain
@@ -311,18 +458,21 @@ func (g Grid) ColNeighborsLevelAt(sizes []int, pl Placement, offset int) int {
 	if len(sizes) == 0 {
 		panic("grid: ColNeighborsLevel needs at least one level size")
 	}
+	checkRank("ColNeighborsLevel", offset)
+	pg := g.colGroups(pl)
+	top := len(sizes) - 1
 	level := 0
-	for c := 0; c < g.Pc; c++ {
-		for r := 0; r+1 < g.Pr; r++ {
-			a := offset + g.MachineRank(r, c, pl)
-			b := offset + g.MachineRank(r+1, c, pl)
+	// Halo levels repeat with the column groups' period, like their spans.
+	for k := 0; k < shapePeriod(sizes, pg.step, pg.count) && level < top; k++ {
+		a := offset + k*pg.step
+		for j := 1; j < pg.n && level < top; j++ {
+			b := a + pg.stride
 			l := 0
-			for l < len(sizes)-1 && levelUnit(a, sizes[l]) != levelUnit(b, sizes[l]) {
+			for l < top && levelUnit(a, sizes[l]) != levelUnit(b, sizes[l]) {
 				l++
 			}
-			if l > level {
-				level = l
-			}
+			level = max(level, l)
+			a = b
 		}
 	}
 	return level

@@ -165,7 +165,7 @@ func (t Topology) GroupOf(rank, level int) int {
 }
 
 // GroupSizes returns the per-level group sizes, innermost first — the
-// classification input of grid.LevelSpanOf.
+// classification input of grid.SpanOf.
 func (t Topology) GroupSizes() []int {
 	sizes := make([]int, len(t.Levels))
 	for i, lv := range t.Levels {

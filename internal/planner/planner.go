@@ -465,51 +465,9 @@ func assignmentFor(net *nn.Network, B int, g grid.Grid, mode Mode, env costmodel
 	case ConvDomain:
 		return costmodel.ConvAssignment(net, costmodel.Domain, costmodel.Model)
 	case Auto:
-		return autoAssignment(net, B, g, env)
+		return env.AutoAssignment(net, B, g)
 	}
 	return nil
-}
-
-// autoAssignment chooses, per conv layer, the cheapest strategy available
-// on grid g by evaluating the per-layer Eq. 9 terms directly; FC layers
-// always use Model (domain halos there cost the whole activation panel).
-// On a two-level topology the choice is placement-sensitive: a strategy
-// whose collective groups pack onto nodes gets cheaper.
-//
-// A layer's Eq. 9 cost depends only on its own strategy, so three
-// uniform-assignment breakdowns price every (layer, strategy) pair with
-// three placement classifications total, instead of re-running the
-// O(P) classification per layer.
-func autoAssignment(net *nn.Network, B int, g grid.Grid, env costmodel.Env) costmodel.Assignment {
-	var perStrategy [3]*costmodel.Breakdown
-	perStrategy[costmodel.Model] = env.FullIntegrated(net, B, g, nil) // nil defaults every layer to Model
-	for _, s := range []costmodel.Strategy{costmodel.Domain, costmodel.BatchOnly} {
-		perStrategy[s] = env.FullIntegrated(net, B, g, costmodel.UniformAssignment(net, s))
-	}
-	a := make(costmodel.Assignment)
-	for k, li := range net.WeightedLayers() {
-		l := &net.Layers[li]
-		if l.Kind != nn.Conv {
-			a[li] = costmodel.Model
-			continue
-		}
-		cost := func(s costmodel.Strategy) float64 {
-			return perStrategy[s].Layers[k].TotalSeconds()
-		}
-		best, bestCost := costmodel.Model, cost(costmodel.Model)
-		if g.Pr <= l.In.H {
-			if c := cost(costmodel.Domain); c < bestCost {
-				best, bestCost = costmodel.Domain, c
-			}
-		}
-		if g.P() <= B {
-			if c := cost(costmodel.BatchOnly); c < bestCost {
-				best, bestCost = costmodel.BatchOnly, c
-			}
-		}
-		a[li] = best
-	}
-	return a
 }
 
 // Evaluate prices one (grid, mode) configuration over the placement and
@@ -581,7 +539,7 @@ func evaluateStagedGrid(net *nn.Network, B, S int, g grid.Grid, parts []stage.Pa
 	for _, pl := range pls {
 		for _, part := range parts {
 			for _, m := range micros {
-				p := evaluateStagedAt(net, B, g, pl, part, opts, m, st)
+				p := evaluateStagedAt(net, B, g, pl, part, opts, m, nil, st)
 				if first || (p.Feasible && (!best.Feasible || p.IterSeconds < best.IterSeconds ||
 					(p.IterSeconds == best.IterSeconds && p.MicroBatch < best.MicroBatch))) {
 					best = p
@@ -599,7 +557,7 @@ func evaluateStagedGrid(net *nn.Network, B, S int, g grid.Grid, parts []stage.Pa
 // handoffs priced against the topology level each cut crosses, memory
 // pruned on the tightest stage's footprint.
 func evaluateStagedAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, part stage.Partition,
-	opts Options, micro int, st *SearchStats) Plan {
+	opts Options, micro int, spans *costmodel.SpanMemo, st *SearchStats) Plan {
 	if st != nil {
 		st.Candidates++
 		st.StageCandidates++
@@ -641,7 +599,7 @@ func evaluateStagedAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, pa
 	if st != nil {
 		priceStart = time.Now()
 	}
-	env := costmodel.Env{Topo: opts.topology(), Placement: pl}
+	env := costmodel.Env{Topo: opts.topology(), Placement: pl, Spans: spans}
 	// Strategies are chosen at the micro-batch size on the shared grid,
 	// as in the single-stage pipeline path.
 	p.Assignment = assignmentFor(net, B/micro, g, opts.Mode, env)
@@ -733,9 +691,9 @@ func EvaluateAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Opt
 
 func evaluateAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options, st *SearchStats) Plan {
 	micros := opts.microBatches()
-	best := evaluateMicroAt(net, B, g, pl, opts, micros[0], nil, st)
+	best := evaluateMicroAt(net, B, g, pl, opts, micros[0], nil, nil, st)
 	for _, m := range micros[1:] {
-		if p := evaluateMicroAt(net, B, g, pl, opts, m, nil, st); p.Feasible &&
+		if p := evaluateMicroAt(net, B, g, pl, opts, m, nil, nil, st); p.Feasible &&
 			(!best.Feasible || p.IterSeconds < best.IterSeconds ||
 				(p.IterSeconds == best.IterSeconds && p.MicroBatch < best.MicroBatch)) {
 			best = p
@@ -748,15 +706,17 @@ func evaluateAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Opt
 // the legacy single-iteration scoring for M = 1, the pipeline schedule
 // for M > 1. The telemetry collector st (nil outside Optimize) counts
 // the candidate and the pruning/pricing outcome and accumulates the
-// phase wall times. cc, when non-nil, supplies the memoized per-layer
-// compute split (cached and freshly computed entries are bit-identical,
-// so plans do not depend on cache state).
-func evaluateMicroAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options, micro int, cc *computeCache, st *SearchStats) Plan {
+// phase wall times. cc and spans, when non-nil, supply the search's
+// memoized per-layer compute split and level-span classifications
+// (memoized and fresh entries are bit-identical, so plans do not depend
+// on memo state).
+func evaluateMicroAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options, micro int,
+	cc *computeCache, spans *costmodel.SpanMemo, st *SearchStats) Plan {
 	if st != nil {
 		st.Candidates++
 	}
 	if micro != 1 {
-		return evaluatePipelineAt(net, B, g, pl, opts, micro, st)
+		return evaluatePipelineAt(net, B, g, pl, opts, micro, spans, st)
 	}
 	p := Plan{Grid: g, Batch: B, Placement: pl, Mode: opts.Mode, MicroBatch: 1, Schedule: opts.Schedule, Stages: 1}
 	ok, reason := feasible(net, B, g, opts.Mode)
@@ -778,7 +738,7 @@ func evaluateMicroAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opt
 	if st != nil {
 		priceStart = time.Now()
 	}
-	env := costmodel.Env{Topo: opts.topology(), Placement: pl}
+	env := costmodel.Env{Topo: opts.topology(), Placement: pl, Spans: spans}
 	p.Assignment = assignmentFor(net, B, g, opts.Mode, env)
 	p.MemoryWords = costmodel.Memory(net, B, g, p.Assignment).TotalWords()
 	if opts.MemoryLimitWords > 0 && p.MemoryWords > opts.MemoryLimitWords {
@@ -864,7 +824,8 @@ func evaluateMicroAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opt
 // already counted the candidate in st; the Eq. 3–9 re-pricing at size
 // B/M happens inside PipelineIteration, so its whole duration is
 // accounted to the simulate phase (see SearchStats).
-func evaluatePipelineAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options, micro int, st *SearchStats) Plan {
+func evaluatePipelineAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options, micro int,
+	spans *costmodel.SpanMemo, st *SearchStats) Plan {
 	sched := opts.schedule(micro)
 	p := Plan{Grid: g, Batch: B, Placement: pl, Mode: opts.Mode, MicroBatch: micro, Schedule: sched.Shape, Stages: 1}
 	ok, reason := feasible(net, B, g, opts.Mode)
@@ -900,7 +861,7 @@ func evaluatePipelineAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, 
 	if st != nil {
 		priceStart = time.Now()
 	}
-	env := costmodel.Env{Topo: opts.topology(), Placement: pl}
+	env := costmodel.Env{Topo: opts.topology(), Placement: pl, Spans: spans}
 	// The per-layer strategy is chosen at the micro-batch size the
 	// schedule actually runs: α-heavy small messages can flip a conv
 	// layer's cheapest strategy relative to the full-batch choice.
@@ -996,6 +957,13 @@ func (r Result) Speedup() (total, comm float64) {
 // is one (stage count, grid) pair priced at its best placement,
 // partition, and micro-batch count.
 func Optimize(net *nn.Network, B, P int, opts Options) (Result, error) {
+	return optimize(net, B, P, opts, true)
+}
+
+// optimize is Optimize with the per-search level-span memo switchable:
+// memoSpans=false classifies every candidate's placement afresh, the
+// reference the memo's parity tests compare against.
+func optimize(net *nn.Network, B, P int, opts Options, memoSpans bool) (Result, error) {
 	if err := opts.Machine.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -1048,7 +1016,7 @@ func Optimize(net *nn.Network, B, P int, opts Options) (Result, error) {
 	var res Result
 	st := &res.Stats
 	wallStart := time.Now()
-	s := newSearch(net, B, P, opts)
+	s := newSearch(net, B, P, opts, memoSpans)
 	s.enumerate(st)
 	st.EnumerateSeconds = time.Since(wallStart).Seconds()
 	evalStart := time.Now()

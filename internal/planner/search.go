@@ -36,6 +36,10 @@
 // costs the partition enumeration balances are evaluated once per
 // (grid, batch) during enumeration and shared read-only by every
 // placement × partition × micro-batch leaf (and by the lower bounds).
+// On a hierarchical topology the level spans of every (grid, placement,
+// stage rank offset) are classified once during enumeration too
+// (costmodel.SpanMemo) and read by every leaf's strategy choice, pricing,
+// and redistribution; the memo is dropped with the search.
 package planner
 
 import (
@@ -181,6 +185,11 @@ type search struct {
 	bounds bool
 	cc     *computeCache
 	floors map[floorKey]float64
+	// spans memoizes the level-span classification of every (grid,
+	// placement, rank offset) the leaves price, filled during the serial
+	// enumeration and read lock-free by the workers like cc; nil on a
+	// uniform topology, whose pricing never classifies.
+	spans *costmodel.SpanMemo
 	// batches is the batch search space (Options.batchSizes(B)); steps
 	// memoizes Curve.Steps per batch size under the TimeToAccuracy
 	// objective (nil under Iteration), converting iteration-time lower
@@ -197,7 +206,7 @@ type search struct {
 	lbOK []bool
 }
 
-func newSearch(net *nn.Network, B, P int, opts Options) *search {
+func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search {
 	s := &search{
 		net:     net,
 		B:       B,
@@ -207,6 +216,9 @@ func newSearch(net *nn.Network, B, P int, opts Options) *search {
 		cc:      newComputeCache(opts.Compute, net),
 		floors:  make(map[floorKey]float64),
 		batches: opts.batchSizes(B),
+	}
+	if topo := opts.topology(); memoSpans && !topo.Uniform() {
+		s.spans = costmodel.NewSpanMemo(topo)
 	}
 	if opts.Objective == TimeToAccuracy {
 		s.steps = make(map[int]float64, len(s.batches))
@@ -229,10 +241,10 @@ func (s *search) objectiveScale(B int) float64 {
 
 // enumerate builds the slot and leaf lists in the serial search order —
 // batch sizes, then stage counts, then grid factorizations, then
-// placements × partitions × micro-batches — pre-filling the compute memo
-// and the ∆W floors, and counting the enumeration-side telemetry
-// (batches, grids, stage counts, partitions, and the pseudo-slot
-// candidates) into st. The candidate partitions per stage count are
+// placements × partitions × micro-batches — pre-filling the compute
+// memo, the level-span memo, and the ∆W floors, and counting the
+// enumeration-side telemetry (batches, grids, stage counts, partitions,
+// and the pseudo-slot candidates) into st. The candidate partitions per stage count are
 // batch-independent, so they are enumerated once and shared across the
 // batch sweep (stage counts are likewise counted once).
 func (s *search) enumerate(st *SearchStats) {
@@ -276,6 +288,7 @@ func (s *search) enumerate(st *SearchStats) {
 						if needFloors {
 							s.fillFloor(g, pl)
 						}
+						s.spans.Fill(g, pl, 0)
 						for _, m := range micros {
 							s.leaves = append(s.leaves, leaf{B: B, S: 1, g: g, pl: pl, micro: m, pure: sl.pure})
 						}
@@ -322,6 +335,10 @@ func (s *search) enumerate(st *SearchStats) {
 				}
 				sl := slot{B: B, S: S, g: g, start: len(s.leaves)}
 				for _, pl := range gp {
+					// Stage k's rank block starts at k·g.P().
+					for k := 0; k < S; k++ {
+						s.spans.Fill(g, pl, k*g.P())
+					}
 					for _, part := range pm.parts {
 						for _, m := range micros {
 							s.leaves = append(s.leaves, leaf{B: B, S: S, g: g, pl: pl, part: part, micro: m})
@@ -455,9 +472,9 @@ func (s *search) evalLeaf(i int, incumbent float64, st *SearchStats) Plan {
 		}
 	}
 	if lf.S == 1 {
-		return evaluateMicroAt(s.net, lf.B, lf.g, lf.pl, s.opts, lf.micro, s.cc, st)
+		return evaluateMicroAt(s.net, lf.B, lf.g, lf.pl, s.opts, lf.micro, s.cc, s.spans, st)
 	}
-	return evaluateStagedAt(s.net, lf.B, lf.g, lf.pl, lf.part, s.opts, lf.micro, st)
+	return evaluateStagedAt(s.net, lf.B, lf.g, lf.pl, lf.part, s.opts, lf.micro, s.spans, st)
 }
 
 // run evaluates every leaf across the worker pool, chunk by chunk, and

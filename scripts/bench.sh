@@ -10,9 +10,14 @@
 # biasing the comparison. The engine side also sweeps -cpu 1,2,4 so the
 # worker scaling is recorded per GOMAXPROCS. A second interleaved A/B
 # pits the iteration objective against the time-to-accuracy campaign
-# search on the same scenario (the tta_search_overhead record).
+# search on the same scenario (the tta_search_overhead record). Last,
+# the span_classification record: the flat and hierarchical (two- and
+# three-level) façade searches plus the per-layer BenchmarkColGroupSpansAt
+# rung, either on this tree alone or, given a baseline checkout (e.g. a
+# `git archive` of the parent commit), as 10 interleaved pairs of
+# baseline and this tree, alternating which side runs first.
 #
-# Usage: scripts/bench.sh [output-file]   (default: bench.txt)
+# Usage: scripts/bench.sh [output-file [baseline-dir]]   (default: bench.txt)
 set -e
 cd "$(dirname "$0")/.."
 out="${1:-bench.txt}"
@@ -37,4 +42,30 @@ while [ "$i" -le 6 ]; do
 	go test -run '^$' -bench 'BenchmarkPlanScenarioTTA$' -benchmem -benchtime=2s . | tee -a "$out"
 	i=$((i + 1))
 done
+# Span classification (span_classification record).
+span='BenchmarkPlanScenario$|BenchmarkPlanScenarioTwoLevel$|BenchmarkPlanScenarioThreeLevel$'
+if [ -z "${2:-}" ]; then
+	go test -run '^$' -bench "$span" -benchmem -count=6 -benchtime=2s . | tee -a "$out"
+	go test -run '^$' -bench 'BenchmarkColGroupSpansAt$' -benchmem -count=6 ./internal/grid/ | tee -a "$out"
+else
+	base=$(cd "$2" && pwd)
+	bin=$(mktemp -d)
+	(cd "$base" && go test -c -o "$bin/base_root.test" . && go test -c -o "$bin/base_grid.test" ./internal/grid)
+	go test -c -o "$bin/change_root.test" .
+	go test -c -o "$bin/change_grid.test" ./internal/grid
+	i=1
+	while [ "$i" -le 10 ]; do
+		order="base change"
+		if [ $((i % 2)) -eq 0 ]; then order="change base"; fi
+		for side in $order; do
+			echo "# pair $i $side" | tee -a "$out"
+			"$bin/${side}_root.test" -test.run '^$' -test.bench "$span" -test.benchmem -test.benchtime=2s \
+				-test.timeout 10m | tee -a "$out"
+			(cd internal/grid && "$bin/${side}_grid.test" -test.run '^$' -test.bench 'BenchmarkColGroupSpansAt$' \
+				-test.benchmem -test.timeout 10m) | tee -a "$out"
+		done
+		i=$((i + 1))
+	done
+	rm -r "$bin"
+fi
 echo "wrote $out"
