@@ -236,11 +236,8 @@ func (e Env) PureBatch(net *nn.Network, B, P int) *Breakdown {
 	widx := net.WeightedLayers()
 	b := e.newBreakdown(flatDesc("pure batch", P, B), len(widx))
 	pr := e.pricerFor(grid.Grid{Pr: 1, Pc: P})
-	for _, li := range widx {
-		l := &net.Layers[li]
-		lc := LayerCost{Index: li, Name: l.Name, Strategy: BatchOnly}
-		lc.GradReduce = pr.allAllReduce(float64(l.Weights()))
-		b.Layers = append(b.Layers, lc)
+	for k, li := range widx {
+		b.Layers = append(b.Layers, layerCost(net, k, li, B, pr, BatchOnly))
 	}
 	return b
 }
@@ -285,16 +282,16 @@ func (e Env) PureDomain(net *nn.Network, B, P int) *Breakdown {
 	// Pure domain does not split the batch (Pc = 1): every process holds
 	// a slab of all B samples, so halo volumes carry the full B of Eq. 7.
 	pr := e.pricerFor(grid.Grid{Pr: P, Pc: 1})
-	for _, li := range widx {
-		b.Layers = append(b.Layers, domainLayerCost(net, li, B, pr))
+	for k, li := range widx {
+		b.Layers = append(b.Layers, layerCost(net, k, li, B, pr, Domain))
 	}
 	return b
 }
 
 // domainLayerCost is the Eq. 7 / Eq. 9 per-layer domain cost with halo
-// volumes scaled by the local batch B/Pc and the gradient all-reduce over
-// all P processes.
-func domainLayerCost(net *nn.Network, li, B int, pr *pricer) LayerCost {
+// volumes scaled by the local batch B/Pc and grad, the layer's gradient
+// all-reduce over all P processes.
+func domainLayerCost(net *nn.Network, li, B int, pr *pricer, grad collective.Cost) LayerCost {
 	l := &net.Layers[li]
 	lc := LayerCost{Index: li, Name: l.Name, Strategy: Domain}
 	localB := float64(B) / float64(pr.g.Pc)
@@ -313,7 +310,7 @@ func domainLayerCost(net *nn.Network, li, B int, pr *pricer) LayerCost {
 		lc.FwdHalo = pr.halo(localB * float64(l.InSize()))
 		lc.BwdHalo = pr.halo(localB * float64(l.OutSize()))
 	}
-	lc.GradReduce = pr.allAllReduce(float64(l.Weights()))
+	lc.GradReduce = grad
 	return lc
 }
 
@@ -379,13 +376,28 @@ func (e Env) FCGradReduceSeconds(net *nn.Network, g grid.Grid) float64 {
 }
 
 // batchOnlyLayerCost is the Fig. 7 per-layer cost for a conv layer forced
-// to pure batch parallelism across all P processes.
-func batchOnlyLayerCost(net *nn.Network, li int, pr *pricer) LayerCost {
-	l := &net.Layers[li]
-	return LayerCost{
-		Index: li, Name: l.Name, Strategy: BatchOnly,
-		GradReduce: pr.allAllReduce(float64(l.Weights())),
+// to pure batch parallelism across all P processes: only grad, its
+// gradient all-reduce over all P.
+func batchOnlyLayerCost(net *nn.Network, li int, grad collective.Cost) LayerCost {
+	return LayerCost{Index: li, Name: net.Layers[li].Name, Strategy: BatchOnly, GradReduce: grad}
+}
+
+// layerCost prices the weighted layer li, at position k of the
+// network's weighted layers, under strategy s — the Eq. 9 per-layer term
+// every breakdown is built from. Only the network's very first weighted
+// layer (k = 0) skips the Model ∆X all-reduce (no gradient propagates
+// past layer 1). A Model layer that merely comes first *within L_M* —
+// e.g. when the leading conv layers are Domain, or as the first layer of
+// a pipeline stage — still pays it, because its ∆X must reach the layer
+// below.
+func layerCost(net *nn.Network, k, li, B int, pr *pricer, s Strategy) LayerCost {
+	switch s {
+	case Domain:
+		return domainLayerCost(net, li, B, pr, pr.gradReduce(k, float64(net.Layers[li].Weights())))
+	case BatchOnly:
+		return batchOnlyLayerCost(net, li, pr.gradReduce(k, float64(net.Layers[li].Weights())))
 	}
+	return modelLayerCost(net, li, B, pr, k == 0)
 }
 
 // Assignment maps each weighted layer index (an index into Network.Layers)
@@ -418,45 +430,6 @@ func ConvAssignment(net *nn.Network, convStrategy, fcStrategy Strategy) Assignme
 	return a
 }
 
-// AutoAssignment gives every conv layer the cheapest strategy available
-// to it on grid g at batch B, and every FC layer Model (domain halos
-// there would ship whole activation panels). Domain is available when
-// g.Pr fits the layer's input height, BatchOnly when g.P() ≤ B; ties keep
-// Model, then Domain. A layer's Eq. 9 cost depends only on its own
-// strategy, so one pricer prices each candidate directly with the
-// per-layer terms FullIntegrated would charge — one placement
-// classification per call (a lookup when the Env carries a SpanMemo).
-// On a hierarchical topology the choice is placement-sensitive: a
-// strategy whose collective groups pack onto nodes gets cheaper.
-func (e Env) AutoAssignment(net *nn.Network, B int, g grid.Grid) Assignment {
-	widx := net.WeightedLayers()
-	pr := e.pricerFor(g)
-	a := make(Assignment, len(widx))
-	for _, li := range widx {
-		l := &net.Layers[li]
-		if l.Kind != nn.Conv {
-			a[li] = Model
-			continue
-		}
-		lc := modelLayerCost(net, li, B, pr, li == widx[0])
-		best, bestCost := Model, lc.TotalSeconds()
-		if g.Pr <= l.In.H {
-			lc = domainLayerCost(net, li, B, pr)
-			if c := lc.TotalSeconds(); c < bestCost {
-				best, bestCost = Domain, c
-			}
-		}
-		if g.P() <= B {
-			lc = batchOnlyLayerCost(net, li, pr)
-			if lc.TotalSeconds() < bestCost {
-				best = BatchOnly
-			}
-		}
-		a[li] = best
-	}
-	return a
-}
-
 // FullIntegrated returns Eq. 9: the fully integrated model+batch+domain
 // cost on a Pr × Pc grid with a per-layer strategy assignment. L_M layers
 // pay Eq. 8 terms over the Pr/Pc groups; L_D layers pay halo exchanges at
@@ -466,33 +439,78 @@ func FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignment, m ma
 	return FlatEnv(m).FullIntegrated(net, B, g, assign)
 }
 
-// FullIntegrated is Eq. 9 priced against the environment's topology.
+// FullIntegrated is Eq. 9 priced against the environment's topology
+// for a given assignment; AutoIntegrated chooses the Auto assignment and
+// prices it in the same pass.
 func (e Env) FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignment) *Breakdown {
 	widx := net.WeightedLayers()
 	b := e.newBreakdown(gridDesc("full integrated", g, B), len(widx))
 	pr := e.pricerFor(g)
-	for _, li := range widx {
-		s := Model
-		if assign != nil {
-			if v, ok := assign[li]; ok {
-				s = v
-			}
-		}
-		switch s {
-		case Model:
-			// Only the network's very first weighted layer skips the ∆X
-			// all-reduce (no gradient propagates past layer 1). A Model
-			// layer that merely comes first *within L_M* — e.g. when the
-			// leading conv layers are Domain — still pays it, because its
-			// ∆X must reach the domain-parallel layer below.
-			b.Layers = append(b.Layers, modelLayerCost(net, li, B, pr, li == widx[0]))
-		case Domain:
-			b.Layers = append(b.Layers, domainLayerCost(net, li, B, pr))
-		case BatchOnly:
-			b.Layers = append(b.Layers, batchOnlyLayerCost(net, li, pr))
-		}
+	for k, li := range widx {
+		b.Layers = append(b.Layers, layerCost(net, k, li, B, pr, assign[li]))
 	}
 	return b
+}
+
+// AutoIntegrated is Eq. 9 under the planner's Auto assignment, chosen
+// and priced in one pass: every conv layer takes the cheapest strategy
+// available to it on grid g at batch B, every FC layer Model (domain
+// halos there would ship whole activation panels). Domain is available
+// when g.Pr fits the layer's input height, BatchOnly when g.P() ≤ B;
+// ties keep Model, then Domain. A layer's Eq. 9 cost depends only on its
+// own strategy, so the winning candidate's LayerCost is the layer's
+// breakdown entry, and the returned pair equals
+// (FullIntegrated(net, B, g, a), a) bit for bit. Domain and BatchOnly
+// share one priced gradient all-reduce. On a hierarchical topology the
+// choice is placement-sensitive: a strategy whose collective groups
+// pack onto nodes gets cheaper.
+func (e Env) AutoIntegrated(net *nn.Network, B int, g grid.Grid) (*Breakdown, Assignment) {
+	return e.auto(net, B, g, true)
+}
+
+// AutoAssignment is AutoIntegrated's assignment alone, for callers that
+// re-price it at their own micro-batch size or rank offsets.
+func (e Env) AutoAssignment(net *nn.Network, B int, g grid.Grid) Assignment {
+	_, a := e.auto(net, B, g, false)
+	return a
+}
+
+// auto is the one Auto pricing loop: it returns the assignment and, when
+// breakdown is set, the breakdown of each layer's winning cost.
+func (e Env) auto(net *nn.Network, B int, g grid.Grid, breakdown bool) (*Breakdown, Assignment) {
+	widx := net.WeightedLayers()
+	var b *Breakdown
+	if breakdown {
+		b = e.newBreakdown(gridDesc("full integrated", g, B), len(widx))
+	}
+	a := make(Assignment, len(widx))
+	pr := e.pricerFor(g)
+	for k, li := range widx {
+		l := &net.Layers[li]
+		best := modelLayerCost(net, li, B, pr, k == 0)
+		domain, batch := g.Pr <= l.In.H, g.P() <= B
+		if l.Kind == nn.Conv && (domain || batch) {
+			bestCost := best.TotalSeconds()
+			grad := pr.gradReduce(k, float64(l.Weights()))
+			if domain {
+				lc := domainLayerCost(net, li, B, pr, grad)
+				if c := lc.TotalSeconds(); c < bestCost {
+					best, bestCost = lc, c
+				}
+			}
+			if batch {
+				lc := batchOnlyLayerCost(net, li, grad)
+				if lc.TotalSeconds() < bestCost {
+					best = lc
+				}
+			}
+		}
+		a[li] = best.Strategy
+		if b != nil {
+			b.Layers = append(b.Layers, best)
+		}
+	}
+	return b, a
 }
 
 // RedistributionSeconds prices the Eq. 6 redistribution at every layer

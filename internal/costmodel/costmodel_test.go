@@ -180,6 +180,12 @@ func TestConvBatchOnlyImprovesUniformGrid(t *testing.T) {
 	}
 }
 
+// domainCost is layer li's Domain cost with its gradient all-reduce
+// priced afresh.
+func domainCost(net *nn.Network, li, B int, pr *pricer) LayerCost {
+	return domainLayerCost(net, li, B, pr, pr.allAllReduce(float64(net.Layers[li].Weights())))
+}
+
 // TestDomainBeatsModelOnEarlyLayers: for AlexNet's early conv layers the
 // per-layer domain cost is lower than the per-layer model cost at large
 // per-process batch (the Section 2.4 motivation for L_D).
@@ -189,7 +195,7 @@ func TestDomainBeatsModelOnEarlyLayers(t *testing.T) {
 	conv1 := net.ConvLayers()[0]
 	pr := FlatEnv(knl()).pricerFor(g)
 	mc := modelLayerCost(net, conv1, 512, pr, false).Total().Total()
-	dc := domainLayerCost(net, conv1, 512, pr).Total().Total()
+	dc := domainCost(net, conv1, 512, pr).Total().Total()
 	if dc >= mc {
 		t.Fatalf("conv1: domain %g should beat model %g", dc, mc)
 	}
@@ -201,7 +207,7 @@ func TestDomainFreeFor1x1Conv(t *testing.T) {
 	pr := FlatEnv(knl()).pricerFor(grid.Grid{Pr: 4, Pc: 4})
 	for _, li := range net.ConvLayers() {
 		l := &net.Layers[li]
-		lc := domainLayerCost(net, li, 64, pr)
+		lc := domainCost(net, li, 64, pr)
 		if l.KH == 1 && l.KW == 1 && lc.Halo().Total() != 0 {
 			t.Fatalf("%s: 1×1 conv should have zero halo, got %g", l.Name, lc.Halo().Total())
 		}
@@ -219,7 +225,7 @@ func TestDomainFCIsExpensive(t *testing.T) {
 	fc6 := net.FCLayers()[0]
 	pr := FlatEnv(knl()).pricerFor(g)
 	mc := modelLayerCost(net, fc6, 2048, pr, false).Total().Total()
-	dc := domainLayerCost(net, fc6, 2048, pr).Total().Total()
+	dc := domainCost(net, fc6, 2048, pr).Total().Total()
 	if dc <= mc {
 		t.Fatalf("fc6: domain %g should be worse than model %g", dc, mc)
 	}

@@ -6,9 +6,12 @@ import (
 	"reflect"
 	"testing"
 
+	"dnnparallel/internal/compute"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/stage"
+	"dnnparallel/internal/timeline"
 )
 
 // Regression for the dead firstModel flag removed from FullIntegrated:
@@ -205,8 +208,8 @@ func TestSpanMemoNeverChangesPrices(t *testing.T) {
 	nodes := machine.CoriKNLNodes(16)
 	other := machine.CoriKNLNodes(12)
 	g := grid.Grid{Pr: 8, Pc: 16}
-	memo := NewSpanMemo(nodes)
-	wrong := NewSpanMemo(other)
+	memo := NewSpanMemo(nodes, net)
+	wrong := NewSpanMemo(other, net)
 	for _, pl := range grid.Placements() {
 		for _, off := range []int{0, 128, 200} {
 			memo.Fill(g, pl, off)
@@ -218,7 +221,7 @@ func TestSpanMemoNeverChangesPrices(t *testing.T) {
 		for _, env := range []Env{
 			{Topo: nodes, Placement: pl, Spans: memo},
 			{Topo: nodes, Placement: pl, Spans: wrong},
-			{Topo: nodes, Placement: pl, Spans: NewSpanMemo(nodes)}, // every key a miss
+			{Topo: nodes, Placement: pl, Spans: NewSpanMemo(nodes, net)}, // every key a miss
 		} {
 			for _, off := range []int{0, 128, 200} {
 				want, got := fresh.pricerAt(g, off), env.pricerAt(g, off)
@@ -227,13 +230,126 @@ func TestSpanMemoNeverChangesPrices(t *testing.T) {
 					t.Fatalf("%v offset %d: memoized spans differ from fresh ones", pl, off)
 				}
 			}
-			a := env.AutoAssignment(net, 512, g)
-			if !reflect.DeepEqual(a, fresh.AutoAssignment(net, 512, g)) {
-				t.Fatalf("%v: AutoAssignment differs through the memo", pl)
+			bd, a := env.AutoIntegrated(net, 512, g)
+			wantBD, wantA := fresh.AutoIntegrated(net, 512, g)
+			if !reflect.DeepEqual(a, wantA) || !reflect.DeepEqual(bd, wantBD) {
+				t.Fatalf("%v: AutoIntegrated differs through the memo", pl)
 			}
 			if got, want := env.FullIntegrated(net, 512, g, a), fresh.FullIntegrated(net, 512, g, a); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v: FullIntegrated differs through the memo", pl)
 			}
 		}
+	}
+}
+
+// The gradient-price memo is consulted only where it is exact: a filled
+// (block, offset) entry supplies one price per weighted layer; an
+// unfilled key, a memo for the same level sizes but different links, and
+// a memo for a different network supply none. Whichever path is taken,
+// every Domain/BatchOnly breakdown — single grid, pure domain/batch, and
+// staged at stage offsets — is bit-identical to pricing afresh.
+func TestGradMemoNeverChangesPrices(t *testing.T) {
+	net := nn.AlexNet()
+	topo := threeLevel()
+	slow := threeLevel()
+	for i := range slow.Levels {
+		slow.Levels[i].Link.Alpha *= 3
+		slow.Levels[i].Link.Beta *= 2
+	}
+	g := grid.Grid{Pr: 4, Pc: 32} // 128-rank block; stage 1 starts at 128
+	filled := NewSpanMemo(topo, net)
+	wrongLinks := NewSpanMemo(slow, net)
+	otherNet := NewSpanMemo(topo, nn.VGG16())
+	for _, m := range []*SpanMemo{filled, wrongLinks, otherNet} {
+		for _, pl := range grid.Placements() {
+			for _, off := range []int{0, 128} {
+				m.Fill(g, pl, off)
+			}
+			m.Fill(grid.Grid{Pr: 1, Pc: 256}, pl, 0)
+			m.Fill(grid.Grid{Pr: 256, Pc: 1}, pl, 0)
+		}
+	}
+	nw := len(net.WeightedLayers())
+	usable := func(m *SpanMemo, pl grid.Placement, off int) int {
+		pr := Env{Topo: topo, Placement: pl, Spans: m}.pricerAt(g, off)
+		n := 0
+		for k, li := range net.WeightedLayers() {
+			if k < len(pr.grad) && pr.grad[k].words == float64(net.Layers[li].Weights()) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, pl := range grid.Placements() {
+		if n := usable(filled, pl, 128); n != nw {
+			t.Fatalf("%v: filled memo supplies %d of %d gradient prices", pl, n, nw)
+		}
+		if n := usable(filled, pl, 64); n != 0 {
+			t.Fatalf("%v: unfilled offset supplies %d gradient prices", pl, n)
+		}
+		if n := usable(wrongLinks, pl, 0); n != 0 {
+			t.Fatalf("%v: a memo priced on other links supplies %d gradient prices", pl, n)
+		}
+		if n := usable(otherNet, pl, 0); n != 0 {
+			t.Fatalf("%v: a memo for another network supplies %d gradient prices", pl, n)
+		}
+	}
+	// The wrong-links memo would be caught: its prices really differ.
+	if a, b := (Env{Topo: topo}).PureBatch(net, 256, 256), (Env{Topo: slow}).PureBatch(net, 256, 256); reflect.DeepEqual(a.Layers, b.Layers) {
+		t.Fatal("test setup broken: the slow links price the same gradients")
+	}
+
+	domain := ConvAssignment(net, Domain, Model)
+	batch := ConvAssignment(net, BatchOnly, Model)
+	part := stage.Partition{L: nw, Starts: []int{0, 3}}
+	sched := timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: 2}
+	grids := []grid.Grid{g, g}
+	cm := compute.KNLCaffe()
+	for _, pl := range grid.Placements() {
+		fresh := Env{Topo: topo, Placement: pl}
+		for name, m := range map[string]*SpanMemo{
+			"filled": filled, "wrong links": wrongLinks, "other net": otherNet, "empty": NewSpanMemo(topo, net),
+		} {
+			env := Env{Topo: topo, Placement: pl, Spans: m}
+			for _, pair := range []struct {
+				what      string
+				got, want *Breakdown
+			}{
+				{"domain", env.FullIntegrated(net, 512, g, domain), fresh.FullIntegrated(net, 512, g, domain)},
+				{"batch", env.FullIntegrated(net, 512, g, batch), fresh.FullIntegrated(net, 512, g, batch)},
+				{"pure batch", env.PureBatch(net, 512, 256), fresh.PureBatch(net, 512, 256)},
+				{"pure domain", env.PureDomain(net, 512, 256), fresh.PureDomain(net, 512, 256)},
+			} {
+				if !reflect.DeepEqual(pair.got, pair.want) {
+					t.Fatalf("%v, %s memo: %s breakdown differs from fresh pricing", pl, name, pair.what)
+				}
+			}
+			for _, assign := range []Assignment{domain, batch} {
+				got, err := env.StageIteration(net, 512, part, grids, assign, cm, timeline.PolicyBackprop, sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.StageIteration(net, 512, part, grids, assign, cm, timeline.PolicyBackprop, sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v, %s memo: staged pricing differs from fresh pricing", pl, name)
+				}
+			}
+		}
+	}
+}
+
+// threeLevel is a 16-rank-node, 128-rank-rack, spine hierarchy.
+func threeLevel() machine.Topology {
+	return machine.Topology{
+		Name: "three-level",
+		Levels: []machine.Level{
+			{Name: "node", Link: machine.Link{Alpha: 5e-7, Beta: machine.WordBytes / 60e9}, GroupSize: 16},
+			{Name: "rack", Link: machine.Link{Alpha: 1e-6, Beta: machine.WordBytes / 12e9}, GroupSize: 128},
+			{Name: "spine", Link: machine.Link{Alpha: 2e-6, Beta: machine.WordBytes / 6e9}},
+		},
+		PeakFlops: machine.CoriKNL().PeakFlops,
 	}
 }

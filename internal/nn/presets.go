@@ -167,21 +167,49 @@ func mustInfer(n *Network) {
 	}
 }
 
-// PresetNames lists the networks Preset accepts, in display order.
-func PresetNames() []string { return []string{"alexnet", "vgg16", "onebyone", "resnet50"} }
+// presets is the single preset table behind every CLI flag and
+// scenario spec, in display order, so the name table cannot fork.
+var presets = []struct {
+	name  string
+	build func() *Network
+}{
+	{"alexnet", AlexNet},
+	{"vgg16", VGG16},
+	{"onebyone", OneByOneNet},
+	{"resnet50", ResNet50Proxy},
+}
 
-// Preset returns the named preset network — the single lookup behind
-// every CLI flag and scenario spec, so the name table cannot fork.
-func Preset(name string) (*Network, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "alexnet":
-		return AlexNet(), nil
-	case "vgg16":
-		return VGG16(), nil
-	case "onebyone":
-		return OneByOneNet(), nil
-	case "resnet50":
-		return ResNet50Proxy(), nil
+// PresetNames lists the networks Preset accepts, in display order.
+func PresetNames() []string {
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		names[i] = p.name
 	}
-	return nil, fmt.Errorf("nn: unknown network preset %q (want alexnet|vgg16|onebyone|resnet50)", name)
+	return names
+}
+
+// PresetKey returns the canonical (lowercase, trimmed) key of the named
+// preset without building the network, or Preset's unknown-preset error.
+func PresetKey(name string) (string, error) {
+	_, key, err := lookupPreset(name)
+	return key, err
+}
+
+// Preset returns the named preset network.
+func Preset(name string) (*Network, error) {
+	i, _, err := lookupPreset(name)
+	if err != nil {
+		return nil, err
+	}
+	return presets[i].build(), nil
+}
+
+func lookupPreset(name string) (int, string, error) {
+	key := strings.ToLower(strings.TrimSpace(name))
+	for i, p := range presets {
+		if p.name == key {
+			return i, key, nil
+		}
+	}
+	return 0, "", fmt.Errorf("nn: unknown network preset %q (want %s)", name, strings.Join(PresetNames(), "|"))
 }

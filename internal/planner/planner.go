@@ -707,9 +707,10 @@ func evaluateAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Opt
 // for M > 1. The telemetry collector st (nil outside Optimize) counts
 // the candidate and the pruning/pricing outcome and accumulates the
 // phase wall times. cc and spans, when non-nil, supply the search's
-// memoized per-layer compute split and level-span classifications
-// (memoized and fresh entries are bit-identical, so plans do not depend
-// on memo state).
+// memoized per-layer compute split and level-span classifications and
+// gradient prices (memoized and fresh entries are bit-identical, so
+// plans do not depend on memo state). Under Auto the M = 1 candidate is
+// chosen and priced in one pass (costmodel.Env.AutoIntegrated).
 func evaluateMicroAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options, micro int,
 	cc *computeCache, spans *costmodel.SpanMemo, st *SearchStats) Plan {
 	if st != nil {
@@ -739,7 +740,14 @@ func evaluateMicroAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opt
 		priceStart = time.Now()
 	}
 	env := costmodel.Env{Topo: opts.topology(), Placement: pl, Spans: spans}
-	p.Assignment = assignmentFor(net, B, g, opts.Mode, env)
+	// Auto chooses and prices every layer in one pass; the fixed-
+	// assignment modes price their assignment after the memory check.
+	var bd *costmodel.Breakdown
+	if opts.Mode == Auto {
+		bd, p.Assignment = env.AutoIntegrated(net, B, g)
+	} else {
+		p.Assignment = assignmentFor(net, B, g, opts.Mode, env)
+	}
 	p.MemoryWords = costmodel.Memory(net, B, g, p.Assignment).TotalWords()
 	if opts.MemoryLimitWords > 0 && p.MemoryWords > opts.MemoryLimitWords {
 		p.Reason = fmt.Sprintf("per-process memory %.3g words exceeds limit %.3g",
@@ -751,7 +759,10 @@ func evaluateMicroAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opt
 		return p
 	}
 	p.Feasible = true
-	p.Breakdown = env.FullIntegrated(net, B, g, p.Assignment)
+	if bd == nil {
+		bd = env.FullIntegrated(net, B, g, p.Assignment)
+	}
+	p.Breakdown = bd
 	p.CommSeconds = p.Breakdown.TotalSeconds()
 	if st != nil {
 		st.Priced++

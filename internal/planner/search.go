@@ -38,8 +38,12 @@
 // placement × partition × micro-batch leaf (and by the lower bounds).
 // On a hierarchical topology the level spans of every (grid, placement,
 // stage rank offset) are classified once during enumeration too
-// (costmodel.SpanMemo) and read by every leaf's strategy choice, pricing,
-// and redistribution; the memo is dropped with the search.
+// (costmodel.SpanMemo) and read by every leaf's fused Auto choice and
+// pricing, staged pricing, and redistribution; the same memo holds the
+// whole-block ∆W all-reduce price of every weighted layer per (rank
+// block, offset), which Domain and BatchOnly layers of every grid and
+// placement sharing that block read by layer position. The memo is
+// dropped with the search.
 package planner
 
 import (
@@ -186,9 +190,11 @@ type search struct {
 	cc     *computeCache
 	floors map[floorKey]float64
 	// spans memoizes the level-span classification of every (grid,
-	// placement, rank offset) the leaves price, filled during the serial
-	// enumeration and read lock-free by the workers like cc; nil on a
-	// uniform topology, whose pricing never classifies.
+	// placement, rank offset) the leaves price and the gradient
+	// all-reduce price of every (rank block, offset, weighted layer),
+	// filled during the serial enumeration and read lock-free by the
+	// workers like cc; nil on a uniform topology, whose pricing never
+	// classifies.
 	spans *costmodel.SpanMemo
 	// batches is the batch search space (Options.batchSizes(B)); steps
 	// memoizes Curve.Steps per batch size under the TimeToAccuracy
@@ -218,7 +224,7 @@ func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search 
 		batches: opts.batchSizes(B),
 	}
 	if topo := opts.topology(); memoSpans && !topo.Uniform() {
-		s.spans = costmodel.NewSpanMemo(topo)
+		s.spans = costmodel.NewSpanMemo(topo, net)
 	}
 	if opts.Objective == TimeToAccuracy {
 		s.steps = make(map[int]float64, len(s.batches))

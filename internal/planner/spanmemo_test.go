@@ -10,13 +10,16 @@ import (
 	"dnnparallel/internal/timeline"
 )
 
-// TestSpanMemoParity: the per-search level-span memo is invisible in the
-// result. On hierarchical searches — two and three levels, an Eq. 6
-// redistribution sweep, a micro-batch pipeline sweep, and a staged
-// co-search whose second stage starts mid-node (24-rank nodes, 128-rank
-// stage blocks) — Optimize with the memo returns exactly the Result of
-// classifying every candidate afresh, for any worker count. Run under
-// -race this also checks that the workers only read the memo.
+// TestSpanMemoParity: the per-search level-span and gradient-price memo
+// is invisible in the result. On hierarchical Auto searches — two and
+// three levels, an Eq. 6 redistribution sweep, a micro-batch pipeline
+// sweep, a staged co-search whose second stage starts mid-node (24-rank
+// nodes, 128-rank stage blocks), and a three-level staged co-search
+// whose stage blocks start mid-node and mid-rack (S = 2, 4 at P = 256),
+// plus the fixed conv-batch and conv-domain modes there —
+// Optimize with the memo returns exactly the Result of classifying and
+// pricing every candidate afresh, for any worker count. Run under -race
+// this also checks that the workers only read the memo.
 func TestSpanMemoParity(t *testing.T) {
 	twoLevel := DefaultOptions()
 	twoLevel.Topology = machine.CoriKNLNodes(16)
@@ -45,6 +48,25 @@ func TestSpanMemoParity(t *testing.T) {
 	staged.AddRedistribution = true
 	staged.DisableBounds = true // price every S=2 candidate, not just the winner's slot
 
+	// 24-rank nodes in 96-rank racks: every S = 2 or 4 stage block of
+	// P = 256 after the first starts mid-node and mid-rack.
+	misaligned := rackTaper()
+	misaligned.Levels = append([]machine.Level(nil), misaligned.Levels...)
+	misaligned.Levels[0].GroupSize, misaligned.Levels[1].GroupSize = 24, 96
+	staged3 := DefaultOptions()
+	staged3.Topology = misaligned
+	staged3.UseTimeline = true
+	staged3.TimelinePolicy = timeline.PolicyBackprop
+	staged3.StageCounts = []int{1, 2, 4}
+	staged3.MaxPartitions = 3
+	staged3.MicroBatches = []int{1, 4}
+	staged3.Schedule = timeline.OneFOneB
+	staged3.DisableBounds = true
+
+	convBatch, convDomain := staged3, staged3
+	convBatch.Mode = ConvBatch
+	convDomain.Mode = ConvDomain
+
 	scenarios := []struct {
 		name string
 		B, P int
@@ -55,6 +77,9 @@ func TestSpanMemoParity(t *testing.T) {
 		{"redistribution", 1024, 256, redist},
 		{"pipelined", 2048, 256, piped},
 		{"staged", 2048, 256, staged},
+		{"staged-3level", 1024, 256, staged3},
+		{"staged-3level-conv-batch", 1024, 256, convBatch},
+		{"staged-3level-conv-domain", 1024, 256, convDomain},
 	}
 	for _, sc := range scenarios {
 		sc := sc

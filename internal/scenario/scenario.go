@@ -408,9 +408,8 @@ func Default() Scenario {
 // to report.
 func (s Scenario) Normalize() Scenario {
 	out := s
-	if _, err := nn.Preset(out.Network); err == nil {
-		// nn.Preset keys are lowercase, so this IS the canonical key.
-		out.Network = strings.ToLower(strings.TrimSpace(out.Network))
+	if key, err := nn.PresetKey(out.Network); err == nil {
+		out.Network = key
 	}
 	if len(out.MicroBatches) > 0 {
 		ms := append([]int(nil), out.MicroBatches...)
@@ -570,7 +569,7 @@ func (s Scenario) Normalize() Scenario {
 // planner's own per-candidate feasibility checks (MemoryPipeline's B%M
 // divisibility, which skips non-dividing candidates before pricing).
 func (s Scenario) Validate() error {
-	if _, err := nn.Preset(s.Network); err != nil {
+	if _, err := nn.PresetKey(s.Network); err != nil {
 		return invalid("network", "%v", err)
 	}
 	if s.Batch < 1 {

@@ -11,11 +11,12 @@
 # worker scaling is recorded per GOMAXPROCS. A second interleaved A/B
 # pits the iteration objective against the time-to-accuracy campaign
 # search on the same scenario (the tta_search_overhead record). Last,
-# the span_classification record: the flat and hierarchical (two- and
-# three-level) façade searches plus the per-layer BenchmarkColGroupSpansAt
-# rung, either on this tree alone or, given a baseline checkout (e.g. a
-# `git archive` of the parent commit), as 10 interleaved pairs of
-# baseline and this tree, alternating which side runs first.
+# the span_classification and fused_auto_pricing records: the flat and
+# hierarchical (two- and three-level) façade searches plus the per-layer
+# BenchmarkColGroupSpansAt rung, either on this tree alone or, given a
+# baseline checkout (e.g. a `git archive` of the parent commit), as 10
+# interleaved pairs of baseline and this tree, alternating which side
+# runs first.
 #
 # Usage: scripts/bench.sh [output-file [baseline-dir]]   (default: bench.txt)
 set -e
@@ -42,7 +43,8 @@ while [ "$i" -le 6 ]; do
 	go test -run '^$' -bench 'BenchmarkPlanScenarioTTA$' -benchmem -benchtime=2s . | tee -a "$out"
 	i=$((i + 1))
 done
-# Span classification (span_classification record).
+# Span classification and fused Auto pricing (span_classification and
+# fused_auto_pricing records).
 span='BenchmarkPlanScenario$|BenchmarkPlanScenarioTwoLevel$|BenchmarkPlanScenarioThreeLevel$'
 if [ -z "${2:-}" ]; then
 	go test -run '^$' -bench "$span" -benchmem -count=6 -benchtime=2s . | tee -a "$out"
