@@ -246,7 +246,7 @@ func BenchmarkCostModelEq8(b *testing.B) {
 	m := machine.CoriKNL()
 	g := grid.Grid{Pr: 16, Pc: 32}
 	for i := 0; i < b.N; i++ {
-		costmodel.Integrated(net, 2048, g, m)
+		costmodel.FlatEnv(m).Integrated(net, 2048, g)
 	}
 }
 

@@ -175,9 +175,11 @@ func TestFacadeReturnsErrorsWithoutRecovering(t *testing.T) {
 	}
 	// (b) the internal contract is unchanged: panics, not errors.
 	for name, f := range map[string]func(){
-		"EpochIterations B=0":  func() { costmodel.EpochIterations(100, 0) },
-		"EpochIterations N<0":  func() { costmodel.EpochSeconds(0.1, -1, 64) },
-		"timeline negative":    func() { timeline.SimulateLayers([]timeline.Layer{{FwdComp: -1}}, timeline.PolicyNone) },
+		"EpochIterations B=0": func() { costmodel.EpochIterations(100, 0) },
+		"EpochIterations N<0": func() { costmodel.EpochSeconds(0.1, -1, 64) },
+		"timeline negative": func() {
+			timeline.SimulatePipeline([]timeline.Layer{{FwdComp: -1}}, timeline.PolicyNone, timeline.Single())
+		},
 		"IterationSeconds NaN": func() { costmodel.IterationSeconds(&costmodel.Breakdown{}, -1, false) },
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -17,8 +17,8 @@ import (
 
 	"dnnparallel/internal/collective"
 	"dnnparallel/internal/grid"
-	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/stage"
 )
 
 // Strategy says how the Pr grid dimension is used for one layer in the
@@ -202,12 +202,9 @@ func (b *Breakdown) BackwardSeconds() float64 {
 //
 //	T = Σ_{i=1..L} (α⌈log P⌉ + β·B·(P−1)/P·d_i)
 //	  + 2·Σ_{i=2..L} (α⌈log P⌉ + β·B·(P−1)/P·d_{i−1})
-func PureModel(net *nn.Network, B, P int, m machine.Machine) *Breakdown {
-	return FlatEnv(m).PureModel(net, B, P)
-}
-
-// PureModel is Eq. 3 priced against the environment's topology: the
-// P-wide all-gather/all-reduce groups span the whole machine.
+//
+// Priced against the environment's topology, the P-wide
+// all-gather/all-reduce groups span the whole machine.
 func (e Env) PureModel(net *nn.Network, B, P int) *Breakdown {
 	widx := net.WeightedLayers()
 	b := e.newBreakdown(flatDesc("pure model", P, B), len(widx))
@@ -224,14 +221,10 @@ func (e Env) PureModel(net *nn.Network, B, P int) *Breakdown {
 	return b
 }
 
-// PureBatch returns Eq. 4: batch parallelism over P processes.
+// PureBatch returns Eq. 4: batch parallelism over P processes, priced
+// against the environment's topology.
 //
 //	T = 2·Σ_i (α⌈log P⌉ + β·(P−1)/P·|W_i|)
-func PureBatch(net *nn.Network, B, P int, m machine.Machine) *Breakdown {
-	return FlatEnv(m).PureBatch(net, B, P)
-}
-
-// PureBatch is Eq. 4 priced against the environment's topology.
 func (e Env) PureBatch(net *nn.Network, B, P int) *Breakdown {
 	widx := net.WeightedLayers()
 	b := e.newBreakdown(flatDesc("pure batch", P, B), len(widx))
@@ -244,13 +237,9 @@ func (e Env) PureBatch(net *nn.Network, B, P int) *Breakdown {
 
 // Redistribute returns Eq. 6: the one-time cost of switching layer i's
 // activations from a batch distribution to a model distribution — an
-// all-gather of B·d_i words over P processes. The paper notes this is
-// asymptotically free relative to the subsequent model-parallel step.
-func Redistribute(net *nn.Network, li, B, P int, m machine.Machine) collective.Cost {
-	return FlatEnv(m).Redistribute(net, li, B, P)
-}
-
-// Redistribute is Eq. 6 priced against the environment's topology.
+// all-gather of B·d_i words over P processes, priced against the
+// environment's topology. The paper notes this is asymptotically free
+// relative to the subsequent model-parallel step.
 func (e Env) Redistribute(net *nn.Network, li, B, P int) collective.Cost {
 	l := &net.Layers[li]
 	pr := e.pricerFor(grid.Grid{Pr: P, Pc: 1})
@@ -269,13 +258,10 @@ func (e Env) Redistribute(net *nn.Network, li, B, P int) collective.Cost {
 // intent directly: the FC halo volume is the entire input (forward) and
 // output (backward) activation block, which is why domain parallelism is
 // never chosen for FC layers.
-func PureDomain(net *nn.Network, B, P int, m machine.Machine) *Breakdown {
-	return FlatEnv(m).PureDomain(net, B, P)
-}
-
-// PureDomain is Eq. 7 priced against the environment's topology: halo
-// partners are spatially adjacent machine ranks, the gradient all-reduce
-// spans the whole machine.
+//
+// Priced against the environment's topology, halo partners are spatially
+// adjacent machine ranks and the gradient all-reduce spans the whole
+// machine.
 func (e Env) PureDomain(net *nn.Network, B, P int) *Breakdown {
 	widx := net.WeightedLayers()
 	b := e.newBreakdown(flatDesc("pure domain", P, B), len(widx))
@@ -323,13 +309,9 @@ func domainLayerCost(net *nn.Network, li, B int, pr *pricer, grad collective.Cos
 //
 // With Pr = 1 it reduces exactly to Eq. 4; with Pc = 1 the first two sums
 // are exactly Eq. 3 and the third vanishes.
-func Integrated(net *nn.Network, B int, g grid.Grid, m machine.Machine) *Breakdown {
-	return FlatEnv(m).Integrated(net, B, g)
-}
-
-// Integrated is Eq. 8 priced against the environment's topology: the
-// all-gather/∆X groups are the placement's column groups, the ∆W groups
-// its row groups.
+//
+// Priced against the environment's topology, the all-gather/∆X groups
+// are the placement's column groups, the ∆W groups its row groups.
 func (e Env) Integrated(net *nn.Network, B int, g grid.Grid) *Breakdown {
 	widx := net.WeightedLayers()
 	b := e.newBreakdown(gridDesc("integrated 1.5D", g, B), len(widx))
@@ -434,13 +416,8 @@ func ConvAssignment(net *nn.Network, convStrategy, fcStrategy Strategy) Assignme
 // cost on a Pr × Pc grid with a per-layer strategy assignment. L_M layers
 // pay Eq. 8 terms over the Pr/Pc groups; L_D layers pay halo exchanges at
 // local batch B/Pc plus a full-P gradient all-reduce; BatchOnly layers pay
-// only the full-P gradient all-reduce.
-func FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignment, m machine.Machine) *Breakdown {
-	return FlatEnv(m).FullIntegrated(net, B, g, assign)
-}
-
-// FullIntegrated is Eq. 9 priced against the environment's topology
-// for a given assignment; AutoIntegrated chooses the Auto assignment and
+// only the full-P gradient all-reduce. Every group is priced against the
+// environment's topology; AutoIntegrated chooses the Auto assignment and
 // prices it in the same pass.
 func (e Env) FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignment) *Breakdown {
 	widx := net.WeightedLayers()
@@ -523,17 +500,31 @@ func (e Env) auto(net *nn.Network, B int, g grid.Grid, breakdown bool) (*Breakdo
 // charged once forward and once for the transposed backward
 // redistribution. With Pr = 1 the layout is already compatible and the
 // cost vanishes.
-func (e Env) RedistributionSeconds(net *nn.Network, B int, g grid.Grid, assign Assignment) float64 {
+//
+// part places the boundaries on a stage-partitioned pipeline whose
+// stages all run grid g, stage s on the rank block starting at s·g.P():
+// the boundary into the weighted layer at position k is priced on the
+// block of the stage that owns that layer. The zero Partition (and any
+// single-stage one) prices every boundary on the block at rank 0.
+func (e Env) RedistributionSeconds(net *nn.Network, B int, g grid.Grid, assign Assignment, part stage.Partition) float64 {
 	if g.Pr == 1 {
 		return 0
 	}
-	pr := e.pricerFor(g)
 	widx := net.WeightedLayers()
+	var pr *pricer
+	owner := 0
 	var secs float64
 	for k := 1; k < len(widx); k++ {
 		prev, cur := assign[widx[k-1]], assign[widx[k]]
 		if prev == cur {
 			continue
+		}
+		s := 0
+		if part.Stages() > 1 {
+			s = part.StageOf(k)
+		}
+		if pr == nil || s != owner {
+			pr, owner = e.pricerAt(g, s*g.P()), s
 		}
 		words := float64(B) / float64(g.Pc) * float64(net.Layers[widx[k-1]].OutSize())
 		secs += 2 * pr.colAllGather(words).Total()

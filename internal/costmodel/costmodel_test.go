@@ -20,8 +20,8 @@ func TestIntegratedReducesToPureBatch(t *testing.T) {
 	f := func(pRaw uint8, bRaw uint16) bool {
 		p := 2 + int(pRaw)%510
 		b := 1 + int(bRaw)%4096
-		eq8 := Integrated(net, b, grid.Grid{Pr: 1, Pc: p}, knl()).TotalSeconds()
-		eq4 := PureBatch(net, b, p, knl()).TotalSeconds()
+		eq8 := FlatEnv(knl()).Integrated(net, b, grid.Grid{Pr: 1, Pc: p}).TotalSeconds()
+		eq4 := FlatEnv(knl()).PureBatch(net, b, p).TotalSeconds()
 		return math.Abs(eq8-eq4) < 1e-12*math.Max(1, eq4)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -36,8 +36,8 @@ func TestIntegratedReducesToPureModel(t *testing.T) {
 	f := func(pRaw uint8, bRaw uint16) bool {
 		p := 2 + int(pRaw)%510
 		b := 1 + int(bRaw)%4096
-		eq8 := Integrated(net, b, grid.Grid{Pr: p, Pc: 1}, knl()).TotalSeconds()
-		eq3 := PureModel(net, b, p, knl()).TotalSeconds()
+		eq8 := FlatEnv(knl()).Integrated(net, b, grid.Grid{Pr: p, Pc: 1}).TotalSeconds()
+		eq3 := FlatEnv(knl()).PureModel(net, b, p).TotalSeconds()
 		return math.Abs(eq8-eq3) < 1e-12*math.Max(1, eq3)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -50,8 +50,8 @@ func TestIntegratedReducesToPureModel(t *testing.T) {
 func TestFullIntegratedDefaultsToIntegrated(t *testing.T) {
 	net := nn.AlexNet()
 	for _, g := range []grid.Grid{{Pr: 1, Pc: 64}, {Pr: 4, Pc: 16}, {Pr: 16, Pc: 32}, {Pr: 64, Pc: 1}} {
-		a := FullIntegrated(net, 512, g, nil, knl()).TotalSeconds()
-		b := Integrated(net, 512, g, knl()).TotalSeconds()
+		a := FlatEnv(knl()).FullIntegrated(net, 512, g, nil).TotalSeconds()
+		b := FlatEnv(knl()).Integrated(net, 512, g).TotalSeconds()
 		if math.Abs(a-b) > 1e-15 {
 			t.Fatalf("grid %v: FullIntegrated(nil) = %g, Integrated = %g", g, a, b)
 		}
@@ -62,8 +62,8 @@ func TestFullIntegratedDefaultsToIntegrated(t *testing.T) {
 // Eq. 4 bandwidth cost is independent of P and of B.
 func TestPureBatchBandwidthIndependentOfP(t *testing.T) {
 	net := nn.AlexNet()
-	c512 := PureBatch(net, 2048, 512, knl())
-	c4096 := PureBatch(net, 123, 4096, knl())
+	c512 := FlatEnv(knl()).PureBatch(net, 2048, 512)
+	c4096 := FlatEnv(knl()).PureBatch(net, 123, 4096)
 	var bw512, bw4096 float64
 	for _, l := range c512.Layers {
 		bw512 += l.GradReduce.Bandwidth
@@ -81,10 +81,10 @@ func TestPureBatchBandwidthIndependentOfP(t *testing.T) {
 func TestPureModelScalesWithB(t *testing.T) {
 	net := nn.AlexNet()
 	var bw1, bw2 float64
-	for _, l := range PureModel(net, 128, 16, knl()).Layers {
+	for _, l := range FlatEnv(knl()).PureModel(net, 128, 16).Layers {
 		bw1 += l.AllGather.Bandwidth + l.ActReduce.Bandwidth
 	}
-	for _, l := range PureModel(net, 256, 16, knl()).Layers {
+	for _, l := range FlatEnv(knl()).PureModel(net, 256, 16).Layers {
 		bw2 += l.AllGather.Bandwidth + l.ActReduce.Bandwidth
 	}
 	if math.Abs(bw2-2*bw1) > 1e-12*bw2 {
@@ -142,12 +142,12 @@ func TestCrossoverMonotonicity(t *testing.T) {
 // (512×1).
 func TestIntegratedBeatsPureAtScale(t *testing.T) {
 	net := nn.AlexNet()
-	pure := Integrated(net, 2048, grid.Grid{Pr: 1, Pc: 512}, knl()).TotalSeconds()
-	model := Integrated(net, 2048, grid.Grid{Pr: 512, Pc: 1}, knl()).TotalSeconds()
+	pure := FlatEnv(knl()).Integrated(net, 2048, grid.Grid{Pr: 1, Pc: 512}).TotalSeconds()
+	model := FlatEnv(knl()).Integrated(net, 2048, grid.Grid{Pr: 512, Pc: 1}).TotalSeconds()
 	best := math.Inf(1)
 	var bestG grid.Grid
 	for _, g := range grid.Factorizations(512) {
-		if c := Integrated(net, 2048, g, knl()).TotalSeconds(); c < best {
+		if c := FlatEnv(knl()).Integrated(net, 2048, g).TotalSeconds(); c < best {
 			best, bestG = c, g
 		}
 	}
@@ -167,11 +167,11 @@ func TestConvBatchOnlyImprovesUniformGrid(t *testing.T) {
 	net := nn.AlexNet()
 	bestUniform, bestSplit := math.Inf(1), math.Inf(1)
 	for _, g := range grid.Factorizations(512) {
-		if c := Integrated(net, 2048, g, knl()).TotalSeconds(); c < bestUniform {
+		if c := FlatEnv(knl()).Integrated(net, 2048, g).TotalSeconds(); c < bestUniform {
 			bestUniform = c
 		}
 		assign := ConvAssignment(net, BatchOnly, Model)
-		if c := FullIntegrated(net, 2048, g, assign, knl()).TotalSeconds(); c < bestSplit {
+		if c := FlatEnv(knl()).FullIntegrated(net, 2048, g, assign).TotalSeconds(); c < bestSplit {
 			bestSplit = c
 		}
 	}
@@ -239,8 +239,8 @@ func TestRedistributeAsymptoticallyFree(t *testing.T) {
 	net := nn.AlexNet()
 	p, b := 64, 1024
 	for k, li := range net.WeightedLayers() {
-		redist := Redistribute(net, li, b, p, knl()).Total()
-		model := PureModel(net, b, p, knl())
+		redist := FlatEnv(knl()).Redistribute(net, li, b, p).Total()
+		model := FlatEnv(knl()).PureModel(net, b, p)
 		layerCost := model.Layers[k].Total().Total()
 		if k == 0 {
 			continue // first layer has no ∆X all-reduce
@@ -257,7 +257,7 @@ func TestRedistributeAsymptoticallyFree(t *testing.T) {
 func TestBreakdownAccounting(t *testing.T) {
 	net := nn.AlexNet()
 	assign := ConvAssignment(net, Domain, Model)
-	b := FullIntegrated(net, 512, grid.Grid{Pr: 4, Pc: 128}, assign, knl())
+	b := FlatEnv(knl()).FullIntegrated(net, 512, grid.Grid{Pr: 4, Pc: 128}, assign)
 	sum := b.ForwardSeconds() + b.BackwardSeconds()
 	if math.Abs(sum-b.TotalSeconds()) > 1e-15 {
 		t.Fatalf("fwd %g + bwd %g ≠ total %g", b.ForwardSeconds(), b.BackwardSeconds(), b.TotalSeconds())
@@ -275,7 +275,7 @@ func TestOverlapNeverWorse(t *testing.T) {
 		grids := grid.Factorizations(256)
 		g := grids[int(prIdx)%len(grids)]
 		b := 256 << (int(bIdx) % 4)
-		bd := Integrated(net, b, g, knl())
+		bd := FlatEnv(knl()).Integrated(net, b, g)
 		comp := 0.01
 		plain := IterationSeconds(bd, comp, false)
 		over := IterationSeconds(bd, comp, true)
@@ -321,8 +321,8 @@ func TestUniformAndConvAssignments(t *testing.T) {
 func TestPureDomainCarriesFullBatch(t *testing.T) {
 	net := nn.AlexNet()
 	p := 8
-	d1 := PureDomain(net, 256, p, knl())
-	d2 := PureDomain(net, 512, p, knl())
+	d1 := FlatEnv(knl()).PureDomain(net, 256, p)
+	d2 := FlatEnv(knl()).PureDomain(net, 512, p)
 	var h1, h2 float64
 	for i := range d1.Layers {
 		h1 += d1.Layers[i].Halo().Bandwidth
@@ -331,9 +331,9 @@ func TestPureDomainCarriesFullBatch(t *testing.T) {
 	if math.Abs(h2-2*h1) > 1e-12*h2 {
 		t.Fatalf("pure-domain halo bandwidth not linear in B: %g vs 2×%g", h2, h1)
 	}
-	via9 := FullIntegrated(net, 256, grid.Grid{Pr: p, Pc: 1},
-		UniformAssignment(net, Domain), knl()).TotalSeconds()
-	direct := PureDomain(net, 256, p, knl()).TotalSeconds()
+	via9 := FlatEnv(knl()).FullIntegrated(net, 256, grid.Grid{Pr: p, Pc: 1},
+		UniformAssignment(net, Domain)).TotalSeconds()
+	direct := FlatEnv(knl()).PureDomain(net, 256, p).TotalSeconds()
 	if math.Abs(via9-direct) > 1e-15 {
 		t.Fatalf("Eq. 9 at P×1 all-domain (%g) ≠ Eq. 7 (%g)", via9, direct)
 	}
@@ -343,8 +343,8 @@ func TestPureDomainCarriesFullBatch(t *testing.T) {
 // same weight all-reduce as Eq. 4.
 func TestPureDomainGradientReduceMatchesBatch(t *testing.T) {
 	net := nn.AlexNet()
-	d := PureDomain(net, 128, 16, knl())
-	b := PureBatch(net, 128, 16, knl())
+	d := FlatEnv(knl()).PureDomain(net, 128, 16)
+	b := FlatEnv(knl()).PureBatch(net, 128, 16)
 	if math.Abs(d.GradReduceSeconds()-b.GradReduceSeconds()) > 1e-15 {
 		t.Fatalf("Eq. 7 grad term %g ≠ Eq. 4 %g", d.GradReduceSeconds(), b.GradReduceSeconds())
 	}

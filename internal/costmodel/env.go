@@ -26,9 +26,8 @@ type Env struct {
 	Spans *SpanMemo
 }
 
-// FlatEnv wraps a flat machine as the one-level environment. Every
-// Env method on it returns exactly what the corresponding flat function
-// returns.
+// FlatEnv wraps a flat machine as the one-level environment: the
+// paper's setting, where every Eq. 3–9 term is the flat closed form.
 func FlatEnv(m machine.Machine) Env {
 	return Env{Topo: machine.Flat(m)}
 }

@@ -23,7 +23,7 @@ func TestFirstModelLayerAfterDomainPaysActReduce(t *testing.T) {
 	net := nn.AlexNet()
 	g := grid.Grid{Pr: 8, Pc: 64}
 	assign := ConvAssignment(net, Domain, Model)
-	b := FullIntegrated(net, 512, g, assign, knl())
+	b := FlatEnv(knl()).FullIntegrated(net, 512, g, assign)
 
 	widx := net.WeightedLayers()
 	sawModel := false
@@ -50,7 +50,7 @@ func TestFirstModelLayerAfterDomainPaysActReduce(t *testing.T) {
 	}
 
 	// And the genuine first weighted layer, when Model, still skips it.
-	uniform := FullIntegrated(net, 512, g, UniformAssignment(net, Model), knl())
+	uniform := FlatEnv(knl()).FullIntegrated(net, 512, g, UniformAssignment(net, Model))
 	if uniform.Layers[0].ActReduce.Total() != 0 {
 		t.Fatal("the network's first weighted layer must never pay a ∆X all-reduce")
 	}
@@ -114,11 +114,11 @@ func TestEnvFlatEquivalenceProperty(t *testing.T) {
 			name       string
 			flat, topo *Breakdown
 		}{
-			{"FullIntegrated", FullIntegrated(net, B, g, assign, m), env.FullIntegrated(net, B, g, assign)},
-			{"Integrated", Integrated(net, B, g, m), env.Integrated(net, B, g)},
-			{"PureModel", PureModel(net, B, p, m), env.PureModel(net, B, p)},
-			{"PureBatch", PureBatch(net, B, p, m), env.PureBatch(net, B, p)},
-			{"PureDomain", PureDomain(net, B, p, m), env.PureDomain(net, B, p)},
+			{"FullIntegrated", FlatEnv(m).FullIntegrated(net, B, g, assign), env.FullIntegrated(net, B, g, assign)},
+			{"Integrated", FlatEnv(m).Integrated(net, B, g), env.Integrated(net, B, g)},
+			{"PureModel", FlatEnv(m).PureModel(net, B, p), env.PureModel(net, B, p)},
+			{"PureBatch", FlatEnv(m).PureBatch(net, B, p), env.PureBatch(net, B, p)},
+			{"PureDomain", FlatEnv(m).PureDomain(net, B, p), env.PureDomain(net, B, p)},
 		}
 		for _, pair := range pairs {
 			if len(pair.flat.Layers) != len(pair.topo.Layers) {
@@ -132,7 +132,7 @@ func TestEnvFlatEquivalenceProperty(t *testing.T) {
 				}
 			}
 		}
-		if rs := env.Redistribute(net, 0, B, p); rs != Redistribute(net, 0, B, p, m) {
+		if rs := env.Redistribute(net, 0, B, p); rs != FlatEnv(m).Redistribute(net, 0, B, p) {
 			t.Fatalf("Redistribute differs under uniform topology")
 		}
 	}
@@ -191,7 +191,7 @@ func TestTwoLevelBracketsFlat(t *testing.T) {
 	g := grid.Grid{Pr: 8, Pc: 8}
 	B := 512
 
-	flatBD := Integrated(net, B, g, flat)
+	flatBD := FlatEnv(flat).Integrated(net, B, g)
 	colPacked := Env{Topo: topo, Placement: grid.ColMajor}.Integrated(net, B, g)
 	if colPacked.TotalSeconds() >= flatBD.TotalSeconds() {
 		t.Fatalf("packing the heavy groups on-node (%g) must beat the flat Aries-only model (%g)",

@@ -1,8 +1,6 @@
 package costmodel
 
 import (
-	"fmt"
-
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
@@ -86,19 +84,6 @@ func memoryLayers(net *nn.Network, B int, g grid.Grid, assign Assignment, widx [
 	return m
 }
 
-// PipelineInFlight returns the peak number of micro-batches whose
-// activations a process must stash simultaneously under the schedule:
-// a gpipe fill–drain stashes all M micro-batches (every forward
-// completes before the first backward starts), while 1f1b's steady
-// state caps the stash at the pipeline depth, min(M, S) — the memory
-// argument for interleaved schedules.
-func PipelineInFlight(sched timeline.Schedule) int {
-	if sched.Shape == timeline.OneFOneB && sched.Stages < sched.MicroBatches {
-		return sched.Stages
-	}
-	return sched.MicroBatches
-}
-
 // stageInFlight returns the peak in-flight micro-batch count of pipeline
 // stage k: a gpipe fill–drain stashes all M everywhere, while 1f1b's
 // warm-up admits S−k forwards into stage k before its first backward, so
@@ -110,25 +95,6 @@ func stageInFlight(sched timeline.Schedule, k int) int {
 		}
 	}
 	return sched.MicroBatches
-}
-
-// MemoryPipeline estimates the per-process memory of training net at
-// global batch B on grid g under an M-micro-batch pipeline schedule.
-// Weight and gradient footprints are those of Memory (gradients
-// accumulate in place across micro-batches), while the activation
-// high-water mark is the per-micro-batch activation footprint (batch
-// size B/M) times the number of in-flight micro-batches the schedule
-// forces (PipelineInFlight). With M = 1 every schedule reproduces
-// Memory exactly. M must divide B (panic otherwise, matching the
-// fail-loudly convention of EpochIterations).
-func MemoryPipeline(net *nn.Network, B int, g grid.Grid, assign Assignment, sched timeline.Schedule) MemoryEstimate {
-	M := sched.MicroBatches
-	if M < 1 || B%M != 0 {
-		panic(fmt.Sprintf("costmodel: MemoryPipeline needs a micro-batch count dividing B, got M=%d B=%d", M, B))
-	}
-	m := Memory(net, B/M, g, assign)
-	m.ActivationWords *= float64(PipelineInFlight(sched))
-	return m
 }
 
 // Memory2DLowerBound returns the memory-optimal footprint the paper

@@ -8,6 +8,7 @@ import (
 
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/stage"
 	"dnnparallel/internal/timeline"
 )
 
@@ -139,9 +140,10 @@ func TestMemoryGradientMirrorsWeights(t *testing.T) {
 	}
 }
 
-// MemoryPipeline with one micro-batch must reproduce Memory exactly —
-// every field, bit for bit — for both schedule shapes, any stage count,
-// and random nets, grids, and assignments.
+// The one-stage MemoryStages estimate with one micro-batch must
+// reproduce Memory exactly — every field, bit for bit — for both
+// schedule shapes, any schedule stage count, and random nets, grids, and
+// assignments.
 func TestMemoryPipelineSingleReproducesMemory(t *testing.T) {
 	f := func(seed int64, prRaw, pcRaw, bRaw uint8, stagesRaw uint8, shapeRaw bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -157,7 +159,7 @@ func TestMemoryPipelineSingleReproducesMemory(t *testing.T) {
 			shape = timeline.OneFOneB
 		}
 		sched := timeline.Schedule{Shape: shape, MicroBatches: 1, Stages: 1 + int(stagesRaw)%8}
-		return MemoryPipeline(net, B, g, assign, sched) == Memory(net, B, g, assign)
+		return singleStageMemory(net, B, g, assign, sched) == Memory(net, B, g, assign)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -165,36 +167,57 @@ func TestMemoryPipelineSingleReproducesMemory(t *testing.T) {
 }
 
 // The activation high-water mark is monotone in the number of in-flight
-// micro-batches: deeper 1f1b pipelines stash more, and the gpipe flush
-// (all M in flight) is the upper envelope.
+// micro-batches: the first stage of a deeper 1f1b pipeline stashes more,
+// and the gpipe flush (all M in flight) is the upper envelope.
 func TestMemoryPipelineStashMonotone(t *testing.T) {
 	net := nn.AlexNet()
 	g := grid.Grid{Pr: 8, Pc: 8}
 	const B, M = 1024, 16
 	assign := UniformAssignment(net, Model)
+	L := len(net.WeightedLayers())
+	// Stage 0 owns the first weighted layer alone at every depth, so only
+	// its in-flight count changes with S.
+	firstAlone := func(S int) stage.Partition {
+		starts := make([]int, S)
+		for k := range starts {
+			starts[k] = k
+		}
+		p, err := stage.New(starts, L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	grids := func(S int) []grid.Grid {
+		gs := make([]grid.Grid, S)
+		for k := range gs {
+			gs[k] = g
+		}
+		return gs
+	}
 	prev := 0.0
-	for _, S := range []int{1, 2, 4, 8, 16} {
+	for _, S := range []int{2, 4, 8} {
 		sched := timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: M, Stages: S}
-		if got, want := PipelineInFlight(sched), S; got != want {
+		if got, want := stageInFlight(sched, 0), S; got != want {
 			t.Fatalf("1f1b S=%d M=%d: in-flight %d, want min(M,S)=%d", S, M, got, want)
 		}
-		act := MemoryPipeline(net, B, g, assign, sched).ActivationWords
+		act := MemoryStages(net, B, firstAlone(S), grids(S), assign, sched)[0].ActivationWords
 		if act <= prev {
 			t.Fatalf("1f1b S=%d: stash %g did not grow beyond %g", S, act, prev)
 		}
 		prev = act
 	}
 	gp := timeline.Schedule{Shape: timeline.GPipe, MicroBatches: M, Stages: 4}
-	if got, want := PipelineInFlight(gp), M; got != want {
+	if got, want := stageInFlight(gp, 0), M; got != want {
 		t.Fatalf("gpipe in-flight %d, want all %d", got, want)
 	}
-	gpAct := MemoryPipeline(net, B, g, assign, gp).ActivationWords
+	gpAct := MemoryStages(net, B, firstAlone(4), grids(4), assign, gp)[0].ActivationWords
 	if gpAct < prev {
 		t.Fatalf("gpipe stash %g must be the upper envelope (1f1b deepest: %g)", gpAct, prev)
 	}
 	// Weight and gradient footprints are micro-batch independent.
 	base := Memory(net, B, g, assign)
-	pm := MemoryPipeline(net, B, g, assign, gp)
+	pm := singleStageMemory(net, B, g, assign, gp)
 	if pm.WeightWords != base.WeightWords || pm.GradientWords != base.GradientWords {
 		t.Fatal("pipeline must not change weight/gradient footprints")
 	}
@@ -214,7 +237,13 @@ func TestMemoryPipelinePanicsOnBadM(t *testing.T) {
 					t.Errorf("M=%d: expected a panic", sched.MicroBatches)
 				}
 			}()
-			MemoryPipeline(net, 64, g, nil, sched)
+			singleStageMemory(net, 64, g, nil, sched)
 		}()
 	}
+}
+
+// singleStageMemory is MemoryStages' estimate for the one-stage pipeline
+// of net on grid g.
+func singleStageMemory(net *nn.Network, B int, g grid.Grid, assign Assignment, sched timeline.Schedule) MemoryEstimate {
+	return MemoryStages(net, B, stage.Balanced(len(net.WeightedLayers()), 1), []grid.Grid{g}, assign, sched)[0]
 }

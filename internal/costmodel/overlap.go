@@ -56,7 +56,7 @@ func IterationSeconds(b *Breakdown, compSeconds float64, overlap bool) float64 {
 	if !overlap {
 		return b.TotalSeconds() + compSeconds
 	}
-	res, err := timeline.SimulateLayers(AggregateTimeline(b, compSeconds), timeline.PolicyBackprop)
+	res, err := timeline.SimulatePipeline(AggregateTimeline(b, compSeconds), timeline.PolicyBackprop, timeline.Single())
 	if err != nil {
 		// The aggregate graph is a four-event chain; it cannot cycle.
 		panic(fmt.Sprintf("costmodel: aggregate timeline failed: %v", err))

@@ -42,7 +42,7 @@ func TestOverlapDelegationMatchesClosedForm(t *testing.T) {
 	}
 	for netName, net := range nets {
 		for _, g := range []grid.Grid{{Pr: 1, Pc: 256}, {Pr: 16, Pc: 16}, {Pr: 256, Pc: 1}} {
-			bd := Integrated(net, 512, g, m)
+			bd := FlatEnv(m).Integrated(net, 512, g)
 			for compName, comp := range comps {
 				got := IterationSeconds(bd, comp, true)
 				want := closedFormOverlap(bd, comp)
@@ -78,7 +78,7 @@ func singleFCNet(t *testing.T) *nn.Network {
 // BackpropFraction and carries the full fwd/bwd communication split.
 func TestAggregateTimelineShape(t *testing.T) {
 	net := nn.AlexNet()
-	bd := Integrated(net, 512, grid.Grid{Pr: 8, Pc: 64}, machine.CoriKNL())
+	bd := FlatEnv(machine.CoriKNL()).Integrated(net, 512, grid.Grid{Pr: 8, Pc: 64})
 	layers := AggregateTimeline(bd, 0.09)
 	if len(layers) != 1 {
 		t.Fatalf("aggregate should be one layer, got %d", len(layers))
@@ -103,7 +103,7 @@ func TestTimelineLayersPairing(t *testing.T) {
 	g := grid.Grid{Pr: 4, Pc: 64}
 	m := machine.CoriKNL()
 	assign := ConvAssignment(net, Domain, Model)
-	bd := FullIntegrated(net, 512, g, assign, m)
+	bd := FlatEnv(m).FullIntegrated(net, 512, g, assign)
 	times, _ := compute.KNLCaffe().GridLayerTimes(net, 512, g)
 	layers := TimelineLayers(bd, times)
 	if len(layers) != len(net.WeightedLayers()) {
@@ -142,7 +142,7 @@ func TestTimelineLayersPairing(t *testing.T) {
 	// serialized total and below by the compute chain.
 	serial := comm + comp
 	for _, pol := range []timeline.Policy{timeline.PolicyNone, timeline.PolicyBackprop, timeline.PolicyFull} {
-		res, err := timeline.SimulateLayers(layers, pol)
+		res, err := timeline.SimulatePipeline(layers, pol, timeline.Single())
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -184,7 +184,7 @@ func TestTimelineLayersMismatchedIndexSets(t *testing.T) {
 // the internal/tensor panics convention requires.
 func TestIterationSecondsValidation(t *testing.T) {
 	net := nn.AlexNet()
-	bd := Integrated(net, 512, grid.Grid{Pr: 4, Pc: 16}, machine.CoriKNL())
+	bd := FlatEnv(machine.CoriKNL()).Integrated(net, 512, grid.Grid{Pr: 4, Pc: 16})
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {

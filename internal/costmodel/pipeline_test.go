@@ -9,6 +9,7 @@ import (
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/stage"
 	"dnnparallel/internal/timeline"
 )
 
@@ -33,13 +34,13 @@ func TestPipelineIterationSingleMatchesTimelinePath(t *testing.T) {
 		B := g.Pc * (1 + rng.Intn(8))
 		assign := UniformAssignment(net, Model)
 		for _, pol := range []timeline.Policy{timeline.PolicyNone, timeline.PolicyBackprop, timeline.PolicyFull} {
-			pc, err := env.PipelineIteration(net, B, g, assign, cm, pol, timeline.Single())
+			pc, err := singleStage(env, net, B, g, assign, cm, pol, timeline.Single())
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 			b := env.FullIntegrated(net, B, g, assign)
 			times, ov := cm.GridLayerTimes(net, B, g)
-			want, err := timeline.SimulateLayers(TimelineLayers(b, times), pol)
+			want, err := timeline.SimulatePipeline(TimelineLayers(b, times), pol, timeline.Single())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,12 +70,12 @@ func TestPipelineSweetSpotOnAlexNet(t *testing.T) {
 	g := grid.Grid{Pr: 32, Pc: 16}
 	assign := UniformAssignment(net, Model)
 	iter := func(M int, pol timeline.Policy) float64 {
-		s, err := e.PipelineIterationSeconds(net, 2048, g, assign, cm, pol,
+		pc, err := singleStage(e, net, 2048, g, assign, cm, pol,
 			timeline.Schedule{Shape: timeline.GPipe, MicroBatches: M, Stages: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return pc.IterSeconds()
 	}
 	if m1, m2 := iter(1, timeline.PolicyBackprop), iter(2, timeline.PolicyBackprop); m2 >= m1 {
 		t.Errorf("backprop: M=2 (%g) should beat M=1 (%g) by hiding forward all-gathers", m2, m1)
@@ -104,7 +105,7 @@ func TestPipelineCommFlushAccounting(t *testing.T) {
 	g := grid.Grid{Pr: 32, Pc: 16}
 	assign := UniformAssignment(net, Model)
 	const B, M = 2048, 8
-	pc, err := e.PipelineIteration(net, B, g, assign, cm, timeline.PolicyBackprop,
+	pc, err := singleStage(e, net, B, g, assign, cm, timeline.PolicyBackprop,
 		timeline.Schedule{Shape: timeline.GPipe, MicroBatches: M, Stages: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +134,16 @@ func TestPipelineValidationErrors(t *testing.T) {
 		{"bad shape", 64, grid.Grid{Pr: 4, Pc: 4}, timeline.Schedule{Shape: timeline.Shape(9), MicroBatches: 2, Stages: 1}},
 	}
 	for _, c := range cases {
-		if _, err := e.PipelineIteration(net, c.B, c.g, assign, cm, timeline.PolicyBackprop, c.sched); err == nil {
+		if _, err := singleStage(e, net, c.B, c.g, assign, cm, timeline.PolicyBackprop, c.sched); err == nil {
 			t.Errorf("%s: expected an error", c.name)
 		}
 	}
+}
+
+// singleStage prices the one-stage pipeline of net on grid g:
+// StageIteration with the trivial partition.
+func singleStage(e Env, net *nn.Network, B int, g grid.Grid, assign Assignment,
+	cm compute.Model, policy timeline.Policy, sched timeline.Schedule) (StagePipelineCost, error) {
+	return e.StageIteration(net, B, stage.Balanced(len(net.WeightedLayers()), 1), []grid.Grid{g},
+		assign, cm, policy, sched)
 }

@@ -54,13 +54,13 @@ func TestRandomNetsIntegratedLimits(t *testing.T) {
 		}
 		p := 2 + int(pRaw)%62
 		b := 1 + int(bRaw)%512
-		eq8b := Integrated(net, b, grid.Grid{Pr: 1, Pc: p}, knl()).TotalSeconds()
-		eq4 := PureBatch(net, b, p, knl()).TotalSeconds()
+		eq8b := FlatEnv(knl()).Integrated(net, b, grid.Grid{Pr: 1, Pc: p}).TotalSeconds()
+		eq4 := FlatEnv(knl()).PureBatch(net, b, p).TotalSeconds()
 		if math.Abs(eq8b-eq4) > 1e-12*math.Max(1, eq4) {
 			return false
 		}
-		eq8m := Integrated(net, b, grid.Grid{Pr: p, Pc: 1}, knl()).TotalSeconds()
-		eq3 := PureModel(net, b, p, knl()).TotalSeconds()
+		eq8m := FlatEnv(knl()).Integrated(net, b, grid.Grid{Pr: p, Pc: 1}).TotalSeconds()
+		eq3 := FlatEnv(knl()).PureModel(net, b, p).TotalSeconds()
 		return math.Abs(eq8m-eq3) < 1e-12*math.Max(1, eq3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -90,7 +90,7 @@ func TestRandomNetsBreakdownConsistency(t *testing.T) {
 				assign[li] = Model
 			}
 		}
-		bd := FullIntegrated(net, b, g, assign, knl())
+		bd := FlatEnv(knl()).FullIntegrated(net, b, g, assign)
 		total := bd.TotalSeconds()
 		if math.IsNaN(total) || math.IsInf(total, 0) || total < 0 {
 			return false

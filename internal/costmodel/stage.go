@@ -1,9 +1,17 @@
-// Stage-partitioned pricing: one pipelined iteration where each stage
-// owns a contiguous slice of the network's weighted layers and prices
-// only those layers, on its own grid, at its own position in the
-// machine. This replaces the replicated-net feed (every stage priced as
-// if it ran the whole network on the whole grid) with the real resource
-// model of pipeline-parallel training:
+// Pipeline pricing: one full M-micro-batch iteration against the
+// environment's topology. The paper's Eqs. 3–9 (and the single-iteration
+// timeline built on them) price exactly one bulk-synchronous iteration;
+// splitting the global batch B into M micro-batches of B/M and streaming
+// them through a timeline.Schedule exposes the regime the closed forms
+// cannot see — inter-batch pipelining hides communication no
+// intra-iteration overlap policy can, at the price of the α-term penalty
+// of B/M-sized messages and the activation stash of in-flight
+// micro-batches (see the local-updates line of work in PAPERS.md).
+//
+// Each of the S pipeline stages owns a contiguous slice of the network's
+// weighted layers and prices only those layers, on its own grid, at its
+// own position in the machine — the real resource model of
+// pipeline-parallel training:
 //
 //   - stage k's collectives run on stage k's rank block — a contiguous
 //     run of machine ranks starting where stage k−1's block ends — so a
@@ -16,11 +24,13 @@
 //   - gradient accumulation is explicit: each micro-batch's backward
 //     pays the local accumulation pass (the update term of
 //     compute.GridLayerTimes) and the iteration pays one flush update
-//     after the deferred ∆W all-reduce (flushSeconds).
+//     after the deferred ∆W all-reduce (StagePipelineCost.FlushSeconds).
 //
-// With S = 1 the whole construction degenerates bit-for-bit to
-// Env.PipelineIteration (property-tested): one stage, offset 0, no
-// handoffs, same breakdown, same schedule, same overhead.
+// S = 1 is inter-batch pipelining on one device group: one stage at
+// offset 0, no handoffs, every layer priced with Env.FullIntegrated's
+// loop and timed with compute.GridLayerTimes' arithmetic — at M = 1 the
+// iteration is exactly the single-iteration timeline path
+// (property-tested).
 package costmodel
 
 import (
@@ -90,14 +100,36 @@ type StagePipelineCost struct {
 	// Overhead is the unsimulated residual: fixed framework cost, per-
 	// micro-batch unweighted compute, and the flush update.
 	Overhead float64
-	// FlushSeconds is the post-flush SGD update included in Overhead
-	// (see PipelineCost.FlushSeconds).
+	// FlushSeconds is the post-flush SGD weight update included in
+	// Overhead: with M > 1 the per-micro-batch update term of
+	// compute.GridLayerTimes models the local gradient *accumulation*,
+	// and the real weight update runs once after the deferred ∆W
+	// all-reduce — one more pass over the local weight shard at
+	// UpdateRate, un-overlappable. Zero at M = 1, where the
+	// per-micro-batch term is the update itself.
 	FlushSeconds float64
 }
 
 // IterSeconds is the priced iteration time: schedule makespan plus the
 // unsimulated overhead.
 func (sc StagePipelineCost) IterSeconds() float64 { return sc.Result.Makespan + sc.Overhead }
+
+// validatePipeline checks the (B, M, grid) combination: micro-batches
+// must tile the global batch exactly and still feed every grid column at
+// least one sample.
+func validatePipeline(B int, g grid.Grid, sched timeline.Schedule) error {
+	M := sched.MicroBatches
+	if M < 1 {
+		return fmt.Errorf("costmodel: need ≥ 1 micro-batch, got M=%d", M)
+	}
+	if B%M != 0 {
+		return fmt.Errorf("costmodel: micro-batch count M=%d does not divide batch size B=%d", M, B)
+	}
+	if micro := B / M; micro < g.Pc {
+		return fmt.Errorf("costmodel: micro-batch size B/M=%d is thinner than Pc=%d (one sample per grid column)", micro, g.Pc)
+	}
+	return nil
+}
 
 // BoundaryLevel returns the topology level a cut between adjacent
 // machine ranks a and b crosses: the innermost level whose groups
@@ -120,6 +152,20 @@ func BoundaryLevel(t machine.Topology, a, b int) int {
 // through timeline.SimulatePipeline under the given policy and schedule
 // shape (sched.Stages and sched.Partition are derived from part, so
 // callers set only Shape and MicroBatches).
+//
+// Accounting choices, in words:
+//   - every communication term is re-derived at micro-batch size B/M,
+//     and the per-layer compute is split at micro-batch GEMM efficiency
+//     (smaller local GEMMs run less efficiently — the micro-batching tax
+//     on the compute side);
+//   - the ∆W all-reduce is deferred to the flush (one collective per
+//     layer per iteration, issued with the last micro-batch's backprop);
+//   - the per-micro-batch weight-update term of compute.GridLayerTimes
+//     models the local gradient *accumulation* across micro-batches
+//     (same read-modify-write traffic as an update), so backward compute
+//     stays comparable across M;
+//   - compute.Model.FixedIter is paid once per iteration, while the
+//     unweighted-layer compute (pooling etc.) recurs per micro-batch.
 func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids []grid.Grid,
 	assign Assignment, cm compute.Model, policy timeline.Policy, sched timeline.Schedule) (StagePipelineCost, error) {
 	widx := net.WeightedLayers()
@@ -152,8 +198,7 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 
 	// Per-layer collective pricing, each stage on its own grid at its own
 	// offset. At S = 1 this is exactly FullIntegrated (same desc, same
-	// loop), keeping the degenerate case bit-identical to
-	// PipelineIteration.
+	// loop).
 	desc := gridDesc("full integrated", grids[0], micro)
 	if S > 1 {
 		desc = stageDesc(grids, micro)
@@ -194,8 +239,8 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 	// Unsimulated overhead: fixed cost once, unweighted layers once per
 	// micro-batch on their owning stage's grid (the stage of the nearest
 	// preceding weighted layer), flush update once. The accumulation
-	// mirrors GridLayerTimes + PipelineIteration term for term so S = 1
-	// reproduces their float arithmetic exactly.
+	// mirrors GridLayerTimes term for term so S = 1 reproduces its float
+	// arithmetic exactly.
 	ov := cm.FixedIter
 	wpos := 0
 	owner := 0
@@ -208,11 +253,13 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 		}
 		ov += cm.GridUnweightedTime(l, micro, grids[owner])
 	}
+	// The flush update is one UpdateRate pass over each layer's local
+	// weight shard, sharded by its own stage's grid, in forward order.
 	var flush float64
 	if M > 1 {
-		flush = flushSeconds(net, cm, widx, func(k int) float64 {
-			return float64(grids[part.StageOf(k)].Pr)
-		})
+		for k, li := range widx {
+			flush += cm.UpdateTime(float64(net.Layers[li].Weights()) / float64(grids[part.StageOf(k)].Pr))
+		}
 	}
 
 	// Boundary handoffs: per micro-batch, the receiving stage's first

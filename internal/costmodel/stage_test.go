@@ -16,12 +16,13 @@ import (
 	"dnnparallel/internal/timeline"
 )
 
-// The degenerate partition (S = 1) must reproduce PipelineIteration
-// bit-for-bit — same breakdown, same schedule result, same overhead and
-// flush, float for float — across random nets, grids, policies, schedule
-// shapes, and micro-batch counts, on flat and hierarchical machines.
-// This is the contract that lets the planner route every search through
-// the stage path without perturbing single-stage plans.
+// The degenerate partition (S = 1) must reproduce the whole-network
+// pipeline (pipelineReference) bit-for-bit — same breakdown, same
+// schedule result, same overhead and flush, float for float — across
+// random nets, grids, policies, schedule shapes, and micro-batch counts,
+// on flat and hierarchical machines. This is the contract that lets the
+// planner route every pipelined candidate through the stage path without
+// perturbing single-stage plans.
 func TestStageIterationSingleMatchesPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cm := compute.KNLCaffe()
@@ -42,7 +43,7 @@ func TestStageIterationSingleMatchesPipeline(t *testing.T) {
 		part := stage.Balanced(len(net.WeightedLayers()), 1)
 		for _, pol := range []timeline.Policy{timeline.PolicyNone, timeline.PolicyBackprop, timeline.PolicyFull} {
 			sched := timeline.Schedule{Shape: shape, MicroBatches: M, Stages: 1}
-			pc, err := env.PipelineIteration(net, B, g, assign, cm, pol, sched)
+			pc, err := pipelineReference(env, net, B, g, assign, cm, pol, sched)
 			if err != nil {
 				t.Fatalf("trial %d: pipeline: %v", trial, err)
 			}
@@ -203,8 +204,8 @@ func TestStageIterationValidation(t *testing.T) {
 	}
 }
 
-// MemoryStages: the single-stage estimate reproduces MemoryPipeline
-// exactly, and splitting stages splits the weight footprint while the
+// MemoryStages: the single-stage estimate is the Memory footprint at
+// micro-batch size with the whole gpipe stash in flight, exactly, and splitting stages splits the weight footprint while the
 // 1F1B stash gradient keeps earlier stages' activation stash at least as
 // large as later ones'.
 func TestMemoryStages(t *testing.T) {
@@ -213,8 +214,10 @@ func TestMemoryStages(t *testing.T) {
 	g := grid.Grid{Pr: 4, Pc: 4}
 	sched := timeline.Schedule{Shape: timeline.GPipe, MicroBatches: 4, Stages: 1}
 	one := MemoryStages(net, 256, stage.Balanced(len(widx), 1), []grid.Grid{g}, nil, sched)
-	if len(one) != 1 || !reflect.DeepEqual(one[0], MemoryPipeline(net, 256, g, nil, sched)) {
-		t.Fatalf("S=1 MemoryStages %+v != MemoryPipeline %+v", one, MemoryPipeline(net, 256, g, nil, sched))
+	want := Memory(net, 256/4, g, nil)
+	want.ActivationWords *= 4
+	if len(one) != 1 || !reflect.DeepEqual(one[0], want) {
+		t.Fatalf("S=1 MemoryStages %+v != micro-batch Memory with 4 in flight %+v", one, want)
 	}
 	two := MemoryStages(net, 256, stage.Balanced(len(widx), 2), []grid.Grid{g, g}, nil,
 		timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: 4})
@@ -229,4 +232,37 @@ func TestMemoryStages(t *testing.T) {
 	if two[0].ActivationWords <= 0 || two[1].ActivationWords <= 0 {
 		t.Fatalf("activation stashes must be positive: %+v", two)
 	}
+}
+
+// pipelineReference prices the one-stage M-micro-batch pipeline from the
+// whole-network building blocks, independently of the per-stage loops:
+// Eq. 9 on the whole grid at micro-batch size, compute.GridLayerTimes for
+// the split and the residual, one schedule over all layers, and the
+// flush update over the grid's Pr-sharded weights. StageIteration at
+// S = 1 must agree with it bit for bit.
+func pipelineReference(e Env, net *nn.Network, B int, g grid.Grid, assign Assignment,
+	cm compute.Model, policy timeline.Policy, sched timeline.Schedule) (StagePipelineCost, error) {
+	if err := validatePipeline(B, g, sched); err != nil {
+		return StagePipelineCost{}, err
+	}
+	M := sched.MicroBatches
+	micro := B / M
+	b := e.FullIntegrated(net, micro, g, assign)
+	times, ov := cm.GridLayerTimes(net, micro, g)
+	res, err := timeline.SimulatePipeline(TimelineLayers(b, times), policy, sched)
+	if err != nil {
+		return StagePipelineCost{}, err
+	}
+	var flush float64
+	if M > 1 {
+		for _, li := range net.WeightedLayers() {
+			flush += cm.UpdateTime(float64(net.Layers[li].Weights()) / float64(g.Pr))
+		}
+	}
+	return StagePipelineCost{
+		Result:       res,
+		Breakdown:    b,
+		Overhead:     cm.FixedIter + float64(M)*(ov-cm.FixedIter) + flush,
+		FlushSeconds: flush,
+	}, nil
 }

@@ -87,7 +87,7 @@ func ModelCheck() ([]ModelCheckRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("batch: %w", err)
 	}
-	add("batch", "Eq. 4", "1x4", meas, costmodel.PureBatch(spec, B, 4, m).TotalSeconds())
+	add("batch", "Eq. 4", "1x4", meas, costmodel.FlatEnv(m).PureBatch(spec, B, 4).TotalSeconds())
 
 	meas, err = steady(func(s int) (parallel.Result, error) {
 		return parallel.RunModel(mpi.NewWorld(4, m), mk(s), ds)
@@ -95,7 +95,7 @@ func ModelCheck() ([]ModelCheckRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
-	add("model", "Eq. 3", "4x1", meas, costmodel.PureModel(spec, B, 4, m).TotalSeconds())
+	add("model", "Eq. 3", "4x1", meas, costmodel.FlatEnv(m).PureModel(spec, B, 4).TotalSeconds())
 
 	for _, g := range []grid.Grid{{Pr: 2, Pc: 2}, {Pr: 4, Pc: 2}, {Pr: 2, Pc: 4}} {
 		g := g
@@ -106,7 +106,7 @@ func ModelCheck() ([]ModelCheckRow, error) {
 			return nil, fmt.Errorf("1.5D %v: %w", g, err)
 		}
 		add("integrated-1.5D", "Eq. 8", g.String(), meas,
-			costmodel.Integrated(spec, B, g, m).TotalSeconds())
+			costmodel.FlatEnv(m).Integrated(spec, B, g).TotalSeconds())
 	}
 	return rows, nil
 }

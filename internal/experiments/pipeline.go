@@ -27,7 +27,7 @@ type PipelineRow struct {
 	BubbleFraction     float64
 	// MemoryWords is the total per-process footprint — weights +
 	// gradients + the schedule's activation-stash high-water mark
-	// (costmodel.MemoryPipeline).
+	// (costmodel.MemoryStages).
 	MemoryWords float64
 
 	Feasible bool

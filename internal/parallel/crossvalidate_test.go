@@ -62,7 +62,7 @@ func TestBatchEngineCommMatchesEq4(t *testing.T) {
 		return res
 	}
 	measured := steadyStateComm(t, run, 3)
-	predicted := costmodel.PureBatch(spec, 16, p, m).TotalSeconds()
+	predicted := costmodel.FlatEnv(m).PureBatch(spec, 16, p).TotalSeconds()
 	if rel := math.Abs(measured-predicted) / predicted; rel > 0.01 {
 		t.Fatalf("batch engine comm %.6g vs Eq. 4 %.6g (rel %.3f)", measured, predicted, rel)
 	}
@@ -85,7 +85,7 @@ func TestModelEngineCommMatchesEq3(t *testing.T) {
 		return res
 	}
 	measured := steadyStateComm(t, run, 3)
-	predicted := costmodel.PureModel(spec, 16, p, m).TotalSeconds()
+	predicted := costmodel.FlatEnv(m).PureModel(spec, 16, p).TotalSeconds()
 	if rel := math.Abs(measured-predicted) / predicted; rel > 0.01 {
 		t.Fatalf("model engine comm %.6g vs Eq. 3 %.6g (rel %.3f)", measured, predicted, rel)
 	}
@@ -107,7 +107,7 @@ func TestIntegratedEngineCommMatchesEq8(t *testing.T) {
 			return res
 		}
 		measured := steadyStateComm(t, run, 3)
-		predicted := costmodel.Integrated(spec, 16, g, m).TotalSeconds()
+		predicted := costmodel.FlatEnv(m).Integrated(spec, 16, g).TotalSeconds()
 		// The loss all-reduce over the row group adds a few words; allow 2%.
 		if rel := math.Abs(measured-predicted) / predicted; rel > 0.02 {
 			t.Fatalf("grid %v: 1.5D engine comm %.6g vs Eq. 8 %.6g (rel %.3f)", g, measured, predicted, rel)

@@ -8,6 +8,7 @@ import (
 	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/stage"
 	"dnnparallel/internal/timeline"
 )
 
@@ -122,7 +123,7 @@ func TestPipelinePlanConsistency(t *testing.T) {
 		t.Fatalf("IterSeconds %g != makespan %g + overhead %g", p.IterSeconds, p.Timeline.Makespan, overhead)
 	}
 	sched := timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: 4, Stages: 1}
-	want := costmodel.MemoryPipeline(net, 2048, g, p.Assignment, sched).TotalWords()
+	want := oneStageMemory(net, 2048, g, p.Assignment, sched).TotalWords()
 	if p.MemoryWords != want {
 		t.Fatalf("MemoryWords %g != stash estimate %g", p.MemoryWords, want)
 	}
@@ -144,7 +145,7 @@ func TestStashAwareMemoryPruning(t *testing.T) {
 
 	full := costmodel.Memory(net, B, g, costmodel.UniformAssignment(net, costmodel.Model)).TotalWords()
 	sched := timeline.Schedule{Shape: timeline.OneFOneB, MicroBatches: 8, Stages: 1}
-	stash := costmodel.MemoryPipeline(net, B, g, costmodel.UniformAssignment(net, costmodel.Model), sched).TotalWords()
+	stash := oneStageMemory(net, B, g, costmodel.UniformAssignment(net, costmodel.Model), sched).TotalWords()
 	if stash >= full {
 		t.Fatalf("1f1b stash %g should undercut the full-batch footprint %g", stash, full)
 	}
@@ -194,4 +195,10 @@ func TestMicroBatchValidation(t *testing.T) {
 	if p.Feasible || !strings.Contains(p.Reason, "thinner") {
 		t.Fatalf("B/M=2 < Pc=8: want a thinner-than-Pc reason, got feasible=%v %q", p.Feasible, p.Reason)
 	}
+}
+
+// oneStageMemory is costmodel.MemoryStages' estimate for the one-stage
+// pipeline of net on grid g.
+func oneStageMemory(net *nn.Network, B int, g grid.Grid, assign costmodel.Assignment, sched timeline.Schedule) costmodel.MemoryEstimate {
+	return costmodel.MemoryStages(net, B, stage.Balanced(len(net.WeightedLayers()), 1), []grid.Grid{g}, assign, sched)[0]
 }

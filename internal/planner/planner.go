@@ -147,7 +147,8 @@ type Options struct {
 	// pipeline-parallel scheduling. Empty means {1}: no pipelining, the
 	// legacy single-iteration scoring, bit-identical to the pre-pipeline
 	// planner. Entries > 1 score an M-micro-batch schedule via
-	// costmodel.PipelineIteration and require UseTimeline (Optimize
+	// costmodel.StageIteration (one stage unless PipelineStages or
+	// StageCounts ask for more) and require UseTimeline (Optimize
 	// rejects them otherwise); candidates that do not divide B or leave
 	// a micro-batch thinner than Pc are skipped as infeasible. Each grid
 	// reports its best M (Plan.MicroBatch).
@@ -404,8 +405,8 @@ type Plan struct {
 	IterSeconds  float64 // combined (with overlap if requested)
 	EpochSeconds float64 // IterSeconds × ⌈N/B⌉ (0 when DatasetN unset)
 	// MemoryWords is the per-process footprint: costmodel.Memory for
-	// single-iteration plans, costmodel.MemoryPipeline (activation-stash
-	// high-water mark) for pipelined ones.
+	// single-iteration plans, the tightest stage's costmodel.MemoryStages
+	// estimate (activation-stash high-water mark) for pipelined ones.
 	MemoryWords float64
 	// ExposedCommSeconds is the communication the schedule could not hide
 	// behind computation (IterSeconds − CompSeconds, ≥ 0).
@@ -470,332 +471,147 @@ func assignmentFor(net *nn.Network, B int, g grid.Grid, mode Mode, env costmodel
 	return nil
 }
 
-// Evaluate prices one (grid, mode) configuration over the placement and
-// stage-count search spaces — and, under the TimeToAccuracy objective,
-// over Options.BatchSizes — and returns the best plan (ties keep the
-// earlier placement, so flat machines deterministically report
-// row-major). For stage counts > 1 the grid is the shared per-stage
-// grid: the machine has S × g.P() ranks, stage k's block starting at
-// rank k·g.P().
+// Evaluate prices one (grid, mode) configuration over the placement,
+// stage-count, partition and micro-batch search spaces — and, under the
+// TimeToAccuracy objective, over Options.BatchSizes — and returns the
+// plan Optimize would pick if g were the only grid: the feasible plan of
+// lowest objective cost (ties keep the earlier placement, so flat
+// machines deterministically report row-major), or the first candidate's
+// plan when none is feasible. For stage counts > 1 the grid is the
+// shared per-stage grid: the machine has S × g.P() ranks, stage k's
+// block starting at rank k·g.P().
 func Evaluate(net *nn.Network, B int, g grid.Grid, opts Options) Plan {
-	batches := opts.batchSizes(B)
-	best := evaluateBatch(net, batches[0], g, opts)
-	for _, b := range batches[1:] {
-		if p := evaluateBatch(net, b, g, opts); p.Feasible &&
-			(!best.Feasible || opts.objectiveCost(&p) < opts.objectiveCost(&best)) {
-			best = p
-		}
-	}
-	return best
+	s := newSearch(net, B, g.P(), opts, true)
+	s.grid = &g
+	return s.best()
 }
 
-// evaluateBatch prices one (grid, batch size) pair over the stage-count
-// search space.
-func evaluateBatch(net *nn.Network, B int, g grid.Grid, opts Options) Plan {
-	counts := opts.stageCounts()
-	best := evaluateStageCount(net, B, g, counts[0], opts, nil)
-	for _, S := range counts[1:] {
-		if p := evaluateStageCount(net, B, g, S, opts, nil); p.Feasible &&
-			(!best.Feasible || p.IterSeconds < best.IterSeconds) {
-			best = p
-		}
-	}
-	return best
-}
-
-// evaluateStageCount prices one (grid, stage-count) pair: the legacy
-// single-stage path for S ≤ 1, the partition × placement × micro-batch
-// product for S > 1 (g shared per stage).
-func evaluateStageCount(net *nn.Network, B int, g grid.Grid, S int, opts Options, st *SearchStats) Plan {
-	if S <= 1 {
-		return evaluate(net, B, g, opts, st)
-	}
-	parts, err := opts.partitions(net, S)
-	if err != nil {
-		if st != nil {
-			st.Candidates++
-			st.StageCandidates++
-			st.InfeasiblePruned++
-		}
-		return Plan{Grid: g, Batch: B, Mode: opts.Mode, Stages: S, MicroBatch: 1, Schedule: opts.Schedule, Reason: err.Error()}
-	}
-	return evaluateStagedGrid(net, B, S, g, parts, opts, st)
-}
-
-// evaluateStagedGrid prices one shared per-stage grid over the
-// placement × partition × micro-batch product and returns the best
-// candidate (ties keep the earlier placement, then the earlier
-// partition, then the smaller M — the search order).
-func evaluateStagedGrid(net *nn.Network, B, S int, g grid.Grid, parts []stage.Partition, opts Options, st *SearchStats) Plan {
-	pls := opts.placements()
-	if g.Pr == 1 || g.Pc == 1 {
-		// Degenerate grids have identical rank mappings under every
-		// placement (see evaluate).
-		pls = pls[:1]
-	}
-	micros := opts.microBatches()
-	var best Plan
-	first := true
-	for _, pl := range pls {
-		for _, part := range parts {
-			for _, m := range micros {
-				p := evaluateStagedAt(net, B, g, pl, part, opts, m, nil, st)
-				if first || (p.Feasible && (!best.Feasible || p.IterSeconds < best.IterSeconds ||
-					(p.IterSeconds == best.IterSeconds && p.MicroBatch < best.MicroBatch))) {
-					best = p
-					first = false
-				}
-			}
-		}
-	}
-	return best
-}
-
-// evaluateStagedAt prices one (grid, placement, partition, M) stage-
-// partitioned candidate via costmodel.StageIteration: every stage's
-// layers on the shared grid at the stage's rank offset, boundary
-// handoffs priced against the topology level each cut crosses, memory
-// pruned on the tightest stage's footprint.
-func evaluateStagedAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, part stage.Partition,
-	opts Options, micro int, spans *costmodel.SpanMemo, st *SearchStats) Plan {
-	if st != nil {
-		st.Candidates++
-		st.StageCandidates++
-	}
-	S := part.Stages()
-	sched := timeline.Schedule{Shape: opts.Schedule, MicroBatches: micro, Stages: S}
-	p := Plan{Grid: g, Batch: B, Placement: pl, Mode: opts.Mode, MicroBatch: micro, Schedule: sched.Shape,
-		Stages: S, Partition: part.Cuts()}
-	ok, reason := feasible(net, B, g, opts.Mode)
-	if !ok {
-		p.Reason = reason
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if opts.MaxPc > 0 && g.Pc > opts.MaxPc {
-		p.Reason = fmt.Sprintf("Pc=%d exceeds the batch-parallelism cap %d", g.Pc, opts.MaxPc)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if micro < 1 || B%micro != 0 {
-		p.Reason = fmt.Sprintf("micro-batch count %d does not divide B=%d", micro, B)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if B/micro < g.Pc {
-		p.Reason = fmt.Sprintf("micro-batch size %d is thinner than Pc=%d", B/micro, g.Pc)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	var priceStart time.Time
-	if st != nil {
-		priceStart = time.Now()
-	}
-	env := costmodel.Env{Topo: opts.topology(), Placement: pl, Spans: spans}
-	// Strategies are chosen at the micro-batch size on the shared grid,
-	// as in the single-stage pipeline path.
-	p.Assignment = assignmentFor(net, B/micro, g, opts.Mode, env)
-	grids := make([]grid.Grid, S)
-	for k := range grids {
-		grids[k] = g
-	}
-	// The tightest stage governs feasibility: every process must fit its
-	// own stage's weights plus the stash its schedule position forces.
-	for _, m := range costmodel.MemoryStages(net, B, part, grids, p.Assignment, sched) {
-		if w := m.TotalWords(); w > p.MemoryWords {
-			p.MemoryWords = w
-		}
-	}
-	if opts.MemoryLimitWords > 0 && p.MemoryWords > opts.MemoryLimitWords {
-		p.Reason = fmt.Sprintf("stage stash: per-process memory %.3g words exceeds limit %.3g",
-			p.MemoryWords, opts.MemoryLimitWords)
-		if st != nil {
-			st.MemoryPruned++
-			st.PriceSeconds += time.Since(priceStart).Seconds()
-		}
-		return p
-	}
-	var simStart time.Time
-	if st != nil {
-		st.Priced++
-		st.PriceSeconds += time.Since(priceStart).Seconds()
-		simStart = time.Now()
-	}
-	sc, err := env.StageIteration(net, B, part, grids, p.Assignment, opts.Compute, opts.TimelinePolicy, sched)
-	if st != nil {
-		st.TimelineSimulated++
-		st.SimulateSeconds += time.Since(simStart).Seconds()
-	}
-	if err != nil {
-		p.Reason = fmt.Sprintf("stage simulation failed: %v", err)
-		return p
-	}
-	p.Feasible = true
-	p.Breakdown = sc.Breakdown // per-micro-batch costs, all stages in layer order
-	p.Timeline = sc.Result
-	p.BubbleFraction = sc.Result.BubbleFraction
-	p.PerStage = sc.Stages
-	p.CommSeconds = sc.Result.CommSeconds
-	p.CompSeconds = sc.Result.ComputeSeconds + sc.Overhead
-	p.IterSeconds = sc.IterSeconds()
-	if opts.AddRedistribution {
-		r := float64(micro) * env.RedistributionSeconds(net, B/micro, g, p.Assignment)
-		p.CommSeconds += r
-		p.IterSeconds += r
-	}
-	p.ExposedCommSeconds = math.Max(0, p.IterSeconds-p.CompSeconds)
-	if opts.DatasetN > 0 {
-		p.EpochSeconds = costmodel.EpochSeconds(p.IterSeconds, opts.DatasetN, B)
-	}
-	if opts.Objective == TimeToAccuracy {
-		p.StepsToTarget = opts.Curve.Steps(B)
-		p.TimeToAccuracySeconds = p.StepsToTarget * p.IterSeconds
-	}
-	return p
-}
-
-// evaluate is Evaluate with an optional telemetry collector (st may be
-// nil; Optimize passes its Result.Stats).
-func evaluate(net *nn.Network, B int, g grid.Grid, opts Options, st *SearchStats) Plan {
-	pls := opts.placements()
-	best := evaluateAt(net, B, g, pls[0], opts, st)
-	if g.Pr == 1 || g.Pc == 1 {
-		// Degenerate grids have identical rank mappings under every
-		// placement; pricing the others would duplicate the first plan.
-		return best
-	}
-	for _, pl := range pls[1:] {
-		if p := evaluateAt(net, B, g, pl, opts, st); p.Feasible &&
-			(!best.Feasible || p.IterSeconds < best.IterSeconds) {
-			best = p
-		}
-	}
-	return best
-}
-
-// EvaluateAt prices one (grid, placement, mode) configuration over the
-// micro-batch search space (Options.MicroBatches) and returns the best
-// candidate's plan. Ties keep the smaller M, so the legacy M = 1 scoring
-// wins unless pipelining strictly helps.
+// EvaluateAt prices one (grid, placement, mode) configuration at batch B
+// on a single stage over the micro-batch search space
+// (Options.MicroBatches) and returns the best candidate's plan. Ties
+// keep the smaller M, so the legacy M = 1 scoring wins unless pipelining
+// strictly helps.
 func EvaluateAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options) Plan {
-	return evaluateAt(net, B, g, pl, opts, nil)
+	opts.Placements = []grid.Placement{pl}
+	opts.StageCounts, opts.PipelineStages, opts.BatchSizes = nil, 0, nil
+	return Evaluate(net, B, g, opts)
 }
 
-func evaluateAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options, st *SearchStats) Plan {
-	micros := opts.microBatches()
-	best := evaluateMicroAt(net, B, g, pl, opts, micros[0], nil, nil, st)
-	for _, m := range micros[1:] {
-		if p := evaluateMicroAt(net, B, g, pl, opts, m, nil, nil, st); p.Feasible &&
-			(!best.Feasible || p.IterSeconds < best.IterSeconds ||
-				(p.IterSeconds == best.IterSeconds && p.MicroBatch < best.MicroBatch)) {
-			best = p
-		}
+// structural returns why the leaf violates a constraint that needs no
+// pricing — the grid's feasibility, the batch-parallelism cap, and the
+// micro-batch tiling — or "" when it satisfies them all.
+func (s *search) structural(lf *leaf) string {
+	g, B, M := lf.g, lf.B, lf.micro
+	if ok, reason := feasible(s.net, B, g, s.opts.Mode); !ok {
+		return reason
 	}
-	return best
+	if s.opts.MaxPc > 0 && g.Pc > s.opts.MaxPc {
+		return fmt.Sprintf("Pc=%d exceeds the batch-parallelism cap %d", g.Pc, s.opts.MaxPc)
+	}
+	if M < 1 || B%M != 0 {
+		return fmt.Sprintf("micro-batch count %d does not divide B=%d", M, B)
+	}
+	if B/M < g.Pc {
+		return fmt.Sprintf("micro-batch size %d is thinner than Pc=%d", B/M, g.Pc)
+	}
+	return ""
 }
 
-// evaluateMicroAt prices one (grid, placement, mode, M) configuration:
-// the legacy single-iteration scoring for M = 1, the pipeline schedule
-// for M > 1. The telemetry collector st (nil outside Optimize) counts
-// the candidate and the pruning/pricing outcome and accumulates the
-// phase wall times. cc and spans, when non-nil, supply the search's
-// memoized per-layer compute split and level-span classifications and
-// gradient prices (memoized and fresh entries are bit-identical, so
-// plans do not depend on memo state). Under Auto the M = 1 candidate is
-// chosen and priced in one pass (costmodel.Env.AutoIntegrated).
-func evaluateMicroAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options, micro int,
-	cc *computeCache, spans *costmodel.SpanMemo, st *SearchStats) Plan {
-	if st != nil {
-		st.Candidates++
+// evaluate prices one leaf — (B, S, grid, placement, partition, M) —
+// counting the candidate and its pruning/pricing outcome in st and
+// accumulating the phase wall times. Only the pricing differs between
+// candidates:
+//   - M = 1, S = 1 is the legacy single-iteration scoring: the closed
+//     form, or the per-layer timeline on the search's memoized compute
+//     split, with communication priced by Eq. 9 (chosen and priced in one
+//     pass under Auto, costmodel.Env.AutoIntegrated);
+//   - every other leaf is one costmodel.Env.StageIteration — the trivial
+//     partition when S = 1 — with each conv layer's strategy chosen at
+//     the micro-batch size the schedule actually runs (α-heavy small
+//     messages can flip it relative to the full-batch choice), the memory
+//     constraint applied to the tightest stage's activation stash, and
+//     the whole priced iteration accounted to the simulate phase.
+//
+// The search's memos (compute split, level spans, gradient prices) are
+// bit-identical to fresh pricing, so plans do not depend on memo state.
+func (s *search) evaluate(lf *leaf, st *SearchStats) Plan {
+	o, net := &s.opts, s.net
+	g, B, M, S := lf.g, lf.B, lf.micro, lf.S
+	st.Candidates++
+	p := Plan{Grid: g, Batch: B, Placement: lf.pl, Mode: o.Mode, MicroBatch: M, Schedule: o.Schedule, Stages: S}
+	if S > 1 {
+		st.StageCandidates++
+		p.Partition = lf.part.Cuts()
 	}
-	if micro != 1 {
-		return evaluatePipelineAt(net, B, g, pl, opts, micro, spans, st)
-	}
-	p := Plan{Grid: g, Batch: B, Placement: pl, Mode: opts.Mode, MicroBatch: 1, Schedule: opts.Schedule, Stages: 1}
-	ok, reason := feasible(net, B, g, opts.Mode)
-	if !ok {
-		p.Reason = reason
-		if st != nil {
-			st.InfeasiblePruned++
-		}
+	if p.Reason = s.structural(lf); p.Reason != "" {
+		st.InfeasiblePruned++
 		return p
 	}
-	if opts.MaxPc > 0 && g.Pc > opts.MaxPc {
-		p.Reason = fmt.Sprintf("Pc=%d exceeds the batch-parallelism cap %d", g.Pc, opts.MaxPc)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	var priceStart time.Time
-	if st != nil {
-		priceStart = time.Now()
-	}
-	env := costmodel.Env{Topo: opts.topology(), Placement: pl, Spans: spans}
-	// Auto chooses and prices every layer in one pass; the fixed-
-	// assignment modes price their assignment after the memory check.
+	single := M == 1 && S == 1
+	priceStart := time.Now()
+	env := costmodel.Env{Topo: o.topology(), Placement: lf.pl, Spans: s.spans}
 	var bd *costmodel.Breakdown
-	if opts.Mode == Auto {
+	if single && o.Mode == Auto {
 		bd, p.Assignment = env.AutoIntegrated(net, B, g)
 	} else {
-		p.Assignment = assignmentFor(net, B, g, opts.Mode, env)
+		p.Assignment = assignmentFor(net, B/M, g, o.Mode, env)
 	}
-	p.MemoryWords = costmodel.Memory(net, B, g, p.Assignment).TotalWords()
-	if opts.MemoryLimitWords > 0 && p.MemoryWords > opts.MemoryLimitWords {
-		p.Reason = fmt.Sprintf("per-process memory %.3g words exceeds limit %.3g",
-			p.MemoryWords, opts.MemoryLimitWords)
-		if st != nil {
-			st.MemoryPruned++
-			st.PriceSeconds += time.Since(priceStart).Seconds()
+	sched := timeline.Schedule{Shape: o.Schedule, MicroBatches: M, Stages: S}
+	var grids []grid.Grid
+	stash := "" // the memory-prune reason's prefix
+	if single {
+		p.MemoryWords = costmodel.Memory(net, B, g, p.Assignment).TotalWords()
+	} else {
+		grids = make([]grid.Grid, S)
+		for k := range grids {
+			grids[k] = g
 		}
+		// The tightest stage governs feasibility: every process must fit
+		// its own stage's weights plus the stash its schedule position
+		// forces.
+		for _, m := range costmodel.MemoryStages(net, B, lf.part, grids, p.Assignment, sched) {
+			p.MemoryWords = math.Max(p.MemoryWords, m.TotalWords())
+		}
+		stash = "activation stash: "
+		if S > 1 {
+			stash = "stage stash: "
+		}
+	}
+	if o.MemoryLimitWords > 0 && p.MemoryWords > o.MemoryLimitWords {
+		p.Reason = fmt.Sprintf("%sper-process memory %.3g words exceeds limit %.3g",
+			stash, p.MemoryWords, o.MemoryLimitWords)
+		st.MemoryPruned++
+		st.PriceSeconds += time.Since(priceStart).Seconds()
 		return p
 	}
-	p.Feasible = true
-	if bd == nil {
-		bd = env.FullIntegrated(net, B, g, p.Assignment)
-	}
-	p.Breakdown = bd
-	p.CommSeconds = p.Breakdown.TotalSeconds()
-	if st != nil {
-		st.Priced++
-		st.PriceSeconds += time.Since(priceStart).Seconds()
-	}
-	if opts.UseTimeline {
-		var simStart time.Time
-		if st != nil {
-			simStart = time.Now()
+	if single {
+		if bd == nil {
+			bd = env.FullIntegrated(net, B, g, p.Assignment)
 		}
-		var times []compute.LayerTime
-		var overhead float64
-		if cc != nil {
-			gt := cc.peek(g, B)
-			times, overhead = gt.times, gt.overhead
-		} else {
-			times, overhead = opts.Compute.GridLayerTimes(net, B, g)
-		}
+		p.Breakdown = bd
+		p.CommSeconds = bd.TotalSeconds()
+	}
+	st.Priced++
+	st.PriceSeconds += time.Since(priceStart).Seconds()
+	switch {
+	case single && !o.UseTimeline:
+		p.CompSeconds = o.Compute.GridIterTime(net, B, g)
+		p.IterSeconds = costmodel.IterationSeconds(bd, p.CompSeconds, o.Overlap)
+	case single:
+		simStart := time.Now()
+		gt := s.cc.peek(g, B)
 		// The per-layer split plus the residual overhead *is* the grid
 		// compute time (compute.TestGridLayerTimesConservation); deriving
 		// CompSeconds from it keeps exposure = IterSeconds − CompSeconds
 		// exact without pricing the compute model twice.
-		p.CompSeconds = overhead
-		for _, lt := range times {
+		p.CompSeconds = gt.overhead
+		for _, lt := range gt.times {
 			p.CompSeconds += lt.Fwd + lt.Bwd
 		}
-		res, err := timeline.SimulateLayers(costmodel.TimelineLayers(p.Breakdown, times), opts.TimelinePolicy)
-		if st != nil {
-			st.TimelineSimulated++
-			st.SimulateSeconds += time.Since(simStart).Seconds()
-		}
+		res, err := timeline.SimulatePipeline(costmodel.TimelineLayers(bd, gt.times), o.TimelinePolicy, timeline.Single())
+		st.TimelineSimulated++
+		st.SimulateSeconds += time.Since(simStart).Seconds()
 		if err != nil {
-			p.Feasible = false
 			p.Reason = fmt.Sprintf("timeline simulation failed: %v", err)
 			return p
 		}
@@ -804,125 +620,45 @@ func evaluateMicroAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opt
 		// The fixed per-iteration overhead (and unweighted-layer compute)
 		// belongs to no layer; it extends the compute pipe and overlaps
 		// nothing.
-		p.IterSeconds = res.Makespan + overhead
-	} else {
-		p.CompSeconds = opts.Compute.GridIterTime(net, B, g)
-		p.IterSeconds = costmodel.IterationSeconds(p.Breakdown, p.CompSeconds, opts.Overlap)
-	}
-	if opts.AddRedistribution {
-		// The redistribution all-gather blocks the next layer's compute,
-		// so it is never overlapped.
-		r := env.RedistributionSeconds(net, B, g, p.Assignment)
-		p.CommSeconds += r
-		p.IterSeconds += r
-	}
-	p.ExposedCommSeconds = math.Max(0, p.IterSeconds-p.CompSeconds)
-	if opts.DatasetN > 0 {
-		p.EpochSeconds = costmodel.EpochSeconds(p.IterSeconds, opts.DatasetN, B)
-	}
-	if opts.Objective == TimeToAccuracy {
-		p.StepsToTarget = opts.Curve.Steps(B)
-		p.TimeToAccuracySeconds = p.StepsToTarget * p.IterSeconds
-	}
-	return p
-}
-
-// evaluatePipelineAt prices one (grid, placement, mode) configuration as
-// an M-micro-batch pipeline schedule: communication re-derived at
-// micro-batch size B/M, the memory constraint applied to the
-// activation-stash high-water mark, and the iteration scored by the
-// multi-iteration timeline simulator. The caller (evaluateMicroAt) has
-// already counted the candidate in st; the Eq. 3–9 re-pricing at size
-// B/M happens inside PipelineIteration, so its whole duration is
-// accounted to the simulate phase (see SearchStats).
-func evaluatePipelineAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options, micro int,
-	spans *costmodel.SpanMemo, st *SearchStats) Plan {
-	sched := opts.schedule(micro)
-	p := Plan{Grid: g, Batch: B, Placement: pl, Mode: opts.Mode, MicroBatch: micro, Schedule: sched.Shape, Stages: 1}
-	ok, reason := feasible(net, B, g, opts.Mode)
-	if !ok {
-		p.Reason = reason
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if opts.MaxPc > 0 && g.Pc > opts.MaxPc {
-		p.Reason = fmt.Sprintf("Pc=%d exceeds the batch-parallelism cap %d", g.Pc, opts.MaxPc)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if micro < 1 || B%micro != 0 {
-		p.Reason = fmt.Sprintf("micro-batch count %d does not divide B=%d", micro, B)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	if B/micro < g.Pc {
-		p.Reason = fmt.Sprintf("micro-batch size %d is thinner than Pc=%d", B/micro, g.Pc)
-		if st != nil {
-			st.InfeasiblePruned++
-		}
-		return p
-	}
-	var priceStart time.Time
-	if st != nil {
-		priceStart = time.Now()
-	}
-	env := costmodel.Env{Topo: opts.topology(), Placement: pl, Spans: spans}
-	// The per-layer strategy is chosen at the micro-batch size the
-	// schedule actually runs: α-heavy small messages can flip a conv
-	// layer's cheapest strategy relative to the full-batch choice.
-	p.Assignment = assignmentFor(net, B/micro, g, opts.Mode, env)
-	p.MemoryWords = costmodel.MemoryPipeline(net, B, g, p.Assignment, sched).TotalWords()
-	if opts.MemoryLimitWords > 0 && p.MemoryWords > opts.MemoryLimitWords {
-		p.Reason = fmt.Sprintf("activation stash: per-process memory %.3g words exceeds limit %.3g",
-			p.MemoryWords, opts.MemoryLimitWords)
-		if st != nil {
-			st.MemoryPruned++
-			st.PriceSeconds += time.Since(priceStart).Seconds()
-		}
-		return p
-	}
-	var simStart time.Time
-	if st != nil {
-		st.Priced++
-		st.PriceSeconds += time.Since(priceStart).Seconds()
-		simStart = time.Now()
-	}
-	pc, err := env.PipelineIteration(net, B, g, p.Assignment, opts.Compute, opts.TimelinePolicy, sched)
-	if st != nil {
+		p.IterSeconds = res.Makespan + gt.overhead
+	default:
+		simStart := time.Now()
+		sc, err := env.StageIteration(net, B, lf.part, grids, p.Assignment, o.Compute, o.TimelinePolicy, sched)
 		st.TimelineSimulated++
 		st.SimulateSeconds += time.Since(simStart).Seconds()
-	}
-	if err != nil {
-		p.Reason = fmt.Sprintf("pipeline simulation failed: %v", err)
-		return p
+		if err != nil {
+			kind := "pipeline"
+			if S > 1 {
+				kind = "stage"
+			}
+			p.Reason = fmt.Sprintf("%s simulation failed: %v", kind, err)
+			return p
+		}
+		p.Breakdown = sc.Breakdown // per-micro-batch costs, all stages in layer order
+		p.Timeline = sc.Result
+		p.BubbleFraction = sc.Result.BubbleFraction
+		if S > 1 {
+			p.PerStage = sc.Stages
+		}
+		p.CommSeconds = sc.Result.CommSeconds // simulated: M·activations + 1·gradient flush
+		p.CompSeconds = sc.Result.ComputeSeconds + sc.Overhead
+		p.IterSeconds = sc.IterSeconds()
 	}
 	p.Feasible = true
-	p.Breakdown = pc.Breakdown // per-micro-batch costs (size B/M)
-	p.Timeline = pc.Result
-	p.BubbleFraction = pc.Result.BubbleFraction
-	p.CommSeconds = pc.Result.CommSeconds // simulated: M·activations + 1·gradient flush
-	p.CompSeconds = pc.Result.ComputeSeconds + pc.Overhead
-	p.IterSeconds = pc.IterSeconds()
-	if opts.AddRedistribution {
+	if o.AddRedistribution {
 		// Activations are redistributed at every strategy boundary of
 		// every micro-batch; the all-gathers block the next layer's
 		// compute, so they are never overlapped.
-		r := float64(micro) * env.RedistributionSeconds(net, B/micro, g, p.Assignment)
+		r := float64(M) * env.RedistributionSeconds(net, B/M, g, p.Assignment, lf.part)
 		p.CommSeconds += r
 		p.IterSeconds += r
 	}
 	p.ExposedCommSeconds = math.Max(0, p.IterSeconds-p.CompSeconds)
-	if opts.DatasetN > 0 {
-		p.EpochSeconds = costmodel.EpochSeconds(p.IterSeconds, opts.DatasetN, B)
+	if o.DatasetN > 0 {
+		p.EpochSeconds = costmodel.EpochSeconds(p.IterSeconds, o.DatasetN, B)
 	}
-	if opts.Objective == TimeToAccuracy {
-		p.StepsToTarget = opts.Curve.Steps(B)
+	if o.Objective == TimeToAccuracy {
+		p.StepsToTarget = o.Curve.Steps(B)
 		p.TimeToAccuracySeconds = p.StepsToTarget * p.IterSeconds
 	}
 	return p
@@ -1068,15 +804,7 @@ func optimize(net *nn.Network, B, P int, opts Options, memoSpans bool) (Result, 
 	}
 	for i := range s.slots {
 		sl := &s.slots[i]
-		var p Plan
-		switch {
-		case sl.pseudo != nil:
-			p = *sl.pseudo
-		case sl.S == 1:
-			p = s.reduceFlat(sl)
-		default:
-			p = s.reduceStaged(sl)
-		}
+		p := s.reduce(sl)
 		if sl.pure {
 			pb := p
 			res.PureBatch = &pb
@@ -1121,7 +849,7 @@ func (s *search) infeasibleError(st *SearchStats) error {
 		tightest := math.Inf(1)
 		for i := range s.plans {
 			p := &s.plans[i]
-			// The exact prune condition of the evaluate paths: a footprint
+			// The exact prune condition of the evaluator: a footprint
 			// was derived and exceeded the limit.
 			if !p.Feasible && p.MemoryWords > o.MemoryLimitWords && p.MemoryWords < tightest {
 				tightest = p.MemoryWords

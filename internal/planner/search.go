@@ -1,15 +1,19 @@
-// Deterministic parallel search: Optimize's candidate loop as a
-// worker-pool engine with branch-and-bound pruning.
+// Deterministic parallel search: the one path every plan takes — Optimize,
+// and the pinned-grid Evaluate/EvaluateAt — as a worker-pool engine with
+// branch-and-bound pruning.
 //
-// The serial planner folded the (stage count, grid, placement, partition,
-// micro-batch) product in nested loops. This file flattens the product
-// into an indexed work list during a serial enumeration phase, evaluates
-// the leaves across Options.Workers goroutines (every leaf is a pure
+// The engine flattens the (batch size, stage count, grid, placement,
+// partition, micro-batch) product into an indexed work list during a
+// serial enumeration phase, prices every leaf with the one candidate
+// evaluator (search.evaluate, where M = 1 and S = 1 are plain parameter
+// values) across Options.Workers goroutines (every leaf is a pure
 // function of its inputs), and reduces the per-leaf plans back into the
-// per-(stage count, grid) slots of Result.All with exactly the serial
-// fold's comparison rules. Because the reduction runs serially over a
-// deterministically indexed plan array, the returned Result is
-// bit-identical for any worker count, including 1.
+// per-(batch size, stage count, grid) slots of Result.All. Optimize
+// enumerates every factorization of P/S; Evaluate pins one grid (the
+// machine then has S × g.P() ranks per stage count) and EvaluateAt also
+// pins the placement, S = 1 and the base batch. Because the reduction
+// runs serially over a deterministically indexed plan array, the
+// returned Result is bit-identical for any worker count, including 1.
 //
 // Branch-and-bound: before pricing a leaf's communication or running the
 // timeline simulator, a monotone lower bound on its iteration time —
@@ -157,7 +161,7 @@ type leaf struct {
 	S     int
 	g     grid.Grid
 	pl    grid.Placement
-	part  stage.Partition // S > 1 only
+	part  stage.Partition // zero for M = 1 on one stage, where nothing reads it
 	micro int
 	// pure marks the 1×P pure-batch baseline at the base batch size,
 	// which is exempt from bounding: Result.PureBatch is the reference
@@ -196,11 +200,14 @@ type search struct {
 	// workers like cc; nil on a uniform topology, whose pricing never
 	// classifies.
 	spans *costmodel.SpanMemo
-	// batches is the batch search space (Options.batchSizes(B)); steps
-	// memoizes Curve.Steps per batch size under the TimeToAccuracy
-	// objective (nil under Iteration), converting iteration-time lower
-	// bounds and incumbents into objective units.
+	// batches is the batch search space (Options.batchSizes(B)); grid,
+	// when set, pins the per-stage grid of every stage count in place of
+	// the factorizations of P/S, the machine then having S × grid.P()
+	// ranks. steps memoizes Curve.Steps per batch size under the
+	// TimeToAccuracy objective (nil under Iteration), converting
+	// iteration-time lower bounds and incumbents into objective units.
 	batches []int
+	grid    *grid.Grid
 	steps   map[int]float64
 	slots   []slot
 	leaves  []leaf
@@ -258,6 +265,21 @@ func (s *search) enumerate(st *SearchStats) {
 	counts := o.stageCounts()
 	micros := o.microBatches()
 	pls := o.placements()
+	grids := func(S int) []grid.Grid {
+		if s.grid != nil {
+			return []grid.Grid{*s.grid}
+		}
+		return grid.Factorizations(s.P / S)
+	}
+	// Pseudo plans of a pinned grid name it; a searched (B, S) pair has
+	// no single grid.
+	var pseudoGrid grid.Grid
+	if s.grid != nil {
+		pseudoGrid = *s.grid
+	}
+	// whole is the one-stage partition pipelined single-stage leaves are
+	// priced with, built on first use.
+	var whole stage.Partition
 	// The ∆W floor sharpens the bound only where the closed form
 	// serializes communication after compute (no overlap, no timeline),
 	// and only on a uniform topology, where FCGradReduceSeconds is a
@@ -278,8 +300,8 @@ func (s *search) enumerate(st *SearchStats) {
 			if bi == 0 {
 				st.StageCountsSearched++
 			}
-			if S == 1 {
-				for _, g := range grid.Factorizations(s.P) {
+			if S <= 1 {
+				for _, g := range grids(1) {
 					st.GridsEnumerated++
 					gp := pls
 					if g.Pr == 1 || g.Pc == 1 {
@@ -296,7 +318,14 @@ func (s *search) enumerate(st *SearchStats) {
 						}
 						s.spans.Fill(g, pl, 0)
 						for _, m := range micros {
-							s.leaves = append(s.leaves, leaf{B: B, S: 1, g: g, pl: pl, micro: m, pure: sl.pure})
+							lf := leaf{B: B, S: 1, g: g, pl: pl, micro: m, pure: sl.pure}
+							if m != 1 {
+								if whole.L == 0 {
+									whole = stage.Balanced(len(s.net.WeightedLayers()), 1)
+								}
+								lf.part = whole
+							}
+							s.leaves = append(s.leaves, lf)
 						}
 					}
 					s.prefillTimes(B, g, micros)
@@ -305,7 +334,7 @@ func (s *search) enumerate(st *SearchStats) {
 				}
 				continue
 			}
-			if s.P%S != 0 {
+			if s.grid == nil && s.P%S != 0 {
 				st.Candidates++
 				st.StageCandidates++
 				st.InfeasiblePruned++
@@ -329,11 +358,12 @@ func (s *search) enumerate(st *SearchStats) {
 				st.Candidates++
 				st.StageCandidates++
 				st.InfeasiblePruned++
-				p := Plan{Batch: B, Mode: o.Mode, MicroBatch: 1, Schedule: o.Schedule, Stages: S, Reason: pm.err.Error()}
+				p := Plan{Grid: pseudoGrid, Batch: B, Mode: o.Mode, MicroBatch: 1, Schedule: o.Schedule, Stages: S,
+					Reason: pm.err.Error()}
 				s.slots = append(s.slots, slot{B: B, S: S, pseudo: &p})
 				continue
 			}
-			for _, g := range grid.Factorizations(s.P / S) {
+			for _, g := range grids(S) {
 				st.GridsEnumerated++
 				gp := pls
 				if g.Pr == 1 || g.Pc == 1 {
@@ -397,21 +427,12 @@ func (s *search) fillFloor(g grid.Grid, pl grid.Placement) {
 // steps multiplier — which keeps it a true lower bound on the campaign
 // cost and lets cheap-iteration batch sizes prune expensive ones.
 func (s *search) lowerBound(lf *leaf) (float64, bool) {
-	o := s.opts
+	if s.structural(lf) != "" {
+		return 0, false
+	}
+	o := &s.opts
 	g := lf.g
-	if ok, _ := feasible(s.net, lf.B, g, o.Mode); !ok {
-		return 0, false
-	}
-	if o.MaxPc > 0 && g.Pc > o.MaxPc {
-		return 0, false
-	}
-	if lf.micro < 1 || lf.B%lf.micro != 0 {
-		return 0, false
-	}
 	mb := lf.B / lf.micro
-	if mb < g.Pc {
-		return 0, false
-	}
 	scale := s.objectiveScale(lf.B)
 	gt := s.cc.peek(g, mb)
 	fixed := o.Compute.FixedIter
@@ -477,10 +498,7 @@ func (s *search) evalLeaf(i int, incumbent float64, st *SearchStats) Plan {
 			return p
 		}
 	}
-	if lf.S == 1 {
-		return evaluateMicroAt(s.net, lf.B, lf.g, lf.pl, s.opts, lf.micro, s.cc, s.spans, st)
-	}
-	return evaluateStagedAt(s.net, lf.B, lf.g, lf.pl, lf.part, s.opts, lf.micro, s.spans, st)
+	return s.evaluate(lf, st)
 }
 
 // run evaluates every leaf across the worker pool, chunk by chunk, and
@@ -583,11 +601,40 @@ func (s *search) run(st *SearchStats) {
 	}
 }
 
-// reduceFlat folds a single-stage slot's leaves exactly as the serial
-// evaluate/evaluateAt pair: within a placement, strictly cheaper wins
-// and equal cost prefers the smaller micro-batch; across placements,
-// only strictly cheaper feasible plans replace (ties keep the earlier
-// placement, so flat machines deterministically report row-major).
+// reduce folds one slot's leaves into its reported plan: the pseudo
+// slot's pre-built plan, else reduceFlat or reduceStaged by stage count.
+func (s *search) reduce(sl *slot) Plan {
+	switch {
+	case sl.pseudo != nil:
+		return *sl.pseudo
+	case sl.S == 1:
+		return s.reduceFlat(sl)
+	}
+	return s.reduceStaged(sl)
+}
+
+// best runs a pinned-grid search and folds its slots as Optimize picks
+// its best plan: the first feasible plan of lowest objective cost, or the
+// first slot's plan when none is feasible.
+func (s *search) best() Plan {
+	var st SearchStats
+	s.enumerate(&st)
+	s.run(&st)
+	var best Plan
+	for i := range s.slots {
+		if p := s.reduce(&s.slots[i]); i == 0 ||
+			p.Feasible && (!best.Feasible || s.opts.objectiveCost(&p) < s.opts.objectiveCost(&best)) {
+			best = p
+		}
+	}
+	return best
+}
+
+// reduceFlat folds a single-stage slot's leaves: within a placement,
+// strictly cheaper wins and equal cost prefers the smaller micro-batch;
+// across placements, only strictly cheaper feasible plans replace (ties
+// keep the earlier placement, so flat machines deterministically report
+// row-major).
 func (s *search) reduceFlat(sl *slot) Plan {
 	group := func(start int) Plan {
 		best := s.plans[start]
@@ -610,10 +657,10 @@ func (s *search) reduceFlat(sl *slot) Plan {
 	return best
 }
 
-// reduceStaged folds a multi-stage slot's leaves exactly as the serial
-// evaluateStagedGrid: one flat fold over placements × partitions ×
-// micro-batches where strictly cheaper wins and equal cost prefers the
-// smaller micro-batch (ties otherwise keep the earlier candidate).
+// reduceStaged folds a multi-stage slot's leaves: one flat fold over
+// placements × partitions × micro-batches where strictly cheaper wins
+// and equal cost prefers the smaller micro-batch (ties otherwise keep the
+// earlier candidate).
 func (s *search) reduceStaged(sl *slot) Plan {
 	best := s.plans[sl.start]
 	for i := sl.start + 1; i < sl.start+sl.n; i++ {

@@ -1,14 +1,63 @@
 package planner
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"dnnparallel/internal/collective"
 	"dnnparallel/internal/grid"
+	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
 	"dnnparallel/internal/stage"
 	"dnnparallel/internal/timeline"
 )
+
+// A strategy boundary inside stage k is redistributed on stage k's rank
+// block. AlexNet under conv-domain on 8-rank nodes, S = 4 stages of 3x2
+// ranks, with the one boundary (conv5 → fc6, Domain → Model) inside
+// stage 1: its block, ranks 6–11, straddles two nodes, while stage 0's
+// block sits on one node and would underprice the all-gathers several
+// times over.
+func TestStagedRedistributionPricedOnOwningStage(t *testing.T) {
+	net := nn.AlexNet()
+	topo := machine.CoriKNLNodes(8)
+	o := opts(ConvDomain)
+	o.Topology = topo
+	o.Placements = []grid.Placement{grid.RowMajor}
+	o.UseTimeline = true
+	o.StageCounts = []int{4}
+	o.Partition = []int{2, 6, 7} // stage 1 owns weighted layers 2–5 (conv3–fc6)
+	g := grid.Grid{Pr: 3, Pc: 2}
+	const B = 256
+	base := Evaluate(net, B, g, o)
+	o.AddRedistribution = true
+	with := Evaluate(net, B, g, o)
+	if !base.Feasible || !with.Feasible {
+		t.Fatalf("infeasible: %q / %q", base.Reason, with.Reason)
+	}
+	conv5 := &net.Layers[net.WeightedLayers()[4]]
+	words := float64(B) / float64(g.Pc) * float64(conv5.OutSize())
+	price := func(offset int) float64 {
+		spans := g.ColGroupSpansAt(topo.GroupSizes(), grid.RowMajor, offset)
+		return 2 * collective.MaxCost(spans, func(s grid.LevelSpan) collective.Cost {
+			return collective.AllGatherTopo(s, words, topo)
+		}).Total()
+	}
+	want, onStage0 := price(1*g.P()), price(0)
+	if want < 4*onStage0 {
+		t.Fatalf("stage 1's block prices the boundary at %g, stage 0's at %g: the configuration no longer straddles nodes", want, onStage0)
+	}
+	for _, d := range []struct {
+		name      string
+		got, base float64
+	}{{"IterSeconds", with.IterSeconds, base.IterSeconds}, {"CommSeconds", with.CommSeconds, base.CommSeconds}} {
+		if got := d.got - d.base; math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("redistribution adds %g to %s, want %g priced on stage 1's block (stage 0's block: %g)",
+				got, d.name, want, onStage0)
+		}
+	}
+}
 
 // Explicitly asking for the single-stage search (StageCounts = {1}, or
 // the legacy PipelineStages knob at 0/1) must reproduce the default

@@ -120,7 +120,7 @@ func TestChromeTraceLeveledTracks(t *testing.T) {
 				GradReduce: []float64{4e-4, 0, 5e-4},
 			}},
 	}
-	res, err := timeline.SimulateLayers(layers, timeline.PolicyBackprop)
+	res, err := timeline.SimulatePipeline(layers, timeline.PolicyBackprop, timeline.Single())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func trackNameForEvent(t *testing.T, res *timeline.Result, ev TraceEvent) string
 // (one stage, one micro-batch) exports with every event on pid 0 and a
 // separate thread track per lane.
 func TestChromeTraceSingleIteration(t *testing.T) {
-	res, err := timeline.SimulateLayers(traceLayers(), timeline.PolicyNone)
+	res, err := timeline.SimulatePipeline(traceLayers(), timeline.PolicyNone, timeline.Single())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -566,7 +566,7 @@ func (s Scenario) Normalize() Scenario {
 // anywhere downstream: the boundary panics of the internal fast paths
 // are guarded either here (EpochIterations on B ≤ 0 or N < 0, machine
 // constants feeding the timeline's non-negativity checks) or by the
-// planner's own per-candidate feasibility checks (MemoryPipeline's B%M
+// planner's own per-candidate feasibility checks (MemoryStages' B%M
 // divisibility, which skips non-dividing candidates before pricing).
 func (s Scenario) Validate() error {
 	if _, err := nn.PresetKey(s.Network); err != nil {

@@ -142,8 +142,8 @@ type Layer struct {
 	// Unlike the collective fields the handoff crosses exactly one link
 	// level, named by XferLevel when the layer carries a Levels split
 	// (ignored on flat layers, which use the single Network lane). Both
-	// fields are ignored by SimulateLayers and by layers that do not open
-	// a stage.
+	// fields are ignored by single-stage schedules and by layers that do
+	// not open a stage.
 	FwdXfer   float64
 	BwdXfer   float64
 	XferLevel int
@@ -253,8 +253,8 @@ type Result struct {
 	Spans    []Span // in start order
 	Makespan float64
 
-	// MicroBatches and Stages echo the simulated schedule: 1/1 for
-	// SimulateLayers, the Schedule's M and S for SimulatePipeline.
+	// MicroBatches and Stages echo the simulated schedule's M and S (1/1
+	// for a single iteration, Single()).
 	MicroBatches int
 	Stages       int
 
@@ -308,144 +308,6 @@ func (r *Result) LaneName(res Resource) string {
 		}
 	}
 	return res.String()
-}
-
-// SimulateLayers builds the event graph for the given overlap policy and
-// runs it. Negative or NaN durations panic; an empty layer list returns a
-// zero Result.
-func SimulateLayers(layers []Layer, policy Policy) (*Result, error) {
-	for i := range layers {
-		layers[i].validate(i)
-	}
-	events := buildEvents(layers, policy)
-	spans, err := Simulate(events)
-	if err != nil {
-		return nil, err
-	}
-	return summarize(layers, policy, spans, 1, 1), nil
-}
-
-// buildEvents lays out one iteration: forward compute for layers 0..L−1,
-// then backward compute for layers L−1..0, with communication events wired
-// according to the policy.
-//
-// Dependencies are passed around as *handles*: a handle is the list of
-// event IDs whose completion stands for the completion of a (possibly
-// zero-duration) step. A zero-duration step emits no event and its handle
-// is simply its own dependency handle, so prerequisites forward
-// transitively through skipped events instead of being dropped.
-func buildEvents(layers []Layer, policy Policy) []Event {
-	var events []Event
-	lastReal := -1 // most recent real event, for PolicyNone serialization
-	add := func(layer int, kind Kind, res Resource, dur float64, deps []int) []int {
-		if dur == 0 {
-			return deps
-		}
-		d := append([]int(nil), deps...)
-		if policy == PolicyNone && lastReal >= 0 {
-			// Serialize on the immediately preceding event; transitive
-			// dependencies make the full chain.
-			d = append(d, lastReal)
-		}
-		id := len(events)
-		events = append(events, Event{
-			ID:       id,
-			Layer:    layer,
-			Name:     fmt.Sprintf("%s %s", kind, layers[layer].Name),
-			Kind:     kind,
-			Resource: res,
-			Duration: dur,
-			Deps:     d,
-		})
-		lastReal = id
-		return []int{id}
-	}
-	union := func(hs ...[]int) []int {
-		var out []int
-		for _, h := range hs {
-			out = append(out, h...)
-		}
-		return out
-	}
-	// comm emits one communication step: a single Network event on a flat
-	// layer, or a chain of per-level lane events when the layer carries a
-	// per-level split — each level's phase consumes the previous active
-	// level's result (the hierarchical collective ascends the topology),
-	// so level i+1's event depends on level i's. The returned handle
-	// completes when the whole step does.
-	comm := func(layer int, kind Kind, deps []int) []int {
-		l := layers[layer]
-		if l.Levels == nil {
-			return add(layer, kind, Network, l.commDur(kind), deps)
-		}
-		cur := deps
-		var done []int
-		for lvl, dur := range l.Levels.get(kind) {
-			if dur == 0 {
-				continue
-			}
-			ev := add(layer, kind, NetworkLevel(lvl), dur, cur)
-			done = union(done, ev)
-			cur = union(deps, ev)
-		}
-		if done == nil {
-			return deps
-		}
-		return done
-	}
-
-	L := len(layers)
-	fwdDone := make([][]int, L) // FwdComp handle per layer
-	agDone := make([][]int, L)  // AllGather handle per layer
-
-	// Forward pass.
-	for i := range layers {
-		var deps []int
-		if i > 0 {
-			deps = union(deps, fwdDone[i-1])
-			if policy != PolicyFull {
-				deps = union(deps, agDone[i-1]) // all-gather blocks the next GEMM
-			}
-		}
-		halo := comm(i, FwdHalo, deps)
-		fdeps := deps
-		if policy != PolicyFull {
-			fdeps = union(deps, halo) // input halo blocks this GEMM
-		}
-		fwdDone[i] = add(i, FwdComp, Compute, layers[i].FwdComp, fdeps)
-		agDone[i] = comm(i, AllGather, fwdDone[i])
-	}
-
-	// Backward pass, last layer first.
-	var prevBwd []int
-	for i := L - 1; i >= 0; i-- {
-		var deps []int
-		if i < L-1 {
-			deps = prevBwd
-		} else {
-			// The loss needs the last forward GEMM and (except under
-			// PolicyFull) its gathered activations.
-			deps = fwdDone[L-1]
-			if policy != PolicyFull {
-				deps = union(fwdDone[L-1], agDone[L-1])
-			}
-		}
-		bwd := add(i, BwdComp, Compute, layers[i].BwdComp, deps)
-		// Backward communication is issued at the start of the layer's
-		// backprop (gradient chunks stream out as they are produced), so
-		// it shares the compute event's dependencies rather than waiting
-		// for it — the per-layer form of the Fig. 8 idealization. Under
-		// PolicyNone the add() serialization reinstates strict order.
-		commDeps := deps
-		if policy == PolicyNone {
-			commDeps = bwd
-		}
-		comm(i, BwdHalo, commDeps)
-		comm(i, ActReduce, commDeps)
-		comm(i, GradReduce, commDeps)
-		prevBwd = bwd
-	}
-	return events
 }
 
 func summarize(layers []Layer, policy Policy, spans []Span, microBatches, stages int) *Result {

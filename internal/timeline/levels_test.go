@@ -217,7 +217,7 @@ func TestLevelsValidation(t *testing.T) {
 					t.Fatalf("%s: expected panic", name)
 				}
 			}()
-			_, _ = SimulateLayers([]Layer{layer}, PolicyBackprop)
+			_, _ = SimulatePipeline([]Layer{layer}, PolicyBackprop, Single())
 		})
 	}
 }

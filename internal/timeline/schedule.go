@@ -23,15 +23,17 @@
 // backward of micro-batch m−(S−s) retired, capping the activation stash
 // at S−s in-flight micro-batches).
 //
-// With M = 1 and S = 1 the builder reproduces the single-iteration event
-// graph of buildEvents exactly — same events, same order, same
-// dependencies — so SimulatePipeline degenerates to SimulateLayers
-// bit-for-bit (property-tested in schedule_test.go).
+// With M = 1 and S = 1 (Single) the builder lays out exactly one
+// iteration: forward compute for layers 0..L−1, then backward compute for
+// layers L−1..0, with communication wired by the overlap policy — the
+// same events, order, and dependencies as an independent
+// single-iteration builder (property-tested in schedule_test.go).
 package timeline
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -168,9 +170,9 @@ func (s Schedule) stageOf(i, L int) int {
 
 // SimulatePipeline builds the multi-iteration event graph for the given
 // overlap policy and schedule and runs it. Layer durations are
-// per-micro-batch; negative or NaN durations panic (as in
-// SimulateLayers), an invalid schedule returns an error, and an empty
-// layer list returns a zero Result.
+// per-micro-batch; negative or NaN durations panic, an invalid schedule
+// returns an error, and an empty layer list returns a zero Result.
+// Single() simulates one plain iteration.
 func SimulatePipeline(layers []Layer, policy Policy, sched Schedule) (*Result, error) {
 	if err := sched.Validate(len(layers)); err != nil {
 		return nil, err
@@ -189,10 +191,15 @@ func SimulatePipeline(layers []Layer, policy Policy, sched Schedule) (*Result, e
 	return summarize(layers, policy, spans, sched.MicroBatches, sched.Stages), nil
 }
 
-// buildPipelineEvents lays out M micro-batch passes over the layer graph.
-// It mirrors buildEvents' handle discipline (zero-duration steps forward
-// their dependencies) and its per-micro-batch policy semantics, then adds
-// the pipeline edges described in the package comment above.
+// buildPipelineEvents lays out M micro-batch passes over the layer graph,
+// wiring each pass by the overlap policy and adding the pipeline edges
+// described in the package comment above.
+//
+// Dependencies are passed around as *handles*: a handle is the list of
+// event IDs whose completion stands for the completion of a (possibly
+// zero-duration) step. A zero-duration step emits no event and its handle
+// is simply its own dependency handle, so prerequisites forward
+// transitively through skipped events instead of being dropped.
 func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event {
 	L := len(layers)
 	M := sched.MicroBatches
@@ -224,9 +231,11 @@ func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event 
 		if policy == PolicyNone && lastReal >= 0 {
 			d = append(d, lastReal)
 		}
-		name := fmt.Sprintf("%s %s", kind, layers[layer].Name)
+		// Concatenation, not fmt: every candidate the planner times builds
+		// one name per event.
+		name := kind.String() + " " + layers[layer].Name
 		if M > 1 {
-			name = fmt.Sprintf("%s µ%d", name, micro)
+			name += " µ" + strconv.Itoa(micro)
 		}
 		id := len(events)
 		events = append(events, Event{
@@ -296,9 +305,9 @@ func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event 
 	agDone := make([][][]int, M)  // [micro][layer] all-gather handle
 	bwdDone := make([][][]int, M) // [micro][layer] backward-compute handle
 
-	// emitForward lays out micro-batch m's forward pass. Within one
-	// micro-batch the layer chain and policy semantics are exactly
-	// buildEvents'.
+	// emitForward lays out micro-batch m's forward pass: each layer's
+	// input halo and the previous layer's all-gather block its GEMM
+	// (except under PolicyFull).
 	emitForward := func(m int) {
 		fwdDone[m] = make([][]int, L)
 		agDone[m] = make([][]int, L)
@@ -363,9 +372,9 @@ func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event 
 			}
 			bwd := add(m, i, BwdComp, StageResource(Compute, stage(i)), layers[i].BwdComp, deps)
 			// Backward communication is issued at the start of the layer's
-			// backprop (gradient chunks stream out as they are produced),
-			// as in buildEvents. Under PolicyNone the add() serialization
-			// reinstates strict order.
+			// backprop (gradient chunks stream out as they are produced) —
+			// the per-layer form of the Fig. 8 idealization. Under
+			// PolicyNone the add() serialization reinstates strict order.
 			commDeps := deps
 			if policy == PolicyNone {
 				commDeps = bwd
@@ -394,7 +403,7 @@ func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event 
 	// GPipe's backward flush edge needs the last micro-batch's forward
 	// handles (all forwards first), while 1F1B's stash edge needs earlier
 	// micro-batches' backward handles (alternate F_m, B_m). Both orders
-	// reduce to F_0, B_0 at M = 1 — the buildEvents order.
+	// reduce to F_0, B_0 at M = 1 — one plain iteration.
 	if sched.Shape == OneFOneB {
 		for m := 0; m < M; m++ {
 			emitForward(m)

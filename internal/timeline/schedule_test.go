@@ -11,9 +11,9 @@ import (
 )
 
 // The degenerate schedule (M = 1, S = 1) must reproduce the
-// single-iteration simulation bit for bit — same spans, same order, same
-// floats, same dependencies — across policies, shapes, and random nets
-// (flat and with per-level splits).
+// independent single-iteration builder (simulateLayers) bit for bit —
+// same spans, same order, same floats, same dependencies — across
+// policies, shapes, and random nets (flat and with per-level splits).
 func TestPipelineSingleMatchesSimulateLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -22,9 +22,9 @@ func TestPipelineSingleMatchesSimulateLayers(t *testing.T) {
 		layers := randomLayers(rng, n, split)
 		for _, pol := range []Policy{PolicyNone, PolicyBackprop, PolicyFull} {
 			for _, shape := range []Shape{GPipe, OneFOneB} {
-				want, err := SimulateLayers(layers, pol)
+				want, err := simulateLayers(layers, pol)
 				if err != nil {
-					t.Fatalf("trial %d: SimulateLayers: %v", trial, err)
+					t.Fatalf("trial %d: simulateLayers: %v", trial, err)
 				}
 				got, err := SimulatePipeline(layers, pol, Schedule{Shape: shape, MicroBatches: 1, Stages: 1})
 				if err != nil {
@@ -238,7 +238,7 @@ func TestPipelineHidesForwardCommunication(t *testing.T) {
 		{Name: "b", FwdComp: 1e-3, BwdComp: 2e-3, AllGather: 4e-3},
 		{Name: "c", FwdComp: 1e-3, BwdComp: 2e-3},
 	}
-	single, err := SimulateLayers(layers, PolicyBackprop)
+	single, err := SimulatePipeline(layers, PolicyBackprop, Single())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,4 +352,140 @@ func TestPolicyAndScheduleStringParseRoundTrip(t *testing.T) {
 			t.Errorf("ParseSchedule(%q): want error naming the input, got %v", bad, err)
 		}
 	}
+}
+
+// simulateLayers simulates one iteration with the reference builder.
+func simulateLayers(layers []Layer, policy Policy) (*Result, error) {
+	for i := range layers {
+		layers[i].validate(i)
+	}
+	spans, err := Simulate(buildEvents(layers, policy))
+	if err != nil {
+		return nil, err
+	}
+	return summarize(layers, policy, spans, 1, 1), nil
+}
+
+// buildEvents is the independent single-iteration builder the pipeline
+// builder is checked against: it lays out one iteration — forward compute
+// for layers 0..L−1, then backward compute for layers L−1..0, with
+// communication events wired according to the policy.
+//
+// Dependencies are passed around as *handles*: a handle is the list of
+// event IDs whose completion stands for the completion of a (possibly
+// zero-duration) step. A zero-duration step emits no event and its handle
+// is simply its own dependency handle, so prerequisites forward
+// transitively through skipped events instead of being dropped.
+func buildEvents(layers []Layer, policy Policy) []Event {
+	var events []Event
+	lastReal := -1 // most recent real event, for PolicyNone serialization
+	add := func(layer int, kind Kind, res Resource, dur float64, deps []int) []int {
+		if dur == 0 {
+			return deps
+		}
+		d := append([]int(nil), deps...)
+		if policy == PolicyNone && lastReal >= 0 {
+			// Serialize on the immediately preceding event; transitive
+			// dependencies make the full chain.
+			d = append(d, lastReal)
+		}
+		id := len(events)
+		events = append(events, Event{
+			ID:       id,
+			Layer:    layer,
+			Name:     fmt.Sprintf("%s %s", kind, layers[layer].Name),
+			Kind:     kind,
+			Resource: res,
+			Duration: dur,
+			Deps:     d,
+		})
+		lastReal = id
+		return []int{id}
+	}
+	union := func(hs ...[]int) []int {
+		var out []int
+		for _, h := range hs {
+			out = append(out, h...)
+		}
+		return out
+	}
+	// comm emits one communication step: a single Network event on a flat
+	// layer, or a chain of per-level lane events when the layer carries a
+	// per-level split — each level's phase consumes the previous active
+	// level's result (the hierarchical collective ascends the topology),
+	// so level i+1's event depends on level i's. The returned handle
+	// completes when the whole step does.
+	comm := func(layer int, kind Kind, deps []int) []int {
+		l := layers[layer]
+		if l.Levels == nil {
+			return add(layer, kind, Network, l.commDur(kind), deps)
+		}
+		cur := deps
+		var done []int
+		for lvl, dur := range l.Levels.get(kind) {
+			if dur == 0 {
+				continue
+			}
+			ev := add(layer, kind, NetworkLevel(lvl), dur, cur)
+			done = union(done, ev)
+			cur = union(deps, ev)
+		}
+		if done == nil {
+			return deps
+		}
+		return done
+	}
+
+	L := len(layers)
+	fwdDone := make([][]int, L) // FwdComp handle per layer
+	agDone := make([][]int, L)  // AllGather handle per layer
+
+	// Forward pass.
+	for i := range layers {
+		var deps []int
+		if i > 0 {
+			deps = union(deps, fwdDone[i-1])
+			if policy != PolicyFull {
+				deps = union(deps, agDone[i-1]) // all-gather blocks the next GEMM
+			}
+		}
+		halo := comm(i, FwdHalo, deps)
+		fdeps := deps
+		if policy != PolicyFull {
+			fdeps = union(deps, halo) // input halo blocks this GEMM
+		}
+		fwdDone[i] = add(i, FwdComp, Compute, layers[i].FwdComp, fdeps)
+		agDone[i] = comm(i, AllGather, fwdDone[i])
+	}
+
+	// Backward pass, last layer first.
+	var prevBwd []int
+	for i := L - 1; i >= 0; i-- {
+		var deps []int
+		if i < L-1 {
+			deps = prevBwd
+		} else {
+			// The loss needs the last forward GEMM and (except under
+			// PolicyFull) its gathered activations.
+			deps = fwdDone[L-1]
+			if policy != PolicyFull {
+				deps = union(fwdDone[L-1], agDone[L-1])
+			}
+		}
+		bwd := add(i, BwdComp, Compute, layers[i].BwdComp, deps)
+		// Backward communication is issued at the start of the layer's
+		// backprop (gradient chunks stream out as they are produced), so
+		// it shares the compute event's dependencies rather than waiting
+		// for it — the per-layer form of the Fig. 8 idealization. Under
+		// PolicyNone the add() serialization reinstates strict order.
+		commDeps := deps
+		if policy == PolicyNone {
+			commDeps = bwd
+		}
+		comm(i, BwdHalo, commDeps)
+		comm(i, ActReduce, commDeps)
+		comm(i, GradReduce, commDeps)
+		prevBwd = bwd
+	}
+	return events
 }

@@ -7,9 +7,9 @@ import (
 
 func mustSimulate(t *testing.T, layers []Layer, p Policy) *Result {
 	t.Helper()
-	r, err := SimulateLayers(layers, p)
+	r, err := SimulatePipeline(layers, p, Single())
 	if err != nil {
-		t.Fatalf("SimulateLayers(%v): %v", p, err)
+		t.Fatalf("SimulatePipeline(%v): %v", p, err)
 	}
 	return r
 }
@@ -222,7 +222,7 @@ func TestInvalidDurationsPanic(t *testing.T) {
 					t.Fatalf("%s: expected panic", name)
 				}
 			}()
-			_, _ = SimulateLayers(layers, PolicyBackprop)
+			_, _ = SimulatePipeline(layers, PolicyBackprop, Single())
 		})
 	}
 }
