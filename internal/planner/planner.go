@@ -147,33 +147,30 @@ type Options struct {
 	// pipeline-parallel scheduling. Empty means {1}: no pipelining, the
 	// legacy single-iteration scoring, bit-identical to the pre-pipeline
 	// planner. Entries > 1 score an M-micro-batch schedule via
-	// costmodel.StageIteration (one stage unless PipelineStages or
-	// StageCounts ask for more) and require UseTimeline (Optimize
-	// rejects them otherwise); candidates that do not divide B or leave
-	// a micro-batch thinner than Pc are skipped as infeasible. Each grid
-	// reports its best M (Plan.MicroBatch).
+	// costmodel.StageIteration (one stage unless StageCounts asks for
+	// more) and require UseTimeline (Optimize rejects them otherwise);
+	// candidates that do not divide B or leave a micro-batch thinner
+	// than Pc are skipped as infeasible. Each grid reports its best M
+	// (Plan.MicroBatch).
 	MicroBatches []int
 	// Schedule is the pipeline schedule shape used for candidates with
 	// M > 1 (timeline.GPipe fill–drain or timeline.OneFOneB). The shape
 	// decides the activation stash the memory constraint prices:
 	// gpipe stashes all M in-flight micro-batches, 1f1b min(M, S).
 	Schedule timeline.Shape
-	// PipelineStages is the stage count S of the pipeline schedule
-	// (0 ⇒ 1). S = 1 is inter-batch pipelining on one device group —
-	// the natural setting for the paper's grids, where every process
-	// executes every layer; S > 1 partitions the weighted-layer list
-	// into S contiguous stages, each pricing only its own layers on its
-	// own P/S-sized grid at its own rank offset
+	// StageCounts lists the pipeline stage counts S searched (empty ⇒
+	// {1}), keeping the best. S = 1 is inter-batch pipelining on one
+	// device group — the natural setting for the paper's grids, where
+	// every process executes every layer; S > 1 partitions the
+	// weighted-layer list into S contiguous stages, each pricing only its
+	// own layers on its own P/S-sized grid at its own rank offset
 	// (costmodel.StageIteration), with the inter-stage activation
-	// handoffs priced against the topology level each cut crosses.
-	// Multi-stage search requires UseTimeline.
-	PipelineStages int
-	// StageCounts, when non-empty, searches several stage counts and
-	// keeps the best (overriding PipelineStages). Each S > 1 co-searches
-	// the contiguous layer partitions (see MaxPartitions) and the shared
-	// per-stage grid over the factorizations of P/S; S values that do
-	// not divide P, or exceed the weighted layer count, are reported
-	// infeasible.
+	// handoffs priced against the topology level each cut crosses. Each
+	// S > 1 co-searches the contiguous layer partitions (see
+	// MaxPartitions) and the shared per-stage grid over the
+	// factorizations of P/S; S values that do not divide P, or exceed the
+	// weighted layer count, are reported infeasible. Multi-stage search
+	// requires UseTimeline.
 	StageCounts []int
 	// Partition pins the stage boundaries: cut positions into the
 	// weighted-layer list (layer k starts stage when k ∈ Partition),
@@ -188,8 +185,8 @@ type Options struct {
 	MaxPartitions int
 	// Workers is the number of goroutines evaluating candidates in
 	// parallel (0 ⇒ runtime.GOMAXPROCS(0)). Every candidate is a pure
-	// function of its inputs and the reduction runs serially in
-	// canonical order, so the Result — plans, stats, trajectory — is
+	// function of its inputs and folds into its grid's reported plan
+	// under a total order, so the Result — plans, stats, trajectory — is
 	// bit-identical for every worker count, including 1; parallelism
 	// changes only wall time.
 	Workers int
@@ -268,14 +265,11 @@ func (o Options) schedule(m int) timeline.Schedule {
 	return timeline.Schedule{Shape: o.Schedule, MicroBatches: m, Stages: 1}
 }
 
-// stageCounts returns the stage-count search space: StageCounts when
-// set, else {max(1, PipelineStages)}.
+// stageCounts returns the stage-count search space (see
+// Options.StageCounts).
 func (o Options) stageCounts() []int {
 	if len(o.StageCounts) > 0 {
 		return o.StageCounts
-	}
-	if o.PipelineStages > 1 {
-		return []int{o.PipelineStages}
 	}
 	return []int{1}
 }
@@ -475,15 +469,19 @@ func assignmentFor(net *nn.Network, B int, g grid.Grid, mode Mode, env costmodel
 // stage-count, partition and micro-batch search spaces — and, under the
 // TimeToAccuracy objective, over Options.BatchSizes — and returns the
 // plan Optimize would pick if g were the only grid: the feasible plan of
-// lowest objective cost (ties keep the earlier placement, so flat
-// machines deterministically report row-major), or the first candidate's
-// plan when none is feasible. For stage counts > 1 the grid is the
+// lowest objective cost (equal iteration time prefers the smaller
+// micro-batch count, then the earlier placement, so flat machines
+// deterministically report row-major), or the first candidate's plan
+// when none is feasible. For stage counts > 1 the grid is the
 // shared per-stage grid: the machine has S × g.P() ranks, stage k's
 // block starting at rank k·g.P().
 func Evaluate(net *nn.Network, B int, g grid.Grid, opts Options) Plan {
 	s := newSearch(net, B, g.P(), opts, true)
 	s.grid = &g
-	return s.best()
+	var st SearchStats
+	s.enumerate(&st)
+	s.run(&st)
+	return s.winners[max(s.best(nil), 0)]
 }
 
 // EvaluateAt prices one (grid, placement, mode) configuration at batch B
@@ -493,7 +491,7 @@ func Evaluate(net *nn.Network, B int, g grid.Grid, opts Options) Plan {
 // strictly helps.
 func EvaluateAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options) Plan {
 	opts.Placements = []grid.Placement{pl}
-	opts.StageCounts, opts.PipelineStages, opts.BatchSizes = nil, 0, nil
+	opts.StageCounts, opts.BatchSizes = nil, nil
 	return Evaluate(net, B, g, opts)
 }
 
@@ -778,43 +776,33 @@ func optimize(net *nn.Network, B, P int, opts Options, memoSpans bool) (Result, 
 		st.PriceSeconds *= f
 		st.SimulateSeconds *= f
 	}
-	best := math.Inf(1)
-	record := func(p Plan) {
-		res.All = append(res.All, p)
-		if !p.Feasible {
-			return
+	bi := s.best(func(p *Plan) {
+		im := Improvement{
+			Grid:        p.Grid.String(),
+			Placement:   p.Placement,
+			MicroBatch:  p.MicroBatch,
+			Stages:      p.Stages,
+			Partition:   p.Partition,
+			IterSeconds: p.IterSeconds,
 		}
-		if c := opts.objectiveCost(&p); c < best {
-			best = c
-			res.Best = p
-			im := Improvement{
-				Grid:        p.Grid.String(),
-				Placement:   p.Placement,
-				MicroBatch:  p.MicroBatch,
-				Stages:      p.Stages,
-				Partition:   p.Partition,
-				IterSeconds: p.IterSeconds,
-			}
-			if opts.Objective == TimeToAccuracy {
-				im.Batch = p.Batch
-				im.TTASeconds = p.TimeToAccuracySeconds
-			}
-			st.Improvements = append(st.Improvements, im)
+		if opts.Objective == TimeToAccuracy {
+			im.Batch = p.Batch
+			im.TTASeconds = p.TimeToAccuracySeconds
 		}
-	}
+		st.Improvements = append(st.Improvements, im)
+	})
 	for i := range s.slots {
-		sl := &s.slots[i]
-		p := s.reduce(sl)
-		if sl.pure {
-			pb := p
+		if s.slots[i].pure {
+			pb := s.winners[i]
 			res.PureBatch = &pb
 		}
-		record(p)
 	}
+	res.All = s.winners
 	st.WallSeconds = time.Since(wallStart).Seconds()
-	if math.IsInf(best, 1) {
+	if bi < 0 {
 		return res, s.infeasibleError(st)
 	}
+	res.Best = s.winners[bi]
 	// A single (stage count, batch size) emits plans in Factorizations
 	// order already — increasing Pr — so only a multi-count or multi-batch
 	// sweep needs the re-sort (and the hot single-stage path skips the
@@ -846,17 +834,8 @@ func (s *search) infeasibleError(st *SearchStats) error {
 		span = fmt.Sprintf("B=%d..%d (%d batch sizes)", s.batches[0], s.batches[len(s.batches)-1], len(s.batches))
 	}
 	if st.Priced == 0 && st.MemoryPruned > 0 {
-		tightest := math.Inf(1)
-		for i := range s.plans {
-			p := &s.plans[i]
-			// The exact prune condition of the evaluator: a footprint
-			// was derived and exceeded the limit.
-			if !p.Feasible && p.MemoryWords > o.MemoryLimitWords && p.MemoryWords < tightest {
-				tightest = p.MemoryWords
-			}
-		}
 		return fmt.Errorf("planner: no feasible configuration for %s P=%d mode=%v: all %d sized candidates exceed the memory limit %.3g words (tightest footprint %.3g words)",
-			span, s.P, o.Mode, st.MemoryPruned, o.MemoryLimitWords, tightest)
+			span, s.P, o.Mode, st.MemoryPruned, o.MemoryLimitWords, s.tightest)
 	}
 	return fmt.Errorf("planner: no feasible configuration for %s P=%d mode=%v", span, s.P, o.Mode)
 }

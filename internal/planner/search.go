@@ -4,16 +4,21 @@
 //
 // The engine flattens the (batch size, stage count, grid, placement,
 // partition, micro-batch) product into an indexed work list during a
-// serial enumeration phase, prices every leaf with the one candidate
-// evaluator (search.evaluate, where M = 1 and S = 1 are plain parameter
-// values) across Options.Workers goroutines (every leaf is a pure
-// function of its inputs), and reduces the per-leaf plans back into the
-// per-(batch size, stage count, grid) slots of Result.All. Optimize
-// enumerates every factorization of P/S; Evaluate pins one grid (the
-// machine then has S × g.P() ranks per stage count) and EvaluateAt also
-// pins the placement, S = 1 and the base batch. Because the reduction
-// runs serially over a deterministically indexed plan array, the
-// returned Result is bit-identical for any worker count, including 1.
+// serial enumeration phase — one stage is just the stage count whose only
+// partition is the whole network — prices every leaf with the one
+// candidate evaluator (search.evaluate, where M = 1 and S = 1 are plain
+// parameter values) across Options.Workers goroutines (every leaf is a
+// pure function of its inputs), and folds each priced leaf into the
+// winner of its (batch size, stage count, grid) slot of Result.All at the
+// next chunk boundary. The fold is one total order — feasible first, then
+// lower iteration time, then fewer micro-batches, then lower leaf index —
+// so a slot's winner depends neither on the visit order nor on the worker
+// count, and the returned Result is bit-identical for any worker count,
+// including 1. Only the slot winners and one chunk of plans are held:
+// memory is O(slots + chunk), never a plan per leaf. Optimize enumerates
+// every factorization of P/S; Evaluate pins one grid (the machine then has
+// S × g.P() ranks per stage count) and EvaluateAt also pins the placement,
+// S = 1 and the base batch.
 //
 // Branch-and-bound: before pricing a leaf's communication or running the
 // timeline simulator, a monotone lower bound on its iteration time —
@@ -155,34 +160,31 @@ type floorKey struct {
 }
 
 // leaf is one fully specified candidate: a (batch size, stage count,
-// grid, placement, partition, micro-batch) tuple awaiting evaluation.
+// grid, placement, partition, micro-batch) tuple awaiting evaluation, and
+// the index of the slot it folds into.
 type leaf struct {
 	B     int
 	S     int
 	g     grid.Grid
 	pl    grid.Placement
-	part  stage.Partition // zero for M = 1 on one stage, where nothing reads it
+	part  stage.Partition
 	micro int
-	// pure marks the 1×P pure-batch baseline at the base batch size,
-	// which is exempt from bounding: Result.PureBatch is the reference
-	// the paper's speedups are quoted against, so it must always be
-	// fully priced.
-	pure bool
+	slot  int
 }
 
-// slot is one entry of Result.All: a (batch size, stage count, grid)
-// tuple whose leaves [start, start+n) reduce to a single reported plan.
-// Pseudo slots (S values that do not divide P, partition errors) carry
-// their pre-built infeasible plan and own no leaves.
+// slot is one entry of Result.All, a (batch size, stage count, grid)
+// tuple whose leaves fold into one reported plan, the search's winners
+// entry of the same index. win is the index of the winning leaf so far
+// (-1 before the first fold); pseudo slots (S values that do not divide
+// P, partition errors) own no leaves and report their pre-built
+// infeasible plan.
 type slot struct {
-	B          int
-	S          int
-	g          grid.Grid
-	pure       bool
-	pseudo     *Plan
-	start, n   int
-	placements int // S == 1: leaves are placement-major …
-	micros     int // … with this many micro-batch leaves per placement
+	// pure marks the 1×P pure-batch baseline at the base batch size,
+	// whose leaves are exempt from bounding: Result.PureBatch is the
+	// reference the paper's speedups are quoted against, so it must
+	// always be fully priced.
+	pure bool
+	win  int
 }
 
 // search is one Optimize invocation's engine state.
@@ -210,8 +212,11 @@ type search struct {
 	grid    *grid.Grid
 	steps   map[int]float64
 	slots   []slot
+	winners []Plan
 	leaves  []leaf
-	plans   []Plan
+	// tightest is the smallest per-process footprint among the leaves
+	// the memory limit rejected (+Inf when none), for infeasibleError.
+	tightest float64
 	// lbs/lbOK hold the per-leaf lower bounds computed once by run()'s
 	// ordering pass; evalLeaf reads them instead of re-deriving the bound
 	// per leaf. Nil when bounds are disabled.
@@ -221,14 +226,15 @@ type search struct {
 
 func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search {
 	s := &search{
-		net:     net,
-		B:       B,
-		P:       P,
-		opts:    opts,
-		bounds:  !opts.DisableBounds,
-		cc:      newComputeCache(opts.Compute, net),
-		floors:  make(map[floorKey]float64),
-		batches: opts.batchSizes(B),
+		net:      net,
+		B:        B,
+		P:        P,
+		opts:     opts,
+		bounds:   !opts.DisableBounds,
+		cc:       newComputeCache(opts.Compute, net),
+		floors:   make(map[floorKey]float64),
+		batches:  opts.batchSizes(B),
+		tightest: math.Inf(1),
 	}
 	if topo := opts.topology(); memoSpans && !topo.Uniform() {
 		s.spans = costmodel.NewSpanMemo(topo, net)
@@ -257,12 +263,14 @@ func (s *search) objectiveScale(B int) float64 {
 // placements × partitions × micro-batches — pre-filling the compute
 // memo, the level-span memo, and the ∆W floors, and counting the
 // enumeration-side telemetry (batches, grids, stage counts, partitions,
-// and the pseudo-slot candidates) into st. The candidate partitions per stage count are
-// batch-independent, so they are enumerated once and shared across the
-// batch sweep (stage counts are likewise counted once).
+// and the pseudo-slot candidates) into st. The candidate partitions per
+// stage count are batch-independent, so they are enumerated once and
+// shared across the batch sweep (stage counts are likewise counted once).
+// S = 1 is the stage count whose one partition is the whole network: it
+// never consults Options.Partition and adds nothing to the partition and
+// stage-candidate counts.
 func (s *search) enumerate(st *SearchStats) {
 	o := s.opts
-	counts := o.stageCounts()
 	micros := o.microBatches()
 	pls := o.placements()
 	grids := func(S int) []grid.Grid {
@@ -277,9 +285,14 @@ func (s *search) enumerate(st *SearchStats) {
 	if s.grid != nil {
 		pseudoGrid = *s.grid
 	}
-	// whole is the one-stage partition pipelined single-stage leaves are
-	// priced with, built on first use.
-	var whole stage.Partition
+	pseudo := func(B, S int, reason string) {
+		st.Candidates++
+		st.StageCandidates++
+		st.InfeasiblePruned++
+		s.slots = append(s.slots, slot{win: -1})
+		s.winners = append(s.winners, Plan{Grid: pseudoGrid, Batch: B, Mode: o.Mode, MicroBatch: 1,
+			Schedule: o.Schedule, Stages: S, Reason: reason})
+	}
 	// The ∆W floor sharpens the bound only where the closed form
 	// serializes communication after compute (no overlap, no timeline),
 	// and only on a uniform topology, where FCGradReduceSeconds is a
@@ -296,94 +309,60 @@ func (s *search) enumerate(st *SearchStats) {
 	partsBy := make(map[int]partsMemo)
 	st.BatchSizesSearched = len(s.batches)
 	for bi, B := range s.batches {
-		for _, S := range counts {
+		for _, S := range o.stageCounts() {
 			if bi == 0 {
 				st.StageCountsSearched++
 			}
-			if S <= 1 {
-				for _, g := range grids(1) {
-					st.GridsEnumerated++
-					gp := pls
-					if g.Pr == 1 || g.Pc == 1 {
-						// Degenerate grids have identical rank mappings under
-						// every placement; extra placements would duplicate
-						// the first plan.
-						gp = gp[:1]
-					}
-					sl := slot{B: B, S: 1, g: g, pure: B == s.B && g.IsPureBatch(), start: len(s.leaves),
-						placements: len(gp), micros: len(micros)}
-					for _, pl := range gp {
-						if needFloors {
-							s.fillFloor(g, pl)
-						}
-						s.spans.Fill(g, pl, 0)
-						for _, m := range micros {
-							lf := leaf{B: B, S: 1, g: g, pl: pl, micro: m, pure: sl.pure}
-							if m != 1 {
-								if whole.L == 0 {
-									whole = stage.Balanced(len(s.net.WeightedLayers()), 1)
-								}
-								lf.part = whole
-							}
-							s.leaves = append(s.leaves, lf)
-						}
-					}
-					s.prefillTimes(B, g, micros)
-					sl.n = len(s.leaves) - sl.start
-					s.slots = append(s.slots, sl)
-				}
-				continue
-			}
 			if s.grid == nil && s.P%S != 0 {
-				st.Candidates++
-				st.StageCandidates++
-				st.InfeasiblePruned++
-				p := Plan{Batch: B, Mode: o.Mode, MicroBatch: 1, Schedule: o.Schedule, Stages: S,
-					Reason: fmt.Sprintf("S=%d stages do not divide P=%d", S, s.P)}
-				s.slots = append(s.slots, slot{B: B, S: S, pseudo: &p})
+				pseudo(B, S, fmt.Sprintf("S=%d stages do not divide P=%d", S, s.P))
 				continue
 			}
 			pm, ok := partsBy[S]
 			if !ok {
-				if layerCosts == nil {
-					layerCosts = layerComputeCosts(s.net)
+				if S == 1 {
+					pm.parts = []stage.Partition{stage.Balanced(len(s.net.WeightedLayers()), 1)}
+				} else {
+					if layerCosts == nil {
+						layerCosts = layerComputeCosts(s.net)
+					}
+					pm.parts, pm.err = o.partitionsFrom(layerCosts, S)
+					if pm.err == nil {
+						st.PartitionsEnumerated += len(pm.parts)
+					}
 				}
-				pm.parts, pm.err = o.partitionsFrom(layerCosts, S)
 				partsBy[S] = pm
-				if pm.err == nil {
-					st.PartitionsEnumerated += len(pm.parts)
-				}
 			}
 			if pm.err != nil {
-				st.Candidates++
-				st.StageCandidates++
-				st.InfeasiblePruned++
-				p := Plan{Grid: pseudoGrid, Batch: B, Mode: o.Mode, MicroBatch: 1, Schedule: o.Schedule, Stages: S,
-					Reason: pm.err.Error()}
-				s.slots = append(s.slots, slot{B: B, S: S, pseudo: &p})
+				pseudo(B, S, pm.err.Error())
 				continue
 			}
 			for _, g := range grids(S) {
 				st.GridsEnumerated++
 				gp := pls
 				if g.Pr == 1 || g.Pc == 1 {
+					// Degenerate grids have identical rank mappings under
+					// every placement; extra placements would duplicate
+					// the first plan.
 					gp = gp[:1]
 				}
-				sl := slot{B: B, S: S, g: g, start: len(s.leaves)}
+				si := len(s.slots)
 				for _, pl := range gp {
+					if S == 1 && needFloors {
+						s.fillFloor(g, pl)
+					}
 					// Stage k's rank block starts at k·g.P().
 					for k := 0; k < S; k++ {
 						s.spans.Fill(g, pl, k*g.P())
 					}
 					for _, part := range pm.parts {
 						for _, m := range micros {
-							s.leaves = append(s.leaves, leaf{B: B, S: S, g: g, pl: pl, part: part, micro: m})
+							s.leaves = append(s.leaves, leaf{B: B, S: S, g: g, pl: pl, part: part, micro: m, slot: si})
 						}
 					}
 				}
 				s.prefillTimes(B, g, micros)
-				sl.n = len(s.leaves) - sl.start
-				s.slots = append(s.slots, sl)
+				s.slots = append(s.slots, slot{pure: S == 1 && B == s.B && g.IsPureBatch(), win: -1})
+				s.winners = append(s.winners, Plan{})
 			}
 		}
 	}
@@ -477,7 +456,7 @@ func (s *search) lowerBound(lf *leaf) (float64, bool) {
 // would double the bound cost for zero information.
 func (s *search) evalLeaf(i int, incumbent float64, st *SearchStats) Plan {
 	lf := &s.leaves[i]
-	if s.bounds && !lf.pure {
+	if s.bounds && !s.slots[lf.slot].pure {
 		if lb := s.lbs[i]; s.lbOK[i] && lb*boundSlack > incumbent {
 			st.Candidates++
 			if lf.S > 1 {
@@ -501,15 +480,16 @@ func (s *search) evalLeaf(i int, incumbent float64, st *SearchStats) Plan {
 	return s.evaluate(lf, st)
 }
 
-// run evaluates every leaf across the worker pool, chunk by chunk, and
-// merges the per-worker telemetry shards into st.
+// run evaluates every leaf across the worker pool, chunk by chunk,
+// folds each chunk's plans into their slots' winners, and merges the
+// per-worker telemetry shards into st.
 //
 // With bounds enabled the leaves are visited in ascending lower-bound
 // order (stable on the enumeration index): the cheapest-looking
 // candidates evaluate first, so the incumbent falls fast and the
 // expensive tail is pruned before pricing. The visit order is a pure
 // function of the enumerated leaves — never of worker count or timing —
-// and every result still lands at its leaf's own index, so the reduced
+// and the fold is a total order on (plan, leaf index), so the folded
 // Result is unchanged by the reordering and identical for any worker
 // count.
 func (s *search) run(st *SearchStats) {
@@ -517,7 +497,6 @@ func (s *search) run(st *SearchStats) {
 	if n == 0 {
 		return
 	}
-	s.plans = make([]Plan, n)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -550,21 +529,19 @@ func (s *search) run(st *SearchStats) {
 		workers = n
 	}
 	shards := make([]SearchStats, workers)
+	// buf holds one chunk's plans, indexed by visit position − lo.
+	buf := make([]Plan, min(boundChunk, n))
 	incumbent := math.Inf(1)
 	for lo := 0; lo < n; lo += boundChunk {
-		hi := lo + boundChunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+boundChunk, n)
 		if workers == 1 {
 			for p := lo; p < hi; p++ {
-				i := order[p]
-				s.plans[i] = s.evalLeaf(i, incumbent, &shards[0])
+				buf[p-lo] = s.evalLeaf(order[p], incumbent, &shards[0])
 			}
 		} else {
 			// Workers pull visit positions from a shared counter: dynamic
 			// balancing within the chunk, while every leaf's result lands
-			// at its own index — scheduling decides only who computes
+			// at its own position — scheduling decides only who computes
 			// what, never what is computed.
 			next := int64(lo)
 			var wg sync.WaitGroup
@@ -577,8 +554,7 @@ func (s *search) run(st *SearchStats) {
 						if p >= hi {
 							return
 						}
-						i := order[p]
-						s.plans[i] = s.evalLeaf(i, incumbent, sh)
+						buf[p-lo] = s.evalLeaf(order[p], incumbent, sh)
 					}
 				}(&shards[w])
 			}
@@ -589,11 +565,13 @@ func (s *search) run(st *SearchStats) {
 		// The incumbent lives in objective units (iteration seconds, or
 		// campaign seconds under TimeToAccuracy), matching the bounds.
 		for p := lo; p < hi; p++ {
-			if pl := &s.plans[order[p]]; pl.Feasible {
+			pl := &buf[p-lo]
+			if pl.Feasible {
 				if c := s.opts.objectiveCost(pl); c < incumbent {
 					incumbent = c
 				}
 			}
+			s.fold(order[p], pl)
 		}
 	}
 	for i := range shards {
@@ -601,74 +579,55 @@ func (s *search) run(st *SearchStats) {
 	}
 }
 
-// reduce folds one slot's leaves into its reported plan: the pseudo
-// slot's pre-built plan, else reduceFlat or reduceStaged by stage count.
-func (s *search) reduce(sl *slot) Plan {
+// fold folds leaf i's plan into its slot's winner. The order is total:
+// feasible before infeasible, then (between feasible plans) lower
+// IterSeconds, then smaller MicroBatch, then lower leaf index — so the
+// winner does not depend on the visit order, and an all-infeasible slot
+// reports its first leaf. It also tracks the tightest footprint the
+// memory limit rejected.
+func (s *search) fold(i int, p *Plan) {
+	if !p.Feasible && p.MemoryWords > s.opts.MemoryLimitWords && p.MemoryWords < s.tightest {
+		// The exact prune condition of the evaluator: a footprint was
+		// derived and exceeded the limit.
+		s.tightest = p.MemoryWords
+	}
+	si := s.leaves[i].slot
+	if sl, w := &s.slots[si], &s.winners[si]; sl.win < 0 || precedes(p, i, w, sl.win) {
+		*w, sl.win = *p, i
+	}
+}
+
+// precedes reports whether plan p of leaf i comes before plan q of leaf j
+// in the fold order.
+func precedes(p *Plan, i int, q *Plan, j int) bool {
 	switch {
-	case sl.pseudo != nil:
-		return *sl.pseudo
-	case sl.S == 1:
-		return s.reduceFlat(sl)
+	case p.Feasible != q.Feasible:
+		return p.Feasible
+	case p.Feasible && p.IterSeconds != q.IterSeconds:
+		return p.IterSeconds < q.IterSeconds
+	case p.Feasible && p.MicroBatch != q.MicroBatch:
+		return p.MicroBatch < q.MicroBatch
 	}
-	return s.reduceStaged(sl)
+	return i < j
 }
 
-// best runs a pinned-grid search and folds its slots as Optimize picks
-// its best plan: the first feasible plan of lowest objective cost, or the
-// first slot's plan when none is feasible.
-func (s *search) best() Plan {
-	var st SearchStats
-	s.enumerate(&st)
-	s.run(&st)
-	var best Plan
-	for i := range s.slots {
-		if p := s.reduce(&s.slots[i]); i == 0 ||
-			p.Feasible && (!best.Feasible || s.opts.objectiveCost(&p) < s.opts.objectiveCost(&best)) {
-			best = p
+// best returns the index of the slot winner a search reports: the first
+// feasible plan of lowest objective cost, or -1 when none is feasible.
+// improved, when non-nil, sees every winner that lowers the running best,
+// in slot order.
+func (s *search) best(improved func(p *Plan)) int {
+	bi, cost := -1, math.Inf(1)
+	for i := range s.winners {
+		p := &s.winners[i]
+		if !p.Feasible {
+			continue
 		}
-	}
-	return best
-}
-
-// reduceFlat folds a single-stage slot's leaves: within a placement,
-// strictly cheaper wins and equal cost prefers the smaller micro-batch;
-// across placements, only strictly cheaper feasible plans replace (ties
-// keep the earlier placement, so flat machines deterministically report
-// row-major).
-func (s *search) reduceFlat(sl *slot) Plan {
-	group := func(start int) Plan {
-		best := s.plans[start]
-		for i := start + 1; i < start+sl.micros; i++ {
-			p := s.plans[i]
-			if p.Feasible && (!best.Feasible || p.IterSeconds < best.IterSeconds ||
-				(p.IterSeconds == best.IterSeconds && p.MicroBatch < best.MicroBatch)) {
-				best = p
+		if c := s.opts.objectiveCost(p); c < cost {
+			bi, cost = i, c
+			if improved != nil {
+				improved(p)
 			}
 		}
-		return best
 	}
-	best := group(sl.start)
-	for pi := 1; pi < sl.placements; pi++ {
-		if p := group(sl.start + pi*sl.micros); p.Feasible &&
-			(!best.Feasible || p.IterSeconds < best.IterSeconds) {
-			best = p
-		}
-	}
-	return best
-}
-
-// reduceStaged folds a multi-stage slot's leaves: one flat fold over
-// placements × partitions × micro-batches where strictly cheaper wins
-// and equal cost prefers the smaller micro-batch (ties otherwise keep the
-// earlier candidate).
-func (s *search) reduceStaged(sl *slot) Plan {
-	best := s.plans[sl.start]
-	for i := sl.start + 1; i < sl.start+sl.n; i++ {
-		p := s.plans[i]
-		if p.Feasible && (!best.Feasible || p.IterSeconds < best.IterSeconds ||
-			(p.IterSeconds == best.IterSeconds && p.MicroBatch < best.MicroBatch)) {
-			best = p
-		}
-	}
-	return best
+	return bi
 }

@@ -59,9 +59,9 @@ func TestStagedRedistributionPricedOnOwningStage(t *testing.T) {
 	}
 }
 
-// Explicitly asking for the single-stage search (StageCounts = {1}, or
-// the legacy PipelineStages knob at 0/1) must reproduce the default
-// search result exactly — same plans, same telemetry counts.
+// Explicitly asking for the single-stage search (StageCounts = {1}, also
+// with a partition cap that only multi-stage counts read) must reproduce
+// the default search result exactly — same plans, same telemetry counts.
 func TestStageCountsSingleIsBitCompatible(t *testing.T) {
 	net := nn.AlexNet()
 	base := opts(Auto)
@@ -74,7 +74,7 @@ func TestStageCountsSingleIsBitCompatible(t *testing.T) {
 	}
 	for _, mutate := range []func(*Options){
 		func(o *Options) { o.StageCounts = []int{1} },
-		func(o *Options) { o.PipelineStages = 1 },
+		func(o *Options) { o.StageCounts, o.MaxPartitions = []int{1}, 1 },
 	} {
 		o := base
 		mutate(&o)

@@ -44,7 +44,7 @@ type Improvement struct {
 // PriceSeconds and SimulateSeconds are summed across the evaluation
 // workers and, when that cpu-time sum exceeds the evaluation phase's
 // wall clock (Options.Workers > 1), scaled down onto it so the split
-// stays a wall-clock attribution. The slack is the reduction and loop
+// stays a wall-clock attribution. The slack is the slot fold and loop
 // bookkeeping. For pipelined candidates (M > 1) the Eq. 3–9 re-pricing
 // at micro-batch size B/M happens inside the simulator call and is
 // accounted to SimulateSeconds.

@@ -220,8 +220,8 @@ func TestPipelineResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := r.Options
-	if o.PipelineStages != 2 || o.MaxPartitions != 128 {
-		t.Errorf("stages/cap not lowered: S=%d cap=%d", o.PipelineStages, o.MaxPartitions)
+	if !reflect.DeepEqual(o.StageCounts, []int{2}) || o.MaxPartitions != 128 {
+		t.Errorf("stages/cap not lowered: S=%v cap=%d", o.StageCounts, o.MaxPartitions)
 	}
 	if !reflect.DeepEqual(o.Partition, []int{6}) {
 		t.Errorf("partition not lowered: %v", o.Partition)
@@ -237,7 +237,7 @@ func TestPipelineResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rl.Options.PipelineStages != 2 || rl.Options.Partition != nil {
+	if !reflect.DeepEqual(rl.Options.StageCounts, []int{2}) || rl.Options.Partition != nil {
 		t.Errorf("legacy sugar lowered differently: %+v", rl.Options)
 	}
 }

@@ -858,7 +858,6 @@ func (s Scenario) Resolve() (Resolved, error) {
 		TimelinePolicy:    n.Policy,
 		MicroBatches:      n.MicroBatches,
 		Schedule:          n.Schedule,
-		PipelineStages:    n.PipelineStages,
 		Placements:        n.Placements,
 	}
 	if n.Search != nil {
@@ -875,7 +874,9 @@ func (s Scenario) Resolve() (Resolved, error) {
 		opts.Curve = curve
 	}
 	if n.Pipeline != nil {
-		opts.PipelineStages = n.Pipeline.Stages
+		if n.Pipeline.Stages > 1 {
+			opts.StageCounts = []int{n.Pipeline.Stages}
+		}
 		opts.MaxPartitions = n.Pipeline.MaxPartitions
 		if n.Pipeline.Partition != nil && len(n.Pipeline.Partition.Cuts) > 0 {
 			opts.Partition = append([]int(nil), n.Pipeline.Partition.Cuts...)
