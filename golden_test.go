@@ -10,17 +10,22 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"dnnparallel/internal/report"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden from the current planner")
 
 // goldenCase is one rendered façade answer: a scenario file, optionally
-// pinned to a grid, answered by Plan or Simulate.
+// pinned to a grid (and to micro-batch counts), answered by Plan,
+// Simulate, or the Chrome trace of Simulate's schedule.
 type goldenCase struct {
 	name     string
 	scenario string
 	grid     string
+	micro    []int
 	simulate bool
+	trace    bool
 }
 
 func goldenCases(t *testing.T) []goldenCase {
@@ -37,6 +42,8 @@ func goldenCases(t *testing.T) []goldenCase {
 		goldenCase{name: "plan-alexnet-pipeline-32x16", scenario: "examples/scenarios/alexnet-pipeline.json", grid: "32x16"},
 		goldenCase{name: "plan-alexnet-stages-4x8", scenario: "examples/scenarios/alexnet-stages.json", grid: "4x8"},
 		goldenCase{name: "simulate-alexnet-sim-8x64", scenario: "examples/scenarios/alexnet-sim-8x64.json", simulate: true},
+		goldenCase{name: "trace-alexnet-stages-4x8", scenario: "examples/scenarios/alexnet-stages.json", grid: "4x8", trace: true},
+		goldenCase{name: "trace-alexnet-rack-16x32", scenario: "examples/scenarios/alexnet-rack.json", grid: "16x32", micro: []int{2}, trace: true},
 	)
 }
 
@@ -49,6 +56,16 @@ func (c goldenCase) render() ([]byte, error) {
 	}
 	if c.grid != "" {
 		sc.Grid = c.grid
+	}
+	if c.micro != nil {
+		sc.MicroBatches = c.micro
+	}
+	if c.trace {
+		sim, err := Simulate(sc)
+		if err != nil {
+			return nil, err
+		}
+		return report.ChromeTrace(sim.Raw)
 	}
 	var out any
 	if c.simulate {
@@ -70,7 +87,8 @@ func (c goldenCase) render() ([]byte, error) {
 
 // TestGoldenPlanOutputs pins the façade's answers for every example
 // scenario, a pinned-grid Plan of the pipelined and stage-partitioned
-// scenarios, and a pinned-grid Simulate. Structure (grids, placements,
+// scenarios, a pinned-grid Simulate, and the Chrome traces of a staged
+// micro-batched schedule and a three-level topology's schedule. Structure (grids, placements,
 // micro-batch and stage counts, partitions, assignments, reasons, search
 // counts) must match exactly; floats to 1e-12 relative, so the files
 // hold on architectures that fuse multiply-adds. Regenerate with
