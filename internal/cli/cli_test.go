@@ -2,14 +2,19 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dnnparallel"
 	"dnnparallel/internal/nn"
 	"dnnparallel/internal/planner"
+	"dnnparallel/internal/report"
 	"dnnparallel/internal/timeline"
 )
 
@@ -265,6 +270,40 @@ func TestSimConfig(t *testing.T) {
 	errOut.Reset()
 	if code := SimMain([]string{"-exp", "bogus"}, &out, &errOut); code != 1 {
 		t.Fatalf("unknown experiment: exit %d (%s)", code, errOut.String())
+	}
+}
+
+// TestSimKeepsTopologyComputeModel: a topology scenario's peak_tflops
+// sets the compute model for dnnsim as it does for dnnplan, so both
+// report the same best iteration time for the same scenario.
+func TestSimKeepsTopologyComputeModel(t *testing.T) {
+	sc, err := dnnparallel.LoadScenario(scenarioPath("alexnet-topology.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Topology.PeakTFlops = 30
+	sc.Timeline = true
+	sc.Policy = timeline.PolicyBackprop
+	data, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "topology-peak.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := dnnparallel.Plan(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	code := SimMain([]string{"-config", path, "-exp", "timeline", "-P", strconv.Itoa(sc.Procs)}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	want := fmt.Sprintf("best grid %s: iter=%ss ", res.Best.Grid, report.F(res.Best.IterSeconds))
+	if !strings.Contains(out.String(), want) {
+		t.Fatalf("dnnsim disagrees with Plan (want %q):\n%s", want, out.String())
 	}
 }
 

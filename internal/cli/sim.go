@@ -162,11 +162,11 @@ func SimMain(args []string, stdout, stderr io.Writer) int {
 	setup.Net = r.Net
 	setup.DatasetN = r.Options.DatasetN
 	setup.Workers = r.Options.Workers
+	setup.Compute = r.Options.Compute
 	if sc.Topology != nil {
 		setup.Topology = r.Options.Topology
 	} else {
 		setup.Machine = r.Options.Machine
-		setup.Compute = r.Options.Compute
 	}
 
 	if *calibrate {

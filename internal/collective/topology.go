@@ -202,7 +202,7 @@ func BroadcastTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
 
 // PointToPointTopo prices one pairwise message of words words: α + β·n
 // on the link of the innermost level whose groups contain both
-// endpoints (grid.ColNeighborsLevel).
+// endpoints (grid.ColNeighborsLevelAt).
 func PointToPointTopo(level int, words float64, t machine.Topology) Cost {
 	if t.Uniform() {
 		return PointToPoint(words, t.Machine())

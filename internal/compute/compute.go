@@ -118,7 +118,6 @@ const BackpropFraction = 2.0 / 3.0
 // event-driven timeline simulator (internal/timeline).
 type LayerTime struct {
 	Index int     // index into Network.Layers
-	Name  string  // layer name
 	Fwd   float64 // forward GEMM seconds
 	Bwd   float64 // ∆X + ∆W GEMM seconds plus the layer's weight-update share
 }
@@ -133,7 +132,6 @@ func (c Model) GridLayerTime(l *nn.Layer, index, B int, g grid.Grid) LayerTime {
 	fwd := c.GEMMTime(l.ForwardFLOPsPerSample()*scale, localB)
 	return LayerTime{
 		Index: index,
-		Name:  l.Name,
 		Fwd:   fwd,
 		Bwd:   2*fwd + c.UpdateTime(float64(l.Weights())/float64(g.Pr)),
 	}

@@ -177,7 +177,7 @@ func TestGridLayerTimesConservation(t *testing.T) {
 			sum := overhead
 			for _, lt := range times {
 				if lt.Fwd <= 0 || lt.Bwd <= lt.Fwd {
-					t.Fatalf("%s %v layer %s: implausible split fwd=%g bwd=%g", net.Name, g, lt.Name, lt.Fwd, lt.Bwd)
+					t.Fatalf("%s %v layer %s: implausible split fwd=%g bwd=%g", net.Name, g, net.Layers[lt.Index].Name, lt.Fwd, lt.Bwd)
 				}
 				sum += lt.Fwd + lt.Bwd
 			}

@@ -13,7 +13,6 @@ package costmodel
 
 import (
 	"fmt"
-	"strconv"
 
 	"dnnparallel/internal/collective"
 	"dnnparallel/internal/grid"
@@ -90,7 +89,6 @@ func (lc *LayerCost) TotalSeconds() float64 {
 
 // Breakdown is a whole-network per-iteration communication cost.
 type Breakdown struct {
-	Desc   string
 	Layers []LayerCost
 
 	// LevelNames labels the link levels of the topology the breakdown
@@ -105,25 +103,12 @@ type Breakdown struct {
 // topology-aware. The capacity hint matters: the planner's search loop
 // builds thousands of breakdowns, and growing Layers by doubling would
 // copy the (wide) LayerCost values several times per candidate.
-func (e Env) newBreakdown(desc string, nlayers int) *Breakdown {
-	b := &Breakdown{Desc: desc, Layers: make([]LayerCost, 0, nlayers)}
+func (e Env) newBreakdown(nlayers int) *Breakdown {
+	b := &Breakdown{Layers: make([]LayerCost, 0, nlayers)}
 	if !e.Flat() {
 		b.LevelNames = e.Topo.LevelNames()
 	}
 	return b
-}
-
-// gridDesc renders "<scheme>, grid=PrxPc, B=<B>" without fmt: the
-// search loop formats a desc per candidate, and fmt's reflection is
-// measurable there.
-func gridDesc(scheme string, g grid.Grid, B int) string {
-	return scheme + ", grid=" + strconv.Itoa(g.Pr) + "x" + strconv.Itoa(g.Pc) +
-		", B=" + strconv.Itoa(B)
-}
-
-// flatDesc renders "<scheme>, P=<P>, B=<B>" without fmt.
-func flatDesc(scheme string, P, B int) string {
-	return scheme + ", P=" + strconv.Itoa(P) + ", B=" + strconv.Itoa(B)
 }
 
 // LevelSeconds sums the per-level attribution across every layer and
@@ -207,7 +192,7 @@ func (b *Breakdown) BackwardSeconds() float64 {
 // all-gather/all-reduce groups span the whole machine.
 func (e Env) PureModel(net *nn.Network, B, P int) *Breakdown {
 	widx := net.WeightedLayers()
-	b := e.newBreakdown(flatDesc("pure model", P, B), len(widx))
+	b := e.newBreakdown(len(widx))
 	pr := e.pricerFor(grid.Grid{Pr: P, Pc: 1})
 	for k, li := range widx {
 		l := &net.Layers[li]
@@ -227,7 +212,7 @@ func (e Env) PureModel(net *nn.Network, B, P int) *Breakdown {
 //	T = 2·Σ_i (α⌈log P⌉ + β·(P−1)/P·|W_i|)
 func (e Env) PureBatch(net *nn.Network, B, P int) *Breakdown {
 	widx := net.WeightedLayers()
-	b := e.newBreakdown(flatDesc("pure batch", P, B), len(widx))
+	b := e.newBreakdown(len(widx))
 	pr := e.pricerFor(grid.Grid{Pr: 1, Pc: P})
 	for k, li := range widx {
 		b.Layers = append(b.Layers, layerCost(net, k, li, B, pr, BatchOnly))
@@ -264,7 +249,7 @@ func (e Env) Redistribute(net *nn.Network, li, B, P int) collective.Cost {
 // machine.
 func (e Env) PureDomain(net *nn.Network, B, P int) *Breakdown {
 	widx := net.WeightedLayers()
-	b := e.newBreakdown(flatDesc("pure domain", P, B), len(widx))
+	b := e.newBreakdown(len(widx))
 	// Pure domain does not split the batch (Pc = 1): every process holds
 	// a slab of all B samples, so halo volumes carry the full B of Eq. 7.
 	pr := e.pricerFor(grid.Grid{Pr: P, Pc: 1})
@@ -314,7 +299,7 @@ func domainLayerCost(net *nn.Network, li, B int, pr *pricer, grad collective.Cos
 // are the placement's column groups, the ∆W groups its row groups.
 func (e Env) Integrated(net *nn.Network, B int, g grid.Grid) *Breakdown {
 	widx := net.WeightedLayers()
-	b := e.newBreakdown(gridDesc("integrated 1.5D", g, B), len(widx))
+	b := e.newBreakdown(len(widx))
 	pr := e.pricerFor(g)
 	for k, li := range widx {
 		b.Layers = append(b.Layers, modelLayerCost(net, li, B, pr, k == 0))
@@ -421,7 +406,7 @@ func ConvAssignment(net *nn.Network, convStrategy, fcStrategy Strategy) Assignme
 // prices it in the same pass.
 func (e Env) FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignment) *Breakdown {
 	widx := net.WeightedLayers()
-	b := e.newBreakdown(gridDesc("full integrated", g, B), len(widx))
+	b := e.newBreakdown(len(widx))
 	pr := e.pricerFor(g)
 	for k, li := range widx {
 		b.Layers = append(b.Layers, layerCost(net, k, li, B, pr, assign[li]))
@@ -458,7 +443,7 @@ func (e Env) auto(net *nn.Network, B int, g grid.Grid, breakdown bool) (*Breakdo
 	widx := net.WeightedLayers()
 	var b *Breakdown
 	if breakdown {
-		b = e.newBreakdown(gridDesc("full integrated", g, B), len(widx))
+		b = e.newBreakdown(len(widx))
 	}
 	a := make(Assignment, len(widx))
 	pr := e.pricerFor(g)

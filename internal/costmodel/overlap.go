@@ -3,9 +3,7 @@ package costmodel
 import (
 	"fmt"
 	"math"
-	"sort"
 
-	"dnnparallel/internal/collective"
 	"dnnparallel/internal/compute"
 	"dnnparallel/internal/timeline"
 )
@@ -83,90 +81,49 @@ func AggregateTimeline(b *Breakdown, compSeconds float64) []timeline.Layer {
 
 // TimelineLayers pairs the per-layer communication costs of a Breakdown
 // with per-layer compute times (compute.Model.GridLayerTimes) to build the
-// full-resolution simulator input. Layers present in only one of the two
-// inputs keep zero durations on the missing side; matching is by layer
-// index into Network.Layers, and the output is sorted by that index —
-// the simulator treats slice order as forward order, so encounter order
-// must not leak through when the two inputs cover different index sets.
+// full-resolution simulator input. The two lists pair by position: both
+// must cover the same weighted layers in the same (forward) order, as
+// every pricer emits them over Network.WeightedLayers(). A length or
+// layer-index mismatch panics (the internal/tensor fail-loudly
+// convention). Layer names come from the breakdown.
 //
-// A breakdown priced against a hierarchical topology carries per-level
-// cost attributions (collective.Cost.Levels) and level names
-// (Breakdown.LevelNames); TimelineLayers forwards them as
-// timeline.LayerLevels so every link level's collectives schedule on
+// A breakdown priced against a hierarchical topology (len(LevelNames) >
+// 0) carries per-level cost attributions (collective.Cost.Levels);
+// TimelineLayers forwards them as timeline.LayerLevels, sliced from the
+// breakdown's own costs, so every link level's collectives schedule on
 // their own lane. Flat breakdowns produce flat layers (single Network
-// lane) — the legacy behavior, bit-identical.
+// lane).
 func TimelineLayers(b *Breakdown, times []compute.LayerTime) []timeline.Layer {
+	if len(b.Layers) != len(times) {
+		panic(fmt.Sprintf("costmodel: TimelineLayers got %d layer costs and %d layer times", len(b.Layers), len(times)))
+	}
 	depth := len(b.LevelNames)
-	leveled := depth > 0
-	for _, lc := range b.Layers {
-		for _, c := range []collective.Cost{lc.AllGather, lc.FwdHalo, lc.ActReduce, lc.GradReduce, lc.BwdHalo} {
-			if !c.Leveled() {
-				continue
+	out := make([]timeline.Layer, len(times))
+	for i, t := range times {
+		lc := &b.Layers[i]
+		if lc.Index != t.Index {
+			panic(fmt.Sprintf("costmodel: TimelineLayers position %d pairs layer %d's costs with layer %d's times", i, lc.Index, t.Index))
+		}
+		out[i] = timeline.Layer{
+			Name:       lc.Name,
+			FwdComp:    t.Fwd,
+			BwdComp:    t.Bwd,
+			AllGather:  lc.AllGather.Total(),
+			FwdHalo:    lc.FwdHalo.Total(),
+			ActReduce:  lc.ActReduce.Total(),
+			GradReduce: lc.GradReduce.Total(),
+			BwdHalo:    lc.BwdHalo.Total(),
+		}
+		if depth > 0 {
+			out[i].Levels = &timeline.LayerLevels{
+				Names:      b.LevelNames,
+				AllGather:  lc.AllGather.Levels[:depth],
+				FwdHalo:    lc.FwdHalo.Levels[:depth],
+				ActReduce:  lc.ActReduce.Levels[:depth],
+				GradReduce: lc.GradReduce.Levels[:depth],
+				BwdHalo:    lc.BwdHalo.Levels[:depth],
 			}
-			leveled = true
-			for i := depth; i < len(c.Levels); i++ {
-				if c.Levels[i] != 0 {
-					depth = i + 1
-				}
-			}
 		}
-	}
-	merged := make(map[int]*timeline.Layer, len(b.Layers))
-	at := func(index int, name string) *timeline.Layer {
-		if l, ok := merged[index]; ok {
-			return l
-		}
-		// Levels is always allocated while merging (so the set closure
-		// has a target) and dropped from the output when the breakdown
-		// is flat.
-		l := &timeline.Layer{Name: name, Levels: &timeline.LayerLevels{Names: b.LevelNames}}
-		merged[index] = l
-		return l
-	}
-	set := func(flat *float64, lane *[]float64, c collective.Cost) {
-		*flat = c.Total()
-		if !leveled {
-			return
-		}
-		lv := make([]float64, depth)
-		if c.Leveled() {
-			for i := range lv {
-				lv[i] = c.Level(i)
-			}
-		} else {
-			// A flat cost inside a leveled breakdown can only be zero —
-			// anything else would have been tagged by the topology
-			// pricer — so attributing it to the innermost lane keeps the
-			// split/flat consistency invariant trivially.
-			lv[0] = c.Total()
-		}
-		*lane = lv
-	}
-	for _, lc := range b.Layers {
-		l := at(lc.Index, lc.Name)
-		set(&l.AllGather, &l.Levels.AllGather, lc.AllGather)
-		set(&l.FwdHalo, &l.Levels.FwdHalo, lc.FwdHalo)
-		set(&l.ActReduce, &l.Levels.ActReduce, lc.ActReduce)
-		set(&l.GradReduce, &l.Levels.GradReduce, lc.GradReduce)
-		set(&l.BwdHalo, &l.Levels.BwdHalo, lc.BwdHalo)
-	}
-	for _, t := range times {
-		l := at(t.Index, t.Name)
-		l.FwdComp = t.Fwd
-		l.BwdComp = t.Bwd
-	}
-	indices := make([]int, 0, len(merged))
-	for i := range merged {
-		indices = append(indices, i)
-	}
-	sort.Ints(indices)
-	out := make([]timeline.Layer, 0, len(indices))
-	for _, i := range indices {
-		l := *merged[i]
-		if !leveled {
-			l.Levels = nil // flat breakdown: single Network lane, legacy behavior
-		}
-		out = append(out, l)
 	}
 	return out
 }

@@ -152,31 +152,30 @@ func TestTimelineLayersPairing(t *testing.T) {
 	}
 }
 
-// TestTimelineLayersMismatchedIndexSets: when the two inputs cover
-// different layer-index sets, the merged output must still come back in
-// network-index order — the simulator reads slice order as forward order.
+// TestTimelineLayersMismatchedIndexSets: the two inputs pair by
+// position, so lists of different lengths, or a position whose layer
+// indices disagree, fail loudly rather than simulating a wrong graph.
 func TestTimelineLayersMismatchedIndexSets(t *testing.T) {
 	b := &Breakdown{Layers: []LayerCost{
 		{Index: 2, Name: "l2", AllGather: collective.Cost{Bandwidth: 1}},
 		{Index: 5, Name: "l5", AllGather: collective.Cost{Bandwidth: 1}},
 	}}
-	times := []compute.LayerTime{
-		{Index: 2, Name: "l2", Fwd: 1, Bwd: 2},
-		{Index: 3, Name: "l3", Fwd: 1, Bwd: 2},
-		{Index: 5, Name: "l5", Fwd: 1, Bwd: 2},
+	for name, times := range map[string][]compute.LayerTime{
+		"length": {{Index: 2, Fwd: 1, Bwd: 2}, {Index: 3, Fwd: 1, Bwd: 2}, {Index: 5, Fwd: 1, Bwd: 2}},
+		"index":  {{Index: 2, Fwd: 1, Bwd: 2}, {Index: 3, Fwd: 1, Bwd: 2}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s mismatch: TimelineLayers did not panic", name)
+				}
+			}()
+			TimelineLayers(b, times)
+		}()
 	}
-	layers := TimelineLayers(b, times)
-	want := []string{"l2", "l3", "l5"}
-	if len(layers) != len(want) {
-		t.Fatalf("got %d layers, want %d", len(layers), len(want))
-	}
-	for i, name := range want {
-		if layers[i].Name != name {
-			t.Fatalf("slot %d is %q, want %q (forward order by network index)", i, layers[i].Name, name)
-		}
-	}
-	if layers[1].CommSeconds() != 0 || layers[1].CompSeconds() != 3 {
-		t.Fatalf("comm-less layer l3 mis-merged: comm %g comp %g", layers[1].CommSeconds(), layers[1].CompSeconds())
+	layers := TimelineLayers(b, []compute.LayerTime{{Index: 2, Fwd: 1, Bwd: 2}, {Index: 5, Fwd: 1, Bwd: 2}})
+	if len(layers) != 2 || layers[0].Name != "l2" || layers[1].Name != "l5" {
+		t.Fatalf("matched lists: got %+v, want l2, l5 in order", layers)
 	}
 }
 

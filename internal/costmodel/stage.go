@@ -35,7 +35,6 @@ package costmodel
 
 import (
 	"fmt"
-	"strconv"
 
 	"dnnparallel/internal/collective"
 	"dnnparallel/internal/compute"
@@ -197,13 +196,8 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 	}
 
 	// Per-layer collective pricing, each stage on its own grid at its own
-	// offset. At S = 1 this is exactly FullIntegrated (same desc, same
-	// loop).
-	desc := gridDesc("full integrated", grids[0], micro)
-	if S > 1 {
-		desc = stageDesc(grids, micro)
-	}
-	b := e.newBreakdown(desc, len(widx))
+	// offset. At S = 1 this is exactly FullIntegrated (same loop).
+	b := e.newBreakdown(len(widx))
 	times := make([]compute.LayerTime, 0, len(widx))
 	stages := make([]StageCost, S)
 	for k := 0; k < S; k++ {
@@ -268,9 +262,6 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 	// level is where the two adjacent rank blocks part ways in the
 	// hierarchy.
 	tl := TimelineLayers(b, times)
-	if len(tl) != len(widx) {
-		panic(fmt.Sprintf("costmodel: %d timeline layers for %d weighted layers", len(tl), len(widx)))
-	}
 	levelNames := e.Topo.LevelNames()
 	for k := 1; k < S; k++ {
 		lo := part.Starts[k]
@@ -308,19 +299,6 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 		Overhead:     cm.FixedIter + float64(M)*(ov-cm.FixedIter) + flush,
 		FlushSeconds: flush,
 	}, nil
-}
-
-// stageDesc renders "stage-partitioned, S=<S>, grids=PrxPc|…, B=<B>"
-// without fmt (the planner's stage search formats one per candidate).
-func stageDesc(grids []grid.Grid, B int) string {
-	d := "stage-partitioned, S=" + strconv.Itoa(len(grids)) + ", grids="
-	for k, g := range grids {
-		if k > 0 {
-			d += "|"
-		}
-		d += strconv.Itoa(g.Pr) + "x" + strconv.Itoa(g.Pc)
-	}
-	return d + ", B=" + strconv.Itoa(B)
 }
 
 // MemoryStages estimates each stage's per-process footprint under a

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"dnnparallel/internal/collective"
@@ -129,8 +128,8 @@ func TestStageIterationTwoStageAccounting(t *testing.T) {
 	if s0.BoundaryWords != 0 || s0.BoundarySeconds != 0 {
 		t.Fatalf("stage 0 has no incoming boundary, got %+v", s0)
 	}
-	if !strings.Contains(sc.Breakdown.Desc, "S=2") || !strings.Contains(sc.Breakdown.Desc, "4x4|2x8") {
-		t.Fatalf("stage desc %q should name the stage grids", sc.Breakdown.Desc)
+	if got := sc.Stages[0].Grid.String() + "|" + sc.Stages[1].Grid.String(); got != "4x4|2x8" {
+		t.Fatalf("stage grids %s, want 4x4|2x8", got)
 	}
 	// The handoff appears in the simulated schedule: some span on a stage-1
 	// network lane is a forward transfer.

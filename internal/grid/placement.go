@@ -393,72 +393,52 @@ func gcd(a, b int) int {
 	return a
 }
 
-// ColGroupSpans returns the distinct level spans of the Pc column groups
-// (the Pr-sized all-gather / ∆X all-reduce groups of Fig. 5) under a
-// placement. Misaligned groups can straddle group boundaries
-// differently, so more than one shape may come back; a bulk-synchronous
-// collective is governed by the most expensive one.
-func (g Grid) ColGroupSpans(sizes []int, pl Placement) []LevelSpan {
-	return g.ColGroupSpansAt(sizes, pl, 0)
-}
-
-// ColGroupSpansAt is ColGroupSpans for a grid whose process (0,0) sits
-// at machine rank `offset` instead of 0 — the placement of one pipeline
-// stage's rank block inside the machine. An offset can move a group
-// across node or rack boundaries, so the spans (and hence the Eq. 3–9
-// prices) genuinely depend on where the block starts.
+// ColGroupSpansAt returns the distinct level spans of the Pc column
+// groups (the Pr-sized all-gather / ∆X all-reduce groups of Fig. 5)
+// under a placement, for a grid whose process (0,0) sits at machine
+// rank `offset` — the placement of one pipeline stage's rank block
+// inside the machine (0 for a grid that owns the whole machine).
+// Misaligned groups can straddle group boundaries differently, so more
+// than one shape may come back; a bulk-synchronous collective is
+// governed by the most expensive one. An offset can move a group across
+// node or rack boundaries, so the spans (and hence the Eq. 3–9 prices)
+// genuinely depend on where the block starts.
 func (g Grid) ColGroupSpansAt(sizes []int, pl Placement, offset int) []LevelSpan {
-	return g.colGroups(pl).spans("ColGroupSpans", sizes, offset)
+	return g.colGroups(pl).spans("ColGroupSpansAt", sizes, offset)
 }
 
-// RowGroupSpans returns the distinct level spans of the Pr row groups
-// (the Pc-sized ∆W all-reduce groups of Fig. 5) under a placement.
-func (g Grid) RowGroupSpans(sizes []int, pl Placement) []LevelSpan {
-	return g.RowGroupSpansAt(sizes, pl, 0)
-}
-
-// RowGroupSpansAt is RowGroupSpans for a grid whose rank block starts at
-// machine rank `offset` (see ColGroupSpansAt).
+// RowGroupSpansAt returns the distinct level spans of the Pr row groups
+// (the Pc-sized ∆W all-reduce groups of Fig. 5) under a placement, for a
+// grid whose rank block starts at machine rank `offset` (see
+// ColGroupSpansAt).
 func (g Grid) RowGroupSpansAt(sizes []int, pl Placement, offset int) []LevelSpan {
-	return g.rowGroups(pl).spans("RowGroupSpans", sizes, offset)
+	return g.rowGroups(pl).spans("RowGroupSpansAt", sizes, offset)
 }
 
-// AllSpan returns the level span of the whole machine — machine ranks
-// 0..P−1 — used by the full-P collectives (pure batch / domain gradient
-// all-reduces). It is placement-independent: every placement is a
-// bijection onto 0..P−1.
-func (g Grid) AllSpan(sizes []int) LevelSpan {
-	return g.AllSpanAt(sizes, 0)
-}
-
-// AllSpanAt is AllSpan for a grid whose rank block starts at machine
-// rank `offset`: the block's full-group collectives span the contiguous
-// ranks offset … offset+P−1.
+// AllSpanAt returns the level span of a grid's whole rank block — the
+// contiguous machine ranks offset … offset+P−1 — used by the full-group
+// collectives (pure batch / domain gradient all-reduces). It is
+// placement-independent: every placement is a bijection onto the block.
 func (g Grid) AllSpanAt(sizes []int, offset int) LevelSpan {
-	checkSizes("AllSpan", sizes)
-	checkRank("AllSpan", offset)
+	checkSizes("AllSpanAt", sizes)
+	checkRank("AllSpanAt", offset)
 	s := LevelSpan{Ranks: g.P(), Levels: make([]LevelStat, len(sizes))}
 	classifyAP(offset, 1, g.P(), sizes, s.Levels)
 	return s
 }
 
-// ColNeighborsLevel returns the innermost level whose groups contain
+// ColNeighborsLevelAt returns the innermost level whose groups contain
 // every pair of spatially adjacent ranks within every column group —
-// the halo-exchange partners of the domain-parallel layers (Eq. 7).
-// The halo step is bulk-synchronous across all pairs, so a single
-// boundary-crossing pair lifts the whole exchange to the level (and
-// link) of that crossing.
-func (g Grid) ColNeighborsLevel(sizes []int, pl Placement) int {
-	return g.ColNeighborsLevelAt(sizes, pl, 0)
-}
-
-// ColNeighborsLevelAt is ColNeighborsLevel for a grid whose rank block
-// starts at machine rank `offset` (see ColGroupSpansAt).
+// the halo-exchange partners of the domain-parallel layers (Eq. 7) —
+// for a grid whose rank block starts at machine rank `offset` (see
+// ColGroupSpansAt). The halo step is bulk-synchronous across all pairs,
+// so a single boundary-crossing pair lifts the whole exchange to the
+// level (and link) of that crossing.
 func (g Grid) ColNeighborsLevelAt(sizes []int, pl Placement, offset int) int {
 	if len(sizes) == 0 {
-		panic("grid: ColNeighborsLevel needs at least one level size")
+		panic("grid: ColNeighborsLevelAt needs at least one level size")
 	}
-	checkRank("ColNeighborsLevel", offset)
+	checkRank("ColNeighborsLevelAt", offset)
 	pg := g.colGroups(pl)
 	top := len(sizes) - 1
 	level := 0

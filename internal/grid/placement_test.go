@@ -110,20 +110,20 @@ func TestGroupSpansAlignedGrid(t *testing.T) {
 	g := Grid{Pr: 4, Pc: 4}
 	sizes := []int{4, 0}
 
-	rows := g.RowGroupSpans(sizes, RowMajor)
+	rows := g.RowGroupSpansAt(sizes, RowMajor, 0)
 	if len(rows) != 1 || rows[0].Levels[0].Groups != 1 {
 		t.Fatalf("RowMajor row groups = %v, want one intra-node span", rows)
 	}
-	cols := g.ColGroupSpans(sizes, RowMajor)
+	cols := g.ColGroupSpansAt(sizes, RowMajor, 0)
 	if len(cols) != 1 || cols[0].Levels[0].MaxRanks != 1 {
 		t.Fatalf("RowMajor col groups = %v, want one one-rank-per-node span", cols)
 	}
 
-	rows = g.RowGroupSpans(sizes, ColMajor)
+	rows = g.RowGroupSpansAt(sizes, ColMajor, 0)
 	if len(rows) != 1 || rows[0].Levels[0].MaxRanks != 1 {
 		t.Fatalf("ColMajor row groups = %v, want one one-rank-per-node span", rows)
 	}
-	cols = g.ColGroupSpans(sizes, ColMajor)
+	cols = g.ColGroupSpansAt(sizes, ColMajor, 0)
 	if len(cols) != 1 || cols[0].Levels[0].Groups != 1 {
 		t.Fatalf("ColMajor col groups = %v, want one intra-node span", cols)
 	}
@@ -133,7 +133,7 @@ func TestGroupSpansAlignedGrid(t *testing.T) {
 // nodes has one row group spanning 2 nodes with 4 ranks each.
 func TestGroupSpansMixed(t *testing.T) {
 	g := Grid{Pr: 1, Pc: 8}
-	spans := g.RowGroupSpans([]int{4, 0}, RowMajor)
+	spans := g.RowGroupSpansAt([]int{4, 0}, RowMajor, 0)
 	want := LevelSpan{Ranks: 8, Levels: []LevelStat{stat(2, 4, 4, 1), stat(1, 8, 2, 4)}}
 	if len(spans) != 1 || !reflect.DeepEqual(spans[0], want) {
 		t.Fatalf("spans = %v, want [%+v]", spans, want)
@@ -145,7 +145,7 @@ func TestGroupSpansMixed(t *testing.T) {
 // deterministically sorted.
 func TestGroupSpansMisaligned(t *testing.T) {
 	g := Grid{Pr: 2, Pc: 3} // P = 6 on 4-rank nodes
-	spans := g.RowGroupSpans([]int{4, 0}, RowMajor)
+	spans := g.RowGroupSpansAt([]int{4, 0}, RowMajor, 0)
 	// Row 0 = ranks {0,1,2} (one node); row 1 = ranks {3,4,5} (straddles).
 	want := []LevelSpan{
 		{Ranks: 3, Levels: []LevelStat{stat(1, 3, 3, 1), stat(1, 3, 1, 3)}},
@@ -170,16 +170,16 @@ func TestAllSpan(t *testing.T) {
 			LevelSpan{Ranks: 3, Levels: []LevelStat{stat(1, 3, 3, 1), stat(1, 3, 1, 3)}}},
 	}
 	for _, c := range cases {
-		if got := c.g.AllSpan(c.sizes); !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("%v.AllSpan(%v) = %+v, want %+v", c.g, c.sizes, got, c.want)
+		if got := c.g.AllSpanAt(c.sizes, 0); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%v.AllSpanAt(%v, 0) = %+v, want %+v", c.g, c.sizes, got, c.want)
 		}
-		// AllSpan must agree with classifying the literal rank list.
+		// AllSpanAt must agree with classifying the literal rank list.
 		ranks := make([]int, c.g.P())
 		for i := range ranks {
 			ranks[i] = i
 		}
-		if got, want := SpanOf(ranks, c.sizes), c.g.AllSpan(c.sizes); !reflect.DeepEqual(got, want) {
-			t.Fatalf("SpanOf(0..P-1) = %+v disagrees with AllSpan %+v", got, want)
+		if got, want := SpanOf(ranks, c.sizes), c.g.AllSpanAt(c.sizes, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("SpanOf(0..P-1) = %+v disagrees with AllSpanAt %+v", got, want)
 		}
 	}
 }
@@ -189,54 +189,43 @@ func TestColNeighborsLevel(t *testing.T) {
 	// 4-high column fits on a 4-rank node.
 	g := Grid{Pr: 4, Pc: 2}
 	sizes := []int{4, 0}
-	if got := g.ColNeighborsLevel(sizes, ColMajor); got != 0 {
+	if got := g.ColNeighborsLevelAt(sizes, ColMajor, 0); got != 0 {
 		t.Fatalf("ColMajor 4-high columns on 4-rank nodes = level %d, want 0", got)
 	}
 	// RowMajor gives column neighbors stride Pc=2: ranks {0,2,4,6} cross
 	// the node boundary between 2 and 4.
-	if got := g.ColNeighborsLevel(sizes, RowMajor); got != 1 {
+	if got := g.ColNeighborsLevelAt(sizes, RowMajor, 0); got != 1 {
 		t.Fatalf("RowMajor strided columns = level %d, want 1", got)
 	}
 	// Pr = 1 has no neighbor pairs at all.
-	if got := (Grid{Pr: 1, Pc: 8}).ColNeighborsLevel(sizes, RowMajor); got != 0 {
+	if got := (Grid{Pr: 1, Pc: 8}).ColNeighborsLevelAt(sizes, RowMajor, 0); got != 0 {
 		t.Fatalf("Pr=1 has no halo pairs, got level %d, want 0", got)
 	}
 	// A column taller than the node must cross somewhere even if packed.
-	if got := (Grid{Pr: 8, Pc: 1}).ColNeighborsLevel(sizes, ColMajor); got != 1 {
+	if got := (Grid{Pr: 8, Pc: 1}).ColNeighborsLevelAt(sizes, ColMajor, 0); got != 1 {
 		t.Fatalf("8-high packed column on 4-rank nodes = level %d, want 1", got)
 	}
 	// Three levels (4-rank nodes, 8-rank racks): a 16-high packed column
 	// crosses a rack boundary between ranks 7 and 8.
-	if got := (Grid{Pr: 16, Pc: 1}).ColNeighborsLevel([]int{4, 8, 0}, ColMajor); got != 2 {
+	if got := (Grid{Pr: 16, Pc: 1}).ColNeighborsLevelAt([]int{4, 8, 0}, ColMajor, 0); got != 2 {
 		t.Fatalf("16-high packed column = level %d, want 2", got)
 	}
 	// An 8-high packed column stays within one rack: the worst crossing
 	// is the node boundary inside it.
-	if got := (Grid{Pr: 8, Pc: 1}).ColNeighborsLevel([]int{4, 8, 0}, ColMajor); got != 1 {
+	if got := (Grid{Pr: 8, Pc: 1}).ColNeighborsLevelAt([]int{4, 8, 0}, ColMajor, 0); got != 1 {
 		t.Fatalf("8-high packed column in one rack = level %d, want 1", got)
 	}
 }
 
 // Offset variants shift the whole rank block: an aligned block keeps the
-// zero-offset spans, a misaligned one straddles more units, and spans at
-// offset 0 delegate exactly.
+// zero-offset spans and a misaligned one straddles more units.
 func TestOffsetSpans(t *testing.T) {
 	g := Grid{Pr: 4, Pc: 2}
 	sizes := []int{4, 0} // 4-rank nodes
 
-	if got, want := g.ColGroupSpansAt(sizes, RowMajor, 0), g.ColGroupSpans(sizes, RowMajor); !reflect.DeepEqual(got, want) {
-		t.Fatalf("offset 0 col spans differ: %+v vs %+v", got, want)
-	}
-	if got, want := g.RowGroupSpansAt(sizes, RowMajor, 0), g.RowGroupSpans(sizes, RowMajor); !reflect.DeepEqual(got, want) {
-		t.Fatalf("offset 0 row spans differ: %+v vs %+v", got, want)
-	}
-	if got, want := g.AllSpanAt(sizes, 0), g.AllSpan(sizes); !reflect.DeepEqual(got, want) {
-		t.Fatalf("offset 0 all span differs: %+v vs %+v", got, want)
-	}
-
 	// A node-aligned offset preserves every span shape (the block just
 	// occupies later nodes).
-	if got, want := g.AllSpanAt(sizes, 8), g.AllSpan(sizes); !reflect.DeepEqual(got, want) {
+	if got, want := g.AllSpanAt(sizes, 8), g.AllSpanAt(sizes, 0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("node-aligned offset changed the span: %+v vs %+v", got, want)
 	}
 

@@ -11,6 +11,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -282,14 +283,8 @@ func (o Options) batchSizes(B int) []int {
 		return []int{B}
 	}
 	bs := append([]int{B}, o.BatchSizes...)
-	sort.Ints(bs)
-	out := bs[:1]
-	for _, b := range bs[1:] {
-		if b != out[len(out)-1] {
-			out = append(out, b)
-		}
-	}
-	return out
+	slices.Sort(bs)
+	return slices.Compact(bs)
 }
 
 // objectiveCost returns the quantity the search minimizes for a feasible

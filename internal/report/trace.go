@@ -51,7 +51,7 @@ func ChromeTraceEvents(res *timeline.Result) []TraceEvent {
 		tr := track{pid: s.Resource.PipelineStage(), tid: int(s.Resource.Base())}
 		seen[tr] = s.Resource
 		events = append(events, TraceEvent{
-			Name: s.Name,
+			Name: res.SpanName(s),
 			Cat:  s.Kind.String(),
 			Ph:   "X",
 			Ts:   s.Start * 1e6,

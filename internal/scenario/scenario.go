@@ -24,7 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"dnnparallel/internal/convergence"
@@ -412,15 +412,9 @@ func (s Scenario) Normalize() Scenario {
 		out.Network = key
 	}
 	if len(out.MicroBatches) > 0 {
-		ms := append([]int(nil), out.MicroBatches...)
-		sort.Ints(ms)
-		dst := ms[:0]
-		for i, m := range ms {
-			if i == 0 || m != dst[len(dst)-1] {
-				dst = append(dst, m)
-			}
-		}
-		ms = dst
+		ms := slices.Clone(out.MicroBatches)
+		slices.Sort(ms)
+		ms = slices.Compact(ms)
 		if len(ms) == 1 && ms[0] == 1 {
 			ms = nil // {1} is the implicit default: no pipelining
 		}
@@ -432,15 +426,9 @@ func (s Scenario) Normalize() Scenario {
 		}
 	}
 	if len(out.BatchSizes) > 0 {
-		bs := append([]int(nil), out.BatchSizes...)
-		sort.Ints(bs)
-		dst := bs[:0]
-		for i, b := range bs {
-			if i == 0 || b != dst[len(dst)-1] {
-				dst = append(dst, b)
-			}
-		}
-		bs = dst
+		bs := slices.Clone(out.BatchSizes)
+		slices.Sort(bs)
+		bs = slices.Compact(bs)
 		if len(bs) == 1 && bs[0] == out.Batch {
 			bs = nil // {Batch} is the implicit default: no batch search
 		}
@@ -506,15 +494,9 @@ func (s Scenario) Normalize() Scenario {
 		out.Overlap = false // the timeline policy subsumes the closed form
 	}
 	if len(out.Placements) > 0 {
-		pls := append([]grid.Placement(nil), out.Placements...)
-		sort.Slice(pls, func(i, j int) bool { return pls[i] < pls[j] })
-		dst := pls[:0]
-		for i, p := range pls {
-			if i == 0 || p != dst[len(dst)-1] {
-				dst = append(dst, p)
-			}
-		}
-		out.Placements = dst
+		pls := slices.Clone(out.Placements)
+		slices.Sort(pls)
+		out.Placements = slices.Compact(pls)
 	}
 	if out.Topology != nil {
 		t := *out.Topology

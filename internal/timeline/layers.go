@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -308,6 +309,17 @@ func (r *Result) LaneName(res Resource) string {
 		}
 	}
 	return res.String()
+}
+
+// SpanName labels a scheduled span for reports: its kind and layer
+// name, plus the micro-batch ("fwd conv1 µ2") when the schedule ran more
+// than one.
+func (r *Result) SpanName(s Span) string {
+	name := s.Kind.String() + " " + r.PerLayer[s.Layer].Name
+	if r.MicroBatches > 1 {
+		name += " µ" + strconv.Itoa(s.Micro)
+	}
+	return name
 }
 
 func summarize(layers []Layer, policy Policy, spans []Span, microBatches, stages int) *Result {

@@ -33,7 +33,6 @@ package timeline
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -196,7 +195,7 @@ func SimulatePipeline(layers []Layer, policy Policy, sched Schedule) (*Result, e
 // described in the package comment above.
 //
 // Dependencies are passed around as *handles*: a handle is the list of
-// event IDs whose completion stands for the completion of a (possibly
+// event indices whose completion stands for the completion of a (possibly
 // zero-duration) step. A zero-duration step emits no event and its handle
 // is simply its own dependency handle, so prerequisites forward
 // transitively through skipped events instead of being dropped.
@@ -231,18 +230,10 @@ func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event 
 		if policy == PolicyNone && lastReal >= 0 {
 			d = append(d, lastReal)
 		}
-		// Concatenation, not fmt: every candidate the planner times builds
-		// one name per event.
-		name := kind.String() + " " + layers[layer].Name
-		if M > 1 {
-			name += " µ" + strconv.Itoa(micro)
-		}
 		id := len(events)
 		events = append(events, Event{
-			ID:       id,
 			Layer:    layer,
 			Micro:    micro,
-			Name:     name,
 			Kind:     kind,
 			Resource: res,
 			Duration: dur,

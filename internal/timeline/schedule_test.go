@@ -291,7 +291,7 @@ func TestPerResourceStats(t *testing.T) {
 	}
 }
 
-// Micro-batch labels reach the event names so Gantt charts stay legible.
+// Micro-batch labels reach the span names so Gantt charts stay legible.
 func TestPipelineEventNamesCarryMicroLabels(t *testing.T) {
 	layers := uniformStages(2, 1e-3, 1e-3)
 	res, err := SimulatePipeline(layers, PolicyBackprop, Schedule{Shape: GPipe, MicroBatches: 3, Stages: 2})
@@ -301,11 +301,12 @@ func TestPipelineEventNamesCarryMicroLabels(t *testing.T) {
 	want := fmt.Sprintf("%s %s µ2", FwdComp, "stage1")
 	found := false
 	for _, sp := range res.Spans {
-		if sp.Name == want {
+		name := res.SpanName(sp)
+		if name == want {
 			found = true
 		}
-		if !strings.Contains(sp.Name, "µ") {
-			t.Fatalf("event %q lacks a micro-batch label", sp.Name)
+		if !strings.Contains(name, "µ") {
+			t.Fatalf("event %q lacks a micro-batch label", name)
 		}
 	}
 	if !found {
@@ -372,7 +373,7 @@ func simulateLayers(layers []Layer, policy Policy) (*Result, error) {
 // communication events wired according to the policy.
 //
 // Dependencies are passed around as *handles*: a handle is the list of
-// event IDs whose completion stands for the completion of a (possibly
+// event indices whose completion stands for the completion of a (possibly
 // zero-duration) step. A zero-duration step emits no event and its handle
 // is simply its own dependency handle, so prerequisites forward
 // transitively through skipped events instead of being dropped.
@@ -391,9 +392,7 @@ func buildEvents(layers []Layer, policy Policy) []Event {
 		}
 		id := len(events)
 		events = append(events, Event{
-			ID:       id,
 			Layer:    layer,
-			Name:     fmt.Sprintf("%s %s", kind, layers[layer].Name),
 			Kind:     kind,
 			Resource: res,
 			Duration: dur,

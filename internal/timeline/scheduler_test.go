@@ -156,16 +156,13 @@ func TestReferenceSchedulerGolden(t *testing.T) {
 }
 
 func TestSimulateRejectsBadGraphs(t *testing.T) {
-	if _, err := Simulate([]Event{{ID: 5}}); err == nil {
-		t.Fatal("non-dense IDs must error")
-	}
-	if _, err := Simulate([]Event{{ID: 0, Deps: []int{3}}}); err == nil {
+	if _, err := Simulate([]Event{{Deps: []int{3}}}); err == nil {
 		t.Fatal("unknown dependency must error")
 	}
 	// A 2-cycle must be detected, not deadlock.
 	events := []Event{
-		{ID: 0, Resource: Compute, Duration: 1, Deps: []int{1}},
-		{ID: 1, Resource: Compute, Duration: 1, Deps: []int{0}},
+		{Resource: Compute, Duration: 1, Deps: []int{1}},
+		{Resource: Compute, Duration: 1, Deps: []int{0}},
 	}
 	if _, err := Simulate(events); err == nil {
 		t.Fatal("cycle must error")

@@ -156,16 +156,16 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Event is one unit of work before scheduling.
+// Event is one unit of work before scheduling. An event's identity is
+// its index in the list handed to Simulate; reports render its label
+// from the layer and micro-batch (Result.SpanName).
 type Event struct {
-	ID       int
-	Layer    int // index into the Layer slice handed to Simulate
+	Layer    int // index into the Layer slice the events were built from
 	Micro    int // micro-batch index (0 in single-iteration schedules)
-	Name     string
 	Kind     Kind
 	Resource Resource
 	Duration float64
-	Deps     []int // event IDs that must complete before this event starts
+	Deps     []int // indices of the events that must complete before this one starts
 }
 
 // Span is a scheduled event.
@@ -174,13 +174,13 @@ type Span struct {
 	Start, End float64
 }
 
-// readyHeap is a min-heap of ready event IDs for one resource, ordered
-// by (ready time, ID). An event's ready time is fixed before it is
+// readyHeap is a min-heap of ready event indices for one resource,
+// ordered by (ready time, index). An event's ready time is fixed before it is
 // pushed (all dependencies scheduled), and within one resource that
 // ordering is invariant under the resource's moving free time: comparing
-// max(ready, free) with ties broken by ready then ID gives the same
+// max(ready, free) with ties broken by ready then index gives the same
 // order for every free — so the heap top is always the resource's best
-// candidate under the scheduler's (start, ready, ID) rule.
+// candidate under the scheduler's (start, ready, index) rule.
 type readyHeap struct {
 	ids     []int
 	readyAt []float64
@@ -203,10 +203,12 @@ func (h *readyHeap) Pop() any {
 }
 
 // Simulate schedules events greedily on their resources and returns the
-// spans in start order. An event becomes ready when all its dependencies
-// have completed; each resource runs one event at a time; among ready
-// events the scheduler picks the one with the earliest possible start
-// time (then earliest ready time, then lowest ID). The greedy schedule
+// spans in start order. Events are identified by their index in the
+// list, and Deps name prerequisites by index. An event becomes ready
+// when all its dependencies have completed; each resource runs one event
+// at a time; among ready events the scheduler picks the one with the
+// earliest possible start time (then earliest ready time, then lowest
+// index). The greedy schedule
 // never idles a resource that has ready work, which makes it the natural
 // model of an MPI progress engine draining a queue of posted operations.
 //
@@ -216,19 +218,19 @@ func (h *readyHeap) Pop() any {
 // quadratic scheduler's (TestHeapSchedulerMatchesReference).
 //
 // Durations must be non-negative (Simulate panics otherwise — shape/cost
-// validation fails loudly, as in internal/tensor) and the dependency
-// graph must be acyclic (an error is returned otherwise).
+// validation fails loudly, as in internal/tensor), every dependency must
+// index an event of the list, and the dependency graph must be acyclic
+// (an error is returned otherwise). Messages name an event by its
+// index, kind and layer.
 func Simulate(events []Event) ([]Span, error) {
 	for i := range events {
-		if events[i].ID != i {
-			return nil, fmt.Errorf("timeline: event %d has ID %d; IDs must be dense and ordered", i, events[i].ID)
+		e := &events[i]
+		if e.Duration < 0 || math.IsNaN(e.Duration) {
+			panic(fmt.Sprintf("timeline: event %d (%v, layer %d) has invalid duration %g", i, e.Kind, e.Layer, e.Duration))
 		}
-		if events[i].Duration < 0 || math.IsNaN(events[i].Duration) {
-			panic(fmt.Sprintf("timeline: event %q has invalid duration %g", events[i].Name, events[i].Duration))
-		}
-		for _, d := range events[i].Deps {
+		for _, d := range e.Deps {
 			if d < 0 || d >= len(events) {
-				return nil, fmt.Errorf("timeline: event %q depends on unknown event %d", events[i].Name, d)
+				return nil, fmt.Errorf("timeline: event %d (%v, layer %d) depends on unknown event %d", i, e.Kind, e.Layer, d)
 			}
 		}
 	}
@@ -263,9 +265,9 @@ func Simulate(events []Event) ([]Span, error) {
 	spans := make([]Span, 0, len(events))
 
 	for len(spans) < len(events) {
-		// The winner is the best heap top under (start, ready, ID); map
-		// iteration order does not matter because the ID tiebreak makes
-		// the comparison a total order.
+		// The winner is the best heap top under (start, ready, index);
+		// map iteration order does not matter because the index tiebreak
+		// makes the comparison a total order.
 		best := -1
 		var bestStart, bestReady float64
 		for res, h := range heaps {

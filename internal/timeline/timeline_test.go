@@ -38,8 +38,8 @@ func TestPolicyNoneSerializes(t *testing.T) {
 	for i := 1; i < len(r.Spans); i++ {
 		if r.Spans[i].Start < r.Spans[i-1].End-1e-12 {
 			t.Fatalf("PolicyNone overlap: %q [%g,%g] vs %q [%g,%g]",
-				r.Spans[i-1].Name, r.Spans[i-1].Start, r.Spans[i-1].End,
-				r.Spans[i].Name, r.Spans[i].Start, r.Spans[i].End)
+				r.SpanName(r.Spans[i-1]), r.Spans[i-1].Start, r.Spans[i-1].End,
+				r.SpanName(r.Spans[i]), r.Spans[i].Start, r.Spans[i].End)
 		}
 	}
 }
