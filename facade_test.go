@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/nn"
@@ -295,5 +296,23 @@ func TestPlanTimeToAccuracyBuilders(t *testing.T) {
 	bad.Objective = ObjectiveIteration
 	if _, err := Plan(bad); err == nil {
 		t.Fatal("Plan accepted batch_sizes under the iteration objective")
+	}
+}
+
+// A ~200-byte request for an exhaustive 8-stage VGG16 search (~386k
+// candidate plans) is rejected by validation, before any search starts.
+func TestPlanRejectsOversizedSearch(t *testing.T) {
+	sc, err := DecodeScenario([]byte(`{"network":"vgg16","batch":8192,"procs":4096,"mode":"auto","timeline":true,"policy":"backprop","micro_batches":[1,2,4,8,16,32],"schedule":"1f1b","pipeline":{"stages":8,"max_partitions":6435}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = Plan(sc)
+	var ve *ValidationError
+	if !errors.As(err, &ve) || ve.Field != "candidates" {
+		t.Fatalf("Plan error %v, want a *ValidationError on candidates", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("rejection took %v", d)
 	}
 }

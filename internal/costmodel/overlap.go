@@ -54,7 +54,7 @@ func IterationSeconds(b *Breakdown, compSeconds float64, overlap bool) float64 {
 	if !overlap {
 		return b.TotalSeconds() + compSeconds
 	}
-	res, err := timeline.SimulatePipeline(AggregateTimeline(b, compSeconds), timeline.PolicyBackprop, timeline.Single())
+	res, err := timeline.Score(AggregateTimeline(b, compSeconds), timeline.PolicyBackprop, timeline.Single())
 	if err != nil {
 		// The aggregate graph is a four-event chain; it cannot cycle.
 		panic(fmt.Sprintf("costmodel: aggregate timeline failed: %v", err))

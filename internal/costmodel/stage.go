@@ -150,7 +150,8 @@ func BoundaryLevel(t machine.Topology, a, b int) int {
 // the topology level each cut crosses; the whole event graph runs
 // through timeline.SimulatePipeline under the given policy and schedule
 // shape (sched.Stages and sched.Partition are derived from part, so
-// callers set only Shape and MicroBatches).
+// callers set only Shape and MicroBatches). It is PriceStages followed
+// by one StagePricing.Simulate with spans.
 //
 // Accounting choices, in words:
 //   - every communication term is re-derived at micro-batch size B/M,
@@ -167,22 +168,66 @@ func BoundaryLevel(t machine.Topology, a, b int) int {
 //     unweighted-layer compute (pooling etc.) recurs per micro-batch.
 func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids []grid.Grid,
 	assign Assignment, cm compute.Model, policy timeline.Policy, sched timeline.Schedule) (StagePipelineCost, error) {
-	widx := net.WeightedLayers()
-	if err := part.Validate(); err != nil {
+	sp, err := e.PriceStages(net, B, part, grids, assign, cm, sched)
+	if err != nil {
 		return StagePipelineCost{}, err
 	}
+	return sp.Simulate(policy, true)
+}
+
+// StagePricing is a priced, not yet scheduled, stage-partitioned
+// iteration: the timeline input and everything StageIteration reports
+// besides the schedule.
+type StagePricing struct {
+	// StagePipelineCost is the priced iteration with a nil Result.
+	StagePipelineCost
+	// Layers is the per-micro-batch timeline input, boundary handoffs
+	// included; Schedule is the caller's with Stages and Partition
+	// derived from the partition.
+	Layers   []timeline.Layer
+	Schedule timeline.Schedule
+}
+
+// Simulate schedules the priced iteration under policy:
+// timeline.SimulatePipeline when spans is set, else timeline.Score,
+// whose Result carries the same aggregates without spans or per-layer
+// and per-lane statistics.
+func (sp StagePricing) Simulate(policy timeline.Policy, spans bool) (StagePipelineCost, error) {
+	run := timeline.Score
+	if spans {
+		run = timeline.SimulatePipeline
+	}
+	res, err := run(sp.Layers, policy, sp.Schedule)
+	if err != nil {
+		return StagePipelineCost{}, err
+	}
+	sc := sp.StagePipelineCost
+	sc.Result = res
+	return sc, nil
+}
+
+// PriceStages is StageIteration's pricing half: the Eq. 3–9 terms of
+// every stage's layers on the stage's own grid and rank offset, the
+// per-layer compute split, the boundary handoffs, the stage table and
+// the unsimulated overhead — everything but the schedule.
+func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []grid.Grid,
+	assign Assignment, cm compute.Model, sched timeline.Schedule) (StagePricing, error) {
+	widx := net.WeightedLayers()
+	if err := part.Validate(); err != nil {
+		return StagePricing{}, err
+	}
 	if part.L != len(widx) {
-		return StagePipelineCost{}, fmt.Errorf("costmodel: partition covers %d layers, network has %d weighted layers", part.L, len(widx))
+		return StagePricing{}, fmt.Errorf("costmodel: partition covers %d layers, network has %d weighted layers", part.L, len(widx))
 	}
 	S := part.Stages()
 	if len(grids) != S {
-		return StagePipelineCost{}, fmt.Errorf("costmodel: %d stage grids for %d stages", len(grids), S)
+		return StagePricing{}, fmt.Errorf("costmodel: %d stage grids for %d stages", len(grids), S)
 	}
 	sched.Stages = S
 	sched.Partition = part.Starts
 	for k, g := range grids {
 		if err := validatePipeline(B, g, sched); err != nil {
-			return StagePipelineCost{}, fmt.Errorf("stage %d: %w", k, err)
+			return StagePricing{}, fmt.Errorf("stage %d: %w", k, err)
 		}
 	}
 	M := sched.MicroBatches
@@ -287,17 +332,16 @@ func (e Env) StageIteration(net *nn.Network, B int, part stage.Partition, grids 
 		sc.BoundarySeconds = tl[lo].FwdXfer + tl[lo].BwdXfer
 	}
 
-	res, err := timeline.SimulatePipeline(tl, policy, sched)
-	if err != nil {
-		return StagePipelineCost{}, err
-	}
-	return StagePipelineCost{
-		Result:       res,
-		Breakdown:    b,
-		Stages:       stages,
-		Partition:    part,
-		Overhead:     cm.FixedIter + float64(M)*(ov-cm.FixedIter) + flush,
-		FlushSeconds: flush,
+	return StagePricing{
+		StagePipelineCost: StagePipelineCost{
+			Breakdown:    b,
+			Stages:       stages,
+			Partition:    part,
+			Overhead:     cm.FixedIter + float64(M)*(ov-cm.FixedIter) + flush,
+			FlushSeconds: flush,
+		},
+		Layers:   tl,
+		Schedule: sched,
 	}, nil
 }
 

@@ -15,7 +15,10 @@
 // so a slot's winner depends neither on the visit order nor on the worker
 // count, and the returned Result is bit-identical for any worker count,
 // including 1. Only the slot winners and one chunk of plans are held:
-// memory is O(slots + chunk), never a plan per leaf. Optimize enumerates
+// memory is O(slots + chunk), never a plan per leaf. Leaves are scored
+// without timeline spans (timeline.Score); after the fold each
+// multi-leaf slot's feasible winner is evaluated once more with spans, so
+// every reported plan carries its full schedule. Optimize enumerates
 // every factorization of P/S; Evaluate pins one grid (the machine then has
 // S × g.P() ranks per stage count) and EvaluateAt also pins the placement,
 // S = 1 and the base batch.
@@ -62,6 +65,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dnnparallel/internal/compute"
 	"dnnparallel/internal/costmodel"
@@ -184,7 +188,10 @@ type slot struct {
 	// reference the paper's speedups are quoted against, so it must
 	// always be fully priced.
 	pure bool
-	win  int
+	// single marks a slot of one leaf: that leaf is the winner, so it is
+	// evaluated with spans the first time.
+	single bool
+	win    int
 }
 
 // search is one Optimize invocation's engine state.
@@ -345,7 +352,7 @@ func (s *search) enumerate(st *SearchStats) {
 					// the first plan.
 					gp = gp[:1]
 				}
-				si := len(s.slots)
+				si, first := len(s.slots), len(s.leaves)
 				for _, pl := range gp {
 					if S == 1 && needFloors {
 						s.fillFloor(g, pl)
@@ -361,7 +368,8 @@ func (s *search) enumerate(st *SearchStats) {
 					}
 				}
 				s.prefillTimes(B, g, micros)
-				s.slots = append(s.slots, slot{pure: S == 1 && B == s.B && g.IsPureBatch(), win: -1})
+				s.slots = append(s.slots, slot{pure: S == 1 && B == s.B && g.IsPureBatch(),
+					single: len(s.leaves)-first == 1, win: -1})
 				s.winners = append(s.winners, Plan{})
 			}
 		}
@@ -477,7 +485,7 @@ func (s *search) evalLeaf(i int, incumbent float64, st *SearchStats) Plan {
 			return p
 		}
 	}
-	return s.evaluate(lf, st)
+	return s.evaluate(lf, st, s.slots[lf.slot].single)
 }
 
 // run evaluates every leaf across the worker pool, chunk by chunk,
@@ -577,6 +585,20 @@ func (s *search) run(st *SearchStats) {
 	for i := range shards {
 		st.merge(shards[i])
 	}
+	// Spans only for reported plans: the leaves of multi-leaf slots were
+	// scored without them, so each such slot's feasible winner is
+	// evaluated once more with spans. Evaluation is a pure function of
+	// the leaf, so the plan is the scored one plus its Spans, PerLayer
+	// and PerResource. The rerun is charged to the simulate phase and
+	// counts no candidate or simulation.
+	simStart := time.Now()
+	var rerun SearchStats
+	for i, sl := range s.slots {
+		if w := &s.winners[i]; !sl.single && sl.win >= 0 && w.Timeline != nil {
+			*w = s.evaluate(&s.leaves[sl.win], &rerun, true)
+		}
+	}
+	st.SimulateSeconds += time.Since(simStart).Seconds()
 }
 
 // fold folds leaf i's plan into its slot's winner. The order is total:

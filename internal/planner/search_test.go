@@ -118,3 +118,50 @@ func TestSearchRetainsNoPerLeafPlans(t *testing.T) {
 			float64(held)/(1<<20), len(s.leaves))
 	}
 }
+
+// TestReportedPlansCarrySpans checks that leaves are scored without
+// spans while every reported plan carries them: each feasible slot
+// winner is the plan its leaf scores to, plus the schedule's spans and
+// per-layer and per-lane statistics.
+func TestReportedPlansCarrySpans(t *testing.T) {
+	o := DefaultOptions()
+	o.UseTimeline = true
+	o.TimelinePolicy = timeline.PolicyBackprop
+	o.MicroBatches = []int{1, 2}
+	o.StageCounts = []int{1, 2}
+	o.DisableBounds = true
+	net := nn.AlexNet()
+	s := newSearch(net, 256, 16, o, true)
+	var st SearchStats
+	s.enumerate(&st)
+	s.run(&st)
+	if st.TimelineSimulated != st.Priced {
+		t.Errorf("TimelineSimulated = %d, Priced = %d: the winners' rerun must not count", st.TimelineSimulated, st.Priced)
+	}
+	feasible := 0
+	for i, sl := range s.slots {
+		w := s.winners[i]
+		if !w.Feasible {
+			continue
+		}
+		feasible++
+		tl := w.Timeline
+		if len(tl.Spans) == 0 || len(tl.PerLayer) != len(net.WeightedLayers()) || len(tl.PerResource) == 0 {
+			t.Fatalf("slot %d (%v S=%d): reported plan lacks spans or statistics", i, w.Grid, w.Stages)
+		}
+		var scratch SearchStats
+		scored := s.evaluate(&s.leaves[sl.win], &scratch, false)
+		if scored.Timeline.Spans != nil || scored.Timeline.PerLayer != nil {
+			t.Fatalf("slot %d: a scored leaf carries spans", i)
+		}
+		bare := *tl
+		bare.Spans, bare.PerLayer, bare.PerResource = nil, nil, nil
+		w.Timeline = &bare
+		if !reflect.DeepEqual(w, scored) {
+			t.Fatalf("slot %d: reported plan differs from its scored leaf beyond the spans\nreported %+v\nscored   %+v", i, w, scored)
+		}
+	}
+	if feasible < 2 {
+		t.Fatalf("only %d feasible slots; the test needs several", feasible)
+	}
+}

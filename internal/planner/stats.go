@@ -45,9 +45,12 @@ type Improvement struct {
 // workers and, when that cpu-time sum exceeds the evaluation phase's
 // wall clock (Options.Workers > 1), scaled down onto it so the split
 // stays a wall-clock attribution. The slack is the slot fold and loop
-// bookkeeping. For pipelined candidates (M > 1) the Eq. 3–9 re-pricing
-// at micro-batch size B/M happens inside the simulator call and is
-// accounted to SimulateSeconds.
+// bookkeeping. For pipelined and staged candidates the Eq. 3–9
+// re-pricing at micro-batch size B/M (costmodel.Env.PriceStages) is
+// accounted to PriceSeconds and only the schedule to SimulateSeconds.
+// Leaves are scored without spans; the one re-simulation with spans of
+// each reported slot winner is charged to SimulateSeconds too, and
+// counts toward no candidate counter.
 //
 // All counts and the improvement trajectory are deterministic — they do
 // not depend on the worker count.
@@ -96,7 +99,9 @@ type SearchStats struct {
 	// Priced counts candidates that received a full Eq. 3–9 pricing.
 	Priced int `json:"priced"`
 	// TimelineSimulated counts the discrete-event simulator runs
-	// (single-iteration or pipelined) among the priced candidates.
+	// (single-iteration or pipelined) among the priced candidates — one
+	// per scored leaf; the winners' re-simulation with spans is not
+	// counted.
 	TimelineSimulated int `json:"timeline_simulated"`
 
 	// Improvements is the best-cost trajectory: every candidate that

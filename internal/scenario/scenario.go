@@ -32,6 +32,7 @@ import (
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
 	"dnnparallel/internal/planner"
+	"dnnparallel/internal/stage"
 	"dnnparallel/internal/timeline"
 )
 
@@ -571,6 +572,7 @@ func (s Scenario) Validate() error {
 			return invalid("machine", "%v", err)
 		}
 	}
+	uniform := true // placements cannot differ on a flat or uniform machine
 	if s.Topology != nil {
 		t := s.Topology
 		if len(t.Levels) > 0 {
@@ -585,16 +587,20 @@ func (s Scenario) Validate() error {
 					return invalid("topology.levels", "level %d (%s): need bandwidth_gbs > 0, got %g", i, lv.Name, lv.BandwidthGBs)
 				}
 			}
-			if err := t.resolve().Validate(); err != nil {
+			topo := t.resolve()
+			if err := topo.Validate(); err != nil {
 				return invalid("topology", "%v", err)
 			}
+			uniform = topo.Uniform()
 		} else {
 			if t.RanksPerNode < 1 {
 				return invalid("topology.ranks_per_node", "need ≥ 1 rank per node, got %d", t.RanksPerNode)
 			}
-			if err := t.resolve().Validate(); err != nil {
+			topo := t.resolve()
+			if err := topo.Validate(); err != nil {
 				return invalid("topology", "%v", err)
 			}
+			uniform = topo.Uniform()
 			if t.Nodes < 0 {
 				return invalid("topology.nodes", "need a node count ≥ 0, got %d", t.Nodes)
 			}
@@ -671,6 +677,7 @@ func (s Scenario) Validate() error {
 	if s.PipelineStages > 1 && s.Pipeline != nil {
 		return invalid("pipeline_stages", "pipeline_stages is sugar for pipeline.stages; use one spelling only")
 	}
+	S, L := max(s.PipelineStages, 1), 0 // stage count and, for S > 1, weighted layers
 	if s.Pipeline != nil {
 		p := s.Pipeline
 		if p.Stages < 0 {
@@ -702,7 +709,7 @@ func (s Scenario) Validate() error {
 		if stages > 1 {
 			// The network was validated above, so the preset resolves.
 			net, _ := nn.Preset(s.Network)
-			L := len(net.WeightedLayers())
+			S, L = stages, len(net.WeightedLayers())
 			if stages > L {
 				return invalid("pipeline.stages", "%d stages exceed the network's %d weighted layers", stages, L)
 			}
@@ -731,11 +738,13 @@ func (s Scenario) Validate() error {
 	if s.Search != nil && s.Search.Workers < 0 {
 		return invalid("search.workers", "need a worker count ≥ 0, got %d", s.Search.Workers)
 	}
+	var pinned *grid.Grid
 	if s.Grid != "" {
 		g, err := grid.Parse(s.Grid)
 		if err != nil {
 			return invalid("grid", "%v", err)
 		}
+		pinned = &g
 		// A pinned grid is per-stage: S stage blocks of g.P() ranks tile
 		// the machine (S = 1 without a pipeline block).
 		stages := 1
@@ -750,7 +759,93 @@ func (s Scenario) Validate() error {
 			return invalid("grid", "grid %v uses %d processes but procs=%d", g, g.P(), s.Procs)
 		}
 	}
+	// The product in floats: a large pipeline.max_partitions admits
+	// binomial partition counts that can overflow an int product.
+	f := s.candidates(S, L, uniform, pinned)
+	if n := float64(f[0]) * float64(f[1]) * float64(f[2]) * float64(f[3]); n > MaxCandidates {
+		return invalid("candidates", "%d partitions × %d grid placements × %d micro-batch counts × %d batch sizes = %.0f candidate plans exceed the budget of %d (lower pipeline.max_partitions, pin a grid or a partition, or search fewer micro_batches or batch_sizes)",
+			f[0], f[1], f[2], f[3], n, MaxCandidates)
+	}
 	return nil
+}
+
+// MaxCandidates is the search budget of one scenario: the most candidate
+// plans — (batch size, grid, placement, partition, micro-batch) leaves —
+// Validate lets one scenario ask the planner to price. Every shipped
+// example asks for a few hundred at most; an exhaustive VGG16 search
+// over 8 stages (6435 partitions × 10 grids × 6 micro-batch counts ≈
+// 386k leaves) would tie the planner up for minutes. It is a constant,
+// not a knob: a larger question is split by pinning a grid or a
+// partition, or by lowering pipeline.max_partitions.
+const MaxCandidates = 131072
+
+// candidates returns the factors of the leaf count the planner
+// enumerates for the spec, without enumerating it: stage partitions,
+// (grid, placement) pairs, micro-batch counts and batch sizes. S is the
+// stage count and L, when S > 1, the weighted layer count (0 ⇒ read
+// from the network); uniform reports a topology on which every grid has
+// one placement; pinned is the parsed pinned grid, nil when the grids
+// are searched. Beyond pipeline.max_partitions the partition factor is
+// an upper bound (stage.Candidates).
+func (s Scenario) candidates(S, L int, uniform bool, pinned *grid.Grid) [4]int {
+	parts := 1
+	if S > 1 && (s.Pipeline == nil || s.Pipeline.Partition == nil || len(s.Pipeline.Partition.Cuts) == 0) {
+		if L == 0 {
+			net, _ := nn.Preset(s.Network)
+			L = len(net.WeightedLayers())
+		}
+		limit := planner.DefaultMaxPartitions
+		if s.Pipeline != nil && s.Pipeline.MaxPartitions > 0 {
+			limit = s.Pipeline.MaxPartitions
+		}
+		parts = stage.Candidates(L, S, limit)
+	}
+	pls := 1
+	if len(s.Placements) > 0 {
+		pls = distinct(s.Placements)
+	} else if !uniform {
+		pls = len(grid.Placements())
+	}
+	// A degenerate grid (Pr = 1 or Pc = 1) maps ranks identically under
+	// every placement, so the search prices it once.
+	var gridPls int
+	if pinned != nil {
+		gridPls = 1
+		if pinned.Pr > 1 && pinned.Pc > 1 {
+			gridPls = pls
+		}
+	} else if q := s.Procs / S; s.Procs%S == 0 {
+		divisors, degenerate := 0, min(q, 2)
+		for d := 1; d*d <= q; d++ {
+			if q%d == 0 {
+				divisors += 2
+				if d*d == q {
+					divisors--
+				}
+			}
+		}
+		gridPls = (divisors-degenerate)*pls + degenerate
+	}
+	micros := max(distinct(s.MicroBatches), 1)
+	batches := 1
+	if s.Objective == planner.TimeToAccuracy {
+		batches = distinct(s.BatchSizes)
+		if !slices.Contains(s.BatchSizes, s.Batch) {
+			batches++
+		}
+	}
+	return [4]int{parts, gridPls, micros, batches}
+}
+
+// distinct counts the distinct values of a short list.
+func distinct[T comparable](xs []T) int {
+	n := 0
+	for i, x := range xs {
+		if !slices.Contains(xs[:i], x) {
+			n++
+		}
+	}
+	return n
 }
 
 // curve resolves the effective steps-to-target model for the

@@ -227,6 +227,28 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// An oversized search (an exhaustive 8-stage VGG16 request, ~386k
+// candidate plans) is a bad request answered from validation, not a
+// search that ties up the planner.
+func TestCandidateBudgetRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"network":"vgg16","batch":8192,"procs":4096,"mode":"auto","timeline":true,"policy":"backprop","micro_batches":[1,2,4,8,16,32],"schedule":"1f1b","pipeline":{"stages":8,"max_partitions":6435}}`
+	start := time.Now()
+	resp, out := post(t, ts.URL+"/v1/plan", []byte(body))
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("rejection took %v", d)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, out)
+	}
+	var eb struct {
+		Field string `json:"field"`
+	}
+	if err := json.Unmarshal(out, &eb); err != nil || eb.Field != "candidates" {
+		t.Fatalf("error body %s, want field candidates", out)
+	}
+}
+
 // TestHealthz checks liveness and that the cache counters flow through.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

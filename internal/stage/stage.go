@@ -265,6 +265,24 @@ func Count(L, S, cap int) int {
 	return c
 }
 
+// Candidates returns how many partitions Enumerate returns for L layers,
+// S stages and cap, without enumerating them: C(L−1, S−1) when the walk
+// is exhaustive, otherwise the heuristic neighborhood's upper bound of
+// 2 + 4(S−1) (balanced compute, count-balanced, and four shifts per
+// boundary, before deduplication).
+func Candidates(L, S, cap int) int {
+	if S < 1 || S > L {
+		return 0
+	}
+	if S == 1 {
+		return 1
+	}
+	if n := Count(L, S, cap); cap <= 0 || n <= cap {
+		return n
+	}
+	return 2 + 4*(S-1)
+}
+
 // Enumerate returns the candidate partitions of len(costs) layers into
 // S stages, deterministically ordered with the balanced-compute
 // heuristic first. When the full space C(L−1, S−1) is within cap the

@@ -3,7 +3,6 @@ package timeline
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -218,7 +217,9 @@ func (l Layer) validate(i int) {
 		}
 		sum := 0.0
 		for lvl, v := range lv {
-			check(fmt.Sprintf("%v level %d", k, lvl), v)
+			if v < 0 || math.IsNaN(v) { // name the field only when it fails
+				check(fmt.Sprintf("%v level %d", k, lvl), v)
+			}
 			sum += v
 		}
 		flat := l.commDur(k)
@@ -320,78 +321,4 @@ func (r *Result) SpanName(s Span) string {
 		name += " µ" + strconv.Itoa(s.Micro)
 	}
 	return name
-}
-
-func summarize(layers []Layer, policy Policy, spans []Span, microBatches, stages int) *Result {
-	r := &Result{Policy: policy, Spans: spans, MicroBatches: microBatches, Stages: stages}
-	r.PerLayer = make([]LayerStats, len(layers))
-	for i := range layers {
-		r.PerLayer[i].Name = layers[i].Name
-		if r.LevelNames == nil && layers[i].Levels != nil {
-			r.LevelNames = layers[i].Levels.Names
-		}
-	}
-	lastComputeEnd := 0.0
-	prevComputeEnd := make(map[Resource]float64) // per compute pipe
-	busy := make(map[Resource]float64)
-	for _, s := range spans {
-		if s.End > r.Makespan {
-			r.Makespan = s.End
-		}
-		busy[s.Resource] += s.Duration
-		st := &r.PerLayer[s.Layer]
-		if s.Resource.Base() == Compute {
-			r.ComputeSeconds += s.Duration
-			st.CompSeconds += s.Duration
-			if gap := s.Start - prevComputeEnd[s.Resource]; gap > 0 {
-				// Attribute the stall to the compute event that ends it.
-				if s.Kind == FwdComp {
-					st.FwdExposed += gap
-				} else {
-					st.BwdExposed += gap
-				}
-			}
-			prevComputeEnd[s.Resource] = s.End
-			if s.End > lastComputeEnd {
-				lastComputeEnd = s.End
-			}
-		} else {
-			// Every non-compute lane (Network, the per-level link lanes
-			// and their per-stage copies) is communication.
-			r.CommSeconds += s.Duration
-			st.CommSeconds += s.Duration
-		}
-	}
-	r.ExposedCommSeconds = r.Makespan - r.ComputeSeconds
-	if r.ExposedCommSeconds < 0 {
-		// Float noise on one stage; genuinely concurrent pipes beyond it.
-		r.ExposedCommSeconds = 0
-	}
-	r.DrainSeconds = r.Makespan - lastComputeEnd
-	if r.DrainSeconds < 0 {
-		r.DrainSeconds = 0
-	}
-	resources := make([]Resource, 0, len(busy))
-	for res := range busy {
-		resources = append(resources, res)
-	}
-	sort.Slice(resources, func(i, j int) bool { return resources[i] < resources[j] })
-	for _, res := range resources {
-		r.PerResource = append(r.PerResource, ResourceStats{
-			Resource:    res,
-			BusySeconds: busy[res],
-			IdleSeconds: r.Makespan - busy[res],
-		})
-	}
-	// The bubble sums every stage pipe's idle time — including pipes
-	// with no scheduled work at all (a stage whose layers have zero
-	// compute is idle for the whole window).
-	r.BubbleSeconds = float64(stages)*r.Makespan - r.ComputeSeconds
-	if r.BubbleSeconds < 0 {
-		r.BubbleSeconds = 0
-	}
-	if r.Makespan > 0 && stages > 0 {
-		r.BubbleFraction = r.BubbleSeconds / (float64(stages) * r.Makespan)
-	}
-	return r
 }

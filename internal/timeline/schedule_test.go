@@ -364,7 +364,7 @@ func simulateLayers(layers []Layer, policy Policy) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return summarize(layers, policy, spans, 1, 1), nil
+	return summarizeReference(layers, policy, spans, 1, 1), nil
 }
 
 // buildEvents is the independent single-iteration builder the pipeline
@@ -487,4 +487,304 @@ func buildEvents(layers []Layer, policy Policy) []Event {
 		prevBwd = bwd
 	}
 	return events
+}
+
+// buildPipelineEvents is the per-event-slice builder the compact graph
+// (graph.go) replaced, kept verbatim as its oracle.
+//
+// buildPipelineEvents lays out M micro-batch passes over the layer graph,
+// wiring each pass by the overlap policy and adding the pipeline edges
+// described in the package comment above.
+//
+// Dependencies are passed around as *handles*: a handle is the list of
+// event indices whose completion stands for the completion of a (possibly
+// zero-duration) step. A zero-duration step emits no event and its handle
+// is simply its own dependency handle, so prerequisites forward
+// transitively through skipped events instead of being dropped.
+func buildPipelineEvents(layers []Layer, policy Policy, sched Schedule) []Event {
+	L := len(layers)
+	M := sched.MicroBatches
+	S := sched.Stages
+	stage := func(i int) int { return sched.stageOf(i, L) }
+	// stageFirst/stageLast bound each stage's layer range: the stage's
+	// first layer is where its forward pass enters (and its backward
+	// pass exits), the last layer the reverse.
+	stageFirst := make([]int, S)
+	stageLast := make([]int, S)
+	for k := range stageFirst {
+		stageFirst[k] = -1
+	}
+	for i := 0; i < L; i++ {
+		k := stage(i)
+		if stageFirst[k] < 0 {
+			stageFirst[k] = i
+		}
+		stageLast[k] = i
+	}
+
+	var events []Event
+	lastReal := -1 // most recent real event, for PolicyNone serialization
+	add := func(micro, layer int, kind Kind, res Resource, dur float64, deps []int) []int {
+		if dur == 0 {
+			return deps
+		}
+		d := append([]int(nil), deps...)
+		if policy == PolicyNone && lastReal >= 0 {
+			d = append(d, lastReal)
+		}
+		id := len(events)
+		events = append(events, Event{
+			Layer:    layer,
+			Micro:    micro,
+			Kind:     kind,
+			Resource: res,
+			Duration: dur,
+			Deps:     d,
+		})
+		lastReal = id
+		return []int{id}
+	}
+	union := func(hs ...[]int) []int {
+		var out []int
+		for _, h := range hs {
+			out = append(out, h...)
+		}
+		return out
+	}
+	// xfer emits one inter-stage handoff on the receiving stage's link
+	// lane (the boundary's own level lane when the layer is priced
+	// hierarchically). It reports whether an event was emitted so callers
+	// leave dependency handles untouched for zero-duration handoffs —
+	// keeping partitioned schedules with free boundaries bit-identical to
+	// unpartitioned ones.
+	xfer := func(micro, layer int, kind Kind, toStage int, deps []int) ([]int, bool) {
+		l := layers[layer]
+		dur := l.FwdXfer
+		if kind == BwdXfer {
+			dur = l.BwdXfer
+		}
+		if dur == 0 {
+			return nil, false
+		}
+		res := StageResource(Network, toStage)
+		if l.Levels != nil {
+			res = StageResource(NetworkLevel(l.XferLevel), toStage)
+		}
+		return add(micro, layer, kind, res, dur, deps), true
+	}
+	comm := func(micro, layer int, kind Kind, deps []int) []int {
+		l := layers[layer]
+		st := stage(layer)
+		if l.Levels == nil {
+			return add(micro, layer, kind, StageResource(Network, st), l.commDur(kind), deps)
+		}
+		cur := deps
+		var done []int
+		for lvl, dur := range l.Levels.get(kind) {
+			if dur == 0 {
+				continue
+			}
+			ev := add(micro, layer, kind, StageResource(NetworkLevel(lvl), st), dur, cur)
+			done = union(done, ev)
+			cur = union(deps, ev)
+		}
+		if done == nil {
+			return deps
+		}
+		return done
+	}
+
+	fwdDone := make([][][]int, M) // [micro][layer] forward-compute handle
+	agDone := make([][][]int, M)  // [micro][layer] all-gather handle
+	bwdDone := make([][][]int, M) // [micro][layer] backward-compute handle
+
+	// emitForward lays out micro-batch m's forward pass: each layer's
+	// input halo and the previous layer's all-gather block its GEMM
+	// (except under PolicyFull).
+	emitForward := func(m int) {
+		fwdDone[m] = make([][]int, L)
+		agDone[m] = make([][]int, L)
+		for i := 0; i < L; i++ {
+			var deps []int
+			if i > 0 {
+				deps = union(deps, fwdDone[m][i-1])
+				if policy != PolicyFull {
+					deps = union(deps, agDone[m][i-1]) // all-gather blocks the next GEMM
+				}
+			}
+			if sched.Shape == OneFOneB && i == stageFirst[stage(i)] {
+				// Steady-state stash cap: stage s admits forward m only
+				// after retiring backward m−(S−s) — the handle exists
+				// because 1F1B emission alternates F_m, B_m below.
+				if k := m - (S - stage(i)); k >= 0 {
+					deps = union(deps, bwdDone[k][i])
+				}
+			}
+			if st := stage(i); i == stageFirst[st] && st > 0 {
+				// Pipeline boundary: the layer's input activations arrive
+				// from the previous stage. The handoff is a true data
+				// dependency — it gates this layer's forward under every
+				// policy, unlike the collectives PolicyFull un-blocks.
+				if ev, ok := xfer(m, i, FwdXfer, st, deps); ok {
+					deps = union(deps, ev)
+				}
+			}
+			halo := comm(m, i, FwdHalo, deps)
+			fdeps := deps
+			if policy != PolicyFull {
+				fdeps = union(deps, halo) // input halo blocks this GEMM
+			}
+			fwdDone[m][i] = add(m, i, FwdComp, StageResource(Compute, stage(i)), layers[i].FwdComp, fdeps)
+			agDone[m][i] = comm(m, i, AllGather, fwdDone[m][i])
+		}
+	}
+
+	// emitBackward lays out micro-batch m's backward pass, last layer
+	// first. The ∆W all-reduce is deferred to the flush: gradients
+	// accumulate locally and the collective is issued once, streaming
+	// with the last micro-batch's backprop of the layer.
+	emitBackward := func(m int) {
+		bwdDone[m] = make([][]int, L)
+		var prevBwd []int
+		for i := L - 1; i >= 0; i-- {
+			var deps []int
+			if i < L-1 {
+				deps = prevBwd
+			} else {
+				// The loss needs the micro-batch's last forward GEMM and
+				// (except under PolicyFull) its gathered activations.
+				deps = fwdDone[m][L-1]
+				if policy != PolicyFull {
+					deps = union(fwdDone[m][L-1], agDone[m][L-1])
+				}
+			}
+			if M > 1 && sched.Shape == GPipe && i == stageLast[stage(i)] {
+				// Fill–drain: the stage's backward work starts only after
+				// the stage flushed all M forwards.
+				deps = union(deps, fwdDone[M-1][i])
+			}
+			bwd := add(m, i, BwdComp, StageResource(Compute, stage(i)), layers[i].BwdComp, deps)
+			// Backward communication is issued at the start of the layer's
+			// backprop (gradient chunks stream out as they are produced) —
+			// the per-layer form of the Fig. 8 idealization. Under
+			// PolicyNone the add() serialization reinstates strict order.
+			commDeps := deps
+			if policy == PolicyNone {
+				commDeps = bwd
+			}
+			comm(m, i, BwdHalo, commDeps)
+			comm(m, i, ActReduce, commDeps)
+			if m == M-1 {
+				comm(m, i, GradReduce, commDeps)
+			}
+			prevBwd = bwd
+			if st := stage(i); i == stageFirst[st] && st > 0 {
+				// Pipeline boundary: ∆X returns to the previous stage.
+				// Like the other backward communication it streams with the
+				// producing backprop, but the downstream stage's next
+				// backprop genuinely needs the received gradient, so the
+				// handoff joins the backward chain handle.
+				if ev, ok := xfer(m, i, BwdXfer, st-1, commDeps); ok {
+					prevBwd = union(bwd, ev)
+				}
+			}
+			bwdDone[m][i] = bwd
+		}
+	}
+
+	// Emission order matters for the handles each pass may reference:
+	// GPipe's backward flush edge needs the last micro-batch's forward
+	// handles (all forwards first), while 1F1B's stash edge needs earlier
+	// micro-batches' backward handles (alternate F_m, B_m). Both orders
+	// reduce to F_0, B_0 at M = 1 — one plain iteration.
+	if sched.Shape == OneFOneB {
+		for m := 0; m < M; m++ {
+			emitForward(m)
+			emitBackward(m)
+		}
+	} else {
+		for m := 0; m < M; m++ {
+			emitForward(m)
+		}
+		for m := 0; m < M; m++ {
+			emitBackward(m)
+		}
+	}
+	return events
+}
+
+// summarizeReference is the map-keyed summary the scheduler's inline
+// aggregates replaced, kept as the oracle for SimulatePipeline's Result.
+func summarizeReference(layers []Layer, policy Policy, spans []Span, microBatches, stages int) *Result {
+	r := &Result{Policy: policy, Spans: spans, MicroBatches: microBatches, Stages: stages}
+	r.PerLayer = make([]LayerStats, len(layers))
+	for i := range layers {
+		r.PerLayer[i].Name = layers[i].Name
+		if r.LevelNames == nil && layers[i].Levels != nil {
+			r.LevelNames = layers[i].Levels.Names
+		}
+	}
+	lastComputeEnd := 0.0
+	prevComputeEnd := make(map[Resource]float64) // per compute pipe
+	busy := make(map[Resource]float64)
+	for _, s := range spans {
+		if s.End > r.Makespan {
+			r.Makespan = s.End
+		}
+		busy[s.Resource] += s.Duration
+		st := &r.PerLayer[s.Layer]
+		if s.Resource.Base() == Compute {
+			r.ComputeSeconds += s.Duration
+			st.CompSeconds += s.Duration
+			if gap := s.Start - prevComputeEnd[s.Resource]; gap > 0 {
+				// Attribute the stall to the compute event that ends it.
+				if s.Kind == FwdComp {
+					st.FwdExposed += gap
+				} else {
+					st.BwdExposed += gap
+				}
+			}
+			prevComputeEnd[s.Resource] = s.End
+			if s.End > lastComputeEnd {
+				lastComputeEnd = s.End
+			}
+		} else {
+			// Every non-compute lane (Network, the per-level link lanes
+			// and their per-stage copies) is communication.
+			r.CommSeconds += s.Duration
+			st.CommSeconds += s.Duration
+		}
+	}
+	r.ExposedCommSeconds = r.Makespan - r.ComputeSeconds
+	if r.ExposedCommSeconds < 0 {
+		// Float noise on one stage; genuinely concurrent pipes beyond it.
+		r.ExposedCommSeconds = 0
+	}
+	r.DrainSeconds = r.Makespan - lastComputeEnd
+	if r.DrainSeconds < 0 {
+		r.DrainSeconds = 0
+	}
+	resources := make([]Resource, 0, len(busy))
+	for res := range busy {
+		resources = append(resources, res)
+	}
+	sort.Slice(resources, func(i, j int) bool { return resources[i] < resources[j] })
+	for _, res := range resources {
+		r.PerResource = append(r.PerResource, ResourceStats{
+			Resource:    res,
+			BusySeconds: busy[res],
+			IdleSeconds: r.Makespan - busy[res],
+		})
+	}
+	// The bubble sums every stage pipe's idle time — including pipes
+	// with no scheduled work at all (a stage whose layers have zero
+	// compute is idle for the whole window).
+	r.BubbleSeconds = float64(stages)*r.Makespan - r.ComputeSeconds
+	if r.BubbleSeconds < 0 {
+		r.BubbleSeconds = 0
+	}
+	if r.Makespan > 0 && stages > 0 {
+		r.BubbleFraction = r.BubbleSeconds / (float64(stages) * r.Makespan)
+	}
+	return r
 }

@@ -26,11 +26,7 @@
 // schedule.
 package timeline
 
-import (
-	"container/heap"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Resource is an execution lane. On the paper's flat α–β machine the
 // model has one compute pipe and one network link per process; on a
@@ -39,8 +35,8 @@ import (
 // levels contend realistically — an intra-node all-reduce does not
 // queue behind a rack-uplink one, and a rack uplink can be the
 // bottleneck while the node links idle. The scheduler serializes each
-// lane independently and accepts any Resource values that appear in
-// the event list.
+// lane independently and accepts any non-negative Resource values that
+// appear in the event list.
 //
 // A pipeline schedule (SimulatePipeline) replicates the whole lane set
 // per pipeline stage: stage s's lanes are StageResource(base, s), so
@@ -172,133 +168,4 @@ type Event struct {
 type Span struct {
 	Event
 	Start, End float64
-}
-
-// readyHeap is a min-heap of ready event indices for one resource,
-// ordered by (ready time, index). An event's ready time is fixed before it is
-// pushed (all dependencies scheduled), and within one resource that
-// ordering is invariant under the resource's moving free time: comparing
-// max(ready, free) with ties broken by ready then index gives the same
-// order for every free — so the heap top is always the resource's best
-// candidate under the scheduler's (start, ready, index) rule.
-type readyHeap struct {
-	ids     []int
-	readyAt []float64
-}
-
-func (h *readyHeap) Len() int { return len(h.ids) }
-func (h *readyHeap) Less(a, b int) bool {
-	ia, ib := h.ids[a], h.ids[b]
-	if h.readyAt[ia] != h.readyAt[ib] {
-		return h.readyAt[ia] < h.readyAt[ib]
-	}
-	return ia < ib
-}
-func (h *readyHeap) Swap(a, b int) { h.ids[a], h.ids[b] = h.ids[b], h.ids[a] }
-func (h *readyHeap) Push(x any)    { h.ids = append(h.ids, x.(int)) }
-func (h *readyHeap) Pop() any {
-	x := h.ids[len(h.ids)-1]
-	h.ids = h.ids[:len(h.ids)-1]
-	return x
-}
-
-// Simulate schedules events greedily on their resources and returns the
-// spans in start order. Events are identified by their index in the
-// list, and Deps name prerequisites by index. An event becomes ready
-// when all its dependencies have completed; each resource runs one event
-// at a time; among ready events the scheduler picks the one with the
-// earliest possible start time (then earliest ready time, then lowest
-// index). The greedy schedule
-// never idles a resource that has ready work, which makes it the natural
-// model of an MPI progress engine draining a queue of posted operations.
-//
-// The scheduler keeps one ready-heap per resource, so a round costs
-// O(resources + log n) instead of the previous full O(n) rescan with a
-// per-candidate dependency re-check; schedules are identical to the
-// quadratic scheduler's (TestHeapSchedulerMatchesReference).
-//
-// Durations must be non-negative (Simulate panics otherwise — shape/cost
-// validation fails loudly, as in internal/tensor), every dependency must
-// index an event of the list, and the dependency graph must be acyclic
-// (an error is returned otherwise). Messages name an event by its
-// index, kind and layer.
-func Simulate(events []Event) ([]Span, error) {
-	for i := range events {
-		e := &events[i]
-		if e.Duration < 0 || math.IsNaN(e.Duration) {
-			panic(fmt.Sprintf("timeline: event %d (%v, layer %d) has invalid duration %g", i, e.Kind, e.Layer, e.Duration))
-		}
-		for _, d := range e.Deps {
-			if d < 0 || d >= len(events) {
-				return nil, fmt.Errorf("timeline: event %d (%v, layer %d) depends on unknown event %d", i, e.Kind, e.Layer, d)
-			}
-		}
-	}
-
-	waiting := make([]int, len(events))      // unscheduled dependency count
-	dependents := make([][]int, len(events)) // reverse edges
-	readyAt := make([]float64, len(events))  // max end over scheduled deps
-	for i := range events {
-		for _, d := range events[i].Deps {
-			waiting[i]++
-			dependents[d] = append(dependents[d], i)
-		}
-	}
-
-	heaps := make(map[Resource]*readyHeap)
-	push := func(i int) {
-		h := heaps[events[i].Resource]
-		if h == nil {
-			h = &readyHeap{readyAt: readyAt}
-			heaps[events[i].Resource] = h
-		}
-		heap.Push(h, i)
-	}
-	for i := range events {
-		if waiting[i] == 0 {
-			push(i)
-		}
-	}
-
-	end := make([]float64, len(events))
-	free := make(map[Resource]float64)
-	spans := make([]Span, 0, len(events))
-
-	for len(spans) < len(events) {
-		// The winner is the best heap top under (start, ready, index);
-		// map iteration order does not matter because the index tiebreak
-		// makes the comparison a total order.
-		best := -1
-		var bestStart, bestReady float64
-		for res, h := range heaps {
-			if h.Len() == 0 {
-				continue
-			}
-			i := h.ids[0]
-			ready := readyAt[i]
-			start := math.Max(ready, free[res])
-			if best == -1 || start < bestStart ||
-				(start == bestStart && (ready < bestReady ||
-					(ready == bestReady && i < best))) {
-				best, bestStart, bestReady = i, start, ready
-			}
-		}
-		if best == -1 {
-			return nil, fmt.Errorf("timeline: dependency cycle among %d unscheduled events", len(events)-len(spans))
-		}
-		e := events[best]
-		heap.Pop(heaps[e.Resource])
-		end[best] = bestStart + e.Duration
-		free[e.Resource] = end[best]
-		spans = append(spans, Span{Event: e, Start: bestStart, End: end[best]})
-		for _, dep := range dependents[best] {
-			if readyAt[dep] < end[best] {
-				readyAt[dep] = end[best]
-			}
-			if waiting[dep]--; waiting[dep] == 0 {
-				push(dep)
-			}
-		}
-	}
-	return spans, nil
 }
