@@ -152,9 +152,21 @@ func (c Model) GridUnweightedTime(l *nn.Layer, B int, g grid.Grid) float64 {
 // unweighted layers such as pooling) that belongs to no single weighted
 // layer. The sum of all layer times plus the overhead equals GridIterTime
 // up to floating-point association.
+//
+// Each layer class (nn.Network.LayerClasses) is timed once: a later
+// member copies its first member's split with its own Index, which is
+// what GridLayerTime would return, because the split reads the layer's
+// fields and never its name.
 func (c Model) GridLayerTimes(net *nn.Network, B int, g grid.Grid) (times []LayerTime, overhead float64) {
-	for _, li := range net.WeightedLayers() {
-		times = append(times, c.GridLayerTime(&net.Layers[li], li, B, g))
+	widx, class := net.WeightedLayers(), net.LayerClasses()
+	times = make([]LayerTime, len(widx))
+	for k, li := range widx {
+		if r := class[k]; r != k {
+			times[k] = times[r]
+			times[k].Index = li
+			continue
+		}
+		times[k] = c.GridLayerTime(&net.Layers[li], li, B, g)
 	}
 	overhead = c.FixedIter
 	for i := range net.Layers {

@@ -9,6 +9,22 @@
 // layers (conv and FC); the activation all-gather sum runs over all
 // weighted layers; the ∆X all-reduce sum skips the first weighted layer
 // (no gradient is propagated past layer 1); volumes are in words.
+//
+// Layer classes: each per-layer term depends on the layer's geometry,
+// the grid, the batch and the rank placement, never on the layer's
+// name, and position matters only for the first weighted layer (no ∆X
+// all-reduce). nn.Network.LayerClasses groups equal weighted layers —
+// ResNet50Proxy's 50 fall into 18 classes, VGG16's 16 into 12 — and
+// every per-layer pricing loop prices a class once per call and copies
+// the result to later members with their own Index and Name: the Auto
+// choice (AutoIntegrated, AutoAssignment), FullIntegrated per (class,
+// strategy), PriceStages per stage, the SpanMemo gradient prices, and
+// compute.Model.GridLayerTimes. Running sums are not shared: the
+// breakdown totals, Memory, the stage sums and the overhead still add
+// every position in order. So each float comes from the same
+// operations on the same inputs as pricing every position afresh, and
+// plans, traces and cache keys are bit-identical to it
+// (TestLayerClassesPriceExactly).
 package costmodel
 
 import (
@@ -189,21 +205,10 @@ func (b *Breakdown) BackwardSeconds() float64 {
 //	  + 2·Σ_{i=2..L} (α⌈log P⌉ + β·B·(P−1)/P·d_{i−1})
 //
 // Priced against the environment's topology, the P-wide
-// all-gather/all-reduce groups span the whole machine.
+// all-gather/all-reduce groups span the whole machine. It is Integrated
+// on the P × 1 grid, whose one-rank ∆W groups cost nothing.
 func (e Env) PureModel(net *nn.Network, B, P int) *Breakdown {
-	widx := net.WeightedLayers()
-	b := e.newBreakdown(len(widx))
-	pr := e.pricerFor(grid.Grid{Pr: P, Pc: 1})
-	for k, li := range widx {
-		l := &net.Layers[li]
-		lc := LayerCost{Index: li, Name: l.Name, Strategy: Model}
-		lc.AllGather = pr.colAllGather(float64(B) * float64(l.OutSize()))
-		if k > 0 { // no ∆X beyond the first layer
-			lc.ActReduce = pr.colAllReduce(float64(B) * float64(l.InSize()))
-		}
-		b.Layers = append(b.Layers, lc)
-	}
-	return b
+	return e.Integrated(net, B, grid.Grid{Pr: P, Pc: 1})
 }
 
 // PureBatch returns Eq. 4: batch parallelism over P processes, priced
@@ -211,13 +216,7 @@ func (e Env) PureModel(net *nn.Network, B, P int) *Breakdown {
 //
 //	T = 2·Σ_i (α⌈log P⌉ + β·(P−1)/P·|W_i|)
 func (e Env) PureBatch(net *nn.Network, B, P int) *Breakdown {
-	widx := net.WeightedLayers()
-	b := e.newBreakdown(len(widx))
-	pr := e.pricerFor(grid.Grid{Pr: 1, Pc: P})
-	for k, li := range widx {
-		b.Layers = append(b.Layers, layerCost(net, k, li, B, pr, BatchOnly))
-	}
-	return b
+	return e.FullIntegrated(net, B, grid.Grid{Pr: 1, Pc: P}, UniformAssignment(net, BatchOnly))
 }
 
 // Redistribute returns Eq. 6: the one-time cost of switching layer i's
@@ -248,15 +247,9 @@ func (e Env) Redistribute(net *nn.Network, li, B, P int) collective.Cost {
 // adjacent machine ranks and the gradient all-reduce spans the whole
 // machine.
 func (e Env) PureDomain(net *nn.Network, B, P int) *Breakdown {
-	widx := net.WeightedLayers()
-	b := e.newBreakdown(len(widx))
 	// Pure domain does not split the batch (Pc = 1): every process holds
 	// a slab of all B samples, so halo volumes carry the full B of Eq. 7.
-	pr := e.pricerFor(grid.Grid{Pr: P, Pc: 1})
-	for k, li := range widx {
-		b.Layers = append(b.Layers, layerCost(net, k, li, B, pr, Domain))
-	}
-	return b
+	return e.FullIntegrated(net, B, grid.Grid{Pr: P, Pc: 1}, UniformAssignment(net, Domain))
 }
 
 // domainLayerCost is the Eq. 7 / Eq. 9 per-layer domain cost with halo
@@ -298,13 +291,7 @@ func domainLayerCost(net *nn.Network, li, B int, pr *pricer, grad collective.Cos
 // Priced against the environment's topology, the all-gather/∆X groups
 // are the placement's column groups, the ∆W groups its row groups.
 func (e Env) Integrated(net *nn.Network, B int, g grid.Grid) *Breakdown {
-	widx := net.WeightedLayers()
-	b := e.newBreakdown(len(widx))
-	pr := e.pricerFor(g)
-	for k, li := range widx {
-		b.Layers = append(b.Layers, modelLayerCost(net, li, B, pr, k == 0))
-	}
-	return b
+	return e.FullIntegrated(net, B, g, nil)
 }
 
 // modelLayerCost is the Eq. 8 per-layer cost for a layer in L_M.
@@ -367,6 +354,44 @@ func layerCost(net *nn.Network, k, li, B int, pr *pricer, s Strategy) LayerCost 
 	return modelLayerCost(net, li, B, pr, k == 0)
 }
 
+// appendCopy appends position j's cost as the cost of the weighted
+// layer li, a member of j's layer class: the Eq. 9 terms are j's, and
+// only Index and Name differ.
+func (b *Breakdown) appendCopy(j int, net *nn.Network, li int) {
+	b.Layers = append(b.Layers, b.Layers[j])
+	lc := &b.Layers[len(b.Layers)-1]
+	lc.Index, lc.Name = li, net.Layers[li].Name
+}
+
+// priceLayers appends to b the Eq. 9 cost of the weighted layers at
+// positions [lo, hi) on pr at batch B, each under its strategy in
+// assign (absent layers are Model); b.Layers must already hold
+// positions [0, lo). A layer whose class (nn.Network.LayerClasses) has
+// a member in [lo, k) under the same strategy copies that member's cost
+// instead of pricing it: the terms read only the fields the class
+// shares, so the copy is the fresh price bit for bit.
+func priceLayers(b *Breakdown, net *nn.Network, lo, hi, B int, pr *pricer, assign Assignment) {
+	widx, class := net.WeightedLayers(), net.LayerClasses()
+	for k := lo; k < hi; k++ {
+		li := widx[k]
+		s := assign[li]
+		if s != Domain && s != BatchOnly {
+			s = Model
+		}
+		j := max(class[k], lo)
+		for ; j < k; j++ {
+			if class[j] == class[k] && b.Layers[j].Strategy == s {
+				break
+			}
+		}
+		if j < k {
+			b.appendCopy(j, net, li)
+		} else {
+			b.Layers = append(b.Layers, layerCost(net, k, li, B, pr, s))
+		}
+	}
+}
+
 // Assignment maps each weighted layer index (an index into Network.Layers)
 // to its Strategy. Layers absent from the map default to Model, making
 // FullIntegrated(…, nil, …) ≡ Integrated (L_M = all layers, L_D = ∅).
@@ -403,14 +428,12 @@ func ConvAssignment(net *nn.Network, convStrategy, fcStrategy Strategy) Assignme
 // local batch B/Pc plus a full-P gradient all-reduce; BatchOnly layers pay
 // only the full-P gradient all-reduce. Every group is priced against the
 // environment's topology; AutoIntegrated chooses the Auto assignment and
-// prices it in the same pass.
+// prices it in the same pass. Each (layer class, strategy) pair is
+// priced once.
 func (e Env) FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignment) *Breakdown {
-	widx := net.WeightedLayers()
-	b := e.newBreakdown(len(widx))
-	pr := e.pricerFor(g)
-	for k, li := range widx {
-		b.Layers = append(b.Layers, layerCost(net, k, li, B, pr, assign[li]))
-	}
+	L := len(net.WeightedLayers())
+	b := e.newBreakdown(L)
+	priceLayers(b, net, 0, L, B, e.pricerFor(g), assign)
 	return b
 }
 
@@ -438,9 +461,11 @@ func (e Env) AutoAssignment(net *nn.Network, B int, g grid.Grid) Assignment {
 }
 
 // auto is the one Auto pricing loop: it returns the assignment and, when
-// breakdown is set, the breakdown of each layer's winning cost.
+// breakdown is set, the breakdown of each layer's winning cost. Each
+// layer class is chosen and priced once, at its first member; later
+// members take that member's strategy and cost.
 func (e Env) auto(net *nn.Network, B int, g grid.Grid, breakdown bool) (*Breakdown, Assignment) {
-	widx := net.WeightedLayers()
+	widx, class := net.WeightedLayers(), net.LayerClasses()
 	var b *Breakdown
 	if breakdown {
 		b = e.newBreakdown(len(widx))
@@ -448,6 +473,13 @@ func (e Env) auto(net *nn.Network, B int, g grid.Grid, breakdown bool) (*Breakdo
 	a := make(Assignment, len(widx))
 	pr := e.pricerFor(g)
 	for k, li := range widx {
+		if c := class[k]; c != k {
+			a[li] = a[widx[c]]
+			if b != nil {
+				b.appendCopy(c, net, li)
+			}
+			continue
+		}
 		l := &net.Layers[li]
 		best := modelLayerCost(net, li, B, pr, k == 0)
 		domain, batch := g.Pr <= l.In.H, g.P() <= B

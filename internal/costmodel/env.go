@@ -99,6 +99,7 @@ type SpanMemo struct {
 	topo  machine.Topology
 	sizes []int
 	words []float64 // |W| of each weighted layer of the network, in order
+	class []int     // the network's LayerClasses
 	m     map[spanKey]spanSet
 	grads map[blockKey][]gradPrice
 }
@@ -106,17 +107,19 @@ type SpanMemo struct {
 // NewSpanMemo returns an empty memo for pricing net on topology t.
 func NewSpanMemo(t machine.Topology, net *nn.Network) *SpanMemo {
 	t.Levels = append([]machine.Level(nil), t.Levels...)
-	m := &SpanMemo{topo: t, sizes: t.GroupSizes(), m: make(map[spanKey]spanSet),
-		grads: make(map[blockKey][]gradPrice)}
-	for _, li := range net.WeightedLayers() {
-		m.words = append(m.words, float64(net.Layers[li].Weights()))
+	widx := net.WeightedLayers()
+	m := &SpanMemo{topo: t, sizes: t.GroupSizes(), words: make([]float64, len(widx)),
+		class: net.LayerClasses(), m: make(map[spanKey]spanSet), grads: make(map[blockKey][]gradPrice)}
+	for k, li := range widx {
+		m.words[k] = float64(net.Layers[li].Weights())
 	}
 	return m
 }
 
 // Fill classifies grid g at rank offset `offset` under placement pl and
 // prices the gradient all-reduce of its rank block, unless already
-// memoized.
+// memoized. Each layer class is priced once; its later members share
+// the first member's price (their weight counts are equal).
 func (m *SpanMemo) Fill(g grid.Grid, pl grid.Placement, offset int) {
 	if m == nil {
 		return
@@ -131,6 +134,10 @@ func (m *SpanMemo) Fill(g grid.Grid, pl grid.Placement, offset int) {
 		pr := &pricer{env: Env{Topo: m.topo}, all: []grid.LevelSpan{set.all}}
 		set.grad = make([]gradPrice, len(m.words))
 		for i, w := range m.words {
+			if c := m.class[i]; c != i {
+				set.grad[i] = set.grad[c]
+				continue
+			}
 			set.grad[i] = gradPrice{words: w, cost: pr.allAllReduce(w)}
 		}
 		m.grads[bk] = set.grad

@@ -43,6 +43,47 @@ func randomNetwork(rng *rand.Rand) *nn.Network {
 	return n
 }
 
+// randomBlockNetwork is randomNetwork with repeated blocks, ResNet- and
+// VGG-style: a conv stem, a block of one to three same-shape convs
+// repeated two to four times (its first repetition reads the stem's
+// channel count, so it may differ from the rest), an optional pool, and
+// an FC tail whose hidden width may repeat — so layer classes
+// (nn.Network.LayerClasses) have several members.
+func randomBlockNetwork(rng *rand.Rand) *nn.Network {
+	n := &nn.Network{
+		Name:  "random-blocks",
+		Input: nn.Shape{H: 16 + 8*rng.Intn(4), W: 16 + 8*rng.Intn(4), C: 1 + rng.Intn(4)},
+	}
+	n.Layers = append(n.Layers, nn.Layer{
+		Kind: nn.Conv, Name: "stem", KH: 3, KW: 3, Stride: 1, Pad: 1, OutC: 8 << rng.Intn(2),
+	})
+	ks := make([]int, 1+rng.Intn(3))
+	for i := range ks {
+		ks[i] = []int{1, 3, 5}[rng.Intn(3)]
+	}
+	c := 4 << rng.Intn(3)
+	for r, reps := 0, 2+rng.Intn(3); r < reps; r++ {
+		for i, k := range ks {
+			n.Layers = append(n.Layers, nn.Layer{
+				Kind: nn.Conv, Name: fmt.Sprintf("block%d_%d", r, i),
+				KH: k, KW: k, Stride: 1, Pad: k / 2, OutC: c,
+			})
+		}
+	}
+	if rng.Intn(2) == 0 {
+		n.Layers = append(n.Layers, nn.Layer{Kind: nn.Pool, Name: "pool", KH: 2, KW: 2, Stride: 2})
+	}
+	w := 16 << rng.Intn(4)
+	for i := 0; i < 1+rng.Intn(3); i++ {
+		n.Layers = append(n.Layers, nn.Layer{Kind: nn.FC, Name: fmt.Sprintf("fc%d", i), OutN: w})
+	}
+	n.Layers = append(n.Layers, nn.Layer{Kind: nn.FC, Name: "classifier", OutN: 10})
+	if err := n.Infer(); err != nil {
+		return nil
+	}
+	return n
+}
+
 // TestRandomNetsIntegratedLimits: Eq. 8's Pr=1 ⇒ Eq. 4 and Pc=1 ⇒ Eq. 3
 // reductions hold for random architectures.
 func TestRandomNetsIntegratedLimits(t *testing.T) {

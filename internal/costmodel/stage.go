@@ -241,7 +241,9 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 	}
 
 	// Per-layer collective pricing, each stage on its own grid at its own
-	// offset. At S = 1 this is exactly FullIntegrated (same loop).
+	// offset. At S = 1 this is exactly FullIntegrated (same loop). Within
+	// a stage, a layer class is priced and timed once (LayerClasses).
+	class := net.LayerClasses()
 	b := e.newBreakdown(len(widx))
 	times := make([]compute.LayerTime, 0, len(widx))
 	stages := make([]StageCost, S)
@@ -256,16 +258,27 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 		sc.Layers = hi - lo
 		sc.Grid = g
 		sc.RankOffset = offsets[k]
-		for j, li := range widx[lo:hi] {
-			// A stage-first Model layer still pays the ∆X all-reduce:
-			// its assembled ∆X is what the backward handoff ships to the
-			// previous stage.
-			lc := layerCost(net, lo+j, li, micro, pr, assign[li])
-			b.Layers = append(b.Layers, lc)
-			sc.CommSeconds += lc.TotalSeconds()
+		// A stage-first Model layer still pays the ∆X all-reduce: its
+		// assembled ∆X is what the backward handoff ships to the previous
+		// stage.
+		priceLayers(b, net, lo, hi, micro, pr, assign)
+		for j := lo; j < hi; j++ {
+			li := widx[j]
+			sc.CommSeconds += b.Layers[j].TotalSeconds()
 			sc.ParamWords += float64(net.Layers[li].Weights())
 
-			t := cm.GridLayerTime(&net.Layers[li], li, micro, g)
+			// r is the first position of j's class in this stage.
+			r := max(class[j], lo)
+			for class[r] != class[j] {
+				r++
+			}
+			var t compute.LayerTime
+			if r < j {
+				t = times[r]
+				t.Index = li
+			} else {
+				t = cm.GridLayerTime(&net.Layers[li], li, micro, g)
+			}
 			times = append(times, t)
 			sc.CompSeconds += t.Fwd + t.Bwd
 		}

@@ -168,11 +168,15 @@ type Network struct {
 	Layers []Layer
 
 	inferred bool
+	// weighted and classes are recorded by Infer: the indices of the
+	// weighted layers, and each weighted position's layer class.
+	weighted, classes []int
 }
 
-// Infer computes every layer's In/Out shape, validating the stack.
+// Infer computes every layer's In/Out shape, validating the stack, and
+// records the weighted layers and their classes (see LayerClasses).
 // It must be called (directly or via the preset constructors) before any
-// of the aggregate queries.
+// of the aggregate queries, and again after any change to Layers.
 func (n *Network) Infer() error {
 	in := n.Input
 	if in.Size() <= 0 {
@@ -188,8 +192,49 @@ func (n *Network) Infer() error {
 		l.Out = out
 		in = out
 	}
+	n.weighted, n.classes = classify(n.Layers)
 	n.inferred = true
 	return nil
+}
+
+// classify returns the indices of the weighted layers and the class of
+// each weighted position: the earliest weighted position whose layer
+// equals it in every field but Name. Position 0 always forms a class of
+// its own, because it alone has no ∆X all-reduce. Both slices are newly
+// allocated with cap == len, so re-inferring a copy of a Network never
+// writes into the slices the original hands out.
+func classify(layers []Layer) (weighted, classes []int) {
+	n := 0
+	for i := range layers {
+		if layers[i].HasWeights() {
+			n++
+		}
+	}
+	weighted = make([]int, 0, n)
+	classes = make([]int, 0, n)
+	for i := range layers {
+		if !layers[i].HasWeights() {
+			continue
+		}
+		k := len(weighted)
+		c := k
+		for r := 1; r < k; r++ {
+			if classes[r] == r && sameButName(&layers[weighted[r]], &layers[i]) {
+				c = r
+				break
+			}
+		}
+		weighted = append(weighted, i)
+		classes = append(classes, c)
+	}
+	return weighted, classes
+}
+
+// sameButName reports whether a and b are equal in every field but Name.
+func sameButName(a, b *Layer) bool {
+	x, y := *a, *b
+	x.Name, y.Name = "", ""
+	return x == y
 }
 
 func (n *Network) mustInferred() {
@@ -220,16 +265,26 @@ func (n *Network) TotalWeights() int {
 }
 
 // WeightedLayers returns the indices of layers with weights, in order —
-// the index set of the paper's per-layer sums.
+// the index set of the paper's per-layer sums. The slice is the one
+// recorded by Infer, shared by every caller: it is read-only, and its
+// cap equals its len, so an append copies it.
 func (n *Network) WeightedLayers() []int {
 	n.mustInferred()
-	var idx []int
-	for i := range n.Layers {
-		if n.Layers[i].HasWeights() {
-			idx = append(idx, i)
-		}
-	}
-	return idx
+	return n.weighted
+}
+
+// LayerClasses returns, for each weighted position k (an index into
+// WeightedLayers), the class of that layer: the earliest weighted
+// position whose Layer equals it in every field but Name. Position 0 is
+// always alone in its class. The Eq. 3–9 terms and the compute split of
+// a weighted layer depend on its fields and never on its name, and only
+// position 0 is priced differently by position, so every member of a
+// class prices like its first member on the same grid, batch and rank
+// block — the pricing loops price a class once and copy. Like
+// WeightedLayers, the slice is recorded by Infer and read-only.
+func (n *Network) LayerClasses() []int {
+	n.mustInferred()
+	return n.classes
 }
 
 // ConvLayers returns the indices of convolutional layers.

@@ -51,6 +51,24 @@ func BenchmarkPlanScenarioThreeLevel(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanScenarioResNet50ThreeLevel is the three-level search on
+// a repeated-block network: ResNet50Proxy's 50 weighted layers fall into
+// 18 layer classes, each priced once per grid, placement and rank block
+// (the AlexNet benchmarks' 8 layers are pairwise distinct).
+func BenchmarkPlanScenarioResNet50ThreeLevel(b *testing.B) {
+	sc := New("resnet50", 1024, 128, WithLevels(
+		LevelSpec{Name: "node", AlphaSeconds: 5e-7, BandwidthGBs: 60, GroupRanks: 16},
+		LevelSpec{Name: "rack", AlphaSeconds: 1e-6, BandwidthGBs: 12, GroupRanks: 128},
+		LevelSpec{Name: "spine", AlphaSeconds: 2e-6, BandwidthGBs: 6},
+	))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Plan(sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPlanScenarioPipeline adds the expensive dimensions — timeline
 // scoring and a micro-batch search — the worst realistic /v1/plan miss.
 func BenchmarkPlanScenarioPipeline(b *testing.B) {

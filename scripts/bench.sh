@@ -11,9 +11,10 @@
 # worker scaling is recorded per GOMAXPROCS. A second interleaved A/B
 # pits the iteration objective against the time-to-accuracy campaign
 # search on the same scenario (the tta_search_overhead record). Last,
-# the span_classification, fused_auto_pricing and unified_evaluator
-# records: the flat, hierarchical (two- and three-level), pipelined and
-# stage-partitioned façade searches plus the per-layer
+# the span_classification, fused_auto_pricing, unified_evaluator and
+# layer_classes records: the flat, hierarchical (two- and three-level,
+# AlexNet and ResNet50), pipelined and stage-partitioned façade searches
+# plus the per-layer
 # BenchmarkColGroupSpansAt rung, either on this tree alone or, given a
 # baseline checkout (e.g. a `git archive` of the parent commit), as 10
 # interleaved pairs of baseline and this tree, alternating which side
@@ -44,9 +45,9 @@ while [ "$i" -le 6 ]; do
 	go test -run '^$' -bench 'BenchmarkPlanScenarioTTA$' -benchmem -benchtime=2s . | tee -a "$out"
 	i=$((i + 1))
 done
-# Span classification, fused Auto pricing and the unified evaluator
-# (span_classification, fused_auto_pricing and unified_evaluator records).
-span='BenchmarkPlanScenario$|BenchmarkPlanScenarioTwoLevel$|BenchmarkPlanScenarioThreeLevel$|BenchmarkPlanScenarioPipeline$|BenchmarkPlanScenarioStages$'
+# Span classification, fused Auto pricing, the unified evaluator and layer classes
+# (span_classification, fused_auto_pricing, unified_evaluator and layer_classes records).
+span='BenchmarkPlanScenario$|BenchmarkPlanScenarioTwoLevel$|BenchmarkPlanScenarioThreeLevel$|BenchmarkPlanScenarioResNet50ThreeLevel$|BenchmarkPlanScenarioPipeline$|BenchmarkPlanScenarioStages$'
 if [ -z "${2:-}" ]; then
 	go test -run '^$' -bench "$span" -benchmem -count=6 -benchtime=2s . | tee -a "$out"
 	go test -run '^$' -bench 'BenchmarkColGroupSpansAt$' -benchmem -count=6 ./internal/grid/ | tee -a "$out"
