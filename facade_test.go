@@ -316,3 +316,22 @@ func TestPlanRejectsOversizedSearch(t *testing.T) {
 		t.Errorf("rejection took %v", d)
 	}
 }
+
+// A prime process count near 1e14 has only two grids, so it passed
+// validation and then kept the planner busy in O(P) loops; it is now a
+// *ValidationError on procs, returned in well under a second.
+func TestPlanRejectsHugeProcs(t *testing.T) {
+	sc, err := DecodeScenario([]byte(`{"network":"alexnet","batch":1024,"procs":99999999999973}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = Plan(sc)
+	var ve *ValidationError
+	if !errors.As(err, &ve) || ve.Field != "procs" {
+		t.Fatalf("Plan error %v, want a *ValidationError on procs", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("rejection took %v", d)
+	}
+}

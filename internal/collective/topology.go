@@ -25,12 +25,12 @@
 // The concurrent per-plane collectives of a level (LevelStat.Planes:
 // one plane per rank of the busiest sub-unit) share that sub-unit's
 // single uplink, so each level's phase is serialized over its planes
-// (serializePlanes) — an all-gather's plane slices telescope back to
-// the full-words bandwidth term, while the all-reduce planes each move
-// a full per-rank shard and the uplink pays all of them. Groups that
-// straddle sub-unit boundaries are therefore genuinely more expensive
-// than one-rank-per-unit groups of the same size, which is what a
-// per-node NIC (or per-rack uplink) does.
+// (its terms are multiplied by the plane count) — an all-gather's plane
+// slices telescope back to the full-words bandwidth term, while the
+// all-reduce planes each move a full per-rank shard and the uplink pays
+// all of them. Groups that straddle sub-unit boundaries are therefore
+// genuinely more expensive than one-rank-per-unit groups of the same
+// size, which is what a per-node NIC (or per-rack uplink) does.
 //
 // On the two-level node/cluster topology the recursion reproduces the
 // PR 3 Intra/Inter formulas bit for bit, and a uniform topology
@@ -41,6 +41,18 @@
 // Results carry their per-level attribution in Cost.Levels so the
 // timeline simulator can schedule every link level as its own
 // contended resource.
+//
+// The recursion is priced in place. Each active level computes its
+// phase's latency and bandwidth as two scalars — the flat closed form's
+// expression times the plane count — and adds them, with their sum as
+// Levels[i], straight into one accumulating Cost (Cost.addLevel). No
+// per-level Cost temporary is built, added or scaled, yet every float
+// is produced by the same operations in the same order as composing the
+// flat closed forms with Cost.Add and Cost.Scale, so prices are bit for
+// bit those of that composition (the seeded oracle property test in
+// this package). AllGatherLeveled and AllReduceLeveled skip the
+// Topology.Uniform scan for callers that have already made that check
+// once, as the cost model's pricer does per grid.
 package collective
 
 import (
@@ -48,26 +60,17 @@ import (
 	"dnnparallel/internal/machine"
 )
 
-// onLink is the flat-machine view of one link level, for reusing the
-// closed forms level by level.
-func onLink(l machine.Link) machine.Machine {
-	return machine.Machine{Alpha: l.Alpha, Beta: l.Beta}
+// addLevel adds one active level's phase to c in place — lat latency
+// and bw bandwidth seconds, already serialized over the level's planes —
+// and attributes their sum to link level i. It performs the float
+// operations of c.Add(x) where x carries lat, bw and Levels[i] = lat+bw
+// (the other levels of x are zero, and adding zero leaves them as they
+// are), so the result is bit-identical to that 64-byte temporary's sum.
+func (c *Cost) addLevel(i int, lat, bw float64) {
+	c.Latency += lat
+	c.Bandwidth += bw
+	c.Levels[i] += lat + bw
 }
-
-// atLevel attributes a single-level cost to link level i.
-func atLevel(c Cost, i int) Cost {
-	c.Levels[i] = c.Total()
-	return c
-}
-
-// serializePlanes prices the concurrent per-plane collectives of a
-// straddling group forced through each sub-unit's single uplink: a node
-// with k local ranks runs k rank planes of the hierarchical
-// decomposition "in parallel", but they share one NIC, so their
-// upper-level phases serialize end to end (the ROADMAP congestion item
-// — previously the planes were modeled as contention-free, i.e. one
-// NIC per rank).
-func serializePlanes(c Cost, planes int) Cost { return c.Scale(float64(planes)) }
 
 // topActive returns the outermost active level of the span, or −1 when
 // no level moves data (a group of ≤ 1 rank).
@@ -83,7 +86,7 @@ func topActive(s grid.LevelSpan) int {
 // AllGatherTopo prices the all-gather of words total words over a group
 // with level span s: each active level gathers its largest group's
 // slice of the result across that group's sub-units, planes serialized
-// on the sub-unit uplink.
+// on the sub-unit uplink. A uniform t takes the flat closed form.
 func AllGatherTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
 	if s.Ranks <= 1 {
 		return Cost{}
@@ -91,10 +94,22 @@ func AllGatherTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
 	if t.Uniform() {
 		return AllGather(s.Ranks, words, t.Machine())
 	}
-	top := topActive(s)
+	return AllGatherLeveled(s, words, t)
+}
+
+// AllGatherLeveled is AllGatherTopo without the uniform-topology check:
+// it always prices s level by level on t's links. It is for callers that
+// already know t is not uniform (the cost model's pricer decides that
+// once per grid); on a uniform t it returns the per-level decomposition,
+// not the flat closed form.
+func AllGatherLeveled(s grid.LevelSpan, words float64, t machine.Topology) Cost {
 	var total Cost
+	if s.Ranks <= 1 {
+		return total
+	}
+	top := topActive(s)
 	for i := 0; i <= top; i++ {
-		lv := s.Levels[i]
+		lv := &s.Levels[i]
 		if lv.Fanout <= 1 {
 			continue
 		}
@@ -108,8 +123,10 @@ func AllGatherTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
 		if i < top {
 			chunk = words * float64(lv.MaxRanks) / float64(s.Ranks)
 		}
-		c := AllGather(lv.Fanout, chunk/float64(lv.Planes), onLink(t.Levels[i].Link))
-		total = total.Add(atLevel(serializePlanes(c, lv.Planes), i))
+		// AllGather(lv.Fanout, chunk/k, link), times k planes.
+		l, k := t.Levels[i].Link, float64(lv.Planes)
+		total.addLevel(i, l.Alpha*float64(CeilLog2(lv.Fanout))*k,
+			l.Beta*(chunk/k)*float64(lv.Fanout-1)/float64(lv.Fanout)*k)
 	}
 	return total
 }
@@ -118,7 +135,8 @@ func AllGatherTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
 // level span s: reduce-scatter + all-gather pairs at every inner active
 // level (the live shard shrinking by the level's fanout, sized by the
 // thinnest sub-unit, whose ranks hold the largest shards) and a flat
-// all-reduce of the residual shard at the outermost active level.
+// all-reduce of the residual shard at the outermost active level. A
+// uniform t takes the flat closed form.
 func AllReduceTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
 	if s.Ranks <= 1 {
 		return Cost{}
@@ -126,21 +144,32 @@ func AllReduceTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
 	if t.Uniform() {
 		return AllReduce(s.Ranks, words, t.Machine())
 	}
+	return AllReduceLeveled(s, words, t)
+}
+
+// AllReduceLeveled is AllReduceTopo without the uniform-topology check,
+// for callers that already know t is not uniform (see AllGatherLeveled).
+func AllReduceLeveled(s grid.LevelSpan, words float64, t machine.Topology) Cost {
+	var total Cost
+	if s.Ranks <= 1 {
+		return total
+	}
 	top := topActive(s)
 	if top < 0 {
-		return Cost{}
+		return total
 	}
-	var total Cost
 	shard := words
 	for i := 0; i < top; i++ {
-		lv := s.Levels[i]
+		lv := &s.Levels[i]
 		if lv.Fanout <= 1 {
 			continue
 		}
-		link := onLink(t.Levels[i].Link)
-		phase := ReduceScatter(lv.Fanout, shard, link).
-			Add(AllGather(lv.Fanout, shard, link))
-		total = total.Add(atLevel(serializePlanes(phase, lv.Planes), i))
+		// ReduceScatter + AllGather of the shard (equal terms), times k
+		// planes.
+		l, k := t.Levels[i].Link, float64(lv.Planes)
+		lat := l.Alpha * float64(CeilLog2(lv.Fanout))
+		bw := l.Beta * shard * float64(lv.Fanout-1) / float64(lv.Fanout)
+		total.addLevel(i, (lat+lat)*k, (bw+bw)*k)
 		shard /= float64(lv.Fanout)
 	}
 	// The busiest sub-unit's uplink governs the top level: its Planes
@@ -148,10 +177,13 @@ func AllReduceTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
 	// groups, serialized on the single link — the bandwidth telescopes
 	// to the full reduced vector per ring pass (every sub-unit pushes
 	// all of its shard once, however many ranks it hosts) while the
-	// latency scales with the plane count.
-	lv := s.Levels[top]
-	c := AllReduce(lv.Fanout, shard, onLink(t.Levels[top].Link))
-	return total.Add(atLevel(serializePlanes(c, lv.Planes), top))
+	// latency scales with the plane count. AllReduce(lv.Fanout, shard,
+	// link), times k planes:
+	lv := &s.Levels[top]
+	l, k := t.Levels[top].Link, float64(lv.Planes)
+	total.addLevel(top, 2*l.Alpha*float64(CeilLog2(lv.Fanout))*k,
+		2*l.Beta*shard*float64(lv.Fanout-1)/float64(lv.Fanout)*k)
+	return total
 }
 
 // ReduceScatterTopo prices the reduce-scatter half of the hierarchical
@@ -167,12 +199,14 @@ func ReduceScatterTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost
 	var total Cost
 	shard := words
 	for i := 0; i <= top; i++ {
-		lv := s.Levels[i]
+		lv := &s.Levels[i]
 		if lv.Fanout <= 1 {
 			continue
 		}
-		c := ReduceScatter(lv.Fanout, shard, onLink(t.Levels[i].Link))
-		total = total.Add(atLevel(serializePlanes(c, lv.Planes), i))
+		// ReduceScatter(lv.Fanout, shard, link), times k planes.
+		l, k := t.Levels[i].Link, float64(lv.Planes)
+		total.addLevel(i, l.Alpha*float64(CeilLog2(lv.Fanout))*k,
+			l.Beta*shard*float64(lv.Fanout-1)/float64(lv.Fanout)*k)
 		shard /= float64(lv.Fanout)
 	}
 	return total
@@ -191,11 +225,13 @@ func BroadcastTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
 	}
 	var total Cost
 	for i := topActive(s); i >= 0; i-- {
-		lv := s.Levels[i]
+		lv := &s.Levels[i]
 		if lv.Fanout <= 1 {
 			continue
 		}
-		total = total.Add(atLevel(Broadcast(lv.Fanout, words, onLink(t.Levels[i].Link)), i))
+		// Broadcast(lv.Fanout, words, link).
+		l, rounds := t.Levels[i].Link, float64(CeilLog2(lv.Fanout))
+		total.addLevel(i, l.Alpha*rounds, l.Beta*words*rounds)
 	}
 	return total
 }
@@ -207,7 +243,10 @@ func PointToPointTopo(level int, words float64, t machine.Topology) Cost {
 	if t.Uniform() {
 		return PointToPoint(words, t.Machine())
 	}
-	return atLevel(PointToPoint(words, onLink(t.Levels[level].Link)), level)
+	l := t.Levels[level].Link
+	c := Cost{Latency: l.Alpha, Bandwidth: l.Beta * words}
+	c.Levels[level] = c.Total()
+	return c
 }
 
 // MaxCost returns the most expensive of pricing one collective over each

@@ -41,7 +41,8 @@ func freshAuto(e Env, net *nn.Network, B int, g grid.Grid) (*Breakdown, Assignme
 	pr := e.pricerFor(g)
 	for k, li := range widx {
 		l := &net.Layers[li]
-		best := modelLayerCost(net, li, B, pr, k == 0)
+		var best LayerCost
+		modelLayerCost(&best, net, li, B, pr, k == 0)
 		domain, batch := g.Pr <= l.In.H, g.P() <= B
 		if l.Kind == nn.Conv && (domain || batch) {
 			bestCost := best.TotalSeconds()
@@ -93,7 +94,7 @@ func freshStages(e Env, net *nn.Network, micro int, part stage.Partition, grids 
 // freshGrads prices the whole-block ∆W all-reduce of every position of
 // net on the rank block of g at offset, as SpanMemo.Fill does.
 func freshGrads(topo machine.Topology, net *nn.Network, g grid.Grid, offset int) []gradPrice {
-	pr := &pricer{env: Env{Topo: topo}, all: []grid.LevelSpan{g.AllSpanAt(topo.GroupSizes(), offset)}}
+	pr := Env{Topo: topo}.pricerAt(g, offset)
 	var out []gradPrice
 	for _, li := range net.WeightedLayers() {
 		w := float64(net.Layers[li].Weights())

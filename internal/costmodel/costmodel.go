@@ -294,17 +294,19 @@ func (e Env) Integrated(net *nn.Network, B int, g grid.Grid) *Breakdown {
 	return e.FullIntegrated(net, B, g, nil)
 }
 
-// modelLayerCost is the Eq. 8 per-layer cost for a layer in L_M.
-func modelLayerCost(net *nn.Network, li, B int, pr *pricer, first bool) LayerCost {
+// modelLayerCost writes the Eq. 8 per-layer cost for a layer in L_M
+// into lc, setting every field (lc may hold an earlier layer's cost).
+func modelLayerCost(lc *LayerCost, net *nn.Network, li, B int, pr *pricer, first bool) {
 	l := &net.Layers[li]
-	lc := LayerCost{Index: li, Name: l.Name, Strategy: Model}
+	lc.Index, lc.Name, lc.Strategy = li, l.Name, Model
 	localB := float64(B) / float64(pr.g.Pc)
 	lc.AllGather = pr.colAllGather(localB * float64(l.OutSize()))
+	lc.ActReduce = collective.Cost{}
 	if !first {
 		lc.ActReduce = pr.colAllReduce(localB * float64(l.InSize()))
 	}
 	lc.GradReduce = pr.rowAllReduce(float64(l.Weights()) / float64(pr.g.Pr))
-	return lc
+	lc.FwdHalo, lc.BwdHalo = collective.Cost{}, collective.Cost{}
 }
 
 // FCGradReduceSeconds returns the summed ∆W all-reduce seconds of the
@@ -351,7 +353,9 @@ func layerCost(net *nn.Network, k, li, B int, pr *pricer, s Strategy) LayerCost 
 	case BatchOnly:
 		return batchOnlyLayerCost(net, li, pr.gradReduce(k, float64(net.Layers[li].Weights())))
 	}
-	return modelLayerCost(net, li, B, pr, k == 0)
+	var lc LayerCost
+	modelLayerCost(&lc, net, li, B, pr, k == 0)
+	return lc
 }
 
 // appendCopy appends position j's cost as the cost of the weighted
@@ -463,7 +467,10 @@ func (e Env) AutoAssignment(net *nn.Network, B int, g grid.Grid) Assignment {
 // auto is the one Auto pricing loop: it returns the assignment and, when
 // breakdown is set, the breakdown of each layer's winning cost. Each
 // layer class is chosen and priced once, at its first member; later
-// members take that member's strategy and cost.
+// members take that member's strategy and cost. The Model candidate is
+// written straight into the layer's breakdown slot (a stack scratch
+// when no breakdown is asked for), and a Domain or BatchOnly candidate
+// is copied over it only when it wins.
 func (e Env) auto(net *nn.Network, B int, g grid.Grid, breakdown bool) (*Breakdown, Assignment) {
 	widx, class := net.WeightedLayers(), net.LayerClasses()
 	var b *Breakdown
@@ -472,6 +479,7 @@ func (e Env) auto(net *nn.Network, B int, g grid.Grid, breakdown bool) (*Breakdo
 	}
 	a := make(Assignment, len(widx))
 	pr := e.pricerFor(g)
+	var scratch LayerCost
 	for k, li := range widx {
 		if c := class[k]; c != k {
 			a[li] = a[widx[c]]
@@ -480,8 +488,13 @@ func (e Env) auto(net *nn.Network, B int, g grid.Grid, breakdown bool) (*Breakdo
 			}
 			continue
 		}
+		best := &scratch
+		if b != nil {
+			b.Layers = b.Layers[:k+1]
+			best = &b.Layers[k]
+		}
 		l := &net.Layers[li]
-		best := modelLayerCost(net, li, B, pr, k == 0)
+		modelLayerCost(best, net, li, B, pr, k == 0)
 		domain, batch := g.Pr <= l.In.H, g.P() <= B
 		if l.Kind == nn.Conv && (domain || batch) {
 			bestCost := best.TotalSeconds()
@@ -489,20 +502,17 @@ func (e Env) auto(net *nn.Network, B int, g grid.Grid, breakdown bool) (*Breakdo
 			if domain {
 				lc := domainLayerCost(net, li, B, pr, grad)
 				if c := lc.TotalSeconds(); c < bestCost {
-					best, bestCost = lc, c
+					*best, bestCost = lc, c
 				}
 			}
 			if batch {
 				lc := batchOnlyLayerCost(net, li, grad)
 				if lc.TotalSeconds() < bestCost {
-					best = lc
+					*best = lc
 				}
 			}
 		}
 		a[li] = best.Strategy
-		if b != nil {
-			b.Layers = append(b.Layers, best)
-		}
 	}
 	return b, a
 }

@@ -194,7 +194,9 @@ func TestDomainBeatsModelOnEarlyLayers(t *testing.T) {
 	g := grid.Grid{Pr: 4, Pc: 128}
 	conv1 := net.ConvLayers()[0]
 	pr := FlatEnv(knl()).pricerFor(g)
-	mc := modelLayerCost(net, conv1, 512, pr, false).Total().Total()
+	var model LayerCost
+	modelLayerCost(&model, net, conv1, 512, pr, false)
+	mc := model.Total().Total()
 	dc := domainCost(net, conv1, 512, pr).Total().Total()
 	if dc >= mc {
 		t.Fatalf("conv1: domain %g should beat model %g", dc, mc)
@@ -224,7 +226,9 @@ func TestDomainFCIsExpensive(t *testing.T) {
 	g := grid.Grid{Pr: 8, Pc: 64}
 	fc6 := net.FCLayers()[0]
 	pr := FlatEnv(knl()).pricerFor(g)
-	mc := modelLayerCost(net, fc6, 2048, pr, false).Total().Total()
+	var model LayerCost
+	modelLayerCost(&model, net, fc6, 2048, pr, false)
+	mc := model.Total().Total()
 	dc := domainCost(net, fc6, 2048, pr).Total().Total()
 	if dc <= mc {
 		t.Fatalf("fc6: domain %g should be worse than model %g", dc, mc)

@@ -131,7 +131,8 @@ func (m *SpanMemo) Fill(g grid.Grid, pl grid.Placement, offset int) {
 	set := classifySpans(m.sizes, k)
 	bk := blockKey{g.P(), offset}
 	if set.grad = m.grads[bk]; set.grad == nil {
-		pr := &pricer{env: Env{Topo: m.topo}, all: []grid.LevelSpan{set.all}}
+		pr := &pricer{env: Env{Topo: m.topo}, g: g, all: []grid.LevelSpan{set.all},
+			flat: m.topo.Uniform(), m: m.topo.Machine()}
 		set.grad = make([]gradPrice, len(m.words))
 		for i, w := range m.words {
 			if c := m.class[i]; c != i {
@@ -245,9 +246,13 @@ func (p *pricer) colAllGather(words float64) collective.Cost {
 	if p.flat {
 		return collective.AllGather(p.g.Pr, words, p.m)
 	}
-	return collective.MaxCost(p.col, func(s grid.LevelSpan) collective.Cost {
-		return collective.AllGatherTopo(s, words, p.env.Topo)
-	})
+	var worst collective.Cost
+	for i := range p.col {
+		if c := collective.AllGatherLeveled(p.col[i], words, p.env.Topo); i == 0 || c.Total() > worst.Total() {
+			worst = c
+		}
+	}
+	return worst
 }
 
 // colAllReduce prices the backprop ∆X all-reduce over the column groups.
@@ -255,9 +260,7 @@ func (p *pricer) colAllReduce(words float64) collective.Cost {
 	if p.flat {
 		return collective.AllReduce(p.g.Pr, words, p.m)
 	}
-	return collective.MaxCost(p.col, func(s grid.LevelSpan) collective.Cost {
-		return collective.AllReduceTopo(s, words, p.env.Topo)
-	})
+	return p.maxAllReduce(p.col, words)
 }
 
 // rowAllReduce prices the ∆W all-reduce over the Pc-sized row groups.
@@ -265,9 +268,21 @@ func (p *pricer) rowAllReduce(words float64) collective.Cost {
 	if p.flat {
 		return collective.AllReduce(p.g.Pc, words, p.m)
 	}
-	return collective.MaxCost(p.row, func(s grid.LevelSpan) collective.Cost {
-		return collective.AllReduceTopo(s, words, p.env.Topo)
-	})
+	return p.maxAllReduce(p.row, words)
+}
+
+// maxAllReduce prices the all-reduce over each of the distinct level
+// spans of a non-flat pricer and returns the most expensive, ties
+// keeping the first span (collective.MaxCost's rule, without its
+// closure call per span).
+func (p *pricer) maxAllReduce(spans []grid.LevelSpan, words float64) collective.Cost {
+	var worst collective.Cost
+	for i := range spans {
+		if c := collective.AllReduceLeveled(spans[i], words, p.env.Topo); i == 0 || c.Total() > worst.Total() {
+			worst = c
+		}
+	}
+	return worst
 }
 
 // gradReduce prices the Domain/BatchOnly ∆W all-reduce of words words
@@ -286,9 +301,7 @@ func (p *pricer) allAllReduce(words float64) collective.Cost {
 	if p.flat {
 		return collective.AllReduce(p.g.P(), words, p.m)
 	}
-	return collective.MaxCost(p.all, func(s grid.LevelSpan) collective.Cost {
-		return collective.AllReduceTopo(s, words, p.env.Topo)
-	})
+	return collective.AllReduceLeveled(p.all[0], words, p.env.Topo)
 }
 
 // halo prices one halo-exchange message between spatially adjacent ranks

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dnnparallel/internal/collective"
 	"dnnparallel/internal/compute"
 	"dnnparallel/internal/timeline"
 )
@@ -15,22 +16,28 @@ func validateIteration(b *Breakdown, compSeconds float64) {
 	if compSeconds < 0 || math.IsNaN(compSeconds) {
 		panic(fmt.Sprintf("costmodel: invalid computation time %g", compSeconds))
 	}
-	for _, l := range b.Layers {
-		for _, c := range []struct {
-			name string
-			cost float64
-		}{
-			{"all-gather", l.AllGather.Total()},
-			{"∆X all-reduce", l.ActReduce.Total()},
-			{"∆W all-reduce", l.GradReduce.Total()},
-			{"forward halo", l.FwdHalo.Total()},
-			{"backward halo", l.BwdHalo.Total()},
-		} {
-			if c.cost < 0 || math.IsNaN(c.cost) {
-				panic(fmt.Sprintf("costmodel: layer %q has invalid %s cost %g", l.Name, c.name, c.cost))
-			}
-		}
+	for i := range b.Layers {
+		l := &b.Layers[i]
+		validateTerm(l, "all-gather", &l.AllGather)
+		validateTerm(l, "∆X all-reduce", &l.ActReduce)
+		validateTerm(l, "∆W all-reduce", &l.GradReduce)
+		validateTerm(l, "forward halo", &l.FwdHalo)
+		validateTerm(l, "backward halo", &l.BwdHalo)
 	}
+}
+
+// validateTerm panics when the layer's cost term c is negative or NaN
+// (the one comparison !(cost >= 0) catches both). The check inlines;
+// formatting the panic stays out of line.
+func validateTerm(l *LayerCost, name string, c *collective.Cost) {
+	if cost := c.Total(); !(cost >= 0) {
+		invalidTerm(l, name, cost)
+	}
+}
+
+//go:noinline
+func invalidTerm(l *LayerCost, name string, cost float64) {
+	panic(fmt.Sprintf("costmodel: layer %q has invalid %s cost %g", l.Name, name, cost))
 }
 
 // IterationSeconds combines a per-iteration communication breakdown with a

@@ -101,10 +101,17 @@ func Factorizations(p int) []Grid {
 	if p < 1 {
 		return nil
 	}
+	// Divisors pair up around √p: walk pr ≤ p/pr, then mirror the pairs
+	// in reverse — O(√p) instead of testing every pr up to p.
 	var out []Grid
-	for pr := 1; pr <= p; pr++ {
+	for pr := 1; pr <= p/pr; pr++ {
 		if p%pr == 0 {
 			out = append(out, Grid{Pr: pr, Pc: p / pr})
+		}
+	}
+	for i := len(out) - 1; i >= 0; i-- {
+		if g := out[i]; g.Pr != g.Pc {
+			out = append(out, Grid{Pr: g.Pc, Pc: g.Pr})
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -30,6 +31,37 @@ func TestFactorizationsProductInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// factorizationsLinear is the O(p) reference: every pr from 1 to p.
+func factorizationsLinear(p int) []Grid {
+	var out []Grid
+	for pr := 1; pr <= p; pr++ {
+		if p%pr == 0 {
+			out = append(out, Grid{Pr: pr, Pc: p / pr})
+		}
+	}
+	return out
+}
+
+// The O(√p) divisor walk returns the linear scan's list, in the same
+// increasing-Pr order, for every p ≤ 5000 and for primes whose linear
+// scan is still cheap; a prime as large as the one that used to hang
+// the planner (~1e14) has just its two grids, found in O(√p).
+func TestFactorizationsMatchLinearScan(t *testing.T) {
+	ps := []int{999983, 1000003, 16777213, 16777216, 16777259}
+	for p := 0; p <= 5000; p++ {
+		ps = append(ps, p)
+	}
+	for _, p := range ps {
+		if got, want := Factorizations(p), factorizationsLinear(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Factorizations(%d) = %v, want %v", p, got, want)
+		}
+	}
+	const prime = 99999999999973
+	if got, want := Factorizations(prime), []Grid{{1, prime}, {prime, 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Factorizations(%d) = %v, want %v", prime, got, want)
 	}
 }
 

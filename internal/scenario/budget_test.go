@@ -110,3 +110,53 @@ func TestCandidatesPinnedGrid(t *testing.T) {
 		}
 	}
 }
+
+// hugeProcsRepro names a prime process count: it has only two grids, so
+// the candidate budget passes it, but every per-P loop behind it is
+// hopeless.
+const hugeProcsRepro = `{"network":"alexnet","batch":1024,"procs":99999999999973}`
+
+// A process count above MaxProcs, and two-level sugar whose nodes ×
+// ranks_per_node exceeds it (here so far that the int product would
+// wrap to a small or zero count), are rejected at validation in well
+// under a second.
+func TestMaxProcsRejected(t *testing.T) {
+	for _, c := range []struct{ body, field string }{
+		{hugeProcsRepro, "procs"},
+		{`{"network":"alexnet","batch":1024,"procs":16777217}`, "procs"},
+		{`{"network":"alexnet","batch":1024,"procs":4,"topology":{"nodes":4611686018427387905,"ranks_per_node":4}}`, "topology.nodes"},
+		{`{"network":"alexnet","batch":1024,"topology":{"nodes":1099511627776,"ranks_per_node":1099511627776}}`, "topology.nodes"},
+		{`{"network":"alexnet","batch":1024,"topology":{"nodes":4097,"ranks_per_node":4096}}`, "topology.nodes"},
+	} {
+		s, err := Decode([]byte(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err = s.Resolve()
+		elapsed := time.Since(start)
+		var ve *ValidationError
+		if !errors.As(err, &ve) || ve.Field != c.field {
+			t.Fatalf("%s: Resolve error %v, want a *ValidationError on %s", c.body, err, c.field)
+		}
+		if !strings.Contains(ve.Reason, "16777216") {
+			t.Errorf("%s: reason %q does not name the cap", c.body, ve.Reason)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s: rejection took %v", c.body, elapsed)
+		}
+	}
+	// The cap itself is a valid process count, spelled either way.
+	for _, body := range []string{
+		`{"network":"alexnet","batch":1024,"procs":16777216,"grid":"1x16777216"}`,
+		`{"network":"alexnet","batch":1024,"topology":{"nodes":4096,"ranks_per_node":4096},"grid":"1x16777216"}`,
+	} {
+		s, err := Decode([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Normalize().Validate(); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
+	}
+}

@@ -501,12 +501,14 @@ func (s Scenario) Normalize() Scenario {
 	}
 	if out.Topology != nil {
 		t := *out.Topology
-		if len(t.Levels) == 0 && t.RanksPerNode > 0 &&
+		if len(t.Levels) == 0 && t.RanksPerNode > 0 && t.Nodes <= MaxProcs/t.RanksPerNode &&
 			!(t.Nodes > 0 && out.Procs > 0 && out.Procs != t.Nodes*t.RanksPerNode) {
 			// Canonicalize the consistent two-level sugar onto the levels
 			// list: both spellings of one machine share one canonical
 			// form (and one plan-cache entry). Inconsistent sugar (a
-			// nodes×ranks_per_node/procs conflict) is left for Validate.
+			// nodes×ranks_per_node/procs conflict, or a product over
+			// MaxProcs, which is never multiplied out) is left for
+			// Validate.
 			if out.Procs == 0 && t.Nodes > 0 {
 				out.Procs = t.Nodes * t.RanksPerNode
 			}
@@ -558,8 +560,16 @@ func (s Scenario) Validate() error {
 	if s.Batch < 1 {
 		return invalid("batch", "need a global batch ≥ 1, got %d", s.Batch)
 	}
+	// Checked before anything multiplies nodes × ranks_per_node, which
+	// could overflow.
+	if t := s.Topology; t != nil && t.RanksPerNode > 0 && t.Nodes > MaxProcs/t.RanksPerNode {
+		return invalid("topology.nodes", "nodes %d × ranks_per_node %d exceeds the %d-process cap", t.Nodes, t.RanksPerNode, MaxProcs)
+	}
 	if s.Procs < 1 {
 		return invalid("procs", "need a process count ≥ 1, got %d (set procs or topology nodes × ranks_per_node)", s.Procs)
+	}
+	if s.Procs > MaxProcs {
+		return invalid("procs", "%d processes exceed the %d-process cap", s.Procs, MaxProcs)
 	}
 	if s.DatasetN < 0 {
 		return invalid("dataset_n", "need a dataset size ≥ 0, got %d", s.DatasetN)
@@ -768,6 +778,14 @@ func (s Scenario) Validate() error {
 	}
 	return nil
 }
+
+// MaxProcs caps a scenario's process count. The largest any shipped
+// example, golden, test or benchmark input asks for is 4096; the cap
+// sits far above that, yet low enough that every per-P loop (grid
+// factorizations, rank-span classification) stays cheap and that
+// nodes × ranks_per_node is checked against it before it could
+// overflow an int.
+const MaxProcs = 1 << 24
 
 // MaxCandidates is the search budget of one scenario: the most candidate
 // plans — (batch size, grid, placement, partition, micro-batch) leaves —

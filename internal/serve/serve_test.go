@@ -249,6 +249,26 @@ func TestCandidateBudgetRejected(t *testing.T) {
 	}
 }
 
+// TestHugeProcsRejected: a process count above scenario.MaxProcs is a
+// 400 naming procs, answered without starting a search.
+func TestHugeProcsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	start := time.Now()
+	resp, out := post(t, ts.URL+"/v1/plan", []byte(`{"network":"alexnet","batch":1024,"procs":99999999999973}`))
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("rejection took %v", d)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, out)
+	}
+	var eb struct {
+		Field string `json:"field"`
+	}
+	if err := json.Unmarshal(out, &eb); err != nil || eb.Field != "procs" {
+		t.Fatalf("error body %s, want field procs", out)
+	}
+}
+
 // TestHealthz checks liveness and that the cache counters flow through.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

@@ -11,11 +11,13 @@
 # worker scaling is recorded per GOMAXPROCS. A second interleaved A/B
 # pits the iteration objective against the time-to-accuracy campaign
 # search on the same scenario (the tta_search_overhead record). Last,
-# the span_classification, fused_auto_pricing, unified_evaluator and
-# layer_classes records: the flat, hierarchical (two- and three-level,
-# AlexNet and ResNet50), pipelined and stage-partitioned façade searches
-# plus the per-layer
-# BenchmarkColGroupSpansAt rung, either on this tree alone or, given a
+# the span_classification, fused_auto_pricing, unified_evaluator,
+# layer_classes and in_place_collectives records: the flat, hierarchical
+# (two- and three-level, AlexNet and ResNet50), pipelined and
+# stage-partitioned façade searches plus the per-layer rungs
+# BenchmarkColGroupSpansAt (grid), BenchmarkAllReduceTopoThreeLevel
+# (collective) and BenchmarkAutoIntegratedResNet50ThreeLevel
+# (costmodel), either on this tree alone or, given a
 # baseline checkout (e.g. a `git archive` of the parent commit), as 10
 # interleaved pairs of baseline and this tree, alternating which side
 # runs first.
@@ -45,18 +47,26 @@ while [ "$i" -le 6 ]; do
 	go test -run '^$' -bench 'BenchmarkPlanScenarioTTA$' -benchmem -benchtime=2s . | tee -a "$out"
 	i=$((i + 1))
 done
-# Span classification, fused Auto pricing, the unified evaluator and layer classes
-# (span_classification, fused_auto_pricing, unified_evaluator and layer_classes records).
+# Span classification, fused Auto pricing, the unified evaluator, layer classes and
+# in-place collectives (span_classification, fused_auto_pricing, unified_evaluator,
+# layer_classes and in_place_collectives records). A per-layer rung a baseline
+# tree predates simply prints no line for that side.
 span='BenchmarkPlanScenario$|BenchmarkPlanScenarioTwoLevel$|BenchmarkPlanScenarioThreeLevel$|BenchmarkPlanScenarioResNet50ThreeLevel$|BenchmarkPlanScenarioPipeline$|BenchmarkPlanScenarioStages$'
+rungs='grid:BenchmarkColGroupSpansAt$ collective:BenchmarkAllReduceTopoThreeLevel$ costmodel:BenchmarkAutoIntegratedResNet50ThreeLevel$'
 if [ -z "${2:-}" ]; then
 	go test -run '^$' -bench "$span" -benchmem -count=6 -benchtime=2s . | tee -a "$out"
-	go test -run '^$' -bench 'BenchmarkColGroupSpansAt$' -benchmem -count=6 ./internal/grid/ | tee -a "$out"
+	for r in $rungs; do
+		go test -run '^$' -bench "${r#*:}" -benchmem -count=6 "./internal/${r%%:*}/" | tee -a "$out"
+	done
 else
 	base=$(cd "$2" && pwd)
 	bin=$(mktemp -d)
-	(cd "$base" && go test -c -o "$bin/base_root.test" . && go test -c -o "$bin/base_grid.test" ./internal/grid)
-	go test -c -o "$bin/change_root.test" .
-	go test -c -o "$bin/change_grid.test" ./internal/grid
+	for side in base change; do
+		dir=.
+		if [ "$side" = base ]; then dir=$base; fi
+		(cd "$dir" && go test -c -o "$bin/${side}_root.test" . &&
+			for r in $rungs; do go test -c -o "$bin/${side}_${r%%:*}.test" "./internal/${r%%:*}"; done)
+	done
 	i=1
 	while [ "$i" -le 10 ]; do
 		order="base change"
@@ -65,8 +75,10 @@ else
 			echo "# pair $i $side" | tee -a "$out"
 			"$bin/${side}_root.test" -test.run '^$' -test.bench "$span" -test.benchmem -test.benchtime=2s \
 				-test.timeout 10m | tee -a "$out"
-			(cd internal/grid && "$bin/${side}_grid.test" -test.run '^$' -test.bench 'BenchmarkColGroupSpansAt$' \
-				-test.benchmem -test.timeout 10m) | tee -a "$out"
+			for r in $rungs; do
+				(cd "internal/${r%%:*}" && "$bin/${side}_${r%%:*}.test" -test.run '^$' -test.bench "${r#*:}" \
+					-test.benchmem -test.timeout 10m) | tee -a "$out"
+			done
 		done
 		i=$((i + 1))
 	done
