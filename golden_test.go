@@ -17,13 +17,15 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden from the current planner")
 
 // goldenCase is one rendered façade answer: a scenario file, optionally
-// pinned to a grid (and to micro-batch counts), answered by Plan,
-// Simulate, or the Chrome trace of Simulate's schedule.
+// pinned to a grid (and to micro-batch counts, or scored by the timeline
+// under a non-default policy), answered by Plan, Simulate, or the Chrome
+// trace of Simulate's schedule.
 type goldenCase struct {
 	name     string
 	scenario string
 	grid     string
 	micro    []int
+	policy   Policy
 	simulate bool
 	trace    bool
 }
@@ -44,6 +46,9 @@ func goldenCases(t *testing.T) []goldenCase {
 		goldenCase{name: "simulate-alexnet-sim-8x64", scenario: "examples/scenarios/alexnet-sim-8x64.json", simulate: true},
 		goldenCase{name: "trace-alexnet-stages-4x8", scenario: "examples/scenarios/alexnet-stages.json", grid: "4x8", trace: true},
 		goldenCase{name: "trace-alexnet-rack-16x32", scenario: "examples/scenarios/alexnet-rack.json", grid: "16x32", micro: []int{2}, trace: true},
+		goldenCase{name: "simulate-alexnet-rack-16x32", scenario: "examples/scenarios/alexnet-rack.json", grid: "16x32", policy: PolicyBackprop, simulate: true},
+		goldenCase{name: "trace-alexnet-rack-16x32-m1", scenario: "examples/scenarios/alexnet-rack.json", grid: "16x32", policy: PolicyBackprop, trace: true},
+		goldenCase{name: "plan-alexnet-rack-micro-backprop", scenario: "examples/scenarios/alexnet-rack.json", micro: []int{1, 2}, policy: PolicyBackprop},
 	)
 }
 
@@ -59,6 +64,9 @@ func (c goldenCase) render() ([]byte, error) {
 	}
 	if c.micro != nil {
 		sc.MicroBatches = c.micro
+	}
+	if c.policy != PolicyNone {
+		sc.Timeline, sc.Policy = true, c.policy
 	}
 	if c.trace {
 		sim, err := Simulate(sc)
@@ -87,8 +95,10 @@ func (c goldenCase) render() ([]byte, error) {
 
 // TestGoldenPlanOutputs pins the façade's answers for every example
 // scenario, a pinned-grid Plan of the pipelined and stage-partitioned
-// scenarios, a pinned-grid Simulate, and the Chrome traces of a staged
-// micro-batched schedule and a three-level topology's schedule. Structure (grids, placements,
+// scenarios, pinned-grid Simulates on a flat and a three-level machine,
+// the Chrome traces of a staged micro-batched schedule and of
+// three-level schedules at M = 2 and M = 1, and a three-level timeline
+// search over M ∈ {1, 2}. Structure (grids, placements,
 // micro-batch and stage counts, partitions, assignments, reasons, search
 // counts) must match exactly; floats to 1e-12 relative, so the files
 // hold on architectures that fuse multiply-adds. Regenerate with
