@@ -13,7 +13,7 @@
 package collective
 
 import (
-	"math"
+	"math/bits"
 
 	"dnnparallel/internal/machine"
 )
@@ -98,7 +98,7 @@ func CeilLog2(p int) int {
 	if p <= 1 {
 		return 0
 	}
-	return int(math.Ceil(math.Log2(float64(p))))
+	return bits.Len(uint(p - 1))
 }
 
 // AllGather returns the cost of gathering a total of words words across p

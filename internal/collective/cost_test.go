@@ -19,6 +19,16 @@ func TestCeilLog2(t *testing.T) {
 			t.Errorf("CeilLog2(%d) = %d, want %d", p, got, want)
 		}
 	}
+	// Exact at every power of two and its neighbours, where a float
+	// log2 rounds 2^k+1 down to k once k ≥ 49.
+	for k := 2; k <= 62; k++ {
+		p := 1 << k
+		for _, c := range [][2]int{{p - 1, k}, {p, k}, {p + 1, k + 1}} {
+			if got := CeilLog2(c[0]); got != c[1] {
+				t.Errorf("CeilLog2(%d) = %d, want %d", c[0], got, c[1])
+			}
+		}
+	}
 }
 
 func TestSingleProcessCollectivesAreFree(t *testing.T) {

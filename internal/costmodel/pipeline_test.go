@@ -58,6 +58,28 @@ func TestPipelineIterationSingleMatchesTimelinePath(t *testing.T) {
 	}
 }
 
+// At M = 1 the overhead is GridLayerTimes' residual bit for bit even
+// where FixedIter + (residual − FixedIter) rounds away from it: AlexNet
+// at B=8192 on a 32×1 grid carries a 15.4 ms residual, over twice
+// FixedIter.
+func TestPipelineIterationSingleHighResidual(t *testing.T) {
+	net := nn.AlexNet()
+	cm := compute.KNLCaffe()
+	g := grid.Grid{Pr: 32, Pc: 1}
+	_, ov := cm.GridLayerTimes(net, 8192, g)
+	if cm.FixedIter+(ov-cm.FixedIter) == ov {
+		t.Fatalf("residual %g no longer exercises the reassociation (FixedIter %g)", ov, cm.FixedIter)
+	}
+	pc, err := singleStage(FlatEnv(knl()), net, 8192, g, UniformAssignment(net, Model), cm,
+		timeline.PolicyBackprop, timeline.Single())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc.Overhead != ov {
+		t.Fatalf("M=1 overhead %v != GridLayerTimes residual %v", pc.Overhead, ov)
+	}
+}
+
 // Pinned behavior on the Table 1 configuration (AlexNet, B=2048, flat
 // Cori-KNL, 32×16 grid) under PolicyBackprop: a shallow pipeline (M=2)
 // beats the single-iteration schedule — inter-batch pipelining hides the

@@ -28,9 +28,10 @@
 //
 // S = 1 is inter-batch pipelining on one device group: one stage at
 // offset 0, no handoffs, every layer priced with Env.FullIntegrated's
-// loop and timed with compute.GridLayerTimes' arithmetic — at M = 1 the
-// iteration is exactly the single-iteration timeline path
-// (property-tested).
+// loop and timed with compute.GridLayerTimes' arithmetic, residual
+// included — at M = 1 the iteration is the paper's single bulk-synchronous
+// iteration bit for bit (property-tested), so the planner scores every
+// timeline candidate, M = 1 and S = 1 too, as one PriceStages.
 package costmodel
 
 import (
@@ -345,12 +346,19 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 		sc.BoundarySeconds = tl[lo].FwdXfer + tl[lo].BwdXfer
 	}
 
+	// At M = 1 the residual is paid exactly as GridLayerTimes sums it:
+	// FixedIter + (ov − FixedIter) rounds away from ov once ov exceeds
+	// 2·FixedIter.
+	overhead := ov
+	if M > 1 {
+		overhead = cm.FixedIter + float64(M)*(ov-cm.FixedIter) + flush
+	}
 	return StagePricing{
 		StagePipelineCost: StagePipelineCost{
 			Breakdown:    b,
 			Stages:       stages,
 			Partition:    part,
-			Overhead:     cm.FixedIter + float64(M)*(ov-cm.FixedIter) + flush,
+			Overhead:     overhead,
 			FlushSeconds: flush,
 		},
 		Layers:   tl,

@@ -34,7 +34,7 @@ type Options struct {
 	// DatasetN, when > 0, also fills the per-epoch time (×⌈N/B⌉).
 	DatasetN int
 	// MemoryLimitWords, when > 0, rejects grids whose per-process
-	// footprint (costmodel.Memory) exceeds the limit — the Section 4
+	// footprint (Plan.MemoryWords) exceeds the limit — the Section 4
 	// remark that "memory consumption optimality might be a legitimate
 	// concern depending on the platform and the DNN model size".
 	MemoryLimitWords float64
@@ -234,11 +234,6 @@ func (o Options) microBatches() []int {
 		return o.MicroBatches
 	}
 	return []int{1}
-}
-
-// schedule assembles the timeline.Schedule for a single-stage candidate M.
-func (o Options) schedule(m int) timeline.Schedule {
-	return timeline.Schedule{Shape: o.Schedule, MicroBatches: m, Stages: 1}
 }
 
 // stageCounts returns the stage-count search space (see

@@ -137,9 +137,9 @@ type Plan struct {
 	CompSeconds  float64 // per-iteration computation
 	IterSeconds  float64 // combined (with overlap if requested)
 	EpochSeconds float64 // IterSeconds × ⌈N/B⌉ (0 when DatasetN unset)
-	// MemoryWords is the per-process footprint: costmodel.Memory for
-	// single-iteration plans, the tightest stage's costmodel.MemoryStages
-	// estimate (activation-stash high-water mark) for pipelined ones.
+	// MemoryWords is the per-process footprint: the tightest stage's
+	// costmodel.MemoryStages estimate (weights plus the activation-stash
+	// high-water mark; costmodel.Memory at M = 1 on one stage).
 	MemoryWords float64
 	// ExposedCommSeconds is the communication the schedule could not hide
 	// behind computation (IterSeconds − CompSeconds, ≥ 0).
@@ -256,24 +256,24 @@ func (s *search) structural(lf *leaf) string {
 
 // evaluate prices one leaf — (B, S, grid, placement, partition, M) —
 // counting the candidate and its pruning/pricing outcome in st and
-// accumulating the phase wall times. Only the pricing differs between
-// candidates:
-//   - M = 1, S = 1 is the legacy single-iteration scoring: the closed
-//     form, or the per-layer timeline on the search's memoized compute
-//     split, with communication priced by Eq. 9 (chosen and priced in one
-//     pass under Auto, costmodel.Env.AutoIntegrated);
-//   - every other leaf is one costmodel.Env.PriceStages — the trivial
-//     partition when S = 1 — with each conv layer's strategy chosen at
-//     the micro-batch size the schedule actually runs (α-heavy small
-//     messages can flip it relative to the full-batch choice) and the
-//     memory constraint applied to the tightest stage's activation
-//     stash, accounted to the price phase, then one scheduling call
-//     accounted to the simulate phase.
+// accumulating the phase wall times. Every leaf's footprint is the
+// tightest stage's costmodel.MemoryStages estimate, checked against the
+// memory limit before pricing. There is one scorer per value of
+// UseTimeline:
+//   - the closed form (validate forces M = 1 and S = 1 there), with
+//     communication priced by Eq. 9 (chosen and priced in one pass under
+//     Auto, costmodel.Env.AutoIntegrated);
+//   - for every timeline leaf, one costmodel.Env.PriceStages — the
+//     trivial partition when S = 1, one micro-batch when M = 1 — with
+//     each conv layer's strategy chosen at the micro-batch size the
+//     schedule actually runs (α-heavy small messages can flip it
+//     relative to the full-batch choice), accounted to the price phase,
+//     then one scheduling call accounted to the simulate phase.
 //
 // The timeline is scored without spans (timeline.Score) unless spans is
 // set; run sets it only to re-evaluate the slot winners it reports. The
-// search's memos (compute split, level spans, gradient prices) are
-// bit-identical to fresh pricing, so plans do not depend on memo state.
+// search's level-span and gradient-price memo is bit-identical to fresh
+// pricing, so plans do not depend on memo state.
 func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
 	o, net := &s.opts, s.net
 	g, B, M, S := lf.g, lf.B, lf.micro, lf.S
@@ -287,86 +287,48 @@ func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
 		st.InfeasiblePruned++
 		return p
 	}
-	single := M == 1 && S == 1
 	priceStart := time.Now()
 	env := costmodel.Env{Topo: o.topology(), Placement: lf.pl, Spans: s.spans}
 	var bd *costmodel.Breakdown
-	if single && o.Mode == Auto {
+	if !o.UseTimeline && o.Mode == Auto {
 		bd, p.Assignment = env.AutoIntegrated(net, B, g)
 	} else {
 		p.Assignment = assignmentFor(net, B/M, g, o.Mode, env)
 	}
 	sched := timeline.Schedule{Shape: o.Schedule, MicroBatches: M, Stages: S}
-	var grids []grid.Grid
-	stash := "" // the memory-prune reason's prefix
-	if single {
-		p.MemoryWords = costmodel.Memory(net, B, g, p.Assignment).TotalWords()
-	} else {
-		grids = make([]grid.Grid, S)
-		for k := range grids {
-			grids[k] = g
-		}
-		// The tightest stage governs feasibility: every process must fit
-		// its own stage's weights plus the stash its schedule position
-		// forces.
-		for _, m := range costmodel.MemoryStages(net, B, lf.part, grids, p.Assignment, sched) {
-			p.MemoryWords = math.Max(p.MemoryWords, m.TotalWords())
-		}
-		stash = "activation stash: "
-		if S > 1 {
-			stash = "stage stash: "
-		}
+	grids := make([]grid.Grid, S)
+	for k := range grids {
+		grids[k] = g
+	}
+	// The tightest stage governs feasibility: every process must fit its
+	// own stage's weights plus the stash its schedule position forces.
+	for _, m := range costmodel.MemoryStages(net, B, lf.part, grids, p.Assignment, sched) {
+		p.MemoryWords = math.Max(p.MemoryWords, m.TotalWords())
 	}
 	if o.MemoryLimitWords > 0 && p.MemoryWords > o.MemoryLimitWords {
+		stash := "" // the prune reason's prefix names what overflowed
+		if S > 1 {
+			stash = "stage stash: "
+		} else if M > 1 {
+			stash = "activation stash: "
+		}
 		p.Reason = fmt.Sprintf("%sper-process memory %.3g words exceeds limit %.3g",
 			stash, p.MemoryWords, o.MemoryLimitWords)
 		st.MemoryPruned++
 		st.PriceSeconds += time.Since(priceStart).Seconds()
 		return p
 	}
-	if single {
+	st.Priced++
+	if !o.UseTimeline {
 		if bd == nil {
 			bd = env.FullIntegrated(net, B, g, p.Assignment)
 		}
+		st.PriceSeconds += time.Since(priceStart).Seconds()
 		p.Breakdown = bd
 		p.CommSeconds = bd.TotalSeconds()
-	}
-	st.Priced++
-	st.PriceSeconds += time.Since(priceStart).Seconds()
-	switch {
-	case single && !o.UseTimeline:
 		p.CompSeconds = o.Compute.GridIterTime(net, B, g)
 		p.IterSeconds = costmodel.IterationSeconds(bd, p.CompSeconds, o.Overlap)
-	case single:
-		simStart := time.Now()
-		gt := s.cc.peek(g, B)
-		// The per-layer split plus the residual overhead *is* the grid
-		// compute time (compute.TestGridLayerTimesConservation); deriving
-		// CompSeconds from it keeps exposure = IterSeconds − CompSeconds
-		// exact without pricing the compute model twice.
-		p.CompSeconds = gt.overhead
-		for _, lt := range gt.times {
-			p.CompSeconds += lt.Fwd + lt.Bwd
-		}
-		simulate := timeline.Score
-		if spans {
-			simulate = timeline.SimulatePipeline
-		}
-		res, err := simulate(costmodel.TimelineLayers(bd, gt.times), o.TimelinePolicy, timeline.Single())
-		st.TimelineSimulated++
-		st.SimulateSeconds += time.Since(simStart).Seconds()
-		if err != nil {
-			p.Reason = fmt.Sprintf("timeline simulation failed: %v", err)
-			return p
-		}
-		p.Timeline = res
-		p.BubbleFraction = res.BubbleFraction
-		// The fixed per-iteration overhead (and unweighted-layer compute)
-		// belongs to no layer; it extends the compute pipe and overlaps
-		// nothing.
-		p.IterSeconds = res.Makespan + gt.overhead
-	default:
-		priceStart := time.Now()
+	} else {
 		sp, err := env.PriceStages(net, B, lf.part, grids, p.Assignment, o.Compute, sched)
 		simStart := time.Now()
 		st.PriceSeconds += simStart.Sub(priceStart).Seconds()
@@ -377,9 +339,11 @@ func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
 		st.TimelineSimulated++
 		st.SimulateSeconds += time.Since(simStart).Seconds()
 		if err != nil {
-			kind := "pipeline"
+			kind := "timeline"
 			if S > 1 {
 				kind = "stage"
+			} else if M > 1 {
+				kind = "pipeline"
 			}
 			p.Reason = fmt.Sprintf("%s simulation failed: %v", kind, err)
 			return p
@@ -390,9 +354,22 @@ func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
 		if S > 1 {
 			p.PerStage = sc.Stages
 		}
-		p.CommSeconds = sc.Result.CommSeconds // simulated: M·activations + 1·gradient flush
-		p.CompSeconds = sc.Result.ComputeSeconds + sc.Overhead
 		p.IterSeconds = sc.IterSeconds()
+		// Simulated: M·activations + 1·gradient flush, and every lane's
+		// busy compute. One micro-batch on one stage is the paper's
+		// bulk-synchronous iteration, reported as the Eq. 9 total and
+		// the residual plus the layer times in layer order; the
+		// simulated sums add per-level splits in schedule order and
+		// would drift by an ulp.
+		p.CommSeconds = sc.Result.CommSeconds
+		p.CompSeconds = sc.Result.ComputeSeconds + sc.Overhead
+		if M == 1 && S == 1 {
+			p.CommSeconds = sc.Breakdown.TotalSeconds()
+			p.CompSeconds = sc.Overhead
+			for _, l := range sp.Layers {
+				p.CompSeconds += l.FwdComp + l.BwdComp
+			}
+		}
 	}
 	p.Feasible = true
 	if o.AddRedistribution {

@@ -5,10 +5,11 @@
 // The engine flattens the (batch size, stage count, grid, placement,
 // partition, micro-batch) product into an indexed work list during a
 // serial enumeration phase — one stage is just the stage count whose only
-// partition is the whole network — prices every leaf with the one
-// candidate evaluator (search.evaluate, where M = 1 and S = 1 are plain
-// parameter values) across Options.Workers goroutines (every leaf is a
-// pure function of its inputs), and folds each priced leaf into the
+// partition is the whole network — prices every leaf with search.evaluate
+// (the closed form, or one costmodel.Env.PriceStages per timeline leaf,
+// where M = 1 and S = 1 are plain parameter values) across
+// Options.Workers goroutines (every leaf is a pure function of its
+// inputs), and folds each priced leaf into the
 // winner of its (batch size, stage count, grid) slot of Result.All at the
 // next chunk boundary. The fold is one total order — feasible first, then
 // lower iteration time, then fewer micro-batches, then lower leaf index —
@@ -44,14 +45,14 @@
 // one, ending on the same winner); Options.DisableBounds switches the
 // pruning off entirely for callers who want every candidate priced.
 //
-// Memoization: compute.Model.GridLayerTimes and the per-layer compute
-// costs the partition enumeration balances are evaluated once per
-// (grid, batch) during enumeration and shared read-only by every
-// placement × partition × micro-batch leaf (and by the lower bounds).
-// On a hierarchical topology the level spans of every (grid, placement,
-// stage rank offset) are classified once during enumeration too
-// (costmodel.SpanMemo) and read by every leaf's fused Auto choice and
-// pricing, staged pricing, and redistribution; the same memo holds the
+// Memoization: the per-layer compute costs the partition enumeration
+// balances are evaluated once per search, and the compute.Model.
+// GridLayerTimes aggregates the lower bounds read once per (grid,
+// micro-batch size) during enumeration, shared read-only by every
+// placement × partition leaf. On a hierarchical topology the level spans
+// of every (grid, placement, stage rank offset) are classified once
+// during enumeration too (costmodel.SpanMemo) and read by every leaf's
+// Auto choice, pricing and redistribution; the same memo holds the
 // whole-block ∆W all-reduce price of every weighted layer per (rank
 // block, offset), which Domain and BatchOnly layers of every grid and
 // placement sharing that block read by layer position. The memo is
@@ -95,13 +96,12 @@ const boundSlack = 1 - 1e-9
 // timesKey identifies one memoized per-layer compute split.
 type timesKey struct{ pr, pc, b int }
 
-// gridTimes is one memoized compute.Model.GridLayerTimes result plus the
-// derived aggregates the lower bounds read: prefix sums of the per-layer
+// gridTimes holds the aggregates the lower bounds read from one
+// compute.Model.GridLayerTimes result: prefix sums of the per-layer
 // fwd+bwd seconds (prefix[k] covers weighted layers [0, k)), the
 // direction-split prefixes the staged pipeline chain bound needs, their
 // total, and the residual overhead.
 type gridTimes struct {
-	times    []compute.LayerTime
 	overhead float64
 	total    float64
 	prefix   []float64
@@ -109,10 +109,10 @@ type gridTimes struct {
 	bwdPre   []float64
 }
 
-// computeCache memoizes GridLayerTimes across the candidates that share
-// (grid, batch) — previously recomputed per placement × micro-batch
-// variant. The map is written only during the serial enumeration phase
-// and read concurrently by the worker pool.
+// computeCache memoizes the lower-bound aggregates of GridLayerTimes
+// across the leaves that share (grid, batch). The map is written only
+// during the serial enumeration phase and read concurrently by the
+// worker pool.
 type computeCache struct {
 	cm  compute.Model
 	net *nn.Network
@@ -125,7 +125,7 @@ func newComputeCache(cm compute.Model, net *nn.Network) *computeCache {
 
 func (c *computeCache) build(g grid.Grid, b int) *gridTimes {
 	times, ov := c.cm.GridLayerTimes(c.net, b, g)
-	gt := &gridTimes{times: times, overhead: ov,
+	gt := &gridTimes{overhead: ov,
 		prefix: make([]float64, len(times)+1),
 		fwdPre: make([]float64, len(times)+1),
 		bwdPre: make([]float64, len(times)+1)}
@@ -367,7 +367,9 @@ func (s *search) enumerate(st *SearchStats) {
 						}
 					}
 				}
-				s.prefillTimes(B, g, micros)
+				if s.bounds {
+					s.prefillTimes(B, g, micros)
+				}
 				s.slots = append(s.slots, slot{pure: S == 1 && B == s.B && g.IsPureBatch(),
 					single: len(s.leaves)-first == 1, win: -1})
 				s.winners = append(s.winners, Plan{})
@@ -376,11 +378,9 @@ func (s *search) enumerate(st *SearchStats) {
 	}
 }
 
-// prefillTimes memoizes the compute splits every leaf of a (batch, grid)
-// pair will read: the full batch for single-iteration scoring and each
-// candidate micro-batch size for the lower bounds and pipelined paths.
+// prefillTimes memoizes the compute aggregates the lower bounds of a
+// (batch, grid) pair's leaves read, one per candidate micro-batch size.
 func (s *search) prefillTimes(B int, g grid.Grid, micros []int) {
-	s.cc.fill(g, B)
 	for _, m := range micros {
 		if m >= 1 && B%m == 0 {
 			s.cc.fill(g, B/m)

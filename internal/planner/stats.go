@@ -40,14 +40,15 @@ type Improvement struct {
 //	EnumerateSeconds + PriceSeconds + SimulateSeconds ≤ WallSeconds
 //
 // EnumerateSeconds is measured directly around the candidate-generation
-// phase (work lists, memoized compute splits, partition enumeration);
+// phase (work lists, memoized lower-bound compute aggregates, partition
+// enumeration);
 // PriceSeconds and SimulateSeconds are summed across the evaluation
 // workers and, when that cpu-time sum exceeds the evaluation phase's
 // wall clock (Options.Workers > 1), scaled down onto it so the split
 // stays a wall-clock attribution. The slack is the slot fold and loop
-// bookkeeping. For pipelined and staged candidates the Eq. 3–9
-// re-pricing at micro-batch size B/M (costmodel.Env.PriceStages) is
-// accounted to PriceSeconds and only the schedule to SimulateSeconds.
+// bookkeeping. For every timeline candidate the Eq. 3–9 pricing at
+// micro-batch size B/M (costmodel.Env.PriceStages; B itself at M = 1)
+// is accounted to PriceSeconds and only the schedule to SimulateSeconds.
 // Leaves are scored without spans; the one re-simulation with spans of
 // each reported slot winner is charged to SimulateSeconds too, and
 // counts toward no candidate counter.
@@ -98,8 +99,8 @@ type SearchStats struct {
 	Bounded int `json:"bounded,omitempty"`
 	// Priced counts candidates that received a full Eq. 3–9 pricing.
 	Priced int `json:"priced"`
-	// TimelineSimulated counts the discrete-event simulator runs
-	// (single-iteration or pipelined) among the priced candidates — one
+	// TimelineSimulated counts the discrete-event simulator runs among
+	// the priced candidates (every timeline leaf, whatever M and S) — one
 	// per scored leaf; the winners' re-simulation with spans is not
 	// counted.
 	TimelineSimulated int `json:"timeline_simulated"`

@@ -69,6 +69,24 @@ func BenchmarkPlanScenarioResNet50ThreeLevel(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanScenarioTimelineThreeLevel scores the three-level search
+// with the timeline simulator under the backprop policy: every leaf is
+// an M = 1, S = 1 timeline leaf on a leveled topology, priced by
+// costmodel.Env.PriceStages and scheduled by timeline.Score.
+func BenchmarkPlanScenarioTimelineThreeLevel(b *testing.B) {
+	sc := New("alexnet", 2048, 512, WithTimeline(PolicyBackprop), WithLevels(
+		LevelSpec{Name: "node", AlphaSeconds: 5e-7, BandwidthGBs: 60, GroupRanks: 16},
+		LevelSpec{Name: "rack", AlphaSeconds: 1e-6, BandwidthGBs: 12, GroupRanks: 128},
+		LevelSpec{Name: "spine", AlphaSeconds: 2e-6, BandwidthGBs: 6},
+	))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Plan(sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPlanScenarioPipeline adds the expensive dimensions — timeline
 // scoring and a micro-batch search — the worst realistic /v1/plan miss.
 func BenchmarkPlanScenarioPipeline(b *testing.B) {

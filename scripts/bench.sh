@@ -12,8 +12,9 @@
 # pits the iteration objective against the time-to-accuracy campaign
 # search on the same scenario (the tta_search_overhead record). Last,
 # the span_classification, fused_auto_pricing, unified_evaluator,
-# layer_classes and in_place_collectives records: the flat, hierarchical
-# (two- and three-level, AlexNet and ResNet50), pipelined and
+# layer_classes, in_place_collectives and single_leaf_retired records:
+# the flat, hierarchical (two- and three-level, AlexNet and ResNet50,
+# closed-form and three-level timeline-scored), pipelined and
 # stage-partitioned façade searches plus the per-layer rungs
 # BenchmarkColGroupSpansAt (grid), BenchmarkAllReduceTopoThreeLevel
 # (collective) and BenchmarkAutoIntegratedResNet50ThreeLevel
@@ -47,11 +48,12 @@ while [ "$i" -le 6 ]; do
 	go test -run '^$' -bench 'BenchmarkPlanScenarioTTA$' -benchmem -benchtime=2s . | tee -a "$out"
 	i=$((i + 1))
 done
-# Span classification, fused Auto pricing, the unified evaluator, layer classes and
-# in-place collectives (span_classification, fused_auto_pricing, unified_evaluator,
-# layer_classes and in_place_collectives records). A per-layer rung a baseline
-# tree predates simply prints no line for that side.
-span='BenchmarkPlanScenario$|BenchmarkPlanScenarioTwoLevel$|BenchmarkPlanScenarioThreeLevel$|BenchmarkPlanScenarioResNet50ThreeLevel$|BenchmarkPlanScenarioPipeline$|BenchmarkPlanScenarioStages$'
+# Span classification, fused Auto pricing, the unified evaluator, layer classes,
+# in-place collectives and the retired single-iteration scorer (span_classification,
+# fused_auto_pricing, unified_evaluator, layer_classes, in_place_collectives and
+# single_leaf_retired records). A benchmark a baseline tree predates simply prints
+# no line for that side.
+span='BenchmarkPlanScenario$|BenchmarkPlanScenarioTwoLevel$|BenchmarkPlanScenarioThreeLevel$|BenchmarkPlanScenarioTimelineThreeLevel$|BenchmarkPlanScenarioResNet50ThreeLevel$|BenchmarkPlanScenarioPipeline$|BenchmarkPlanScenarioStages$'
 rungs='grid:BenchmarkColGroupSpansAt$ collective:BenchmarkAllReduceTopoThreeLevel$ costmodel:BenchmarkAutoIntegratedResNet50ThreeLevel$'
 if [ -z "${2:-}" ]; then
 	go test -run '^$' -bench "$span" -benchmem -count=6 -benchtime=2s . | tee -a "$out"
