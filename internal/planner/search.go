@@ -9,9 +9,8 @@
 // (the closed form, or one costmodel.Env.PriceStages per timeline leaf,
 // where M = 1 and S = 1 are plain parameter values) across
 // Options.Workers goroutines (every leaf is a pure function of its
-// inputs), and folds each priced leaf into the
-// winner of its (batch size, stage count, grid) slot of Result.All at the
-// next chunk boundary. The fold is one total order — feasible first, then
+// inputs), and folds each priced leaf into the winner of its (batch
+// size, stage count, grid) slot of Result.All at the next chunk boundary. The fold is one total order — feasible first, then
 // lower iteration time, then fewer micro-batches, then lower leaf index —
 // so a slot's winner depends neither on the visit order nor on the worker
 // count, and the returned Result is bit-identical for any worker count,
