@@ -18,11 +18,24 @@ import (
 // The reference loops below price every weighted position afresh, with
 // no layer-class sharing: the loops the pricers ran before classes.
 
-// freshLayers appends the fresh Eq. 9 cost of positions [lo, hi).
+// freshLayers appends the fresh Eq. 9 cost of positions [lo, hi),
+// resolving a Cheapest request by the reference rule over the layer's
+// three candidates, each priced afresh.
 func freshLayers(b *Breakdown, net *nn.Network, lo, hi, B int, pr *pricer, assign Assignment) {
 	widx := net.WeightedLayers()
+	price := func(k int, s Strategy) LayerCost {
+		var lc LayerCost
+		layerCost(&lc, net, k, widx[k], B, pr, s)
+		return lc
+	}
 	for k := lo; k < hi; k++ {
-		b.Layers = append(b.Layers, layerCost(net, k, widx[k], B, pr, assign[widx[k]]))
+		s := assign.of(widx[k])
+		if s == Cheapest {
+			b.Layers = append(b.Layers, referenceChoice(&net.Layers[widx[k]], pr.g, B,
+				price(k, Model), price(k, Domain), price(k, BatchOnly)))
+			continue
+		}
+		b.Layers = append(b.Layers, price(k, s))
 	}
 }
 
@@ -31,37 +44,6 @@ func freshFull(e Env, net *nn.Network, B int, g grid.Grid, assign Assignment) *B
 	b := e.newBreakdown(L)
 	freshLayers(b, net, 0, L, B, e.pricerFor(g), assign)
 	return b
-}
-
-// freshAuto chooses and prices every position's Auto strategy afresh.
-func freshAuto(e Env, net *nn.Network, B int, g grid.Grid) (*Breakdown, Assignment) {
-	widx := net.WeightedLayers()
-	b := e.newBreakdown(len(widx))
-	a := make(Assignment, len(widx))
-	pr := e.pricerFor(g)
-	for k, li := range widx {
-		l := &net.Layers[li]
-		var best LayerCost
-		modelLayerCost(&best, net, li, B, pr, k == 0)
-		domain, batch := g.Pr <= l.In.H, g.P() <= B
-		if l.Kind == nn.Conv && (domain || batch) {
-			bestCost := best.TotalSeconds()
-			grad := pr.gradReduce(k, float64(l.Weights()))
-			if domain {
-				if lc := domainLayerCost(net, li, B, pr, grad); lc.TotalSeconds() < bestCost {
-					best, bestCost = lc, lc.TotalSeconds()
-				}
-			}
-			if batch {
-				if lc := batchOnlyLayerCost(net, li, grad); lc.TotalSeconds() < bestCost {
-					best = lc
-				}
-			}
-		}
-		a[li] = best.Strategy
-		b.Layers = append(b.Layers, best)
-	}
-	return b, a
 }
 
 func freshTimes(cm compute.Model, net *nn.Network, B int, g grid.Grid) []compute.LayerTime {
@@ -125,13 +107,14 @@ func distinctTwin(t *testing.T, net *nn.Network) *nn.Network {
 }
 
 // strategyMixes returns the assignments FullIntegrated is checked under:
-// nil, the three uniform ones, both conv splits, Auto's, and a random
-// per-layer mix (an out-of-range value prices as Model) that gives the
-// members of one class different strategies.
+// nil, the three uniform ones, both conv splits, Auto's request and its
+// three-pass resolution, and a random per-layer mix (an out-of-range
+// value prices as Model) that gives the members of one class different
+// strategies, Cheapest among them.
 func strategyMixes(rng *rand.Rand, e Env, net *nn.Network, B int, g grid.Grid) map[string]Assignment {
 	mixed := make(Assignment)
 	for _, li := range net.WeightedLayers() {
-		mixed[li] = []Strategy{Model, Domain, BatchOnly, Strategy(7)}[rng.Intn(4)]
+		mixed[li] = []Strategy{Model, Domain, BatchOnly, Cheapest, Strategy(7)}[rng.Intn(5)]
 	}
 	return map[string]Assignment{
 		"nil":         nil,
@@ -140,16 +123,18 @@ func strategyMixes(rng *rand.Rand, e Env, net *nn.Network, B int, g grid.Grid) m
 		"batch":       UniformAssignment(net, BatchOnly),
 		"conv-batch":  ConvAssignment(net, BatchOnly, Model),
 		"conv-domain": ConvAssignment(net, Domain, Model),
-		"auto":        e.AutoAssignment(net, B, g),
+		"auto":        ConvAssignment(net, Cheapest, Model),
+		"auto choice": referenceAutoAssignment(e, net, B, g),
 		"random mix":  mixed,
 	}
 }
 
 // TestLayerClassesPriceExactly: every pricer that prices a layer class
-// once — AutoIntegrated and AutoAssignment, FullIntegrated under every
-// strategy mix, PriceStages at stage offsets, GridLayerTimes and the
-// SpanMemo gradient prices — equals pricing every position afresh, bit
-// for bit, and equals the same pricer on a twin network whose classes
+// once — FullIntegrated under every strategy mix (the Auto request
+// included, resolved per class), PriceStages at stage offsets,
+// GridLayerTimes and the SpanMemo gradient prices — equals pricing every
+// position afresh (a Cheapest request resolved per position by the
+// reference rule), bit for bit, and equals the same pricer on a twin network whose classes
 // are all singletons. Networks: ResNet50Proxy, VGG16 and random
 // repeated-block nets; topologies flat, 2- and 3-level; both placements;
 // fresh and memoized spans; two- and three-stage splits.
@@ -225,19 +210,6 @@ func checkClassPricing(t *testing.T, where string, rng *rand.Rand, env, twinEnv 
 	g grid.Grid, parts []stage.Partition, cm compute.Model) {
 	t.Helper()
 	for _, B := range []int{32, 512} {
-		wantBD, wantA := freshAuto(env, net, B, g)
-		for _, c := range []struct {
-			e Env
-			n *nn.Network
-		}{{env, net}, {twinEnv, twin}} {
-			bd, a := c.e.AutoIntegrated(c.n, B, g)
-			if !reflect.DeepEqual(a, wantA) || !reflect.DeepEqual(bd, wantBD) {
-				t.Fatalf("%s, B=%d: AutoIntegrated differs from fresh pricing (twin %t)", where, B, c.n == twin)
-			}
-			if a := c.e.AutoAssignment(c.n, B, g); !reflect.DeepEqual(a, wantA) {
-				t.Fatalf("%s, B=%d: AutoAssignment differs from the fresh choice (twin %t)", where, B, c.n == twin)
-			}
-		}
 		for mix, assign := range strategyMixes(rng, env, net, B, g) {
 			want := freshFull(env, net, B, g, assign)
 			if got := env.FullIntegrated(net, B, g, assign); !reflect.DeepEqual(got, want) {

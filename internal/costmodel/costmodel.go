@@ -16,9 +16,10 @@
 // all-reduce). nn.Network.LayerClasses groups equal weighted layers —
 // ResNet50Proxy's 50 fall into 18 classes, VGG16's 16 into 12 — and
 // every per-layer pricing loop prices a class once per call and copies
-// the result to later members with their own Index and Name: the Auto
-// choice (AutoIntegrated, AutoAssignment), FullIntegrated per (class,
-// strategy), PriceStages per stage, the SpanMemo gradient prices, and
+// the result to later members with their own Index and Name:
+// FullIntegrated and PriceStages per (class, requested strategy) — the
+// Auto choice included, since Cheapest is a strategy the same loop
+// resolves — the SpanMemo gradient prices, and
 // compute.Model.GridLayerTimes. Running sums are not shared: the
 // breakdown totals, Memory, the stage sums and the overhead still add
 // every position in order. So each float comes from the same
@@ -51,6 +52,11 @@ const (
 	// BatchOnly: the layer uses Pr = 1 — pure batch parallelism across
 	// all P processes (the Fig. 7 treatment of convolutional layers).
 	BatchOnly
+	// Cheapest (the planner's Auto mode) is resolved by the pricing
+	// loop: a conv layer takes the cheapest of Model, Domain (when Pr
+	// fits its input height) and BatchOnly (when P ≤ B) where it is
+	// priced, ties keeping Model, then Domain; an FC layer takes Model.
+	Cheapest
 )
 
 func (s Strategy) String() string {
@@ -61,6 +67,8 @@ func (s Strategy) String() string {
 		return "domain"
 	case BatchOnly:
 		return "batch"
+	case Cheapest:
+		return "cheapest"
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
@@ -164,6 +172,16 @@ func (b *Breakdown) TotalSeconds() float64 {
 		t += b.Layers[i].TotalSeconds()
 	}
 	return t
+}
+
+// Assignment returns the strategy each layer of b was priced under,
+// Cheapest requests resolved.
+func (b *Breakdown) Assignment() Assignment {
+	a := make(Assignment, len(b.Layers))
+	for i := range b.Layers {
+		a[b.Layers[i].Index] = b.Layers[i].Strategy
+	}
+	return a
 }
 
 // GradReduceSeconds returns the batch-parallel portion (the ∆W
@@ -338,24 +356,43 @@ func batchOnlyLayerCost(net *nn.Network, li int, grad collective.Cost) LayerCost
 	return LayerCost{Index: li, Name: net.Layers[li].Name, Strategy: BatchOnly, GradReduce: grad}
 }
 
-// layerCost prices the weighted layer li, at position k of the
-// network's weighted layers, under strategy s — the Eq. 9 per-layer term
-// every breakdown is built from. Only the network's very first weighted
-// layer (k = 0) skips the Model ∆X all-reduce (no gradient propagates
-// past layer 1). A Model layer that merely comes first *within L_M* —
-// e.g. when the leading conv layers are Domain, or as the first layer of
-// a pipeline stage — still pays it, because its ∆X must reach the layer
-// below.
-func layerCost(net *nn.Network, k, li, B int, pr *pricer, s Strategy) LayerCost {
+// layerCost writes into lc the Eq. 9 cost of the weighted layer li, at
+// position k of the network's weighted layers, under strategy s — the
+// per-layer term every breakdown is built from. Only the network's very
+// first weighted layer (k = 0) skips the Model ∆X all-reduce (no
+// gradient propagates past layer 1). A Model layer that merely comes
+// first *within L_M* — e.g. when the leading conv layers are Domain, or
+// as the first layer of a pipeline stage — still pays it, because its ∆X
+// must reach the layer below. Cheapest writes the Model cost and copies
+// a strictly cheaper Domain or BatchOnly candidate (sharing one priced
+// gradient all-reduce) over it.
+func layerCost(lc *LayerCost, net *nn.Network, k, li, B int, pr *pricer, s Strategy) {
+	l := &net.Layers[li]
 	switch s {
 	case Domain:
-		return domainLayerCost(net, li, B, pr, pr.gradReduce(k, float64(net.Layers[li].Weights())))
+		*lc = domainLayerCost(net, li, B, pr, pr.gradReduce(k, float64(l.Weights())))
 	case BatchOnly:
-		return batchOnlyLayerCost(net, li, pr.gradReduce(k, float64(net.Layers[li].Weights())))
+		*lc = batchOnlyLayerCost(net, li, pr.gradReduce(k, float64(l.Weights())))
+	case Cheapest:
+		modelLayerCost(lc, net, li, B, pr, k == 0)
+		domain, batch := pr.g.Pr <= l.In.H, pr.g.P() <= B
+		if l.Kind != nn.Conv || !(domain || batch) {
+			return
+		}
+		grad := pr.gradReduce(k, float64(l.Weights()))
+		if domain {
+			if c := domainLayerCost(net, li, B, pr, grad); c.TotalSeconds() < lc.TotalSeconds() {
+				*lc = c
+			}
+		}
+		if batch {
+			if c := batchOnlyLayerCost(net, li, grad); c.TotalSeconds() < lc.TotalSeconds() {
+				*lc = c
+			}
+		}
+	default:
+		modelLayerCost(lc, net, li, B, pr, k == 0)
 	}
-	var lc LayerCost
-	modelLayerCost(&lc, net, li, B, pr, k == 0)
-	return lc
 }
 
 // appendCopy appends position j's cost as the cost of the weighted
@@ -369,37 +406,48 @@ func (b *Breakdown) appendCopy(j int, net *nn.Network, li int) {
 
 // priceLayers appends to b the Eq. 9 cost of the weighted layers at
 // positions [lo, hi) on pr at batch B, each under its strategy in
-// assign (absent layers are Model); b.Layers must already hold
-// positions [0, lo). A layer whose class (nn.Network.LayerClasses) has
-// a member in [lo, k) under the same strategy copies that member's cost
-// instead of pricing it: the terms read only the fields the class
+// assign (Assignment.of), resolving Cheapest on pr, and reports whether
+// any layer requested Cheapest; b.Layers must already hold positions
+// [0, lo) and have capacity for hi. A layer whose class
+// (nn.Network.LayerClasses) has a member in [lo, k) under the same
+// requested strategy copies that member's cost instead of pricing it:
+// the terms, and a Cheapest choice, read only the fields the class
 // shares, so the copy is the fresh price bit for bit.
-func priceLayers(b *Breakdown, net *nn.Network, lo, hi, B int, pr *pricer, assign Assignment) {
+func priceLayers(b *Breakdown, net *nn.Network, lo, hi, B int, pr *pricer, assign Assignment) (cheapest bool) {
 	widx, class := net.WeightedLayers(), net.LayerClasses()
 	for k := lo; k < hi; k++ {
 		li := widx[k]
-		s := assign[li]
-		if s != Domain && s != BatchOnly {
-			s = Model
-		}
+		s := assign.of(li)
+		cheapest = cheapest || s == Cheapest
 		j := max(class[k], lo)
 		for ; j < k; j++ {
-			if class[j] == class[k] && b.Layers[j].Strategy == s {
+			if class[j] == class[k] && assign.of(widx[j]) == s {
 				break
 			}
 		}
 		if j < k {
 			b.appendCopy(j, net, li)
-		} else {
-			b.Layers = append(b.Layers, layerCost(net, k, li, B, pr, s))
+			continue
 		}
+		b.Layers = b.Layers[:k+1] // layerCost writes every field
+		layerCost(&b.Layers[k], net, k, li, B, pr, s)
 	}
+	return cheapest
 }
 
 // Assignment maps each weighted layer index (an index into Network.Layers)
 // to its Strategy. Layers absent from the map default to Model, making
 // FullIntegrated(…, nil, …) ≡ Integrated (L_M = all layers, L_D = ∅).
 type Assignment map[int]Strategy
+
+// of returns layer li's strategy: Model when absent or out of range.
+func (a Assignment) of(li int) Strategy {
+	switch s := a[li]; s {
+	case Domain, BatchOnly, Cheapest:
+		return s
+	}
+	return Model
+}
 
 // UniformAssignment returns an Assignment giving strategy s to every
 // weighted layer.
@@ -430,91 +478,14 @@ func ConvAssignment(net *nn.Network, convStrategy, fcStrategy Strategy) Assignme
 // cost on a Pr × Pc grid with a per-layer strategy assignment. L_M layers
 // pay Eq. 8 terms over the Pr/Pc groups; L_D layers pay halo exchanges at
 // local batch B/Pc plus a full-P gradient all-reduce; BatchOnly layers pay
-// only the full-P gradient all-reduce. Every group is priced against the
-// environment's topology; AutoIntegrated chooses the Auto assignment and
-// prices it in the same pass. Each (layer class, strategy) pair is
-// priced once.
+// only the full-P gradient all-reduce; Cheapest layers are resolved in
+// the same pass. Every group is priced against the environment's
+// topology. Each (layer class, requested strategy) pair is priced once.
 func (e Env) FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignment) *Breakdown {
 	L := len(net.WeightedLayers())
 	b := e.newBreakdown(L)
 	priceLayers(b, net, 0, L, B, e.pricerFor(g), assign)
 	return b
-}
-
-// AutoIntegrated is Eq. 9 under the planner's Auto assignment, chosen
-// and priced in one pass: every conv layer takes the cheapest strategy
-// available to it on grid g at batch B, every FC layer Model (domain
-// halos there would ship whole activation panels). Domain is available
-// when g.Pr fits the layer's input height, BatchOnly when g.P() ≤ B;
-// ties keep Model, then Domain. A layer's Eq. 9 cost depends only on its
-// own strategy, so the winning candidate's LayerCost is the layer's
-// breakdown entry, and the returned pair equals
-// (FullIntegrated(net, B, g, a), a) bit for bit. Domain and BatchOnly
-// share one priced gradient all-reduce. On a hierarchical topology the
-// choice is placement-sensitive: a strategy whose collective groups
-// pack onto nodes gets cheaper.
-func (e Env) AutoIntegrated(net *nn.Network, B int, g grid.Grid) (*Breakdown, Assignment) {
-	return e.auto(net, B, g, true)
-}
-
-// AutoAssignment is AutoIntegrated's assignment alone, for callers that
-// re-price it at their own micro-batch size or rank offsets.
-func (e Env) AutoAssignment(net *nn.Network, B int, g grid.Grid) Assignment {
-	_, a := e.auto(net, B, g, false)
-	return a
-}
-
-// auto is the one Auto pricing loop: it returns the assignment and, when
-// breakdown is set, the breakdown of each layer's winning cost. Each
-// layer class is chosen and priced once, at its first member; later
-// members take that member's strategy and cost. The Model candidate is
-// written straight into the layer's breakdown slot (a stack scratch
-// when no breakdown is asked for), and a Domain or BatchOnly candidate
-// is copied over it only when it wins.
-func (e Env) auto(net *nn.Network, B int, g grid.Grid, breakdown bool) (*Breakdown, Assignment) {
-	widx, class := net.WeightedLayers(), net.LayerClasses()
-	var b *Breakdown
-	if breakdown {
-		b = e.newBreakdown(len(widx))
-	}
-	a := make(Assignment, len(widx))
-	pr := e.pricerFor(g)
-	var scratch LayerCost
-	for k, li := range widx {
-		if c := class[k]; c != k {
-			a[li] = a[widx[c]]
-			if b != nil {
-				b.appendCopy(c, net, li)
-			}
-			continue
-		}
-		best := &scratch
-		if b != nil {
-			b.Layers = b.Layers[:k+1]
-			best = &b.Layers[k]
-		}
-		l := &net.Layers[li]
-		modelLayerCost(best, net, li, B, pr, k == 0)
-		domain, batch := g.Pr <= l.In.H, g.P() <= B
-		if l.Kind == nn.Conv && (domain || batch) {
-			bestCost := best.TotalSeconds()
-			grad := pr.gradReduce(k, float64(l.Weights()))
-			if domain {
-				lc := domainLayerCost(net, li, B, pr, grad)
-				if c := lc.TotalSeconds(); c < bestCost {
-					*best, bestCost = lc, c
-				}
-			}
-			if batch {
-				lc := batchOnlyLayerCost(net, li, grad)
-				if lc.TotalSeconds() < bestCost {
-					*best = lc
-				}
-			}
-		}
-		a[li] = best.Strategy
-	}
-	return b, a
 }
 
 // RedistributionSeconds prices the Eq. 6 redistribution at every layer
@@ -532,18 +503,18 @@ func (e Env) auto(net *nn.Network, B int, g grid.Grid, breakdown bool) (*Breakdo
 // stages all run grid g, stage s on the rank block starting at s·g.P():
 // the boundary into the weighted layer at position k is priced on the
 // block of the stage that owns that layer. The zero Partition (and any
-// single-stage one) prices every boundary on the block at rank 0.
+// single-stage one) prices every boundary on the block at rank 0. An
+// unresolved Cheapest layer panics.
 func (e Env) RedistributionSeconds(net *nn.Network, B int, g grid.Grid, assign Assignment, part stage.Partition) float64 {
-	if g.Pr == 1 {
-		return 0
-	}
 	widx := net.WeightedLayers()
 	var pr *pricer
 	owner := 0
 	var secs float64
-	for k := 1; k < len(widx); k++ {
-		prev, cur := assign[widx[k-1]], assign[widx[k]]
-		if prev == cur {
+	for k := range widx {
+		if assign[widx[k]] == Cheapest {
+			panic("costmodel: redistribution of an unresolved cheapest layer")
+		}
+		if k == 0 || g.Pr == 1 || assign[widx[k-1]] == assign[widx[k]] {
 			continue
 		}
 		s := 0

@@ -230,10 +230,10 @@ func TestSpanMemoNeverChangesPrices(t *testing.T) {
 					t.Fatalf("%v offset %d: memoized spans differ from fresh ones", pl, off)
 				}
 			}
-			bd, a := env.AutoIntegrated(net, 512, g)
-			wantBD, wantA := fresh.AutoIntegrated(net, 512, g)
-			if !reflect.DeepEqual(a, wantA) || !reflect.DeepEqual(bd, wantBD) {
-				t.Fatalf("%v: AutoIntegrated differs through the memo", pl)
+			a := referenceAutoAssignment(fresh, net, 512, g)
+			bd := env.FullIntegrated(net, 512, g, ConvAssignment(net, Cheapest, Model))
+			if !reflect.DeepEqual(bd.Assignment(), a) || !reflect.DeepEqual(bd, fresh.FullIntegrated(net, 512, g, a)) {
+				t.Fatalf("%v: the Auto request resolves differently through the memo", pl)
 			}
 			if got, want := env.FullIntegrated(net, 512, g, a), fresh.FullIntegrated(net, 512, g, a); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v: FullIntegrated differs through the memo", pl)

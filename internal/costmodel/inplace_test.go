@@ -43,8 +43,8 @@ func TestHierarchicalPricerAllocatesNothing(t *testing.T) {
 	}
 }
 
-// modelLayerCost writes every field of its destination, so Env.auto
-// may reuse one scratch LayerCost across layers: pricing into a slot
+// modelLayerCost writes every field of its destination, so priceLayers
+// may price into a breakdown's spare capacity as is: pricing into a slot
 // that holds another layer's Domain cost (halos, a full-P gradient
 // all-reduce) gives the fresh Model cost, for the first layer (no ∆X
 // all-reduce) as for any other.
@@ -78,39 +78,49 @@ func memoizedResNet50(g grid.Grid) (*nn.Network, Env) {
 	return net, Env{Topo: topo, Placement: grid.RowMajor, Spans: memo}
 }
 
-// On a memoized three-level Env, AutoAssignment allocates its
-// assignment map and its pricer and nothing else: the Model candidate
-// is priced into a stack scratch and the collectives price in place.
-// The map's own allocations are measured, not assumed, since they
-// depend on the runtime's map layout (4 on go1.24 for ResNet50's 50
-// layers, so 5 in all).
-func TestAutoAssignmentAllocatesOnlyMapAndPricer(t *testing.T) {
+// On a memoized three-level Env, the fused Auto pass — FullIntegrated
+// under ConvAssignment(net, Cheapest, Model) — allocates its breakdown
+// and its pricer and nothing else, and reading the resolved assignment
+// off the breakdown adds only the map: every candidate is priced into
+// the breakdown slot and the collectives price in place. The breakdown's
+// and the map's own allocations are measured, not assumed, since they
+// depend on the runtime (the map's on its layout for ResNet50's 50
+// layers).
+func TestCheapestAllocatesOnlyBreakdownMapAndPricer(t *testing.T) {
 	g := grid.Grid{Pr: 8, Pc: 16}
 	net, env := memoizedResNet50(g)
-	widx := net.WeightedLayers()
+	auto := ConvAssignment(net, Cheapest, Model)
+	L := len(net.WeightedLayers())
+	bdAllocs := testing.AllocsPerRun(50, func() { benchBreakdown = env.newBreakdown(L) })
+	allocs := testing.AllocsPerRun(50, func() { benchBreakdown = env.FullIntegrated(net, 1024, g, auto) })
+	if want := bdAllocs + 1; allocs != want {
+		t.Errorf("FullIntegrated under Cheapest allocates %v times per call, want %v (its breakdown and pricer)", allocs, want)
+	}
 	mapAllocs := testing.AllocsPerRun(50, func() {
-		a := make(Assignment, len(widx))
-		for _, li := range widx {
+		a := make(Assignment, L)
+		for _, li := range net.WeightedLayers() {
 			a[li] = Model
 		}
 		benchAssign = a
 	})
-	allocs := testing.AllocsPerRun(50, func() { benchAssign = env.AutoAssignment(net, 1024, g) })
-	if want := mapAllocs + 1; allocs != want {
-		t.Errorf("AutoAssignment allocates %v times per call, want %v (its assignment map and pricer)", allocs, want)
+	if got := testing.AllocsPerRun(50, func() { benchAssign = benchBreakdown.Assignment() }); got != mapAllocs {
+		t.Errorf("Breakdown.Assignment allocates %v times per call, want %v (its map)", got, mapAllocs)
 	}
 }
 
 // BenchmarkAutoIntegratedResNet50ThreeLevel is one planner leaf's Auto
 // pricing on a repeated-block network: ResNet50Proxy (50 weighted
 // layers, 18 classes) on an 8 × 16 grid of 16-rank nodes in 128-rank
-// racks, through a filled SpanMemo.
+// racks, through a filled SpanMemo — the fused Cheapest pass plus the
+// resolved assignment read off its breakdown.
 func BenchmarkAutoIntegratedResNet50ThreeLevel(b *testing.B) {
 	g := grid.Grid{Pr: 8, Pc: 16}
 	net, env := memoizedResNet50(g)
+	auto := ConvAssignment(net, Cheapest, Model)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchBreakdown, benchAssign = env.AutoIntegrated(net, 1024, g)
+		benchBreakdown = env.FullIntegrated(net, 1024, g, auto)
+		benchAssign = benchBreakdown.Assignment()
 	}
 }

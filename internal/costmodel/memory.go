@@ -39,7 +39,8 @@ func (m MemoryEstimate) TotalBytes() float64 {
 }
 
 // Memory estimates the per-process memory of training net at global batch
-// B on grid g under the Eq. 9 assignment (nil ⇒ all layers L_M).
+// B on grid g under the Eq. 9 assignment (nil ⇒ all layers L_M). An
+// unresolved Cheapest layer panics.
 func Memory(net *nn.Network, B int, g grid.Grid, assign Assignment) MemoryEstimate {
 	return memoryLayers(net, B, g, assign, net.WeightedLayers())
 }
@@ -52,12 +53,7 @@ func memoryLayers(net *nn.Network, B int, g grid.Grid, assign Assignment, widx [
 	localB := float64(B) / float64(g.Pc)
 	for _, li := range widx {
 		l := &net.Layers[li]
-		s := Model
-		if assign != nil {
-			if v, ok := assign[li]; ok {
-				s = v
-			}
-		}
+		s := assign.of(li)
 		w := float64(l.Weights())
 		din := float64(l.InSize())
 		dout := float64(l.OutSize())
@@ -79,6 +75,8 @@ func memoryLayers(net *nn.Network, B int, g grid.Grid, assign Assignment, widx [
 			m.WeightWords += w
 			m.GradientWords += w
 			m.ActivationWords += float64(B) / float64(g.P()) * (din + dout)
+		case Cheapest:
+			panic("costmodel: memory of an unresolved cheapest layer " + l.Name)
 		}
 	}
 	return m

@@ -31,11 +31,14 @@
 // loop and timed with compute.GridLayerTimes' arithmetic, residual
 // included — at M = 1 the iteration is the paper's single bulk-synchronous
 // iteration bit for bit (property-tested), so the planner scores every
-// timeline candidate, M = 1 and S = 1 too, as one PriceStages.
+// timeline candidate, M = 1 and S = 1 too, as one PriceStages, which
+// resolves Cheapest layers on each stage's own block and derives the
+// stash column and the tightest footprint from one MemoryStages.
 package costmodel
 
 import (
 	"fmt"
+	"math"
 
 	"dnnparallel/internal/collective"
 	"dnnparallel/internal/compute"
@@ -187,6 +190,11 @@ type StagePricing struct {
 	// derived from the partition.
 	Layers   []timeline.Layer
 	Schedule timeline.Schedule
+	// Assignment is the caller's map, or Breakdown.Assignment() when it
+	// requested Cheapest; MemoryWords the tightest stage's MemoryStages
+	// footprint under it.
+	Assignment  Assignment
+	MemoryWords float64
 }
 
 // Simulate schedules the priced iteration under policy:
@@ -208,9 +216,10 @@ func (sp StagePricing) Simulate(policy timeline.Policy, spans bool) (StagePipeli
 }
 
 // PriceStages is StageIteration's pricing half: the Eq. 3–9 terms of
-// every stage's layers on the stage's own grid and rank offset, the
-// per-layer compute split, the boundary handoffs, the stage table and
-// the unsimulated overhead — everything but the schedule.
+// every stage's layers on the stage's own grid and rank offset (Cheapest
+// resolved there), the per-layer compute split, the boundary handoffs,
+// the stage table, the per-process footprint and the unsimulated
+// overhead — everything but the schedule.
 func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []grid.Grid,
 	assign Assignment, cm compute.Model, sched timeline.Schedule) (StagePricing, error) {
 	widx := net.WeightedLayers()
@@ -245,6 +254,7 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 	// offset. At S = 1 this is exactly FullIntegrated (same loop). Within
 	// a stage, a layer class is priced and timed once (LayerClasses).
 	class := net.LayerClasses()
+	var cheapest bool
 	b := e.newBreakdown(len(widx))
 	times := make([]compute.LayerTime, 0, len(widx))
 	stages := make([]StageCost, S)
@@ -262,7 +272,7 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 		// A stage-first Model layer still pays the ∆X all-reduce: its
 		// assembled ∆X is what the backward handoff ships to the previous
 		// stage.
-		priceLayers(b, net, lo, hi, micro, pr, assign)
+		cheapest = priceLayers(b, net, lo, hi, micro, pr, assign) || cheapest
 		for j := lo; j < hi; j++ {
 			li := widx[j]
 			sc.CommSeconds += b.Layers[j].TotalSeconds()
@@ -283,10 +293,18 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 			times = append(times, t)
 			sc.CompSeconds += t.Fwd + t.Bwd
 		}
-		// Activation stash: the stage's per-micro-batch activation
-		// footprint times its in-flight micro-batch count.
-		mem := memoryLayers(net, micro, g, assign, widx[lo:hi])
-		sc.StashWords = mem.ActivationWords * float64(stageInFlight(sched, k))
+	}
+
+	// The stash is each stage's activation footprint times its in-flight
+	// micro-batch count; the tightest stage governs feasibility.
+	resolved := assign
+	if cheapest {
+		resolved = b.Assignment()
+	}
+	var memoryWords float64
+	for k, m := range MemoryStages(net, B, part, grids, resolved, sched) {
+		stages[k].StashWords = m.ActivationWords
+		memoryWords = math.Max(memoryWords, m.TotalWords())
 	}
 
 	// Unsimulated overhead: fixed cost once, unweighted layers once per
@@ -361,8 +379,10 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 			Overhead:     overhead,
 			FlushSeconds: flush,
 		},
-		Layers:   tl,
-		Schedule: sched,
+		Layers:      tl,
+		Schedule:    sched,
+		Assignment:  resolved,
+		MemoryWords: memoryWords,
 	}, nil
 }
 
@@ -370,7 +390,8 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 // stage-partitioned pipeline: stage k holds only its own layers' weights
 // and gradients (sharded by its own grid) and stashes its in-flight
 // micro-batches' activations. The planner prunes on the maximum over
-// stages — the tightest process governs feasibility.
+// stages (StagePricing.MemoryWords) — the tightest process governs
+// feasibility.
 func MemoryStages(net *nn.Network, B int, part stage.Partition, grids []grid.Grid,
 	assign Assignment, sched timeline.Schedule) []MemoryEstimate {
 	M := sched.MicroBatches

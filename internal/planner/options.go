@@ -293,16 +293,9 @@ func layerComputeCosts(net *nn.Network) []float64 {
 	return costs
 }
 
-// partitions returns the candidate stage partitions for S stages: the
-// pinned Options.Partition when set, else stage.Enumerate over the
-// layer compute costs.
-func (o Options) partitions(net *nn.Network, S int) ([]stage.Partition, error) {
-	return o.partitionsFrom(layerComputeCosts(net), S)
-}
-
-// partitionsFrom is partitions with the per-layer compute costs already
-// extracted, so a multi-stage-count search derives them from the network
-// once instead of per stage count.
+// partitionsFrom returns the candidate stage partitions for S stages:
+// the pinned Options.Partition when set, else stage.Enumerate over the
+// per-layer compute costs (layerComputeCosts, derived once per search).
 func (o Options) partitionsFrom(costs []float64, S int) ([]stage.Partition, error) {
 	L := len(costs)
 	if S > L {

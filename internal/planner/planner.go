@@ -35,7 +35,9 @@ const (
 	// 1.5D model+batch on FC layers (the Fig. 10 setting).
 	ConvDomain
 	// Auto picks, per convolutional layer, the cheapest of model /
-	// domain / pure-batch given the grid (pure batch only when P ≤ B).
+	// domain / pure-batch given the grid (pure batch only when P ≤ B):
+	// it requests costmodel.Cheapest, which each leaf's pricing pass
+	// resolves on the rank block of the stage that runs the layer.
 	Auto
 )
 
@@ -96,8 +98,11 @@ type Plan struct {
 	Grid grid.Grid
 	// Placement is the rank placement the plan was priced under (only
 	// meaningful with a two-level Options.Topology; row-major otherwise).
-	Placement  grid.Placement
-	Mode       Mode
+	Placement grid.Placement
+	Mode      Mode
+	// Assignment is the strategy each weighted layer was priced under,
+	// Auto's choices resolved. Plans of one search may share the map:
+	// treat it as read-only.
 	Assignment costmodel.Assignment
 	Breakdown  *costmodel.Breakdown
 
@@ -137,9 +142,10 @@ type Plan struct {
 	CompSeconds  float64 // per-iteration computation
 	IterSeconds  float64 // combined (with overlap if requested)
 	EpochSeconds float64 // IterSeconds × ⌈N/B⌉ (0 when DatasetN unset)
-	// MemoryWords is the per-process footprint: the tightest stage's
-	// costmodel.MemoryStages estimate (weights plus the activation-stash
-	// high-water mark; costmodel.Memory at M = 1 on one stage).
+	// MemoryWords is the per-process footprint under Assignment: the
+	// tightest stage's costmodel.MemoryStages estimate (weights plus the
+	// activation-stash high-water mark) as PriceStages reports it;
+	// costmodel.Memory, the same at M = 1 on one stage, in closed form.
 	MemoryWords float64
 	// ExposedCommSeconds is the communication the schedule could not hide
 	// behind computation (IterSeconds − CompSeconds, ≥ 0).
@@ -189,21 +195,6 @@ func feasible(net *nn.Network, B int, g grid.Grid, mode Mode) (bool, string) {
 	return true, ""
 }
 
-// assignmentFor builds the Eq. 9 layer assignment for a grid under a mode.
-func assignmentFor(net *nn.Network, B int, g grid.Grid, mode Mode, env costmodel.Env) costmodel.Assignment {
-	switch mode {
-	case Uniform:
-		return costmodel.UniformAssignment(net, costmodel.Model)
-	case ConvBatch:
-		return costmodel.ConvAssignment(net, costmodel.BatchOnly, costmodel.Model)
-	case ConvDomain:
-		return costmodel.ConvAssignment(net, costmodel.Domain, costmodel.Model)
-	case Auto:
-		return env.AutoAssignment(net, B, g)
-	}
-	return nil
-}
-
 // Evaluate prices one (grid, mode) configuration over the placement,
 // stage-count, partition and micro-batch search spaces — and, under the
 // TimeToAccuracy objective, over Options.BatchSizes — and returns the
@@ -213,8 +204,13 @@ func assignmentFor(net *nn.Network, B int, g grid.Grid, mode Mode, env costmodel
 // deterministically report row-major), or the first candidate's plan
 // when none is feasible. For stage counts > 1 the grid is the
 // shared per-stage grid: the machine has S × g.P() ranks, stage k's
-// block starting at rank k·g.P().
+// block starting at rank k·g.P(). Options Optimize would reject give an
+// infeasible plan whose Reason is the validation error.
 func Evaluate(net *nn.Network, B int, g grid.Grid, opts Options) Plan {
+	if err := opts.validate(B, g.P()); err != nil {
+		return Plan{Grid: g, Batch: B, Mode: opts.Mode, MicroBatch: 1, Schedule: opts.Schedule, Stages: 1,
+			Reason: err.Error()}
+	}
 	s := newSearch(net, B, g.P(), opts, true)
 	s.grid = &g
 	var st SearchStats
@@ -230,8 +226,10 @@ func Evaluate(net *nn.Network, B int, g grid.Grid, opts Options) Plan {
 // strictly helps.
 func EvaluateAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Options) Plan {
 	opts.Placements = []grid.Placement{pl}
-	opts.StageCounts, opts.BatchSizes = nil, nil
-	return Evaluate(net, B, g, opts)
+	opts.StageCounts, opts.Partition, opts.BatchSizes = nil, nil, nil
+	p := Evaluate(net, B, g, opts)
+	p.Placement = pl
+	return p
 }
 
 // structural returns why the leaf violates a constraint that needs no
@@ -256,22 +254,21 @@ func (s *search) structural(lf *leaf) string {
 
 // evaluate prices one leaf — (B, S, grid, placement, partition, M) —
 // counting the candidate and its pruning/pricing outcome in st and
-// accumulating the phase wall times. Every leaf's footprint is the
-// tightest stage's costmodel.MemoryStages estimate, checked against the
-// memory limit before pricing. There is one scorer per value of
-// UseTimeline:
-//   - the closed form (validate forces M = 1 and S = 1 there), with
-//     communication priced by Eq. 9 (chosen and priced in one pass under
-//     Auto, costmodel.Env.AutoIntegrated);
+// accumulating the phase wall times. Every leaf is one pricing call over
+// the search's requested assignment, which resolves Auto's Cheapest conv
+// layers; the plan reports the resolved assignment. The call is:
+//   - in closed form (validate forces M = 1 and S = 1 there),
+//     costmodel.Env.FullIntegrated, the footprint costmodel.Memory;
 //   - for every timeline leaf, one costmodel.Env.PriceStages — the
-//     trivial partition when S = 1, one micro-batch when M = 1 — with
-//     each conv layer's strategy chosen at the micro-batch size the
-//     schedule actually runs (α-heavy small messages can flip it
-//     relative to the full-batch choice), accounted to the price phase,
-//     then one scheduling call accounted to the simulate phase.
+//     trivial partition when S = 1, one micro-batch when M = 1 — which
+//     resolves each stage's conv layers at the micro-batch size and on
+//     the rank block the stage actually runs, and reports the tightest
+//     stage's footprint; then one scheduling call, accounted to the
+//     simulate phase.
 //
-// The timeline is scored without spans (timeline.Score) unless spans is
-// set; run sets it only to re-evaluate the slot winners it reports. The
+// The memory limit is checked after pricing and before scheduling. The
+// timeline is scored without spans (timeline.Score) unless spans is set;
+// run sets it only to re-evaluate the slot winners it reports. The
 // search's level-span and gradient-price memo is bit-identical to fresh
 // pricing, so plans do not depend on memo state.
 func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
@@ -290,21 +287,26 @@ func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
 	priceStart := time.Now()
 	env := costmodel.Env{Topo: o.topology(), Placement: lf.pl, Spans: s.spans}
 	var bd *costmodel.Breakdown
-	if !o.UseTimeline && o.Mode == Auto {
-		bd, p.Assignment = env.AutoIntegrated(net, B, g)
+	var sp costmodel.StagePricing
+	var err error
+	if !o.UseTimeline {
+		bd = env.FullIntegrated(net, B, g, s.assign)
+		p.Assignment = s.assign
+		if o.Mode == Auto {
+			p.Assignment = bd.Assignment()
+		}
+		p.MemoryWords = costmodel.Memory(net, B, g, p.Assignment).TotalWords()
 	} else {
-		p.Assignment = assignmentFor(net, B/M, g, o.Mode, env)
-	}
-	sched := timeline.Schedule{Shape: o.Schedule, MicroBatches: M, Stages: S}
-	grids := make([]grid.Grid, S)
-	for k := range grids {
-		grids[k] = g
+		grids := make([]grid.Grid, S)
+		for k := range grids {
+			grids[k] = g
+		}
+		sched := timeline.Schedule{Shape: o.Schedule, MicroBatches: M}
+		sp, err = env.PriceStages(net, B, lf.part, grids, s.assign, o.Compute, sched)
+		p.Assignment, p.MemoryWords = sp.Assignment, sp.MemoryWords
 	}
 	// The tightest stage governs feasibility: every process must fit its
 	// own stage's weights plus the stash its schedule position forces.
-	for _, m := range costmodel.MemoryStages(net, B, lf.part, grids, p.Assignment, sched) {
-		p.MemoryWords = math.Max(p.MemoryWords, m.TotalWords())
-	}
 	if o.MemoryLimitWords > 0 && p.MemoryWords > o.MemoryLimitWords {
 		stash := "" // the prune reason's prefix names what overflowed
 		if S > 1 {
@@ -320,16 +322,12 @@ func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
 	}
 	st.Priced++
 	if !o.UseTimeline {
-		if bd == nil {
-			bd = env.FullIntegrated(net, B, g, p.Assignment)
-		}
 		st.PriceSeconds += time.Since(priceStart).Seconds()
 		p.Breakdown = bd
 		p.CommSeconds = bd.TotalSeconds()
 		p.CompSeconds = o.Compute.GridIterTime(net, B, g)
 		p.IterSeconds = costmodel.IterationSeconds(bd, p.CompSeconds, o.Overlap)
 	} else {
-		sp, err := env.PriceStages(net, B, lf.part, grids, p.Assignment, o.Compute, sched)
 		simStart := time.Now()
 		st.PriceSeconds += simStart.Sub(priceStart).Seconds()
 		var sc costmodel.StagePipelineCost

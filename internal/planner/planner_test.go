@@ -270,6 +270,41 @@ func TestOptimizeValidation(t *testing.T) {
 	}
 }
 
+// Evaluate and EvaluateAt reject what Optimize rejects: micro-batches or
+// stages without the timeline, and an invalid machine, give an
+// infeasible plan whose Reason is Optimize's error — not a plan priced
+// as if the option were absent, nor a panic. EvaluateAt runs one stage,
+// so it never sees the stage count.
+func TestEvaluateValidatesOptions(t *testing.T) {
+	net := nn.AlexNet()
+	const B = 2048
+	g := grid.Grid{Pr: 16, Pc: 32}
+	micro, staged, negAlpha := opts(Auto), opts(Auto), opts(Auto)
+	micro.MicroBatches = []int{2}
+	staged.StageCounts = []int{2}
+	negAlpha.Machine.Alpha = -1
+	for _, c := range []struct {
+		name string
+		o    Options
+		at   bool
+	}{{"M=2 without timeline", micro, true}, {"S=2 without timeline", staged, false}, {"alpha=-1", negAlpha, true}} {
+		_, err := Optimize(net, B, g.P(), c.o)
+		if err == nil {
+			t.Fatalf("%s: Optimize accepts the options", c.name)
+		}
+		plans := map[string]Plan{"Evaluate": Evaluate(net, B, g, c.o)}
+		if c.at {
+			plans["EvaluateAt"] = EvaluateAt(net, B, g, grid.ColMajor, c.o)
+		}
+		for via, p := range plans {
+			if p.Feasible || p.Reason != err.Error() || p.Grid != g || p.Batch != B {
+				t.Errorf("%s via %s: feasible=%v grid %v B=%d reason %q, want infeasible %v B=%d with %q",
+					c.name, via, p.Feasible, p.Grid, p.Batch, p.Reason, g, B, err)
+			}
+		}
+	}
+}
+
 // TestPlanString smoke-tests the human-readable rendering.
 func TestPlanString(t *testing.T) {
 	net := nn.AlexNet()

@@ -51,10 +51,10 @@
 // placement × partition leaf. On a hierarchical topology the level spans
 // of every (grid, placement, stage rank offset) are classified once
 // during enumeration too (costmodel.SpanMemo) and read by every leaf's
-// Auto choice, pricing and redistribution; the same memo holds the
-// whole-block ∆W all-reduce price of every weighted layer per (rank
-// block, offset), which Domain and BatchOnly layers of every grid and
-// placement sharing that block read by layer position. The memo is
+// pricing, the Auto choice included, and redistribution; the same memo
+// holds the whole-block ∆W all-reduce price of every weighted layer per
+// (rank block, offset), which Domain and BatchOnly layers of every grid
+// and placement sharing that block read by layer position. The memo is
 // dropped with the search.
 package planner
 
@@ -199,6 +199,10 @@ type search struct {
 	B, P   int // B is the base batch size (Optimize's argument)
 	opts   Options
 	bounds bool
+	// assign is the mode's requested Eq. 9 assignment, grid-independent
+	// and read by every leaf: conv layers Cheapest under Auto, resolved
+	// by each leaf's pricing pass.
+	assign costmodel.Assignment
 	cc     *computeCache
 	floors map[floorKey]float64
 	// spans memoizes the level-span classification of every (grid,
@@ -241,6 +245,10 @@ func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search 
 		floors:   make(map[floorKey]float64),
 		batches:  opts.batchSizes(B),
 		tightest: math.Inf(1),
+	}
+	if conv, ok := map[Mode]costmodel.Strategy{Uniform: costmodel.Model, ConvBatch: costmodel.BatchOnly,
+		ConvDomain: costmodel.Domain, Auto: costmodel.Cheapest}[opts.Mode]; ok {
+		s.assign = costmodel.ConvAssignment(net, conv, costmodel.Model) // FC layers are Model in every mode
 	}
 	if topo := opts.topology(); memoSpans && !topo.Uniform() {
 		s.spans = costmodel.NewSpanMemo(topo, net)

@@ -16,13 +16,51 @@ import (
 	"dnnparallel/internal/timeline"
 )
 
+// referenceAssignment is the mode's resolved Eq. 9 assignment on grid g
+// at batch B, chosen independently of the pricing loop's Cheapest pass:
+// under Auto, every conv layer takes the cheapest of its Model, Domain
+// (when g.Pr fits its input height) and BatchOnly (when g.P() ≤ B)
+// costs, read off three whole-network FullIntegrated passes under
+// uniform assignments — ties keep Model, then Domain — and every FC
+// layer Model.
+func referenceAssignment(env costmodel.Env, net *nn.Network, B int, g grid.Grid, mode Mode) costmodel.Assignment {
+	switch mode {
+	case Uniform:
+		return costmodel.UniformAssignment(net, costmodel.Model)
+	case ConvBatch:
+		return costmodel.ConvAssignment(net, costmodel.BatchOnly, costmodel.Model)
+	case ConvDomain:
+		return costmodel.ConvAssignment(net, costmodel.Domain, costmodel.Model)
+	}
+	model := env.FullIntegrated(net, B, g, costmodel.UniformAssignment(net, costmodel.Model))
+	domain := env.FullIntegrated(net, B, g, costmodel.UniformAssignment(net, costmodel.Domain))
+	batch := env.FullIntegrated(net, B, g, costmodel.UniformAssignment(net, costmodel.BatchOnly))
+	a := make(costmodel.Assignment)
+	for k, li := range net.WeightedLayers() {
+		l := &net.Layers[li]
+		a[li] = costmodel.Model
+		if l.Kind != nn.Conv {
+			continue
+		}
+		best := model.Layers[k].TotalSeconds()
+		if c := domain.Layers[k].TotalSeconds(); g.Pr <= l.In.H && c < best {
+			a[li], best = costmodel.Domain, c
+		}
+		if c := batch.Layers[k].TotalSeconds(); g.P() <= B && c < best {
+			a[li] = costmodel.BatchOnly
+		}
+	}
+	return a
+}
+
 // singleIterationRef is the reference single-iteration timeline scorer
-// for an M = 1, S = 1 leaf: the breakdown priced by Env.AutoIntegrated
-// (Auto) or Env.FullIntegrated, the footprint by costmodel.Memory, and
-// the per-layer schedule over compute.Model.GridLayerTimes' split, with
-// the residual overhead appended to the makespan. The planner prices the
-// same leaf as the trivial pipeline (Env.PriceStages + Simulate) and
-// must reproduce this plan bit for bit.
+// for an M = 1, S = 1 leaf: the assignment chosen by referenceAssignment
+// and priced by Env.FullIntegrated, the footprint by costmodel.Memory,
+// and the per-layer schedule over compute.Model.GridLayerTimes' split,
+// with the residual overhead appended to the makespan. The planner
+// prices the same leaf as the trivial pipeline (Env.PriceStages +
+// Simulate, resolving Auto in that pass) and must reproduce this plan
+// bit for bit.
 func singleIterationRef(net *nn.Network, B int, g grid.Grid, pl grid.Placement, o Options) Plan {
 	p := Plan{Grid: g, Batch: B, Placement: pl, Mode: o.Mode, MicroBatch: 1, Schedule: o.Schedule, Stages: 1}
 	s := newSearch(net, B, g.P(), o, false)
@@ -31,13 +69,8 @@ func singleIterationRef(net *nn.Network, B int, g grid.Grid, pl grid.Placement, 
 		return p
 	}
 	env := costmodel.Env{Topo: o.topology(), Placement: pl}
-	var bd *costmodel.Breakdown
-	if o.Mode == Auto {
-		bd, p.Assignment = env.AutoIntegrated(net, B, g)
-	} else {
-		p.Assignment = assignmentFor(net, B, g, o.Mode, env)
-		bd = env.FullIntegrated(net, B, g, p.Assignment)
-	}
+	p.Assignment = referenceAssignment(env, net, B, g, o.Mode)
+	bd := env.FullIntegrated(net, B, g, p.Assignment)
 	p.MemoryWords = costmodel.Memory(net, B, g, p.Assignment).TotalWords()
 	if o.MemoryLimitWords > 0 && p.MemoryWords > o.MemoryLimitWords {
 		p.Reason = fmt.Sprintf("per-process memory %.3g words exceeds limit %.3g", p.MemoryWords, o.MemoryLimitWords)
@@ -151,7 +184,7 @@ func TestSingleIterationOracle(t *testing.T) {
 			// A limit around the leaf's own footprint prunes about half
 			// of these leaves.
 			env := costmodel.Env{Topo: o.topology(), Placement: pl}
-			a := assignmentFor(net, B, g, o.Mode, env)
+			a := referenceAssignment(env, net, B, g, o.Mode)
 			o.MemoryLimitWords = costmodel.Memory(net, B, g, a).TotalWords() * (0.5 + rng.Float64())
 		}
 		name := fmt.Sprintf("trial %d (%v B=%d %v %v %v %v limit=%.3g)",

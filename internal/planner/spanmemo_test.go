@@ -10,6 +10,16 @@ import (
 	"dnnparallel/internal/timeline"
 )
 
+// misalignedRacks is rackTaper with 24-rank nodes in 96-rank racks:
+// every S = 2 or 4 stage block of P = 256 after the first starts
+// mid-node and mid-rack.
+func misalignedRacks() machine.Topology {
+	t := rackTaper()
+	t.Levels = append([]machine.Level(nil), t.Levels...)
+	t.Levels[0].GroupSize, t.Levels[1].GroupSize = 24, 96
+	return t
+}
+
 // TestSpanMemoParity: the per-search level-span and gradient-price memo
 // is invisible in the result. On hierarchical Auto searches — two and
 // three levels, an Eq. 6 redistribution sweep, a micro-batch pipeline
@@ -48,13 +58,8 @@ func TestSpanMemoParity(t *testing.T) {
 	staged.AddRedistribution = true
 	staged.DisableBounds = true // price every S=2 candidate, not just the winner's slot
 
-	// 24-rank nodes in 96-rank racks: every S = 2 or 4 stage block of
-	// P = 256 after the first starts mid-node and mid-rack.
-	misaligned := rackTaper()
-	misaligned.Levels = append([]machine.Level(nil), misaligned.Levels...)
-	misaligned.Levels[0].GroupSize, misaligned.Levels[1].GroupSize = 24, 96
 	staged3 := DefaultOptions()
-	staged3.Topology = misaligned
+	staged3.Topology = misalignedRacks()
 	staged3.UseTimeline = true
 	staged3.TimelinePolicy = timeline.PolicyBackprop
 	staged3.StageCounts = []int{1, 2, 4}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dnnparallel/internal/collective"
+	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
@@ -231,5 +232,89 @@ func TestStageSearchOptionErrors(t *testing.T) {
 	o.StageCounts = []int{16}
 	if _, err := Optimize(net, 2048, 64, o); err == nil {
 		t.Fatal("S=16 > 8 weighted layers should leave no feasible configuration")
+	}
+}
+
+// TestPlansRepriceFromTheirAssignment: a plan's Assignment is the
+// resolved strategy of every layer, so the plan re-prices from it alone.
+// Staged Auto searches with bounds off, where stage blocks straddle
+// nodes and a stage may choose differently from rank offset 0: AlexNet
+// on misaligned racks (every stage block after the first starts
+// mid-node and mid-rack), S ∈ {1, 2, 4}, M ∈ {1, 4}, both schedule
+// shapes; and VGG16 at B = 256 on 16-rank nodes, four 6-rank stages of
+// four layers each, column-major (the case of
+// costmodel.TestAutoChoosesOnEachStageBlock). For every
+// feasible plan of Result.All, costmodel.StageIteration of
+// plan.Assignment reproduces IterSeconds and costmodel.MemoryStages
+// reproduces MemoryWords, bit for bit.
+func TestPlansRepriceFromTheirAssignment(t *testing.T) {
+	type search struct {
+		net    *nn.Network
+		B, P   int
+		topo   machine.Topology
+		counts []int
+		micros []int
+		shape  timeline.Shape
+		cuts   []int
+		pls    []grid.Placement
+	}
+	var searches []search
+	for _, shape := range []timeline.Shape{timeline.OneFOneB, timeline.GPipe} {
+		searches = append(searches, search{nn.AlexNet(), 1024, 256, misalignedRacks(), []int{1, 2, 4}, []int{1, 4}, shape, nil, nil})
+	}
+	searches = append(searches, search{nn.VGG16(), 256, 24, machine.CoriKNLNodes(16), []int{4}, []int{1}, timeline.OneFOneB,
+		[]int{4, 8, 12}, []grid.Placement{grid.ColMajor}})
+	checked := 0
+	for _, sr := range searches {
+		net, topo, shape := sr.net, sr.topo, sr.shape
+		L := len(net.WeightedLayers())
+		o := opts(Auto)
+		o.Topology = topo
+		o.UseTimeline = true
+		o.TimelinePolicy = timeline.PolicyBackprop
+		o.StageCounts = sr.counts
+		o.MaxPartitions = 3
+		o.MicroBatches = sr.micros
+		o.Schedule = shape
+		o.Partition, o.Placements = sr.cuts, sr.pls
+		o.DisableBounds = true
+		res, err := Optimize(net, sr.B, sr.P, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.All {
+			if !p.Feasible {
+				continue
+			}
+			part := stage.Balanced(L, 1)
+			if p.Stages > 1 {
+				if part, err = stage.FromCuts(p.Partition, L); err != nil {
+					t.Fatal(err)
+				}
+			}
+			grids := make([]grid.Grid, p.Stages)
+			for k := range grids {
+				grids[k] = p.Grid
+			}
+			sched := timeline.Schedule{Shape: shape, MicroBatches: p.MicroBatch}
+			env := costmodel.Env{Topo: topo, Placement: p.Placement}
+			sc, err := env.StageIteration(net, p.Batch, part, grids, p.Assignment, o.Compute, o.TimelinePolicy, sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mem float64
+			for _, m := range costmodel.MemoryStages(net, p.Batch, part, grids, p.Assignment, sched) {
+				mem = math.Max(mem, m.TotalWords())
+			}
+			if math.Float64bits(sc.IterSeconds()) != math.Float64bits(p.IterSeconds) ||
+				math.Float64bits(mem) != math.Float64bits(p.MemoryWords) {
+				t.Fatalf("%s %v S=%d %v %v M=%d: re-priced iter %v memory %v, plan %v and %v",
+					net.Name, shape, p.Stages, p.Grid, p.Placement, p.MicroBatch, sc.IterSeconds(), mem, p.IterSeconds, p.MemoryWords)
+			}
+			checked++
+		}
+	}
+	if checked < 20 {
+		t.Fatalf("weak sample: %d feasible plans checked", checked)
 	}
 }

@@ -12,13 +12,17 @@
 # pits the iteration objective against the time-to-accuracy campaign
 # search on the same scenario (the tta_search_overhead record). Last,
 # the span_classification, fused_auto_pricing, unified_evaluator,
-# layer_classes, in_place_collectives and single_leaf_retired records:
+# layer_classes, in_place_collectives, single_leaf_retired and
+# cheapest_strategy records:
 # the flat, hierarchical (two- and three-level, AlexNet and ResNet50,
 # closed-form and three-level timeline-scored), pipelined and
 # stage-partitioned façade searches plus the per-layer rungs
 # BenchmarkColGroupSpansAt (grid), BenchmarkAllReduceTopoThreeLevel
 # (collective) and BenchmarkAutoIntegratedResNet50ThreeLevel
-# (costmodel), either on this tree alone or, given a
+# (costmodel: one leaf's fused Auto pass, FullIntegrated under the
+# Cheapest request plus its resolved assignment; the name predates the
+# Cheapest strategy and is kept so the records stay comparable), either
+# on this tree alone or, given a
 # baseline checkout (e.g. a `git archive` of the parent commit), as 10
 # interleaved pairs of baseline and this tree, alternating which side
 # runs first.
@@ -49,10 +53,10 @@ while [ "$i" -le 6 ]; do
 	i=$((i + 1))
 done
 # Span classification, fused Auto pricing, the unified evaluator, layer classes,
-# in-place collectives and the retired single-iteration scorer (span_classification,
-# fused_auto_pricing, unified_evaluator, layer_classes, in_place_collectives and
-# single_leaf_retired records). A benchmark a baseline tree predates simply prints
-# no line for that side.
+# in-place collectives, the retired single-iteration scorer and the Cheapest
+# strategy (span_classification, fused_auto_pricing, unified_evaluator,
+# layer_classes, in_place_collectives, single_leaf_retired and cheapest_strategy
+# records). A benchmark a baseline tree predates simply prints no line for that side.
 span='BenchmarkPlanScenario$|BenchmarkPlanScenarioTwoLevel$|BenchmarkPlanScenarioThreeLevel$|BenchmarkPlanScenarioTimelineThreeLevel$|BenchmarkPlanScenarioResNet50ThreeLevel$|BenchmarkPlanScenarioPipeline$|BenchmarkPlanScenarioStages$'
 rungs='grid:BenchmarkColGroupSpansAt$ collective:BenchmarkAllReduceTopoThreeLevel$ costmodel:BenchmarkAutoIntegratedResNet50ThreeLevel$'
 if [ -z "${2:-}" ]; then
