@@ -326,7 +326,7 @@ func Plan(s Scenario) (*PlanResult, error) {
 		return nil, err
 	}
 	out := &PlanResult{
-		Scenario: s.Normalize(),
+		Scenario: r.Normalized,
 		Machine:  machineDesc(r.Options),
 		Network:  r.Net.Name,
 	}
@@ -402,7 +402,7 @@ func Simulate(s Scenario) (*SimResult, error) {
 		return nil, &InfeasibleError{Scenario: "grid " + p.Grid.String(), Reason: p.Reason}
 	}
 	out := &SimResult{
-		Scenario: s.Normalize(),
+		Scenario: r.Normalized,
 		Machine:  machineDesc(r.Options),
 		Network:  r.Net.Name,
 		Config:   summarize(p, r.Net),

@@ -9,30 +9,32 @@ import (
 	"dnnparallel/internal/timeline"
 )
 
-// validateIteration fails loudly on unphysical inputs — negative or NaN
-// times would silently corrupt every scaling figure built on top, so the
-// contract matches the shape-validation panics of internal/tensor.
-func validateIteration(b *Breakdown, compSeconds float64) {
-	if compSeconds < 0 || math.IsNaN(compSeconds) {
-		panic(fmt.Sprintf("costmodel: invalid computation time %g", compSeconds))
-	}
+// validSeconds is b.TotalSeconds() from the same pass that validates
+// every cost term: a negative or NaN term fails loudly — it would
+// silently corrupt every scaling figure built on top, so the contract
+// matches the shape-validation panics of internal/tensor. It adds the
+// same terms in the same order, so the two return the same float.
+func (b *Breakdown) validSeconds() float64 {
+	var t float64
 	for i := range b.Layers {
 		l := &b.Layers[i]
-		validateTerm(l, "all-gather", &l.AllGather)
-		validateTerm(l, "∆X all-reduce", &l.ActReduce)
-		validateTerm(l, "∆W all-reduce", &l.GradReduce)
-		validateTerm(l, "forward halo", &l.FwdHalo)
-		validateTerm(l, "backward halo", &l.BwdHalo)
+		t += validTerm(l, "all-gather", &l.AllGather) + validTerm(l, "∆X all-reduce", &l.ActReduce) +
+			validTerm(l, "∆W all-reduce", &l.GradReduce) + validTerm(l, "forward halo", &l.FwdHalo) +
+			validTerm(l, "backward halo", &l.BwdHalo)
 	}
+	return t
 }
 
-// validateTerm panics when the layer's cost term c is negative or NaN
-// (the one comparison !(cost >= 0) catches both). The check inlines;
-// formatting the panic stays out of line.
-func validateTerm(l *LayerCost, name string, c *collective.Cost) {
-	if cost := c.Total(); !(cost >= 0) {
+// validTerm returns the seconds of the layer's cost term c, panicking
+// when they are negative or NaN (the one comparison !(cost >= 0)
+// catches both). The check inlines; formatting the panic stays out of
+// line.
+func validTerm(l *LayerCost, name string, c *collective.Cost) float64 {
+	cost := c.Total()
+	if !(cost >= 0) {
 		invalidTerm(l, name, cost)
 	}
+	return cost
 }
 
 //go:noinline
@@ -57,16 +59,27 @@ func invalidTerm(l *LayerCost, name string, cost float64) {
 // delegation reproduces the historical closed form
 // comp + fwdComm + max(0, bwdComm − BackpropFraction·comp) exactly.
 func IterationSeconds(b *Breakdown, compSeconds float64, overlap bool) float64 {
-	validateIteration(b, compSeconds)
+	_, iter := IterationTotals(b, compSeconds, overlap)
+	return iter
+}
+
+// IterationTotals is IterationSeconds that also returns the
+// communication total, b.TotalSeconds(), from the pass that validates
+// the breakdown: the non-overlapped iteration is comm + compSeconds.
+func IterationTotals(b *Breakdown, compSeconds float64, overlap bool) (comm, iter float64) {
+	if compSeconds < 0 || math.IsNaN(compSeconds) {
+		panic(fmt.Sprintf("costmodel: invalid computation time %g", compSeconds))
+	}
+	comm = b.validSeconds()
 	if !overlap {
-		return b.TotalSeconds() + compSeconds
+		return comm, comm + compSeconds
 	}
 	res, err := timeline.Score(AggregateTimeline(b, compSeconds), timeline.PolicyBackprop, timeline.Single())
 	if err != nil {
 		// The aggregate graph is a four-event chain; it cannot cycle.
 		panic(fmt.Sprintf("costmodel: aggregate timeline failed: %v", err))
 	}
-	return res.Makespan
+	return comm, res.Makespan
 }
 
 // AggregateTimeline collapses a Breakdown plus an aggregate compute time

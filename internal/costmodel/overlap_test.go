@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dnnparallel/internal/collective"
@@ -207,4 +208,49 @@ func TestIterationSecondsValidation(t *testing.T) {
 		GradReduce: collective.Cost{Latency: math.NaN()},
 	}}}
 	mustPanic("NaN backward comm", func() { IterationSeconds(bad2, 1, false) })
+}
+
+// TestIterationTotalsOnePass checks that the one validating pass sums a
+// breakdown exactly as TotalSeconds does — the same float, on flat and
+// leveled breakdowns of a repeated-block network — and that a negative or
+// NaN term in any of the five positions still panics, naming the term.
+func TestIterationTotalsOnePass(t *testing.T) {
+	net := nn.ResNet50Proxy()
+	for _, e := range []Env{FlatEnv(machine.CoriKNL()), {Topo: machine.CoriKNLNodes(16)}} {
+		for _, g := range []grid.Grid{{Pr: 1, Pc: 64}, {Pr: 4, Pc: 16}, {Pr: 64, Pc: 1}} {
+			bd := e.FullIntegrated(net, 512, g, ConvAssignment(net, Cheapest, Model))
+			for _, overlap := range []bool{false, true} {
+				comm, iter := IterationTotals(bd, 0.25, overlap)
+				if comm != bd.TotalSeconds() || iter != IterationSeconds(bd, 0.25, overlap) {
+					t.Fatalf("%v overlap=%v: totals (%v, %v), want (%v, %v)", g, overlap,
+						comm, iter, bd.TotalSeconds(), IterationSeconds(bd, 0.25, overlap))
+				}
+				if !overlap && iter != comm+0.25 {
+					t.Fatalf("%v: serialized iteration %v, want comm + comp = %v", g, iter, comm+0.25)
+				}
+			}
+		}
+	}
+	terms := map[string]func(*LayerCost) *collective.Cost{
+		"all-gather":    func(l *LayerCost) *collective.Cost { return &l.AllGather },
+		"∆X all-reduce": func(l *LayerCost) *collective.Cost { return &l.ActReduce },
+		"∆W all-reduce": func(l *LayerCost) *collective.Cost { return &l.GradReduce },
+		"forward halo":  func(l *LayerCost) *collective.Cost { return &l.FwdHalo },
+		"backward halo": func(l *LayerCost) *collective.Cost { return &l.BwdHalo },
+	}
+	for name, term := range terms {
+		for _, bad := range []float64{-1, math.NaN()} {
+			b := &Breakdown{Layers: []LayerCost{{Name: "ok"}, {Name: "bad"}}}
+			term(&b.Layers[1]).Bandwidth = bad
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, `layer "bad" has invalid `+name) {
+						t.Fatalf("%s = %v: panic %q, want the layer and term named", name, bad, msg)
+					}
+				}()
+				IterationTotals(b, 1, false)
+			}()
+		}
+	}
 }

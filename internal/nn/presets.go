@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // AlexNet returns the single-tower AlexNet used throughout the paper's
@@ -168,15 +169,16 @@ func mustInfer(n *Network) {
 }
 
 // presets is the single preset table behind every CLI flag and
-// scenario spec, in display order, so the name table cannot fork.
+// scenario spec, in display order, so the name table cannot fork. Each
+// entry's net builds the shared network on its first call (see Preset).
 var presets = []struct {
-	name  string
-	build func() *Network
+	name string
+	net  func() *Network
 }{
-	{"alexnet", AlexNet},
-	{"vgg16", VGG16},
-	{"onebyone", OneByOneNet},
-	{"resnet50", ResNet50Proxy},
+	{"alexnet", sync.OnceValue(AlexNet)},
+	{"vgg16", sync.OnceValue(VGG16)},
+	{"onebyone", sync.OnceValue(OneByOneNet)},
+	{"resnet50", sync.OnceValue(ResNet50Proxy)},
 }
 
 // PresetNames lists the networks Preset accepts, in display order.
@@ -195,13 +197,17 @@ func PresetKey(name string) (string, error) {
 	return key, err
 }
 
-// Preset returns the named preset network.
+// Preset returns the named preset network. The network is built and
+// inferred once, on first use, and shared by every caller: it is
+// read-only. A caller that changes a network (its layers, its name, or
+// by re-running Infer) builds its own copy with the constructor —
+// AlexNet, VGG16, OneByOneNet, ResNet50Proxy.
 func Preset(name string) (*Network, error) {
 	i, _, err := lookupPreset(name)
 	if err != nil {
 		return nil, err
 	}
-	return presets[i].build(), nil
+	return presets[i].net(), nil
 }
 
 func lookupPreset(name string) (int, string, error) {

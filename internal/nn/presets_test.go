@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,5 +29,24 @@ func TestPresetKeyMatchesPreset(t *testing.T) {
 	}
 	if want := `nn: unknown network preset "lenet" (want alexnet|vgg16|onebyone|resnet50)`; keyErr.Error() != want {
 		t.Fatalf("error %q, want %q", keyErr, want)
+	}
+}
+
+// Every spelling of a preset returns the one shared network, built by
+// its constructor.
+func TestPresetIsShared(t *testing.T) {
+	for _, name := range PresetNames() {
+		first, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spelling := range []string{name, strings.ToUpper(name), " " + name + " ", "\t" + strings.ToUpper(name[:1]) + name[1:]} {
+			if net, err := Preset(spelling); err != nil || net != first {
+				t.Fatalf("Preset(%q) = %p, %v; want the shared %p", spelling, net, err, first)
+			}
+		}
+	}
+	if a, _ := Preset("AlexNet "); !reflect.DeepEqual(a, AlexNet()) || a == AlexNet() {
+		t.Fatal(`Preset("AlexNet ") must equal, but not be, a fresh AlexNet()`)
 	}
 }

@@ -324,9 +324,8 @@ func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
 	if !o.UseTimeline {
 		st.PriceSeconds += time.Since(priceStart).Seconds()
 		p.Breakdown = bd
-		p.CommSeconds = bd.TotalSeconds()
 		p.CompSeconds = o.Compute.GridIterTime(net, B, g)
-		p.IterSeconds = costmodel.IterationSeconds(bd, p.CompSeconds, o.Overlap)
+		p.CommSeconds, p.IterSeconds = costmodel.IterationTotals(bd, p.CompSeconds, o.Overlap)
 	} else {
 		simStart := time.Now()
 		st.PriceSeconds += simStart.Sub(priceStart).Seconds()

@@ -45,12 +45,13 @@
 // pruning off entirely for callers who want every candidate priced.
 //
 // Memoization: the per-layer compute costs the partition enumeration
-// balances are evaluated once per search, and the compute.Model.
-// GridLayerTimes aggregates the lower bounds read once per (grid,
-// micro-batch size) during enumeration, shared read-only by every
-// placement × partition leaf. On a hierarchical topology the level spans
-// of every (grid, placement, stage rank offset) are classified once
-// during enumeration too (costmodel.SpanMemo) and read by every leaf's
+// balances are evaluated once per search, and — in a search of more than
+// one chunk, the only kind that bounds — the compute.Model.GridLayerTimes
+// aggregates the lower bounds read once per (grid, micro-batch size)
+// after enumeration, shared read-only by every placement × partition
+// leaf. On a hierarchical topology the level spans of every (grid,
+// placement, stage rank offset) are classified once during enumeration
+// (costmodel.SpanMemo) and read by every leaf's
 // pricing, the Auto choice included, and redistribution; the same memo
 // holds the whole-block ∆W all-reduce price of every weighted layer per
 // (rank block, offset), which Domain and BatchOnly layers of every grid
@@ -78,9 +79,12 @@ import (
 // is frozen while one chunk of leaves evaluates in parallel and advances
 // only at chunk boundaries. It is a constant — never derived from the
 // worker count — because the chunk schedule defines which candidates are
-// pruned, and that set must not change with parallelism. Searches with
+// pruned, and that set must not change with parallelism. A search with
 // at most one chunk of leaves (e.g. the paper's flat 10-grid sweep)
-// never prune.
+// never prunes — its only chunk sees the +Inf incumbent — so it computes
+// no bounds at all: no compute memo, no ∆W floors, no bound pass and no
+// bound-order sort (the fold is a total order, so the visit order cannot
+// change its Result).
 const boundChunk = 16
 
 // boundSlack relaxes the lower bound by a hair before comparing it to
@@ -229,7 +233,7 @@ type search struct {
 	tightest float64
 	// lbs/lbOK hold the per-leaf lower bounds computed once by run()'s
 	// ordering pass; evalLeaf reads them instead of re-deriving the bound
-	// per leaf. Nil when bounds are disabled.
+	// per leaf. Nil when bounds are disabled or the search is one chunk.
 	lbs  []float64
 	lbOK []bool
 }
@@ -274,10 +278,9 @@ func (s *search) objectiveScale(B int) float64 {
 
 // enumerate builds the slot and leaf lists in the serial search order —
 // batch sizes, then stage counts, then grid factorizations, then
-// placements × partitions × micro-batches — pre-filling the compute
-// memo, the level-span memo, and the ∆W floors, and counting the
-// enumeration-side telemetry (batches, grids, stage counts, partitions,
-// and the pseudo-slot candidates) into st. The candidate partitions per
+// placements × partitions × micro-batches — pre-filling the level-span
+// memo, and counting the enumeration-side telemetry (batches, grids,
+// stage counts, partitions, and the pseudo-slot candidates) into st. The candidate partitions per
 // stage count are batch-independent, so they are enumerated once and
 // shared across the batch sweep (stage counts are likewise counted once).
 // S = 1 is the stage count whose one partition is the whole network: it
@@ -307,14 +310,6 @@ func (s *search) enumerate(st *SearchStats) {
 		s.winners = append(s.winners, Plan{Grid: pseudoGrid, Batch: B, Mode: o.Mode, MicroBatch: 1,
 			Schedule: o.Schedule, Stages: S, Reason: reason})
 	}
-	// The ∆W floor sharpens the bound only where the closed form
-	// serializes communication after compute (no overlap, no timeline),
-	// and only on a uniform topology, where FCGradReduceSeconds is a
-	// closed form. On a hierarchical topology the floor costs a level-span
-	// scan per (grid, placement) — measured at roughly a third of pricing
-	// the candidate outright, for exactly one M=1 leaf each — so the
-	// compute-only bound stands alone there.
-	needFloors := s.bounds && !o.UseTimeline && !o.Overlap && o.topology().Uniform()
 	var layerCosts []float64
 	type partsMemo struct {
 		parts []stage.Partition
@@ -361,9 +356,6 @@ func (s *search) enumerate(st *SearchStats) {
 				}
 				si, first := len(s.slots), len(s.leaves)
 				for _, pl := range gp {
-					if S == 1 && needFloors {
-						s.fillFloor(g, pl)
-					}
 					// Stage k's rank block starts at k·g.P().
 					for k := 0; k < S; k++ {
 						s.spans.Fill(g, pl, k*g.P())
@@ -374,9 +366,6 @@ func (s *search) enumerate(st *SearchStats) {
 						}
 					}
 				}
-				if s.bounds {
-					s.prefillTimes(B, g, micros)
-				}
 				s.slots = append(s.slots, slot{pure: S == 1 && B == s.B && g.IsPureBatch(),
 					single: len(s.leaves)-first == 1, win: -1})
 				s.winners = append(s.winners, Plan{})
@@ -385,23 +374,33 @@ func (s *search) enumerate(st *SearchStats) {
 	}
 }
 
-// prefillTimes memoizes the compute aggregates the lower bounds of a
-// (batch, grid) pair's leaves read, one per candidate micro-batch size.
-func (s *search) prefillTimes(B int, g grid.Grid, micros []int) {
-	for _, m := range micros {
-		if m >= 1 && B%m == 0 {
-			s.cc.fill(g, B/m)
+// prefillBounds memoizes what the lower bounds read, once per key over
+// the enumerated leaves: the compute aggregates of every (grid,
+// micro-batch size) and the ∆W floor of every single-stage (grid,
+// placement). The ∆W floor sharpens the bound only where the closed
+// form serializes communication after compute (no overlap, no
+// timeline), and only on a uniform topology, where FCGradReduceSeconds
+// is a closed form. On a hierarchical topology the floor costs a
+// level-span scan per (grid, placement) — measured at roughly a third of
+// pricing the candidate outright, for exactly one M=1 leaf each — so the
+// compute-only bound stands alone there.
+func (s *search) prefillBounds() {
+	o := &s.opts
+	needFloors := !o.UseTimeline && !o.Overlap && o.topology().Uniform()
+	for i := range s.leaves {
+		lf := &s.leaves[i]
+		if lf.micro >= 1 && lf.B%lf.micro == 0 {
+			s.cc.fill(lf.g, lf.B/lf.micro)
+		}
+		if lf.S != 1 || !needFloors {
+			continue
+		}
+		k := floorKey{lf.g.Pr, lf.g.Pc, lf.pl}
+		if _, ok := s.floors[k]; !ok {
+			env := costmodel.Env{Topo: o.topology(), Placement: lf.pl}
+			s.floors[k] = env.FCGradReduceSeconds(s.net, lf.g)
 		}
 	}
-}
-
-func (s *search) fillFloor(g grid.Grid, pl grid.Placement) {
-	k := floorKey{g.Pr, g.Pc, pl}
-	if _, ok := s.floors[k]; ok {
-		return
-	}
-	env := costmodel.Env{Topo: s.opts.topology(), Placement: pl}
-	s.floors[k] = env.FCGradReduceSeconds(s.net, g)
 }
 
 // lowerBound returns a monotone lower bound on the leaf's objective
@@ -471,7 +470,7 @@ func (s *search) lowerBound(lf *leaf) (float64, bool) {
 // would double the bound cost for zero information.
 func (s *search) evalLeaf(i int, incumbent float64, st *SearchStats) Plan {
 	lf := &s.leaves[i]
-	if s.bounds && !s.slots[lf.slot].pure {
+	if s.lbs != nil && !s.slots[lf.slot].pure {
 		if lb := s.lbs[i]; s.lbOK[i] && lb*boundSlack > incumbent {
 			st.Candidates++
 			if lf.S > 1 {
@@ -499,10 +498,10 @@ func (s *search) evalLeaf(i int, incumbent float64, st *SearchStats) Plan {
 // folds each chunk's plans into their slots' winners, and merges the
 // per-worker telemetry shards into st.
 //
-// With bounds enabled the leaves are visited in ascending lower-bound
-// order (stable on the enumeration index): the cheapest-looking
-// candidates evaluate first, so the incumbent falls fast and the
-// expensive tail is pruned before pricing. The visit order is a pure
+// With bounds enabled on a search of more than one chunk, the leaves are
+// visited in ascending lower-bound order (stable on the enumeration
+// index): the cheapest-looking candidates evaluate first, so the
+// incumbent falls fast and the expensive tail is pruned before pricing. The visit order is a pure
 // function of the enumerated leaves — never of worker count or timing —
 // and the fold is a total order on (plan, leaf index), so the folded
 // Result is unchanged by the reordering and identical for any worker
@@ -516,7 +515,8 @@ func (s *search) run(st *SearchStats) {
 	for i := range order {
 		order[i] = i
 	}
-	if s.bounds {
+	if s.bounds && n > boundChunk {
+		s.prefillBounds()
 		s.lbs = make([]float64, n)
 		s.lbOK = make([]bool, n)
 		for i := range s.leaves {

@@ -165,3 +165,59 @@ func TestReportedPlansCarrySpans(t *testing.T) {
 		t.Fatalf("only %d feasible slots; the test needs several", feasible)
 	}
 }
+
+// TestOneChunkSearchComputesNoBounds pins the one-chunk rule at its
+// boundary. A search of boundChunk leaves evaluates them all against the
+// +Inf incumbent, so it fills no compute memo and no ∆W floors and
+// computes no bounds, and its Result equals the same search with bounds
+// off at every worker count. One leaf more, and the memo, the floors and
+// the bounds are filled for every leaf.
+func TestOneChunkSearchComputesNoBounds(t *testing.T) {
+	net := nn.AlexNet()
+	const B = 2048
+	// Flat closed-form searches have one leaf per factorization of P:
+	// 120 has 16 divisors and 2^16 has 17.
+	for _, tc := range []struct{ P, leaves int }{{120, boundChunk}, {1 << 16, boundChunk + 1}} {
+		o := DefaultOptions()
+		o.Mode = Uniform
+		s := newSearch(net, B, tc.P, o, true)
+		var st SearchStats
+		s.enumerate(&st)
+		s.run(&st)
+		if len(s.leaves) != tc.leaves {
+			t.Fatalf("P=%d: %d leaves, want %d", tc.P, len(s.leaves), tc.leaves)
+		}
+		if tc.leaves <= boundChunk {
+			if len(s.cc.m) != 0 || len(s.floors) != 0 || s.lbs != nil || s.lbOK != nil {
+				t.Fatalf("P=%d: a one-chunk search filled %d memo entries, %d floors, lbs=%v",
+					tc.P, len(s.cc.m), len(s.floors), s.lbs)
+			}
+			off := o
+			off.DisableBounds = true
+			for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+				o.Workers, off.Workers = w, w
+				on, err1 := Optimize(net, B, tc.P, o)
+				ref, err2 := Optimize(net, B, tc.P, off)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				on.Stats, ref.Stats = on.Stats.ZeroTimes(), ref.Stats.ZeroTimes()
+				if !reflect.DeepEqual(on, ref) {
+					t.Fatalf("P=%d workers=%d: the one-chunk Result differs from the unbounded search", tc.P, w)
+				}
+			}
+			continue
+		}
+		if len(s.lbs) != len(s.leaves) || len(s.lbOK) != len(s.leaves) {
+			t.Fatalf("P=%d: %d bounds for %d leaves", tc.P, len(s.lbs), len(s.leaves))
+		}
+		for _, lf := range s.leaves {
+			if _, ok := s.cc.m[timesKey{lf.g.Pr, lf.g.Pc, lf.B}]; !ok {
+				t.Fatalf("P=%d grid %v: no compute memo entry", tc.P, lf.g)
+			}
+			if _, ok := s.floors[floorKey{lf.g.Pr, lf.g.Pc, lf.pl}]; !ok {
+				t.Fatalf("P=%d grid %v: no ∆W floor", tc.P, lf.g)
+			}
+		}
+	}
+}

@@ -919,6 +919,10 @@ func (s Scenario) Canonical() ([]byte, error) {
 
 // Resolved is a scenario lowered onto the internal planning types.
 type Resolved struct {
+	// Normalized is the normalized scenario that was validated and
+	// lowered, for callers that echo it.
+	Normalized Scenario
+	// Net is the shared, read-only preset network (nn.Preset).
 	Net     *nn.Network
 	Batch   int
 	Procs   int
@@ -940,7 +944,7 @@ func (s Scenario) Resolve() (Resolved, error) {
 	if err != nil { // unreachable: Validate checked
 		return Resolved{}, invalid("network", "%v", err)
 	}
-	r := Resolved{Net: net, Batch: n.Batch, Procs: n.Procs}
+	r := Resolved{Normalized: n, Net: net, Batch: n.Batch, Procs: n.Procs}
 	opts := planner.Options{
 		Machine:           n.Machine.resolve(),
 		Mode:              n.Mode,

@@ -1,6 +1,10 @@
 package dnnparallel
 
-import "testing"
+import (
+	"encoding/json"
+	"fmt"
+	"testing"
+)
 
 // BenchmarkPlanScenario times the full public façade on the paper's
 // headline scenario: normalize + validate + resolve + the Pr × Pc search.
@@ -83,6 +87,52 @@ func BenchmarkPlanScenarioTimelineThreeLevel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Plan(sc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanScenarioHierMix times a mix of small hierarchical
+// requests end to end, as a caller sees them: DecodeScenario, Plan and
+// json.Marshal of the answer. One op is one pass over 18 requests —
+// AlexNet, VGG16 and ResNet50 at P = 32, 64 and 128, each on a two-level
+// (node, cluster) and a three-level (node, rack, spine) topology. Every
+// search has at most 14 leaves, one branch-and-bound chunk, so a
+// request's fixed work (decode, normalize, resolve, enumerate, render)
+// weighs as much as its pricing.
+func BenchmarkPlanScenarioHierMix(b *testing.B) {
+	var bodies [][]byte
+	for _, nc := range []struct {
+		net     string
+		batches [2]int
+	}{{"alexnet", [2]int{1024, 2048}}, {"vgg16", [2]int{512, 1024}}, {"resnet50", [2]int{512, 1024}}} {
+		for i, p := range []int{32, 64, 128} {
+			rpn := map[int]int{32: 4, 64: 8, 128: 16}[p]
+			for three := 0; three < 2; three++ {
+				lv := fmt.Sprintf(`{"name":"node","alpha_seconds":5e-7,"bandwidth_gbs":60,"group_ranks":%d},`, rpn)
+				if three == 1 {
+					lv += fmt.Sprintf(`{"name":"rack","alpha_seconds":1e-6,"bandwidth_gbs":12,"group_ranks":%d},`, 4*rpn)
+				}
+				lv += `{"name":"spine","alpha_seconds":2e-6,"bandwidth_gbs":6}`
+				bodies = append(bodies, []byte(fmt.Sprintf(
+					`{"network":%q,"batch":%d,"procs":%d,"dataset_n":1200000,"mode":"auto","topology":{"levels":[%s]}}`,
+					nc.net, nc.batches[(i+three)%2], p, lv)))
+			}
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, body := range bodies {
+			sc, err := DecodeScenario(body)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := Plan(sc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := json.Marshal(res); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -12,11 +12,13 @@
 # pits the iteration objective against the time-to-accuracy campaign
 # search on the same scenario (the tta_search_overhead record). Last,
 # the span_classification, fused_auto_pricing, unified_evaluator,
-# layer_classes, in_place_collectives, single_leaf_retired and
-# cheapest_strategy records:
+# layer_classes, in_place_collectives, single_leaf_retired,
+# cheapest_strategy and fixed_work_once records:
 # the flat, hierarchical (two- and three-level, AlexNet and ResNet50,
 # closed-form and three-level timeline-scored), pipelined and
-# stage-partitioned façade searches plus the per-layer rungs
+# stage-partitioned façade searches, the decode → plan → marshal mix of
+# small hierarchical requests (BenchmarkPlanScenarioHierMix), plus the
+# per-layer rungs
 # BenchmarkColGroupSpansAt (grid), BenchmarkAllReduceTopoThreeLevel
 # (collective) and BenchmarkAutoIntegratedResNet50ThreeLevel
 # (costmodel: one leaf's fused Auto pass, FullIntegrated under the
@@ -53,11 +55,12 @@ while [ "$i" -le 6 ]; do
 	i=$((i + 1))
 done
 # Span classification, fused Auto pricing, the unified evaluator, layer classes,
-# in-place collectives, the retired single-iteration scorer and the Cheapest
-# strategy (span_classification, fused_auto_pricing, unified_evaluator,
-# layer_classes, in_place_collectives, single_leaf_retired and cheapest_strategy
-# records). A benchmark a baseline tree predates simply prints no line for that side.
-span='BenchmarkPlanScenario$|BenchmarkPlanScenarioTwoLevel$|BenchmarkPlanScenarioThreeLevel$|BenchmarkPlanScenarioTimelineThreeLevel$|BenchmarkPlanScenarioResNet50ThreeLevel$|BenchmarkPlanScenarioPipeline$|BenchmarkPlanScenarioStages$'
+# in-place collectives, the retired single-iteration scorer, the Cheapest
+# strategy and the once-per-request fixed work (span_classification,
+# fused_auto_pricing, unified_evaluator, layer_classes, in_place_collectives,
+# single_leaf_retired, cheapest_strategy and fixed_work_once records). A
+# benchmark a baseline tree predates simply prints no line for that side.
+span='BenchmarkPlanScenario$|BenchmarkPlanScenarioTwoLevel$|BenchmarkPlanScenarioThreeLevel$|BenchmarkPlanScenarioTimelineThreeLevel$|BenchmarkPlanScenarioResNet50ThreeLevel$|BenchmarkPlanScenarioPipeline$|BenchmarkPlanScenarioStages$|BenchmarkPlanScenarioHierMix$'
 rungs='grid:BenchmarkColGroupSpansAt$ collective:BenchmarkAllReduceTopoThreeLevel$ costmodel:BenchmarkAutoIntegratedResNet50ThreeLevel$'
 if [ -z "${2:-}" ]; then
 	go test -run '^$' -bench "$span" -benchmem -count=6 -benchtime=2s . | tee -a "$out"
