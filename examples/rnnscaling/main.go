@@ -41,7 +41,11 @@ func main() {
 	for _, T := range []int{1, 4, 16, 64, 256} {
 		c := big
 		c.T = T
-		g, cost := rnn.BestGrid(c, B, P, mach)
+		g, cost, ok := rnn.BestGrid(c, B, P, mach)
+		if !ok {
+			rows = append(rows, []string{fmt.Sprintf("%d", T), "no grid fits", "-", "-", "-"})
+			continue
+		}
 		pure := rnn.Cost15D(c, B, grid.Grid{Pr: 1, Pc: P}, mach)
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", T), g.String(),

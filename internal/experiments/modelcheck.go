@@ -100,7 +100,7 @@ func ModelCheck() ([]ModelCheckRow, error) {
 	for _, g := range []grid.Grid{{Pr: 2, Pc: 2}, {Pr: 4, Pc: 2}, {Pr: 2, Pc: 4}} {
 		g := g
 		meas, err = steady(func(s int) (parallel.Result, error) {
-			return parallel.RunIntegrated15D(mpi.NewWorld(g.P(), m), mk(s), ds, g)
+			return parallel.RunFullIntegrated(mpi.NewWorld(g.P(), m), mk(s), ds, g)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("1.5D %v: %w", g, err)

@@ -60,8 +60,9 @@ func VerifyEngines(steps, batch int, seed int64, mach machine.Machine) ([]Engine
 		return nil, err
 	}
 
-	// The pure-1.5D engine (Fig. 5 / Eq. 8) is FC-only; give it an MLP
-	// workload with its own serial oracle.
+	// The 1.5D algorithm alone (Fig. 5 / Eq. 8) is RunFullIntegrated on a
+	// network without convolutions; give it an MLP workload with its own
+	// serial oracle.
 	mlp := nn.MLP("verify-mlp", 32, 16, 8, 8)
 	mlpDS := data.Synthetic(4*batch, mlp.Input, mlp.Output().C, seed+2)
 	mlpCfg := parallel.Config{Spec: mlp, Seed: seed + 3, LR: 0.05, Steps: steps, BatchSize: batch}
@@ -85,7 +86,7 @@ func VerifyEngines(steps, batch int, seed int64, mach machine.Machine) ([]Engine
 			func(w *mpi.World) (parallel.Result, error) { return parallel.RunDomain(w, cfg, ds) }},
 		{"1.5D-fc", "Fig. 5 / Eq. 8", "2x2", 4, &mlpOracle,
 			func(w *mpi.World) (parallel.Result, error) {
-				return parallel.RunIntegrated15D(w, mlpCfg, mlpDS, grid.Grid{Pr: 2, Pc: 2})
+				return parallel.RunFullIntegrated(w, mlpCfg, mlpDS, grid.Grid{Pr: 2, Pc: 2})
 			}},
 		{"integrated", "Eq. 9", "2x2", 4, &oracle,
 			func(w *mpi.World) (parallel.Result, error) {

@@ -7,6 +7,7 @@ import (
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/mpi"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/tensor"
 )
 
 // RunBatch trains with pure batch parallelism (Fig. 2): every rank holds a
@@ -20,8 +21,7 @@ func RunBatch(w *mpi.World, cfg Config, ds *data.Dataset) (Result, error) {
 	if w.Size() > cfg.BatchSize {
 		return Result{}, fmt.Errorf("parallel: batch parallelism needs P ≤ B, got P=%d B=%d", w.Size(), cfg.BatchSize)
 	}
-	col := &collector{}
-	stats := w.Run(func(p *mpi.Proc) {
+	return RunRanks(w, func(p *mpi.Proc) ([]*tensor.Matrix, []float64) {
 		world := p.WorldComm()
 		model := nn.NewModel(cfg.Spec, cfg.Seed)
 		opt := cfg.optimizer()
@@ -34,17 +34,11 @@ func RunBatch(w *mpi.World, cfg Config, ds *data.Dataset) (Result, error) {
 			loss, grads := model.ForwardBackward(lx, ll)
 			// Local grads are averaged over the shard; reweight to the
 			// global 1/B average before the sum-reduce.
-			flat := flattenMats(grads, float64(shard.Len())/float64(cfg.BatchSize))
+			flat := FlattenMats(grads, float64(shard.Len())/float64(cfg.BatchSize))
 			reduced := world.AllReduceSum(flat)
-			model.Apply(opt, unflattenLike(model.Weights, reduced))
-			losses = append(losses, globalLoss(world, loss, shard.Len(), cfg.BatchSize))
+			model.Apply(opt, UnflattenLike(model.Weights, reduced))
+			losses = append(losses, GlobalLoss(world, loss, shard.Len(), cfg.BatchSize))
 		}
-		if p.Rank() == 0 {
-			col.report(model.CloneWeights(), losses)
-		}
-	})
-	if col.err != nil {
-		return Result{}, col.err
-	}
-	return Result{Weights: col.weights, Losses: col.losses, Stats: stats}, nil
+		return model.CloneWeights(), losses
+	}), nil
 }

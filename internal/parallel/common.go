@@ -4,24 +4,28 @@
 //
 //   - RunSerial          — the single-process reference (nn.Model);
 //   - RunBatch           — pure batch parallelism (Fig. 2, Eq. 4);
-//   - RunModel           — pure model parallelism (Fig. 1, Eq. 3);
+//   - RunModel           — pure model parallelism (Fig. 1, Eq. 3): a
+//     filter-sharded conv front feeding the 1.5D FC engine on a P × 1
+//     grid;
 //   - RunDomain          — pure domain parallelism with halo exchanges
 //     (Fig. 3, Eq. 7);
-//   - RunIntegrated15D   — the 1.5D integrated model+batch algorithm on a
-//     Pr × Pc grid (Fig. 5, Eq. 8);
-//   - RunFullIntegrated  — domain-parallel convolutions feeding 1.5D
-//     fully-connected layers (Section 2.4, Eq. 9).
+//   - RunFullIntegrated  — the integrated algorithm on a Pr × Pc grid:
+//     domain-parallel convolutions feeding 1.5D fully-connected layers
+//     (Section 2.4, Eq. 9). On a network without convolutions it is the
+//     1.5D model+batch algorithm alone (Fig. 5, Eq. 8), which is batch
+//     parallelism at Pr = 1 and model parallelism at Pc = 1.
 //
 // Every engine consumes the same deterministic initial weights and batch
 // schedule as the serial reference and is tested to reproduce its loss and
 // weight trajectory to floating-point accumulation error — the executable
 // counterpart of the paper's claim that all these schemes compute the
 // *same* synchronous SGD iteration, differing only in communication.
+// RunRanks and the exported collective helpers are shared with the
+// recurrent engines of internal/rnn.
 package parallel
 
 import (
 	"fmt"
-	"sync"
 
 	"dnnparallel/internal/data"
 	"dnnparallel/internal/grid"
@@ -95,25 +99,24 @@ func RunSerial(cfg Config, ds *data.Dataset) (Result, error) {
 	return Result{Weights: m.CloneWeights(), Losses: losses}, nil
 }
 
-// collector gathers rank-0 outputs from inside World.Run bodies.
-type collector struct {
-	mu      sync.Mutex
-	weights []*tensor.Matrix
-	losses  []float64
-	err     error
+// RunRanks runs body on every rank of w and returns rank 0's weights and
+// losses with every rank's mpi accounting — the harness of every
+// distributed engine, here and in internal/rnn.
+func RunRanks(w *mpi.World, body func(p *mpi.Proc) ([]*tensor.Matrix, []float64)) Result {
+	var res Result
+	res.Stats = w.Run(func(p *mpi.Proc) {
+		weights, losses := body(p)
+		if p.Rank() == 0 {
+			res.Weights, res.Losses = weights, losses
+		}
+	})
+	return res
 }
 
-func (c *collector) report(weights []*tensor.Matrix, losses []float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.weights = weights
-	c.losses = losses
-}
-
-// flattenMats packs a list of matrices into one contiguous vector, scaling
+// FlattenMats packs a list of matrices into one contiguous vector, scaling
 // each element by scale — used to issue a single gradient all-reduce per
 // step, like production data-parallel frameworks.
-func flattenMats(ms []*tensor.Matrix, scale float64) []float64 {
+func FlattenMats(ms []*tensor.Matrix, scale float64) []float64 {
 	n := 0
 	for _, m := range ms {
 		n += len(m.Data)
@@ -127,8 +130,8 @@ func flattenMats(ms []*tensor.Matrix, scale float64) []float64 {
 	return out
 }
 
-// unflattenLike unpacks flat into matrices shaped like template.
-func unflattenLike(template []*tensor.Matrix, flat []float64) []*tensor.Matrix {
+// UnflattenLike unpacks flat into matrices shaped like template.
+func UnflattenLike(template []*tensor.Matrix, flat []float64) []*tensor.Matrix {
 	out := make([]*tensor.Matrix, len(template))
 	off := 0
 	for i, m := range template {
@@ -140,10 +143,10 @@ func unflattenLike(template []*tensor.Matrix, flat []float64) []*tensor.Matrix {
 	return out
 }
 
-// rowShard returns the [lo, hi) row block of m for shard i of p. Used to
+// RowShard returns the [lo, hi) row block of m for shard i of p. Used to
 // derive each rank's weight shard from the shared deterministic full
 // initialization, so shards concatenate exactly to the serial weights.
-func rowShard(m *tensor.Matrix, p, i int) *tensor.Matrix {
+func RowShard(m *tensor.Matrix, p, i int) *tensor.Matrix {
 	s := grid.BlockShard(m.Rows, p, i)
 	return m.SliceRows(s.Lo, s.Hi)
 }
@@ -201,19 +204,19 @@ func gatherRowsH(comm *mpi.Comm, shard *tensor.Tensor4, fullH int) *tensor.Tenso
 	return full
 }
 
-// gatherMatrixRows all-gathers equal row blocks of a matrix over comm into
+// GatherMatrixRows all-gathers equal row blocks of a matrix over comm into
 // the full matrix (row blocks in comm-rank order).
-func gatherMatrixRows(comm *mpi.Comm, shard *tensor.Matrix, fullRows int) *tensor.Matrix {
+func GatherMatrixRows(comm *mpi.Comm, shard *tensor.Matrix, fullRows int) *tensor.Matrix {
 	p := comm.Size()
 	if shard.Rows*p != fullRows {
-		panic(fmt.Sprintf("parallel: gatherMatrixRows %d×%d ≠ %d", shard.Rows, p, fullRows))
+		panic(fmt.Sprintf("parallel: GatherMatrixRows %d×%d ≠ %d", shard.Rows, p, fullRows))
 	}
 	flat := comm.AllGather(shard.Data)
 	return tensor.Wrap(fullRows, shard.Cols, flat)
 }
 
-// allReduceMat sums a matrix element-wise across comm.
-func allReduceMat(comm *mpi.Comm, m *tensor.Matrix) *tensor.Matrix {
+// AllReduceMat sums a matrix element-wise across comm.
+func AllReduceMat(comm *mpi.Comm, m *tensor.Matrix) *tensor.Matrix {
 	return tensor.Wrap(m.Rows, m.Cols, comm.AllReduceSum(m.Data))
 }
 
@@ -222,8 +225,8 @@ func allReduceT4(comm *mpi.Comm, t *tensor.Tensor4) *tensor.Tensor4 {
 	return &tensor.Tensor4{N: t.N, C: t.C, H: t.H, W: t.W, Data: comm.AllReduceSum(t.Data)}
 }
 
-// globalLoss averages per-shard mean losses weighted by shard size.
-func globalLoss(comm *mpi.Comm, localLoss float64, localB, globalB int) float64 {
+// GlobalLoss averages per-shard mean losses weighted by shard size.
+func GlobalLoss(comm *mpi.Comm, localLoss float64, localB, globalB int) float64 {
 	s := comm.AllReduceSum([]float64{localLoss * float64(localB)})
 	return s[0] / float64(globalB)
 }

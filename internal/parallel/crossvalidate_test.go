@@ -100,7 +100,7 @@ func TestIntegratedEngineCommMatchesEq8(t *testing.T) {
 	for _, g := range []grid.Grid{{Pr: 2, Pc: 2}, {Pr: 4, Pc: 2}, {Pr: 2, Pc: 4}} {
 		run := func(steps int) Result {
 			cfg := Config{Spec: spec, Seed: 7, LR: 0.01, Steps: steps, BatchSize: 16}
-			res, err := RunIntegrated15D(mpi.NewWorld(g.P(), m), cfg, ds, g)
+			res, err := RunFullIntegrated(mpi.NewWorld(g.P(), m), cfg, ds, g)
 			if err != nil {
 				t.Fatal(err)
 			}

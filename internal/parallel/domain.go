@@ -28,8 +28,7 @@ func RunDomain(w *mpi.World, cfg Config, ds *data.Dataset) (Result, error) {
 	if spatialPrefixEnd(cfg.Spec) == len(cfg.Spec.Layers) {
 		return Result{}, fmt.Errorf("parallel: RunDomain needs an FC classifier suffix")
 	}
-	col := &collector{}
-	stats := w.Run(func(proc *mpi.Proc) {
+	return RunRanks(w, func(proc *mpi.Proc) ([]*tensor.Matrix, []float64) {
 		world := proc.WorldComm()
 		ref := nn.NewModel(cfg.Spec, cfg.Seed)
 		stack := newDomainStack(cfg.Spec, ref, world, world)
@@ -61,29 +60,12 @@ func RunDomain(w *mpi.World, cfg Config, ds *data.Dataset) (Result, error) {
 			}
 			losses = append(losses, loss)
 		}
-		if proc.Rank() == 0 {
-			ws := append(append([]*tensor.Matrix{}, stack.weights...), fc.Assemble()...)
-			col.report(cloneMats(ws), losses)
-		} else {
-			fc.Assemble()
-		}
-	})
-	if col.err != nil {
-		return Result{}, col.err
-	}
-	return Result{Weights: col.weights, Losses: col.losses, Stats: stats}, nil
+		return append(append([]*tensor.Matrix{}, stack.weights...), fc.Assemble()...), losses
+	}), nil
 }
 
 // lastWeighted returns the index of the final weighted layer.
 func lastWeighted(spec *nn.Network) int {
 	w := spec.WeightedLayers()
 	return w[len(w)-1]
-}
-
-func cloneMats(ms []*tensor.Matrix) []*tensor.Matrix {
-	out := make([]*tensor.Matrix, len(ms))
-	for i, m := range ms {
-		out[i] = m.Clone()
-	}
-	return out
 }

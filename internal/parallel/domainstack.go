@@ -227,11 +227,11 @@ func (d *domainStack) Backward(dy *tensor.Tensor4, lastW int) []*tensor.Matrix {
 			dyExt.SetRowsH(haloT, cur)
 			if li == 0 {
 				// No ∆X past the first layer (Eq. 3's i ≥ 2 bound).
-				grads[d.slot[li]] = allReduceMat(d.gradComm, nn.ConvGradWeights(ext, dyExt, l.KH, l.KW, 1, l.Pad))
+				grads[d.slot[li]] = AllReduceMat(d.gradComm, nn.ConvGradWeights(ext, dyExt, l.KH, l.KW, 1, l.Pad))
 				continue
 			}
 			dxExt, dw := nn.ConvBackward(ext, d.weights[d.slot[li]], dyExt, l.KH, l.KW, 1, l.Pad)
-			grads[d.slot[li]] = allReduceMat(d.gradComm, dw)
+			grads[d.slot[li]] = AllReduceMat(d.gradComm, dw)
 			cur = d.foldHaloGrad(dxExt, haloT, cur.H)
 		}
 	}

@@ -230,6 +230,23 @@ func TestModelRejectsIndivisible(t *testing.T) {
 	}
 }
 
+// TestModelRequiresFCSuffix: the FC suffix runs on fc15D, so a network
+// with no FC layer is rejected rather than trained without logits.
+func TestModelRequiresFCSuffix(t *testing.T) {
+	spec := &nn.Network{
+		Name:   "convOnly",
+		Input:  nn.Shape{H: 4, W: 4, C: 2},
+		Layers: []nn.Layer{{Kind: nn.Conv, Name: "c", KH: 3, KW: 3, Stride: 1, Pad: 1, OutC: 4}},
+	}
+	if err := spec.Infer(); err != nil {
+		t.Fatal(err)
+	}
+	ds := data.Synthetic(8, spec.Input, 4, 1)
+	if _, err := RunModel(mpi.NewWorld(2, testMachine()), Config{Spec: spec, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}, ds); err == nil {
+		t.Fatal("a network without an FC layer should be rejected")
+	}
+}
+
 // --- Domain parallelism (Fig. 3) ------------------------------------------
 
 func TestDomainMatchesSerial(t *testing.T) {
@@ -296,7 +313,7 @@ func TestIntegrated15DMatchesSerialAllGrids(t *testing.T) {
 	want := serialOracle(t, cfg, ds)
 	for _, g := range []grid.Grid{{Pr: 1, Pc: 6}, {Pr: 2, Pc: 3}, {Pr: 2, Pc: 2}, {Pr: 4, Pc: 2}, {Pr: 4, Pc: 1}, {Pr: 1, Pc: 1}} {
 		w := mpi.NewWorld(g.P(), testMachine())
-		got, err := RunIntegrated15D(w, cfg, ds, g)
+		got, err := RunFullIntegrated(w, cfg, ds, g)
 		if err != nil {
 			t.Fatalf("grid %v: %v", g, err)
 		}
@@ -320,7 +337,7 @@ func TestIntegrated15DPureEndsMatchOtherEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	wi := mpi.NewWorld(4, testMachine())
-	ibatch, err := RunIntegrated15D(wi, cfg, ds, grid.Grid{Pr: 1, Pc: 4})
+	ibatch, err := RunFullIntegrated(wi, cfg, ds, grid.Grid{Pr: 1, Pc: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +350,7 @@ func TestIntegrated15DPureEndsMatchOtherEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	wi2 := mpi.NewWorld(4, testMachine())
-	imodel, err := RunIntegrated15D(wi2, cfg, ds, grid.Grid{Pr: 4, Pc: 1})
+	imodel, err := RunFullIntegrated(wi2, cfg, ds, grid.Grid{Pr: 4, Pc: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,16 +364,11 @@ func TestIntegrated15DValidation(t *testing.T) {
 	ds := data.Synthetic(8, spec.Input, 4, 1)
 	cfg := Config{Spec: spec, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 5}
 	w := mpi.NewWorld(4, testMachine())
-	if _, err := RunIntegrated15D(w, cfg, ds, grid.Grid{Pr: 2, Pc: 2}); err == nil {
+	if _, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 2, Pc: 2}); err == nil {
 		t.Fatal("B=5 not divisible by Pc=2 should be rejected")
 	}
-	if _, err := RunIntegrated15D(w, cfg, ds, grid.Grid{Pr: 2, Pc: 3}); err == nil {
+	if _, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 2, Pc: 3}); err == nil {
 		t.Fatal("grid/world mismatch should be rejected")
-	}
-	conv := nn.TinyConvNet()
-	dsc := data.Synthetic(8, conv.Input, 10, 1)
-	if _, err := RunIntegrated15D(w, Config{Spec: conv, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}, dsc, grid.Grid{Pr: 2, Pc: 2}); err == nil {
-		t.Fatal("conv network should be rejected by the FC-only 1.5D engine")
 	}
 }
 

@@ -3,8 +3,6 @@ package parallel
 import (
 	"fmt"
 
-	"dnnparallel/internal/data"
-	"dnnparallel/internal/grid"
 	"dnnparallel/internal/mpi"
 	"dnnparallel/internal/nn"
 	"dnnparallel/internal/tensor"
@@ -48,7 +46,7 @@ func newFC15D(spec *nn.Network, ref *nn.Model, rowComm, colComm *mpi.Comm) *fc15
 		}
 		full := ref.Weights[ref.WeightSlot(li)]
 		f.slot[li] = len(f.shards)
-		f.shards = append(f.shards, rowShard(full, f.pr, f.r))
+		f.shards = append(f.shards, RowShard(full, f.pr, f.r))
 	}
 	return f
 }
@@ -61,7 +59,7 @@ func (f *fc15D) Forward(cur *tensor.Matrix) *tensor.Matrix {
 		case nn.FC:
 			f.matIn[li] = cur
 			local := nn.DenseForward(f.shards[f.slot[li]], cur)
-			pre := gatherMatrixRows(f.colComm, local, l.OutN) // Eq. 8 all-gather over Pr
+			pre := GatherMatrixRows(f.colComm, local, l.OutN) // Eq. 8 all-gather over Pr
 			f.matPre[li] = pre
 			if li != f.lastW {
 				cur = nn.ReLUForward(pre)
@@ -94,14 +92,14 @@ func (f *fc15D) Backward(dlogits *tensor.Matrix) ([]*tensor.Matrix, *tensor.Matr
 		if li != f.lastW {
 			d = nn.ReLUBackward(d, f.matPre[li])
 		}
-		dyShard := rowShard(d, f.pr, f.r)
+		dyShard := RowShard(d, f.pr, f.r)
 		partialW := nn.DenseGradWeights(dyShard, f.matIn[li])
-		grads[f.slot[li]] = allReduceMat(f.rowComm, partialW) // Eq. 8 ∆W all-reduce over Pc
+		grads[f.slot[li]] = AllReduceMat(f.rowComm, partialW) // Eq. 8 ∆W all-reduce over Pc
 		if li == 0 {
 			return grads, nil
 		}
 		partialX := nn.DenseBackwardInput(f.shards[f.slot[li]], dyShard)
-		d = allReduceMat(f.colComm, partialX) // Eq. 8 ∆X all-reduce over Pr
+		d = AllReduceMat(f.colComm, partialX) // Eq. 8 ∆X all-reduce over Pr
 		if li == f.startLi {
 			return grads, d
 		}
@@ -120,62 +118,7 @@ func (f *fc15D) Apply(opt nn.Optimizer, grads []*tensor.Matrix) {
 func (f *fc15D) Assemble() []*tensor.Matrix {
 	out := make([]*tensor.Matrix, len(f.shards))
 	for i, s := range f.shards {
-		out[i] = gatherMatrixRows(f.colComm, s, s.Rows*f.pr)
+		out[i] = GatherMatrixRows(f.colComm, s, s.Rows*f.pr)
 	}
 	return out
-}
-
-// RunIntegrated15D trains a fully-connected network with the 1.5D
-// integrated model+batch algorithm on grid g (Fig. 5 / Eq. 8). With
-// g = 1×P it degenerates to pure batch parallelism and with g = P×1 to
-// pure model parallelism — the spectrum the paper emphasizes.
-func RunIntegrated15D(w *mpi.World, cfg Config, ds *data.Dataset, g grid.Grid) (Result, error) {
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	if g.P() != w.Size() {
-		return Result{}, fmt.Errorf("parallel: grid %v needs %d ranks, world has %d", g, g.P(), w.Size())
-	}
-	if cfg.BatchSize%g.Pc != 0 {
-		return Result{}, fmt.Errorf("parallel: batch %d not divisible by Pc=%d", cfg.BatchSize, g.Pc)
-	}
-	if spatialPrefixEnd(cfg.Spec) != 0 {
-		return Result{}, fmt.Errorf("parallel: RunIntegrated15D requires a fully-connected network; use RunFullIntegrated for conv fronts")
-	}
-	for _, li := range cfg.Spec.WeightedLayers() {
-		if l := &cfg.Spec.Layers[li]; l.OutN%g.Pr != 0 {
-			return Result{}, fmt.Errorf("parallel: fc %s OutN=%d not divisible by Pr=%d", l.Name, l.OutN, g.Pr)
-		}
-	}
-	col := &collector{}
-	stats := w.Run(func(proc *mpi.Proc) {
-		r, c := g.Coords(proc.Rank())
-		rowComm := proc.CommFrom(g.RowGroup(r))
-		colComm := proc.CommFrom(g.ColGroup(c))
-		ref := nn.NewModel(cfg.Spec, cfg.Seed)
-		eng := newFC15D(cfg.Spec, ref, rowComm, colComm)
-		opt := cfg.optimizer()
-		bShard := grid.BlockShard(cfg.BatchSize, g.Pc, c)
-		losses := make([]float64, 0, cfg.Steps)
-		for s := 0; s < cfg.Steps; s++ {
-			x, labels := ds.Batch(s, cfg.BatchSize)
-			lx := x.SliceSamples(bShard.Lo, bShard.Hi).AsMatrix()
-			ll := labels[bShard.Lo:bShard.Hi]
-			logits := eng.Forward(lx)
-			loss, d := nn.SoftmaxCrossEntropy(logits, ll)
-			// Rescale the 1/localB mean gradient to the global 1/B mean.
-			d.ScaleInPlace(float64(bShard.Len()) / float64(cfg.BatchSize))
-			grads, _ := eng.Backward(d)
-			eng.Apply(opt, grads)
-			losses = append(losses, globalLoss(rowComm, loss, bShard.Len(), cfg.BatchSize))
-		}
-		ws := eng.Assemble()
-		if proc.Rank() == 0 {
-			col.report(ws, losses)
-		}
-	})
-	if col.err != nil {
-		return Result{}, col.err
-	}
-	return Result{Weights: col.weights, Losses: col.losses, Stats: stats}, nil
 }

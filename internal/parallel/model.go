@@ -14,13 +14,17 @@ import (
 // output rows) and the full minibatch. Each layer's forward pass computes
 // a local activation slab and all-gathers it (the first Eq. 3 sum); each
 // backward pass all-reduces the partial ∆X (the second Eq. 3 sum). Weight
-// gradients are local — no gradient all-reduce at all.
+// gradients are local — no gradient all-reduce at all. The FC suffix is
+// fc15D on a P × 1 grid; the spatial prefix is modelEngine.
 //
-// Requires every conv OutC and FC OutN to be divisible by P so the
-// all-gathered slabs are equal-sized.
+// Requires an FC suffix, and every conv OutC and FC OutN to be divisible
+// by P so the all-gathered slabs are equal-sized.
 func RunModel(w *mpi.World, cfg Config, ds *data.Dataset) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
+	}
+	if spatialPrefixEnd(cfg.Spec) == len(cfg.Spec.Layers) {
+		return Result{}, fmt.Errorf("parallel: RunModel needs an FC classifier suffix")
 	}
 	p := w.Size()
 	for _, li := range cfg.Spec.WeightedLayers() {
@@ -32,90 +36,74 @@ func RunModel(w *mpi.World, cfg Config, ds *data.Dataset) (Result, error) {
 			return Result{}, fmt.Errorf("parallel: fc %s OutN=%d not divisible by P=%d", l.Name, l.OutN, p)
 		}
 	}
-	col := &collector{}
-	stats := w.Run(func(proc *mpi.Proc) {
+	return RunRanks(w, func(proc *mpi.Proc) ([]*tensor.Matrix, []float64) {
 		world := proc.WorldComm()
-		eng := newModelEngine(cfg, proc.Rank(), p)
+		ref := nn.NewModel(cfg.Spec, cfg.Seed) // deterministic full init, then shard
+		front := newModelEngine(cfg.Spec, ref, world)
+		// The FC suffix is the 1.5D algorithm on a P × 1 grid: weights
+		// sharded over all P ranks, the whole batch on every rank.
+		fc := newFC15D(cfg.Spec, ref, proc.CommFrom([]int{proc.Rank()}), world)
+		shards := append(append([]*tensor.Matrix{}, front.shards...), fc.shards...)
 		opt := cfg.optimizer()
 		losses := make([]float64, 0, cfg.Steps)
 		for s := 0; s < cfg.Steps; s++ {
 			x, labels := ds.Batch(s, cfg.BatchSize)
-			losses = append(losses, eng.step(world, opt, x, labels))
+			loss, d := nn.SoftmaxCrossEntropy(fc.Forward(front.forward(x)), labels)
+			fcGrads, dIn := fc.Backward(d)
+			opt.Step(shards, append(front.backward(dIn), fcGrads...))
+			losses = append(losses, loss)
 		}
-		if proc.Rank() == 0 {
-			col.report(eng.assemble(world), losses)
-		} else {
-			eng.assemble(world) // all ranks participate in the gathers
-		}
-	})
-	if col.err != nil {
-		return Result{}, col.err
-	}
-	return Result{Weights: col.weights, Losses: col.losses, Stats: stats}, nil
+		return append(front.assemble(), fc.Assemble()...), losses
+	}), nil
 }
 
-// modelEngine is the per-rank state of the pure model-parallel trainer.
+// modelEngine is the per-rank state of the pure model-parallel spatial
+// prefix (conv, pool, LRN): a block of every conv layer's filters, full
+// replicated activations.
 type modelEngine struct {
 	spec   *nn.Network
-	rank   int
-	p      int
-	lastW  int
-	shards []*tensor.Matrix // row/filter shard per weighted layer
+	world  *mpi.Comm
+	stop   int              // first FC layer (end of the prefix)
+	shards []*tensor.Matrix // filter shard per conv layer
 	slot   map[int]int
 
 	// per-layer forward caches (full, replicated tensors)
-	t4In   []*tensor.Tensor4
-	t4Pre  []*tensor.Tensor4
-	matIn  []*tensor.Matrix
-	matPre []*tensor.Matrix
-	arg    [][]int
-	denom  [][]float64
+	t4In  []*tensor.Tensor4
+	t4Pre []*tensor.Tensor4
+	arg   [][]int
+	denom [][]float64
 }
 
-func newModelEngine(cfg Config, rank, p int) *modelEngine {
-	ref := nn.NewModel(cfg.Spec, cfg.Seed) // deterministic full init, then shard
-	e := &modelEngine{spec: cfg.Spec, rank: rank, p: p, lastW: -1, slot: map[int]int{}}
-	for _, li := range cfg.Spec.WeightedLayers() {
-		full := ref.Weights[ref.WeightSlot(li)]
-		e.slot[li] = len(e.shards)
-		e.shards = append(e.shards, rowShard(full, p, rank))
-		e.lastW = li
+func newModelEngine(spec *nn.Network, ref *nn.Model, world *mpi.Comm) *modelEngine {
+	n := len(spec.Layers)
+	e := &modelEngine{
+		spec: spec, world: world, stop: spatialPrefixEnd(spec), slot: map[int]int{},
+		t4In: make([]*tensor.Tensor4, n), t4Pre: make([]*tensor.Tensor4, n),
+		arg: make([][]int, n), denom: make([][]float64, n),
 	}
-	n := len(cfg.Spec.Layers)
-	e.t4In = make([]*tensor.Tensor4, n)
-	e.t4Pre = make([]*tensor.Tensor4, n)
-	e.matIn = make([]*tensor.Matrix, n)
-	e.matPre = make([]*tensor.Matrix, n)
-	e.arg = make([][]int, n)
-	e.denom = make([][]float64, n)
+	for _, li := range spec.WeightedLayers() {
+		if li >= e.stop {
+			break
+		}
+		e.slot[li] = len(e.shards)
+		e.shards = append(e.shards, RowShard(ref.Weights[ref.WeightSlot(li)], world.Size(), world.Rank()))
+	}
 	return e
 }
 
-// step runs one synchronous training iteration and returns the batch loss.
-func (e *modelEngine) step(world *mpi.Comm, opt nn.Optimizer, x *tensor.Tensor4, labels []int) float64 {
-	logits := e.forward(world, x)
-	loss, d := nn.SoftmaxCrossEntropy(logits, labels)
-	grads := e.backward(world, d)
-	opt.Step(e.shards, grads)
-	return loss
-}
-
-func (e *modelEngine) forward(world *mpi.Comm, x *tensor.Tensor4) *tensor.Matrix {
+// forward runs the prefix and hands its output to the FC suffix as a
+// matrix (one sample per column).
+func (e *modelEngine) forward(x *tensor.Tensor4) *tensor.Matrix {
 	cur4 := x
-	var cur *tensor.Matrix
-	for li := range e.spec.Layers {
+	for li := 0; li < e.stop; li++ {
 		l := &e.spec.Layers[li]
 		switch l.Kind {
 		case nn.Conv:
 			e.t4In[li] = cur4
 			local := nn.ConvForward(cur4, e.shards[e.slot[li]], l.KH, l.KW, l.Stride, l.Pad)
-			pre := gatherChannels(world, local, l.OutC) // the Eq. 3 all-gather
+			pre := gatherChannels(e.world, local, l.OutC) // the Eq. 3 all-gather
 			e.t4Pre[li] = pre
-			if li != e.lastW {
-				cur4 = nn.ReLUForward4(pre)
-			} else {
-				cur4 = pre
-			}
+			cur4 = nn.ReLUForward4(pre)
 		case nn.Pool:
 			e.t4In[li] = cur4
 			y, arg := nn.MaxPoolForward(cur4, l.KH, l.KW, l.Stride)
@@ -126,61 +114,31 @@ func (e *modelEngine) forward(world *mpi.Comm, x *tensor.Tensor4) *tensor.Matrix
 			y, denom := nn.LRNForward(cur4)
 			e.denom[li] = denom
 			cur4 = y
-		case nn.Dropout:
-			// identity
-		case nn.FC:
-			if cur == nil {
-				cur = cur4.AsMatrix()
-				cur4 = nil
-			}
-			e.matIn[li] = cur
-			local := nn.DenseForward(e.shards[e.slot[li]], cur)
-			pre := gatherMatrixRows(world, local, l.OutN) // the Eq. 3 all-gather
-			e.matPre[li] = pre
-			if li != e.lastW {
-				cur = nn.ReLUForward(pre)
-			} else {
-				cur = pre
-			}
 		}
 	}
-	return cur
+	return cur4.AsMatrix()
 }
 
-func (e *modelEngine) backward(world *mpi.Comm, dlogits *tensor.Matrix) []*tensor.Matrix {
+// backward takes the suffix's ∆X (nil when there is no prefix) and
+// returns the prefix's weight gradients in slot order.
+func (e *modelEngine) backward(dIn *tensor.Matrix) []*tensor.Matrix {
 	grads := make([]*tensor.Matrix, len(e.shards))
-	dcur := dlogits
-	var dcur4 *tensor.Tensor4
-	layers := e.spec.Layers
-	for li := len(layers) - 1; li >= 0; li-- {
-		l := &layers[li]
+	if e.stop == 0 {
+		return grads
+	}
+	sh := e.spec.Layers[e.stop-1].Out
+	dcur4 := tensor.FromMatrix(dIn, sh.C, sh.H, sh.W)
+	p, rank := e.world.Size(), e.world.Rank()
+	for li := e.stop - 1; li >= 0; li-- {
+		l := &e.spec.Layers[li]
 		switch l.Kind {
-		case nn.FC:
-			if li != e.lastW {
-				dcur = nn.ReLUBackward(dcur, e.matPre[li])
-			}
-			dyShard := rowShard(dcur, e.p, e.rank)
-			grads[e.slot[li]] = nn.DenseGradWeights(dyShard, e.matIn[li])
-			if li == 0 {
-				continue
-			}
-			partial := nn.DenseBackwardInput(e.shards[e.slot[li]], dyShard)
-			dcur = allReduceMat(world, partial) // the Eq. 3 ∆X all-reduce
-			if prev := prevSpatialShape(e.spec, li); prev != nil {
-				dcur4 = tensor.FromMatrix(dcur, prev.C, prev.H, prev.W)
-				dcur = nil
-			}
-		case nn.Dropout:
-			// identity
 		case nn.LRN:
 			dcur4 = nn.LRNBackward(dcur4, e.t4In[li], e.denom[li])
 		case nn.Pool:
 			dcur4 = nn.MaxPoolBackward(dcur4, e.arg[li], e.t4In[li])
 		case nn.Conv:
-			if li != e.lastW {
-				dcur4 = nn.ReLUBackward4(dcur4, e.t4Pre[li])
-			}
-			dyShard := channelShard(dcur4, e.p, e.rank)
+			dcur4 = nn.ReLUBackward4(dcur4, e.t4Pre[li])
+			dyShard := channelShard(dcur4, p, rank)
 			grads[e.slot[li]] = nn.ConvGradWeights(e.t4In[li], dyShard, l.KH, l.KW, l.Stride, l.Pad)
 			if li == 0 {
 				continue
@@ -189,35 +147,17 @@ func (e *modelEngine) backward(world *mpi.Comm, dlogits *tensor.Matrix) []*tenso
 			dymat := nn.Tensor4ToConvMat(dyShard)
 			dcols := tensor.MatMulTN(e.shards[e.slot[li]], dymat)
 			partial := tensor.Col2Im(dcols, x.N, x.C, x.H, x.W, l.KH, l.KW, l.Stride, l.Pad)
-			dcur4 = allReduceT4(world, partial) // the Eq. 3 ∆X all-reduce
+			dcur4 = allReduceT4(e.world, partial) // the Eq. 3 ∆X all-reduce
 		}
 	}
 	return grads
 }
 
-// assemble all-gathers the weight shards back into full matrices.
-func (e *modelEngine) assemble(world *mpi.Comm) []*tensor.Matrix {
+// assemble all-gathers the filter shards back into full matrices.
+func (e *modelEngine) assemble() []*tensor.Matrix {
 	out := make([]*tensor.Matrix, len(e.shards))
 	for i, s := range e.shards {
-		out[i] = gatherMatrixRows(world, s, s.Rows*e.p)
+		out[i] = GatherMatrixRows(e.world, s, s.Rows*e.world.Size())
 	}
 	return out
-}
-
-// prevSpatialShape mirrors nn.Model's flatten bookkeeping.
-func prevSpatialShape(spec *nn.Network, li int) *nn.Shape {
-	for j := li - 1; j >= 0; j-- {
-		switch spec.Layers[j].Kind {
-		case nn.Conv, nn.Pool, nn.LRN:
-			s := spec.Layers[j].Out
-			return &s
-		case nn.FC:
-			return nil
-		}
-	}
-	if spec.Input.H > 1 || spec.Input.W > 1 {
-		s := spec.Input
-		return &s
-	}
-	return nil
 }

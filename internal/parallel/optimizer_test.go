@@ -58,7 +58,7 @@ func TestNesterovExactOnMLPGrids(t *testing.T) {
 	}
 	want := serialOracle(t, cfg, ds)
 	for _, g := range []grid.Grid{{Pr: 1, Pc: 4}, {Pr: 2, Pc: 2}, {Pr: 4, Pc: 1}} {
-		got, err := RunIntegrated15D(mpi.NewWorld(g.P(), testMachine()), cfg, ds, g)
+		got, err := RunFullIntegrated(mpi.NewWorld(g.P(), testMachine()), cfg, ds, g)
 		if err != nil {
 			t.Fatalf("grid %v: %v", g, err)
 		}

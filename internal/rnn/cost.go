@@ -48,20 +48,20 @@ func PureBatchCost(cfg Config, P int, m machine.Machine) collective.Cost {
 }
 
 // BestGrid searches factorizations of P for the lowest communication cost
-// at batch size B, returning the winning grid and its cost.
-func BestGrid(cfg Config, B, P int, m machine.Machine) (grid.Grid, collective.Cost) {
-	var best grid.Grid
-	bestCost := collective.Cost{Latency: 1e300}
+// at batch size B, returning the winning grid and its cost. ok is false
+// when no factorization fits: each needs Pc ≤ B and Pr dividing both
+// Hidden and Classes.
+func BestGrid(cfg Config, B, P int, m machine.Machine) (best grid.Grid, bestCost collective.Cost, ok bool) {
 	for _, g := range grid.Factorizations(P) {
 		if g.Pc > B || cfg.Hidden%g.Pr != 0 || cfg.Classes%g.Pr != 0 {
 			continue
 		}
 		c := Cost15D(cfg, B, g, m)
-		if c.Total() < bestCost.Total() {
-			best, bestCost = g, c
+		if !ok || c.Total() < bestCost.Total() {
+			best, bestCost, ok = g, c, true
 		}
 	}
-	return best, bestCost
+	return best, bestCost, ok
 }
 
 // LSTMCost15D is the Cost15D analogue for the packed-gate LSTM:

@@ -41,7 +41,10 @@ func TestLongerSequencesFavorBatch(t *testing.T) {
 	prevPr := 1 << 30
 	for _, T := range []int{1, 8, 64, 512} {
 		cfg := Config{In: 1024, Hidden: 4096, Classes: 64, T: T}
-		g, _ := BestGrid(cfg, B, P, m)
+		g, _, ok := BestGrid(cfg, B, P, m)
+		if !ok {
+			t.Fatalf("T=%d: no grid fits", T)
+		}
 		if g.Pr > prevPr {
 			t.Fatalf("T=%d: best Pr=%d grew past %d — longer sequences should favor batch", T, g.Pr, prevPr)
 		}
@@ -50,7 +53,10 @@ func TestLongerSequencesFavorBatch(t *testing.T) {
 	// And at T=1 with a big model / small batch, model parallelism should
 	// carry some of the work.
 	cfg := Config{In: 1024, Hidden: 4096, Classes: 64, T: 1}
-	g, _ := BestGrid(cfg, 16, P, m)
+	g, _, ok := BestGrid(cfg, 16, P, m)
+	if !ok {
+		t.Fatal("T=1, B=16: no grid fits")
+	}
 	if g.Pr == 1 {
 		t.Fatal("T=1, B=16 on a 21M-weight RNN should use Pr > 1")
 	}
@@ -62,11 +68,28 @@ func TestBestGridNeverWorseThanPure(t *testing.T) {
 	m := machine.CoriKNL()
 	cfg := Config{In: 512, Hidden: 2048, Classes: 128, T: 16}
 	for _, pb := range []struct{ P, B int }{{16, 64}, {64, 256}, {128, 128}} {
-		_, best := BestGrid(cfg, pb.B, pb.P, m)
+		_, best, ok := BestGrid(cfg, pb.B, pb.P, m)
+		if !ok {
+			t.Fatalf("P=%d B=%d: no grid fits", pb.P, pb.B)
+		}
 		pure := Cost15D(cfg, pb.B, grid.Grid{Pr: 1, Pc: pb.P}, m)
 		if best.Total() > pure.Total()+1e-15 {
 			t.Fatalf("P=%d B=%d: best %g worse than pure batch %g", pb.P, pb.B, best.Total(), pure.Total())
 		}
+	}
+}
+
+// TestBestGridNoFit: when no factorization of P fits — here every grid
+// with Pc ≤ B = 8 has Pr ≥ 8, and none of those divides 10 classes —
+// BestGrid reports it instead of a 0x0 grid.
+func TestBestGridNoFit(t *testing.T) {
+	cfg := Config{In: 8, Hidden: 32, Classes: 10, T: 4}
+	if g, c, ok := BestGrid(cfg, 8, 64, machine.CoriKNL()); ok {
+		t.Fatalf("B=8 P=64: got grid %v at %g s, want no fit", g, c.Total())
+	}
+	// At B = 32 the 2x32 grid fits (Pr = 2 divides both widths).
+	if g, _, ok := BestGrid(cfg, 32, 64, machine.CoriKNL()); !ok || g.P() != 64 {
+		t.Fatalf("B=32 P=64: got grid %v ok=%v, want a 64-process grid", g, ok)
 	}
 }
 

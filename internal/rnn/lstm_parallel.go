@@ -2,68 +2,22 @@ package rnn
 
 import (
 	"fmt"
-	"sync"
 
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/mpi"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/parallel"
 	"dnnparallel/internal/tensor"
 )
 
 // RunLSTMSerial trains the reference LSTM.
-func RunLSTMSerial(tc TrainConfig, ds *Sequences) (Result, error) {
-	if err := tc.validate(); err != nil {
-		return Result{}, err
-	}
-	m := NewLSTM(tc.Cfg, tc.Seed)
-	opt := tc.optimizer()
-	losses := make([]float64, 0, tc.Steps)
-	for s := 0; s < tc.Steps; s++ {
-		xs, labels := ds.Batch(s, tc.BatchSize)
-		loss, grads := m.ForwardBackward(xs, labels)
-		m.Apply(opt, grads)
-		losses = append(losses, loss)
-	}
-	return Result{Weights: m.CloneWeights(), Losses: losses}, nil
+func RunLSTMSerial(tc TrainConfig, ds *Sequences) (parallel.Result, error) {
+	return runSerial(tc, ds, NewLSTM)
 }
 
-// RunLSTMBatch trains with pure batch parallelism: full replicas,
-// sequence shards, one flattened gradient all-reduce per step.
-func RunLSTMBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (Result, error) {
-	if err := tc.validate(); err != nil {
-		return Result{}, err
-	}
-	if w.Size() > tc.BatchSize {
-		return Result{}, fmt.Errorf("rnn: LSTM batch parallelism needs P ≤ B, got P=%d B=%d", w.Size(), tc.BatchSize)
-	}
-	var mu sync.Mutex
-	var outW []*tensor.Matrix
-	var outL []float64
-	stats := w.Run(func(p *mpi.Proc) {
-		world := p.WorldComm()
-		m := NewLSTM(tc.Cfg, tc.Seed)
-		opt := tc.optimizer()
-		shard := grid.BlockShard(tc.BatchSize, p.Size(), p.Rank())
-		losses := make([]float64, 0, tc.Steps)
-		for s := 0; s < tc.Steps; s++ {
-			xs, labels := ds.Batch(s, tc.BatchSize)
-			lxs := make([]*tensor.Matrix, len(xs))
-			for t, x := range xs {
-				lxs[t] = x.SliceCols(shard.Lo, shard.Hi)
-			}
-			loss, grads := m.ForwardBackward(lxs, labels[shard.Lo:shard.Hi])
-			flat := flatten(grads, float64(shard.Len())/float64(tc.BatchSize))
-			m.Apply(opt, unflatten(m.Weights, world.AllReduceSum(flat)))
-			l := world.AllReduceSum([]float64{loss * float64(shard.Len())})
-			losses = append(losses, l[0]/float64(tc.BatchSize))
-		}
-		if p.Rank() == 0 {
-			mu.Lock()
-			outW, outL = m.CloneWeights(), losses
-			mu.Unlock()
-		}
-	})
-	return Result{Weights: outW, Losses: outL, Stats: stats}, nil
+// RunLSTMBatch trains the LSTM with pure batch parallelism.
+func RunLSTMBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (parallel.Result, error) {
+	return runBatch(w, tc, ds, NewLSTM)
 }
 
 // RunLSTM15D trains with the 1.5D algorithm on a Pr × Pc grid. The packed
@@ -71,31 +25,28 @@ func RunLSTMBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (Result, error) {
 // blocks); per timestep the gate panel is gathered over the column group
 // and ∆z all-reduced back, with one weight all-reduce per iteration.
 // Requires Hidden % Pr == 0, Classes % Pr == 0, B % Pc == 0.
-func RunLSTM15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid) (Result, error) {
+func RunLSTM15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid) (parallel.Result, error) {
 	if err := tc.validate(); err != nil {
-		return Result{}, err
+		return parallel.Result{}, err
 	}
 	if g.P() != w.Size() {
-		return Result{}, fmt.Errorf("rnn: grid %v needs %d ranks, world has %d", g, g.P(), w.Size())
+		return parallel.Result{}, fmt.Errorf("rnn: grid %v needs %d ranks, world has %d", g, g.P(), w.Size())
 	}
 	if tc.Cfg.Hidden%g.Pr != 0 || tc.Cfg.Classes%g.Pr != 0 {
-		return Result{}, fmt.Errorf("rnn: hidden=%d and classes=%d must divide Pr=%d",
+		return parallel.Result{}, fmt.Errorf("rnn: hidden=%d and classes=%d must divide Pr=%d",
 			tc.Cfg.Hidden, tc.Cfg.Classes, g.Pr)
 	}
 	if tc.BatchSize%g.Pc != 0 {
-		return Result{}, fmt.Errorf("rnn: batch %d not divisible by Pc=%d", tc.BatchSize, g.Pc)
+		return parallel.Result{}, fmt.Errorf("rnn: batch %d not divisible by Pc=%d", tc.BatchSize, g.Pc)
 	}
-	var mu sync.Mutex
-	var outW []*tensor.Matrix
-	var outL []float64
 	hdim := tc.Cfg.Hidden
-	stats := w.Run(func(p *mpi.Proc) {
+	return parallel.RunRanks(w, func(p *mpi.Proc) ([]*tensor.Matrix, []float64) {
 		r, c := g.Coords(p.Rank())
 		rowComm := p.CommFrom(g.RowGroup(r))
 		colComm := p.CommFrom(g.ColGroup(c))
 		full := NewLSTM(tc.Cfg, tc.Seed)
-		wShard := shardRows(full.Weights[0], g.Pr, r)   // (4h/Pr) × (in+h)
-		whyShard := shardRows(full.Weights[1], g.Pr, r) // (classes/Pr) × h
+		wShard := parallel.RowShard(full.Weights[0], g.Pr, r)   // (4h/Pr) × (in+h)
+		whyShard := parallel.RowShard(full.Weights[1], g.Pr, r) // (classes/Pr) × h
 		shards := []*tensor.Matrix{wShard, whyShard}
 		opt := tc.optimizer()
 		bShard := grid.BlockShard(tc.BatchSize, g.Pc, c)
@@ -117,22 +68,22 @@ func RunLSTM15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid) (Resul
 			for t := 1; t <= tc.Cfg.T; t++ {
 				z := concatZ(xs[t-1], hs[t-1])
 				aLocal := tensor.MatMul(shards[0], z)
-				a := gatherRows(colComm, aLocal, 4*hdim) // gate-panel gather ×T
+				a := parallel.GatherMatrixRows(colComm, aLocal, 4*hdim) // gate-panel gather ×T
 				gi, gf, gout, gg := gatesFromPacked(a, hdim)
 				ct, tanhC, h := stepCell(gi, gf, gout, gg, states[t-1].c)
 				states[t] = lstmState{z: z, i: gi, f: gf, o: gout, g: gg, c: ct, tanhC: tanhC}
 				hs[t] = h
 			}
 			logitsLocal := tensor.MatMul(shards[1], hs[tc.Cfg.T])
-			logits := gatherRows(colComm, logitsLocal, tc.Cfg.Classes)
+			logits := parallel.GatherMatrixRows(colComm, logitsLocal, tc.Cfg.Classes)
 			loss, dlogits := nn.SoftmaxCrossEntropy(logits, ll)
 			dlogits.ScaleInPlace(float64(localB) / float64(tc.BatchSize))
 
 			// Backward through time.
 			dW := tensor.New(shards[0].Rows, shards[0].Cols)
-			dWhy := tensor.MatMulNT(shardRows(dlogits, g.Pr, r), hs[tc.Cfg.T])
-			dhPartial := tensor.MatMulTN(shards[1], shardRows(dlogits, g.Pr, r))
-			dh := reduceMat(colComm, dhPartial)
+			dWhy := tensor.MatMulNT(parallel.RowShard(dlogits, g.Pr, r), hs[tc.Cfg.T])
+			dhPartial := tensor.MatMulTN(shards[1], parallel.RowShard(dlogits, g.Pr, r))
+			dh := parallel.AllReduceMat(colComm, dhPartial)
 			dc := tensor.New(hdim, localB)
 			for t := tc.Cfg.T; t >= 1; t-- {
 				st := &states[t]
@@ -147,29 +98,23 @@ func RunLSTM15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid) (Resul
 					dcPrev.Data[k] = dct * st.f.Data[k]
 				}
 				da := packedGateGrad(st, di, df, do, dg)
-				daShard := shardRows(da, g.Pr, r)
+				daShard := parallel.RowShard(da, g.Pr, r)
 				dW.AddInPlace(tensor.MatMulNT(daShard, st.z))
 				if t > 1 {
 					dzPartial := tensor.MatMulTN(shards[0], daShard)
-					dz := reduceMat(colComm, dzPartial) // ∆z all-reduce ×(T−1)
+					dz := parallel.AllReduceMat(colComm, dzPartial) // ∆z all-reduce ×(T−1)
 					dh = dz.SliceRows(tc.Cfg.In, tc.Cfg.In+hdim)
 					dc = dcPrev
 				}
 			}
-			flat := flatten([]*tensor.Matrix{dW, dWhy}, 1)
-			opt.Step(shards, unflatten(shards, rowComm.AllReduceSum(flat)))
-			gl := rowComm.AllReduceSum([]float64{loss * float64(localB)})
-			losses = append(losses, gl[0]/float64(tc.BatchSize))
+			flat := parallel.FlattenMats([]*tensor.Matrix{dW, dWhy}, 1)
+			opt.Step(shards, parallel.UnflattenLike(shards, rowComm.AllReduceSum(flat)))
+			losses = append(losses, parallel.GlobalLoss(rowComm, loss, localB, tc.BatchSize))
 		}
 		ws := []*tensor.Matrix{
-			gatherRows(colComm, shards[0], 4*hdim),
-			gatherRows(colComm, shards[1], tc.Cfg.Classes),
+			parallel.GatherMatrixRows(colComm, shards[0], 4*hdim),
+			parallel.GatherMatrixRows(colComm, shards[1], tc.Cfg.Classes),
 		}
-		if p.Rank() == 0 {
-			mu.Lock()
-			outW, outL = ws, losses
-			mu.Unlock()
-		}
-	})
-	return Result{Weights: outW, Losses: outL, Stats: stats}, nil
+		return ws, losses
+	}), nil
 }

@@ -8,6 +8,7 @@ import (
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/mpi"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/parallel"
 )
 
 // TestLSTMGradientCheck validates the full LSTM BPTT (gates, cell path,
@@ -147,7 +148,7 @@ func TestLSTMPackedShardAlignment(t *testing.T) {
 	for _, pr := range []int{1, 2, 4, 8} {
 		rows := 0
 		for r := 0; r < pr; r++ {
-			rows += shardRows(m.Weights[0], pr, r).Rows
+			rows += parallel.RowShard(m.Weights[0], pr, r).Rows
 		}
 		if rows != 4*cfg.Hidden {
 			t.Fatalf("Pr=%d: shards cover %d rows, want %d", pr, rows, 4*cfg.Hidden)

@@ -2,11 +2,11 @@ package rnn
 
 import (
 	"fmt"
-	"sync"
 
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/mpi"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/parallel"
 	"dnnparallel/internal/tensor"
 )
 
@@ -44,13 +44,6 @@ func (c TrainConfig) validate() error {
 		return fmt.Errorf("rnn: bad train config steps=%d B=%d lr=%g", c.Steps, c.BatchSize, c.LR)
 	}
 	return nil
-}
-
-// Result mirrors parallel.Result for the RNN engines.
-type Result struct {
-	Weights []*tensor.Matrix
-	Losses  []float64
-	Stats   []mpi.Stats
 }
 
 // Sequences is a deterministic synthetic sequence-classification dataset:
@@ -109,12 +102,30 @@ func (s *Sequences) Batch(step, b int) ([]*tensor.Matrix, []int) {
 	return xs, labels
 }
 
-// RunSerial trains the reference model.
-func RunSerial(tc TrainConfig, ds *Sequences) (Result, error) {
+// trainable is what the serial and batch runs need of a recurrent model;
+// the Elman Model and the LSTM both provide it.
+type trainable interface {
+	ForwardBackward(xs []*tensor.Matrix, labels []int) (float64, []*tensor.Matrix)
+	Apply(opt nn.Optimizer, grads []*tensor.Matrix)
+	CloneWeights() []*tensor.Matrix
+}
+
+// RunSerial trains the reference Elman model.
+func RunSerial(tc TrainConfig, ds *Sequences) (parallel.Result, error) {
+	return runSerial(tc, ds, NewModel)
+}
+
+// RunBatch trains the Elman model with pure batch parallelism.
+func RunBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (parallel.Result, error) {
+	return runBatch(w, tc, ds, NewModel)
+}
+
+// runSerial trains the model newModel builds, on one process.
+func runSerial[M trainable](tc TrainConfig, ds *Sequences, newModel func(Config, int64) M) (parallel.Result, error) {
 	if err := tc.validate(); err != nil {
-		return Result{}, err
+		return parallel.Result{}, err
 	}
-	m := NewModel(tc.Cfg, tc.Seed)
+	m := newModel(tc.Cfg, tc.Seed)
 	opt := tc.optimizer()
 	losses := make([]float64, 0, tc.Steps)
 	for s := 0; s < tc.Steps; s++ {
@@ -123,24 +134,21 @@ func RunSerial(tc TrainConfig, ds *Sequences) (Result, error) {
 		m.Apply(opt, grads)
 		losses = append(losses, loss)
 	}
-	return Result{Weights: m.CloneWeights(), Losses: losses}, nil
+	return parallel.Result{Weights: m.CloneWeights(), Losses: losses}, nil
 }
 
-// RunBatch trains with pure batch parallelism: full replicas, sequence
+// runBatch trains with pure batch parallelism: full replicas, sequence
 // shards, one flattened gradient all-reduce per step.
-func RunBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (Result, error) {
+func runBatch[M trainable](w *mpi.World, tc TrainConfig, ds *Sequences, newModel func(Config, int64) M) (parallel.Result, error) {
 	if err := tc.validate(); err != nil {
-		return Result{}, err
+		return parallel.Result{}, err
 	}
 	if w.Size() > tc.BatchSize {
-		return Result{}, fmt.Errorf("rnn: batch parallelism needs P ≤ B, got P=%d B=%d", w.Size(), tc.BatchSize)
+		return parallel.Result{}, fmt.Errorf("rnn: batch parallelism needs P ≤ B, got P=%d B=%d", w.Size(), tc.BatchSize)
 	}
-	var mu sync.Mutex
-	var outW []*tensor.Matrix
-	var outL []float64
-	stats := w.Run(func(p *mpi.Proc) {
+	return parallel.RunRanks(w, func(p *mpi.Proc) ([]*tensor.Matrix, []float64) {
 		world := p.WorldComm()
-		m := NewModel(tc.Cfg, tc.Seed)
+		m := newModel(tc.Cfg, tc.Seed)
 		opt := tc.optimizer()
 		shard := grid.BlockShard(tc.BatchSize, p.Size(), p.Rank())
 		losses := make([]float64, 0, tc.Steps)
@@ -151,52 +159,42 @@ func RunBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (Result, error) {
 				lxs[t] = x.SliceCols(shard.Lo, shard.Hi)
 			}
 			loss, grads := m.ForwardBackward(lxs, labels[shard.Lo:shard.Hi])
-			flat := flatten(grads, float64(shard.Len())/float64(tc.BatchSize))
-			reduced := world.AllReduceSum(flat)
-			m.Apply(opt, unflatten(m.Weights, reduced))
-			l := world.AllReduceSum([]float64{loss * float64(shard.Len())})
-			losses = append(losses, l[0]/float64(tc.BatchSize))
+			flat := parallel.FlattenMats(grads, float64(shard.Len())/float64(tc.BatchSize))
+			m.Apply(opt, parallel.UnflattenLike(grads, world.AllReduceSum(flat)))
+			losses = append(losses, parallel.GlobalLoss(world, loss, shard.Len(), tc.BatchSize))
 		}
-		if p.Rank() == 0 {
-			mu.Lock()
-			outW, outL = m.CloneWeights(), losses
-			mu.Unlock()
-		}
-	})
-	return Result{Weights: outW, Losses: outL, Stats: stats}, nil
+		return m.CloneWeights(), losses
+	}), nil
 }
 
 // RunIntegrated15D trains with the 1.5D model+batch algorithm on a
 // Pr × Pc grid: W_xh and W_hh row-sharded over Pr (hidden units split),
 // W_hy row-sharded over Pr (classes split), sequences sharded over Pc.
 // Requires Hidden % Pr == 0, Classes % Pr == 0, B % Pc == 0.
-func RunIntegrated15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid) (Result, error) {
+func RunIntegrated15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid) (parallel.Result, error) {
 	if err := tc.validate(); err != nil {
-		return Result{}, err
+		return parallel.Result{}, err
 	}
 	if g.P() != w.Size() {
-		return Result{}, fmt.Errorf("rnn: grid %v needs %d ranks, world has %d", g, g.P(), w.Size())
+		return parallel.Result{}, fmt.Errorf("rnn: grid %v needs %d ranks, world has %d", g, g.P(), w.Size())
 	}
 	if tc.Cfg.Hidden%g.Pr != 0 || tc.Cfg.Classes%g.Pr != 0 {
-		return Result{}, fmt.Errorf("rnn: hidden=%d and classes=%d must divide Pr=%d",
+		return parallel.Result{}, fmt.Errorf("rnn: hidden=%d and classes=%d must divide Pr=%d",
 			tc.Cfg.Hidden, tc.Cfg.Classes, g.Pr)
 	}
 	if tc.BatchSize%g.Pc != 0 {
-		return Result{}, fmt.Errorf("rnn: batch %d not divisible by Pc=%d", tc.BatchSize, g.Pc)
+		return parallel.Result{}, fmt.Errorf("rnn: batch %d not divisible by Pc=%d", tc.BatchSize, g.Pc)
 	}
-	var mu sync.Mutex
-	var outW []*tensor.Matrix
-	var outL []float64
-	stats := w.Run(func(p *mpi.Proc) {
+	return parallel.RunRanks(w, func(p *mpi.Proc) ([]*tensor.Matrix, []float64) {
 		r, c := g.Coords(p.Rank())
 		rowComm := p.CommFrom(g.RowGroup(r))
 		colComm := p.CommFrom(g.ColGroup(c))
 		full := NewModel(tc.Cfg, tc.Seed)
 		// Row shards of each weight matrix.
 		shards := []*tensor.Matrix{
-			shardRows(full.Weights[0], g.Pr, r),
-			shardRows(full.Weights[1], g.Pr, r),
-			shardRows(full.Weights[2], g.Pr, r),
+			parallel.RowShard(full.Weights[0], g.Pr, r),
+			parallel.RowShard(full.Weights[1], g.Pr, r),
+			parallel.RowShard(full.Weights[2], g.Pr, r),
 		}
 		opt := tc.optimizer()
 		bShard := grid.BlockShard(tc.BatchSize, g.Pc, c)
@@ -216,89 +214,40 @@ func RunIntegrated15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid) 
 			for t := 1; t <= tc.Cfg.T; t++ {
 				a := tensor.MatMul(shards[0], xs[t-1])
 				a.AddInPlace(tensor.MatMul(shards[1], hs[t-1]))
-				aFull := gatherRows(colComm, a, tc.Cfg.Hidden) // Eq. 8 all-gather ×T
+				aFull := parallel.GatherMatrixRows(colComm, a, tc.Cfg.Hidden) // Eq. 8 all-gather ×T
 				hs[t] = TanhForward(aFull)
 			}
 			logitsLocal := tensor.MatMul(shards[2], hs[tc.Cfg.T])
-			logits := gatherRows(colComm, logitsLocal, tc.Cfg.Classes)
+			logits := parallel.GatherMatrixRows(colComm, logitsLocal, tc.Cfg.Classes)
 			loss, dlogits := nn.SoftmaxCrossEntropy(logits, ll)
 			dlogits.ScaleInPlace(float64(localB) / float64(tc.BatchSize))
 
 			// Backward through time.
 			dWxh := tensor.New(shards[0].Rows, shards[0].Cols)
 			dWhh := tensor.New(shards[1].Rows, shards[1].Cols)
-			dWhy := tensor.MatMulNT(shardRows(dlogits, g.Pr, r), hs[tc.Cfg.T])
-			partial := tensor.MatMulTN(shards[2], shardRows(dlogits, g.Pr, r))
-			dh := reduceMat(colComm, partial) // Eq. 8 ∆X all-reduce
+			dWhy := tensor.MatMulNT(parallel.RowShard(dlogits, g.Pr, r), hs[tc.Cfg.T])
+			partial := tensor.MatMulTN(shards[2], parallel.RowShard(dlogits, g.Pr, r))
+			dh := parallel.AllReduceMat(colComm, partial) // Eq. 8 ∆X all-reduce
 			for t := tc.Cfg.T; t >= 1; t-- {
 				da := TanhBackward(dh, hs[t])
-				daShard := shardRows(da, g.Pr, r)
+				daShard := parallel.RowShard(da, g.Pr, r)
 				dWxh.AddInPlace(tensor.MatMulNT(daShard, xs[t-1]))
 				dWhh.AddInPlace(tensor.MatMulNT(daShard, hs[t-1]))
 				if t > 1 {
-					dh = reduceMat(colComm, tensor.MatMulTN(shards[1], daShard))
+					dh = parallel.AllReduceMat(colComm, tensor.MatMulTN(shards[1], daShard))
 				}
 			}
 			// One weight all-reduce over the row group (volume |W|/Pr).
-			flat := flatten([]*tensor.Matrix{dWxh, dWhh, dWhy}, 1)
+			flat := parallel.FlattenMats([]*tensor.Matrix{dWxh, dWhh, dWhy}, 1)
 			reduced := rowComm.AllReduceSum(flat)
-			opt.Step(shards, unflatten(shards, reduced))
-			gl := rowComm.AllReduceSum([]float64{loss * float64(localB)})
-			losses = append(losses, gl[0]/float64(tc.BatchSize))
+			opt.Step(shards, parallel.UnflattenLike(shards, reduced))
+			losses = append(losses, parallel.GlobalLoss(rowComm, loss, localB, tc.BatchSize))
 		}
 		ws := []*tensor.Matrix{
-			gatherRows(colComm, shards[0], tc.Cfg.Hidden),
-			gatherRows(colComm, shards[1], tc.Cfg.Hidden),
-			gatherRows(colComm, shards[2], tc.Cfg.Classes),
+			parallel.GatherMatrixRows(colComm, shards[0], tc.Cfg.Hidden),
+			parallel.GatherMatrixRows(colComm, shards[1], tc.Cfg.Hidden),
+			parallel.GatherMatrixRows(colComm, shards[2], tc.Cfg.Classes),
 		}
-		if p.Rank() == 0 {
-			mu.Lock()
-			outW, outL = ws, losses
-			mu.Unlock()
-		}
-	})
-	return Result{Weights: outW, Losses: outL, Stats: stats}, nil
-}
-
-func shardRows(m *tensor.Matrix, p, i int) *tensor.Matrix {
-	s := grid.BlockShard(m.Rows, p, i)
-	return m.SliceRows(s.Lo, s.Hi)
-}
-
-func gatherRows(comm *mpi.Comm, shard *tensor.Matrix, fullRows int) *tensor.Matrix {
-	if comm.Size() == 1 {
-		return shard.Clone()
-	}
-	flat := comm.AllGather(shard.Data)
-	return tensor.Wrap(fullRows, shard.Cols, flat)
-}
-
-func reduceMat(comm *mpi.Comm, m *tensor.Matrix) *tensor.Matrix {
-	return tensor.Wrap(m.Rows, m.Cols, comm.AllReduceSum(m.Data))
-}
-
-func flatten(ms []*tensor.Matrix, scale float64) []float64 {
-	n := 0
-	for _, m := range ms {
-		n += len(m.Data)
-	}
-	out := make([]float64, 0, n)
-	for _, m := range ms {
-		for _, v := range m.Data {
-			out = append(out, v*scale)
-		}
-	}
-	return out
-}
-
-func unflatten(template []*tensor.Matrix, flat []float64) []*tensor.Matrix {
-	out := make([]*tensor.Matrix, len(template))
-	off := 0
-	for i, m := range template {
-		g := tensor.New(m.Rows, m.Cols)
-		copy(g.Data, flat[off:off+len(m.Data)])
-		off += len(m.Data)
-		out[i] = g
-	}
-	return out
+		return ws, losses
+	}), nil
 }

@@ -16,6 +16,18 @@
 // all-gathers and ∆h all-reduces recur every timestep (T of each). The
 // integrated 1.5D trade-off therefore shifts with sequence length — see
 // cost.go and the tests.
+//
+// The executable engines, for the Elman Model and the packed-gate LSTM:
+//
+//   - RunSerial, RunLSTMSerial — the single-process references;
+//   - RunBatch, RunLSTMBatch   — pure batch parallelism (Eq. 4);
+//   - RunIntegrated15D, RunLSTM15D — the 1.5D algorithm on a Pr × Pc grid
+//     (Eq. 8 with its activation terms ×T).
+//
+// The serial and batch runs are one body over the methods both models
+// have. Every distributed engine runs on internal/parallel's harness
+// (parallel.RunRanks), returns a parallel.Result, and uses parallel's
+// sharding, gather and reduction helpers.
 package rnn
 
 import (

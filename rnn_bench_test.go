@@ -22,11 +22,17 @@ func BenchmarkRNNBestGridVsT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := base
 		s.T = 1
-		g, _ := rnn.BestGrid(s, 256, 64, m)
+		g, _, ok := rnn.BestGrid(s, 256, 64, m)
+		if !ok {
+			b.Fatal("T=1: no grid fits")
+		}
 		prShort = float64(g.Pr)
 		l := base
 		l.T = 256
-		g, _ = rnn.BestGrid(l, 256, 64, m)
+		g, _, ok = rnn.BestGrid(l, 256, 64, m)
+		if !ok {
+			b.Fatal("T=256: no grid fits")
+		}
 		prLong = float64(g.Pr)
 	}
 	b.ReportMetric(prShort, "bestPr_T1")
