@@ -181,7 +181,7 @@ func TestFacadeReturnsErrorsWithoutRecovering(t *testing.T) {
 		"timeline negative": func() {
 			timeline.SimulatePipeline([]timeline.Layer{{FwdComp: -1}}, timeline.PolicyNone, timeline.Single())
 		},
-		"IterationSeconds NaN": func() { costmodel.IterationSeconds(&costmodel.Breakdown{}, -1, false) },
+		"IterationTotals NaN": func() { costmodel.IterationTotals(&costmodel.Breakdown{}, -1, false) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

@@ -19,7 +19,7 @@
 //
 // Curve captures that shape in closed form with three parameters, so
 // the planner can price a candidate batch size as
-// S(B) × IterationSeconds(B, grid, …) and search B itself.
+// S(B) × IterSeconds(B, grid, …) and search B itself.
 package convergence
 
 import (

@@ -281,8 +281,8 @@ func TestOverlapNeverWorse(t *testing.T) {
 		b := 256 << (int(bIdx) % 4)
 		bd := FlatEnv(knl()).Integrated(net, b, g)
 		comp := 0.01
-		plain := IterationSeconds(bd, comp, false)
-		over := IterationSeconds(bd, comp, true)
+		_, plain := IterationTotals(bd, comp, false)
+		_, over := IterationTotals(bd, comp, true)
 		return over <= plain && over >= comp
 	}
 	if err := quick.Check(f, nil); err != nil {

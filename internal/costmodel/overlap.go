@@ -42,13 +42,15 @@ func invalidTerm(l *LayerCost, name string, cost float64) {
 	panic(fmt.Sprintf("costmodel: layer %q has invalid %s cost %g", l.Name, name, cost))
 }
 
-// IterationSeconds combines a per-iteration communication breakdown with a
-// per-process computation time. Inputs must be non-negative; negative or
-// NaN times panic.
+// IterationTotals combines a per-iteration communication breakdown with a
+// per-process computation time and returns the communication total,
+// b.TotalSeconds(), from the pass that validates the breakdown, together
+// with the iteration time. Inputs must be non-negative; negative or NaN
+// times panic.
 //
 // With overlap=false, communication and computation serialize (the
-// baseline of Figs. 6, 7, 9, 10) — the closed-form legacy path, identical
-// to timeline.PolicyNone.
+// baseline of Figs. 6, 7, 9, 10): the iteration is comm + compSeconds, the
+// closed-form legacy path, identical to timeline.PolicyNone.
 //
 // With overlap=true it prices the Fig. 8 idealization — backprop
 // communication (the ∆X and ∆W all-reduces plus the backward halo, the
@@ -58,14 +60,6 @@ func invalidTerm(l *LayerCost, name string, cost float64) {
 // aggregate single-layer inputs under timeline.PolicyBackprop. The
 // delegation reproduces the historical closed form
 // comp + fwdComm + max(0, bwdComm − BackpropFraction·comp) exactly.
-func IterationSeconds(b *Breakdown, compSeconds float64, overlap bool) float64 {
-	_, iter := IterationTotals(b, compSeconds, overlap)
-	return iter
-}
-
-// IterationTotals is IterationSeconds that also returns the
-// communication total, b.TotalSeconds(), from the pass that validates
-// the breakdown: the non-overlapped iteration is comm + compSeconds.
 func IterationTotals(b *Breakdown, compSeconds float64, overlap bool) (comm, iter float64) {
 	if compSeconds < 0 || math.IsNaN(compSeconds) {
 		panic(fmt.Sprintf("costmodel: invalid computation time %g", compSeconds))

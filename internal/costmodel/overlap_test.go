@@ -14,7 +14,7 @@ import (
 )
 
 // closedFormOverlap is the historical one-line Fig. 8 idealization that
-// IterationSeconds(…, true) must keep reproducing now that it delegates to
+// IterationTotals(…, true) must keep reproducing now that it delegates to
 // the timeline simulator.
 func closedFormOverlap(b *Breakdown, compSeconds float64) float64 {
 	bwdComm := b.BackwardSeconds()
@@ -45,13 +45,13 @@ func TestOverlapDelegationMatchesClosedForm(t *testing.T) {
 		for _, g := range []grid.Grid{{Pr: 1, Pc: 256}, {Pr: 16, Pc: 16}, {Pr: 256, Pc: 1}} {
 			bd := FlatEnv(m).Integrated(net, 512, g)
 			for compName, comp := range comps {
-				got := IterationSeconds(bd, comp, true)
+				_, got := IterationTotals(bd, comp, true)
 				want := closedFormOverlap(bd, comp)
 				if math.Abs(got-want) > 1e-9 {
 					t.Fatalf("%s %v %s: delegated %g, closed form %g (Δ %g)",
 						netName, g, compName, got, want, got-want)
 				}
-				plain := IterationSeconds(bd, comp, false)
+				_, plain := IterationTotals(bd, comp, false)
 				if got > plain+1e-12 {
 					t.Fatalf("%s %v %s: overlap %g worse than serialized %g", netName, g, compName, got, plain)
 				}
@@ -180,8 +180,8 @@ func TestTimelineLayersMismatchedIndexSets(t *testing.T) {
 	}
 }
 
-// TestIterationSecondsValidation: negative or NaN inputs fail loudly, as
-// the internal/tensor panics convention requires.
+// TestIterationSecondsValidation: negative or NaN inputs to IterationTotals
+// fail loudly, as the internal/tensor panics convention requires.
 func TestIterationSecondsValidation(t *testing.T) {
 	net := nn.AlexNet()
 	bd := FlatEnv(machine.CoriKNL()).Integrated(net, 512, grid.Grid{Pr: 4, Pc: 16})
@@ -194,20 +194,20 @@ func TestIterationSecondsValidation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("negative compute serialized", func() { IterationSeconds(bd, -1, false) })
-	mustPanic("negative compute overlapped", func() { IterationSeconds(bd, -1, true) })
-	mustPanic("NaN compute", func() { IterationSeconds(bd, math.NaN(), true) })
+	mustPanic("negative compute serialized", func() { IterationTotals(bd, -1, false) })
+	mustPanic("negative compute overlapped", func() { IterationTotals(bd, -1, true) })
+	mustPanic("NaN compute", func() { IterationTotals(bd, math.NaN(), true) })
 
 	bad := &Breakdown{Layers: []LayerCost{{
 		Name:      "bad",
 		AllGather: collective.Cost{Bandwidth: -1},
 	}}}
-	mustPanic("negative forward comm", func() { IterationSeconds(bad, 1, true) })
+	mustPanic("negative forward comm", func() { IterationTotals(bad, 1, true) })
 	bad2 := &Breakdown{Layers: []LayerCost{{
 		Name:       "bad2",
 		GradReduce: collective.Cost{Latency: math.NaN()},
 	}}}
-	mustPanic("NaN backward comm", func() { IterationSeconds(bad2, 1, false) })
+	mustPanic("NaN backward comm", func() { IterationTotals(bad2, 1, false) })
 }
 
 // TestIterationTotalsOnePass checks that the one validating pass sums a
@@ -221,12 +221,14 @@ func TestIterationTotalsOnePass(t *testing.T) {
 			bd := e.FullIntegrated(net, 512, g, ConvAssignment(net, Cheapest, Model))
 			for _, overlap := range []bool{false, true} {
 				comm, iter := IterationTotals(bd, 0.25, overlap)
-				if comm != bd.TotalSeconds() || iter != IterationSeconds(bd, 0.25, overlap) {
-					t.Fatalf("%v overlap=%v: totals (%v, %v), want (%v, %v)", g, overlap,
-						comm, iter, bd.TotalSeconds(), IterationSeconds(bd, 0.25, overlap))
+				if comm != bd.TotalSeconds() {
+					t.Fatalf("%v overlap=%v: comm %v, want TotalSeconds %v", g, overlap, comm, bd.TotalSeconds())
 				}
 				if !overlap && iter != comm+0.25 {
 					t.Fatalf("%v: serialized iteration %v, want comm + comp = %v", g, iter, comm+0.25)
+				}
+				if want := closedFormOverlap(bd, 0.25); overlap && math.Abs(iter-want) > 1e-9 {
+					t.Fatalf("%v: overlapped iteration %v, want the Fig. 8 closed form %v", g, iter, want)
 				}
 			}
 		}

@@ -14,7 +14,7 @@ const (
 	// value, so existing callers are unchanged.
 	Iteration Objective = iota
 	// TimeToAccuracy minimizes predicted wall-clock time to a target
-	// accuracy, S(B) × IterationSeconds(B, grid, …), where S is the
+	// accuracy, S(B) × IterSeconds(B, grid, …), where S is the
 	// Options.Curve steps-to-target model. With Options.BatchSizes it
 	// searches the global batch size itself as an outer dimension: the
 	// best (B, grid) pair under this objective is generally not the best

@@ -9,6 +9,7 @@ import (
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/mpi"
+	"dnnparallel/internal/parallel"
 )
 
 func bwOnly() machine.Machine {
@@ -93,33 +94,45 @@ func TestBestGridNoFit(t *testing.T) {
 	}
 }
 
-// TestEngineCommMatchesCost15D ties the executable 1.5D BPTT engine to
-// the analytic model: measured virtual comm per step (α = 0 machine)
-// equals the Cost15D bandwidth prediction.
+// TestEngineCommMatchesCost15D ties each executable 1.5D BPTT engine to
+// its analytic model: measured virtual comm per step (α = 0 machine)
+// equals the Cost15D or LSTMCost15D bandwidth prediction.
 func TestEngineCommMatchesCost15D(t *testing.T) {
+	cells := []struct {
+		name string
+		run  func(*mpi.World, TrainConfig, *Sequences, grid.Grid) (parallel.Result, error)
+		cost func(Config, int, grid.Grid, machine.Machine) collective.Cost
+	}{
+		{"elman", RunIntegrated15D, Cost15D},
+		{"lstm", RunLSTM15D, LSTMCost15D},
+	}
 	cfg := Config{In: 8, Hidden: 16, Classes: 4, T: 6}
 	ds := SyntheticSequences(cfg, 32, 41)
 	m := bwOnly()
 	g := grid.Grid{Pr: 2, Pc: 2}
-	run := func(steps int) float64 {
-		tc := TrainConfig{Cfg: cfg, Seed: 3, LR: 0.01, Steps: steps, BatchSize: 8}
-		res, err := RunIntegrated15D(mpi.NewWorld(g.P(), m), tc, ds, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var worst float64
-		for _, s := range res.Stats {
-			if s.CommTime > worst {
-				worst = s.CommTime
+	for _, cl := range cells {
+		t.Run(cl.name, func(t *testing.T) {
+			run := func(steps int) float64 {
+				tc := TrainConfig{Cfg: cfg, Seed: 3, LR: 0.01, Steps: steps, BatchSize: 8}
+				res, err := cl.run(mpi.NewWorld(g.P(), m), tc, ds, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var worst float64
+				for _, s := range res.Stats {
+					if s.CommTime > worst {
+						worst = s.CommTime
+					}
+				}
+				return worst
 			}
-		}
-		return worst
-	}
-	measured := (run(6) - run(3)) / 3
-	predicted := Cost15D(cfg, 8, g, m).Total()
-	// The loss scalar all-reduce adds a couple of words; allow 2%.
-	if rel := math.Abs(measured-predicted) / predicted; rel > 0.02 {
-		t.Fatalf("1.5D BPTT engine comm %.6g vs Cost15D %.6g (rel %.3f)", measured, predicted, rel)
+			measured := (run(6) - run(3)) / 3
+			predicted := cl.cost(cfg, 8, g, m).Total()
+			// The loss scalar all-reduce adds a couple of words; allow 2%.
+			if rel := math.Abs(measured-predicted) / predicted; rel > 0.02 {
+				t.Fatalf("engine comm %.6g vs predicted %.6g (rel %.3f)", measured, predicted, rel)
+			}
+		})
 	}
 }
 
@@ -137,33 +150,5 @@ func TestWeightTermIndependentOfT(t *testing.T) {
 	reconstructed := short.Total() - 2*perStep
 	if reconstructed < wTerm*0.5 {
 		t.Fatalf("weight term should survive in the T→0 extrapolation: %g vs %g", reconstructed, wTerm)
-	}
-}
-
-// TestLSTMEngineCommMatchesCost: the executable 1.5D LSTM's measured
-// virtual comm per step (α = 0) equals the LSTMCost15D prediction.
-func TestLSTMEngineCommMatchesCost(t *testing.T) {
-	cfg := Config{In: 8, Hidden: 16, Classes: 4, T: 5}
-	ds := SyntheticSequences(cfg, 32, 43)
-	m := bwOnly()
-	g := grid.Grid{Pr: 2, Pc: 2}
-	run := func(steps int) float64 {
-		tc := TrainConfig{Cfg: cfg, Seed: 3, LR: 0.01, Steps: steps, BatchSize: 8}
-		res, err := RunLSTM15D(mpi.NewWorld(g.P(), m), tc, ds, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var worst float64
-		for _, s := range res.Stats {
-			if s.CommTime > worst {
-				worst = s.CommTime
-			}
-		}
-		return worst
-	}
-	measured := (run(6) - run(3)) / 3
-	predicted := LSTMCost15D(cfg, 8, g, m).Total()
-	if rel := math.Abs(measured-predicted) / predicted; rel > 0.02 {
-		t.Fatalf("LSTM engine comm %.6g vs LSTMCost15D %.6g (rel %.3f)", measured, predicted, rel)
 	}
 }

@@ -89,9 +89,6 @@ func stepCell(i, f, o, g, cPrev *tensor.Matrix) (c, tanhC, h *tensor.Matrix) {
 	return
 }
 
-// concatZ stacks x (in×B) on top of h (h×B).
-func concatZ(x, h *tensor.Matrix) *tensor.Matrix { return tensor.VStack(x, h) }
-
 // Forward runs the sequence and returns logits plus the per-step caches
 // and hidden states (hs[0] = zeros).
 func (m *LSTM) Forward(xs []*tensor.Matrix) (*tensor.Matrix, []lstmState, []*tensor.Matrix) {
@@ -106,7 +103,7 @@ func (m *LSTM) Forward(xs []*tensor.Matrix) (*tensor.Matrix, []lstmState, []*ten
 	states[0].c = tensor.New(hdim, b)
 	w := m.Weights[0]
 	for t := 1; t <= m.Cfg.T; t++ {
-		z := concatZ(xs[t-1], hs[t-1])
+		z := tensor.VStack(xs[t-1], hs[t-1])
 		a := tensor.MatMulParallel(w, z)
 		i, f, o, g := gatesFromPacked(a, hdim)
 		c, tanhC, h := stepCell(i, f, o, g, states[t-1].c)
@@ -125,21 +122,25 @@ func (m *LSTM) ForwardBackward(xs []*tensor.Matrix, labels []int) (float64, []*t
 	return loss, grads
 }
 
-// packedGateGrad assembles the 4h×B pre-activation gradient from the
-// per-gate gradients and the gate activations (σ' = s(1−s), tanh' = 1−g²).
-func packedGateGrad(st *lstmState, di, df, do, dg *tensor.Matrix) *tensor.Matrix {
-	h, b := di.Rows, di.Cols
-	da := tensor.New(4*h, b)
-	for r := 0; r < h; r++ {
-		for c := 0; c < b; c++ {
-			iv, fv, ov, gv := st.i.At(r, c), st.f.At(r, c), st.o.At(r, c), st.g.At(r, c)
-			da.Set(r, c, di.At(r, c)*iv*(1-iv))
-			da.Set(h+r, c, df.At(r, c)*fv*(1-fv))
-			da.Set(2*h+r, c, do.At(r, c)*ov*(1-ov))
-			da.Set(3*h+r, c, dg.At(r, c)*(1-gv*gv))
-		}
+// gateGrad is the element-wise LSTM cell backward for one timestep: from
+// ∆h_t, the carried ∆c_t and the step's cached activations it returns the
+// packed 4h×B pre-activation gradient (σ' = s(1−s), tanh' = 1−g²) and
+// ∆c_{t−1}. Gate block q of row r, column j sits at index q·h·B + r·B + j,
+// so element k of an h×B panel maps to k + q·len(dh.Data).
+func gateGrad(st *lstmState, cPrev, dh, dc *tensor.Matrix) (da, dcPrev *tensor.Matrix) {
+	n := len(dh.Data)
+	da, dcPrev = tensor.New(4*dh.Rows, dh.Cols), tensor.New(dh.Rows, dh.Cols)
+	for k, dhk := range dh.Data {
+		iv, fv, ov, gv, tc := st.i.Data[k], st.f.Data[k], st.o.Data[k], st.g.Data[k], st.tanhC.Data[k]
+		// h = o ⊙ tanh(c), c = f ⊙ c_prev + i ⊙ g
+		dct := dhk*ov*(1-tc*tc) + dc.Data[k]
+		da.Data[k] = dct * gv * iv * (1 - iv)
+		da.Data[n+k] = dct * cPrev.Data[k] * fv * (1 - fv)
+		da.Data[2*n+k] = dhk * tc * ov * (1 - ov)
+		da.Data[3*n+k] = dct * iv * (1 - gv*gv)
+		dcPrev.Data[k] = dct * fv
 	}
-	return da
+	return da, dcPrev
 }
 
 func (m *LSTM) backward(states []lstmState, hs []*tensor.Matrix, dlogits *tensor.Matrix) []*tensor.Matrix {
@@ -150,22 +151,8 @@ func (m *LSTM) backward(states []lstmState, hs []*tensor.Matrix, dlogits *tensor
 	dh := tensor.MatMulTN(why, dlogits)
 	dc := tensor.New(hdim, dh.Cols)
 	for t := m.Cfg.T; t >= 1; t-- {
-		st := &states[t]
-		b := dh.Cols
-		di, df, do, dg := tensor.New(hdim, b), tensor.New(hdim, b), tensor.New(hdim, b), tensor.New(hdim, b)
-		dcPrev := tensor.New(hdim, b)
-		for k := range dh.Data {
-			// h = o ⊙ tanh(c)
-			do.Data[k] = dh.Data[k] * st.tanhC.Data[k]
-			dct := dh.Data[k]*st.o.Data[k]*(1-st.tanhC.Data[k]*st.tanhC.Data[k]) + dc.Data[k]
-			// c = f ⊙ c_prev + i ⊙ g
-			df.Data[k] = dct * states[t-1].c.Data[k]
-			di.Data[k] = dct * st.g.Data[k]
-			dg.Data[k] = dct * st.i.Data[k]
-			dcPrev.Data[k] = dct * st.f.Data[k]
-		}
-		da := packedGateGrad(st, di, df, do, dg)
-		dW.AddInPlace(tensor.MatMulNTParallel(da, st.z))
+		da, dcPrev := gateGrad(&states[t], states[t-1].c, dh, dc)
+		dW.AddInPlace(tensor.MatMulNTParallel(da, states[t].z))
 		if t > 1 {
 			dz := tensor.MatMulTNParallel(w, da)
 			dh = dz.SliceRows(m.Cfg.In, m.Cfg.In+hdim) // only the h part feeds back

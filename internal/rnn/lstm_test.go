@@ -76,26 +76,29 @@ func TestLSTMBatchMatchesSerial(t *testing.T) {
 }
 
 // TestLSTM15DMatchesSerialAllGrids: the 1.5D LSTM engine is gradient-exact
-// on every grid shape.
+// on every grid shape, and at B = 7, where the column groups get unequal
+// sequence shards.
 func TestLSTM15DMatchesSerialAllGrids(t *testing.T) {
 	cfg := Config{In: 6, Hidden: 8, Classes: 4, T: 5}
 	ds := SyntheticSequences(cfg, 48, 17)
-	tc := TrainConfig{Cfg: cfg, Seed: 5, LR: 0.05, Steps: 4, BatchSize: 12}
-	want, err := RunLSTMSerial(tc, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []grid.Grid{{Pr: 1, Pc: 4}, {Pr: 2, Pc: 2}, {Pr: 4, Pc: 1}, {Pr: 2, Pc: 3}} {
-		got, err := RunLSTM15D(mpi.NewWorld(g.P(), testMachine()), tc, ds, g)
+	for _, B := range []int{12, 7} {
+		tc := TrainConfig{Cfg: cfg, Seed: 5, LR: 0.05, Steps: 4, BatchSize: B}
+		want, err := RunLSTMSerial(tc, ds)
 		if err != nil {
-			t.Fatalf("grid %v: %v", g, err)
+			t.Fatal(err)
 		}
-		if d := maxDev(got.Weights, want.Weights); d > 1e-9 {
-			t.Fatalf("grid %v: 1.5D LSTM deviates by %g", g, d)
-		}
-		for i := range got.Losses {
-			if math.Abs(got.Losses[i]-want.Losses[i]) > 1e-9 {
-				t.Fatalf("grid %v: loss %d deviates", g, i)
+		for _, g := range []grid.Grid{{Pr: 1, Pc: 4}, {Pr: 2, Pc: 2}, {Pr: 4, Pc: 1}, {Pr: 2, Pc: 3}} {
+			got, err := RunLSTM15D(mpi.NewWorld(g.P(), testMachine()), tc, ds, g)
+			if err != nil {
+				t.Fatalf("B=%d grid %v: %v", B, g, err)
+			}
+			if d := maxDev(got.Weights, want.Weights); d > 1e-9 {
+				t.Fatalf("B=%d grid %v: 1.5D LSTM deviates by %g", B, g, d)
+			}
+			for i := range got.Losses {
+				if math.Abs(got.Losses[i]-want.Losses[i]) > 1e-9 {
+					t.Fatalf("B=%d grid %v: loss %d deviates", B, g, i)
+				}
 			}
 		}
 	}
@@ -137,6 +140,9 @@ func TestLSTMValidation(t *testing.T) {
 	}
 	if _, err := RunLSTM15D(mpi.NewWorld(4, testMachine()), tc, ds, grid.Grid{Pr: 2, Pc: 3}); err == nil {
 		t.Fatal("grid/world mismatch should be rejected")
+	}
+	if _, err := RunLSTM15D(mpi.NewWorld(8, testMachine()), tc, ds, grid.Grid{Pr: 1, Pc: 8}); err == nil {
+		t.Fatal("Pc=8 > B=4 should be rejected")
 	}
 }
 

@@ -12,12 +12,13 @@ import (
 
 // Distributed BPTT engines. The communication pattern per iteration:
 //
-//   - batch parallel: ONE all-reduce of all three gradient matrices
+//   - batch parallel: ONE all-reduce of all the gradient matrices
 //     (time-shared weights amortize BPTT over T steps — Eq. 4 unchanged);
-//   - 1.5D integrated: per timestep, an all-gather of the hidden panel
-//     over the Pr column group (forward) and an all-reduce of ∆h
-//     (backward); plus one |W|/Pr weight all-reduce over the Pc row group
-//     — the Eq. 8 structure with the first two terms multiplied by T.
+//   - 1.5D integrated: per timestep, an all-gather of the cell's
+//     pre-activation panel over the Pr column group (forward) and an
+//     all-reduce of its ∆ (backward); plus one |W|/Pr weight all-reduce
+//     over the Pc row group — the Eq. 8 structure with the first two
+//     terms multiplied by T.
 
 // TrainConfig drives a distributed run.
 type TrainConfig struct {
@@ -167,35 +168,99 @@ func runBatch[M trainable](w *mpi.World, tc TrainConfig, ds *Sequences, newModel
 	}), nil
 }
 
-// RunIntegrated15D trains with the 1.5D model+batch algorithm on a
-// Pr × Pc grid: W_xh and W_hh row-sharded over Pr (hidden units split),
-// W_hy row-sharded over Pr (classes split), sequences sharded over Pc.
-// Requires Hidden % Pr == 0, Classes % Pr == 0, B % Pc == 0.
+// RunIntegrated15D trains the Elman model with the 1.5D model+batch
+// algorithm on a Pr × Pc grid: W_xh and W_hh row-sharded over Pr (hidden
+// units split), W_hy row-sharded over Pr (classes split), sequences
+// block-sharded over Pc. Requires Pc ≤ B and Pr dividing Hidden and
+// Classes (the grids BestGrid chooses from).
 func RunIntegrated15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid) (parallel.Result, error) {
+	return run15D(w, tc, ds, g, elman)
+}
+
+// A cell's timesteps, and the per-rank matrix operations of run15D they
+// call: the column gather of a pre-activation panel, the row shard of its
+// gradient, and the ∆ all-reduce.
+type (
+	stepForward  = func(t int) *tensor.Matrix
+	stepBackward = func(t int, dh *tensor.Matrix, grads []*tensor.Matrix) *tensor.Matrix
+	matFn        = func(*tensor.Matrix) *tensor.Matrix
+)
+
+// A cell is what one recurrent cell adds to run15D, the 1.5D BPTT body.
+//
+// sizes gives the three numbers its Eq. 8 price reads: the rows per
+// sequence one timestep all-gathers (the pre-activation panel) and
+// all-reduces back (∆ of the step input), and the parameter count.
+// weights builds the full deterministic weights, W_hy last.
+//
+// steps returns one iteration's timesteps over the row-sharded weights
+// ws, the local inputs xs and the hidden states hs, which the body fills
+// from forward's results. forward(t) returns h_t, around the body's column
+// gather. backward(t, ∆h_t, grads) adds the step's weight gradients into
+// grads and returns ∆h_{t−1}, around the body's row shard and ∆
+// all-reduce; it returns nil at t = 1, which sends nothing back.
+type cell struct {
+	sizes   func(Config) (gather, delta, params int)
+	weights func(Config, int64) []*tensor.Matrix
+	steps   func(cfg Config, ws, xs, hs []*tensor.Matrix, gather, shard, reduce matFn) (stepForward, stepBackward)
+}
+
+// elman is the Elman cell, h_t = tanh(W_xh·x_t + W_hh·h_{t−1}).
+var elman = cell{
+	sizes:   func(c Config) (int, int, int) { return c.Hidden, c.Hidden, c.Weights() },
+	weights: func(c Config, seed int64) []*tensor.Matrix { return NewModel(c, seed).Weights },
+	steps: func(_ Config, ws, xs, hs []*tensor.Matrix, gather, shard, reduce matFn) (stepForward, stepBackward) {
+		forward := func(t int) *tensor.Matrix {
+			a := tensor.MatMul(ws[0], xs[t-1])
+			a.AddInPlace(tensor.MatMul(ws[1], hs[t-1]))
+			return TanhForward(gather(a))
+		}
+		backward := func(t int, dh *tensor.Matrix, grads []*tensor.Matrix) *tensor.Matrix {
+			da := shard(TanhBackward(dh, hs[t]))
+			grads[0].AddInPlace(tensor.MatMulNT(da, xs[t-1]))
+			grads[1].AddInPlace(tensor.MatMulNT(da, hs[t-1]))
+			if t == 1 {
+				return nil
+			}
+			return reduce(tensor.MatMulTN(ws[1], da))
+		}
+		return forward, backward
+	},
+}
+
+// run15D trains cl with 1.5D BPTT on a Pr × Pc grid: every weight matrix
+// row-sharded over Pr, the sequences block-sharded over Pc. Per timestep
+// the cell's pre-activation panel is all-gathered over the column group
+// and its ∆ all-reduced back (Eq. 8's activation terms, ×T); the logits
+// are gathered and ∆h_T all-reduced once; and the weight gradients,
+// accumulated locally over all T steps, cross the row group in one
+// flattened all-reduce of |W|/Pr words.
+func run15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid, cl cell) (parallel.Result, error) {
 	if err := tc.validate(); err != nil {
 		return parallel.Result{}, err
 	}
+	cfg := tc.Cfg
 	if g.P() != w.Size() {
 		return parallel.Result{}, fmt.Errorf("rnn: grid %v needs %d ranks, world has %d", g, g.P(), w.Size())
 	}
-	if tc.Cfg.Hidden%g.Pr != 0 || tc.Cfg.Classes%g.Pr != 0 {
-		return parallel.Result{}, fmt.Errorf("rnn: hidden=%d and classes=%d must divide Pr=%d",
-			tc.Cfg.Hidden, tc.Cfg.Classes, g.Pr)
+	if !fits15D(cfg, tc.BatchSize, g) {
+		return parallel.Result{}, fmt.Errorf("rnn: grid %v needs Pc ≤ B=%d and Pr dividing hidden=%d and classes=%d",
+			g, tc.BatchSize, cfg.Hidden, cfg.Classes)
 	}
-	if tc.BatchSize%g.Pc != 0 {
-		return parallel.Result{}, fmt.Errorf("rnn: batch %d not divisible by Pc=%d", tc.BatchSize, g.Pc)
-	}
+	gatherRows, _, _ := cl.sizes(cfg)
 	return parallel.RunRanks(w, func(p *mpi.Proc) ([]*tensor.Matrix, []float64) {
 		r, c := g.Coords(p.Rank())
 		rowComm := p.CommFrom(g.RowGroup(r))
 		colComm := p.CommFrom(g.ColGroup(c))
-		full := NewModel(tc.Cfg, tc.Seed)
-		// Row shards of each weight matrix.
-		shards := []*tensor.Matrix{
-			parallel.RowShard(full.Weights[0], g.Pr, r),
-			parallel.RowShard(full.Weights[1], g.Pr, r),
-			parallel.RowShard(full.Weights[2], g.Pr, r),
+		gather := func(a *tensor.Matrix) *tensor.Matrix { return parallel.GatherMatrixRows(colComm, a, gatherRows) }
+		shard := func(m *tensor.Matrix) *tensor.Matrix { return parallel.RowShard(m, g.Pr, r) }
+		reduce := func(m *tensor.Matrix) *tensor.Matrix { return parallel.AllReduceMat(colComm, m) }
+		full := cl.weights(cfg, tc.Seed)
+		ws := make([]*tensor.Matrix, len(full))
+		for i, m := range full {
+			ws[i] = shard(m)
 		}
+		why := ws[len(ws)-1]
 		opt := tc.optimizer()
 		bShard := grid.BlockShard(tc.BatchSize, g.Pc, c)
 		localB := bShard.Len()
@@ -206,48 +271,34 @@ func RunIntegrated15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid) 
 			for t, x := range xsFull {
 				xs[t] = x.SliceCols(bShard.Lo, bShard.Hi)
 			}
-			ll := labels[bShard.Lo:bShard.Hi]
-
-			// Forward: local hidden panel per step, gathered over Pr.
-			hs := make([]*tensor.Matrix, tc.Cfg.T+1)
-			hs[0] = tensor.New(tc.Cfg.Hidden, localB)
-			for t := 1; t <= tc.Cfg.T; t++ {
-				a := tensor.MatMul(shards[0], xs[t-1])
-				a.AddInPlace(tensor.MatMul(shards[1], hs[t-1]))
-				aFull := parallel.GatherMatrixRows(colComm, a, tc.Cfg.Hidden) // Eq. 8 all-gather ×T
-				hs[t] = TanhForward(aFull)
+			hs := make([]*tensor.Matrix, cfg.T+1)
+			hs[0] = tensor.New(cfg.Hidden, localB)
+			forward, backward := cl.steps(cfg, ws, xs, hs, gather, shard, reduce)
+			for t := 1; t <= cfg.T; t++ {
+				hs[t] = forward(t)
 			}
-			logitsLocal := tensor.MatMul(shards[2], hs[tc.Cfg.T])
-			logits := parallel.GatherMatrixRows(colComm, logitsLocal, tc.Cfg.Classes)
-			loss, dlogits := nn.SoftmaxCrossEntropy(logits, ll)
+			logits := parallel.GatherMatrixRows(colComm, tensor.MatMul(why, hs[cfg.T]), cfg.Classes)
+			loss, dlogits := nn.SoftmaxCrossEntropy(logits, labels[bShard.Lo:bShard.Hi])
 			dlogits.ScaleInPlace(float64(localB) / float64(tc.BatchSize))
 
-			// Backward through time.
-			dWxh := tensor.New(shards[0].Rows, shards[0].Cols)
-			dWhh := tensor.New(shards[1].Rows, shards[1].Cols)
-			dWhy := tensor.MatMulNT(parallel.RowShard(dlogits, g.Pr, r), hs[tc.Cfg.T])
-			partial := tensor.MatMulTN(shards[2], parallel.RowShard(dlogits, g.Pr, r))
-			dh := parallel.AllReduceMat(colComm, partial) // Eq. 8 ∆X all-reduce
-			for t := tc.Cfg.T; t >= 1; t-- {
-				da := TanhBackward(dh, hs[t])
-				daShard := parallel.RowShard(da, g.Pr, r)
-				dWxh.AddInPlace(tensor.MatMulNT(daShard, xs[t-1]))
-				dWhh.AddInPlace(tensor.MatMulNT(daShard, hs[t-1]))
-				if t > 1 {
-					dh = parallel.AllReduceMat(colComm, tensor.MatMulTN(shards[1], daShard))
-				}
+			// Backward through time into locally accumulated gradients.
+			dl := shard(dlogits)
+			grads := make([]*tensor.Matrix, len(ws))
+			for i, m := range ws[:len(ws)-1] {
+				grads[i] = tensor.New(m.Rows, m.Cols)
 			}
-			// One weight all-reduce over the row group (volume |W|/Pr).
-			flat := parallel.FlattenMats([]*tensor.Matrix{dWxh, dWhh, dWhy}, 1)
-			reduced := rowComm.AllReduceSum(flat)
-			opt.Step(shards, parallel.UnflattenLike(shards, reduced))
+			grads[len(ws)-1] = tensor.MatMulNT(dl, hs[cfg.T])
+			dh := reduce(tensor.MatMulTN(why, dl))
+			for t := cfg.T; t >= 1; t-- {
+				dh = backward(t, dh, grads)
+			}
+			opt.Step(ws, parallel.UnflattenLike(ws, rowComm.AllReduceSum(parallel.FlattenMats(grads, 1))))
 			losses = append(losses, parallel.GlobalLoss(rowComm, loss, localB, tc.BatchSize))
 		}
-		ws := []*tensor.Matrix{
-			parallel.GatherMatrixRows(colComm, shards[0], tc.Cfg.Hidden),
-			parallel.GatherMatrixRows(colComm, shards[1], tc.Cfg.Hidden),
-			parallel.GatherMatrixRows(colComm, shards[2], tc.Cfg.Classes),
+		out := make([]*tensor.Matrix, len(ws))
+		for i, m := range ws {
+			out[i] = parallel.GatherMatrixRows(colComm, m, full[i].Rows)
 		}
-		return ws, losses
+		return out, losses
 	}), nil
 }

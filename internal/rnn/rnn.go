@@ -15,7 +15,7 @@
 // iteration regardless of T, while the model-parallel activation
 // all-gathers and ∆h all-reduces recur every timestep (T of each). The
 // integrated 1.5D trade-off therefore shifts with sequence length — see
-// cost.go and the tests.
+// Cost15D, LSTMCost15D, BestGrid and the tests.
 //
 // The executable engines, for the Elman Model and the packed-gate LSTM:
 //
@@ -25,7 +25,12 @@
 //     (Eq. 8 with its activation terms ×T).
 //
 // The serial and batch runs are one body over the methods both models
-// have. Every distributed engine runs on internal/parallel's harness
+// have. The two 1.5D runs are one BPTT body, run15D, into which each model
+// plugs a cell: its per-step forward and backward math and three sizes
+// (the rows gathered and all-reduced per step, and the parameter count).
+// The same three sizes feed the one Eq. 8 pricing loop behind Cost15D and
+// LSTMCost15D, and BestGrid and run15D read one rule for which grids fit.
+// Every distributed engine runs on internal/parallel's harness
 // (parallel.RunRanks), returns a parallel.Result, and uses parallel's
 // sharding, gather and reduction helpers.
 package rnn
@@ -57,14 +62,6 @@ func (c Config) Validate() error {
 // Weights returns the total parameter count |W_xh| + |W_hh| + |W_hy|.
 func (c Config) Weights() int {
 	return c.Hidden*c.In + c.Hidden*c.Hidden + c.Classes*c.Hidden
-}
-
-// TrainFLOPsPerSample approximates forward+backward FLOPs for one
-// sequence: three GEMMs per recurrent weight application (cf. the paper's
-// three-GEMM accounting for feed-forward layers).
-func (c Config) TrainFLOPsPerSample() float64 {
-	perStep := 2 * float64(c.Hidden) * float64(c.In+c.Hidden)
-	return 3 * (float64(c.T)*perStep + 2*float64(c.Classes)*float64(c.Hidden))
 }
 
 // Model is the executable serial reference.

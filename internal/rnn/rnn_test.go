@@ -115,22 +115,53 @@ func TestBatchMatchesSerial(t *testing.T) {
 }
 
 // TestIntegrated15DMatchesSerialAllGrids: the 1.5D recurrent engine is
-// gradient-exact on every grid shape, including the pure ends.
+// gradient-exact on every grid shape, including the pure ends, and at
+// B = 7, where no Pc > 1 divides the batch and the column groups get
+// unequal sequence shards.
 func TestIntegrated15DMatchesSerialAllGrids(t *testing.T) {
 	cfg := testCfg()
 	ds := SyntheticSequences(cfg, 48, 17)
-	tc := TrainConfig{Cfg: cfg, Seed: 5, LR: 0.05, Steps: 5, BatchSize: 12}
-	want, err := RunSerial(tc, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []grid.Grid{{Pr: 1, Pc: 4}, {Pr: 2, Pc: 2}, {Pr: 4, Pc: 1}, {Pr: 2, Pc: 3}, {Pr: 4, Pc: 2}} {
-		got, err := RunIntegrated15D(mpi.NewWorld(g.P(), testMachine()), tc, ds, g)
+	for _, B := range []int{12, 7} {
+		tc := TrainConfig{Cfg: cfg, Seed: 5, LR: 0.05, Steps: 5, BatchSize: B}
+		want, err := RunSerial(tc, ds)
 		if err != nil {
-			t.Fatalf("grid %v: %v", g, err)
+			t.Fatal(err)
 		}
-		if d := maxDev(got.Weights, want.Weights); d > 1e-9 {
-			t.Fatalf("grid %v: 1.5D BPTT deviates by %g", g, d)
+		for _, g := range []grid.Grid{{Pr: 1, Pc: 4}, {Pr: 2, Pc: 2}, {Pr: 4, Pc: 1}, {Pr: 2, Pc: 3}, {Pr: 4, Pc: 2}} {
+			got, err := RunIntegrated15D(mpi.NewWorld(g.P(), testMachine()), tc, ds, g)
+			if err != nil {
+				t.Fatalf("B=%d grid %v: %v", B, g, err)
+			}
+			if d := maxDev(got.Weights, want.Weights); d > 1e-9 {
+				t.Fatalf("B=%d grid %v: 1.5D BPTT deviates by %g", B, g, d)
+			}
+			for i := range got.Losses {
+				if math.Abs(got.Losses[i]-want.Losses[i]) > 1e-9 {
+					t.Fatalf("B=%d grid %v: loss %d deviates", B, g, i)
+				}
+			}
+		}
+	}
+}
+
+// TestBestGridWinnersTrain: every grid BestGrid picks is one both 1.5D
+// engines accept — the search and the engines read one rule.
+func TestBestGridWinnersTrain(t *testing.T) {
+	cfg := Config{In: 4, Hidden: 8, Classes: 4, T: 2}
+	ds := SyntheticSequences(cfg, 16, 23)
+	for _, B := range []int{3, 5, 6, 7, 9, 10, 12} {
+		for _, P := range []int{2, 4, 8} {
+			g, _, ok := BestGrid(cfg, B, P, testMachine())
+			if !ok {
+				t.Fatalf("B=%d P=%d: no grid fits", B, P)
+			}
+			tc := TrainConfig{Cfg: cfg, Seed: 1, LR: 0.1, Steps: 1, BatchSize: B}
+			if _, err := RunIntegrated15D(mpi.NewWorld(P, testMachine()), tc, ds, g); err != nil {
+				t.Fatalf("B=%d P=%d: BestGrid chose %v, Elman engine: %v", B, P, g, err)
+			}
+			if _, err := RunLSTM15D(mpi.NewWorld(P, testMachine()), tc, ds, g); err != nil {
+				t.Fatalf("B=%d P=%d: BestGrid chose %v, LSTM engine: %v", B, P, g, err)
+			}
 		}
 	}
 }
@@ -170,6 +201,9 @@ func TestValidation(t *testing.T) {
 	w := mpi.NewWorld(3, testMachine())
 	if _, err := RunIntegrated15D(w, tc, ds, grid.Grid{Pr: 3, Pc: 1}); err == nil {
 		t.Fatal("hidden=8 indivisible by Pr=3 should be rejected")
+	}
+	if _, err := RunIntegrated15D(mpi.NewWorld(8, testMachine()), tc, ds, grid.Grid{Pr: 1, Pc: 8}); err == nil {
+		t.Fatal("Pc=8 > B=4 should be rejected")
 	}
 	bad := TrainConfig{Cfg: Config{}, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}
 	if _, err := RunSerial(bad, ds); err == nil {

@@ -5,7 +5,7 @@
 // link — under a configurable overlap policy.
 //
 // It replaces the one-line Fig. 8 idealization of
-// costmodel.IterationSeconds (exposed = max(0, bwdComm − bwdComp)) with a
+// costmodel.IterationTotals (exposed = max(0, bwdComm − bwdComp)) with a
 // per-layer model that can express what the closed form cannot:
 //
 //   - per-layer exposure: an all-gather blocks the *next* layer's forward
