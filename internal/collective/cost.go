@@ -42,27 +42,6 @@ func (c Cost) Total() float64 { return c.Latency + c.Bandwidth }
 // Level returns the seconds attributed to link level i.
 func (c Cost) Level(i int) float64 { return c.Levels[i] }
 
-// LevelSum returns the seconds attributed across all link levels —
-// Total() for leveled costs, 0 for flat ones.
-func (c Cost) LevelSum() float64 {
-	var sum float64
-	for _, v := range c.Levels {
-		sum += v
-	}
-	return sum
-}
-
-// Leveled reports whether the cost carries a per-level attribution
-// (i.e. was priced against a non-uniform topology).
-func (c Cost) Leveled() bool {
-	for _, v := range c.Levels {
-		if v != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Add returns the element-wise sum of two costs.
 func (c Cost) Add(d Cost) Cost {
 	out := Cost{Latency: c.Latency + d.Latency, Bandwidth: c.Bandwidth + d.Bandwidth}
@@ -81,15 +60,6 @@ func (c *Cost) Accumulate(d *Cost) {
 	for i := range c.Levels {
 		c.Levels[i] += d.Levels[i]
 	}
-}
-
-// Scale returns the cost multiplied by s (e.g. iterations per epoch).
-func (c Cost) Scale(s float64) Cost {
-	out := Cost{Latency: c.Latency * s, Bandwidth: c.Bandwidth * s}
-	for i := range out.Levels {
-		out.Levels[i] = c.Levels[i] * s
-	}
-	return out
 }
 
 // CeilLog2 returns ⌈log2 p⌉ with CeilLog2(1) = 0, as used in the paper's
@@ -127,30 +97,8 @@ func AllReduce(p int, words float64, m machine.Machine) Cost {
 	}
 }
 
-// ReduceScatter returns the ring reduce-scatter half of an all-reduce:
-// α⌈log p⌉ + β·(p-1)/p·n.
-func ReduceScatter(p int, words float64, m machine.Machine) Cost {
-	if p <= 1 {
-		return Cost{}
-	}
-	return Cost{
-		Latency:   m.Alpha * float64(CeilLog2(p)),
-		Bandwidth: m.Beta * words * float64(p-1) / float64(p),
-	}
-}
-
 // PointToPoint returns α + β·n for a single pairwise message of n words —
 // the halo-exchange primitive of Eq. 7.
 func PointToPoint(words float64, m machine.Machine) Cost {
 	return Cost{Latency: m.Alpha, Bandwidth: m.Beta * words}
-}
-
-// Broadcast returns the binomial-tree broadcast cost ⌈log p⌉(α + β·n),
-// used when redistributing replicated weights at start-up.
-func Broadcast(p int, words float64, m machine.Machine) Cost {
-	if p <= 1 {
-		return Cost{}
-	}
-	l := float64(CeilLog2(p))
-	return Cost{Latency: m.Alpha * l, Bandwidth: m.Beta * words * l}
 }

@@ -19,8 +19,6 @@
 //   - All-gather: each active level gathers its groups' slice of the
 //     result (words·MaxRanks/p for inner levels, the full words at the
 //     outermost active level) across its sub-units.
-//   - Broadcast: binomial trees fan out from the top level down, full
-//     words at every level.
 //
 // The concurrent per-plane collectives of a level (LevelStat.Planes:
 // one plane per rank of the busiest sub-unit) share that sub-unit's
@@ -48,9 +46,9 @@
 // Levels[i], straight into one accumulating Cost (Cost.addLevel). No
 // per-level Cost temporary is built, added or scaled, yet every float
 // is produced by the same operations in the same order as composing the
-// flat closed forms with Cost.Add and Cost.Scale, so prices are bit for
-// bit those of that composition (the seeded oracle property test in
-// this package). AllGatherLeveled and AllReduceLeveled skip the
+// flat closed forms with Cost.Add and a per-plane scaling, so prices are
+// bit for bit those of that composition (the seeded oracle property test
+// in this package). AllGatherLeveled and AllReduceLeveled skip the
 // Topology.Uniform scan for callers that have already made that check
 // once, as the cost model's pricer does per grid.
 package collective
@@ -83,25 +81,14 @@ func topActive(s grid.LevelSpan) int {
 	return -1
 }
 
-// AllGatherTopo prices the all-gather of words total words over a group
-// with level span s: each active level gathers its largest group's
+// AllGatherLeveled prices the all-gather of words total words over a
+// group with level span s: each active level gathers its largest group's
 // slice of the result across that group's sub-units, planes serialized
-// on the sub-unit uplink. A uniform t takes the flat closed form.
-func AllGatherTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
-	if s.Ranks <= 1 {
-		return Cost{}
-	}
-	if t.Uniform() {
-		return AllGather(s.Ranks, words, t.Machine())
-	}
-	return AllGatherLeveled(s, words, t)
-}
-
-// AllGatherLeveled is AllGatherTopo without the uniform-topology check:
-// it always prices s level by level on t's links. It is for callers that
-// already know t is not uniform (the cost model's pricer decides that
-// once per grid); on a uniform t it returns the per-level decomposition,
-// not the flat closed form.
+// on the sub-unit uplink. It has no uniform-topology check: it always
+// prices s level by level on t's links, for callers that already know t
+// is not uniform (the cost model's pricer decides that once per grid and
+// takes the flat AllGather otherwise); on a uniform t it returns the
+// per-level decomposition, not the flat closed form.
 func AllGatherLeveled(s grid.LevelSpan, words float64, t machine.Topology) Cost {
 	var total Cost
 	if s.Ranks <= 1 {
@@ -183,56 +170,6 @@ func AllReduceLeveled(s grid.LevelSpan, words float64, t machine.Topology) Cost 
 	l, k := t.Levels[top].Link, float64(lv.Planes)
 	total.addLevel(top, 2*l.Alpha*float64(CeilLog2(lv.Fanout))*k,
 		2*l.Beta*shard*float64(lv.Fanout-1)/float64(lv.Fanout)*k)
-	return total
-}
-
-// ReduceScatterTopo prices the reduce-scatter half of the hierarchical
-// all-reduce on its own: the descending phases only.
-func ReduceScatterTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
-	if s.Ranks <= 1 {
-		return Cost{}
-	}
-	if t.Uniform() {
-		return ReduceScatter(s.Ranks, words, t.Machine())
-	}
-	top := topActive(s)
-	var total Cost
-	shard := words
-	for i := 0; i <= top; i++ {
-		lv := &s.Levels[i]
-		if lv.Fanout <= 1 {
-			continue
-		}
-		// ReduceScatter(lv.Fanout, shard, link), times k planes.
-		l, k := t.Levels[i].Link, float64(lv.Planes)
-		total.addLevel(i, l.Alpha*float64(CeilLog2(lv.Fanout))*k,
-			l.Beta*shard*float64(lv.Fanout-1)/float64(lv.Fanout)*k)
-		shard /= float64(lv.Fanout)
-	}
-	return total
-}
-
-// BroadcastTopo prices the binomial broadcast over a group with level
-// span s: trees fan out from the outermost active level down — once
-// across the top sub-units, then within each — carrying the full words
-// at every level (no plane serialization: one plane broadcasts).
-func BroadcastTopo(s grid.LevelSpan, words float64, t machine.Topology) Cost {
-	if s.Ranks <= 1 {
-		return Cost{}
-	}
-	if t.Uniform() {
-		return Broadcast(s.Ranks, words, t.Machine())
-	}
-	var total Cost
-	for i := topActive(s); i >= 0; i-- {
-		lv := &s.Levels[i]
-		if lv.Fanout <= 1 {
-			continue
-		}
-		// Broadcast(lv.Fanout, words, link).
-		l, rounds := t.Levels[i].Link, float64(CeilLog2(lv.Fanout))
-		total.addLevel(i, l.Alpha*rounds, l.Beta*words*rounds)
-	}
 	return total
 }
 

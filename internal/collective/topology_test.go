@@ -24,6 +24,19 @@ func span(p, nodes, maxPer, minPer int) grid.LevelSpan {
 	}
 }
 
+// leveled reports whether the cost carries a per-level attribution
+// (was priced against a non-uniform topology).
+func leveled(c Cost) bool { return c.Levels != [machine.MaxLevels]float64{} }
+
+// levelSum returns the seconds attributed across all link levels.
+func levelSum(c Cost) float64 {
+	var sum float64
+	for _, v := range c.Levels {
+		sum += v
+	}
+	return sum
+}
+
 // A uniform topology must reproduce the flat closed forms bit-for-bit,
 // whatever the span says — the flat machine is the one-level special
 // case, not an approximation.
@@ -41,17 +54,14 @@ func TestUniformTopologyIsExactlyFlat(t *testing.T) {
 			name       string
 			flat, topo Cost
 		}{
-			{"all-gather", AllGather(p, words, m), AllGatherTopo(s, words, topo)},
 			{"all-reduce", AllReduce(p, words, m), AllReduceTopo(s, words, topo)},
-			{"reduce-scatter", ReduceScatter(p, words, m), ReduceScatterTopo(s, words, topo)},
-			{"broadcast", Broadcast(p, words, m), BroadcastTopo(s, words, topo)},
 			{"p2p", PointToPoint(words, m), PointToPointTopo(0, words, topo)},
 		}
 		for _, c := range checks {
 			if c.flat != c.topo {
 				t.Fatalf("%s (p=%d words=%g): uniform topo %+v != flat %+v", c.name, p, words, c.topo, c.flat)
 			}
-			if c.topo.Leveled() {
+			if leveled(c.topo) {
 				t.Fatalf("%s: uniform topology must not carry a level split, got %+v", c.name, c.topo)
 			}
 		}
@@ -192,7 +202,7 @@ func TestMixedSpanAllReduceSerializesPlanes(t *testing.T) {
 // Balanced-span bandwidth accounting with equal β at both levels: the
 // all-gather's serialized plane slices telescope back to the flat
 // (p−1)/p factor (the NIC moves the result once either way), while the
-// all-reduce and reduce-scatter now pay the NIC serialization — each of
+// all-reduce now pays the NIC serialization — each of
 // the m planes pushes its full per-rank shard through the node's single
 // link, so the hierarchical bandwidth is (m−1)/m + (n−1)/n of the
 // volume, strictly above the flat (p−1)/p.
@@ -221,19 +231,9 @@ func TestHierarchicalBandwidthAccounting(t *testing.T) {
 		}
 
 		flat = AllGather(c.p, words, m).Bandwidth
-		got = AllGatherTopo(s, words, topo).Bandwidth
+		got = AllGatherLeveled(s, words, topo).Bandwidth
 		if math.Abs(got-flat) > 1e-12*flat {
 			t.Fatalf("all-gather %d=%dx%d: hierarchical bandwidth %g != flat %g", c.p, c.nodes, c.per, got, flat)
-		}
-
-		flat = ReduceScatter(c.p, words, m).Bandwidth
-		got = ReduceScatterTopo(s, words, topo).Bandwidth
-		want = m.Beta * words * congested
-		if math.Abs(got-want) > 1e-12*want {
-			t.Fatalf("reduce-scatter %d=%dx%d: hierarchical bandwidth %g, want %g", c.p, c.nodes, c.per, got, want)
-		}
-		if got <= flat {
-			t.Fatalf("reduce-scatter %d=%dx%d: NIC-serialized bandwidth %g must exceed flat %g", c.p, c.nodes, c.per, got, flat)
 		}
 	}
 }
@@ -248,16 +248,14 @@ func TestLevelAttributionSumsToTotal(t *testing.T) {
 		s := span(nodes*per, nodes, per, per)
 		words := rng.Float64() * 1e6
 		for name, c := range map[string]Cost{
-			"all-gather":     AllGatherTopo(s, words, topo),
-			"all-reduce":     AllReduceTopo(s, words, topo),
-			"reduce-scatter": ReduceScatterTopo(s, words, topo),
-			"broadcast":      BroadcastTopo(s, words, topo),
+			"all-gather": AllGatherLeveled(s, words, topo),
+			"all-reduce": AllReduceTopo(s, words, topo),
 		} {
-			if s.Ranks > 1 && !c.Leveled() {
+			if s.Ranks > 1 && !leveled(c) {
 				t.Fatalf("%s on non-uniform topology must be leveled: %+v", name, c)
 			}
-			if d := math.Abs(c.LevelSum() - c.Total()); d > 1e-12*math.Max(c.Total(), 1e-300) {
-				t.Fatalf("%s: level sum %g != Total %g", name, c.LevelSum(), c.Total())
+			if d := math.Abs(levelSum(c) - c.Total()); d > 1e-12*math.Max(c.Total(), 1e-300) {
+				t.Fatalf("%s: level sum %g != Total %g", name, levelSum(c), c.Total())
 			}
 		}
 	}
@@ -301,8 +299,7 @@ func TestTopoEdgeCases(t *testing.T) {
 	topo := machine.CoriKNLNodes(4)
 	for name, c := range map[string]Cost{
 		"empty all-reduce":     AllReduceTopo(grid.LevelSpan{}, 1e6, topo),
-		"singleton all-gather": AllGatherTopo(span(1, 1, 1, 1), 1e6, topo),
-		"singleton broadcast":  BroadcastTopo(span(1, 1, 1, 1), 1e6, topo),
+		"singleton all-gather": AllGatherLeveled(span(1, 1, 1, 1), 1e6, topo),
 	} {
 		if (c != Cost{}) {
 			t.Fatalf("%s: want zero cost, got %+v", name, c)

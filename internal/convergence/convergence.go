@@ -116,14 +116,6 @@ func (c Curve) Steps(B int) float64 {
 	return c.StepsAtB1 * math.Pow(inner, 1/e) / b
 }
 
-// Examples returns S(B)·B, the total number of training examples the
-// campaign consumes — constant on the perfect-scaling branch, growing
-// through the diminishing-returns knee, and asymptotically linear in B
-// in the maximal-data-parallelism regime.
-func (c Curve) Examples(B int) float64 {
-	return c.Steps(B) * float64(B)
-}
-
 // StepFloor returns the maximal-data-parallelism floor lim_{B→∞} S(B) =
 // StepsAtB1/CriticalB: no batch size can reach the target in fewer
 // steps.

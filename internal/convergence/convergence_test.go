@@ -51,7 +51,8 @@ func TestStepsMonotone(t *testing.T) {
 		}
 		prevS, prevE := math.Inf(1), 0.0
 		for B := 1; B <= 1<<20; B = B*5/4 + 1 {
-			s, e := c.Steps(B), c.Examples(B)
+			s := c.Steps(B)
+			e := s * float64(B) // examples consumed
 			if math.IsNaN(s) || s <= 0 {
 				t.Fatalf("%v: S(%d) = %g", c, B, s)
 			}

@@ -1,9 +1,10 @@
 // Package costmodel implements the paper's communication-complexity
 // formulas — Eq. 3 (pure model), Eq. 4 (pure batch), Eq. 6 (redistribution),
-// Eq. 7 (pure domain), Eq. 8 (integrated 1.5D model+batch) and Eq. 9 (fully
+// Eq. 7 (pure domain: FullIntegrated on a P × 1 grid with every layer
+// Domain), Eq. 8 (integrated 1.5D model+batch) and Eq. 9 (fully
 // integrated model+batch+domain) — as per-layer α–β cost breakdowns, plus
-// the 2D-SUMMA comparison of Section 4 and the communication/computation
-// overlap variant of Fig. 8.
+// the communication/computation overlap variant of Fig. 8. The Section 4
+// volume comparison with 2D SUMMA is checked in summa_test.go.
 //
 // All formulas follow the paper's conventions: sums run over weighted
 // layers (conv and FC); the activation all-gather sum runs over all
@@ -87,12 +88,6 @@ type LayerCost struct {
 	FwdHalo    collective.Cost // forward input halo exchange (domain part)
 	BwdHalo    collective.Cost // backward output halo exchange (domain part)
 }
-
-// Halo returns the combined forward + backward halo-exchange cost of
-// Eq. 7. The split fields exist because the two directions move different
-// volumes (input vs output panels) and the timeline simulator prices them
-// at different points of the schedule.
-func (lc LayerCost) Halo() collective.Cost { return lc.FwdHalo.Add(lc.BwdHalo) }
 
 // Total returns the layer's total cost.
 func (lc LayerCost) Total() collective.Cost {
@@ -184,16 +179,6 @@ func (b *Breakdown) Assignment() Assignment {
 	return a
 }
 
-// GradReduceSeconds returns the batch-parallel portion (the ∆W
-// all-reduce), i.e. the cross-hatched bars of Fig. 6.
-func (b *Breakdown) GradReduceSeconds() float64 {
-	var t float64
-	for i := range b.Layers {
-		t += b.Layers[i].GradReduce.Total()
-	}
-	return t
-}
-
 // ForwardSeconds returns the forward-pass communication (activation
 // all-gathers plus the forward halo exchanges).
 func (b *Breakdown) ForwardSeconds() float64 {
@@ -235,39 +220,6 @@ func (e Env) PureModel(net *nn.Network, B, P int) *Breakdown {
 //	T = 2·Σ_i (α⌈log P⌉ + β·(P−1)/P·|W_i|)
 func (e Env) PureBatch(net *nn.Network, B, P int) *Breakdown {
 	return e.FullIntegrated(net, B, grid.Grid{Pr: 1, Pc: P}, UniformAssignment(net, BatchOnly))
-}
-
-// Redistribute returns Eq. 6: the one-time cost of switching layer i's
-// activations from a batch distribution to a model distribution — an
-// all-gather of B·d_i words over P processes, priced against the
-// environment's topology. The paper notes this is asymptotically free
-// relative to the subsequent model-parallel step.
-func (e Env) Redistribute(net *nn.Network, li, B, P int) collective.Cost {
-	l := &net.Layers[li]
-	pr := e.pricerFor(grid.Grid{Pr: P, Pc: 1})
-	return pr.colAllGather(float64(B) * float64(l.OutSize()))
-}
-
-// PureDomain returns Eq. 7: domain parallelism over P processes. Each
-// process holds all weights but a 1/P horizontal slab of every sample.
-//
-//	T = Σ_i (α + β·B·X_W·X_C·⌊kh/2⌋)        forward input halo
-//	  + Σ_i (α + β·B·Y_W·Y_C·⌊kw/2⌋)        backward output halo
-//	  + 2·Σ_i (α⌈log P⌉ + β·(P−1)/P·|W_i|)  gradient all-reduce
-//
-// For fully-connected layers the paper sets kh = X_H, kw = X_W ("the halo
-// region will consist of all of the input activations"); we encode that
-// intent directly: the FC halo volume is the entire input (forward) and
-// output (backward) activation block, which is why domain parallelism is
-// never chosen for FC layers.
-//
-// Priced against the environment's topology, halo partners are spatially
-// adjacent machine ranks and the gradient all-reduce spans the whole
-// machine.
-func (e Env) PureDomain(net *nn.Network, B, P int) *Breakdown {
-	// Pure domain does not split the batch (Pc = 1): every process holds
-	// a slab of all B samples, so halo volumes carry the full B of Eq. 7.
-	return e.FullIntegrated(net, B, grid.Grid{Pr: P, Pc: 1}, UniformAssignment(net, Domain))
 }
 
 // domainLayerCost is the Eq. 7 / Eq. 9 per-layer domain cost with halo

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dnnparallel/internal/collective"
 	"dnnparallel/internal/compute"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
@@ -13,6 +14,16 @@ import (
 	"dnnparallel/internal/stage"
 	"dnnparallel/internal/timeline"
 )
+
+// levelSum returns the seconds a cost attributes across all link levels:
+// Total() for leveled costs, 0 for flat ones.
+func levelSum(c collective.Cost) float64 {
+	var sum float64
+	for _, v := range c.Levels {
+		sum += v
+	}
+	return sum
+}
 
 // Regression for the dead firstModel flag removed from FullIntegrated:
 // only the network's very first weighted layer skips the ∆X all-reduce.
@@ -118,7 +129,11 @@ func TestEnvFlatEquivalenceProperty(t *testing.T) {
 			{"Integrated", FlatEnv(m).Integrated(net, B, g), env.Integrated(net, B, g)},
 			{"PureModel", FlatEnv(m).PureModel(net, B, p), env.PureModel(net, B, p)},
 			{"PureBatch", FlatEnv(m).PureBatch(net, B, p), env.PureBatch(net, B, p)},
-			{"PureDomain", FlatEnv(m).PureDomain(net, B, p), env.PureDomain(net, B, p)},
+			{"PureDomain", pureDomain(FlatEnv(m), net, B, p), pureDomain(env, net, B, p)},
+		}
+		one := stage.Balanced(len(net.WeightedLayers()), 1)
+		if rs, flat := env.RedistributionSeconds(net, B, g, assign, one), FlatEnv(m).RedistributionSeconds(net, B, g, assign, one); rs != flat {
+			t.Fatalf("RedistributionSeconds differs under uniform topology: %g vs %g", rs, flat)
 		}
 		for _, pair := range pairs {
 			if len(pair.flat.Layers) != len(pair.topo.Layers) {
@@ -131,9 +146,6 @@ func TestEnvFlatEquivalenceProperty(t *testing.T) {
 						pair.flat.Layers[i], pair.topo.Layers[i])
 				}
 			}
-		}
-		if rs := env.Redistribute(net, 0, B, p); rs != FlatEnv(m).Redistribute(net, 0, B, p) {
-			t.Fatalf("Redistribute differs under uniform topology")
 		}
 	}
 }
@@ -169,9 +181,9 @@ func TestPlacementChangesModelCosts(t *testing.T) {
 				cost float64
 				in   float64
 			}{
-				{"AllGather", lc.AllGather.Total(), lc.AllGather.LevelSum()},
-				{"ActReduce", lc.ActReduce.Total(), lc.ActReduce.LevelSum()},
-				{"GradReduce", lc.GradReduce.Total(), lc.GradReduce.LevelSum()},
+				{"AllGather", lc.AllGather.Total(), levelSum(lc.AllGather)},
+				{"ActReduce", lc.ActReduce.Total(), levelSum(lc.ActReduce)},
+				{"GradReduce", lc.GradReduce.Total(), levelSum(lc.GradReduce)},
 			} {
 				if c.cost > 0 && math.Abs(c.in-c.cost) > 1e-12*c.cost {
 					t.Fatalf("%s %s: level attribution %g != total %g", lc.Name, c.name, c.in, c.cost)
@@ -318,7 +330,7 @@ func TestGradMemoNeverChangesPrices(t *testing.T) {
 				{"domain", env.FullIntegrated(net, 512, g, domain), fresh.FullIntegrated(net, 512, g, domain)},
 				{"batch", env.FullIntegrated(net, 512, g, batch), fresh.FullIntegrated(net, 512, g, batch)},
 				{"pure batch", env.PureBatch(net, 512, 256), fresh.PureBatch(net, 512, 256)},
-				{"pure domain", env.PureDomain(net, 512, 256), fresh.PureDomain(net, 512, 256)},
+				{"pure domain", pureDomain(env, net, 512, 256), pureDomain(fresh, net, 512, 256)},
 			} {
 				if !reflect.DeepEqual(pair.got, pair.want) {
 					t.Fatalf("%v, %s memo: %s breakdown differs from fresh pricing", pl, name, pair.what)

@@ -52,14 +52,19 @@ func invalidTerm(l *LayerCost, name string, cost float64) {
 // baseline of Figs. 6, 7, 9, 10): the iteration is comm + compSeconds, the
 // closed-form legacy path, identical to timeline.PolicyNone.
 //
-// With overlap=true it prices the Fig. 8 idealization — backprop
+// With overlap=true it prices the Fig. 8 idealization: backprop
 // communication (the ∆X and ∆W all-reduces plus the backward halo, the
 // paper's "two-thirds of the communication") hides behind backprop
-// computation (2 of the 3 GEMMs) while forward communication stays
-// exposed — by delegating to the event-driven timeline simulator on the
-// aggregate single-layer inputs under timeline.PolicyBackprop. The
-// delegation reproduces the historical closed form
-// comp + fwdComm + max(0, bwdComm − BackpropFraction·comp) exactly.
+// computation (2 of the 3 GEMMs), while forward communication stays
+// exposed. With bwdComp = BackpropFraction·comp, the iteration is
+//
+//	(comp − bwdComp + fwdComm) + max(bwdComp, bwdComm)
+//
+// — the closed form comp + fwdComm + max(0, bwdComm − bwdComp), with the
+// terms added in the order the timeline simulator adds them when it
+// schedules the aggregate as one layer under timeline.PolicyBackprop
+// (forward GEMM, exposed all-gather, then backprop GEMM and the
+// backward collective side by side), so the two agree bit for bit.
 func IterationTotals(b *Breakdown, compSeconds float64, overlap bool) (comm, iter float64) {
 	if compSeconds < 0 || math.IsNaN(compSeconds) {
 		panic(fmt.Sprintf("costmodel: invalid computation time %g", compSeconds))
@@ -68,29 +73,8 @@ func IterationTotals(b *Breakdown, compSeconds float64, overlap bool) (comm, ite
 	if !overlap {
 		return comm, comm + compSeconds
 	}
-	res, err := timeline.Score(AggregateTimeline(b, compSeconds), timeline.PolicyBackprop, timeline.Single())
-	if err != nil {
-		// The aggregate graph is a four-event chain; it cannot cycle.
-		panic(fmt.Sprintf("costmodel: aggregate timeline failed: %v", err))
-	}
-	return comm, res.Makespan
-}
-
-// AggregateTimeline collapses a Breakdown plus an aggregate compute time
-// into a single timeline layer: forward communication becomes one
-// all-gather, backward communication one ∆X all-reduce, and the compute
-// splits by BackpropFraction. Simulating it under timeline.PolicyBackprop
-// yields the Fig. 8 closed form; it is the bridge between the legacy
-// aggregate API and the per-layer simulator.
-func AggregateTimeline(b *Breakdown, compSeconds float64) []timeline.Layer {
 	bwdComp := compute.BackpropFraction * compSeconds
-	return []timeline.Layer{{
-		Name:      "aggregate",
-		FwdComp:   compSeconds - bwdComp,
-		BwdComp:   bwdComp,
-		AllGather: b.ForwardSeconds(),
-		ActReduce: b.BackwardSeconds(),
-	}}
+	return comm, (compSeconds - bwdComp + b.ForwardSeconds()) + math.Max(bwdComp, b.BackwardSeconds())
 }
 
 // TimelineLayers pairs the per-layer communication costs of a Breakdown

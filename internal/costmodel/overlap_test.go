@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -13,9 +14,30 @@ import (
 	"dnnparallel/internal/timeline"
 )
 
+// simulatedOverlap is the Fig. 8 iteration time as the event-driven
+// timeline simulator computes it: the breakdown collapsed into one layer
+// (forward communication as its all-gather, backward communication as its
+// ∆X all-reduce, compute split by BackpropFraction) and scheduled under
+// timeline.PolicyBackprop. IterationTotals(…, true) must match it bit for
+// bit.
+func simulatedOverlap(t *testing.T, b *Breakdown, compSeconds float64) float64 {
+	t.Helper()
+	bwdComp := compute.BackpropFraction * compSeconds
+	res, err := timeline.Score([]timeline.Layer{{
+		Name:      "aggregate",
+		FwdComp:   compSeconds - bwdComp,
+		BwdComp:   bwdComp,
+		AllGather: b.ForwardSeconds(),
+		ActReduce: b.BackwardSeconds(),
+	}}, timeline.PolicyBackprop, timeline.Single())
+	if err != nil {
+		t.Fatalf("aggregate timeline: %v", err)
+	}
+	return res.Makespan
+}
+
 // closedFormOverlap is the historical one-line Fig. 8 idealization that
-// IterationTotals(…, true) must keep reproducing now that it delegates to
-// the timeline simulator.
+// IterationTotals(…, true) keeps reproducing.
 func closedFormOverlap(b *Breakdown, compSeconds float64) float64 {
 	bwdComm := b.BackwardSeconds()
 	fwdComm := b.TotalSeconds() - bwdComm
@@ -75,24 +97,25 @@ func singleFCNet(t *testing.T) *nn.Network {
 	return net
 }
 
-// TestAggregateTimelineShape: the bridge layer splits compute by
-// BackpropFraction and carries the full fwd/bwd communication split.
+// TestAggregateTimelineShape: the Fig. 8 aggregate splits compute by
+// BackpropFraction and communication into the breakdown's forward and
+// backward parts: forward communication is always exposed, backward
+// communication hides behind the backprop share of compute and shows only
+// past it.
 func TestAggregateTimelineShape(t *testing.T) {
 	net := nn.AlexNet()
 	bd := FlatEnv(machine.CoriKNL()).Integrated(net, 512, grid.Grid{Pr: 8, Pc: 64})
-	layers := AggregateTimeline(bd, 0.09)
-	if len(layers) != 1 {
-		t.Fatalf("aggregate should be one layer, got %d", len(layers))
-	}
-	l := layers[0]
-	if math.Abs(l.FwdComp+l.BwdComp-0.09) > 1e-12 {
-		t.Fatalf("compute split %g + %g ≠ 0.09", l.FwdComp, l.BwdComp)
-	}
-	if math.Abs(l.BwdComp-compute.BackpropFraction*0.09) > 1e-12 {
-		t.Fatalf("backprop share = %g, want %g", l.BwdComp, compute.BackpropFraction*0.09)
-	}
-	if math.Abs(l.AllGather-bd.ForwardSeconds()) > 1e-15 || math.Abs(l.ActReduce-bd.BackwardSeconds()) > 1e-15 {
-		t.Fatal("aggregate comm split does not match the breakdown")
+	fwd, bwd := bd.ForwardSeconds(), bd.BackwardSeconds()
+	for _, c := range []struct {
+		name       string
+		comp, want float64
+	}{
+		{"hidden", 2 * bwd / compute.BackpropFraction, 2*bwd/compute.BackpropFraction + fwd},
+		{"exposed", bwd / 2, bwd/2*(1-compute.BackpropFraction) + fwd + bwd},
+	} {
+		if _, iter := IterationTotals(bd, c.comp, true); math.Abs(iter-c.want) > 1e-12*c.want {
+			t.Fatalf("%s backward communication: iteration %g, want %g", c.name, iter, c.want)
+		}
 	}
 }
 
@@ -227,10 +250,32 @@ func TestIterationTotalsOnePass(t *testing.T) {
 				if !overlap && iter != comm+0.25 {
 					t.Fatalf("%v: serialized iteration %v, want comm + comp = %v", g, iter, comm+0.25)
 				}
-				if want := closedFormOverlap(bd, 0.25); overlap && math.Abs(iter-want) > 1e-9 {
-					t.Fatalf("%v: overlapped iteration %v, want the Fig. 8 closed form %v", g, iter, want)
+				if want := simulatedOverlap(t, bd, 0.25); overlap && math.Float64bits(iter) != math.Float64bits(want) {
+					t.Fatalf("%v: overlapped iteration %v, want the simulated Fig. 8 schedule's %v", g, iter, want)
 				}
 			}
+		}
+	}
+	// Seeded random aggregates, with zero compute, zero forward and zero
+	// backward communication among them, pin the closed form's term order
+	// to the simulator's.
+	rng := rand.New(rand.NewSource(8))
+	draw := func() float64 {
+		if rng.Intn(5) == 0 {
+			return 0
+		}
+		return math.Pow(10, -7+8*rng.Float64())
+	}
+	for trial := 0; trial < 20000; trial++ {
+		comp := draw()
+		bd := &Breakdown{Layers: []LayerCost{{
+			AllGather: collective.Cost{Latency: draw(), Bandwidth: draw()},
+			ActReduce: collective.Cost{Latency: draw(), Bandwidth: draw()},
+			BwdHalo:   collective.Cost{Bandwidth: draw()},
+		}}}
+		if _, iter := IterationTotals(bd, comp, true); math.Float64bits(iter) != math.Float64bits(simulatedOverlap(t, bd, comp)) {
+			t.Fatalf("trial %d (comp %v, fwd %v, bwd %v): closed form %v, simulator %v",
+				trial, comp, bd.ForwardSeconds(), bd.BackwardSeconds(), iter, simulatedOverlap(t, bd, comp))
 		}
 	}
 	terms := map[string]func(*LayerCost) *collective.Cost{

@@ -133,7 +133,7 @@ func TestPipelineCommFlushAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := pc.Breakdown // per-micro-batch costs
-	want := float64(M)*(b.TotalSeconds()-b.GradReduceSeconds()) + b.GradReduceSeconds()
+	want := float64(M)*(b.TotalSeconds()-gradReduceSeconds(b)) + gradReduceSeconds(b)
 	if d := math.Abs(pc.Result.CommSeconds - want); d > 1e-12*want {
 		t.Fatalf("simulated comm %g, want M·activations + 1·gradients = %g", pc.Result.CommSeconds, want)
 	}

@@ -139,7 +139,7 @@ func TestRandomNetsBreakdownConsistency(t *testing.T) {
 		if math.Abs(bd.ForwardSeconds()+bd.BackwardSeconds()-total) > 1e-12*math.Max(1, total) {
 			return false
 		}
-		return bd.GradReduceSeconds() >= 0 && bd.GradReduceSeconds() <= total+1e-15
+		return gradReduceSeconds(bd) >= 0 && gradReduceSeconds(bd) <= total+1e-15
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -54,10 +54,6 @@ func (g Grid) String() string { return fmt.Sprintf("%dx%d", g.Pr, g.Pc) }
 // parallelism (Pr = 1).
 func (g Grid) IsPureBatch() bool { return g.Pr == 1 }
 
-// IsPureModel reports whether the grid degenerates to pure model (or
-// domain) parallelism (Pc = 1).
-func (g Grid) IsPureModel() bool { return g.Pc == 1 }
-
 // Rank returns the rank of process (r, c).
 func (g Grid) Rank(r, c int) int {
 	if r < 0 || r >= g.Pr || c < 0 || c >= g.Pc {

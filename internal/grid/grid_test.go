@@ -70,7 +70,7 @@ func TestFactorizationEndpoints(t *testing.T) {
 	if !fs[0].IsPureBatch() || fs[0].Pc != 512 {
 		t.Fatalf("first factorization %v should be pure batch", fs[0])
 	}
-	if !fs[len(fs)-1].IsPureModel() || fs[len(fs)-1].Pr != 512 {
+	if fs[len(fs)-1].Pc != 1 || fs[len(fs)-1].Pr != 512 {
 		t.Fatalf("last factorization %v should be pure model", fs[len(fs)-1])
 	}
 	// 512 = 2^9 has 10 divisors.

@@ -72,18 +72,6 @@ func (p *Placement) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// MachineRank returns the machine rank of process (r, c) under a
-// placement. The logical rank (Grid.Rank) is the RowMajor special case.
-func (g Grid) MachineRank(r, c int, pl Placement) int {
-	if r < 0 || r >= g.Pr || c < 0 || c >= g.Pc {
-		panic(fmt.Sprintf("grid: coords (%d,%d) outside %v", r, c, g))
-	}
-	if pl == ColMajor {
-		return c*g.Pr + r
-	}
-	return r*g.Pc + c
-}
-
 // LevelStat summarizes how one collective group's machine ranks occupy
 // one level of a hierarchical machine — the per-level information the
 // recursive α–β cost formulas need. Levels follow machine.Topology
@@ -119,10 +107,6 @@ type LevelSpan struct {
 	// Levels holds one LevelStat per topology level, innermost first.
 	Levels []LevelStat
 }
-
-// Active reports whether level i moves data for this group — whether
-// the group spreads over more than one of that level's sub-units.
-func (s LevelSpan) Active(i int) bool { return s.Levels[i].Fanout > 1 }
 
 func (s LevelSpan) String() string {
 	var b strings.Builder
@@ -315,7 +299,8 @@ type progression struct {
 }
 
 // colGroups returns the column groups' progression (Pr ranks each, one
-// group per column c) under a placement; see MachineRank.
+// group per column c) under a placement: process (r, c) sits at machine
+// rank r·Pc + c row-major, c·Pr + r column-major.
 func (g Grid) colGroups(pl Placement) progression {
 	if pl == ColMajor {
 		return progression{count: g.Pc, step: g.Pr, n: g.Pr, stride: 1}

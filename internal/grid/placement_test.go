@@ -1,9 +1,23 @@
 package grid
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
+
+// MachineRank returns the machine rank of process (r, c) under a
+// placement, the rank-by-rank reference of the progression classifiers.
+// The logical rank (Grid.Rank) is the RowMajor special case.
+func (g Grid) MachineRank(r, c int, pl Placement) int {
+	if r < 0 || r >= g.Pr || c < 0 || c >= g.Pc {
+		panic(fmt.Sprintf("grid: coords (%d,%d) outside %v", r, c, g))
+	}
+	if pl == ColMajor {
+		return c*g.Pr + r
+	}
+	return r*g.Pc + c
+}
 
 func TestMachineRankConventions(t *testing.T) {
 	g := Grid{Pr: 3, Pc: 4}
@@ -89,17 +103,19 @@ func TestSpanOf(t *testing.T) {
 
 func TestSpanActive(t *testing.T) {
 	// {0,1,4,5} on 4-rank nodes moves data at both levels; {4,5,6,7}
-	// only within its node; {0,4,8,12} only across nodes.
+	// only within its node; {0,4,8,12} only across nodes. A level is
+	// active when the group spreads over more than one of its sub-units.
+	active := func(s LevelSpan, i int) bool { return s.Levels[i].Fanout > 1 }
 	mixed := SpanOf([]int{0, 1, 4, 5}, []int{4, 0})
-	if !mixed.Active(0) || !mixed.Active(1) {
+	if !active(mixed, 0) || !active(mixed, 1) {
 		t.Fatal("straddling span must be active at both levels")
 	}
 	intra := SpanOf([]int{4, 5, 6, 7}, []int{4, 0})
-	if !intra.Active(0) || intra.Active(1) {
+	if !active(intra, 0) || active(intra, 1) {
 		t.Fatal("single-node span must be active only at level 0")
 	}
 	inter := SpanOf([]int{0, 4, 8, 12}, []int{4, 0})
-	if inter.Active(0) || !inter.Active(1) {
+	if active(inter, 0) || !active(inter, 1) {
 		t.Fatal("one-rank-per-node span must be active only at level 1")
 	}
 }

@@ -6,8 +6,7 @@ import "fmt"
 // formulas assume (Section 2.2, citing Thakur et al.): Bruck for
 // all-gather, bandwidth-optimal recursive halving/doubling for all-reduce
 // on power-of-two groups (with a ring fallback for other sizes — same
-// bandwidth term, different latency term), binomial trees for broadcast
-// and barrier.
+// bandwidth term, different latency term).
 
 // Tag space: collectives use negative tags so they can never collide with
 // engine-level point-to-point tags (which must be ≥ 0).
@@ -15,8 +14,6 @@ const (
 	tagAllGather = -1 - iota
 	tagReduceScatter
 	tagAllGatherRD
-	tagBroadcast
-	tagBarrier
 	tagRing
 )
 
@@ -162,40 +159,5 @@ func (c *Comm) allReduceRing(buf []float64) {
 		got := c.SendRecv(next, tagRing, buf[sLo:sHi], prev, tagRing)
 		rLo, rHi := blockAt(c.rank - step)
 		copy(buf[rLo:rHi], got)
-	}
-}
-
-// Broadcast distributes root's data to every rank via a binomial tree and
-// returns the received copy (root returns its own copy).
-func (c *Comm) Broadcast(root int, data []float64) []float64 {
-	p := c.Size()
-	vrank := (c.rank - root + p) % p
-	var buf []float64
-	if vrank == 0 {
-		buf = make([]float64, len(data))
-		copy(buf, data)
-	}
-	// Doubling tree: at step bit, ranks in [0, bit) send to rank+bit and
-	// ranks in [bit, 2·bit) receive from rank−bit.
-	for bit := 1; bit < p; bit <<= 1 {
-		switch {
-		case vrank < bit && vrank+bit < p:
-			c.Send((vrank+bit+root)%p, tagBroadcast, buf)
-		case vrank >= bit && vrank < 2*bit:
-			buf = c.Recv((vrank-bit+root)%p, tagBroadcast)
-		}
-	}
-	return buf
-}
-
-// Barrier synchronizes the communicator with a dissemination barrier:
-// after it returns, every rank's clock is at least the maximum clock any
-// member held on entry.
-func (c *Comm) Barrier() {
-	p := c.Size()
-	for dist := 1; dist < p; dist <<= 1 {
-		dst := (c.rank + dist) % p
-		src := (c.rank - dist + p) % p
-		c.SendRecv(dst, tagBarrier, nil, src, tagBarrier)
 	}
 }

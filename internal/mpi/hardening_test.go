@@ -96,21 +96,25 @@ func TestTagMismatchPanics(t *testing.T) {
 }
 
 // TestClocksPersistAcrossRuns: a World models one job; successive Run
-// calls continue the virtual timeline.
+// calls start every rank's clock at 0 and accumulate the stats.
 func TestClocksPersistAcrossRuns(t *testing.T) {
 	w := NewWorld(2, testMachine())
-	w.Run(func(p *Proc) { p.Tick(1.5) })
+	exchange := func(p *Proc) {
+		p.Send(1-p.Rank(), 1, make([]float64, 10))
+		p.Recv(1-p.Rank(), 1)
+	}
+	w.Run(func(p *Proc) { p.Tick(1.5); exchange(p) })
 	w.Run(func(p *Proc) {
 		if p.Clock() != 0 {
 			// Clocks are per-Proc and reset per Run in this design; the
-			// accumulated view lives in Stats. Verify stats accumulated.
+			// accumulated view lives in Stats.
 			t.Errorf("unexpected clock %g", p.Clock())
 		}
-		p.Tick(0.5)
+		exchange(p)
 	})
 	for _, s := range w.Stats() {
-		if math.Abs(s.ComputeTime-2.0) > 1e-12 {
-			t.Fatalf("rank %d accumulated compute %g, want 2.0", s.Rank, s.ComputeTime)
+		if s.Messages != 2 || s.WordsSent != 20 {
+			t.Fatalf("rank %d sent %d messages / %d words over two runs, want 2 / 20", s.Rank, s.Messages, s.WordsSent)
 		}
 	}
 }

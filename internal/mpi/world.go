@@ -11,8 +11,7 @@
 //     received) at t + α + β·w;
 //   - Send charges the sender α + β·w (a blocking/rendezvous send), ISend
 //     charges only the injection overhead α;
-//   - Recv advances the receiver's clock to max(own clock, arrival time);
-//   - Tick(d) models local computation of duration d.
+//   - Recv advances the receiver's clock to max(own clock, arrival time).
 //
 // With every rank executing collectives in lockstep this makes the
 // measured virtual time of Bruck all-gather and recursive-halving
@@ -44,12 +43,11 @@ type World struct {
 
 // Stats accumulates per-rank accounting.
 type Stats struct {
-	Rank        int
-	Clock       float64 // final virtual time (seconds)
-	CommTime    float64 // virtual seconds attributed to communication
-	ComputeTime float64 // virtual seconds attributed to Tick
-	WordsSent   int64
-	Messages    int64
+	Rank      int
+	Clock     float64 // final virtual time (seconds)
+	CommTime  float64 // virtual seconds attributed to communication
+	WordsSent int64
+	Messages  int64
 }
 
 // NewWorld creates a world of p ranks on machine m.
@@ -79,8 +77,9 @@ func (w *World) Size() int { return w.size }
 func (w *World) Machine() machine.Machine { return w.mach }
 
 // Run executes body on every rank concurrently and blocks until all ranks
-// return. It may be called repeatedly; virtual clocks persist across calls
-// (a world models one job). It returns per-rank stats snapshots.
+// return. It may be called repeatedly: every call starts the ranks'
+// clocks at 0, while the stats' communication time, words and messages
+// accumulate across calls. It returns per-rank stats snapshots.
 func (w *World) Run(body func(p *Proc)) []Stats {
 	var wg sync.WaitGroup
 	procs := make([]*Proc, w.size)
@@ -107,18 +106,6 @@ func (w *World) Stats() []Stats {
 	return out
 }
 
-// MaxClock returns the latest virtual time across ranks — the simulated
-// wall-clock of the job so far.
-func (w *World) MaxClock() float64 {
-	var max float64
-	for _, s := range w.stats {
-		if s.Clock > max {
-			max = s.Clock
-		}
-	}
-	return max
-}
-
 // Proc is the per-rank handle passed to World.Run bodies.
 type Proc struct {
 	world *World
@@ -141,15 +128,6 @@ func (p *Proc) Clock() float64 { return p.clock }
 
 // CommSeconds returns the virtual time this rank has spent communicating.
 func (p *Proc) CommSeconds() float64 { return p.stats.CommTime }
-
-// Tick advances the local clock by d seconds of modeled computation.
-func (p *Proc) Tick(d float64) {
-	if d < 0 {
-		panic("mpi: negative Tick")
-	}
-	p.clock += d
-	p.stats.ComputeTime += d
-}
 
 // transferTime returns α + β·words.
 func (p *Proc) transferTime(words int) float64 {

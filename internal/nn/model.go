@@ -252,27 +252,3 @@ func (m *Model) ApplySGD(grads []*tensor.Matrix, lr float64) {
 		m.Weights[i].AXPY(-lr, g)
 	}
 }
-
-// Loss computes the mean softmax cross-entropy of the model on (x, labels)
-// without keeping backward state.
-func (m *Model) Loss(x *tensor.Tensor4, labels []int) float64 {
-	logits := m.Forward(x)
-	loss, _ := SoftmaxCrossEntropy(logits, labels)
-	return loss
-}
-
-// Predict returns the argmax class per sample.
-func (m *Model) Predict(x *tensor.Tensor4) []int {
-	logits := m.Forward(x)
-	out := make([]int, logits.Cols)
-	for j := 0; j < logits.Cols; j++ {
-		best := math.Inf(-1)
-		for i := 0; i < logits.Rows; i++ {
-			if v := logits.At(i, j); v > best {
-				best = v
-				out[j] = i
-			}
-		}
-	}
-	return out
-}

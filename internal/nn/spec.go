@@ -324,16 +324,3 @@ func (n *Network) TrainFLOPsPerSample() float64 {
 
 // Validate re-runs inference and sanity checks.
 func (n *Network) Validate() error { return n.Infer() }
-
-// Summary renders a per-layer table (shapes, |W_i|, FLOPs) for README-style
-// output.
-func (n *Network) Summary() string {
-	n.mustInferred()
-	s := fmt.Sprintf("%s (input %v, %d layers, %d weights)\n", n.Name, n.Input, len(n.Layers), n.TotalWeights())
-	for i := range n.Layers {
-		l := &n.Layers[i]
-		s += fmt.Sprintf("  %2d %-8s %-7s in=%-12v out=%-12v |W|=%-10d flops/sample=%.3g\n",
-			i, l.Name, l.Kind, l.In, l.Out, l.Weights(), l.TrainFLOPsPerSample())
-	}
-	return s
-}

@@ -184,13 +184,6 @@ func TestConvFLOPsFormula(t *testing.T) {
 	}
 }
 
-func TestSummaryRenders(t *testing.T) {
-	s := AlexNet().Summary()
-	if len(s) == 0 {
-		t.Fatal("empty summary")
-	}
-}
-
 // TestAlexNetTrainFLOPs pins the compute model's input. The literature's
 // ≈1.43 GFLOP forward pass is for the *grouped* two-tower AlexNet; our
 // ungrouped single tower doubles conv2/4/5 (forward ≈ 2.27 GFLOP), so

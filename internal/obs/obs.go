@@ -125,29 +125,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) estimated from the bucket
-// layout: the upper bound of the first cumulative bucket covering q.
-// With no observations it returns 0; observations beyond the last bound
-// report +Inf, as a bucketed histogram cannot resolve them.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.bounds {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			return h.bounds[i]
-		}
-	}
-	return math.Inf(1)
-}
-
 // metric is anything a family can hold as one labeled series.
 type metric interface {
 	// write renders the series' sample lines. name is the family name,
@@ -313,17 +290,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 // With returns the child counter for a label-value tuple, creating it
 // on first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).(*Counter) }
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// NewGaugeVec registers a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, "gauge", labels, func() metric { return &Gauge{} })}
-}
-
-// With returns the child gauge for a label-value tuple.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).(*Gauge) }
 
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }

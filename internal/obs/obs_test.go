@@ -55,35 +55,6 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantile: quantiles resolve to bucket upper bounds, the
-// only answer a fixed-bucket histogram can give.
-func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram([]float64{0.01, 0.1, 1})
-	if q := h.Quantile(0.5); q != 0 {
-		t.Errorf("empty histogram p50 = %g, want 0", q)
-	}
-	for i := 0; i < 90; i++ {
-		h.Observe(0.005) // le 0.01
-	}
-	for i := 0; i < 9; i++ {
-		h.Observe(0.05) // le 0.1
-	}
-	h.Observe(0.5) // le 1
-	if q := h.Quantile(0.5); q != 0.01 {
-		t.Errorf("p50 = %g, want 0.01", q)
-	}
-	if q := h.Quantile(0.99); q != 0.1 {
-		t.Errorf("p99 = %g, want 0.1", q)
-	}
-	if q := h.Quantile(1); q != 1 {
-		t.Errorf("p100 = %g, want 1", q)
-	}
-	h.Observe(100) // beyond the last bound
-	if q := h.Quantile(1); !math.IsInf(q, 1) {
-		t.Errorf("p100 with overflow = %g, want +Inf", q)
-	}
-}
-
 // TestConcurrentInstruments hammers every instrument kind from many
 // goroutines (run under -race in CI) and checks the totals are exact:
 // no lost updates, histogram sum/count consistent with the bucket

@@ -65,8 +65,9 @@ type Options struct {
 	// pipeline-parallel scheduling. Empty means {1}: no pipelining, the
 	// legacy single-iteration scoring, bit-identical to the pre-pipeline
 	// planner. Entries > 1 score an M-micro-batch schedule via
-	// costmodel.StageIteration (one stage unless StageCounts asks for
-	// more) and require UseTimeline (Optimize rejects them otherwise);
+	// costmodel.Env.PriceStages and StagePricing.Simulate (one stage
+	// unless StageCounts asks for more) and require UseTimeline (Optimize
+	// rejects them otherwise);
 	// candidates that do not divide B or leave a micro-batch thinner
 	// than Pc are skipped as infeasible. Each grid reports its best M
 	// (Plan.MicroBatch).
@@ -82,7 +83,7 @@ type Options struct {
 	// every process executes every layer; S > 1 partitions the
 	// weighted-layer list into S contiguous stages, each pricing only its
 	// own layers on its own P/S-sized grid at its own rank offset
-	// (costmodel.StageIteration), with the inter-stage activation
+	// (costmodel.Env.PriceStages), with the inter-stage activation
 	// handoffs priced against the topology level each cut crosses. Each
 	// S > 1 co-searches the contiguous layer partitions (see
 	// MaxPartitions) and the shared per-stage grid over the

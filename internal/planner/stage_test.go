@@ -42,7 +42,7 @@ func TestStagedRedistributionPricedOnOwningStage(t *testing.T) {
 	price := func(offset int) float64 {
 		spans := g.ColGroupSpansAt(topo.GroupSizes(), grid.RowMajor, offset)
 		return 2 * collective.MaxCost(spans, func(s grid.LevelSpan) collective.Cost {
-			return collective.AllGatherTopo(s, words, topo)
+			return collective.AllGatherLeveled(s, words, topo) // topo is not uniform
 		}).Total()
 	}
 	want, onStage0 := price(1*g.P()), price(0)

@@ -10,7 +10,7 @@ import (
 // lanes 2.. = the per-level link lanes '▓', '░', '▞', '▚', '▛', '▜' —
 // innermost level first; further lanes cycle); Label names the row. The
 // cycling is deliberate: pipeline schedules encode stage s's copy of
-// base lane k as lane k + 8s (timeline.StageResource), so every stage's
+// base lane k as lane k + 8s (timeline.Resource.PipelineStage), so every stage's
 // compute pipe renders '█', every stage's flat network lane '▒', and
 // the micro-batch labels in Label (e.g. "fwd conv1 µ3") distinguish the
 // rows.

@@ -50,12 +50,6 @@ func LSTMCost15D(cfg Config, B int, g grid.Grid, m machine.Machine) collective.C
 	return lstmCell.cost(cfg, B, g, m)
 }
 
-// PureBatchCost is the Pr = 1 specialization: one all-reduce of all
-// weights, independent of both B and T.
-func PureBatchCost(cfg Config, P int, m machine.Machine) collective.Cost {
-	return collective.AllReduce(P, float64(cfg.Weights()), m)
-}
-
 // fits15D is the one rule for which grids 1.5D BPTT runs on, read by both
 // BestGrid and the engines: every column group needs a sequence (Pc ≤ B;
 // B need not divide evenly), and Pr must divide both Hidden and Classes so

@@ -17,7 +17,7 @@ func bwOnly() machine.Machine {
 }
 
 // TestCost15DReducesToPureBatch: Pr = 1 leaves only the single weight
-// all-reduce, matching PureBatchCost exactly.
+// all-reduce of Eq. 4, independent of both B and T.
 func TestCost15DReducesToPureBatch(t *testing.T) {
 	cfg := Config{In: 128, Hidden: 256, Classes: 32, T: 20}
 	m := machine.CoriKNL()
@@ -25,7 +25,7 @@ func TestCost15DReducesToPureBatch(t *testing.T) {
 		p := 2 + int(pRaw)%126
 		b := p + int(bRaw)%1024
 		a := Cost15D(cfg, b, grid.Grid{Pr: 1, Pc: p}, m).Total()
-		want := PureBatchCost(cfg, p, m).Total()
+		want := collective.AllReduce(p, float64(cfg.Weights()), m).Total()
 		return math.Abs(a-want) < 1e-15*math.Max(1, want)
 	}
 	if err := quick.Check(f, nil); err != nil {

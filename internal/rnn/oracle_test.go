@@ -37,7 +37,7 @@ func TestSharedSerialBatchOracle(t *testing.T) {
 		ps        []int
 	}{
 		{"elman-serial", serial(RunSerial), serial(refRunSerial), []int{1}},
-		{"elman-batch", RunBatch, refRunBatch, []int{1, 2, 4, 5}},
+		{"elman-batch", runElmanBatch, refRunBatch, []int{1, 2, 4, 5}},
 		{"lstm-serial", serial(RunLSTMSerial), serial(refRunLSTMSerial), []int{1}},
 		{"lstm-batch", RunLSTMBatch, refRunLSTMBatch, []int{1, 2, 4, 5}},
 	}

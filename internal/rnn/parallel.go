@@ -116,11 +116,6 @@ func RunSerial(tc TrainConfig, ds *Sequences) (parallel.Result, error) {
 	return runSerial(tc, ds, NewModel)
 }
 
-// RunBatch trains the Elman model with pure batch parallelism.
-func RunBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (parallel.Result, error) {
-	return runBatch(w, tc, ds, NewModel)
-}
-
 // runSerial trains the model newModel builds, on one process.
 func runSerial[M trainable](tc TrainConfig, ds *Sequences, newModel func(Config, int64) M) (parallel.Result, error) {
 	if err := tc.validate(); err != nil {

@@ -20,7 +20,8 @@
 // The executable engines, for the Elman Model and the packed-gate LSTM:
 //
 //   - RunSerial, RunLSTMSerial — the single-process references;
-//   - RunBatch, RunLSTMBatch   — pure batch parallelism (Eq. 4);
+//   - RunLSTMBatch — pure batch parallelism (Eq. 4), whose body, runBatch,
+//     runs the Elman Model too;
 //   - RunIntegrated15D, RunLSTM15D — the 1.5D algorithm on a Pr × Pc grid
 //     (Eq. 8 with its activation terms ×T).
 //
@@ -160,11 +161,4 @@ func (m *Model) backward(xs, hs []*tensor.Matrix, dlogits *tensor.Matrix) []*ten
 // Apply performs one optimizer step.
 func (m *Model) Apply(opt nn.Optimizer, grads []*tensor.Matrix) {
 	opt.Step(m.Weights, grads)
-}
-
-// Loss evaluates the mean loss without keeping backward state.
-func (m *Model) Loss(xs []*tensor.Matrix, labels []int) float64 {
-	logits, _ := m.Forward(xs)
-	loss, _ := nn.SoftmaxCrossEntropy(logits, labels)
-	return loss
 }

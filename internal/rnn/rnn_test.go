@@ -9,6 +9,7 @@ import (
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/mpi"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/parallel"
 	"dnnparallel/internal/tensor"
 )
 
@@ -17,6 +18,19 @@ func testMachine() machine.Machine {
 }
 
 func testCfg() Config { return Config{In: 6, Hidden: 8, Classes: 4, T: 5} }
+
+// Loss evaluates the mean loss without keeping backward state: the
+// finite-difference probe of the gradient checks.
+func (m *Model) Loss(xs []*tensor.Matrix, labels []int) float64 {
+	logits, _ := m.Forward(xs)
+	loss, _ := nn.SoftmaxCrossEntropy(logits, labels)
+	return loss
+}
+
+// runElmanBatch trains the Elman model with pure batch parallelism.
+func runElmanBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (parallel.Result, error) {
+	return runBatch(w, tc, ds, NewModel)
+}
 
 // TestBPTTGradientCheck validates the backward pass against central
 // differences over all three weight matrices.
@@ -99,7 +113,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 3, 4} {
-		got, err := RunBatch(mpi.NewWorld(p, testMachine()), tc, ds)
+		got, err := runElmanBatch(mpi.NewWorld(p, testMachine()), tc, ds)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -192,7 +206,7 @@ func TestValidation(t *testing.T) {
 	cfg := testCfg()
 	ds := SyntheticSequences(cfg, 16, 1)
 	tc := TrainConfig{Cfg: cfg, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}
-	if _, err := RunBatch(mpi.NewWorld(8, testMachine()), tc, ds); err == nil {
+	if _, err := runElmanBatch(mpi.NewWorld(8, testMachine()), tc, ds); err == nil {
 		t.Fatal("P > B should be rejected")
 	}
 	if _, err := RunIntegrated15D(mpi.NewWorld(4, testMachine()), tc, ds, grid.Grid{Pr: 3, Pc: 1}); err == nil {

@@ -198,11 +198,6 @@ func New(cfg Config) *Server {
 // Handler returns the service's HTTP handler (middleware included).
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Metrics returns the server's metric registry (the /metrics source),
-// so embedding callers can register their own instruments beside the
-// built-in ones.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
 // observeLanes records one observation per schedule lane of a simulated
 // result: the lane's total busy seconds, labeled by the same display
 // name the Gantt legend and Chrome trace use — compute, network, or the

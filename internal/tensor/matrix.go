@@ -77,13 +77,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Zero sets every element to 0 in place.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // Fill sets every element to v in place.
 func (m *Matrix) Fill(v float64) {
 	for i := range m.Data {
@@ -152,15 +145,6 @@ func (m *Matrix) Sub(n *Matrix) *Matrix {
 	return out
 }
 
-// Scale returns s·m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = s * v
-	}
-	return out
-}
-
 // ScaleInPlace multiplies every element by s.
 func (m *Matrix) ScaleInPlace(s float64) {
 	for i := range m.Data {
@@ -174,18 +158,6 @@ func (m *Matrix) AXPY(a float64, n *Matrix) {
 	for i, v := range n.Data {
 		m.Data[i] += a * v
 	}
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
-		}
-	}
-	return out
 }
 
 // SliceCols returns a copy of columns [lo, hi) as a new Rows×(hi-lo) matrix.
@@ -210,24 +182,6 @@ func (m *Matrix) SliceRows(lo, hi int) *Matrix {
 	return out
 }
 
-// SetRows copies src into rows [lo, lo+src.Rows) of m.
-func (m *Matrix) SetRows(lo int, src *Matrix) {
-	if src.Cols != m.Cols || lo < 0 || lo+src.Rows > m.Rows {
-		panic("tensor: SetRows shape mismatch")
-	}
-	copy(m.Data[lo*m.Cols:], src.Data)
-}
-
-// SetCols copies src into columns [lo, lo+src.Cols) of m.
-func (m *Matrix) SetCols(lo int, src *Matrix) {
-	if src.Rows != m.Rows || lo < 0 || lo+src.Cols > m.Cols {
-		panic("tensor: SetCols shape mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		copy(m.Row(i)[lo:lo+src.Cols], src.Row(i))
-	}
-}
-
 // VStack concatenates the given matrices vertically (all must share Cols).
 func VStack(ms ...*Matrix) *Matrix {
 	if len(ms) == 0 {
@@ -248,37 +202,6 @@ func VStack(ms ...*Matrix) *Matrix {
 		off += len(m.Data)
 	}
 	return out
-}
-
-// HStack concatenates the given matrices horizontally (all must share Rows).
-func HStack(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic("tensor: HStack row mismatch")
-		}
-		cols += m.Cols
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, m := range ms {
-		out.SetCols(off, m)
-		off += m.Cols
-	}
-	return out
-}
-
-// FrobeniusNorm returns sqrt(Σ m_ij²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Sum returns the sum of all elements.
@@ -417,13 +340,4 @@ func MatMulNT(a, b *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }

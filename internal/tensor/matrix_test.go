@@ -61,7 +61,7 @@ func TestMatMulTNMatchesExplicitTranspose(t *testing.T) {
 		k, r, c := 1+rng.Intn(15), 1+rng.Intn(15), 1+rng.Intn(15)
 		a, b := randMat(rng, k, r), randMat(rng, k, c)
 		got := MatMulTN(a, b)
-		want := MatMul(a.Transpose(), b)
+		want := MatMul(transpose(a), b)
 		if !got.Equal(want, tol) {
 			t.Fatalf("trial %d: MatMulTN mismatch", trial)
 		}
@@ -74,7 +74,7 @@ func TestMatMulNTMatchesExplicitTranspose(t *testing.T) {
 		r, k, c := 1+rng.Intn(15), 1+rng.Intn(15), 1+rng.Intn(15)
 		a, b := randMat(rng, r, k), randMat(rng, c, k)
 		got := MatMulNT(a, b)
-		want := MatMul(a, b.Transpose())
+		want := MatMul(a, transpose(b))
 		if !got.Equal(want, tol) {
 			t.Fatalf("trial %d: MatMulNT mismatch", trial)
 		}
@@ -84,7 +84,11 @@ func TestMatMulNTMatchesExplicitTranspose(t *testing.T) {
 func TestIdentityIsMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randMat(rng, 9, 9)
-	if !MatMul(Identity(9), a).Equal(a, tol) || !MatMul(a, Identity(9)).Equal(a, tol) {
+	id := New(9, 9)
+	for i := 0; i < 9; i++ {
+		id.Set(i, i, 1)
+	}
+	if !MatMul(id, a).Equal(a, tol) || !MatMul(a, id).Equal(a, tol) {
 		t.Fatal("identity is not a multiplicative identity")
 	}
 }
@@ -93,7 +97,7 @@ func TestTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randMat(rng, 1+rng.Intn(12), 1+rng.Intn(12))
-		return m.Transpose().Transpose().Equal(m, 0)
+		return transpose(transpose(m)).Equal(m, 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -139,8 +143,8 @@ func TestColumnBlockDecomposition(t *testing.T) {
 		c1, c2 := 1+rng.Intn(8), 1+rng.Intn(8)
 		w := randMat(rng, r, k)
 		x1, x2 := randMat(rng, k, c1), randMat(rng, k, c2)
-		full := MatMul(w, HStack(x1, x2))
-		parts := HStack(MatMul(w, x1), MatMul(w, x2))
+		full := MatMul(w, hstack(x1, x2))
+		parts := hstack(MatMul(w, x1), MatMul(w, x2))
 		return full.Equal(parts, tol)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -175,7 +179,7 @@ func TestInnerBlockDecomposition(t *testing.T) {
 		b1, b2 := 1+rng.Intn(8), 1+rng.Intn(8)
 		dy1, dy2 := randMat(rng, r, b1), randMat(rng, r, b2)
 		x1, x2 := randMat(rng, c, b1), randMat(rng, c, b2)
-		full := MatMulNT(HStack(dy1, dy2), HStack(x1, x2))
+		full := MatMulNT(hstack(dy1, dy2), hstack(x1, x2))
 		parts := MatMulNT(dy1, x1).Add(MatMulNT(dy2, x2))
 		return full.Equal(parts, 1e-8)
 	}
@@ -188,23 +192,20 @@ func TestSliceAndSetRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randMat(rng, 10, 12)
 	cols := m.SliceCols(3, 9)
-	back := m.Clone()
-	back.SetCols(3, cols)
-	if !back.Equal(m, 0) {
-		t.Fatal("SliceCols/SetCols round trip changed data")
+	if !hstack(m.SliceCols(0, 3), cols, m.SliceCols(9, 12)).Equal(m, 0) {
+		t.Fatal("SliceCols/hstack round trip changed data")
 	}
 	rows := m.SliceRows(2, 7)
-	back.SetRows(2, rows)
-	if !back.Equal(m, 0) {
-		t.Fatal("SliceRows/SetRows round trip changed data")
+	if !VStack(m.SliceRows(0, 2), rows, m.SliceRows(7, 10)).Equal(m, 0) {
+		t.Fatal("SliceRows/VStack round trip changed data")
 	}
 }
 
 func TestHStackVStackShapes(t *testing.T) {
 	a, b := New(3, 2), New(3, 5)
-	h := HStack(a, b)
+	h := hstack(a, b)
 	if h.Rows != 3 || h.Cols != 7 {
-		t.Fatalf("HStack shape = %dx%d, want 3x7", h.Rows, h.Cols)
+		t.Fatalf("hstack shape = %dx%d, want 3x7", h.Rows, h.Cols)
 	}
 	c, d := New(2, 4), New(5, 4)
 	v := VStack(c, d)
@@ -216,14 +217,16 @@ func TestHStackVStackShapes(t *testing.T) {
 func TestScaleAddAXPY(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a, b := randMat(rng, 6, 6), randMat(rng, 6, 6)
-	want := a.Add(b.Scale(2.5))
+	scaled := b.Clone()
+	scaled.ScaleInPlace(2.5)
+	want := a.Add(scaled)
 	got := a.Clone()
 	got.AXPY(2.5, b)
 	if !got.Equal(want, tol) {
-		t.Fatal("AXPY differs from Add(Scale)")
+		t.Fatal("AXPY differs from Add(ScaleInPlace)")
 	}
 	c := a.Sub(a)
-	if c.FrobeniusNorm() != 0 {
+	if !c.Equal(New(6, 6), 0) {
 		t.Fatal("a - a should be zero")
 	}
 }
@@ -263,8 +266,38 @@ func TestSumAndFill(t *testing.T) {
 	if math.Abs(m.Sum()-6) > tol {
 		t.Fatalf("Sum = %v, want 6", m.Sum())
 	}
-	m.Zero()
+	m.Fill(0)
 	if m.Sum() != 0 {
-		t.Fatal("Zero did not clear the matrix")
+		t.Fatal("Fill(0) did not clear the matrix")
 	}
+}
+
+// transpose returns mᵀ as a new matrix: the explicit reference of the
+// fused MatMulTN and MatMulNT.
+func transpose(m *Matrix) *Matrix {
+	out := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			out.Data[j*m.Rows+i] = v
+		}
+	}
+	return out
+}
+
+// hstack concatenates matrices of equal Rows horizontally: the
+// column-block reference of the blocked products.
+func hstack(ms ...*Matrix) *Matrix {
+	cols := 0
+	for _, m := range ms {
+		cols += m.Cols
+	}
+	out := New(ms[0].Rows, cols)
+	off := 0
+	for _, m := range ms {
+		for i := 0; i < m.Rows; i++ {
+			copy(out.Row(i)[off:], m.Row(i))
+		}
+		off += m.Cols
+	}
+	return out
 }

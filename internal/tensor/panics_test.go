@@ -24,9 +24,6 @@ func TestShapeValidationPanics(t *testing.T) {
 	m := New(3, 3)
 	mustPanic(t, "SliceCols oob", func() { m.SliceCols(2, 5) })
 	mustPanic(t, "SliceRows oob", func() { m.SliceRows(-1, 2) })
-	mustPanic(t, "SetRows oob", func() { m.SetRows(2, New(2, 3)) })
-	mustPanic(t, "SetCols mismatch", func() { m.SetCols(0, New(2, 1)) })
-	mustPanic(t, "HStack mismatch", func() { HStack(New(2, 1), New(3, 1)) })
 	mustPanic(t, "VStack mismatch", func() { VStack(New(1, 2), New(1, 3)) })
 	mustPanic(t, "Add mismatch", func() { New(1, 2).Add(New(2, 1)) })
 	mustPanic(t, "MaxAbsDiff mismatch", func() { New(1, 2).MaxAbsDiff(New(2, 1)) })
@@ -46,9 +43,6 @@ func TestShapeValidationPanics(t *testing.T) {
 }
 
 func TestEmptyStacks(t *testing.T) {
-	if m := HStack(); m.Rows != 0 || m.Cols != 0 {
-		t.Fatal("empty HStack should be 0x0")
-	}
 	if m := VStack(); m.Rows != 0 || m.Cols != 0 {
 		t.Fatal("empty VStack should be 0x0")
 	}

@@ -50,13 +50,6 @@ func (t *Tensor4) Clone() *Tensor4 {
 	return c
 }
 
-// Zero clears the tensor in place.
-func (t *Tensor4) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
 // Elems returns the number of scalar elements.
 func (t *Tensor4) Elems() int { return t.N * t.C * t.H * t.W }
 

@@ -10,9 +10,9 @@
 //     through the layers as in the single-iteration builder, and its
 //     backward chains through them in reverse;
 //   - resource contention across micro-batches: each stage owns one
-//     compute pipe and one set of network lanes (StageResource), so two
-//     micro-batches never compute on the same stage at once while
-//     different stages run concurrently;
+//     compute pipe and one set of network lanes (Resource.PipelineStage),
+//     so two micro-batches never compute on the same stage at once
+//     while different stages run concurrently;
 //   - the ∆W all-reduce deferred to the flush: gradients accumulate
 //     locally across micro-batches and the per-layer GradReduce is paid
 //     once, issued with the *last* micro-batch's backprop of that layer —

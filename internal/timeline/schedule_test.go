@@ -10,6 +10,16 @@ import (
 	"testing"
 )
 
+// StageResource returns pipeline stage s's copy of a base lane, the lane
+// encoding the reference event builders below write by hand.
+// StageResource(base, 0) == base.
+func StageResource(base Resource, stage int) Resource {
+	if base < 0 || base >= numBaseResources || stage < 0 {
+		panic(fmt.Sprintf("timeline: no stage %d copy of lane %v", stage, base))
+	}
+	return base + Resource(stage)*numBaseResources
+}
+
 // The degenerate schedule (M = 1, S = 1) must reproduce the
 // independent single-iteration builder (simulateLayers) bit for bit —
 // same spans, same order, same floats, same dependencies — across

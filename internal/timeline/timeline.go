@@ -39,7 +39,8 @@ import "fmt"
 // appear in the event list.
 //
 // A pipeline schedule (SimulatePipeline) replicates the whole lane set
-// per pipeline stage: stage s's lanes are StageResource(base, s), so
+// per pipeline stage: stage s's copy of base lane b is
+// b + s·numBaseResources (Base and PipelineStage invert it), so
 // micro-batches contend within a stage but stages run concurrently —
 // the resource model of S device groups each with its own compute pipe
 // and network links. Stage 0's lanes are the base values, which keeps
@@ -73,18 +74,6 @@ func NetworkLevel(i int) Resource {
 		panic(fmt.Sprintf("timeline: network level %d outside [0,%d)", i, MaxNetworkLevels))
 	}
 	return networkLevel0 + Resource(i)
-}
-
-// StageResource returns pipeline stage s's copy of a base lane.
-// StageResource(base, 0) == base.
-func StageResource(base Resource, stage int) Resource {
-	if base < 0 || base >= numBaseResources {
-		panic(fmt.Sprintf("timeline: %v is not a base resource", base))
-	}
-	if stage < 0 {
-		panic(fmt.Sprintf("timeline: negative pipeline stage %d", stage))
-	}
-	return base + Resource(stage)*numBaseResources
 }
 
 // Base returns the lane kind, stripping the pipeline stage.
