@@ -157,7 +157,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 func BenchmarkEngineModel(b *testing.B) {
 	cfg, ds, m := engineBenchSetup()
 	for i := 0; i < b.N; i++ {
-		if _, err := parallel.RunModel(mpi.NewWorld(4, m), cfg, ds); err != nil {
+		if _, err := parallel.RunFullIntegrated(mpi.NewWorld(4, m), cfg, ds, grid.Grid{Pr: 4, Pc: 1}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func BenchmarkEngineModel(b *testing.B) {
 func BenchmarkEngineDomain(b *testing.B) {
 	cfg, ds, m := engineBenchSetup()
 	for i := 0; i < b.N; i++ {
-		if _, err := parallel.RunDomain(mpi.NewWorld(4, m), cfg, ds); err != nil {
+		if _, err := parallel.RunFullIntegrated(mpi.NewWorld(4, m), cfg, ds, grid.Grid{Pr: 4, Pc: 1}, costmodel.UniformAssignment(cfg.Spec, costmodel.Domain)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func BenchmarkEngineIntegrated15D(b *testing.B) {
 	cfg, ds, m := engineBenchSetup()
 	g := grid.Grid{Pr: 2, Pc: 2}
 	for i := 0; i < b.N; i++ {
-		if _, err := parallel.RunFullIntegrated(mpi.NewWorld(4, m), cfg, ds, g); err != nil {
+		if _, err := parallel.RunFullIntegrated(mpi.NewWorld(4, m), cfg, ds, g, costmodel.ConvAssignment(cfg.Spec, costmodel.Domain, costmodel.Model)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 
+	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/data"
 	"dnnparallel/internal/experiments"
 	"dnnparallel/internal/grid"
@@ -33,13 +34,13 @@ func main() {
 			return parallel.RunBatch(mpi.NewWorld(4, mach), cfg, ds)
 		}},
 		{"model 4x1", func() (parallel.Result, error) {
-			return parallel.RunModel(mpi.NewWorld(4, mach), cfg, ds)
+			return parallel.RunFullIntegrated(mpi.NewWorld(4, mach), cfg, ds, grid.Grid{Pr: 4, Pc: 1}, nil)
 		}},
 		{"domain 4x1", func() (parallel.Result, error) {
-			return parallel.RunDomain(mpi.NewWorld(4, mach), cfg, ds)
+			return parallel.RunFullIntegrated(mpi.NewWorld(4, mach), cfg, ds, grid.Grid{Pr: 4, Pc: 1}, costmodel.UniformAssignment(spec, costmodel.Domain))
 		}},
 		{"1.5D 2x2", func() (parallel.Result, error) {
-			return parallel.RunFullIntegrated(mpi.NewWorld(4, mach), cfg, ds, grid.Grid{Pr: 2, Pc: 2})
+			return parallel.RunFullIntegrated(mpi.NewWorld(4, mach), cfg, ds, grid.Grid{Pr: 2, Pc: 2}, costmodel.ConvAssignment(spec, costmodel.Domain, costmodel.Model))
 		}},
 	}
 

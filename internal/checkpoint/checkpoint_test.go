@@ -141,7 +141,7 @@ func TestCrossEngineResume(t *testing.T) {
 	cfg := parallel.Config{Spec: spec, Seed: 7, LR: 0.05, Steps: 3, BatchSize: 8}
 	m := machine.Machine{Name: "t", Alpha: 1e-6, Beta: 1e-9, PeakFlops: 1}
 
-	dist, err := parallel.RunFullIntegrated(mpi.NewWorld(4, m), cfg, ds, grid.Grid{Pr: 2, Pc: 2})
+	dist, err := parallel.RunFullIntegrated(mpi.NewWorld(4, m), cfg, ds, grid.Grid{Pr: 2, Pc: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"dnnparallel"
 	"dnnparallel/internal/checkpoint"
+	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/data"
 	"dnnparallel/internal/experiments"
 	"dnnparallel/internal/grid"
@@ -140,13 +141,13 @@ func TrainMain(args []string, stdout, stderr io.Writer) int {
 		res, err = parallel.RunBatch(mpi.NewWorld(*p, mach), cfg, ds)
 		label = fmt.Sprintf("batch (P=%d)", *p)
 	case "model":
-		res, err = parallel.RunModel(mpi.NewWorld(*p, mach), cfg, ds)
+		res, err = parallel.RunFullIntegrated(mpi.NewWorld(*p, mach), cfg, ds, grid.Grid{Pr: *p, Pc: 1}, nil)
 		label = fmt.Sprintf("model (P=%d)", *p)
 	case "domain":
-		res, err = parallel.RunDomain(mpi.NewWorld(*p, mach), cfg, ds)
+		res, err = parallel.RunFullIntegrated(mpi.NewWorld(*p, mach), cfg, ds, grid.Grid{Pr: *p, Pc: 1}, costmodel.UniformAssignment(spec, costmodel.Domain))
 		label = fmt.Sprintf("domain (P=%d)", *p)
 	case "integrated", "full":
-		res, err = parallel.RunFullIntegrated(mpi.NewWorld(g.P(), mach), cfg, ds, g)
+		res, err = parallel.RunFullIntegrated(mpi.NewWorld(g.P(), mach), cfg, ds, g, costmodel.ConvAssignment(spec, costmodel.Domain, costmodel.Model))
 		label = fmt.Sprintf("integrated (grid %v)", g)
 	default:
 		fmt.Fprintf(stderr, "dnntrain: unknown strategy %q\n", *strategy)

@@ -442,13 +442,15 @@ func (e Env) FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignme
 
 // RedistributionSeconds prices the Eq. 6 redistribution at every layer
 // boundary where the strategy changes: the activations must be
-// re-laid-out from the upstream distribution into the replicated panels
-// the model-parallel layers consume. On a Pr × Pc grid this is a
-// column-group all-gather of the local activation panel — α⌈log Pr⌉ +
-// β·(B/Pc)·(Pr−1)/Pr·d_i per boundary (Eq. 6 with P = Pr on the local
-// batch; the paper's pure-model form is the Pc = 1 special case) —
+// re-laid-out from the upstream distribution into the panels the layer
+// being switched into consumes. On a Pr × Pc grid this is a column-group
+// all-gather of that layer's local input panel — α⌈log Pr⌉ +
+// β·(B/Pc)·(Pr−1)/Pr·d_{i−1} per boundary, with d_{i−1} its InSize, after
+// any pooling between the two weighted layers (Eq. 6 with P = Pr on the
+// local batch; the paper's pure-model form is the Pc = 1 special case) —
 // charged once forward and once for the transposed backward
-// redistribution. With Pr = 1 the layout is already compatible and the
+// redistribution. It is the volume the executable engine's slab→full
+// relayout gathers. With Pr = 1 the layout is already compatible and the
 // cost vanishes.
 //
 // part places the boundaries on a stage-partitioned pipeline whose
@@ -476,7 +478,7 @@ func (e Env) RedistributionSeconds(net *nn.Network, B int, g grid.Grid, assign A
 		if pr == nil || s != owner {
 			pr, owner = e.pricerAt(g, s*g.P()), s
 		}
-		words := float64(B) / float64(g.Pc) * float64(net.Layers[widx[k-1]].OutSize())
+		words := float64(B) / float64(g.Pc) * float64(net.Layers[widx[k]].InSize())
 		secs += 2 * pr.colAllGather(words).Total()
 	}
 	return secs

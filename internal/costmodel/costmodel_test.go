@@ -255,17 +255,21 @@ func TestDomainFCIsExpensive(t *testing.T) {
 
 // TestRedistributeAsymptoticallyFree: Eq. 6 — the redistribution a plan
 // charges at a batch→model switch (RedistributionSeconds) is the
-// all-gather of the previous layer's B·d panel, forward and back, so it
-// costs exactly twice that layer's model-parallel activation all-gather;
-// and where nothing pools between the two layers it costs no more than
-// the model-parallel step of the layer it feeds (the paper: the
-// model-parallel step costs "three times the cost of the
-// redistribution").
+// all-gather of the B·d panel the layer switched into consumes (its
+// InSize, after any pooling), forward and back; and it costs no more than
+// that layer's model-parallel step (the paper: the model-parallel step
+// costs "three times the cost of the redistribution").
 func TestRedistributeAsymptoticallyFree(t *testing.T) {
 	net := nn.AlexNet()
 	p, b := 64, 1024
 	g := grid.Grid{Pr: p, Pc: 1}
 	widx := net.WeightedLayers()
+	// conv2 consumes conv1's output after pool1: 27·27·96 words a sample,
+	// not conv1's unpooled 55·55·96 = 290,400.
+	if d := net.Layers[widx[1]].InSize(); d != 69984 {
+		t.Fatalf("conv2 consumes %d words a sample, want 69,984", d)
+	}
+	pr := FlatEnv(knl()).pricerFor(g)
 	model := FlatEnv(knl()).PureModel(net, b, p)
 	one := stage.Balanced(len(widx), 1)
 	for k := 1; k < len(widx); k++ {
@@ -275,13 +279,9 @@ func TestRedistributeAsymptoticallyFree(t *testing.T) {
 			assign[li] = BatchOnly
 		}
 		redist := FlatEnv(knl()).RedistributionSeconds(net, b, g, assign, one)
-		if want := 2 * model.Layers[k-1].AllGather.Total(); redist != want {
-			t.Fatalf("layer %d: redistribution %g, want twice the all-gather of B·d_{i−1} %g", widx[k], redist, want)
-		}
-		// Unpooled, the model-parallel step of layer k is all-gather(d_k)
-		// + 2×all-reduce(d_{k−1}) ≥ 4×all-gather(d_{k−1}).
-		if net.Layers[widx[k]].InSize() != net.Layers[widx[k-1]].OutSize() {
-			continue
+		gather := pr.colAllGather(float64(b) * float64(net.Layers[widx[k]].InSize())).Total()
+		if want := 2 * gather; redist != want {
+			t.Fatalf("layer %d: redistribution %g, want twice the all-gather of its B·d input panel %g", widx[k], redist, want)
 		}
 		if layerCost := model.Layers[k].Total().Total(); redist > layerCost {
 			t.Fatalf("layer %d: redistribution %g exceeds model step %g", widx[k], redist, layerCost)

@@ -90,7 +90,7 @@ func ModelCheck() ([]ModelCheckRow, error) {
 	add("batch", "Eq. 4", "1x4", meas, costmodel.FlatEnv(m).PureBatch(spec, B, 4).TotalSeconds())
 
 	meas, err = steady(func(s int) (parallel.Result, error) {
-		return parallel.RunModel(mpi.NewWorld(4, m), mk(s), ds)
+		return parallel.RunFullIntegrated(mpi.NewWorld(4, m), mk(s), ds, grid.Grid{Pr: 4, Pc: 1}, nil)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
@@ -100,7 +100,7 @@ func ModelCheck() ([]ModelCheckRow, error) {
 	for _, g := range []grid.Grid{{Pr: 2, Pc: 2}, {Pr: 4, Pc: 2}, {Pr: 2, Pc: 4}} {
 		g := g
 		meas, err = steady(func(s int) (parallel.Result, error) {
-			return parallel.RunFullIntegrated(mpi.NewWorld(g.P(), m), mk(s), ds, g)
+			return parallel.RunFullIntegrated(mpi.NewWorld(g.P(), m), mk(s), ds, g, nil)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("1.5D %v: %w", g, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/data"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
@@ -71,6 +72,8 @@ func VerifyEngines(steps, batch int, seed int64, mach machine.Machine) ([]Engine
 		return nil, err
 	}
 
+	domain := costmodel.UniformAssignment(spec, costmodel.Domain)
+	integrated := costmodel.ConvAssignment(spec, costmodel.Domain, costmodel.Model)
 	type run struct {
 		name, figure, gridStr string
 		p                     int
@@ -81,20 +84,24 @@ func VerifyEngines(steps, batch int, seed int64, mach machine.Machine) ([]Engine
 		{"batch", "Fig. 2 / Eq. 4", "1x4", 4, &oracle,
 			func(w *mpi.World) (parallel.Result, error) { return parallel.RunBatch(w, cfg, ds) }},
 		{"model", "Fig. 1 / Eq. 3", "4x1", 4, &oracle,
-			func(w *mpi.World) (parallel.Result, error) { return parallel.RunModel(w, cfg, ds) }},
+			func(w *mpi.World) (parallel.Result, error) {
+				return parallel.RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 4, Pc: 1}, nil)
+			}},
 		{"domain", "Fig. 3 / Eq. 7", "4x1", 4, &oracle,
-			func(w *mpi.World) (parallel.Result, error) { return parallel.RunDomain(w, cfg, ds) }},
+			func(w *mpi.World) (parallel.Result, error) {
+				return parallel.RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 4, Pc: 1}, domain)
+			}},
 		{"1.5D-fc", "Fig. 5 / Eq. 8", "2x2", 4, &mlpOracle,
 			func(w *mpi.World) (parallel.Result, error) {
-				return parallel.RunFullIntegrated(w, mlpCfg, mlpDS, grid.Grid{Pr: 2, Pc: 2})
+				return parallel.RunFullIntegrated(w, mlpCfg, mlpDS, grid.Grid{Pr: 2, Pc: 2}, nil)
 			}},
 		{"integrated", "Eq. 9", "2x2", 4, &oracle,
 			func(w *mpi.World) (parallel.Result, error) {
-				return parallel.RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 2, Pc: 2})
+				return parallel.RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 2, Pc: 2}, integrated)
 			}},
 		{"full-integrated", "Eq. 9", "4x2", 8, &oracle,
 			func(w *mpi.World) (parallel.Result, error) {
-				return parallel.RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 4, Pc: 2})
+				return parallel.RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 4, Pc: 2}, integrated)
 			}},
 	}
 	var out []EngineReport

@@ -1,19 +1,18 @@
-// Package parallel implements executable distributed-SGD training engines
-// for every parallelization the paper analyzes, running on the
-// internal/mpi simulated cluster:
+// Package parallel implements executable distributed-SGD training for
+// every parallelization the paper analyzes, running on the internal/mpi
+// simulated cluster:
 //
 //   - RunSerial          — the single-process reference (nn.Model);
-//   - RunBatch           — pure batch parallelism (Fig. 2, Eq. 4);
-//   - RunModel           — pure model parallelism (Fig. 1, Eq. 3): a
-//     filter-sharded conv front feeding the 1.5D FC engine on a P × 1
-//     grid;
-//   - RunDomain          — pure domain parallelism with halo exchanges
-//     (Fig. 3, Eq. 7);
-//   - RunFullIntegrated  — the integrated algorithm on a Pr × Pc grid:
-//     domain-parallel convolutions feeding 1.5D fully-connected layers
-//     (Section 2.4, Eq. 9). On a network without convolutions it is the
-//     1.5D model+batch algorithm alone (Fig. 5, Eq. 8), which is batch
-//     parallelism at Pr = 1 and model parallelism at Pc = 1.
+//   - RunBatch           — pure batch parallelism (Fig. 2, Eq. 4): one
+//     flattened gradient all-reduce per step;
+//   - RunFullIntegrated  — the integrated algorithm on a Pr × Pc grid
+//     (Section 2.4, Eq. 9), one layer walk in which each weighted layer
+//     runs the costmodel.Strategy its Assignment gives it. Pure model
+//     parallelism (Fig. 1, Eq. 3) is P × 1 with every layer Model, pure
+//     domain parallelism (Fig. 3, Eq. 7) P × 1 with every layer Domain,
+//     the 1.5D algorithm (Fig. 5, Eq. 8) a network without convolutions,
+//     and Domain convolutions feeding Model FC layers the beyond-batch
+//     configuration of Fig. 10.
 //
 // Every engine consumes the same deterministic initial weights and batch
 // schedule as the serial reference and is tested to reproduce its loss and

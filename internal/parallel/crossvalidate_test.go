@@ -78,7 +78,7 @@ func TestModelEngineCommMatchesEq3(t *testing.T) {
 	const p = 4
 	run := func(steps int) Result {
 		cfg := Config{Spec: spec, Seed: 5, LR: 0.01, Steps: steps, BatchSize: 16}
-		res, err := RunModel(mpi.NewWorld(p, m), cfg, ds)
+		res, err := RunFullIntegrated(mpi.NewWorld(p, m), cfg, ds, grid.Grid{Pr: p, Pc: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestIntegratedEngineCommMatchesEq8(t *testing.T) {
 	for _, g := range []grid.Grid{{Pr: 2, Pc: 2}, {Pr: 4, Pc: 2}, {Pr: 2, Pc: 4}} {
 		run := func(steps int) Result {
 			cfg := Config{Spec: spec, Seed: 7, LR: 0.01, Steps: steps, BatchSize: 16}
-			res, err := RunFullIntegrated(mpi.NewWorld(g.P(), m), cfg, ds, g)
+			res, err := RunFullIntegrated(mpi.NewWorld(g.P(), m), cfg, ds, g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestDomainEngineHaloVolumeMatchesEq7(t *testing.T) {
 	const p, b = 2, 8
 	run := func(steps int) int64 {
 		cfg := Config{Spec: spec, Seed: 9, LR: 0.01, Steps: steps, BatchSize: b}
-		res, err := RunDomain(mpi.NewWorld(p, m), cfg, ds)
+		res, err := RunFullIntegrated(mpi.NewWorld(p, m), cfg, ds, grid.Grid{Pr: p, Pc: 1}, costmodel.UniformAssignment(spec, costmodel.Domain))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/data"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
@@ -54,6 +55,63 @@ func oneByOneDomainNet() *nn.Network {
 			{Kind: nn.FC, Name: "fc", OutN: 5},
 		},
 	}
+	if err := n.Infer(); err != nil {
+		panic(err)
+	}
+	return n
+}
+
+// tinyConvDivNet is TinyConvNet with a pool between its convs and every
+// OutC/OutN divisible by 2 and 4 (TinyConvNet's 10 classes are not).
+func tinyConvDivNet() *nn.Network {
+	return mustNet(&nn.Network{
+		Name:  "TinyConvDiv",
+		Input: nn.Shape{H: 12, W: 12, C: 3},
+		Layers: []nn.Layer{
+			{Kind: nn.Conv, Name: "conv1", KH: 3, KW: 3, Stride: 1, Pad: 1, OutC: 8},
+			{Kind: nn.Pool, Name: "pool1", KH: 2, KW: 2, Stride: 2},
+			{Kind: nn.Conv, Name: "conv2", KH: 3, KW: 3, Stride: 1, Pad: 1, OutC: 8},
+			{Kind: nn.FC, Name: "fc1", OutN: 16},
+			{Kind: nn.FC, Name: "fc2", OutN: 8},
+		},
+	})
+}
+
+// lrn6Net puts LRN between a 6-filter conv and a 6-way classifier.
+func lrn6Net() *nn.Network {
+	return mustNet(&nn.Network{
+		Name:  "LRNDiv",
+		Input: nn.Shape{H: 8, W: 8, C: 3},
+		Layers: []nn.Layer{
+			{Kind: nn.Conv, Name: "conv1", KH: 3, KW: 3, Stride: 1, Pad: 1, OutC: 6},
+			{Kind: nn.LRN, Name: "lrn1"},
+			{Kind: nn.FC, Name: "fc1", OutN: 6},
+		},
+	})
+}
+
+// convOnlyNet has no FC layer.
+func convOnlyNet() *nn.Network {
+	return mustNet(&nn.Network{
+		Name:   "convOnly",
+		Input:  nn.Shape{H: 4, W: 4, C: 2},
+		Layers: []nn.Layer{{Kind: nn.Conv, Name: "c", KH: 3, KW: 3, Stride: 1, Pad: 1, OutC: 4}},
+	})
+}
+
+// evenKernelNet's 2×2 conv is not halo-decomposable.
+func evenKernelNet() *nn.Network {
+	return mustNet(&nn.Network{
+		Name:  "bad",
+		Input: nn.Shape{H: 8, W: 8, C: 1},
+		Layers: []nn.Layer{
+			{Kind: nn.Conv, Name: "c", KH: 2, KW: 2, Stride: 1, Pad: 0, OutC: 2},
+			{Kind: nn.FC, Name: "f", OutN: 2},
+		},
+	})
+}
+
+func mustNet(n *nn.Network) *nn.Network {
 	if err := n.Infer(); err != nil {
 		panic(err)
 	}
@@ -150,7 +208,7 @@ func TestModelMatchesSerialMLP(t *testing.T) {
 	want := serialOracle(t, cfg, ds)
 	for _, p := range []int{2, 4} {
 		w := mpi.NewWorld(p, testMachine())
-		got, err := RunModel(w, cfg, ds)
+		got, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: p, Pc: 1}, nil)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -164,28 +222,13 @@ func TestModelMatchesSerialMLP(t *testing.T) {
 }
 
 func TestModelMatchesSerialConvNet(t *testing.T) {
-	spec := nn.TinyConvNet() // conv OutC = 8, fc 32/10… 10 not divisible by 2
-	// Use a divisible variant.
-	spec = &nn.Network{
-		Name:  "TinyConvDiv",
-		Input: nn.Shape{H: 12, W: 12, C: 3},
-		Layers: []nn.Layer{
-			{Kind: nn.Conv, Name: "conv1", KH: 3, KW: 3, Stride: 1, Pad: 1, OutC: 8},
-			{Kind: nn.Pool, Name: "pool1", KH: 2, KW: 2, Stride: 2},
-			{Kind: nn.Conv, Name: "conv2", KH: 3, KW: 3, Stride: 1, Pad: 1, OutC: 8},
-			{Kind: nn.FC, Name: "fc1", OutN: 16},
-			{Kind: nn.FC, Name: "fc2", OutN: 8},
-		},
-	}
-	if err := spec.Infer(); err != nil {
-		t.Fatal(err)
-	}
+	spec := tinyConvDivNet()
 	ds := data.Synthetic(32, spec.Input, 8, 17)
 	cfg := Config{Spec: spec, Seed: 21, LR: 0.05, Steps: 4, BatchSize: 8}
 	want := serialOracle(t, cfg, ds)
 	for _, p := range []int{2, 4} {
 		w := mpi.NewWorld(p, testMachine())
-		got, err := RunModel(w, cfg, ds)
+		got, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: p, Pc: 1}, nil)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -196,23 +239,12 @@ func TestModelMatchesSerialConvNet(t *testing.T) {
 }
 
 func TestModelMatchesSerialWithLRN(t *testing.T) {
-	spec := &nn.Network{
-		Name:  "LRNDiv",
-		Input: nn.Shape{H: 8, W: 8, C: 3},
-		Layers: []nn.Layer{
-			{Kind: nn.Conv, Name: "conv1", KH: 3, KW: 3, Stride: 1, Pad: 1, OutC: 6},
-			{Kind: nn.LRN, Name: "lrn1"},
-			{Kind: nn.FC, Name: "fc1", OutN: 6},
-		},
-	}
-	if err := spec.Infer(); err != nil {
-		t.Fatal(err)
-	}
+	spec := lrn6Net()
 	ds := data.Synthetic(24, spec.Input, 6, 19)
 	cfg := Config{Spec: spec, Seed: 23, LR: 0.05, Steps: 3, BatchSize: 6}
 	want := serialOracle(t, cfg, ds)
 	w := mpi.NewWorld(2, testMachine())
-	got, err := RunModel(w, cfg, ds)
+	got, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 2, Pc: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,24 +257,17 @@ func TestModelRejectsIndivisible(t *testing.T) {
 	spec := nn.MLP("m", 10, 7, 4) // 7 not divisible by 2
 	ds := data.Synthetic(8, spec.Input, 4, 1)
 	w := mpi.NewWorld(2, testMachine())
-	if _, err := RunModel(w, Config{Spec: spec, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}, ds); err == nil {
+	if _, err := RunFullIntegrated(w, Config{Spec: spec, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}, ds, grid.Grid{Pr: 2, Pc: 1}, nil); err == nil {
 		t.Fatal("indivisible OutN should be rejected")
 	}
 }
 
-// TestModelRequiresFCSuffix: the FC suffix runs on fc15D, so a network
-// with no FC layer is rejected rather than trained without logits.
+// TestModelRequiresFCSuffix: the logits come from an FC layer, so a
+// network with no FC layer is rejected rather than trained without them.
 func TestModelRequiresFCSuffix(t *testing.T) {
-	spec := &nn.Network{
-		Name:   "convOnly",
-		Input:  nn.Shape{H: 4, W: 4, C: 2},
-		Layers: []nn.Layer{{Kind: nn.Conv, Name: "c", KH: 3, KW: 3, Stride: 1, Pad: 1, OutC: 4}},
-	}
-	if err := spec.Infer(); err != nil {
-		t.Fatal(err)
-	}
+	spec := convOnlyNet()
 	ds := data.Synthetic(8, spec.Input, 4, 1)
-	if _, err := RunModel(mpi.NewWorld(2, testMachine()), Config{Spec: spec, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}, ds); err == nil {
+	if _, err := RunFullIntegrated(mpi.NewWorld(2, testMachine()), Config{Spec: spec, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}, ds, grid.Grid{Pr: 2, Pc: 1}, nil); err == nil {
 		t.Fatal("a network without an FC layer should be rejected")
 	}
 }
@@ -256,7 +281,7 @@ func TestDomainMatchesSerial(t *testing.T) {
 	want := serialOracle(t, cfg, ds)
 	for _, p := range []int{2, 4} {
 		w := mpi.NewWorld(p, testMachine())
-		got, err := RunDomain(w, cfg, ds)
+		got, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: p, Pc: 1}, costmodel.UniformAssignment(spec, costmodel.Domain))
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -275,7 +300,7 @@ func TestDomainOneByOneConvNoHaloTraffic(t *testing.T) {
 	cfg := Config{Spec: spec, Seed: 41, LR: 0.05, Steps: 3, BatchSize: 4}
 	want := serialOracle(t, cfg, ds)
 	w := mpi.NewWorld(2, testMachine())
-	got, err := RunDomain(w, cfg, ds)
+	got, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 2, Pc: 1}, costmodel.UniformAssignment(spec, costmodel.Domain))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,21 +310,10 @@ func TestDomainOneByOneConvNoHaloTraffic(t *testing.T) {
 }
 
 func TestDomainRejectsBadGeometry(t *testing.T) {
-	// Even kernel: not halo-decomposable by this stack.
-	bad := &nn.Network{
-		Name:  "bad",
-		Input: nn.Shape{H: 8, W: 8, C: 1},
-		Layers: []nn.Layer{
-			{Kind: nn.Conv, Name: "c", KH: 2, KW: 2, Stride: 1, Pad: 0, OutC: 2},
-			{Kind: nn.FC, Name: "f", OutN: 2},
-		},
-	}
-	if err := bad.Infer(); err != nil {
-		t.Fatal(err)
-	}
+	bad := evenKernelNet()
 	ds := data.Synthetic(8, bad.Input, 2, 1)
 	w := mpi.NewWorld(2, testMachine())
-	if _, err := RunDomain(w, Config{Spec: bad, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}, ds); err == nil {
+	if _, err := RunFullIntegrated(w, Config{Spec: bad, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}, ds, grid.Grid{Pr: 2, Pc: 1}, costmodel.UniformAssignment(bad, costmodel.Domain)); err == nil {
 		t.Fatal("even kernel should be rejected")
 	}
 }
@@ -313,7 +327,7 @@ func TestIntegrated15DMatchesSerialAllGrids(t *testing.T) {
 	want := serialOracle(t, cfg, ds)
 	for _, g := range []grid.Grid{{Pr: 1, Pc: 6}, {Pr: 2, Pc: 3}, {Pr: 2, Pc: 2}, {Pr: 4, Pc: 2}, {Pr: 4, Pc: 1}, {Pr: 1, Pc: 1}} {
 		w := mpi.NewWorld(g.P(), testMachine())
-		got, err := RunFullIntegrated(w, cfg, ds, g)
+		got, err := RunFullIntegrated(w, cfg, ds, g, nil)
 		if err != nil {
 			t.Fatalf("grid %v: %v", g, err)
 		}
@@ -327,7 +341,8 @@ func TestIntegrated15DMatchesSerialAllGrids(t *testing.T) {
 }
 
 func TestIntegrated15DPureEndsMatchOtherEngines(t *testing.T) {
-	// 1×P ≡ batch engine; P×1 ≡ model engine — the spectrum claim.
+	// 1×P ≡ batch engine; P×1 ≡ the all-layer model engine kept as an
+	// oracle — the spectrum claim.
 	spec := nn.MLP("m", 16, 8, 4)
 	ds := data.Synthetic(48, spec.Input, 4, 53)
 	cfg := Config{Spec: spec, Seed: 59, LR: 0.06, Steps: 4, BatchSize: 12}
@@ -337,7 +352,7 @@ func TestIntegrated15DPureEndsMatchOtherEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	wi := mpi.NewWorld(4, testMachine())
-	ibatch, err := RunFullIntegrated(wi, cfg, ds, grid.Grid{Pr: 1, Pc: 4})
+	ibatch, err := RunFullIntegrated(wi, cfg, ds, grid.Grid{Pr: 1, Pc: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,12 +360,12 @@ func TestIntegrated15DPureEndsMatchOtherEngines(t *testing.T) {
 		t.Fatalf("1×4 grid vs batch engine deviate by %g", d)
 	}
 	wm := mpi.NewWorld(4, testMachine())
-	model, err := RunModel(wm, cfg, ds)
+	model, err := refRunModel(wm, cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wi2 := mpi.NewWorld(4, testMachine())
-	imodel, err := RunFullIntegrated(wi2, cfg, ds, grid.Grid{Pr: 4, Pc: 1})
+	imodel, err := RunFullIntegrated(wi2, cfg, ds, grid.Grid{Pr: 4, Pc: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,11 +378,11 @@ func TestIntegrated15DValidation(t *testing.T) {
 	spec := nn.MLP("m", 8, 4)
 	ds := data.Synthetic(8, spec.Input, 4, 1)
 	cfg := Config{Spec: spec, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 5}
-	w := mpi.NewWorld(4, testMachine())
-	if _, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 2, Pc: 2}); err == nil {
-		t.Fatal("B=5 not divisible by Pc=2 should be rejected")
+	if _, err := RunFullIntegrated(mpi.NewWorld(8, testMachine()), cfg, ds, grid.Grid{Pr: 1, Pc: 8}, nil); err == nil {
+		t.Fatal("Pc=8 > B=5 should be rejected")
 	}
-	if _, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 2, Pc: 3}); err == nil {
+	w := mpi.NewWorld(4, testMachine())
+	if _, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 2, Pc: 3}, nil); err == nil {
 		t.Fatal("grid/world mismatch should be rejected")
 	}
 }
@@ -381,7 +396,7 @@ func TestFullIntegratedMatchesSerialAllGrids(t *testing.T) {
 	want := serialOracle(t, cfg, ds)
 	for _, g := range []grid.Grid{{Pr: 2, Pc: 2}, {Pr: 2, Pc: 3}, {Pr: 4, Pc: 2}, {Pr: 2, Pc: 1}, {Pr: 1, Pc: 4}} {
 		w := mpi.NewWorld(g.P(), testMachine())
-		got, err := RunFullIntegrated(w, cfg, ds, g)
+		got, err := RunFullIntegrated(w, cfg, ds, g, costmodel.ConvAssignment(spec, costmodel.Domain, costmodel.Model))
 		if err != nil {
 			t.Fatalf("grid %v: %v", g, err)
 		}
@@ -403,7 +418,7 @@ func TestFullIntegratedBeyondBatch(t *testing.T) {
 	want := serialOracle(t, cfg, ds)
 	g := grid.Grid{Pr: 2, Pc: 4} // P = 8 > B = 4 would be infeasible for batch
 	w := mpi.NewWorld(g.P(), testMachine())
-	got, err := RunFullIntegrated(w, cfg, ds, g)
+	got, err := RunFullIntegrated(w, cfg, ds, g, costmodel.ConvAssignment(spec, costmodel.Domain, costmodel.Model))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,9 +454,9 @@ func TestTrainingConvergesUnderEveryEngine(t *testing.T) {
 	check("serial", serial, err)
 	got, err := RunBatch(mpi.NewWorld(4, testMachine()), cfg, ds)
 	check("batch", got, err)
-	got, err = RunDomain(mpi.NewWorld(2, testMachine()), cfg, ds)
+	got, err = RunFullIntegrated(mpi.NewWorld(2, testMachine()), cfg, ds, grid.Grid{Pr: 2, Pc: 1}, costmodel.UniformAssignment(spec, costmodel.Domain))
 	check("domain", got, err)
-	got, err = RunFullIntegrated(mpi.NewWorld(4, testMachine()), cfg, ds, grid.Grid{Pr: 2, Pc: 2})
+	got, err = RunFullIntegrated(mpi.NewWorld(4, testMachine()), cfg, ds, grid.Grid{Pr: 2, Pc: 2}, costmodel.ConvAssignment(spec, costmodel.Domain, costmodel.Model))
 	check("full-integrated", got, err)
 }
 
@@ -461,7 +476,7 @@ func TestCommVolumeOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	wm := mpi.NewWorld(4, testMachine())
-	model, err := RunModel(wm, cfg, ds)
+	model, err := RunFullIntegrated(wm, cfg, ds, grid.Grid{Pr: 4, Pc: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,6 +508,87 @@ func TestStatsPopulated(t *testing.T) {
 	for _, s := range res.Stats {
 		if s.WordsSent == 0 || s.CommTime <= 0 {
 			t.Fatalf("rank %d has empty accounting: %+v", s.Rank, s)
+		}
+	}
+}
+
+// --- Per-layer assignments -------------------------------------------------
+
+// assignOf gives the weighted layers of spec the strategies in order.
+func assignOf(spec *nn.Network, ss ...costmodel.Strategy) costmodel.Assignment {
+	a := costmodel.Assignment{}
+	for k, li := range spec.WeightedLayers() {
+		a[li] = ss[k]
+	}
+	return a
+}
+
+// TestStrategyChangesMatchSerial: strategy changes inside the conv stack
+// relayout the activations both ways — slab→full into a Model conv after
+// a Domain one, full→slab into a Domain conv after a Model one — and the
+// run still follows serial SGD.
+func TestStrategyChangesMatchSerial(t *testing.T) {
+	const m, d = costmodel.Model, costmodel.Domain
+	cases := []struct {
+		spec   *nn.Network
+		assign costmodel.Assignment
+	}{
+		{domainNet(), assignOf(domainNet(), d, m, d, d)},
+		{oneByOneDomainNet(), assignOf(oneByOneDomainNet(), m, d, m, d)},
+	}
+	for _, c := range cases {
+		ds := data.Synthetic(32, c.spec.Input, c.spec.Output().C, 23)
+		cfg := Config{Spec: c.spec, Seed: 29, LR: 0.05, Steps: 4, BatchSize: 8}
+		want := serialOracle(t, cfg, ds)
+		for _, g := range []grid.Grid{{Pr: 2, Pc: 2}, {Pr: 4, Pc: 1}} {
+			got, err := RunFullIntegrated(mpi.NewWorld(g.P(), testMachine()), cfg, ds, g, c.assign)
+			if err != nil {
+				t.Fatalf("%s %v: %v", c.spec.Name, g, err)
+			}
+			if d := maxWeightDiff(got.Weights, want.Weights); d > trajTol {
+				t.Fatalf("%s %v: weights deviate by %g", c.spec.Name, g, d)
+			}
+			if d := maxLossDiff(got.Losses, want.Losses); d > trajTol {
+				t.Fatalf("%s %v: losses deviate by %g", c.spec.Name, g, d)
+			}
+		}
+	}
+}
+
+// TestUnevenColumnShardsMatchSerial: Pc need not divide B — B = 9 splits
+// 5+4 over two columns and 3+2+2+2 over four, and the reweighted
+// gradients and losses still follow serial SGD.
+func TestUnevenColumnShardsMatchSerial(t *testing.T) {
+	spec := domainNet()
+	ds := data.Synthetic(36, spec.Input, spec.Output().C, 31)
+	cfg := Config{Spec: spec, Seed: 37, LR: 0.05, Steps: 4, BatchSize: 9}
+	want := serialOracle(t, cfg, ds)
+	for _, assign := range []costmodel.Assignment{nil, costmodel.ConvAssignment(spec, costmodel.Domain, costmodel.Model)} {
+		for _, g := range []grid.Grid{{Pr: 2, Pc: 2}, {Pr: 1, Pc: 4}} {
+			got, err := RunFullIntegrated(mpi.NewWorld(g.P(), testMachine()), cfg, ds, g, assign)
+			if err != nil {
+				t.Fatalf("%v %v: %v", assign, g, err)
+			}
+			if d := maxWeightDiff(got.Weights, want.Weights); d > trajTol {
+				t.Fatalf("%v %v: weights deviate by %g", assign, g, d)
+			}
+			if d := maxLossDiff(got.Losses, want.Losses); d > trajTol {
+				t.Fatalf("%v %v: losses deviate by %g", assign, g, d)
+			}
+		}
+	}
+}
+
+// TestRejectsUnexecutableStrategies: BatchOnly and Cheapest layers are
+// planner strategies, not walk steps.
+func TestRejectsUnexecutableStrategies(t *testing.T) {
+	spec := domainNet()
+	ds := data.Synthetic(16, spec.Input, spec.Output().C, 41)
+	cfg := Config{Spec: spec, Seed: 43, LR: 0.05, Steps: 1, BatchSize: 4}
+	for _, s := range []costmodel.Strategy{costmodel.BatchOnly, costmodel.Cheapest} {
+		assign := costmodel.ConvAssignment(spec, s, costmodel.Model)
+		if _, err := RunFullIntegrated(mpi.NewWorld(4, testMachine()), cfg, ds, grid.Grid{Pr: 2, Pc: 2}, assign); err == nil {
+			t.Fatalf("%v convs should be rejected", s)
 		}
 	}
 }

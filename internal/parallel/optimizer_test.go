@@ -3,6 +3,7 @@ package parallel
 import (
 	"testing"
 
+	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/data"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/mpi"
@@ -31,7 +32,7 @@ func TestMomentumExactAcrossEngines(t *testing.T) {
 		t.Fatalf("batch momentum deviates by %g", d)
 	}
 
-	got, err = RunDomain(mpi.NewWorld(2, testMachine()), cfg, ds)
+	got, err = RunFullIntegrated(mpi.NewWorld(2, testMachine()), cfg, ds, grid.Grid{Pr: 2, Pc: 1}, costmodel.UniformAssignment(spec, costmodel.Domain))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestMomentumExactAcrossEngines(t *testing.T) {
 		t.Fatalf("domain momentum deviates by %g", d)
 	}
 
-	got, err = RunFullIntegrated(mpi.NewWorld(4, testMachine()), cfg, ds, grid.Grid{Pr: 2, Pc: 2})
+	got, err = RunFullIntegrated(mpi.NewWorld(4, testMachine()), cfg, ds, grid.Grid{Pr: 2, Pc: 2}, costmodel.ConvAssignment(spec, costmodel.Domain, costmodel.Model))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestNesterovExactOnMLPGrids(t *testing.T) {
 	}
 	want := serialOracle(t, cfg, ds)
 	for _, g := range []grid.Grid{{Pr: 1, Pc: 4}, {Pr: 2, Pc: 2}, {Pr: 4, Pc: 1}} {
-		got, err := RunFullIntegrated(mpi.NewWorld(g.P(), testMachine()), cfg, ds, g)
+		got, err := RunFullIntegrated(mpi.NewWorld(g.P(), testMachine()), cfg, ds, g, nil)
 		if err != nil {
 			t.Fatalf("grid %v: %v", g, err)
 		}
@@ -78,7 +79,7 @@ func TestModelEngineMomentum(t *testing.T) {
 		NewOptimizer: func() nn.Optimizer { return &nn.Momentum{LR: 0.05, Mu: 0.9} },
 	}
 	want := serialOracle(t, cfg, ds)
-	got, err := RunModel(mpi.NewWorld(4, testMachine()), cfg, ds)
+	got, err := RunFullIntegrated(mpi.NewWorld(4, testMachine()), cfg, ds, grid.Grid{Pr: 4, Pc: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/data"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/mpi"
@@ -47,7 +48,7 @@ func TestFullIntegratedNoConvOracle(t *testing.T) {
 			cfg := Config{Spec: spec, Seed: 47, LR: 0.05, Steps: 4, BatchSize: 16, NewOptimizer: opt.make}
 			for _, g := range grids {
 				want, wantErr := refRunIntegrated15D(mpi.NewWorld(g.P(), testMachine()), cfg, ds, g)
-				got, gotErr := RunFullIntegrated(mpi.NewWorld(g.P(), testMachine()), cfg, ds, g)
+				got, gotErr := RunFullIntegrated(mpi.NewWorld(g.P(), testMachine()), cfg, ds, g, nil)
 				if !sameRun(t, spec.Name+"/"+opt.name+"/"+g.String(), got, gotErr, want, wantErr) {
 					t.Fatalf("%s/%s/%v: %v", spec.Name, opt.name, g, wantErr)
 				}
@@ -94,9 +95,9 @@ func lrnNet() *nn.Network {
 	return n
 }
 
-// TestModelOracle: RunModel with its FC suffix on fc15D (a P × 1 grid) is
-// bit-identical to the former all-layer model engine. Where a layer does
-// not split P ways, both engines must reject.
+// TestModelOracle: RunFullIntegrated on a P × 1 grid with every layer
+// Model is bit-identical to the former all-layer model engine. Where a
+// layer does not split P ways, both engines must reject.
 func TestModelOracle(t *testing.T) {
 	nets := []*nn.Network{nn.MLP("m", 20, 16, 8, 4), nn.TinyConvNet(), divisibleDropoutNet(), lrnNet(), domainNet()}
 	ran := 0
@@ -106,7 +107,7 @@ func TestModelOracle(t *testing.T) {
 			cfg := Config{Spec: spec, Seed: 21, LR: 0.05, Steps: 3, BatchSize: 8, NewOptimizer: opt.make}
 			for _, p := range []int{1, 2, 4} {
 				want, wantErr := refRunModel(mpi.NewWorld(p, testMachine()), cfg, ds)
-				got, gotErr := RunModel(mpi.NewWorld(p, testMachine()), cfg, ds)
+				got, gotErr := RunFullIntegrated(mpi.NewWorld(p, testMachine()), cfg, ds, grid.Grid{Pr: p, Pc: 1}, nil)
 				if sameRun(t, fmt.Sprintf("%s/%s/P=%d", spec.Name, opt.name, p), got, gotErr, want, wantErr) {
 					ran++
 				}
@@ -117,5 +118,89 @@ func TestModelOracle(t *testing.T) {
 	// rejected at P = 4.
 	if want := 3 * (5*3 - 2); ran != want {
 		t.Fatalf("%d of the cases trained, want %d", ran, want)
+	}
+}
+
+// oracleNets is every network the engine tests train, each once.
+func oracleNets() []*nn.Network {
+	return []*nn.Network{
+		nn.MLP("m", 24, 16, 8, 4), nn.MLP("verify-mlp", 32, 16, 8, 8), nn.MLP("m", 20, 16, 8, 4),
+		nn.MLP("m", 12, 8, 4), nn.MLP("m", 4, 2), nn.MLP("m", 10, 7, 4), nn.MLP("m", 16, 8, 4),
+		nn.MLP("m", 64, 64, 64), nn.MLP("m", 8, 4),
+		nn.TinyConvNet(), tinyConvDivNet(), divisibleDropoutNet(), lrnNet(), lrn6Net(),
+		domainNet(), oneByOneDomainNet(), convOnlyNet(), evenKernelNet(),
+	}
+}
+
+// TestAssignmentOracles: RunFullIntegrated under the assignment of each
+// engine it replaced reproduces that engine's whole Result.
+func TestAssignmentOracles(t *testing.T) {
+	checkAssignmentOracles(t, oracleNets()...)
+}
+
+// checkAssignmentOracles runs RunFullIntegrated against the verbatim
+// per-strategy engines it replaced, on nets: (P×1, nil) against RunModel
+// and (P×1, every layer Domain) against RunDomain at P = 1, 2, 4, and
+// (g, Domain convs and Model FC) against the conv RunFullIntegrated on
+// every grid of 4 and 8 ranks. Each runs under every oracle optimizer at
+// B = 8 and 12 where Pc divides B (the old engines' batch guard). Both
+// runs must fail, or both succeed with DeepEqual Results. Under the race
+// detector, whose target is the message choreography the optimizer does
+// not change, each (B, engine, grid) case runs one optimizer in rotation,
+// which keeps CI's -race -cpu 1,2,4 run of the package within its
+// timeout.
+func checkAssignmentOracles(t *testing.T, nets ...*nn.Network) {
+	t.Helper()
+	byOne := []grid.Grid{{Pr: 1, Pc: 1}, {Pr: 2, Pc: 1}, {Pr: 4, Pc: 1}}
+	all := append(grid.Factorizations(4), grid.Factorizations(8)...)
+	refs := []struct {
+		name   string
+		run    func(*mpi.World, Config, *data.Dataset, grid.Grid) (Result, error)
+		assign func(*nn.Network) costmodel.Assignment
+		grids  []grid.Grid
+	}{
+		{"model", func(w *mpi.World, cfg Config, ds *data.Dataset, _ grid.Grid) (Result, error) {
+			return refRunModel15D(w, cfg, ds)
+		}, func(*nn.Network) costmodel.Assignment { return nil }, byOne},
+		{"domain", func(w *mpi.World, cfg Config, ds *data.Dataset, _ grid.Grid) (Result, error) {
+			return refRunDomain(w, cfg, ds)
+		}, func(n *nn.Network) costmodel.Assignment { return costmodel.UniformAssignment(n, costmodel.Domain) }, byOne},
+		{"integrated", refRunFullIntegrated, func(n *nn.Network) costmodel.Assignment {
+			return costmodel.ConvAssignment(n, costmodel.Domain, costmodel.Model)
+		}, all},
+	}
+	for _, spec := range nets {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			t.Parallel()
+			ds := data.Synthetic(32, spec.Input, spec.Output().C, 17)
+			trained, c := 0, 0
+			for _, b := range []int{8, 12} {
+				for _, ref := range refs {
+					for _, g := range ref.grids {
+						if b%g.Pc != 0 {
+							continue
+						}
+						c++
+						for i, opt := range oracleOptimizers {
+							if raceDetector && c%len(oracleOptimizers) != i {
+								continue
+							}
+							// Two steps: the second reads the optimizer state.
+							cfg := Config{Spec: spec, Seed: 21, LR: 0.05, Steps: 2, BatchSize: b, NewOptimizer: opt.make}
+							want, wantErr := ref.run(mpi.NewWorld(g.P(), testMachine()), cfg, ds, g)
+							got, gotErr := RunFullIntegrated(mpi.NewWorld(g.P(), testMachine()), cfg, ds, g, ref.assign(spec))
+							if sameRun(t, fmt.Sprintf("%s/B=%d/%s/%v", ref.name, b, opt.name, g), got, gotErr, want, wantErr) {
+								trained++
+							}
+						}
+					}
+				}
+			}
+			if trained == 0 && len(spec.FCLayers()) > 0 {
+				t.Fatal("no run trained")
+			}
+			t.Logf("%d runs trained", trained)
+		})
 	}
 }

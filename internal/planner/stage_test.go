@@ -37,8 +37,8 @@ func TestStagedRedistributionPricedOnOwningStage(t *testing.T) {
 	if !base.Feasible || !with.Feasible {
 		t.Fatalf("infeasible: %q / %q", base.Reason, with.Reason)
 	}
-	conv5 := &net.Layers[net.WeightedLayers()[4]]
-	words := float64(B) / float64(g.Pc) * float64(conv5.OutSize())
+	fc6 := &net.Layers[net.WeightedLayers()[5]] // the layer switched into; its input is pool5's output
+	words := float64(B) / float64(g.Pc) * float64(fc6.InSize())
 	price := func(offset int) float64 {
 		spans := g.ColGroupSpansAt(topo.GroupSizes(), grid.RowMajor, offset)
 		return 2 * collective.MaxCost(spans, func(s grid.LevelSpan) collective.Cost {
