@@ -148,7 +148,7 @@ func BenchmarkEngineSerial(b *testing.B) {
 func BenchmarkEngineBatch(b *testing.B) {
 	cfg, ds, m := engineBenchSetup()
 	for i := 0; i < b.N; i++ {
-		if _, err := parallel.RunBatch(mpi.NewWorld(4, m), cfg, ds); err != nil {
+		if _, err := parallel.RunFullIntegrated(mpi.NewWorld(4, m), cfg, ds, grid.Grid{Pr: 1, Pc: 4}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,7 +246,7 @@ func BenchmarkCostModelEq8(b *testing.B) {
 	m := machine.CoriKNL()
 	g := grid.Grid{Pr: 16, Pc: 32}
 	for i := 0; i < b.N; i++ {
-		costmodel.FlatEnv(m).Integrated(net, 2048, g)
+		costmodel.FlatEnv(m).FullIntegrated(net, 2048, g, nil)
 	}
 }
 

@@ -4,10 +4,11 @@
 // time, and words on the wire. With -verify it additionally trains every
 // strategy and checks gradient-exactness against serial SGD (the
 // executable realization of Figs. 1, 2, 3 and 5). Every strategy but
-// serial and batch is one engine, the Eq. 9 layer walk, under a per-layer
-// assignment: model runs every layer Model on a P×1 grid, domain every
-// layer Domain on P×1, and integrated (alias full) Domain convolutions
-// and Model FC layers on the -pr × -pc grid. It is a thin adapter over
+// serial is one engine, the Eq. 9 layer walk, on a grid under a per-layer
+// assignment: batch runs every layer Model on a 1×P grid, model every
+// layer Model on P×1, domain every layer Domain on P×1, and integrated
+// (alias full) Domain convolutions and Model FC layers on the -pr × -pc
+// grid. It is a thin adapter over
 // internal/cli; a -config scenario supplies B, P, grid, and the machine.
 //
 // Usage:

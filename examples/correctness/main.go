@@ -1,7 +1,9 @@
 // Correctness demo: run real distributed SGD on the simulated cluster
 // under every parallelization strategy and show that all of them follow
-// the serial loss trajectory exactly (Figs. 1, 2, 3, 5 as running code),
-// while moving very different amounts of data — the paper's whole point.
+// the serial loss trajectory exactly (Figs. 1, 2 and 3, and the Eq. 9
+// integrated configuration, as running code), while moving very
+// different amounts of data — the paper's whole point. Each strategy is a
+// (grid, assignment) pair of one engine, parallel.RunFullIntegrated.
 package main
 
 import (
@@ -25,40 +27,32 @@ func main() {
 	serial, err := parallel.RunSerial(cfg, ds)
 	must(err)
 
-	type engine struct {
-		name string
-		run  func() (parallel.Result, error)
-	}
-	engines := []engine{
-		{"batch 1x4", func() (parallel.Result, error) {
-			return parallel.RunBatch(mpi.NewWorld(4, mach), cfg, ds)
-		}},
-		{"model 4x1", func() (parallel.Result, error) {
-			return parallel.RunFullIntegrated(mpi.NewWorld(4, mach), cfg, ds, grid.Grid{Pr: 4, Pc: 1}, nil)
-		}},
-		{"domain 4x1", func() (parallel.Result, error) {
-			return parallel.RunFullIntegrated(mpi.NewWorld(4, mach), cfg, ds, grid.Grid{Pr: 4, Pc: 1}, costmodel.UniformAssignment(spec, costmodel.Domain))
-		}},
-		{"1.5D 2x2", func() (parallel.Result, error) {
-			return parallel.RunFullIntegrated(mpi.NewWorld(4, mach), cfg, ds, grid.Grid{Pr: 2, Pc: 2}, costmodel.ConvAssignment(spec, costmodel.Domain, costmodel.Model))
-		}},
+	engines := []struct {
+		name   string
+		g      grid.Grid
+		assign costmodel.Assignment
+	}{
+		{"batch 1x4", grid.Grid{Pr: 1, Pc: 4}, nil},
+		{"model 4x1", grid.Grid{Pr: 4, Pc: 1}, nil},
+		{"domain 4x1", grid.Grid{Pr: 4, Pc: 1}, costmodel.UniformAssignment(spec, costmodel.Domain)},
+		{"integrated 2x2", grid.Grid{Pr: 2, Pc: 2}, costmodel.ConvAssignment(spec, costmodel.Domain, costmodel.Model)},
 	}
 
 	fmt.Printf("Training %s for %d steps, B=%d, on 4 simulated ranks.\n\n", spec.Name, cfg.Steps, cfg.BatchSize)
 	fmt.Printf("%-12s", "step")
-	fmt.Printf("%14s", "serial")
+	fmt.Printf("%16s", "serial")
 	results := make([]parallel.Result, len(engines))
 	for i, e := range engines {
 		var err error
-		results[i], err = e.run()
+		results[i], err = parallel.RunFullIntegrated(mpi.NewWorld(e.g.P(), mach), cfg, ds, e.g, e.assign)
 		must(err)
-		fmt.Printf("%14s", e.name)
+		fmt.Printf("%16s", e.name)
 	}
 	fmt.Println()
 	for s := 0; s < cfg.Steps; s++ {
-		fmt.Printf("%-12d%14.8f", s, serial.Losses[s])
+		fmt.Printf("%-12d%16.8f", s, serial.Losses[s])
 		for i := range engines {
-			fmt.Printf("%14.8f", results[i].Losses[s])
+			fmt.Printf("%16.8f", results[i].Losses[s])
 		}
 		fmt.Println()
 	}
@@ -69,7 +63,7 @@ func main() {
 		for _, st := range results[i].Stats {
 			words += st.WordsSent
 		}
-		fmt.Printf("  %-12s %9d words on the wire over %d steps\n", e.name, words, cfg.Steps)
+		fmt.Printf("  %-14s %9d words on the wire over %d steps\n", e.name, words, cfg.Steps)
 	}
 }
 

@@ -138,7 +138,7 @@ func TrainMain(args []string, stdout, stderr io.Writer) int {
 	case "serial":
 		res, err = parallel.RunSerial(cfg, ds)
 	case "batch":
-		res, err = parallel.RunBatch(mpi.NewWorld(*p, mach), cfg, ds)
+		res, err = parallel.RunFullIntegrated(mpi.NewWorld(*p, mach), cfg, ds, grid.Grid{Pr: 1, Pc: *p}, nil)
 		label = fmt.Sprintf("batch (P=%d)", *p)
 	case "model":
 		res, err = parallel.RunFullIntegrated(mpi.NewWorld(*p, mach), cfg, ds, grid.Grid{Pr: *p, Pc: 1}, nil)

@@ -278,7 +278,7 @@ func TestFirstPositionNeverShared(t *testing.T) {
 	}
 	for _, topo := range []machine.Topology{machine.Flat(knl()), threeLevel()} {
 		env := Env{Topo: topo}
-		b := env.Integrated(net, 256, grid.Grid{Pr: 4, Pc: 4})
+		b := env.FullIntegrated(net, 256, grid.Grid{Pr: 4, Pc: 4}, nil)
 		if b.Layers[0].ActReduce != (collective.Cost{}) {
 			t.Fatalf("%s: the first weighted layer pays a ∆X all-reduce", topo.Name)
 		}

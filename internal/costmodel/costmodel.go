@@ -202,26 +202,6 @@ func (b *Breakdown) BackwardSeconds() float64 {
 	return t
 }
 
-// PureModel returns Eq. 3: 1-D model parallelism over P processes.
-//
-//	T = Σ_{i=1..L} (α⌈log P⌉ + β·B·(P−1)/P·d_i)
-//	  + 2·Σ_{i=2..L} (α⌈log P⌉ + β·B·(P−1)/P·d_{i−1})
-//
-// Priced against the environment's topology, the P-wide
-// all-gather/all-reduce groups span the whole machine. It is Integrated
-// on the P × 1 grid, whose one-rank ∆W groups cost nothing.
-func (e Env) PureModel(net *nn.Network, B, P int) *Breakdown {
-	return e.Integrated(net, B, grid.Grid{Pr: P, Pc: 1})
-}
-
-// PureBatch returns Eq. 4: batch parallelism over P processes, priced
-// against the environment's topology.
-//
-//	T = 2·Σ_i (α⌈log P⌉ + β·(P−1)/P·|W_i|)
-func (e Env) PureBatch(net *nn.Network, B, P int) *Breakdown {
-	return e.FullIntegrated(net, B, grid.Grid{Pr: 1, Pc: P}, UniformAssignment(net, BatchOnly))
-}
-
 // domainLayerCost is the Eq. 7 / Eq. 9 per-layer domain cost with halo
 // volumes scaled by the local batch B/Pc and grad, the layer's gradient
 // all-reduce over all P processes.
@@ -246,22 +226,6 @@ func domainLayerCost(net *nn.Network, li, B int, pr *pricer, grad collective.Cos
 	}
 	lc.GradReduce = grad
 	return lc
-}
-
-// Integrated returns Eq. 8: the 1.5D integrated model+batch algorithm on a
-// Pr × Pc grid. Every weighted layer is treated as model-parallel along Pr.
-//
-//	T = Σ_{i=1..L} (α⌈log Pr⌉ + β·(B/Pc)·(Pr−1)/Pr·d_i)
-//	  + 2·Σ_{i=2..L} (α⌈log Pr⌉ + β·(B/Pc)·(Pr−1)/Pr·d_{i−1})
-//	  + 2·Σ_i (α⌈log Pc⌉ + β·(Pc−1)/Pc·|W_i|/Pr)
-//
-// With Pr = 1 it reduces exactly to Eq. 4; with Pc = 1 the first two sums
-// are exactly Eq. 3 and the third vanishes.
-//
-// Priced against the environment's topology, the all-gather/∆X groups
-// are the placement's column groups, the ∆W groups its row groups.
-func (e Env) Integrated(net *nn.Network, B int, g grid.Grid) *Breakdown {
-	return e.FullIntegrated(net, B, g, nil)
 }
 
 // modelLayerCost writes the Eq. 8 per-layer cost for a layer in L_M
@@ -432,7 +396,27 @@ func ConvAssignment(net *nn.Network, convStrategy, fcStrategy Strategy) Assignme
 // local batch B/Pc plus a full-P gradient all-reduce; BatchOnly layers pay
 // only the full-P gradient all-reduce; Cheapest layers are resolved in
 // the same pass. Every group is priced against the environment's
-// topology. Each (layer class, requested strategy) pair is priced once.
+// topology: the all-gather/∆X groups are the placement's column groups,
+// the ∆W groups its row groups. Each (layer class, requested strategy)
+// pair is priced once.
+//
+// With a nil assignment (every layer Model) it is Eq. 8, the 1.5D
+// integrated model+batch algorithm:
+//
+//	T = Σ_{i=1..L} (α⌈log Pr⌉ + β·(B/Pc)·(Pr−1)/Pr·d_i)
+//	  + 2·Σ_{i=2..L} (α⌈log Pr⌉ + β·(B/Pc)·(Pr−1)/Pr·d_{i−1})
+//	  + 2·Σ_i (α⌈log Pc⌉ + β·(Pc−1)/Pc·|W_i|/Pr)
+//
+// On the 1 × P grid it is exactly Eq. 4, batch parallelism over P
+// processes, as is UniformAssignment(net, BatchOnly) there:
+//
+//	T = 2·Σ_i (α⌈log P⌉ + β·(P−1)/P·|W_i|)
+//
+// On the P × 1 grid the first two sums are exactly Eq. 3, 1-D model
+// parallelism over P processes, and the one-rank ∆W groups cost nothing:
+//
+//	T = Σ_{i=1..L} (α⌈log P⌉ + β·B·(P−1)/P·d_i)
+//	  + 2·Σ_{i=2..L} (α⌈log P⌉ + β·B·(P−1)/P·d_{i−1})
 func (e Env) FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignment) *Breakdown {
 	L := len(net.WeightedLayers())
 	b := e.newBreakdown(L)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dnnparallel/internal/collective"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
@@ -29,17 +30,50 @@ func pureDomain(e Env, net *nn.Network, B, P int) *Breakdown {
 	return e.FullIntegrated(net, B, grid.Grid{Pr: P, Pc: 1}, UniformAssignment(net, Domain))
 }
 
+// pureBatch is Eq. 4 priced through the BatchOnly strategy: every layer's
+// whole-block ∆W all-reduce over the 1 × P grid.
+func pureBatch(e Env, net *nn.Network, B, P int) *Breakdown {
+	return e.FullIntegrated(net, B, grid.Grid{Pr: 1, Pc: P}, UniformAssignment(net, BatchOnly))
+}
+
+// eq3Seconds is Eq. 3 written out on machine m: every weighted layer
+// all-gathers its B·d_i output panel over P processes, and every one but
+// the first all-reduces its B·d_{i−1} input panel.
+func eq3Seconds(m machine.Machine, net *nn.Network, B, P int) float64 {
+	var t float64
+	for k, li := range net.WeightedLayers() {
+		l := &net.Layers[li]
+		t += collective.AllGather(P, float64(B)*float64(l.OutSize()), m).Total()
+		if k > 0 {
+			t += collective.AllReduce(P, float64(B)*float64(l.InSize()), m).Total()
+		}
+	}
+	return t
+}
+
+// eq4Seconds is Eq. 4 written out on machine m: one all-reduce of each
+// weighted layer's |W_i| over P processes.
+func eq4Seconds(m machine.Machine, net *nn.Network, P int) float64 {
+	var t float64
+	for _, li := range net.WeightedLayers() {
+		t += collective.AllReduce(P, float64(net.Layers[li].Weights()), m).Total()
+	}
+	return t
+}
+
 // TestIntegratedReducesToPureBatch: Eq. 8 with Pr = 1 must equal Eq. 4
 // exactly — the paper's consistency check "for L_M = L, L_D = 0 we get the
-// integrated complexity as expected" specialized to the batch end.
+// integrated complexity as expected" specialized to the batch end — and
+// so must the BatchOnly strategy on the same grid.
 func TestIntegratedReducesToPureBatch(t *testing.T) {
 	net := nn.AlexNet()
 	f := func(pRaw uint8, bRaw uint16) bool {
 		p := 2 + int(pRaw)%510
 		b := 1 + int(bRaw)%4096
-		eq8 := FlatEnv(knl()).Integrated(net, b, grid.Grid{Pr: 1, Pc: p}).TotalSeconds()
-		eq4 := FlatEnv(knl()).PureBatch(net, b, p).TotalSeconds()
-		return math.Abs(eq8-eq4) < 1e-12*math.Max(1, eq4)
+		eq8 := FlatEnv(knl()).FullIntegrated(net, b, grid.Grid{Pr: 1, Pc: p}, nil).TotalSeconds()
+		eq4 := eq4Seconds(knl(), net, p)
+		batch := pureBatch(FlatEnv(knl()), net, b, p).TotalSeconds()
+		return math.Abs(eq8-eq4) < 1e-12*math.Max(1, eq4) && math.Abs(batch-eq4) < 1e-12*math.Max(1, eq4)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -53,8 +87,8 @@ func TestIntegratedReducesToPureModel(t *testing.T) {
 	f := func(pRaw uint8, bRaw uint16) bool {
 		p := 2 + int(pRaw)%510
 		b := 1 + int(bRaw)%4096
-		eq8 := FlatEnv(knl()).Integrated(net, b, grid.Grid{Pr: p, Pc: 1}).TotalSeconds()
-		eq3 := FlatEnv(knl()).PureModel(net, b, p).TotalSeconds()
+		eq8 := FlatEnv(knl()).FullIntegrated(net, b, grid.Grid{Pr: p, Pc: 1}, nil).TotalSeconds()
+		eq3 := eq3Seconds(knl(), net, b, p)
 		return math.Abs(eq8-eq3) < 1e-12*math.Max(1, eq3)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -63,14 +97,15 @@ func TestIntegratedReducesToPureModel(t *testing.T) {
 }
 
 // TestFullIntegratedDefaultsToIntegrated: Eq. 9 with L_M = all layers is
-// Eq. 8 (the paper's stated specialization).
+// Eq. 8 (the paper's stated specialization): the nil assignment prices
+// exactly as every layer Model.
 func TestFullIntegratedDefaultsToIntegrated(t *testing.T) {
 	net := nn.AlexNet()
 	for _, g := range []grid.Grid{{Pr: 1, Pc: 64}, {Pr: 4, Pc: 16}, {Pr: 16, Pc: 32}, {Pr: 64, Pc: 1}} {
 		a := FlatEnv(knl()).FullIntegrated(net, 512, g, nil).TotalSeconds()
-		b := FlatEnv(knl()).Integrated(net, 512, g).TotalSeconds()
-		if math.Abs(a-b) > 1e-15 {
-			t.Fatalf("grid %v: FullIntegrated(nil) = %g, Integrated = %g", g, a, b)
+		b := FlatEnv(knl()).FullIntegrated(net, 512, g, UniformAssignment(net, Model)).TotalSeconds()
+		if a != b {
+			t.Fatalf("grid %v: FullIntegrated(nil) = %g, every layer Model = %g", g, a, b)
 		}
 	}
 }
@@ -79,8 +114,8 @@ func TestFullIntegratedDefaultsToIntegrated(t *testing.T) {
 // Eq. 4 bandwidth cost is independent of P and of B.
 func TestPureBatchBandwidthIndependentOfP(t *testing.T) {
 	net := nn.AlexNet()
-	c512 := FlatEnv(knl()).PureBatch(net, 2048, 512)
-	c4096 := FlatEnv(knl()).PureBatch(net, 123, 4096)
+	c512 := pureBatch(FlatEnv(knl()), net, 2048, 512)
+	c4096 := pureBatch(FlatEnv(knl()), net, 123, 4096)
 	var bw512, bw4096 float64
 	for _, l := range c512.Layers {
 		bw512 += l.GradReduce.Bandwidth
@@ -98,10 +133,10 @@ func TestPureBatchBandwidthIndependentOfP(t *testing.T) {
 func TestPureModelScalesWithB(t *testing.T) {
 	net := nn.AlexNet()
 	var bw1, bw2 float64
-	for _, l := range FlatEnv(knl()).PureModel(net, 128, 16).Layers {
+	for _, l := range FlatEnv(knl()).FullIntegrated(net, 128, grid.Grid{Pr: 16, Pc: 1}, nil).Layers {
 		bw1 += l.AllGather.Bandwidth + l.ActReduce.Bandwidth
 	}
-	for _, l := range FlatEnv(knl()).PureModel(net, 256, 16).Layers {
+	for _, l := range FlatEnv(knl()).FullIntegrated(net, 256, grid.Grid{Pr: 16, Pc: 1}, nil).Layers {
 		bw2 += l.AllGather.Bandwidth + l.ActReduce.Bandwidth
 	}
 	if math.Abs(bw2-2*bw1) > 1e-12*bw2 {
@@ -159,12 +194,12 @@ func TestCrossoverMonotonicity(t *testing.T) {
 // (512×1).
 func TestIntegratedBeatsPureAtScale(t *testing.T) {
 	net := nn.AlexNet()
-	pure := FlatEnv(knl()).Integrated(net, 2048, grid.Grid{Pr: 1, Pc: 512}).TotalSeconds()
-	model := FlatEnv(knl()).Integrated(net, 2048, grid.Grid{Pr: 512, Pc: 1}).TotalSeconds()
+	pure := FlatEnv(knl()).FullIntegrated(net, 2048, grid.Grid{Pr: 1, Pc: 512}, nil).TotalSeconds()
+	model := FlatEnv(knl()).FullIntegrated(net, 2048, grid.Grid{Pr: 512, Pc: 1}, nil).TotalSeconds()
 	best := math.Inf(1)
 	var bestG grid.Grid
 	for _, g := range grid.Factorizations(512) {
-		if c := FlatEnv(knl()).Integrated(net, 2048, g).TotalSeconds(); c < best {
+		if c := FlatEnv(knl()).FullIntegrated(net, 2048, g, nil).TotalSeconds(); c < best {
 			best, bestG = c, g
 		}
 	}
@@ -184,7 +219,7 @@ func TestConvBatchOnlyImprovesUniformGrid(t *testing.T) {
 	net := nn.AlexNet()
 	bestUniform, bestSplit := math.Inf(1), math.Inf(1)
 	for _, g := range grid.Factorizations(512) {
-		if c := FlatEnv(knl()).Integrated(net, 2048, g).TotalSeconds(); c < bestUniform {
+		if c := FlatEnv(knl()).FullIntegrated(net, 2048, g, nil).TotalSeconds(); c < bestUniform {
 			bestUniform = c
 		}
 		assign := ConvAssignment(net, BatchOnly, Model)
@@ -270,7 +305,7 @@ func TestRedistributeAsymptoticallyFree(t *testing.T) {
 		t.Fatalf("conv2 consumes %d words a sample, want 69,984", d)
 	}
 	pr := FlatEnv(knl()).pricerFor(g)
-	model := FlatEnv(knl()).PureModel(net, b, p)
+	model := FlatEnv(knl()).FullIntegrated(net, b, grid.Grid{Pr: p, Pc: 1}, nil)
 	one := stage.Balanced(len(widx), 1)
 	for k := 1; k < len(widx); k++ {
 		// Batch up to layer k, model from k on: one switch, into layer k.
@@ -311,7 +346,7 @@ func TestOverlapNeverWorse(t *testing.T) {
 		grids := grid.Factorizations(256)
 		g := grids[int(prIdx)%len(grids)]
 		b := 256 << (int(bIdx) % 4)
-		bd := FlatEnv(knl()).Integrated(net, b, g)
+		bd := FlatEnv(knl()).FullIntegrated(net, b, g, nil)
 		comp := 0.01
 		_, plain := IterationTotals(bd, comp, false)
 		_, over := IterationTotals(bd, comp, true)
@@ -378,7 +413,7 @@ func TestPureDomainCarriesFullBatch(t *testing.T) {
 func TestPureDomainGradientReduceMatchesBatch(t *testing.T) {
 	net := nn.AlexNet()
 	d := pureDomain(FlatEnv(knl()), net, 128, 16)
-	b := FlatEnv(knl()).PureBatch(net, 128, 16)
+	b := pureBatch(FlatEnv(knl()), net, 128, 16)
 	if math.Abs(gradReduceSeconds(d)-gradReduceSeconds(b)) > 1e-15 {
 		t.Fatalf("Eq. 7 grad term %g ≠ Eq. 4 %g", gradReduceSeconds(d), gradReduceSeconds(b))
 	}

@@ -126,9 +126,9 @@ func TestEnvFlatEquivalenceProperty(t *testing.T) {
 			flat, topo *Breakdown
 		}{
 			{"FullIntegrated", FlatEnv(m).FullIntegrated(net, B, g, assign), env.FullIntegrated(net, B, g, assign)},
-			{"Integrated", FlatEnv(m).Integrated(net, B, g), env.Integrated(net, B, g)},
-			{"PureModel", FlatEnv(m).PureModel(net, B, p), env.PureModel(net, B, p)},
-			{"PureBatch", FlatEnv(m).PureBatch(net, B, p), env.PureBatch(net, B, p)},
+			{"Integrated", FlatEnv(m).FullIntegrated(net, B, g, nil), env.FullIntegrated(net, B, g, nil)},
+			{"PureModel", FlatEnv(m).FullIntegrated(net, B, grid.Grid{Pr: p, Pc: 1}, nil), env.FullIntegrated(net, B, grid.Grid{Pr: p, Pc: 1}, nil)},
+			{"PureBatch", pureBatch(FlatEnv(m), net, B, p), pureBatch(env, net, B, p)},
 			{"PureDomain", pureDomain(FlatEnv(m), net, B, p), pureDomain(env, net, B, p)},
 		}
 		one := stage.Balanced(len(net.WeightedLayers()), 1)
@@ -203,8 +203,8 @@ func TestTwoLevelBracketsFlat(t *testing.T) {
 	g := grid.Grid{Pr: 8, Pc: 8}
 	B := 512
 
-	flatBD := FlatEnv(flat).Integrated(net, B, g)
-	colPacked := Env{Topo: topo, Placement: grid.ColMajor}.Integrated(net, B, g)
+	flatBD := FlatEnv(flat).FullIntegrated(net, B, g, nil)
+	colPacked := Env{Topo: topo, Placement: grid.ColMajor}.FullIntegrated(net, B, g, nil)
 	if colPacked.TotalSeconds() >= flatBD.TotalSeconds() {
 		t.Fatalf("packing the heavy groups on-node (%g) must beat the flat Aries-only model (%g)",
 			colPacked.TotalSeconds(), flatBD.TotalSeconds())
@@ -307,7 +307,7 @@ func TestGradMemoNeverChangesPrices(t *testing.T) {
 		}
 	}
 	// The wrong-links memo would be caught: its prices really differ.
-	if a, b := (Env{Topo: topo}).PureBatch(net, 256, 256), (Env{Topo: slow}).PureBatch(net, 256, 256); reflect.DeepEqual(a.Layers, b.Layers) {
+	if a, b := pureBatch(Env{Topo: topo}, net, 256, 256), pureBatch(Env{Topo: slow}, net, 256, 256); reflect.DeepEqual(a.Layers, b.Layers) {
 		t.Fatal("test setup broken: the slow links price the same gradients")
 	}
 
@@ -329,7 +329,7 @@ func TestGradMemoNeverChangesPrices(t *testing.T) {
 			}{
 				{"domain", env.FullIntegrated(net, 512, g, domain), fresh.FullIntegrated(net, 512, g, domain)},
 				{"batch", env.FullIntegrated(net, 512, g, batch), fresh.FullIntegrated(net, 512, g, batch)},
-				{"pure batch", env.PureBatch(net, 512, 256), fresh.PureBatch(net, 512, 256)},
+				{"pure batch", pureBatch(env, net, 512, 256), pureBatch(fresh, net, 512, 256)},
 				{"pure domain", pureDomain(env, net, 512, 256), pureDomain(fresh, net, 512, 256)},
 			} {
 				if !reflect.DeepEqual(pair.got, pair.want) {

@@ -65,7 +65,7 @@ func TestOverlapDelegationMatchesClosedForm(t *testing.T) {
 	}
 	for netName, net := range nets {
 		for _, g := range []grid.Grid{{Pr: 1, Pc: 256}, {Pr: 16, Pc: 16}, {Pr: 256, Pc: 1}} {
-			bd := FlatEnv(m).Integrated(net, 512, g)
+			bd := FlatEnv(m).FullIntegrated(net, 512, g, nil)
 			for compName, comp := range comps {
 				_, got := IterationTotals(bd, comp, true)
 				want := closedFormOverlap(bd, comp)
@@ -104,7 +104,7 @@ func singleFCNet(t *testing.T) *nn.Network {
 // past it.
 func TestAggregateTimelineShape(t *testing.T) {
 	net := nn.AlexNet()
-	bd := FlatEnv(machine.CoriKNL()).Integrated(net, 512, grid.Grid{Pr: 8, Pc: 64})
+	bd := FlatEnv(machine.CoriKNL()).FullIntegrated(net, 512, grid.Grid{Pr: 8, Pc: 64}, nil)
 	fwd, bwd := bd.ForwardSeconds(), bd.BackwardSeconds()
 	for _, c := range []struct {
 		name       string
@@ -207,7 +207,7 @@ func TestTimelineLayersMismatchedIndexSets(t *testing.T) {
 // fail loudly, as the internal/tensor panics convention requires.
 func TestIterationSecondsValidation(t *testing.T) {
 	net := nn.AlexNet()
-	bd := FlatEnv(machine.CoriKNL()).Integrated(net, 512, grid.Grid{Pr: 4, Pc: 16})
+	bd := FlatEnv(machine.CoriKNL()).FullIntegrated(net, 512, grid.Grid{Pr: 4, Pc: 16}, nil)
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {

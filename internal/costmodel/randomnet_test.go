@@ -95,13 +95,13 @@ func TestRandomNetsIntegratedLimits(t *testing.T) {
 		}
 		p := 2 + int(pRaw)%62
 		b := 1 + int(bRaw)%512
-		eq8b := FlatEnv(knl()).Integrated(net, b, grid.Grid{Pr: 1, Pc: p}).TotalSeconds()
-		eq4 := FlatEnv(knl()).PureBatch(net, b, p).TotalSeconds()
+		eq8b := FlatEnv(knl()).FullIntegrated(net, b, grid.Grid{Pr: 1, Pc: p}, nil).TotalSeconds()
+		eq4 := eq4Seconds(knl(), net, p)
 		if math.Abs(eq8b-eq4) > 1e-12*math.Max(1, eq4) {
 			return false
 		}
-		eq8m := FlatEnv(knl()).Integrated(net, b, grid.Grid{Pr: p, Pc: 1}).TotalSeconds()
-		eq3 := FlatEnv(knl()).PureModel(net, b, p).TotalSeconds()
+		eq8m := FlatEnv(knl()).FullIntegrated(net, b, grid.Grid{Pr: p, Pc: 1}, nil).TotalSeconds()
+		eq3 := eq3Seconds(knl(), net, b, p)
 		return math.Abs(eq8m-eq3) < 1e-12*math.Max(1, eq3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -13,17 +13,8 @@ import (
 	"dnnparallel/internal/report"
 )
 
-// ModelCheck runs each executable engine on the simulated cluster and
-// compares the *measured* per-step virtual communication time against the
-// corresponding closed-form prediction (Eqs. 3, 4, 8). This is the
-// strongest internal-consistency artifact in the repository: the same
-// formulas the figures are built from are re-derived from actual message
-// traffic.
-//
-// The machine has α = 0 because the engines batch gradients into one
-// flattened all-reduce while the formulas charge one per layer; bandwidth
-// (volume) terms — the content of the paper's analysis — must then agree
-// to within the few words of the scalar loss reduction.
+// ModelCheckRow compares one configuration's measured per-step virtual
+// communication time with its closed-form prediction.
 type ModelCheckRow struct {
 	Engine    string
 	Equation  string
@@ -33,80 +24,67 @@ type ModelCheckRow struct {
 	RelError  float64
 }
 
-// ModelCheck executes the comparison on a small MLP.
+// modelCheckRows are ModelCheck's configurations. Each runs as
+// parallel.RunFullIntegrated and is priced by costmodel.Env.FullIntegrated
+// on its grid with every layer Model (the nil assignment).
+var modelCheckRows = []struct {
+	engine, equation string
+	g                grid.Grid
+}{
+	{"batch", "Eq. 4", grid.Grid{Pr: 1, Pc: 4}},
+	{"model", "Eq. 3", grid.Grid{Pr: 4, Pc: 1}},
+	{"integrated-1.5D", "Eq. 8", grid.Grid{Pr: 2, Pc: 2}},
+	{"integrated-1.5D", "Eq. 8", grid.Grid{Pr: 4, Pc: 2}},
+	{"integrated-1.5D", "Eq. 8", grid.Grid{Pr: 2, Pc: 4}},
+}
+
+// ModelCheck runs each configuration on the simulated cluster and compares
+// the *measured* per-step virtual communication time against the
+// closed-form prediction (Eqs. 3, 4, 8) on the same grid, for a small MLP.
+// This is the strongest internal-consistency artifact in the repository:
+// the same formulas the figures are built from are re-derived from actual
+// message traffic.
+//
+// The machine has α = 0, which isolates the bandwidth (volume) terms, the
+// content of the paper's analysis; they agree to within the few words of
+// the scalar loss reduction. At α > 0 that per-step loss all-reduce over
+// the row group is also the whole latency residual: the engine sends
+// every message the formulas charge, per layer.
 func ModelCheck() ([]ModelCheckRow, error) {
+	return modelCheck(machine.Machine{Name: "bw-only", Alpha: 0, Beta: 1e-9, PeakFlops: 1e12})
+}
+
+// modelCheck is ModelCheck on machine m.
+func modelCheck(m machine.Machine) ([]ModelCheckRow, error) {
 	spec := nn.MLP("check", 64, 32, 16, 8)
 	ds := data.Synthetic(64, spec.Input, 8, 301)
-	m := machine.Machine{Name: "bw-only", Alpha: 0, Beta: 1e-9, PeakFlops: 1e12}
 	const B = 16
 
-	steady := func(run func(steps int) (parallel.Result, error)) (float64, error) {
-		comm := func(steps int) (float64, error) {
-			res, err := run(steps)
-			if err != nil {
-				return 0, err
-			}
-			var worst float64
-			for _, s := range res.Stats {
-				if s.CommTime > worst {
-					worst = s.CommTime
-				}
-			}
-			return worst, nil
-		}
-		c1, err := comm(3)
-		if err != nil {
-			return 0, err
-		}
-		c2, err := comm(6)
-		if err != nil {
-			return 0, err
-		}
-		return (c2 - c1) / 3, nil
-	}
-
 	var rows []ModelCheckRow
-	add := func(name, eq, gridStr string, measured, predicted float64) {
+	for _, r := range modelCheckRows {
+		// Steady state: difference runs of 3 and 6 steps, cancelling the
+		// final weight assembly.
+		var comm [2]float64
+		for i, steps := range []int{3, 6} {
+			cfg := parallel.Config{Spec: spec, Seed: 5, LR: 0.01, Steps: steps, BatchSize: B}
+			res, err := parallel.RunFullIntegrated(mpi.NewWorld(r.g.P(), m), cfg, ds, r.g, nil)
+			if err != nil {
+				return nil, fmt.Errorf("%s %v: %w", r.engine, r.g, err)
+			}
+			for _, s := range res.Stats {
+				comm[i] = max(comm[i], s.CommTime)
+			}
+		}
+		measured := (comm[1] - comm[0]) / 3
+		predicted := costmodel.FlatEnv(m).FullIntegrated(spec, B, r.g, nil).TotalSeconds()
 		rel := 0.0
 		if predicted > 0 {
 			rel = (measured - predicted) / predicted
 		}
 		rows = append(rows, ModelCheckRow{
-			Engine: name, Equation: eq, Grid: gridStr,
+			Engine: r.engine, Equation: r.equation, Grid: r.g.String(),
 			Measured: measured, Predicted: predicted, RelError: rel,
 		})
-	}
-
-	mk := func(steps int) parallel.Config {
-		return parallel.Config{Spec: spec, Seed: 5, LR: 0.01, Steps: steps, BatchSize: B}
-	}
-
-	meas, err := steady(func(s int) (parallel.Result, error) {
-		return parallel.RunBatch(mpi.NewWorld(4, m), mk(s), ds)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("batch: %w", err)
-	}
-	add("batch", "Eq. 4", "1x4", meas, costmodel.FlatEnv(m).PureBatch(spec, B, 4).TotalSeconds())
-
-	meas, err = steady(func(s int) (parallel.Result, error) {
-		return parallel.RunFullIntegrated(mpi.NewWorld(4, m), mk(s), ds, grid.Grid{Pr: 4, Pc: 1}, nil)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("model: %w", err)
-	}
-	add("model", "Eq. 3", "4x1", meas, costmodel.FlatEnv(m).PureModel(spec, B, 4).TotalSeconds())
-
-	for _, g := range []grid.Grid{{Pr: 2, Pc: 2}, {Pr: 4, Pc: 2}, {Pr: 2, Pc: 4}} {
-		g := g
-		meas, err = steady(func(s int) (parallel.Result, error) {
-			return parallel.RunFullIntegrated(mpi.NewWorld(g.P(), m), mk(s), ds, g, nil)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("1.5D %v: %w", g, err)
-		}
-		add("integrated-1.5D", "Eq. 8", g.String(), meas,
-			costmodel.FlatEnv(m).Integrated(spec, B, g).TotalSeconds())
 	}
 	return rows, nil
 }

@@ -52,69 +52,60 @@ type EngineReport struct {
 
 // VerifyEngines trains ReferenceConvNet with every engine and measures the
 // deviation from serial SGD plus the simulated communication volume/time.
+// Each engine is a (grid, assignment) pair of parallel.RunFullIntegrated.
 func VerifyEngines(steps, batch int, seed int64, mach machine.Machine) ([]EngineReport, error) {
+	type workload struct {
+		cfg    parallel.Config
+		ds     *data.Dataset
+		oracle parallel.Result
+	}
+	newWorkload := func(spec *nn.Network, seed int64) (*workload, error) {
+		w := &workload{
+			cfg: parallel.Config{Spec: spec, Seed: seed + 1, LR: 0.05, Steps: steps, BatchSize: batch},
+			ds:  data.Synthetic(4*batch, spec.Input, spec.Output().C, seed),
+		}
+		var err error
+		w.oracle, err = parallel.RunSerial(w.cfg, w.ds)
+		return w, err
+	}
 	spec := ReferenceConvNet()
-	ds := data.Synthetic(4*batch, spec.Input, spec.Output().C, seed)
-	cfg := parallel.Config{Spec: spec, Seed: seed + 1, LR: 0.05, Steps: steps, BatchSize: batch}
-	oracle, err := parallel.RunSerial(cfg, ds)
+	conv, err := newWorkload(spec, seed)
 	if err != nil {
 		return nil, err
 	}
-
 	// The 1.5D algorithm alone (Fig. 5 / Eq. 8) is RunFullIntegrated on a
 	// network without convolutions; give it an MLP workload with its own
 	// serial oracle.
-	mlp := nn.MLP("verify-mlp", 32, 16, 8, 8)
-	mlpDS := data.Synthetic(4*batch, mlp.Input, mlp.Output().C, seed+2)
-	mlpCfg := parallel.Config{Spec: mlp, Seed: seed + 3, LR: 0.05, Steps: steps, BatchSize: batch}
-	mlpOracle, err := parallel.RunSerial(mlpCfg, mlpDS)
+	mlp, err := newWorkload(nn.MLP("verify-mlp", 32, 16, 8, 8), seed+2)
 	if err != nil {
 		return nil, err
 	}
 
 	domain := costmodel.UniformAssignment(spec, costmodel.Domain)
 	integrated := costmodel.ConvAssignment(spec, costmodel.Domain, costmodel.Model)
-	type run struct {
-		name, figure, gridStr string
-		p                     int
-		oracle                *parallel.Result
-		exec                  func(w *mpi.World) (parallel.Result, error)
-	}
-	runs := []run{
-		{"batch", "Fig. 2 / Eq. 4", "1x4", 4, &oracle,
-			func(w *mpi.World) (parallel.Result, error) { return parallel.RunBatch(w, cfg, ds) }},
-		{"model", "Fig. 1 / Eq. 3", "4x1", 4, &oracle,
-			func(w *mpi.World) (parallel.Result, error) {
-				return parallel.RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 4, Pc: 1}, nil)
-			}},
-		{"domain", "Fig. 3 / Eq. 7", "4x1", 4, &oracle,
-			func(w *mpi.World) (parallel.Result, error) {
-				return parallel.RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 4, Pc: 1}, domain)
-			}},
-		{"1.5D-fc", "Fig. 5 / Eq. 8", "2x2", 4, &mlpOracle,
-			func(w *mpi.World) (parallel.Result, error) {
-				return parallel.RunFullIntegrated(w, mlpCfg, mlpDS, grid.Grid{Pr: 2, Pc: 2}, nil)
-			}},
-		{"integrated", "Eq. 9", "2x2", 4, &oracle,
-			func(w *mpi.World) (parallel.Result, error) {
-				return parallel.RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 2, Pc: 2}, integrated)
-			}},
-		{"full-integrated", "Eq. 9", "4x2", 8, &oracle,
-			func(w *mpi.World) (parallel.Result, error) {
-				return parallel.RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 4, Pc: 2}, integrated)
-			}},
+	runs := []struct {
+		name, figure string
+		w            *workload
+		g            grid.Grid
+		assign       costmodel.Assignment
+	}{
+		{"batch", "Fig. 2 / Eq. 4", conv, grid.Grid{Pr: 1, Pc: 4}, nil},
+		{"model", "Fig. 1 / Eq. 3", conv, grid.Grid{Pr: 4, Pc: 1}, nil},
+		{"domain", "Fig. 3 / Eq. 7", conv, grid.Grid{Pr: 4, Pc: 1}, domain},
+		{"1.5D-fc", "Fig. 5 / Eq. 8", mlp, grid.Grid{Pr: 2, Pc: 2}, nil},
+		{"integrated", "Eq. 9", conv, grid.Grid{Pr: 2, Pc: 2}, integrated},
+		{"full-integrated", "Eq. 9", conv, grid.Grid{Pr: 4, Pc: 2}, integrated},
 	}
 	var out []EngineReport
 	for _, r := range runs {
-		w := mpi.NewWorld(r.p, mach)
-		res, err := r.exec(w)
+		res, err := parallel.RunFullIntegrated(mpi.NewWorld(r.g.P(), mach), r.w.cfg, r.w.ds, r.g, r.assign)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
-		rep := EngineReport{Name: r.name, Figure: r.figure, P: r.p, Grid: r.gridStr}
-		rep.MaxWeightDev = maxDev(res.Weights, r.oracle.Weights)
+		rep := EngineReport{Name: r.name, Figure: r.figure, P: r.g.P(), Grid: r.g.String()}
+		rep.MaxWeightDev = maxDev(res.Weights, r.w.oracle.Weights)
 		for i := range res.Losses {
-			if d := math.Abs(res.Losses[i] - r.oracle.Losses[i]); d > rep.MaxLossDev {
+			if d := math.Abs(res.Losses[i] - r.w.oracle.Losses[i]); d > rep.MaxLossDev {
 				rep.MaxLossDev = d
 			}
 		}

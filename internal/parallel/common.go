@@ -3,12 +3,11 @@
 // simulated cluster:
 //
 //   - RunSerial          — the single-process reference (nn.Model);
-//   - RunBatch           — pure batch parallelism (Fig. 2, Eq. 4): one
-//     flattened gradient all-reduce per step;
 //   - RunFullIntegrated  — the integrated algorithm on a Pr × Pc grid
 //     (Section 2.4, Eq. 9), one layer walk in which each weighted layer
-//     runs the costmodel.Strategy its Assignment gives it. Pure model
-//     parallelism (Fig. 1, Eq. 3) is P × 1 with every layer Model, pure
+//     runs the costmodel.Strategy its Assignment gives it. Pure batch
+//     parallelism (Fig. 2, Eq. 4) is the 1 × P grid, pure model
+//     parallelism (Fig. 1, Eq. 3) P × 1 with every layer Model, pure
 //     domain parallelism (Fig. 3, Eq. 7) P × 1 with every layer Domain,
 //     the 1.5D algorithm (Fig. 5, Eq. 8) a network without convolutions,
 //     and Domain convolutions feeding Model FC layers the beyond-batch
@@ -112,19 +111,16 @@ func RunRanks(w *mpi.World, body func(p *mpi.Proc) ([]*tensor.Matrix, []float64)
 	return res
 }
 
-// FlattenMats packs a list of matrices into one contiguous vector, scaling
-// each element by scale — used to issue a single gradient all-reduce per
-// step, like production data-parallel frameworks.
-func FlattenMats(ms []*tensor.Matrix, scale float64) []float64 {
+// FlattenMats packs a list of matrices into one contiguous vector, so that
+// they cross a group in one collective.
+func FlattenMats(ms []*tensor.Matrix) []float64 {
 	n := 0
 	for _, m := range ms {
 		n += len(m.Data)
 	}
 	out := make([]float64, 0, n)
 	for _, m := range ms {
-		for _, v := range m.Data {
-			out = append(out, v*scale)
-		}
+		out = append(out, m.Data...)
 	}
 	return out
 }

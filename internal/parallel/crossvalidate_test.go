@@ -14,10 +14,11 @@ import (
 
 // These tests tie the executable engines to the analytic cost model: the
 // virtual communication time measured on the simulated cluster must match
-// the Eq. 3/4/8 bandwidth predictions. Latency terms are zeroed (α = 0)
-// because the engines batch gradients into one flattened all-reduce while
-// the formulas charge one per layer; the bandwidth (volume) terms are the
-// content of the paper's analysis.
+// the Eq. 3/4/8 bandwidth predictions of costmodel.Env.FullIntegrated on
+// the same grid. Latency terms are zeroed (α = 0) to isolate the
+// bandwidth (volume) terms, the content of the paper's analysis; the only
+// latency the formulas leave out is the per-step scalar loss all-reduce
+// over the row group (experiments.ModelCheck states it).
 
 // bwMachine has zero latency so only β terms matter.
 func bwMachine() machine.Machine {
@@ -45,9 +46,9 @@ func steadyStateComm(t *testing.T, run func(steps int) Result, k int) float64 {
 	return (cLong - cShort) / float64(k)
 }
 
-// TestBatchEngineCommMatchesEq4: the batch engine's measured per-step
-// communication equals the Eq. 4 bandwidth term (one all-reduce of all
-// weights; the +P words of the loss reduction are negligible).
+// TestBatchEngineCommMatchesEq4: the 1 × P grid's measured per-step
+// communication equals the Eq. 4 bandwidth term (one all-reduce of each
+// layer's weights; the +P words of the loss reduction are negligible).
 func TestBatchEngineCommMatchesEq4(t *testing.T) {
 	spec := nn.MLP("m", 64, 32, 16, 8)
 	ds := data.Synthetic(64, spec.Input, 8, 7)
@@ -55,16 +56,16 @@ func TestBatchEngineCommMatchesEq4(t *testing.T) {
 	const p = 4
 	run := func(steps int) Result {
 		cfg := Config{Spec: spec, Seed: 3, LR: 0.01, Steps: steps, BatchSize: 16}
-		res, err := RunBatch(mpi.NewWorld(p, m), cfg, ds)
+		res, err := RunFullIntegrated(mpi.NewWorld(p, m), cfg, ds, grid.Grid{Pr: 1, Pc: p}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 	measured := steadyStateComm(t, run, 3)
-	predicted := costmodel.FlatEnv(m).PureBatch(spec, 16, p).TotalSeconds()
+	predicted := costmodel.FlatEnv(m).FullIntegrated(spec, 16, grid.Grid{Pr: 1, Pc: p}, nil).TotalSeconds()
 	if rel := math.Abs(measured-predicted) / predicted; rel > 0.01 {
-		t.Fatalf("batch engine comm %.6g vs Eq. 4 %.6g (rel %.3f)", measured, predicted, rel)
+		t.Fatalf("1×%d grid comm %.6g vs Eq. 4 %.6g (rel %.3f)", p, measured, predicted, rel)
 	}
 }
 
@@ -85,7 +86,7 @@ func TestModelEngineCommMatchesEq3(t *testing.T) {
 		return res
 	}
 	measured := steadyStateComm(t, run, 3)
-	predicted := costmodel.FlatEnv(m).PureModel(spec, 16, p).TotalSeconds()
+	predicted := costmodel.FlatEnv(m).FullIntegrated(spec, 16, grid.Grid{Pr: p, Pc: 1}, nil).TotalSeconds()
 	if rel := math.Abs(measured-predicted) / predicted; rel > 0.01 {
 		t.Fatalf("model engine comm %.6g vs Eq. 3 %.6g (rel %.3f)", measured, predicted, rel)
 	}
@@ -107,7 +108,7 @@ func TestIntegratedEngineCommMatchesEq8(t *testing.T) {
 			return res
 		}
 		measured := steadyStateComm(t, run, 3)
-		predicted := costmodel.FlatEnv(m).Integrated(spec, 16, g).TotalSeconds()
+		predicted := costmodel.FlatEnv(m).FullIntegrated(spec, 16, g, nil).TotalSeconds()
 		// The loss all-reduce over the row group adds a few words; allow 2%.
 		if rel := math.Abs(measured-predicted) / predicted; rel > 0.02 {
 			t.Fatalf("grid %v: 1.5D engine comm %.6g vs Eq. 8 %.6g (rel %.3f)", g, measured, predicted, rel)

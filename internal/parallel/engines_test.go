@@ -153,7 +153,7 @@ func serialOracle(t *testing.T, cfg Config, ds *data.Dataset) Result {
 	return res
 }
 
-// --- Batch parallelism (Fig. 2) -------------------------------------------
+// --- Batch parallelism (Fig. 2): the 1 × P grid ----------------------------
 
 func TestBatchMatchesSerial(t *testing.T) {
 	spec := nn.TinyConvNet()
@@ -162,7 +162,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 	want := serialOracle(t, cfg, ds)
 	for _, p := range []int{2, 4, 8, 16} {
 		w := mpi.NewWorld(p, testMachine())
-		got, err := RunBatch(w, cfg, ds)
+		got, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 1, Pc: p}, nil)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -181,21 +181,12 @@ func TestBatchUnevenShards(t *testing.T) {
 	cfg := Config{Spec: spec, Seed: 5, LR: 0.1, Steps: 4, BatchSize: 10}
 	want := serialOracle(t, cfg, ds)
 	w := mpi.NewWorld(3, testMachine()) // 10 = 4+3+3: uneven
-	got, err := RunBatch(w, cfg, ds)
+	got, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 1, Pc: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := maxWeightDiff(got.Weights, want.Weights); d > trajTol {
 		t.Fatalf("uneven shards deviate by %g", d)
-	}
-}
-
-func TestBatchRejectsPGreaterThanB(t *testing.T) {
-	spec := nn.MLP("m", 4, 2)
-	ds := data.Synthetic(8, spec.Input, 2, 1)
-	w := mpi.NewWorld(8, testMachine())
-	if _, err := RunBatch(w, Config{Spec: spec, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}, ds); err == nil {
-		t.Fatal("P > B should be rejected")
 	}
 }
 
@@ -341,13 +332,13 @@ func TestIntegrated15DMatchesSerialAllGrids(t *testing.T) {
 }
 
 func TestIntegrated15DPureEndsMatchOtherEngines(t *testing.T) {
-	// 1×P ≡ batch engine; P×1 ≡ the all-layer model engine kept as an
-	// oracle — the spectrum claim.
+	// 1×P ≡ the batch engine and P×1 ≡ the all-layer model engine, both
+	// kept as oracles — the spectrum claim.
 	spec := nn.MLP("m", 16, 8, 4)
 	ds := data.Synthetic(48, spec.Input, 4, 53)
 	cfg := Config{Spec: spec, Seed: 59, LR: 0.06, Steps: 4, BatchSize: 12}
 	wb := mpi.NewWorld(4, testMachine())
-	batch, err := RunBatch(wb, cfg, ds)
+	batch, err := refRunBatch(wb, cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,10 +416,10 @@ func TestFullIntegratedBeyondBatch(t *testing.T) {
 	if d := maxWeightDiff(got.Weights, want.Weights); d > trajTol {
 		t.Fatalf("beyond-batch weights deviate by %g", d)
 	}
-	// And the batch engine indeed cannot run this configuration.
+	// And pure batch parallelism, the 1×8 grid, indeed cannot run it.
 	wb := mpi.NewWorld(8, testMachine())
-	if _, err := RunBatch(wb, cfg, ds); err == nil {
-		t.Fatal("batch engine should reject P=8 > B=4")
+	if _, err := RunFullIntegrated(wb, cfg, ds, grid.Grid{Pr: 1, Pc: 8}, nil); err == nil {
+		t.Fatal("the 1×8 grid should reject P=8 > B=4")
 	}
 }
 
@@ -452,7 +443,7 @@ func TestTrainingConvergesUnderEveryEngine(t *testing.T) {
 	}
 	serial, err := RunSerial(cfg, ds)
 	check("serial", serial, err)
-	got, err := RunBatch(mpi.NewWorld(4, testMachine()), cfg, ds)
+	got, err := RunFullIntegrated(mpi.NewWorld(4, testMachine()), cfg, ds, grid.Grid{Pr: 1, Pc: 4}, nil)
 	check("batch", got, err)
 	got, err = RunFullIntegrated(mpi.NewWorld(2, testMachine()), cfg, ds, grid.Grid{Pr: 2, Pc: 1}, costmodel.UniformAssignment(spec, costmodel.Domain))
 	check("domain", got, err)
@@ -471,7 +462,7 @@ func TestCommVolumeOrdering(t *testing.T) {
 	ds := data.Synthetic(16, spec.Input, 8, 89)
 	cfg := Config{Spec: spec, Seed: 97, LR: 0.05, Steps: 2, BatchSize: 4}
 	wb := mpi.NewWorld(4, testMachine())
-	batch, err := RunBatch(wb, cfg, ds)
+	batch, err := RunFullIntegrated(wb, cfg, ds, grid.Grid{Pr: 1, Pc: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +489,7 @@ func TestStatsPopulated(t *testing.T) {
 	spec := nn.MLP("m", 8, 4)
 	ds := data.Synthetic(16, spec.Input, 4, 101)
 	cfg := Config{Spec: spec, Seed: 103, LR: 0.05, Steps: 2, BatchSize: 8}
-	res, err := RunBatch(mpi.NewWorld(2, testMachine()), cfg, ds)
+	res, err := RunFullIntegrated(mpi.NewWorld(2, testMachine()), cfg, ds, grid.Grid{Pr: 1, Pc: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

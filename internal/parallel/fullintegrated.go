@@ -33,12 +33,16 @@ import (
 // slices the ∆ back); a Domain conv fed by full samples slices its rows
 // (its backward gathers the ∆ rows).
 //
-// P×1 with nil is pure model parallelism (Fig. 1 / Eq. 3), P×1 with
+// 1×P is pure batch parallelism (Fig. 2 / Eq. 4): every column group is
+// one rank holding all the weights, and each weighted layer all-reduces
+// its ∆W over the P-rank row group. P×1 with nil is pure model
+// parallelism (Fig. 1 / Eq. 3), P×1 with
 // costmodel.UniformAssignment(spec, Domain) pure domain parallelism
 // (Fig. 3 / Eq. 7), a network without convolutions the 1.5D algorithm
 // (Fig. 5 / Eq. 8), and costmodel.ConvAssignment(spec, Domain, Model) the
 // configuration that scales beyond P = B (Fig. 10). BatchOnly and
-// Cheapest layers are rejected; RunBatch executes batch parallelism.
+// Cheapest layers are rejected; on the 1×P grid every layer already runs
+// as costmodel prices BatchOnly.
 func RunFullIntegrated(w *mpi.World, cfg Config, ds *data.Dataset, g grid.Grid, assign costmodel.Assignment) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
@@ -117,7 +121,7 @@ func checkLayer(l *nn.Layer, s costmodel.Strategy, pr int, fed, slab, afterFC bo
 	case afterFC && l.Kind != nn.FC && l.Kind != nn.Dropout:
 		return fmt.Errorf("parallel: %v layer %s after the first FC layer", l.Kind, l.Name)
 	case l.HasWeights() && s != costmodel.Model && s != costmodel.Domain:
-		return fmt.Errorf("parallel: layer %s: strategy %v does not execute here (RunBatch runs batch parallelism)", l.Name, s)
+		return fmt.Errorf("parallel: layer %s: strategy %v does not execute here (batch parallelism is the 1×P grid)", l.Name, s)
 	case fed && !slab && l.In.H%pr != 0:
 		return fmt.Errorf("parallel: layer %s input height %d not divisible by pr=%d", l.Name, l.In.H, pr)
 	case l.Kind == nn.Conv && slab && (l.Stride != 1 || l.KH != l.KW || l.KH%2 == 0 || l.Pad != l.KH/2):

@@ -24,7 +24,7 @@ func TestMomentumExactAcrossEngines(t *testing.T) {
 	}
 	want := serialOracle(t, cfg, ds)
 
-	got, err := RunBatch(mpi.NewWorld(4, testMachine()), cfg, ds)
+	got, err := RunFullIntegrated(mpi.NewWorld(4, testMachine()), cfg, ds, grid.Grid{Pr: 1, Pc: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

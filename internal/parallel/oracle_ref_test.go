@@ -7,7 +7,9 @@ package parallel
 // — RunModel (a filter-sharded conv prefix feeding fc15D on P × 1),
 // RunDomain, and the conv RunFullIntegrated with its domain stack. The
 // walk must reproduce their whole Result — weights, losses and per-rank
-// mpi.Stats — bit for bit.
+// mpi.Stats — bit for bit. The exception is RunBatch: the walk on 1 × P
+// splits its one flattened gradient all-reduce per step into one per
+// weighted layer, and TestBatchOracle states what that changes.
 
 import (
 	"fmt"
@@ -1017,6 +1019,58 @@ func (f *refFC15D) Assemble() []*tensor.Matrix {
 	out := make([]*tensor.Matrix, len(f.shards))
 	for i, s := range f.shards {
 		out[i] = GatherMatrixRows(f.colComm, s, s.Rows*f.pr)
+	}
+	return out
+}
+
+// --- Verbatim copy of the batch engine the 1 × P walk replaced ---
+
+// refRunBatch trains with pure batch parallelism (Fig. 2): every rank holds a
+// full model replica and 1/P of each minibatch; the only communication is
+// one gradient all-reduce per step (Eq. 4). Replicas stay bit-identical
+// because every rank applies the same reduced gradient.
+func refRunBatch(w *mpi.World, cfg Config, ds *data.Dataset) (Result, error) {
+	if err := cfg.validate(); err != nil {
+		return Result{}, err
+	}
+	if w.Size() > cfg.BatchSize {
+		return Result{}, fmt.Errorf("parallel: batch parallelism needs P ≤ B, got P=%d B=%d", w.Size(), cfg.BatchSize)
+	}
+	return RunRanks(w, func(p *mpi.Proc) ([]*tensor.Matrix, []float64) {
+		world := p.WorldComm()
+		model := nn.NewModel(cfg.Spec, cfg.Seed)
+		opt := cfg.optimizer()
+		shard := grid.BlockShard(cfg.BatchSize, p.Size(), p.Rank())
+		losses := make([]float64, 0, cfg.Steps)
+		for s := 0; s < cfg.Steps; s++ {
+			x, labels := ds.Batch(s, cfg.BatchSize)
+			lx := x.SliceSamples(shard.Lo, shard.Hi)
+			ll := labels[shard.Lo:shard.Hi]
+			loss, grads := model.ForwardBackward(lx, ll)
+			// Local grads are averaged over the shard; reweight to the
+			// global 1/B average before the sum-reduce.
+			flat := refFlattenMats(grads, float64(shard.Len())/float64(cfg.BatchSize))
+			reduced := world.AllReduceSum(flat)
+			model.Apply(opt, UnflattenLike(model.Weights, reduced))
+			losses = append(losses, GlobalLoss(world, loss, shard.Len(), cfg.BatchSize))
+		}
+		return model.CloneWeights(), losses
+	}), nil
+}
+
+// refFlattenMats packs a list of matrices into one contiguous vector, scaling
+// each element by scale — used to issue a single gradient all-reduce per
+// step, like production data-parallel frameworks.
+func refFlattenMats(ms []*tensor.Matrix, scale float64) []float64 {
+	n := 0
+	for _, m := range ms {
+		n += len(m.Data)
+	}
+	out := make([]float64, 0, n)
+	for _, m := range ms {
+		for _, v := range m.Data {
+			out = append(out, v*scale)
+		}
 	}
 	return out
 }

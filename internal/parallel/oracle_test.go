@@ -57,6 +57,87 @@ func TestFullIntegratedNoConvOracle(t *testing.T) {
 	}
 }
 
+// allReduceMessages is the number of messages one rank sends in one
+// all-reduce over p ranks: recursive halving and doubling when p is a
+// power of two, the ring otherwise.
+func allReduceMessages(p int) int64 {
+	if p&(p-1) != 0 {
+		return 2 * int64(p-1)
+	}
+	var m int64
+	for ; p > 1; p /= 2 {
+		m += 2
+	}
+	return m
+}
+
+// TestBatchOracle: RunFullIntegrated on the 1 × P grid is the former batch
+// engine with its one flattened ∆W all-reduce per step split into one per
+// weighted layer, as Eq. 4 prices it. Under every oracle optimizer, at
+// B = 8 and 16 and P = 1 … 8:
+//
+//   - weights and losses are bit-identical when P is a power of two (the
+//     recursive all-reduce sums each element in the same tree, and every
+//     localB/B is a power of two, so rescaling the logits gradient equals
+//     rescaling ∆W), and within 1e-15 under the ring of P = 3 and 5;
+//   - the ranks send the same words in all; when P is a power of two each
+//     rank does, while the ring's per-rank share moves with each
+//     vector's length mod P;
+//   - every rank sends the messages of L_w − 1 more all-reduces per step,
+//     for L_w weighted layers.
+//
+// Under the race detector each (net, B, P) case runs one optimizer in
+// rotation, as in checkAssignmentOracles.
+func TestBatchOracle(t *testing.T) {
+	nets := []*nn.Network{nn.MLP("m", 24, 16, 8, 4), nn.TinyConvNet(), domainNet(), tinyConvDivNet(), lrn6Net()}
+	c := 0
+	for _, spec := range nets {
+		ds := data.Synthetic(32, spec.Input, spec.Output().C, 19)
+		extra := int64(len(spec.WeightedLayers()) - 1)
+		for _, b := range []int{8, 16} {
+			for _, p := range []int{1, 2, 3, 4, 5, 8} {
+				c++
+				for i, opt := range oracleOptimizers {
+					if raceDetector && c%len(oracleOptimizers) != i {
+						continue
+					}
+					name := fmt.Sprintf("%s/B=%d/P=%d/%s", spec.Name, b, p, opt.name)
+					cfg := Config{Spec: spec, Seed: 23, LR: 0.05, Steps: 2, BatchSize: b, NewOptimizer: opt.make}
+					want, err := refRunBatch(mpi.NewWorld(p, testMachine()), cfg, ds)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", name, err)
+					}
+					got, err := RunFullIntegrated(mpi.NewWorld(p, testMachine()), cfg, ds, grid.Grid{Pr: 1, Pc: p}, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if p&(p-1) == 0 {
+						if !reflect.DeepEqual(got.Weights, want.Weights) || !reflect.DeepEqual(got.Losses, want.Losses) {
+							t.Fatalf("%s: weights or losses differ from the batch engine", name)
+						}
+					} else if dw, dl := maxWeightDiff(got.Weights, want.Weights), maxLossDiff(got.Losses, want.Losses); dw > 1e-15 || dl > 1e-15 {
+						t.Fatalf("%s: weights deviate by %g, losses by %g", name, dw, dl)
+					}
+					more := int64(cfg.Steps) * extra * allReduceMessages(p)
+					var gotWords, wantWords int64
+					for r, w := range want.Stats {
+						g := got.Stats[r]
+						gotWords += g.WordsSent
+						wantWords += w.WordsSent
+						if g.Rank != w.Rank || (p&(p-1) == 0 && g.WordsSent != w.WordsSent) || g.Messages != w.Messages+more {
+							t.Fatalf("%s: rank %d sent %d words in %d messages, want %d in %d",
+								name, r, g.WordsSent, g.Messages, w.WordsSent, w.Messages+more)
+						}
+					}
+					if gotWords != wantWords {
+						t.Fatalf("%s: the ranks sent %d words, want %d", name, gotWords, wantWords)
+					}
+				}
+			}
+		}
+	}
+}
+
 // divisibleDropoutNet is a conv net whose every OutC/OutN splits 2 and 4
 // ways, with Dropout in its classifier.
 func divisibleDropoutNet() *nn.Network {

@@ -12,16 +12,12 @@ func RunLSTMSerial(tc TrainConfig, ds *Sequences) (parallel.Result, error) {
 	return runSerial(tc, ds, NewLSTM)
 }
 
-// RunLSTMBatch trains the LSTM with pure batch parallelism.
-func RunLSTMBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (parallel.Result, error) {
-	return runBatch(w, tc, ds, NewLSTM)
-}
-
 // RunLSTM15D trains the LSTM with the 1.5D algorithm on a Pr × Pc grid.
 // The packed gate matrix row-shards like any FC layer (the gates are four
 // stacked FC blocks); per timestep the gate panel is gathered over the
 // column group and ∆z all-reduced back, with one weight all-reduce per
-// iteration. Requires Pc ≤ B and Pr dividing Hidden and Classes.
+// iteration; 1×P is pure batch parallelism. Requires Pc ≤ B and Pr
+// dividing Hidden and Classes.
 func RunLSTM15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid) (parallel.Result, error) {
 	return run15D(w, tc, ds, g, lstmCell)
 }

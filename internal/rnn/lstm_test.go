@@ -55,7 +55,8 @@ func TestLSTMLearns(t *testing.T) {
 	}
 }
 
-// TestLSTMBatchMatchesSerial: distributed LSTM BPTT is gradient-exact.
+// TestLSTMBatchMatchesSerial: batch-parallel LSTM BPTT, the 1 × P grid,
+// is gradient-exact.
 func TestLSTMBatchMatchesSerial(t *testing.T) {
 	cfg := Config{In: 6, Hidden: 8, Classes: 4, T: 5}
 	ds := SyntheticSequences(cfg, 48, 13)
@@ -65,7 +66,7 @@ func TestLSTMBatchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 3, 4} {
-		got, err := RunLSTMBatch(mpi.NewWorld(p, testMachine()), tc, ds)
+		got, err := RunLSTM15D(mpi.NewWorld(p, testMachine()), tc, ds, grid.Grid{Pr: 1, Pc: p})
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -131,9 +132,6 @@ func TestLSTMValidation(t *testing.T) {
 	cfg := Config{In: 6, Hidden: 8, Classes: 4, T: 3}
 	ds := SyntheticSequences(cfg, 16, 1)
 	tc := TrainConfig{Cfg: cfg, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}
-	if _, err := RunLSTMBatch(mpi.NewWorld(8, testMachine()), tc, ds); err == nil {
-		t.Fatal("P > B should be rejected")
-	}
 	w := mpi.NewWorld(3, testMachine())
 	if _, err := RunLSTM15D(w, tc, ds, grid.Grid{Pr: 3, Pc: 1}); err == nil {
 		t.Fatal("hidden=8 indivisible by Pr=3 should be rejected")

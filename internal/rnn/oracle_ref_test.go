@@ -3,9 +3,11 @@ package rnn
 // Reference copies of the serial, batch and 1.5D runs as they were before
 // the Elman and LSTM versions shared one body, and of the two Eq. 8 pricers
 // before they shared one loop, kept verbatim (identifiers prefixed with
-// ref, helpers under parallel's exported names) as oracles: each shared
-// body must reproduce their whole Result — weights, losses and per-rank
-// mpi.Stats — bit for bit, and the shared pricer their Cost exactly.
+// ref, helpers under parallel's exported names, the scaling flatten as
+// refFlattenMats) as oracles: each shared body must reproduce their whole
+// Result — weights, losses and per-rank mpi.Stats — bit for bit, and the
+// shared pricer their Cost exactly. The batch runs are reproduced by the
+// 1.5D body on the 1 × P grid, as TestSharedSerialBatchOracle states.
 
 import (
 	"fmt"
@@ -62,7 +64,7 @@ func refRunBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (parallel.Result, 
 				lxs[t] = x.SliceCols(shard.Lo, shard.Hi)
 			}
 			loss, grads := m.ForwardBackward(lxs, labels[shard.Lo:shard.Hi])
-			flat := parallel.FlattenMats(grads, float64(shard.Len())/float64(tc.BatchSize))
+			flat := refFlattenMats(grads, float64(shard.Len())/float64(tc.BatchSize))
 			reduced := world.AllReduceSum(flat)
 			m.Apply(opt, parallel.UnflattenLike(m.Weights, reduced))
 			l := world.AllReduceSum([]float64{loss * float64(shard.Len())})
@@ -75,6 +77,23 @@ func refRunBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (parallel.Result, 
 		}
 	})
 	return parallel.Result{Weights: outW, Losses: outL, Stats: stats}, nil
+}
+
+// refFlattenMats packs a list of matrices into one contiguous vector, scaling
+// each element by scale — used to issue a single gradient all-reduce per
+// step, like production data-parallel frameworks.
+func refFlattenMats(ms []*tensor.Matrix, scale float64) []float64 {
+	n := 0
+	for _, m := range ms {
+		n += len(m.Data)
+	}
+	out := make([]float64, 0, n)
+	for _, m := range ms {
+		for _, v := range m.Data {
+			out = append(out, v*scale)
+		}
+	}
+	return out
 }
 
 // refRunLSTMSerial trains the reference LSTM.
@@ -119,7 +138,7 @@ func refRunLSTMBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (parallel.Resu
 				lxs[t] = x.SliceCols(shard.Lo, shard.Hi)
 			}
 			loss, grads := m.ForwardBackward(lxs, labels[shard.Lo:shard.Hi])
-			flat := parallel.FlattenMats(grads, float64(shard.Len())/float64(tc.BatchSize))
+			flat := refFlattenMats(grads, float64(shard.Len())/float64(tc.BatchSize))
 			m.Apply(opt, parallel.UnflattenLike(m.Weights, world.AllReduceSum(flat)))
 			l := world.AllReduceSum([]float64{loss * float64(shard.Len())})
 			losses = append(losses, l[0]/float64(tc.BatchSize))
@@ -201,7 +220,7 @@ func refRunIntegrated15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Gri
 				}
 			}
 			// One weight all-reduce over the row group (volume |W|/Pr).
-			flat := parallel.FlattenMats([]*tensor.Matrix{dWxh, dWhh, dWhy}, 1)
+			flat := parallel.FlattenMats([]*tensor.Matrix{dWxh, dWhh, dWhy})
 			reduced := rowComm.AllReduceSum(flat)
 			opt.Step(shards, parallel.UnflattenLike(shards, reduced))
 			losses = append(losses, parallel.GlobalLoss(rowComm, loss, localB, tc.BatchSize))
@@ -298,7 +317,7 @@ func refRunLSTM15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid) (pa
 					dc = dcPrev
 				}
 			}
-			flat := parallel.FlattenMats([]*tensor.Matrix{dW, dWhy}, 1)
+			flat := parallel.FlattenMats([]*tensor.Matrix{dW, dWhy})
 			opt.Step(shards, parallel.UnflattenLike(shards, rowComm.AllReduceSum(flat)))
 			losses = append(losses, parallel.GlobalLoss(rowComm, loss, localB, tc.BatchSize))
 		}

@@ -10,15 +10,14 @@ import (
 	"dnnparallel/internal/tensor"
 )
 
-// Distributed BPTT engines. The communication pattern per iteration:
-//
-//   - batch parallel: ONE all-reduce of all the gradient matrices
-//     (time-shared weights amortize BPTT over T steps — Eq. 4 unchanged);
-//   - 1.5D integrated: per timestep, an all-gather of the cell's
-//     pre-activation panel over the Pr column group (forward) and an
-//     all-reduce of its ∆ (backward); plus one |W|/Pr weight all-reduce
-//     over the Pc row group — the Eq. 8 structure with the first two
-//     terms multiplied by T.
+// Distributed BPTT on a Pr × Pc grid. The communication per iteration:
+// per timestep, an all-gather of the cell's pre-activation panel over the
+// Pr column group (forward) and an all-reduce of its ∆ (backward); plus
+// one |W|/Pr weight all-reduce over the Pc row group — the Eq. 8
+// structure with the first two terms multiplied by T. On the 1 × P grid
+// (pure batch parallelism) the column groups are single ranks, so only
+// the one all-reduce of all the gradient matrices remains: time-shared
+// weights amortize BPTT over T steps, and Eq. 4 is unchanged.
 
 // TrainConfig drives a distributed run.
 type TrainConfig struct {
@@ -103,8 +102,8 @@ func (s *Sequences) Batch(step, b int) ([]*tensor.Matrix, []int) {
 	return xs, labels
 }
 
-// trainable is what the serial and batch runs need of a recurrent model;
-// the Elman Model and the LSTM both provide it.
+// trainable is what the serial run needs of a recurrent model; the Elman
+// Model and the LSTM both provide it.
 type trainable interface {
 	ForwardBackward(xs []*tensor.Matrix, labels []int) (float64, []*tensor.Matrix)
 	Apply(opt nn.Optimizer, grads []*tensor.Matrix)
@@ -133,41 +132,11 @@ func runSerial[M trainable](tc TrainConfig, ds *Sequences, newModel func(Config,
 	return parallel.Result{Weights: m.CloneWeights(), Losses: losses}, nil
 }
 
-// runBatch trains with pure batch parallelism: full replicas, sequence
-// shards, one flattened gradient all-reduce per step.
-func runBatch[M trainable](w *mpi.World, tc TrainConfig, ds *Sequences, newModel func(Config, int64) M) (parallel.Result, error) {
-	if err := tc.validate(); err != nil {
-		return parallel.Result{}, err
-	}
-	if w.Size() > tc.BatchSize {
-		return parallel.Result{}, fmt.Errorf("rnn: batch parallelism needs P ≤ B, got P=%d B=%d", w.Size(), tc.BatchSize)
-	}
-	return parallel.RunRanks(w, func(p *mpi.Proc) ([]*tensor.Matrix, []float64) {
-		world := p.WorldComm()
-		m := newModel(tc.Cfg, tc.Seed)
-		opt := tc.optimizer()
-		shard := grid.BlockShard(tc.BatchSize, p.Size(), p.Rank())
-		losses := make([]float64, 0, tc.Steps)
-		for s := 0; s < tc.Steps; s++ {
-			xs, labels := ds.Batch(s, tc.BatchSize)
-			lxs := make([]*tensor.Matrix, len(xs))
-			for t, x := range xs {
-				lxs[t] = x.SliceCols(shard.Lo, shard.Hi)
-			}
-			loss, grads := m.ForwardBackward(lxs, labels[shard.Lo:shard.Hi])
-			flat := parallel.FlattenMats(grads, float64(shard.Len())/float64(tc.BatchSize))
-			m.Apply(opt, parallel.UnflattenLike(grads, world.AllReduceSum(flat)))
-			losses = append(losses, parallel.GlobalLoss(world, loss, shard.Len(), tc.BatchSize))
-		}
-		return m.CloneWeights(), losses
-	}), nil
-}
-
 // RunIntegrated15D trains the Elman model with the 1.5D model+batch
 // algorithm on a Pr × Pc grid: W_xh and W_hh row-sharded over Pr (hidden
 // units split), W_hy row-sharded over Pr (classes split), sequences
-// block-sharded over Pc. Requires Pc ≤ B and Pr dividing Hidden and
-// Classes (the grids BestGrid chooses from).
+// block-sharded over Pc; 1×P is pure batch parallelism. Requires Pc ≤ B
+// and Pr dividing Hidden and Classes (the grids BestGrid chooses from).
 func RunIntegrated15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid) (parallel.Result, error) {
 	return run15D(w, tc, ds, g, elman)
 }
@@ -287,7 +256,7 @@ func run15D(w *mpi.World, tc TrainConfig, ds *Sequences, g grid.Grid, cl cell) (
 			for t := cfg.T; t >= 1; t-- {
 				dh = backward(t, dh, grads)
 			}
-			opt.Step(ws, parallel.UnflattenLike(ws, rowComm.AllReduceSum(parallel.FlattenMats(grads, 1))))
+			opt.Step(ws, parallel.UnflattenLike(ws, rowComm.AllReduceSum(parallel.FlattenMats(grads))))
 			losses = append(losses, parallel.GlobalLoss(rowComm, loss, localB, tc.BatchSize))
 		}
 		out := make([]*tensor.Matrix, len(ws))

@@ -20,13 +20,12 @@
 // The executable engines, for the Elman Model and the packed-gate LSTM:
 //
 //   - RunSerial, RunLSTMSerial — the single-process references;
-//   - RunLSTMBatch — pure batch parallelism (Eq. 4), whose body, runBatch,
-//     runs the Elman Model too;
 //   - RunIntegrated15D, RunLSTM15D — the 1.5D algorithm on a Pr × Pc grid
-//     (Eq. 8 with its activation terms ×T).
+//     (Eq. 8 with its activation terms ×T), whose 1 × P grid is pure batch
+//     parallelism (Eq. 4).
 //
-// The serial and batch runs are one body over the methods both models
-// have. The two 1.5D runs are one BPTT body, run15D, into which each model
+// The serial runs are one body over the methods both models have. The
+// two 1.5D runs are one BPTT body, run15D, into which each model
 // plugs a cell: its per-step forward and backward math and three sizes
 // (the rows gathered and all-reduced per step, and the parameter count).
 // The same three sizes feed the one Eq. 8 pricing loop behind Cost15D and

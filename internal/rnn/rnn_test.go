@@ -9,7 +9,6 @@ import (
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/mpi"
 	"dnnparallel/internal/nn"
-	"dnnparallel/internal/parallel"
 	"dnnparallel/internal/tensor"
 )
 
@@ -25,11 +24,6 @@ func (m *Model) Loss(xs []*tensor.Matrix, labels []int) float64 {
 	logits, _ := m.Forward(xs)
 	loss, _ := nn.SoftmaxCrossEntropy(logits, labels)
 	return loss
-}
-
-// runElmanBatch trains the Elman model with pure batch parallelism.
-func runElmanBatch(w *mpi.World, tc TrainConfig, ds *Sequences) (parallel.Result, error) {
-	return runBatch(w, tc, ds, NewModel)
 }
 
 // TestBPTTGradientCheck validates the backward pass against central
@@ -103,7 +97,8 @@ func maxDev(a, b []*tensor.Matrix) float64 {
 	return worst
 }
 
-// TestBatchMatchesSerial: distributed BPTT is gradient-exact.
+// TestBatchMatchesSerial: batch-parallel BPTT, the 1 × P grid, is
+// gradient-exact.
 func TestBatchMatchesSerial(t *testing.T) {
 	cfg := testCfg()
 	ds := SyntheticSequences(cfg, 48, 13)
@@ -113,7 +108,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 3, 4} {
-		got, err := runElmanBatch(mpi.NewWorld(p, testMachine()), tc, ds)
+		got, err := RunIntegrated15D(mpi.NewWorld(p, testMachine()), tc, ds, grid.Grid{Pr: 1, Pc: p})
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -206,9 +201,6 @@ func TestValidation(t *testing.T) {
 	cfg := testCfg()
 	ds := SyntheticSequences(cfg, 16, 1)
 	tc := TrainConfig{Cfg: cfg, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}
-	if _, err := runElmanBatch(mpi.NewWorld(8, testMachine()), tc, ds); err == nil {
-		t.Fatal("P > B should be rejected")
-	}
 	if _, err := RunIntegrated15D(mpi.NewWorld(4, testMachine()), tc, ds, grid.Grid{Pr: 3, Pc: 1}); err == nil {
 		t.Fatal("grid/world mismatch should be rejected")
 	}

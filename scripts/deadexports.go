@@ -58,7 +58,6 @@ var exempt = map[string]string{
 	// The LSTM engines and pricer wait for the planner to price
 	// recurrent networks; until then only their tests call them.
 	"rnn.RunLSTMSerial": "LSTM API, reached once the planner prices recurrent networks",
-	"rnn.RunLSTMBatch":  "LSTM API, reached once the planner prices recurrent networks",
 	"rnn.RunLSTM15D":    "LSTM API, reached once the planner prices recurrent networks",
 	"rnn.LSTMCost15D":   "LSTM API, reached once the planner prices recurrent networks",
 	"rnn.LSTM.Loss":     "LSTM API, reached once the planner prices recurrent networks",
