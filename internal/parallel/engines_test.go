@@ -190,6 +190,16 @@ func TestBatchUnevenShards(t *testing.T) {
 	}
 }
 
+func TestBatchRejectsPGreaterThanB(t *testing.T) {
+	spec := nn.MLP("m", 4, 2)
+	ds := data.Synthetic(8, spec.Input, 2, 1)
+	w := mpi.NewWorld(8, testMachine())
+	cfg := Config{Spec: spec, Seed: 1, LR: 0.1, Steps: 1, BatchSize: 4}
+	if _, err := RunFullIntegrated(w, cfg, ds, grid.Grid{Pr: 1, Pc: 8}, nil); err == nil {
+		t.Fatal("P > B should be rejected")
+	}
+}
+
 // --- Model parallelism (Fig. 1) -------------------------------------------
 
 func TestModelMatchesSerialMLP(t *testing.T) {
