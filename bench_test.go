@@ -184,7 +184,7 @@ func BenchmarkEngineIntegrated15D(b *testing.B) {
 
 // --- Substrate micro-benchmarks ----------------------------------------------
 
-func BenchmarkMatMulSerial128(b *testing.B) {
+func BenchmarkMatMul128(b *testing.B) {
 	x := tensor.Random(128, 128, 1, 1)
 	y := tensor.Random(128, 128, 1, 2)
 	b.SetBytes(int64(128 * 128 * 128 * 2 * 8))
@@ -193,12 +193,12 @@ func BenchmarkMatMulSerial128(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMulParallel256(b *testing.B) {
+func BenchmarkMatMul256(b *testing.B) {
 	x := tensor.Random(256, 256, 1, 1)
 	y := tensor.Random(256, 256, 1, 2)
 	b.SetBytes(int64(256 * 256 * 256 * 2 * 8))
 	for i := 0; i < b.N; i++ {
-		tensor.MatMulParallel(x, y)
+		tensor.MatMul(x, y)
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // compute constants (dnnsim -exp fig4 -calibrate).
 //
 // The fit: for each local batch b we time Y = W·X with W d×d and X d×b
-// (d fixed), convert to achieved FLOP/s, and set
+// (d fixed) through tensor.MatMul, the banded GEMM the engines run,
+// convert to achieved FLOP/s, and set
 //
 //	Peak·EffMax  = max achieved rate,
 //	BHalf        = the b at which the achieved rate is half the max
@@ -23,6 +24,10 @@ import (
 //
 // keeping the spill parameters at their defaults (host DRAM behaviour at
 // toy sizes does not expose an MCDRAM-style cliff).
+//
+// A product above the GEMM's banding threshold runs on up to GOMAXPROCS
+// cores, so on a multi-core host the fitted Peak is that of the whole
+// host, as the paper's Fig. 4 measured a whole KNL node.
 func CalibrateLocal(d int, budget time.Duration) Model {
 	if d <= 0 {
 		d = 192

@@ -8,19 +8,12 @@ import (
 )
 
 // This file contains the executable forward/backward kernels shared by the
-// serial reference model and every distributed engine. The matrix-form
-// kernels follow the paper's formulation exactly: X_i is d_{i-1}×B with one
-// sample per column, Y = W·X, ∆X = Wᵀ·∆Y, ∆W = ∆Y·Xᵀ (the three GEMMs of
-// Section 1).
-
-// DenseForward computes Y = W·X.
-func DenseForward(w, x *tensor.Matrix) *tensor.Matrix { return tensor.MatMulParallel(w, x) }
-
-// DenseBackwardInput computes ∆X = Wᵀ·∆Y.
-func DenseBackwardInput(w, dy *tensor.Matrix) *tensor.Matrix { return tensor.MatMulTNParallel(w, dy) }
-
-// DenseGradWeights computes ∆W = ∆Y·Xᵀ.
-func DenseGradWeights(dy, x *tensor.Matrix) *tensor.Matrix { return tensor.MatMulNTParallel(dy, x) }
+// serial reference model and every distributed engine. The matrix form
+// follows the paper exactly: X_i is d_{i-1}×B with one sample per column,
+// and a dense layer is the three GEMMs of Section 1, Y = W·X
+// (tensor.MatMul), ∆X = Wᵀ·∆Y (tensor.MatMulTN) and ∆W = ∆Y·Xᵀ
+// (tensor.MatMulNT), which callers make directly. Convolutions lower to the
+// same three GEMMs through im2col.
 
 // ReLUForward returns max(x, 0) element-wise.
 func ReLUForward(x *tensor.Matrix) *tensor.Matrix {
@@ -103,7 +96,7 @@ func Tensor4ToConvMat(t *tensor.Tensor4) *tensor.Matrix {
 // OC×(C·KH·KW) row-major by (c, ki, kj).
 func ConvForward(x *tensor.Tensor4, filt *tensor.Matrix, kh, kw, stride, pad int) *tensor.Tensor4 {
 	cols := x.Im2Col(kh, kw, stride, pad)
-	ymat := tensor.MatMulParallel(filt, cols)
+	ymat := tensor.MatMul(filt, cols)
 	oh := (x.H+2*pad-kh)/stride + 1
 	ow := (x.W+2*pad-kw)/stride + 1
 	return ConvMatToTensor4(ymat, x.N, oh, ow)

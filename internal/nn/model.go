@@ -143,7 +143,7 @@ func (m *Model) forward(x *tensor.Tensor4, keep bool) (*tensor.Matrix, []layerCa
 				cur4 = nil
 			}
 			w := m.Weights[m.weightSlot[li]]
-			pre := DenseForward(w, cur)
+			pre := tensor.MatMul(w, cur)
 			if keep {
 				caches[li].matIn = cur
 				caches[li].matPre = pre
@@ -185,13 +185,13 @@ func (m *Model) backward(logits *tensor.Matrix, labels []int, caches []layerCach
 				dcur = ReLUBackward(dcur, c.matPre)
 			}
 			w := m.Weights[m.weightSlot[li]]
-			grads[m.weightSlot[li]] = DenseGradWeights(dcur, c.matIn)
+			grads[m.weightSlot[li]] = tensor.MatMulNT(dcur, c.matIn)
 			// Skip ∆X for the very first layer of the network, mirroring
 			// the i ≥ 2 lower bound of Eq. 3.
 			if li == 0 {
 				continue
 			}
-			dcur = DenseBackwardInput(w, dcur)
+			dcur = tensor.MatMulTN(w, dcur)
 			// If the previous layer is spatial, reshape back to NCHW.
 			if prev := m.prevSpatial(li); prev != nil {
 				dcur4 = tensor.FromMatrix(dcur, prev.C, prev.H, prev.W)

@@ -259,7 +259,7 @@ func (e *walk) forward(x *tensor.Tensor4) *tensor.Matrix {
 			}
 			k := e.slot[li]
 			e.in[li] = cur
-			e.pre[li] = GatherMatrixRows(e.over[k], nn.DenseForward(e.shards[k], cur), l.OutN) // Eq. 8 all-gather over Pr
+			e.pre[li] = GatherMatrixRows(e.over[k], tensor.MatMul(e.shards[k], cur), l.OutN) // Eq. 8 all-gather over Pr
 			cur = e.pre[li]
 			if li != e.lastW {
 				cur = nn.ReLUForward(cur)
@@ -284,11 +284,11 @@ func (e *walk) backward(d *tensor.Matrix) []*tensor.Matrix {
 			}
 			k := e.slot[li]
 			dy := RowShard(d, e.over[k].Size(), e.over[k].Rank())
-			grads[k] = AllReduceMat(e.reduce[k], nn.DenseGradWeights(dy, e.in[li]))
+			grads[k] = AllReduceMat(e.reduce[k], tensor.MatMulNT(dy, e.in[li]))
 			if li == 0 {
 				break
 			}
-			d = AllReduceMat(e.over[k], nn.DenseBackwardInput(e.shards[k], dy)) // Eq. 8 ∆X all-reduce over Pr
+			d = AllReduceMat(e.over[k], tensor.MatMulTN(e.shards[k], dy)) // Eq. 8 ∆X all-reduce over Pr
 			if li == e.fcStart {
 				d4 = tensor.FromMatrix(d, l.In.C, l.In.H, l.In.W)
 			}

@@ -217,7 +217,7 @@ func (e *refModelEngine) forward(world *mpi.Comm, x *tensor.Tensor4) *tensor.Mat
 				cur4 = nil
 			}
 			e.matIn[li] = cur
-			local := nn.DenseForward(e.shards[e.slot[li]], cur)
+			local := tensor.MatMul(e.shards[e.slot[li]], cur)
 			pre := GatherMatrixRows(world, local, l.OutN) // the Eq. 3 all-gather
 			e.matPre[li] = pre
 			if li != e.lastW {
@@ -243,11 +243,11 @@ func (e *refModelEngine) backward(world *mpi.Comm, dlogits *tensor.Matrix) []*te
 				dcur = nn.ReLUBackward(dcur, e.matPre[li])
 			}
 			dyShard := RowShard(dcur, e.p, e.rank)
-			grads[e.slot[li]] = nn.DenseGradWeights(dyShard, e.matIn[li])
+			grads[e.slot[li]] = tensor.MatMulNT(dyShard, e.matIn[li])
 			if li == 0 {
 				continue
 			}
-			partial := nn.DenseBackwardInput(e.shards[e.slot[li]], dyShard)
+			partial := tensor.MatMulTN(e.shards[e.slot[li]], dyShard)
 			dcur = AllReduceMat(world, partial) // the Eq. 3 ∆X all-reduce
 			if prev := refPrevSpatialShape(e.spec, li); prev != nil {
 				dcur4 = tensor.FromMatrix(dcur, prev.C, prev.H, prev.W)
@@ -958,7 +958,7 @@ func (f *refFC15D) Forward(cur *tensor.Matrix) *tensor.Matrix {
 		switch l.Kind {
 		case nn.FC:
 			f.matIn[li] = cur
-			local := nn.DenseForward(f.shards[f.slot[li]], cur)
+			local := tensor.MatMul(f.shards[f.slot[li]], cur)
 			pre := GatherMatrixRows(f.colComm, local, l.OutN) // Eq. 8 all-gather over Pr
 			f.matPre[li] = pre
 			if li != f.lastW {
@@ -993,12 +993,12 @@ func (f *refFC15D) Backward(dlogits *tensor.Matrix) ([]*tensor.Matrix, *tensor.M
 			d = nn.ReLUBackward(d, f.matPre[li])
 		}
 		dyShard := RowShard(d, f.pr, f.r)
-		partialW := nn.DenseGradWeights(dyShard, f.matIn[li])
+		partialW := tensor.MatMulNT(dyShard, f.matIn[li])
 		grads[f.slot[li]] = AllReduceMat(f.rowComm, partialW) // Eq. 8 ∆W all-reduce over Pc
 		if li == 0 {
 			return grads, nil
 		}
-		partialX := nn.DenseBackwardInput(f.shards[f.slot[li]], dyShard)
+		partialX := tensor.MatMulTN(f.shards[f.slot[li]], dyShard)
 		d = AllReduceMat(f.colComm, partialX) // Eq. 8 ∆X all-reduce over Pr
 		if li == f.startLi {
 			return grads, d

@@ -102,11 +102,10 @@ type timesKey struct{ pr, pc, b int }
 // gridTimes holds the aggregates the lower bounds read from one
 // compute.Model.GridLayerTimes result: prefix sums of the per-layer
 // fwd+bwd seconds (prefix[k] covers weighted layers [0, k)), the
-// direction-split prefixes the staged pipeline chain bound needs, their
-// total, and the residual overhead.
+// direction-split prefixes the stage-chain bound needs, and the residual
+// overhead.
 type gridTimes struct {
 	overhead float64
-	total    float64
 	prefix   []float64
 	fwdPre   []float64
 	bwdPre   []float64
@@ -137,7 +136,6 @@ func (c *computeCache) build(g grid.Grid, b int) *gridTimes {
 		gt.fwdPre[i+1] = gt.fwdPre[i] + t.Fwd
 		gt.bwdPre[i+1] = gt.bwdPre[i] + t.Bwd
 	}
-	gt.total = gt.prefix[len(times)]
 	return gt
 }
 
@@ -409,51 +407,35 @@ func (s *search) prefillBounds() {
 // with its exact reason, exactly as without bounds).
 //
 // The bound is compute-only plus terms the schedule provably cannot
-// hide: every simulated or closed-form iteration is at least its busiest
-// compute lane — M micro-batches' fwd+bwd per-layer times on a single
-// stage, or M × the heaviest stage's slice under a partition — plus the
-// per-iteration fixed overhead and the M-scaled unweighted-layer
-// compute; the non-overlapped closed form additionally serializes all
-// communication, of which the FC layers' Model-strategy ∆W all-reduce
-// is an assignment-independent floor. Under the TimeToAccuracy objective
-// the iteration-time bound is scaled by S(B) — the candidate's exact
-// steps multiplier — which keeps it a true lower bound on the campaign
-// cost and lets cheap-iteration batch sizes prune expensive ones.
+// hide: every simulated or closed-form iteration is at least its longest
+// stage chain (below; on one stage, M micro-batches' fwd+bwd per-layer
+// times on its single compute lane), plus the per-iteration fixed
+// overhead and the M-scaled unweighted-layer compute; the non-overlapped
+// closed form additionally serializes all communication, of which the FC
+// layers' Model-strategy ∆W all-reduce is an assignment-independent
+// floor. Under the TimeToAccuracy objective the iteration-time bound is
+// scaled by S(B) — the candidate's exact steps multiplier — which keeps
+// it a true lower bound on the campaign cost and lets cheap-iteration
+// batch sizes prune expensive ones.
 func (s *search) lowerBound(lf *leaf) (float64, bool) {
 	if s.structural(lf) != "" {
 		return 0, false
 	}
 	o := &s.opts
 	g := lf.g
-	mb := lf.B / lf.micro
-	scale := s.objectiveScale(lf.B)
-	gt := s.cc.peek(g, mb)
+	gt := s.cc.peek(g, lf.B/lf.micro)
 	fixed := o.Compute.FixedIter
 	M := float64(lf.micro)
-	if lf.S == 1 {
-		if lf.micro == 1 {
-			lb := gt.total + gt.overhead
-			if !o.UseTimeline && !o.Overlap {
-				lb += s.floors[floorKey{g.Pr, g.Pc, lf.pl}]
-			}
-			return lb * scale, true
-		}
-		// One stage runs all M micro-batches on one compute lane; the
-		// pipeline overhead contributes FixedIter once plus the
-		// unweighted compute per micro-batch (the flush update is ≥ 0).
-		return (M*(gt.total+gt.overhead-fixed) + fixed) * scale, true
-	}
-	// Stage-partitioned: for every stage k there is a dependency chain no
-	// schedule can compress — micro-batch 1's forward must traverse the
-	// stages before k before k's lane can start, k's lane then serially
-	// executes all M micro-batches of its own slice, and its last
-	// operation is some micro-batch's backward, which still has to
-	// propagate back through the stages before k. The bound is the
-	// longest such chain over k.
+	// For every stage k there is a dependency chain no schedule can
+	// compress — micro-batch 1's forward must traverse the stages before
+	// k before k's lane can start, k's lane then serially executes all M
+	// micro-batches of its own slice, and its last operation is some
+	// micro-batch's backward, which still has to propagate back through
+	// the stages before k. The bound is the longest such chain over k.
 	// A single micro-batch also traverses every stage forward and
 	// backward serially, so the whole-network per-micro compute is a
 	// second schedule-independent chain.
-	chain := gt.total
+	chain := gt.prefix[len(gt.prefix)-1]
 	for k := 0; k < lf.S; k++ {
 		lo, hi := lf.part.Bounds(k)
 		c := gt.fwdPre[lo] + M*(gt.prefix[hi]-gt.prefix[lo]) + gt.bwdPre[lo]
@@ -461,7 +443,11 @@ func (s *search) lowerBound(lf *leaf) (float64, bool) {
 			chain = c
 		}
 	}
-	return (chain + fixed + M*(gt.overhead-fixed)) * scale, true
+	lb := chain + fixed + M*(gt.overhead-fixed)
+	if !o.UseTimeline && !o.Overlap {
+		lb += s.floors[floorKey{g.Pr, g.Pc, lf.pl}]
+	}
+	return lb * s.objectiveScale(lf.B), true
 }
 
 // evalLeaf evaluates leaf i against the frozen incumbent, recording its

@@ -104,7 +104,7 @@ func (m *LSTM) Forward(xs []*tensor.Matrix) (*tensor.Matrix, []lstmState, []*ten
 	w := m.Weights[0]
 	for t := 1; t <= m.Cfg.T; t++ {
 		z := tensor.VStack(xs[t-1], hs[t-1])
-		a := tensor.MatMulParallel(w, z)
+		a := tensor.MatMul(w, z)
 		i, f, o, g := gatesFromPacked(a, hdim)
 		c, tanhC, h := stepCell(i, f, o, g, states[t-1].c)
 		states[t] = lstmState{z: z, i: i, f: f, o: o, g: g, c: c, tanhC: tanhC}
@@ -152,9 +152,9 @@ func (m *LSTM) backward(states []lstmState, hs []*tensor.Matrix, dlogits *tensor
 	dc := tensor.New(hdim, dh.Cols)
 	for t := m.Cfg.T; t >= 1; t-- {
 		da, dcPrev := gateGrad(&states[t], states[t-1].c, dh, dc)
-		dW.AddInPlace(tensor.MatMulNTParallel(da, states[t].z))
+		dW.AddInPlace(tensor.MatMulNT(da, states[t].z))
 		if t > 1 {
-			dz := tensor.MatMulTNParallel(w, da)
+			dz := tensor.MatMulTN(w, da)
 			dh = dz.SliceRows(m.Cfg.In, m.Cfg.In+hdim) // only the h part feeds back
 			dc = dcPrev
 		}

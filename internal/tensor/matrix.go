@@ -3,9 +3,11 @@
 // required by DNN training (Y = W·X, ∆X = Wᵀ·∆Y, ∆W = ∆Y·Xᵀ), plus an NCHW
 // 4-D tensor with im2col/col2im lowering for convolutions.
 //
-// Everything is written from scratch on the standard library. The parallel
-// GEMM shards output rows across goroutines; it is bit-identical to the
-// serial kernel because each output element is reduced in the same order.
+// Everything is written from scratch on the standard library. Each GEMM
+// chooses its bands by size: a small product runs on the calling goroutine,
+// a large one splits its output rows into up to GOMAXPROCS contiguous bands.
+// The result does not depend on the banding, because every output element
+// is reduced by one band in the same order.
 package tensor
 
 import (
@@ -233,14 +235,60 @@ func (m *Matrix) String() string {
 	return s + "]"
 }
 
-// MatMul returns a·b using a cache-blocked serial kernel.
-// Shapes: (r×k)·(k×c) → r×c.
+// MatMul returns a·b. Shapes: (r×k)·(k×c) → r×c.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Cols)
-	matmulRange(a, b, out, 0, a.Rows)
+	return banded(matmulRange, a, b, a.Rows, b.Cols, a.Cols)
+}
+
+// MatMulTN returns aᵀ·b without materializing aᵀ.
+// Shapes: (k×r)ᵀ·(k×c) → r×c.
+func MatMulTN(a, b *Matrix) *Matrix {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulTN outer mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	return banded(matmulTNRange, a, b, a.Cols, b.Cols, a.Rows)
+}
+
+// MatMulNT returns a·bᵀ without materializing bᵀ.
+// Shapes: (r×k)·(c×k)ᵀ → r×c.
+func MatMulNT(a, b *Matrix) *Matrix {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulNT inner mismatch %dx%d · %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	return banded(matmulNTRange, a, b, a.Rows, b.Rows, a.Cols)
+}
+
+// bandThreshold is the output·inner volume below which one band wins
+// (goroutine fan-out overhead dominates).
+const bandThreshold = 1 << 15
+
+// banded returns the rows×cols product that kernel computes from a and b.
+// Below bandThreshold, or at GOMAXPROCS = 1, kernel runs once over all
+// rows; otherwise up to GOMAXPROCS goroutines each run it over a
+// contiguous band of output rows.
+func banded(kernel func(a, b, out *Matrix, r0, r1 int), a, b *Matrix, rows, cols, inner int) *Matrix {
+	out := New(rows, cols)
+	workers := runtime.GOMAXPROCS(0)
+	if workers > rows {
+		workers = rows
+	}
+	if workers <= 1 || rows*cols*inner < bandThreshold {
+		kernel(a, b, out, 0, rows)
+		return out
+	}
+	var wg sync.WaitGroup
+	chunk := (rows + workers - 1) / workers
+	for r0 := 0; r0 < rows; r0 += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			kernel(a, b, out, lo, hi)
+		}(r0, min(r0+chunk, rows))
+	}
+	wg.Wait()
 	return out
 }
 
@@ -263,51 +311,15 @@ func matmulRange(a, b, out *Matrix, r0, r1 int) {
 	}
 }
 
-// MatMulParallel returns a·b computed with up to GOMAXPROCS goroutines,
-// each owning a contiguous band of output rows. Element-for-element
-// identical to MatMul.
-func MatMulParallel(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulParallel inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Cols)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 || a.Rows*a.Cols*b.Cols < 1<<15 {
-		matmulRange(a, b, out, 0, a.Rows)
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for r0 := 0; r0 < a.Rows; r0 += chunk {
-		r1 := r0 + chunk
-		if r1 > a.Rows {
-			r1 = a.Rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matmulRange(a, b, out, lo, hi)
-		}(r0, r1)
-	}
-	wg.Wait()
-	return out
-}
-
-// MatMulTN returns aᵀ·b without materializing aᵀ.
-// Shapes: (k×r)ᵀ·(k×c) → r×c.
-func MatMulTN(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTN outer mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Cols, b.Cols)
+// matmulTNRange computes out rows [r0, r1) of aᵀ·b. Every band scans the
+// shared k dimension in order but writes only its own output rows.
+func matmulTNRange(a, b, out *Matrix, r0, r1 int) {
 	n := b.Cols
 	for kk := 0; kk < a.Rows; kk++ {
 		arow := a.Row(kk)
 		brow := b.Data[kk*n : kk*n+n]
-		for i, av := range arow {
+		for i := r0; i < r1; i++ {
+			av := arow[i]
 			if av == 0 {
 				continue
 			}
@@ -317,17 +329,11 @@ func MatMulTN(a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	return out
 }
 
-// MatMulNT returns a·bᵀ without materializing bᵀ.
-// Shapes: (r×k)·(c×k)ᵀ → r×c.
-func MatMulNT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulNT inner mismatch %dx%d · %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
+// matmulNTRange computes out rows [r0, r1) of a·bᵀ.
+func matmulNTRange(a, b, out *Matrix, r0, r1 int) {
+	for i := r0; i < r1; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		for j := 0; j < b.Rows; j++ {
@@ -339,5 +345,4 @@ func MatMulNT(a, b *Matrix) *Matrix {
 			orow[j] = s
 		}
 	}
-	return out
 }

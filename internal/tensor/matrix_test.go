@@ -45,16 +45,6 @@ func TestMatMulAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 7, 5}, {64, 33, 17}, {129, 64, 70}, {200, 100, 50}} {
-		a, b := randMat(rng, dims[0], dims[1]), randMat(rng, dims[1], dims[2])
-		if got, want := MatMulParallel(a, b), MatMul(a, b); !got.Equal(want, 0) {
-			t.Fatalf("parallel GEMM differs from serial for %v", dims)
-		}
-	}
-}
-
 func TestMatMulTNMatchesExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {

@@ -29,9 +29,7 @@ func TestShapeValidationPanics(t *testing.T) {
 	mustPanic(t, "MaxAbsDiff mismatch", func() { New(1, 2).MaxAbsDiff(New(2, 1)) })
 	mustPanic(t, "MatMulTN mismatch", func() { MatMulTN(New(2, 3), New(3, 2)) })
 	mustPanic(t, "MatMulNT mismatch", func() { MatMulNT(New(2, 3), New(2, 4)) })
-	mustPanic(t, "MatMulTNParallel mismatch", func() { MatMulTNParallel(New(2, 3), New(3, 2)) })
-	mustPanic(t, "MatMulNTParallel mismatch", func() { MatMulNTParallel(New(2, 3), New(2, 4)) })
-	mustPanic(t, "MatMulParallel mismatch", func() { MatMulParallel(New(2, 3), New(4, 2)) })
+	mustPanic(t, "MatMul mismatch", func() { MatMul(New(2, 3), New(4, 2)) })
 	x := NewTensor4(1, 1, 4, 4)
 	mustPanic(t, "SliceRowsH oob", func() { x.SliceRowsH(2, 6) })
 	mustPanic(t, "SetRowsH oob", func() { x.SetRowsH(3, NewTensor4(1, 1, 2, 4)) })
