@@ -35,26 +35,35 @@ func sparseMat(rng *rand.Rand, r, c int) *Matrix {
 	return m
 }
 
+// matchesOneBand reports whether g's rows×cols product over inner equals
+// its kernel run as one band.
+func matchesOneBand(rng *rand.Rand, g int, rows, cols, inner int) bool {
+	ar, ac, br, bc := gemms[g].shapes(rows, cols, inner)
+	a, b := sparseMat(rng, ar, ac), sparseMat(rng, br, bc)
+	want := New(rows, cols)
+	gemms[g].kernel(a, b, want, 0, rows)
+	return gemms[g].gemm(a, b).Equal(want, 0)
+}
+
 // bandedMismatch returns the name of the first GEMM whose rows×cols product
 // over inner differs from its kernel run as one band, or "".
 func bandedMismatch(rng *rand.Rand, rows, cols, inner int) string {
-	for _, g := range gemms {
-		ar, ac, br, bc := g.shapes(rows, cols, inner)
-		a, b := sparseMat(rng, ar, ac), sparseMat(rng, br, bc)
-		want := New(rows, cols)
-		g.kernel(a, b, want, 0, rows)
-		if got := g.gemm(a, b); !got.Equal(want, 0) {
-			return g.name
+	for g := range gemms {
+		if !matchesOneBand(rng, g, rows, cols, inner) {
+			return gemms[g].name
 		}
 	}
 	return ""
 }
 
-func TestGEMMsMatchOneBand(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+// checkShapeTable runs gemms[g] against one band on every row of a shape
+// table (rows, cols, inner): one band by size on the first line; then
+// exactly bandThreshold, rows = 1 and rows < GOMAXPROCS above it, and
+// larger.
+func checkShapeTable(t *testing.T, g int, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	var below, above bool
-	// rows, cols, inner: one band by size on the first line; then exactly
-	// bandThreshold, rows = 1 and rows < GOMAXPROCS above it, and larger.
 	for _, d := range [][3]int{
 		{1, 1, 1}, {3, 7, 5}, {4, 3, 5}, {20, 20, 20}, {31, 32, 32},
 		{32, 32, 32}, {1, 200, 300}, {2, 150, 150}, {3, 128, 128},
@@ -65,14 +74,18 @@ func TestGEMMsMatchOneBand(t *testing.T) {
 		} else {
 			above = true
 		}
-		if name := bandedMismatch(rng, d[0], d[1], d[2]); name != "" {
-			t.Fatalf("%s differs from one band for rows, cols, inner = %v", name, d)
+		if !matchesOneBand(rng, g, d[0], d[1], d[2]) {
+			t.Fatalf("%s differs from one band for rows, cols, inner = %v", gemms[g].name, d)
 		}
 	}
 	if !below || !above {
 		t.Fatal("shape table must cover both sides of bandThreshold")
 	}
 }
+
+func TestMatMulParallelMatchesSerial(t *testing.T)  { checkShapeTable(t, 0, 2) }
+func TestMatMulTNParallelBitIdentical(t *testing.T) { checkShapeTable(t, 1, 61) }
+func TestMatMulNTParallelBitIdentical(t *testing.T) { checkShapeTable(t, 2, 67) }
 
 func TestGEMMsMatchOneBandProperty(t *testing.T) {
 	f := func(seed int64) bool {
