@@ -18,12 +18,15 @@ bench:
 	./scripts/bench.sh
 
 # verify runs the gates CI runs on every push: gofmt, vet, the
-# dead-exports check, the tests, and vet + test of the perfbench module
-# (its own go.mod, which the root ./... never builds).
+# dead-exports check, the tests, the pinned-grid smoke (the reported best
+# of a one-grid search carries its per-level breakdown), and vet + test
+# of the perfbench module (its own go.mod, which the root ./... never
+# builds).
 verify: build
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run scripts/deadexports.go
 	$(GO) test ./...
+	$(GO) run ./cmd/dnnplan -config examples/scenarios/alexnet-rack.json -grid 16x32 | grep -q 'Per-level communication'
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...

@@ -42,7 +42,8 @@ func freshLayers(b *Breakdown, net *nn.Network, lo, hi, B int, pr *pricer, assig
 func freshFull(e Env, net *nn.Network, B int, g grid.Grid, assign Assignment) *Breakdown {
 	L := len(net.WeightedLayers())
 	b := e.newBreakdown(L)
-	freshLayers(b, net, 0, L, B, e.pricerFor(g), assign)
+	pr := e.pricerFor(g)
+	freshLayers(b, net, 0, L, B, &pr, assign)
 	return b
 }
 
@@ -64,7 +65,8 @@ func freshStages(e Env, net *nn.Network, micro int, part stage.Partition, grids 
 	offset := 0
 	for k, g := range grids {
 		lo, hi := part.Bounds(k)
-		freshLayers(b, net, lo, hi, micro, e.pricerAt(g, offset), assign)
+		pr := e.pricerAt(g, offset)
+		freshLayers(b, net, lo, hi, micro, &pr, assign)
 		for _, li := range widx[lo:hi] {
 			times = append(times, cm.GridLayerTime(&net.Layers[li], li, micro, g))
 		}

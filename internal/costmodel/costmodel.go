@@ -117,17 +117,38 @@ type Breakdown struct {
 	LevelNames []string
 }
 
-// newBreakdown starts a breakdown sized for nlayers layer costs,
-// stamping the environment's level names when pricing is
-// topology-aware. The capacity hint matters: the planner's search loop
-// builds thousands of breakdowns, and growing Layers by doubling would
-// copy the (wide) LayerCost values several times per candidate.
+// newBreakdown returns an empty breakdown sized for nlayers layer costs
+// (see resetBreakdown); every PriceStages call builds one. The planner's
+// closed-form search instead prices its leaves into one reused breakdown
+// per worker (FullIntegratedInto), and the plan it reports keeps one.
 func (e Env) newBreakdown(nlayers int) *Breakdown {
-	b := &Breakdown{Layers: make([]LayerCost, 0, nlayers)}
-	if !e.Flat() {
-		b.LevelNames = e.Topo.LevelNames()
-	}
+	b := new(Breakdown)
+	e.resetBreakdown(b, nlayers)
 	return b
+}
+
+// resetBreakdown empties b for nlayers layer costs, keeping its storage
+// when it is large enough, and stamps the environment's level names when
+// pricing is topology-aware (nil on a flat machine). The capacity
+// matters: growing Layers by doubling would copy the (wide) LayerCost
+// values several times per pricing call.
+func (e Env) resetBreakdown(b *Breakdown, nlayers int) {
+	if b.Layers == nil || cap(b.Layers) < nlayers {
+		b.Layers = make([]LayerCost, 0, nlayers)
+	}
+	b.Layers = b.Layers[:0]
+	if e.Flat() {
+		b.LevelNames = nil
+		return
+	}
+	n := len(e.Topo.Levels)
+	if cap(b.LevelNames) < n {
+		b.LevelNames = make([]string, n)
+	}
+	b.LevelNames = b.LevelNames[:n]
+	for i, lv := range e.Topo.Levels {
+		b.LevelNames[i] = lv.Name
+	}
 }
 
 // LevelSeconds sums the per-level attribution across every layer and
@@ -172,7 +193,14 @@ func (b *Breakdown) TotalSeconds() float64 {
 // Assignment returns the strategy each layer of b was priced under,
 // Cheapest requests resolved.
 func (b *Breakdown) Assignment() Assignment {
-	a := make(Assignment, len(b.Layers))
+	return b.AssignInto(make(Assignment, len(b.Layers)))
+}
+
+// AssignInto is Assignment into the caller's map: it replaces every
+// entry of the non-nil a with b's resolved strategies and returns a, so
+// a map reused across pricing calls costs no allocation once grown.
+func (b *Breakdown) AssignInto(a Assignment) Assignment {
+	clear(a)
 	for i := range b.Layers {
 		a[b.Layers[i].Index] = b.Layers[i].Strategy
 	}
@@ -418,10 +446,21 @@ func ConvAssignment(net *nn.Network, convStrategy, fcStrategy Strategy) Assignme
 //	T = Σ_{i=1..L} (α⌈log P⌉ + β·B·(P−1)/P·d_i)
 //	  + 2·Σ_{i=2..L} (α⌈log P⌉ + β·B·(P−1)/P·d_{i−1})
 func (e Env) FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignment) *Breakdown {
-	L := len(net.WeightedLayers())
-	b := e.newBreakdown(L)
-	priceLayers(b, net, 0, L, B, e.pricerFor(g), assign)
+	b := new(Breakdown)
+	e.FullIntegratedInto(b, net, B, g, assign)
 	return b
+}
+
+// FullIntegratedInto is FullIntegrated priced into the caller's
+// breakdown: b is overwritten, its storage reused, and ends equal to
+// what FullIntegrated returns. A caller that prices many candidates and
+// keeps only their totals (the planner's search loop) reuses one b and
+// allocates nothing per call.
+func (e Env) FullIntegratedInto(b *Breakdown, net *nn.Network, B int, g grid.Grid, assign Assignment) {
+	L := len(net.WeightedLayers())
+	e.resetBreakdown(b, L)
+	pr := e.pricerFor(g)
+	priceLayers(b, net, 0, L, B, &pr, assign)
 }
 
 // RedistributionSeconds prices the Eq. 6 redistribution at every layer
@@ -445,8 +484,8 @@ func (e Env) FullIntegrated(net *nn.Network, B int, g grid.Grid, assign Assignme
 // unresolved Cheapest layer panics.
 func (e Env) RedistributionSeconds(net *nn.Network, B int, g grid.Grid, assign Assignment, part stage.Partition) float64 {
 	widx := net.WeightedLayers()
-	var pr *pricer
-	owner := 0
+	var pr pricer
+	owner := -1
 	var secs float64
 	for k := range widx {
 		if assign[widx[k]] == Cheapest {
@@ -459,7 +498,7 @@ func (e Env) RedistributionSeconds(net *nn.Network, B int, g grid.Grid, assign A
 		if part.Stages() > 1 {
 			s = part.StageOf(k)
 		}
-		if pr == nil || s != owner {
+		if s != owner {
 			pr, owner = e.pricerAt(g, s*g.P()), s
 		}
 		words := float64(B) / float64(g.Pc) * float64(net.Layers[widx[k]].InSize())

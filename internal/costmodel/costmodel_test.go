@@ -247,9 +247,9 @@ func TestDomainBeatsModelOnEarlyLayers(t *testing.T) {
 	conv1 := net.ConvLayers()[0]
 	pr := FlatEnv(knl()).pricerFor(g)
 	var model LayerCost
-	modelLayerCost(&model, net, conv1, 512, pr, false)
+	modelLayerCost(&model, net, conv1, 512, &pr, false)
 	mc := model.Total().Total()
-	dc := domainCost(net, conv1, 512, pr).Total().Total()
+	dc := domainCost(net, conv1, 512, &pr).Total().Total()
 	if dc >= mc {
 		t.Fatalf("conv1: domain %g should beat model %g", dc, mc)
 	}
@@ -261,7 +261,7 @@ func TestDomainFreeFor1x1Conv(t *testing.T) {
 	pr := FlatEnv(knl()).pricerFor(grid.Grid{Pr: 4, Pc: 4})
 	for _, li := range net.ConvLayers() {
 		l := &net.Layers[li]
-		lc := domainCost(net, li, 64, pr)
+		lc := domainCost(net, li, 64, &pr)
 		halo := lc.FwdHalo.Total() + lc.BwdHalo.Total()
 		if l.KH == 1 && l.KW == 1 && halo != 0 {
 			t.Fatalf("%s: 1×1 conv should have zero halo, got %g", l.Name, halo)
@@ -280,9 +280,9 @@ func TestDomainFCIsExpensive(t *testing.T) {
 	fc6 := net.FCLayers()[0]
 	pr := FlatEnv(knl()).pricerFor(g)
 	var model LayerCost
-	modelLayerCost(&model, net, fc6, 2048, pr, false)
+	modelLayerCost(&model, net, fc6, 2048, &pr, false)
 	mc := model.Total().Total()
-	dc := domainCost(net, fc6, 2048, pr).Total().Total()
+	dc := domainCost(net, fc6, 2048, &pr).Total().Total()
 	if dc <= mc {
 		t.Fatalf("fc6: domain %g should be worse than model %g", dc, mc)
 	}

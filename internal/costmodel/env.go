@@ -131,8 +131,7 @@ func (m *SpanMemo) Fill(g grid.Grid, pl grid.Placement, offset int) {
 	set := classifySpans(m.sizes, k)
 	bk := blockKey{g.P(), offset}
 	if set.grad = m.grads[bk]; set.grad == nil {
-		pr := &pricer{env: Env{Topo: m.topo}, g: g, all: []grid.LevelSpan{set.all},
-			flat: m.topo.Uniform(), m: m.topo.Machine()}
+		pr := pricer{env: Env{Topo: m.topo}, g: g, all: set.all, flat: m.topo.Uniform(), m: m.topo.Machine()}
 		set.grad = make([]gradPrice, len(m.words))
 		for i, w := range m.words {
 			if c := m.class[i]; c != i {
@@ -188,15 +187,19 @@ func (m *SpanMemo) matches(t machine.Topology) (sizes, links bool) {
 // pricer prices the per-layer Eq. 3–9 collectives of one grid at one
 // rank offset against its level spans, classified once per pricer (or
 // looked up in the Env's SpanMemo, together with its memoized gradient
-// all-reduce prices).
+// all-reduce prices). It holds no pointer into itself, so a pricer built
+// for one pricing call stays on that call's stack.
 type pricer struct {
 	env Env
 	g   grid.Grid
-	// col, row, and all are the distinct level spans of the column
-	// groups, row groups, and the whole machine; haloLevel is the
-	// innermost topology level containing every halo-exchange pair.
-	col, row, all []grid.LevelSpan
-	haloLevel     int
+	// col and row are the distinct level spans of the column groups and
+	// row groups, all the span of the whole rank block; haloLevel is the
+	// innermost topology level containing every halo-exchange pair. A
+	// flat pricer leaves them unset: its collectives read only group
+	// sizes.
+	col, row  []grid.LevelSpan
+	all       grid.LevelSpan
+	haloLevel int
 	// grad is the memoized whole-block ∆W all-reduce price per weighted
 	// layer position (nil when the Env carries no matching memo entry).
 	grad []gradPrice
@@ -205,12 +208,9 @@ type pricer struct {
 	// one Uniform() scan per pricer instead of one per collective.
 	flat bool
 	m    machine.Machine
-	// spans backs the single-span slices (all three on the flat path,
-	// all alone otherwise) so they cost no allocation of their own.
-	spans [3]grid.LevelSpan
 }
 
-func (e Env) pricerFor(g grid.Grid) *pricer {
+func (e Env) pricerFor(g grid.Grid) pricer {
 	return e.pricerAt(g, 0)
 }
 
@@ -220,24 +220,14 @@ func (e Env) pricerFor(g grid.Grid) *pricer {
 // hierarchical one it decides how the stage's collective groups straddle
 // node/rack boundaries, so two stages with the same grid can price
 // differently depending on where their blocks start.
-func (e Env) pricerAt(g grid.Grid, offset int) *pricer {
-	p := &pricer{env: e, g: g}
+func (e Env) pricerAt(g grid.Grid, offset int) pricer {
 	if e.Flat() {
 		// The uniform fast path in internal/collective reads only the
 		// group size; skip the O(P·L) placement scan.
-		p.flat = true
-		p.m = e.Topo.Machine()
-		p.spans = [3]grid.LevelSpan{{Ranks: g.Pr}, {Ranks: g.Pc}, {Ranks: g.P()}}
-		p.col = p.spans[0:1:1]
-		p.row = p.spans[1:2:2]
-		p.all = p.spans[2:3:3]
-		return p
+		return pricer{env: e, g: g, flat: true, m: e.Topo.Machine()}
 	}
 	set := e.spans(g, offset)
-	p.col, p.row, p.haloLevel, p.grad = set.col, set.row, set.haloLevel, set.grad
-	p.spans[2] = set.all
-	p.all = p.spans[2:3:3]
-	return p
+	return pricer{env: e, g: g, col: set.col, row: set.row, all: set.all, haloLevel: set.haloLevel, grad: set.grad}
 }
 
 // colAllGather prices the forward activation all-gather over the
@@ -301,7 +291,7 @@ func (p *pricer) allAllReduce(words float64) collective.Cost {
 	if p.flat {
 		return collective.AllReduce(p.g.P(), words, p.m)
 	}
-	return collective.AllReduceLeveled(p.all[0], words, p.env.Topo)
+	return collective.AllReduceLeveled(p.all, words, p.env.Topo)
 }
 
 // halo prices one halo-exchange message between spatially adjacent ranks

@@ -272,7 +272,7 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 		// A stage-first Model layer still pays the ∆X all-reduce: its
 		// assembled ∆X is what the backward handoff ships to the previous
 		// stage.
-		cheapest = priceLayers(b, net, lo, hi, micro, pr, assign) || cheapest
+		cheapest = priceLayers(b, net, lo, hi, micro, &pr, assign) || cheapest
 		for j := lo; j < hi; j++ {
 			li := widx[j]
 			sc.CommSeconds += b.Layers[j].TotalSeconds()

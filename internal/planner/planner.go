@@ -102,7 +102,18 @@ type Plan struct {
 	Mode      Mode
 	// Assignment is the strategy each weighted layer was priced under,
 	// Auto's choices resolved. Plans of one search may share the map:
-	// treat it as read-only.
+	// treat it as read-only. Breakdown is the per-layer communication
+	// cost of the plan: Eq. 9 in closed form, the per-micro-batch stage
+	// costs when timeline-scored.
+	//
+	// A closed-form search keeps numbers, not breakdowns: its leaves are
+	// priced into per-worker scratch, and only the plan a search
+	// reports as best — Result.Best, its Result.All entry, the plan
+	// Evaluate returns — carries its own Breakdown and, under Auto, its
+	// resolved Assignment. Every other closed-form plan has a nil
+	// Breakdown, and under Auto a nil Assignment; re-price one with
+	// costmodel.Env.FullIntegrated (or EvaluateAt) when its terms are
+	// needed. Timeline-scored plans carry both.
 	Assignment costmodel.Assignment
 	Breakdown  *costmodel.Breakdown
 
@@ -253,12 +264,12 @@ func (s *search) structural(lf *leaf) string {
 }
 
 // evaluate prices one leaf — (B, S, grid, placement, partition, M) —
-// counting the candidate and its pruning/pricing outcome in st and
-// accumulating the phase wall times. Every leaf is one pricing call over
-// the search's requested assignment, which resolves Auto's Cheapest conv
-// layers; the plan reports the resolved assignment. The call is:
+// counting the candidate and its pruning/pricing outcome in w's
+// telemetry shard and accumulating the phase wall times. Every leaf is
+// one pricing call over the search's requested assignment, which
+// resolves Auto's Cheapest conv layers. The call is:
 //   - in closed form (validate forces M = 1 and S = 1 there),
-//     costmodel.Env.FullIntegrated, the footprint costmodel.Memory;
+//     costmodel.Env.FullIntegratedInto, the footprint costmodel.Memory;
 //   - for every timeline leaf, one costmodel.Env.PriceStages — the
 //     trivial partition when S = 1, one micro-batch when M = 1 — which
 //     resolves each stage's conv layers at the micro-batch size and on
@@ -266,13 +277,18 @@ func (s *search) structural(lf *leaf) string {
 //     stage's footprint; then one scheduling call, accounted to the
 //     simulate phase.
 //
-// The memory limit is checked after pricing and before scheduling. The
-// timeline is scored without spans (timeline.Score) unless spans is set;
-// run sets it only to re-evaluate the slot winners it reports. The
-// search's level-span and gradient-price memo is bit-identical to fresh
-// pricing, so plans do not depend on memo state.
-func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
-	o, net := &s.opts, s.net
+// The memory limit is checked after pricing and before scheduling. A
+// closed-form leaf is priced into w's scratch breakdown and
+// resolved-assignment map. Unless report is set, the leaf is only
+// scored: the timeline without spans (timeline.Score), the closed form
+// keeping only the numbers (no Breakdown; no Assignment under Auto).
+// With report set, the timeline carries its spans and the closed-form
+// plan takes w's scratch over. run sets report only for the plans it
+// reports (see run). The search's level-span and gradient-price memo is
+// bit-identical to fresh pricing, and a scratch breakdown to a fresh
+// one, so plans depend on neither.
+func (s *search) evaluate(lf *leaf, w *worker, report bool) Plan {
+	o, net, st := &s.opts, s.net, &w.st
 	g, B, M, S := lf.g, lf.B, lf.micro, lf.S
 	st.Candidates++
 	p := Plan{Grid: g, Batch: B, Placement: lf.pl, Mode: o.Mode, MicroBatch: M, Schedule: o.Schedule, Stages: S}
@@ -285,24 +301,40 @@ func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
 		return p
 	}
 	priceStart := time.Now()
-	env := costmodel.Env{Topo: o.topology(), Placement: lf.pl, Spans: s.spans}
+	env := costmodel.Env{Topo: s.topo, Placement: lf.pl, Spans: s.spans}
+	// assign is the resolved assignment the footprint and the Eq. 6
+	// redistribution read.
+	assign := s.assign
 	var bd *costmodel.Breakdown
 	var sp costmodel.StagePricing
 	var err error
 	if !o.UseTimeline {
-		bd = env.FullIntegrated(net, B, g, s.assign)
-		p.Assignment = s.assign
+		bd = &w.bd
+		env.FullIntegratedInto(bd, net, B, g, assign)
 		if o.Mode == Auto {
-			p.Assignment = bd.Assignment()
+			if w.assign == nil {
+				w.assign = make(costmodel.Assignment, len(bd.Layers))
+			}
+			assign = bd.AssignInto(w.assign)
 		}
-		p.MemoryWords = costmodel.Memory(net, B, g, p.Assignment).TotalWords()
+		if report {
+			// The reported plan takes the scratch over; the worker grows
+			// a new one should it price again.
+			owned := *bd
+			bd, w.bd, w.assign = &owned, costmodel.Breakdown{}, nil
+		}
+		if report || o.Mode != Auto {
+			p.Assignment = assign
+		}
+		p.MemoryWords = costmodel.Memory(net, B, g, assign).TotalWords()
 	} else {
 		grids := make([]grid.Grid, S)
 		for k := range grids {
 			grids[k] = g
 		}
 		sched := timeline.Schedule{Shape: o.Schedule, MicroBatches: M}
-		sp, err = env.PriceStages(net, B, lf.part, grids, s.assign, o.Compute, sched)
+		sp, err = env.PriceStages(net, B, lf.part, grids, assign, o.Compute, sched)
+		assign = sp.Assignment
 		p.Assignment, p.MemoryWords = sp.Assignment, sp.MemoryWords
 	}
 	// The tightest stage governs feasibility: every process must fit its
@@ -323,7 +355,9 @@ func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
 	st.Priced++
 	if !o.UseTimeline {
 		st.PriceSeconds += time.Since(priceStart).Seconds()
-		p.Breakdown = bd
+		if report {
+			p.Breakdown = bd
+		}
 		p.CompSeconds = o.Compute.GridIterTime(net, B, g)
 		p.CommSeconds, p.IterSeconds = costmodel.IterationTotals(bd, p.CompSeconds, o.Overlap)
 	} else {
@@ -331,7 +365,7 @@ func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
 		st.PriceSeconds += simStart.Sub(priceStart).Seconds()
 		var sc costmodel.StagePipelineCost
 		if err == nil {
-			sc, err = sp.Simulate(o.TimelinePolicy, spans)
+			sc, err = sp.Simulate(o.TimelinePolicy, report)
 		}
 		st.TimelineSimulated++
 		st.SimulateSeconds += time.Since(simStart).Seconds()
@@ -373,7 +407,7 @@ func (s *search) evaluate(lf *leaf, st *SearchStats, spans bool) Plan {
 		// Activations are redistributed at every strategy boundary of
 		// every micro-batch; the all-gathers block the next layer's
 		// compute, so they are never overlapped.
-		r := float64(M) * env.RedistributionSeconds(net, B/M, g, p.Assignment, lf.part)
+		r := float64(M) * env.RedistributionSeconds(net, B/M, g, assign, lf.part)
 		p.CommSeconds += r
 		p.IterSeconds += r
 	}

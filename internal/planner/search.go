@@ -57,6 +57,19 @@
 // (rank block, offset), which Domain and BatchOnly layers of every grid
 // and placement sharing that block read by layer position. The memo is
 // dropped with the search.
+//
+// Numbers in the search: a closed-form leaf is priced into its worker's
+// scratch — one costmodel.Breakdown and, under Auto, one resolved
+// Assignment map per worker, overwritten by every leaf
+// (costmodel.Env.FullIntegratedInto, Breakdown.AssignInto) — and its
+// plan keeps only the numbers the fold, the bounds and the report read:
+// the communication and iteration totals, the footprint and the Eq. 6
+// redistribution. A warm worker scores a closed-form leaf without
+// allocating. The per-term breakdown is read only off the plan the
+// search reports as best, so after the fold that one leaf is evaluated
+// once more, like the spans rerun above, and keeps the scratch it was
+// priced into as its own breakdown; a search of one leaf evaluates it in
+// full the first time.
 package planner
 
 import (
@@ -71,6 +84,7 @@ import (
 	"dnnparallel/internal/compute"
 	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/grid"
+	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
 	"dnnparallel/internal/stage"
 )
@@ -195,11 +209,22 @@ type slot struct {
 	win    int
 }
 
+// worker is one pool worker's private state: its telemetry shard and
+// the scratch its closed-form leaves are priced into, a breakdown and
+// (under Auto) a resolved-assignment map that every leaf overwrites and
+// a reported plan takes over.
+type worker struct {
+	st     SearchStats
+	bd     costmodel.Breakdown
+	assign costmodel.Assignment
+}
+
 // search is one Optimize invocation's engine state.
 type search struct {
 	net    *nn.Network
 	B, P   int // B is the base batch size (Optimize's argument)
 	opts   Options
+	topo   machine.Topology // opts.topology(), resolved once
 	bounds bool
 	// assign is the mode's requested Eq. 9 assignment, grid-independent
 	// and read by every leaf: conv layers Cheapest under Auto, resolved
@@ -242,6 +267,7 @@ func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search 
 		B:        B,
 		P:        P,
 		opts:     opts,
+		topo:     opts.topology(),
 		bounds:   !opts.DisableBounds,
 		cc:       newComputeCache(opts.Compute, net),
 		floors:   make(map[floorKey]float64),
@@ -252,8 +278,8 @@ func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search 
 		ConvDomain: costmodel.Domain, Auto: costmodel.Cheapest}[opts.Mode]; ok {
 		s.assign = costmodel.ConvAssignment(net, conv, costmodel.Model) // FC layers are Model in every mode
 	}
-	if topo := opts.topology(); memoSpans && !topo.Uniform() {
-		s.spans = costmodel.NewSpanMemo(topo, net)
+	if memoSpans && !s.topo.Uniform() {
+		s.spans = costmodel.NewSpanMemo(s.topo, net)
 	}
 	if opts.Objective == TimeToAccuracy {
 		s.steps = make(map[int]float64, len(s.batches))
@@ -384,7 +410,7 @@ func (s *search) enumerate(st *SearchStats) {
 // compute-only bound stands alone there.
 func (s *search) prefillBounds() {
 	o := &s.opts
-	needFloors := !o.UseTimeline && !o.Overlap && o.topology().Uniform()
+	needFloors := !o.UseTimeline && !o.Overlap && s.topo.Uniform()
 	for i := range s.leaves {
 		lf := &s.leaves[i]
 		if lf.micro >= 1 && lf.B%lf.micro == 0 {
@@ -395,7 +421,7 @@ func (s *search) prefillBounds() {
 		}
 		k := floorKey{lf.g.Pr, lf.g.Pc, lf.pl}
 		if _, ok := s.floors[k]; !ok {
-			env := costmodel.Env{Topo: o.topology(), Placement: lf.pl}
+			env := costmodel.Env{Topo: s.topo, Placement: lf.pl}
 			s.floors[k] = env.FCGradReduceSeconds(s.net, lf.g)
 		}
 	}
@@ -450,12 +476,13 @@ func (s *search) lowerBound(lf *leaf) (float64, bool) {
 	return lb * s.objectiveScale(lf.B), true
 }
 
-// evalLeaf evaluates leaf i against the frozen incumbent, recording its
-// telemetry in the worker's shard. The leaf's lower bound was computed
-// once by run()'s ordering pass (s.lbs/s.lbOK); re-deriving it here
-// would double the bound cost for zero information.
-func (s *search) evalLeaf(i int, incumbent float64, st *SearchStats) Plan {
+// evalLeaf evaluates leaf i against the frozen incumbent on worker w.
+// The leaf's lower bound was computed once by run()'s ordering pass
+// (s.lbs/s.lbOK); re-deriving it here would double the bound cost for
+// zero information.
+func (s *search) evalLeaf(i int, incumbent float64, w *worker) Plan {
 	lf := &s.leaves[i]
+	st := &w.st
 	if s.lbs != nil && !s.slots[lf.slot].pure {
 		if lb := s.lbs[i]; s.lbOK[i] && lb*boundSlack > incumbent {
 			st.Candidates++
@@ -477,12 +504,20 @@ func (s *search) evalLeaf(i int, incumbent float64, st *SearchStats) Plan {
 			return p
 		}
 	}
-	return s.evaluate(lf, st, s.slots[lf.slot].single)
+	// A leaf is evaluated in full the first time when that plan is the
+	// one reported: a timeline leaf alone in its slot, a closed-form leaf
+	// alone in the search.
+	report := s.slots[lf.slot].single
+	if !s.opts.UseTimeline {
+		report = len(s.leaves) == 1
+	}
+	return s.evaluate(lf, w, report)
 }
 
 // run evaluates every leaf across the worker pool, chunk by chunk,
-// folds each chunk's plans into their slots' winners, and merges the
-// per-worker telemetry shards into st.
+// folds each chunk's plans into their slots' winners, re-evaluates the
+// reported plans in full, and merges the per-worker telemetry shards
+// into st.
 //
 // With bounds enabled on a search of more than one chunk, the leaves are
 // visited in ascending lower-bound order (stable on the enumeration
@@ -529,7 +564,7 @@ func (s *search) run(st *SearchStats) {
 	if workers > n {
 		workers = n
 	}
-	shards := make([]SearchStats, workers)
+	pool := make([]worker, workers)
 	// buf holds one chunk's plans, indexed by visit position − lo.
 	buf := make([]Plan, min(boundChunk, n))
 	incumbent := math.Inf(1)
@@ -537,7 +572,7 @@ func (s *search) run(st *SearchStats) {
 		hi := min(lo+boundChunk, n)
 		if workers == 1 {
 			for p := lo; p < hi; p++ {
-				buf[p-lo] = s.evalLeaf(order[p], incumbent, &shards[0])
+				buf[p-lo] = s.evalLeaf(order[p], incumbent, &pool[0])
 			}
 		} else {
 			// Workers pull visit positions from a shared counter: dynamic
@@ -548,16 +583,16 @@ func (s *search) run(st *SearchStats) {
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
-				go func(sh *SearchStats) {
+				go func(wk *worker) {
 					defer wg.Done()
 					for {
 						p := int(atomic.AddInt64(&next, 1)) - 1
 						if p >= hi {
 							return
 						}
-						buf[p-lo] = s.evalLeaf(order[p], incumbent, sh)
+						buf[p-lo] = s.evalLeaf(order[p], incumbent, wk)
 					}
-				}(&shards[w])
+				}(&pool[w])
 			}
 			wg.Wait()
 		}
@@ -575,21 +610,30 @@ func (s *search) run(st *SearchStats) {
 			s.fold(order[p], pl)
 		}
 	}
-	for i := range shards {
-		st.merge(shards[i])
+	for i := range pool {
+		st.merge(pool[i].st)
 	}
-	// Spans only for reported plans: the leaves of multi-leaf slots were
-	// scored without them, so each such slot's feasible winner is
-	// evaluated once more with spans. Evaluation is a pure function of
-	// the leaf, so the plan is the scored one plus its Spans, PerLayer
-	// and PerResource. The rerun is charged to the simulate phase and
-	// counts no candidate or simulation.
+	// Full records only for reported plans. The leaves of multi-leaf
+	// timeline slots were scored without spans, so each such slot's
+	// feasible winner is evaluated once more with spans; closed-form
+	// leaves were scored into scratch, so the search's best, unless it
+	// was the only leaf, is evaluated once more with its own breakdown
+	// and resolved assignment. Evaluation is a pure function of the
+	// leaf, so the plan is the scored one plus its Spans, PerLayer and
+	// PerResource, or its Breakdown and Assignment. The reruns are
+	// charged to the simulate phase and count no candidate or
+	// simulation. They reuse the first worker's scratch, which no leaf
+	// needs any more.
 	simStart := time.Now()
-	var rerun SearchStats
-	for i, sl := range s.slots {
-		if w := &s.winners[i]; !sl.single && sl.win >= 0 && w.Timeline != nil {
-			*w = s.evaluate(&s.leaves[sl.win], &rerun, true)
+	rerun := worker{bd: pool[0].bd, assign: pool[0].assign}
+	if s.opts.UseTimeline {
+		for i, sl := range s.slots {
+			if w := &s.winners[i]; !sl.single && sl.win >= 0 && w.Timeline != nil {
+				*w = s.evaluate(&s.leaves[sl.win], &rerun, true)
+			}
 		}
+	} else if bi := s.best(nil); bi >= 0 && n > 1 {
+		s.winners[bi] = s.evaluate(&s.leaves[s.slots[bi].win], &rerun, true)
 	}
 	st.SimulateSeconds += time.Since(simStart).Seconds()
 }

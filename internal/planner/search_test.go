@@ -149,7 +149,7 @@ func TestReportedPlansCarrySpans(t *testing.T) {
 		if len(tl.Spans) == 0 || len(tl.PerLayer) != len(net.WeightedLayers()) || len(tl.PerResource) == 0 {
 			t.Fatalf("slot %d (%v S=%d): reported plan lacks spans or statistics", i, w.Grid, w.Stages)
 		}
-		var scratch SearchStats
+		var scratch worker
 		scored := s.evaluate(&s.leaves[sl.win], &scratch, false)
 		if scored.Timeline.Spans != nil || scored.Timeline.PerLayer != nil {
 			t.Fatalf("slot %d: a scored leaf carries spans", i)

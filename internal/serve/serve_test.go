@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -14,9 +15,6 @@ import (
 	"dnnparallel"
 	"dnnparallel/internal/obs"
 )
-
-// nowNanos is a monotonic-enough clock for the coarse speedup assertion.
-func nowNanos() int64 { return time.Now().UnixNano() }
 
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -501,48 +499,49 @@ func BenchmarkServePlanCacheMiss(b *testing.B) {
 }
 
 // TestCacheSpeedup is the measured-cache-speedup acceptance check in
-// test form: a cache hit must be at least an order of magnitude cheaper
-// than the planner run it memoizes. Benchmarked precisely by the two
-// benchmarks above; the test asserts only a conservative bound so it
-// stays robust on noisy CI machines.
+// test form: a cache hit must be at least twice as cheap as the planner
+// run it memoizes (the two benchmarks above measure the real ratio).
+// Misses and hits are timed one request at a time, interleaved, and each
+// side's time is the fastest of its repetitions, as perfbench times its
+// ops: a neighbour on a shared machine only ever adds time, so the
+// fastest repetition is what the request itself costs, while one
+// wall-clock loop per side would fold scheduler noise into the ratio.
 func TestCacheSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based")
 	}
-	s := New(Config{})
-	h := s.Handler()
-	body := scenarioJSON(t, dnnparallel.DefaultScenario())
-	serveOnce := func(payload []byte) {
+	h := New(Config{}).Handler()
+	serveOnce := func(payload []byte, want string) time.Duration {
 		req := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(payload))
 		rec := httptest.NewRecorder()
+		start := time.Now()
 		h.ServeHTTP(rec, req)
+		d := time.Since(start)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
+		if got := rec.Header().Get("X-Cache"); got != want {
+			t.Fatalf("X-Cache = %q, want %q", got, want)
+		}
+		return d
 	}
 
-	const rounds = 20
-	missStart := nowNanos()
-	for i := 0; i < rounds; i++ {
+	body := scenarioJSON(t, dnnparallel.DefaultScenario())
+	serveOnce(body, "miss") // fills the entry every hit reads
+	const reps = 20         // misses stay far below the cache's capacity
+	miss, hit := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < reps; i++ {
 		sc := dnnparallel.DefaultScenario()
 		sc.DatasetN = 2_000_000 + i
-		serveOnce(scenarioJSON(t, sc))
+		fresh := scenarioJSON(t, sc)
+		miss = min(miss, serveOnce(fresh, "miss"))
+		hit = min(hit, serveOnce(body, "hit"))
 	}
-	missNanos := nowNanos() - missStart
-
-	serveOnce(body) // warm
-	hitStart := nowNanos()
-	for i := 0; i < rounds; i++ {
-		serveOnce(body)
+	if 2*hit >= miss {
+		t.Errorf("cache hit not measurably faster: fastest of %d hits %v, fastest of %d misses %v", reps, hit, reps, miss)
 	}
-	hitNanos := nowNanos() - hitStart
-
-	if hitNanos*2 >= missNanos {
-		t.Errorf("cache hit not measurably faster: %d hits took %dns vs %d misses %dns",
-			rounds, hitNanos, rounds, missNanos)
-	}
-	t.Logf("measured cache speedup: %.1fx (%d misses %dns, %d hits %dns)",
-		float64(missNanos)/float64(hitNanos), rounds, missNanos, rounds, hitNanos)
+	t.Logf("measured cache speedup: %.1fx (fastest miss %v, fastest hit %v, %d interleaved repetitions)",
+		float64(miss)/float64(hit), miss, hit, reps)
 }
 
 // TestSingleflightCoalescing: concurrent identical cache misses run ONE

@@ -131,7 +131,10 @@ type PlanResult struct {
 
 	// Raw is the untranslated planner result (nil over the wire): the
 	// bit-for-bit planner.Optimize output, kept for callers that need
-	// the full breakdowns and timelines.
+	// the best plan's per-layer breakdown and the timelines. A
+	// closed-form search keeps numbers only for the plans it does not
+	// report as best: Raw.Best (and its Raw.All entry) carries its
+	// Breakdown, the other closed-form entries none (see planner.Plan).
 	Raw *planner.Result `json:"-"`
 }
 
