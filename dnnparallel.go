@@ -348,17 +348,8 @@ func Plan(s Scenario) (*PlanResult, error) {
 		// Scenario validation already rejected every malformed input the
 		// planner checks, so what remains is an empty feasible set.
 		desc := fmt.Sprintf("B=%d P=%d", r.Batch, r.Procs)
-		if bs := r.Options.BatchSizes; len(bs) > 0 {
-			// BatchSizes is normalized (sorted ascending); the search space
-			// is its union with the base batch.
-			lo, hi := bs[0], bs[len(bs)-1]
-			if r.Batch < lo {
-				lo = r.Batch
-			}
-			if r.Batch > hi {
-				hi = r.Batch
-			}
-			desc = fmt.Sprintf("B=%d..%d P=%d", lo, hi, r.Procs)
+		if bs := r.Options.Batches(r.Batch); len(bs) > 1 {
+			desc = fmt.Sprintf("B=%d..%d P=%d", bs[0], bs[len(bs)-1], r.Procs)
 		}
 		return nil, &InfeasibleError{Scenario: desc, Reason: err.Error()}
 	}

@@ -161,6 +161,13 @@ func TestTypedErrors(t *testing.T) {
 	if !errors.As(err, &ie) {
 		t.Fatalf("pinned Plan error is %T (%v), want *InfeasibleError", err, err)
 	}
+	// An empty batch-size search names the range it searched, the base
+	// batch included.
+	sc := New("alexnet", 8192, 512, WithBatchSizes(2048, 256))
+	sc.MemoryLimitWords = 1
+	if _, err = Plan(sc); !errors.As(err, &ie) || ie.Scenario != "B=256..8192 P=512" {
+		t.Fatalf("batch-size search error %v, want an *InfeasibleError for B=256..8192 P=512", err)
+	}
 }
 
 // TestFacadeReturnsErrorsWithoutRecovering: the façade's no-panic

@@ -262,30 +262,14 @@ func trainCampaign(sc dnnparallel.Scenario, set map[string]bool, f campaignFlags
 		}
 		n = n.Normalize()
 	}
-	if err := n.Validate(); err != nil {
+	r, err := n.Resolve()
+	if err != nil {
 		fmt.Fprintln(stderr, "dnntrain:", err)
 		return 2
 	}
-	curve, err := n.ConvergenceCurve()
-	if err != nil { // unreachable: Validate resolved the curve
-		fmt.Fprintln(stderr, "dnntrain:", err)
-		return 2
-	}
-
+	curve := r.Options.Curve
 	// The candidate list the joint search would sweep: batch_sizes ∪ {B}.
-	cands := append([]int(nil), n.BatchSizes...)
-	found := false
-	for _, b := range cands {
-		if b == n.Batch {
-			found = true
-		}
-	}
-	if !found {
-		cands = append(cands, n.Batch)
-		for i := len(cands) - 1; i > 0 && cands[i] < cands[i-1]; i-- {
-			cands[i], cands[i-1] = cands[i-1], cands[i]
-		}
-	}
+	cands := r.Options.Batches(n.Batch)
 
 	type row struct {
 		b   int

@@ -23,9 +23,10 @@ type Options struct {
 	// single-level view). A uniform Topology reproduces the flat
 	// Machine's numbers to the last bit.
 	Topology machine.Topology
-	// Placements constrains the rank-placement search. nil means
-	// automatic: row-major only on a flat/uniform topology (placement
-	// cannot matter there), both placements on a two-level one.
+	// Placements constrains the rank-placement search on a hierarchical
+	// topology; nil searches both. On a flat or uniform topology a
+	// placement cannot change any price, so the search keeps only one:
+	// the first entry, or row-major when nil.
 	Placements []grid.Placement
 	Compute    compute.Model
 	Mode       Mode
@@ -219,13 +220,24 @@ func (o Options) topology() machine.Topology {
 
 // placements returns the placement search space (see Options.Placements).
 func (o Options) placements() []grid.Placement {
-	if len(o.Placements) > 0 {
-		return o.Placements
+	pls := o.Placements
+	if len(pls) == 0 {
+		pls = grid.Placements()
 	}
-	if o.topology().Uniform() {
-		return []grid.Placement{grid.RowMajor}
+	if o.Topology.IsZero() || o.Topology.Uniform() {
+		return pls[:1]
 	}
-	return grid.Placements()
+	return pls
+}
+
+// gridPlacements returns the placements grid g is searched under: a
+// degenerate grid (Pr = 1 or Pc = 1) maps ranks identically under every
+// placement, so only the first of pls.
+func gridPlacements(pls []grid.Placement, g grid.Grid) []grid.Placement {
+	if g.Pr == 1 || g.Pc == 1 {
+		return pls[:1]
+	}
+	return pls
 }
 
 // microBatches returns the micro-batch search space (see
@@ -246,16 +258,30 @@ func (o Options) stageCounts() []int {
 	return []int{1}
 }
 
-// batchSizes returns the batch search space: the base B alone under the
+// Batches returns the batch search space: the base B alone under the
 // Iteration objective (or when BatchSizes is empty), else the sorted,
 // deduplicated union of BatchSizes and {B}.
-func (o Options) batchSizes(B int) []int {
+func (o Options) Batches(B int) []int {
 	if o.Objective != TimeToAccuracy || len(o.BatchSizes) == 0 {
 		return []int{B}
 	}
 	bs := append([]int{B}, o.BatchSizes...)
 	slices.Sort(bs)
 	return slices.Compact(bs)
+}
+
+// batchCount returns len(o.Batches(B)) without building the list.
+func (o Options) batchCount(B int) int {
+	if o.Objective != TimeToAccuracy {
+		return 1
+	}
+	n := 1
+	for i, b := range o.BatchSizes {
+		if b != B && !slices.Contains(o.BatchSizes[:i], b) {
+			n++
+		}
+	}
+	return n
 }
 
 // objectiveCost returns the quantity the search minimizes for a feasible
@@ -313,4 +339,62 @@ func (o Options) partitionsFrom(costs []float64, S int) ([]stage.Partition, erro
 		return []stage.Partition{p}, nil
 	}
 	return stage.Enumerate(costs, S, o.maxPartitions()), nil
+}
+
+// Space is the shape of a search at one stage count, counted without
+// enumerating it: each of BatchSizes batch sizes searches Grids per-stage
+// grids, GridPlacements (grid, placement) pairs between them, and each
+// pair Partitions × MicroBatches leaves.
+type Space struct {
+	Partitions     int
+	Grids          int
+	GridPlacements int
+	MicroBatches   int
+	BatchSizes     int
+}
+
+// leaves returns the number of leaves the space enumerates.
+func (sp Space) leaves() int {
+	return sp.Partitions * sp.GridPlacements * sp.MicroBatches * sp.BatchSizes
+}
+
+// Space returns the shape of the search at S stages for batch B on P
+// processes — Optimize's when pinned is nil, else Evaluate's, whose every
+// stage runs the pinned grid. It is O(√P) and allocation-free. Partitions
+// is 1 at S = 1 and for a pinned cut list, else stage.Candidates: the
+// exact count where the partition walk is exhaustive, an upper bound on
+// the heuristic neighborhood beyond MaxPartitions.
+func (o *Options) Space(net *nn.Network, B, P, S int, pinned *grid.Grid) Space {
+	parts := 1
+	if S > 1 && len(o.Partition) == 0 {
+		parts = stage.Candidates(len(net.WeightedLayers()), S, o.maxPartitions())
+	}
+	return o.space(B, P, S, parts, pinned)
+}
+
+// space is Space with the partition count given: enumerate passes the
+// number of partitions it has enumerated.
+func (o *Options) space(B, P, S, parts int, pinned *grid.Grid) Space {
+	sp := Space{Partitions: parts, MicroBatches: len(o.microBatches()), BatchSizes: o.batchCount(B)}
+	pls := o.placements()
+	add := func(g grid.Grid) {
+		sp.Grids++
+		sp.GridPlacements += len(gridPlacements(pls, g))
+	}
+	switch {
+	case pinned != nil:
+		add(*pinned)
+	case P%S == 0:
+		// The divisor pairs of grid.Factorizations, in any order.
+		q := P / S
+		for pr := 1; pr*pr <= q; pr++ {
+			if q%pr == 0 {
+				add(grid.Grid{Pr: pr, Pc: q / pr})
+				if pr != q/pr {
+					add(grid.Grid{Pr: q / pr, Pc: pr})
+				}
+			}
+		}
+	}
+	return sp
 }

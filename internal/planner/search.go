@@ -239,7 +239,7 @@ type search struct {
 	// workers like cc; nil on a uniform topology, whose pricing never
 	// classifies.
 	spans *costmodel.SpanMemo
-	// batches is the batch search space (Options.batchSizes(B)); grid,
+	// batches is the batch search space (Options.Batches(B)); grid,
 	// when set, pins the per-stage grid of every stage count in place of
 	// the factorizations of P/S, the machine then having S × grid.P()
 	// ranks. steps memoizes Curve.Steps per batch size under the
@@ -271,7 +271,7 @@ func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search 
 		bounds:   !opts.DisableBounds,
 		cc:       newComputeCache(opts.Compute, net),
 		floors:   make(map[floorKey]float64),
-		batches:  opts.batchSizes(B),
+		batches:  opts.Batches(B),
 		tightest: math.Inf(1),
 	}
 	if conv, ok := map[Mode]costmodel.Strategy{Uniform: costmodel.Model, ConvBatch: costmodel.BatchOnly,
@@ -304,22 +304,63 @@ func (s *search) objectiveScale(B int) float64 {
 // batch sizes, then stage counts, then grid factorizations, then
 // placements × partitions × micro-batches — pre-filling the level-span
 // memo, and counting the enumeration-side telemetry (batches, grids,
-// stage counts, partitions, and the pseudo-slot candidates) into st. The candidate partitions per
-// stage count are batch-independent, so they are enumerated once and
-// shared across the batch sweep (stage counts are likewise counted once).
-// S = 1 is the stage count whose one partition is the whole network: it
-// never consults Options.Partition and adds nothing to the partition and
+// stage counts, partitions, and the pseudo-slot candidates) into st. The
+// candidate partitions per stage count are batch-independent, so they
+// are enumerated once, before the batch sweep; their counts size the
+// slot and leaf lists exactly (Options.space). S = 1 is the stage count
+// whose one partition is the whole network: it never consults
+// Options.Partition and adds nothing to the partition and
 // stage-candidate counts.
 func (s *search) enumerate(st *SearchStats) {
 	o := s.opts
 	micros := o.microBatches()
 	pls := o.placements()
+	counts := o.stageCounts()
 	grids := func(S int) []grid.Grid {
 		if s.grid != nil {
 			return []grid.Grid{*s.grid}
 		}
 		return grid.Factorizations(s.P / S)
 	}
+	// A stage count that does not divide P, or whose partitions fail,
+	// owns one pseudo slot per batch size.
+	type partsMemo struct {
+		parts []stage.Partition
+		err   error
+	}
+	partsBy := make(map[int]partsMemo, len(counts))
+	var layerCosts []float64
+	nSlots, nLeaves := 0, 0
+	for _, S := range counts {
+		pm, ok := partsBy[S]
+		if !ok {
+			switch {
+			case s.grid == nil && s.P%S != 0:
+				pm.err = fmt.Errorf("S=%d stages do not divide P=%d", S, s.P)
+			case S == 1:
+				pm.parts = []stage.Partition{stage.Balanced(len(s.net.WeightedLayers()), 1)}
+			default:
+				if layerCosts == nil {
+					layerCosts = layerComputeCosts(s.net)
+				}
+				pm.parts, pm.err = o.partitionsFrom(layerCosts, S)
+				if pm.err == nil {
+					st.PartitionsEnumerated += len(pm.parts)
+				}
+			}
+			partsBy[S] = pm
+		}
+		if pm.err != nil {
+			nSlots += len(s.batches)
+			continue
+		}
+		sp := o.space(s.B, s.P, S, len(pm.parts), s.grid)
+		nSlots += sp.Grids * sp.BatchSizes
+		nLeaves += sp.leaves()
+	}
+	s.slots = make([]slot, 0, nSlots)
+	s.winners = make([]Plan, 0, nSlots)
+	s.leaves = make([]leaf, 0, nLeaves)
 	// Pseudo plans of a pinned grid name it; a searched (B, S) pair has
 	// no single grid.
 	var pseudoGrid grid.Grid
@@ -334,52 +375,19 @@ func (s *search) enumerate(st *SearchStats) {
 		s.winners = append(s.winners, Plan{Grid: pseudoGrid, Batch: B, Mode: o.Mode, MicroBatch: 1,
 			Schedule: o.Schedule, Stages: S, Reason: reason})
 	}
-	var layerCosts []float64
-	type partsMemo struct {
-		parts []stage.Partition
-		err   error
-	}
-	partsBy := make(map[int]partsMemo)
 	st.BatchSizesSearched = len(s.batches)
-	for bi, B := range s.batches {
-		for _, S := range o.stageCounts() {
-			if bi == 0 {
-				st.StageCountsSearched++
-			}
-			if s.grid == nil && s.P%S != 0 {
-				pseudo(B, S, fmt.Sprintf("S=%d stages do not divide P=%d", S, s.P))
-				continue
-			}
-			pm, ok := partsBy[S]
-			if !ok {
-				if S == 1 {
-					pm.parts = []stage.Partition{stage.Balanced(len(s.net.WeightedLayers()), 1)}
-				} else {
-					if layerCosts == nil {
-						layerCosts = layerComputeCosts(s.net)
-					}
-					pm.parts, pm.err = o.partitionsFrom(layerCosts, S)
-					if pm.err == nil {
-						st.PartitionsEnumerated += len(pm.parts)
-					}
-				}
-				partsBy[S] = pm
-			}
+	st.StageCountsSearched += len(counts)
+	for _, B := range s.batches {
+		for _, S := range counts {
+			pm := partsBy[S]
 			if pm.err != nil {
 				pseudo(B, S, pm.err.Error())
 				continue
 			}
 			for _, g := range grids(S) {
 				st.GridsEnumerated++
-				gp := pls
-				if g.Pr == 1 || g.Pc == 1 {
-					// Degenerate grids have identical rank mappings under
-					// every placement; extra placements would duplicate
-					// the first plan.
-					gp = gp[:1]
-				}
 				si, first := len(s.slots), len(s.leaves)
-				for _, pl := range gp {
+				for _, pl := range gridPlacements(pls, g) {
 					// Stage k's rank block starts at k·g.P().
 					for k := 0; k < S; k++ {
 						s.spans.Fill(g, pl, k*g.P())

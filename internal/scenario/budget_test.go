@@ -2,12 +2,10 @@ package scenario
 
 import (
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"dnnparallel/internal/grid"
-	"dnnparallel/internal/planner"
 )
 
 // budgetRepro is a ~200-byte scenario whose exhaustive S=8 VGG16 search
@@ -40,73 +38,33 @@ func TestCandidateBudgetRejectsRepro(t *testing.T) {
 	}
 }
 
-// The counted product is exactly the number of leaves the search
-// enumerates wherever the partitions are exhaustive: with bounds off
-// every leaf is one SearchStats candidate.
-func TestCandidatesMatchSearch(t *testing.T) {
-	cases := map[string]func(*Scenario){
-		"flat":  func(s *Scenario) {},
-		"micro": func(s *Scenario) { s.MicroBatches = []int{1, 2, 4, 4} },
-		"topology": func(s *Scenario) {
-			s.Topology = &TopologySpec{RanksPerNode: 16}
-		},
-		"placements": func(s *Scenario) {
-			s.Topology = &TopologySpec{RanksPerNode: 16}
-			s.Placements = []grid.Placement{grid.ColMajor}
-		},
-		"staged": func(s *Scenario) {
-			s.Pipeline = &PipelineSpec{Stages: 2}
-			s.MicroBatches = []int{1, 2}
-		},
-		"staged cuts": func(s *Scenario) {
-			s.Pipeline = &PipelineSpec{Stages: 2, Partition: &PartitionSpec{Cuts: []int{5}}}
-		},
-		"legacy stages": func(s *Scenario) { s.PipelineStages = 4 },
-		"tta": func(s *Scenario) {
-			s.Objective = planner.TimeToAccuracy
-			s.BatchSizes = []int{512, 1024, 2048}
-		},
+// Canonical, run on every dnnserve request (cache hits included), keeps
+// its allocation count per example scenario: the candidate budget counts
+// the search without enumerating it.
+func TestCanonicalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
 	}
-	for name, edit := range cases {
-		s := Default()
-		edit(&s)
-		r, err := s.Resolve()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		n := s.Normalize()
-		S := 1
-		if n.Pipeline != nil {
-			S = n.Pipeline.Stages
-		}
-		uniform := n.Topology == nil || n.Topology.resolve().Uniform()
-		f := n.candidates(S, 0, uniform, nil)
-		r.Options.DisableBounds = true
-		res, err := planner.Optimize(r.Net, r.Batch, r.Procs, r.Options)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := f[0] * f[1] * f[2] * f[3]; got != res.Stats.Candidates {
-			t.Errorf("%s: counted %v = %d candidates, the search priced %d", name, f, got, res.Stats.Candidates)
-		}
+	want := map[string]float64{
+		"alexnet-p512.json": 9, "alexnet-pipeline.json": 12, "alexnet-rack.json": 22,
+		"alexnet-sim-8x64.json": 9, "alexnet-stages.json": 13, "alexnet-topology.json": 17,
+		"alexnet-tta.json": 12, "resnet50-rack.json": 22, "vgg16-stages.json": 13,
 	}
-}
-
-// A pinned grid counts one grid, priced once under every placement unless
-// it is degenerate.
-func TestCandidatesPinnedGrid(t *testing.T) {
-	for _, tc := range []struct {
-		grid string
-		want int
-	}{{"16x32", 2}, {"1x512", 1}, {"512x1", 1}} {
-		s := Default()
-		s.Topology = &TopologySpec{RanksPerNode: 16}
-		g, err := grid.Parse(tc.grid)
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(files) != len(want) {
+		t.Fatalf("examples %v (%v), want the %d pinned", files, err, len(want))
+	}
+	for _, f := range files {
+		s, err := Load(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f := s.Normalize().candidates(1, 0, false, &g); f[1] != tc.want {
-			t.Errorf("grid %s: %d grid placements, want %d", tc.grid, f[1], tc.want)
+		if _, err := s.Canonical(); err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Base(f)
+		if got := testing.AllocsPerRun(100, func() { _, _ = s.Canonical() }); got > want[name] {
+			t.Errorf("%s: Canonical allocates %v times, want at most %v", name, got, want[name])
 		}
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"dnnparallel/internal/machine"
 	"dnnparallel/internal/nn"
 	"dnnparallel/internal/planner"
-	"dnnparallel/internal/stage"
 	"dnnparallel/internal/timeline"
 )
 
@@ -554,7 +553,17 @@ func (s Scenario) Normalize() Scenario {
 // planner's own per-candidate feasibility checks (MemoryStages' B%M
 // divisibility, which skips non-dividing candidates before pricing).
 func (s Scenario) Validate() error {
-	if _, err := nn.PresetKey(s.Network); err != nil {
+	var opts planner.Options
+	return s.lower(&opts)
+}
+
+// lower validates the spec (see Validate) and lowers it into opts: the
+// Options Resolve hands the planner, bar StageCounts. The candidate
+// budget is the planner's own count of that search
+// (planner.Options.Space), so it reads the very options the search runs.
+func (s Scenario) lower(opts *planner.Options) error {
+	net, err := nn.Preset(s.Network)
+	if err != nil {
 		return invalid("network", "%v", err)
 	}
 	if s.Batch < 1 {
@@ -577,12 +586,12 @@ func (s Scenario) Validate() error {
 	if s.Machine != nil && s.Topology != nil {
 		return invalid("machine", "machine and topology are mutually exclusive: a topology carries its own inter-node link")
 	}
+	opts.Machine = s.Machine.resolve()
 	if s.Machine != nil {
-		if err := s.Machine.resolve().Validate(); err != nil {
+		if err := opts.Machine.Validate(); err != nil {
 			return invalid("machine", "%v", err)
 		}
 	}
-	uniform := true // placements cannot differ on a flat or uniform machine
 	if s.Topology != nil {
 		t := s.Topology
 		if len(t.Levels) > 0 {
@@ -597,20 +606,18 @@ func (s Scenario) Validate() error {
 					return invalid("topology.levels", "level %d (%s): need bandwidth_gbs > 0, got %g", i, lv.Name, lv.BandwidthGBs)
 				}
 			}
-			topo := t.resolve()
-			if err := topo.Validate(); err != nil {
+			opts.Topology = t.resolve()
+			if err := opts.Topology.Validate(); err != nil {
 				return invalid("topology", "%v", err)
 			}
-			uniform = topo.Uniform()
 		} else {
 			if t.RanksPerNode < 1 {
 				return invalid("topology.ranks_per_node", "need ≥ 1 rank per node, got %d", t.RanksPerNode)
 			}
-			topo := t.resolve()
-			if err := topo.Validate(); err != nil {
+			opts.Topology = t.resolve()
+			if err := opts.Topology.Validate(); err != nil {
 				return invalid("topology", "%v", err)
 			}
-			uniform = topo.Uniform()
 			if t.Nodes < 0 {
 				return invalid("topology.nodes", "need a node count ≥ 0, got %d", t.Nodes)
 			}
@@ -632,7 +639,7 @@ func (s Scenario) Validate() error {
 				return invalid("batch_sizes", "candidates must be ≥ 1, got %d", b)
 			}
 		}
-		if _, err := s.curve(); err != nil {
+		if opts.Curve, err = s.curve(); err != nil {
 			return invalid("convergence", "%v", err)
 		}
 	} else {
@@ -687,7 +694,7 @@ func (s Scenario) Validate() error {
 	if s.PipelineStages > 1 && s.Pipeline != nil {
 		return invalid("pipeline_stages", "pipeline_stages is sugar for pipeline.stages; use one spelling only")
 	}
-	S, L := max(s.PipelineStages, 1), 0 // stage count and, for S > 1, weighted layers
+	S := max(s.PipelineStages, 1)
 	if s.Pipeline != nil {
 		p := s.Pipeline
 		if p.Stages < 0 {
@@ -717,9 +724,8 @@ func (s Scenario) Validate() error {
 			}
 		}
 		if stages > 1 {
-			// The network was validated above, so the preset resolves.
-			net, _ := nn.Preset(s.Network)
-			S, L = stages, len(net.WeightedLayers())
+			S = stages
+			L := len(net.WeightedLayers())
 			if stages > L {
 				return invalid("pipeline.stages", "%d stages exceed the network's %d weighted layers", stages, L)
 			}
@@ -769,12 +775,44 @@ func (s Scenario) Validate() error {
 			return invalid("grid", "grid %v uses %d processes but procs=%d", g, g.P(), s.Procs)
 		}
 	}
+	opts.Mode = s.Mode
+	opts.Overlap = s.Overlap
+	opts.DatasetN = s.DatasetN
+	opts.MemoryLimitWords = s.MemoryLimitWords
+	opts.AddRedistribution = s.AddRedistribution
+	opts.MaxPc = s.MaxBatchParallel
+	opts.UseTimeline = s.Timeline
+	opts.TimelinePolicy = s.Policy
+	opts.MicroBatches = s.MicroBatches
+	opts.Schedule = s.Schedule
+	opts.Placements = s.Placements
+	opts.Objective = s.Objective
+	opts.BatchSizes = s.BatchSizes // empty under the iteration objective
+	if s.Search != nil {
+		opts.Workers = s.Search.Workers
+		opts.DisableBounds = s.Search.Bounds != nil && !*s.Search.Bounds
+	}
+	if s.Pipeline != nil {
+		opts.MaxPartitions = s.Pipeline.MaxPartitions
+		if s.Pipeline.Partition != nil {
+			opts.Partition = s.Pipeline.Partition.Cuts
+		}
+	}
+	if s.Topology != nil {
+		// The flat view a topology-unaware consumer should see: every
+		// link priced at the inter-node level. This replaces the old
+		// silent shadowing — Machine is *derived from* Topology, never
+		// set alongside it.
+		opts.Machine = opts.Topology.Machine()
+	}
+	opts.Compute = DefaultCompute()
+	opts.Compute.Peak = opts.Machine.PeakFlops
+	sp := opts.Space(net, s.Batch, s.Procs, S, pinned)
 	// The product in floats: a large pipeline.max_partitions admits
 	// binomial partition counts that can overflow an int product.
-	f := s.candidates(S, L, uniform, pinned)
-	if n := float64(f[0]) * float64(f[1]) * float64(f[2]) * float64(f[3]); n > MaxCandidates {
+	if n := float64(sp.Partitions) * float64(sp.GridPlacements) * float64(sp.MicroBatches) * float64(sp.BatchSizes); n > MaxCandidates {
 		return invalid("candidates", "%d partitions × %d grid placements × %d micro-batch counts × %d batch sizes = %.0f candidate plans exceed the budget of %d (lower pipeline.max_partitions, pin a grid or a partition, or search fewer micro_batches or batch_sizes)",
-			f[0], f[1], f[2], f[3], n, MaxCandidates)
+			sp.Partitions, sp.GridPlacements, sp.MicroBatches, sp.BatchSizes, n, MaxCandidates)
 	}
 	return nil
 }
@@ -788,83 +826,15 @@ func (s Scenario) Validate() error {
 const MaxProcs = 1 << 24
 
 // MaxCandidates is the search budget of one scenario: the most candidate
-// plans — (batch size, grid, placement, partition, micro-batch) leaves —
-// Validate lets one scenario ask the planner to price. Every shipped
+// plans — (batch size, grid, placement, partition, micro-batch) leaves,
+// as the planner counts them (planner.Options.Space) — Validate lets one
+// scenario ask the planner to price. Every shipped
 // example asks for a few hundred at most; an exhaustive VGG16 search
 // over 8 stages (6435 partitions × 10 grids × 6 micro-batch counts ≈
 // 386k leaves) would tie the planner up for minutes. It is a constant,
 // not a knob: a larger question is split by pinning a grid or a
 // partition, or by lowering pipeline.max_partitions.
 const MaxCandidates = 131072
-
-// candidates returns the factors of the leaf count the planner
-// enumerates for the spec, without enumerating it: stage partitions,
-// (grid, placement) pairs, micro-batch counts and batch sizes. S is the
-// stage count and L, when S > 1, the weighted layer count (0 ⇒ read
-// from the network); uniform reports a topology on which every grid has
-// one placement; pinned is the parsed pinned grid, nil when the grids
-// are searched. Beyond pipeline.max_partitions the partition factor is
-// an upper bound (stage.Candidates).
-func (s Scenario) candidates(S, L int, uniform bool, pinned *grid.Grid) [4]int {
-	parts := 1
-	if S > 1 && (s.Pipeline == nil || s.Pipeline.Partition == nil || len(s.Pipeline.Partition.Cuts) == 0) {
-		if L == 0 {
-			net, _ := nn.Preset(s.Network)
-			L = len(net.WeightedLayers())
-		}
-		limit := planner.DefaultMaxPartitions
-		if s.Pipeline != nil && s.Pipeline.MaxPartitions > 0 {
-			limit = s.Pipeline.MaxPartitions
-		}
-		parts = stage.Candidates(L, S, limit)
-	}
-	pls := 1
-	if len(s.Placements) > 0 {
-		pls = distinct(s.Placements)
-	} else if !uniform {
-		pls = len(grid.Placements())
-	}
-	// A degenerate grid (Pr = 1 or Pc = 1) maps ranks identically under
-	// every placement, so the search prices it once.
-	var gridPls int
-	if pinned != nil {
-		gridPls = 1
-		if pinned.Pr > 1 && pinned.Pc > 1 {
-			gridPls = pls
-		}
-	} else if q := s.Procs / S; s.Procs%S == 0 {
-		divisors, degenerate := 0, min(q, 2)
-		for d := 1; d*d <= q; d++ {
-			if q%d == 0 {
-				divisors += 2
-				if d*d == q {
-					divisors--
-				}
-			}
-		}
-		gridPls = (divisors-degenerate)*pls + degenerate
-	}
-	micros := max(distinct(s.MicroBatches), 1)
-	batches := 1
-	if s.Objective == planner.TimeToAccuracy {
-		batches = distinct(s.BatchSizes)
-		if !slices.Contains(s.BatchSizes, s.Batch) {
-			batches++
-		}
-	}
-	return [4]int{parts, gridPls, micros, batches}
-}
-
-// distinct counts the distinct values of a short list.
-func distinct[T comparable](xs []T) int {
-	n := 0
-	for i, x := range xs {
-		if !slices.Contains(xs[:i], x) {
-			n++
-		}
-	}
-	return n
-}
 
 // curve resolves the effective steps-to-target model for the
 // time-to-accuracy objective: the convergence block's preset curve
@@ -895,15 +865,6 @@ func (s Scenario) curve() (convergence.Curve, error) {
 		base.Exponent = c.Exponent
 	}
 	return base, base.Validate()
-}
-
-// ConvergenceCurve resolves the effective steps-to-target model the
-// time-to-accuracy objective would plan with: the convergence block's
-// preset (default: the scenario's own network) with the block's explicit
-// parameters applied. It lets front ends display the curve the planner
-// used without re-deriving the preset/override precedence.
-func (s Scenario) ConvergenceCurve() (convergence.Curve, error) {
-	return s.Normalize().curve()
 }
 
 // Canonical returns the canonical byte form: the compact JSON of the
@@ -937,67 +898,17 @@ type Resolved struct {
 // or planner.Evaluate.
 func (s Scenario) Resolve() (Resolved, error) {
 	n := s.Normalize()
-	if err := n.Validate(); err != nil {
+	var opts planner.Options
+	if err := n.lower(&opts); err != nil {
 		return Resolved{}, err
 	}
-	net, err := nn.Preset(n.Network)
-	if err != nil { // unreachable: Validate checked
-		return Resolved{}, invalid("network", "%v", err)
+	if n.Pipeline != nil && n.Pipeline.Stages > 1 {
+		opts.StageCounts = []int{n.Pipeline.Stages}
 	}
-	r := Resolved{Normalized: n, Net: net, Batch: n.Batch, Procs: n.Procs}
-	opts := planner.Options{
-		Machine:           n.Machine.resolve(),
-		Mode:              n.Mode,
-		Overlap:           n.Overlap,
-		DatasetN:          n.DatasetN,
-		MemoryLimitWords:  n.MemoryLimitWords,
-		AddRedistribution: n.AddRedistribution,
-		MaxPc:             n.MaxBatchParallel,
-		UseTimeline:       n.Timeline,
-		TimelinePolicy:    n.Policy,
-		MicroBatches:      n.MicroBatches,
-		Schedule:          n.Schedule,
-		Placements:        n.Placements,
-	}
-	if n.Search != nil {
-		opts.Workers = n.Search.Workers
-		opts.DisableBounds = n.Search.Bounds != nil && !*n.Search.Bounds
-	}
-	if n.Objective == planner.TimeToAccuracy {
-		opts.Objective = planner.TimeToAccuracy
-		opts.BatchSizes = append([]int(nil), n.BatchSizes...)
-		curve, err := n.curve()
-		if err != nil { // unreachable: Validate checked
-			return Resolved{}, invalid("convergence", "%v", err)
-		}
-		opts.Curve = curve
-	}
-	if n.Pipeline != nil {
-		if n.Pipeline.Stages > 1 {
-			opts.StageCounts = []int{n.Pipeline.Stages}
-		}
-		opts.MaxPartitions = n.Pipeline.MaxPartitions
-		if n.Pipeline.Partition != nil && len(n.Pipeline.Partition.Cuts) > 0 {
-			opts.Partition = append([]int(nil), n.Pipeline.Partition.Cuts...)
-		}
-	}
-	if n.Topology != nil {
-		opts.Topology = n.Topology.resolve()
-		// The flat view a topology-unaware consumer should see: every
-		// link priced at the inter-node level. This replaces the old
-		// silent shadowing — Machine is *derived from* Topology, never
-		// set alongside it.
-		opts.Machine = opts.Topology.Machine()
-	}
-	cm := DefaultCompute()
-	cm.Peak = opts.Machine.PeakFlops
-	opts.Compute = cm
-	r.Options = opts
+	net, _ := nn.Preset(n.Network) // lower resolved it
+	r := Resolved{Normalized: n, Net: net, Batch: n.Batch, Procs: n.Procs, Options: opts}
 	if n.Grid != "" {
-		g, err := grid.Parse(n.Grid)
-		if err != nil { // unreachable: Validate checked
-			return Resolved{}, invalid("grid", "%v", err)
-		}
+		g, _ := grid.Parse(n.Grid) // lower parsed it
 		r.Grid = &g
 	}
 	return r, nil

@@ -84,11 +84,11 @@ func TestConvergenceCanonicalization(t *testing.T) {
 		t.Fatal("a different convergence curve canonicalized to the preset spelling")
 	}
 	// The effective curve is the preset with the override applied.
-	curve, err := alt.ConvergenceCurve()
+	r, err := alt.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if curve.StepsAtB1 != 9e7 || curve.CriticalB != 2048 || curve.Exponent != 2 {
+	if curve := r.Options.Curve; curve.StepsAtB1 != 9e7 || curve.CriticalB != 2048 || curve.Exponent != 2 {
 		t.Fatalf("override curve = %+v, want preset with StepsAtB1=9e7", curve)
 	}
 }
