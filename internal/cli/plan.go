@@ -397,19 +397,6 @@ func StageTable(stages []dnnparallel.StageSummary) string {
 		rows)
 }
 
-// campaignSizes is the number of global batch sizes a time-to-accuracy
-// search sweeps: batch_sizes ∪ {B} (the base batch is always a
-// candidate).
-func campaignSizes(sc dnnparallel.Scenario) int {
-	n := len(sc.BatchSizes)
-	for _, b := range sc.BatchSizes {
-		if b == sc.Batch {
-			return n
-		}
-	}
-	return n + 1
-}
-
 // RenderPlan renders a PlanResult exactly as the dnnplan CLI prints it.
 // PlanMain calls this on the façade's output, so CLI text and API result
 // cannot disagree.
@@ -425,8 +412,9 @@ func RenderPlan(res *dnnparallel.PlanResult, gantt bool) string {
 		}
 	}
 	if tta {
+		campaign := planner.Options{Objective: sc.Objective, BatchSizes: sc.BatchSizes}.Batches(sc.Batch)
 		fmt.Fprintf(&b, "%s, B=%d (%d campaign batch sizes), P=%d, mode=%v, objective=time-to-accuracy, machine=%s\n\n",
-			res.Network, sc.Batch, campaignSizes(sc), sc.Procs, sc.Mode, res.Machine)
+			res.Network, sc.Batch, len(campaign), sc.Procs, sc.Mode, res.Machine)
 	} else {
 		fmt.Fprintf(&b, "%s, B=%d, P=%d, mode=%v, machine=%s\n\n",
 			res.Network, sc.Batch, sc.Procs, sc.Mode, res.Machine)

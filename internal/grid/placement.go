@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"dnnparallel/internal/enum"
 )
 
 // Placement maps logical grid coordinates (r, c) to machine ranks, i.e.
@@ -29,48 +31,24 @@ const (
 // Placements lists every placement, in search order.
 func Placements() []Placement { return []Placement{RowMajor, ColMajor} }
 
-func (p Placement) String() string {
-	switch p {
-	case RowMajor:
-		return "row-major"
-	case ColMajor:
-		return "col-major"
-	}
-	return fmt.Sprintf("Placement(%d)", int(p))
-}
+var placements = enum.New("placement", "placement",
+	[]string{"row-major", "col-major"},
+	map[string]Placement{"row": RowMajor, "col": ColMajor, "column-major": ColMajor})
+
+func (p Placement) String() string { return placements.String(p) }
 
 // ParsePlacement converts a flag value into a Placement.
-func ParsePlacement(s string) (Placement, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "row-major", "row", "":
-		return RowMajor, nil
-	case "col-major", "col", "column-major":
-		return ColMajor, nil
-	}
-	return RowMajor, fmt.Errorf("grid: unknown placement %q (want row-major|col-major)", s)
-}
+func ParsePlacement(s string) (Placement, error) { return placements.Parse(s) }
+
+// Validate returns MarshalText's error, or nil without allocating.
+func (p Placement) Validate() error { return placements.Validate(p) }
 
 // MarshalText implements encoding.TextMarshaler so a Placement embeds in
-// JSON specs as its canonical string. Out-of-range values error rather
-// than emitting an unparseable "Placement(n)".
-func (p Placement) MarshalText() ([]byte, error) {
-	switch p {
-	case RowMajor, ColMajor:
-		return []byte(p.String()), nil
-	}
-	return nil, fmt.Errorf("grid: cannot marshal invalid placement %d", int(p))
-}
+// JSON specs as its canonical string.
+func (p Placement) MarshalText() ([]byte, error) { return placements.Marshal(p) }
 
-// UnmarshalText implements encoding.TextUnmarshaler via ParsePlacement,
-// so String → Parse round-trips through JSON exactly.
-func (p *Placement) UnmarshalText(text []byte) error {
-	v, err := ParsePlacement(string(text))
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+// UnmarshalText implements encoding.TextUnmarshaler via ParsePlacement.
+func (p *Placement) UnmarshalText(text []byte) error { return placements.Unmarshal(p, text) }
 
 // LevelStat summarizes how one collective group's machine ranks occupy
 // one level of a hierarchical machine — the per-level information the

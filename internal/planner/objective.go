@@ -1,9 +1,6 @@
 package planner
 
-import (
-	"fmt"
-	"strings"
-)
+import "dnnparallel/internal/enum"
 
 // Objective selects the quantity Optimize minimizes.
 type Objective int
@@ -24,47 +21,22 @@ const (
 	TimeToAccuracy
 )
 
-func (o Objective) String() string {
-	switch o {
-	case Iteration:
-		return "iteration"
-	case TimeToAccuracy:
-		return "time-to-accuracy"
-	}
-	return fmt.Sprintf("Objective(%d)", int(o))
-}
+var objectives = enum.New("objective", "objective",
+	[]string{"iteration", "time-to-accuracy"},
+	map[string]Objective{"tta": TimeToAccuracy})
 
-// ParseObjective converts a flag or spec value into an Objective. The
-// empty string parses as Iteration (the zero value), and "tta" is
-// accepted as a shorthand for "time-to-accuracy", mirroring ParseMode.
-func ParseObjective(s string) (Objective, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "iteration", "":
-		return Iteration, nil
-	case "time-to-accuracy", "tta":
-		return TimeToAccuracy, nil
-	}
-	return Iteration, fmt.Errorf("planner: unknown objective %q (want iteration|time-to-accuracy)", s)
-}
+func (o Objective) String() string { return objectives.String(o) }
+
+// ParseObjective converts a flag or spec value into an Objective; "tta"
+// is shorthand for "time-to-accuracy".
+func ParseObjective(s string) (Objective, error) { return objectives.Parse(s) }
+
+// Validate returns MarshalText's error, or nil without allocating.
+func (o Objective) Validate() error { return objectives.Validate(o) }
 
 // MarshalText implements encoding.TextMarshaler so an Objective embeds
-// in JSON specs as its canonical string. Out-of-range values error
-// rather than emitting an unparseable "Objective(n)".
-func (o Objective) MarshalText() ([]byte, error) {
-	switch o {
-	case Iteration, TimeToAccuracy:
-		return []byte(o.String()), nil
-	}
-	return nil, fmt.Errorf("planner: cannot marshal invalid objective %d", int(o))
-}
+// in JSON specs as its canonical string.
+func (o Objective) MarshalText() ([]byte, error) { return objectives.Marshal(o) }
 
-// UnmarshalText implements encoding.TextUnmarshaler via ParseObjective,
-// so String → Parse round-trips through JSON exactly.
-func (o *Objective) UnmarshalText(text []byte) error {
-	v, err := ParseObjective(string(text))
-	if err != nil {
-		return err
-	}
-	*o = v
-	return nil
-}
+// UnmarshalText implements encoding.TextUnmarshaler via ParseObjective.
+func (o *Objective) UnmarshalText(text []byte) error { return objectives.Unmarshal(o, text) }

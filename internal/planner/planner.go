@@ -12,10 +12,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 
 	"dnnparallel/internal/costmodel"
+	"dnnparallel/internal/enum"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/nn"
 	"dnnparallel/internal/timeline"
@@ -41,57 +41,25 @@ const (
 	Auto
 )
 
-func (m Mode) String() string {
-	switch m {
-	case Uniform:
-		return "uniform"
-	case ConvBatch:
-		return "conv-batch"
-	case ConvDomain:
-		return "conv-domain"
-	case Auto:
-		return "auto"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
+var modes = enum.New("mode", "mode",
+	[]string{"uniform", "conv-batch", "conv-domain", "auto"},
+	map[string]Mode{"convbatch": ConvBatch, "convdomain": ConvDomain})
 
-// ParseMode converts a flag or spec value into a Mode. The empty string
-// parses as Uniform (the zero value), mirroring timeline.ParsePolicy.
-func ParseMode(s string) (Mode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "uniform", "":
-		return Uniform, nil
-	case "conv-batch", "convbatch":
-		return ConvBatch, nil
-	case "conv-domain", "convdomain":
-		return ConvDomain, nil
-	case "auto":
-		return Auto, nil
-	}
-	return Uniform, fmt.Errorf("planner: unknown mode %q (want uniform|conv-batch|conv-domain|auto)", s)
-}
+func (m Mode) String() string { return modes.String(m) }
+
+// ParseMode converts a flag or spec value into a Mode (see package enum
+// for the spelling rule).
+func ParseMode(s string) (Mode, error) { return modes.Parse(s) }
+
+// Validate returns MarshalText's error, or nil without allocating.
+func (m Mode) Validate() error { return modes.Validate(m) }
 
 // MarshalText implements encoding.TextMarshaler so a Mode embeds in JSON
-// specs as its canonical string. Out-of-range values error rather than
-// emitting an unparseable "Mode(n)".
-func (m Mode) MarshalText() ([]byte, error) {
-	switch m {
-	case Uniform, ConvBatch, ConvDomain, Auto:
-		return []byte(m.String()), nil
-	}
-	return nil, fmt.Errorf("planner: cannot marshal invalid mode %d", int(m))
-}
+// specs as its canonical string.
+func (m Mode) MarshalText() ([]byte, error) { return modes.Marshal(m) }
 
-// UnmarshalText implements encoding.TextUnmarshaler via ParseMode, so
-// String → Parse round-trips through JSON exactly.
-func (m *Mode) UnmarshalText(text []byte) error {
-	v, err := ParseMode(string(text))
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
-}
+// UnmarshalText implements encoding.TextUnmarshaler via ParseMode.
+func (m *Mode) UnmarshalText(text []byte) error { return modes.Unmarshal(m, text) }
 
 // Plan is one evaluated configuration.
 type Plan struct {

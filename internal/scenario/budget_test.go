@@ -40,15 +40,16 @@ func TestCandidateBudgetRejectsRepro(t *testing.T) {
 
 // Canonical, run on every dnnserve request (cache hits included), keeps
 // its allocation count per example scenario: the candidate budget counts
-// the search without enumerating it.
+// the search without enumerating it, the enum fields are checked without
+// rendering their names, and an unpinned grid is not parsed.
 func TestCanonicalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	want := map[string]float64{
-		"alexnet-p512.json": 9, "alexnet-pipeline.json": 12, "alexnet-rack.json": 22,
-		"alexnet-sim-8x64.json": 9, "alexnet-stages.json": 13, "alexnet-topology.json": 17,
-		"alexnet-tta.json": 12, "resnet50-rack.json": 22, "vgg16-stages.json": 13,
+		"alexnet-p512.json": 3, "alexnet-pipeline.json": 6, "alexnet-rack.json": 16,
+		"alexnet-sim-8x64.json": 5, "alexnet-stages.json": 7, "alexnet-topology.json": 11,
+		"alexnet-tta.json": 6, "resnet50-rack.json": 16, "vgg16-stages.json": 7,
 	}
 	files, err := filepath.Glob("../../examples/scenarios/*.json")
 	if err != nil || len(files) != len(want) {

@@ -253,7 +253,7 @@ func (p *PartitionSpec) UnmarshalJSON(data []byte) error {
 // spellings share one canonical form (and one dnnserve cache entry).
 type PipelineSpec struct {
 	// Stages is the stage count S (≥ 2 in canonical form; a block with
-	// S ≤ 1 normalizes away). Must divide procs and not exceed the
+	// S of 0 or 1 normalizes away). Must divide procs and not exceed the
 	// network's weighted layer count. Derivable from an explicit
 	// partition (len(cuts)+1).
 	Stages int `json:"stages,omitempty"`
@@ -404,8 +404,8 @@ func Default() Scenario {
 // from the topology when absent, and Timeline switched on when any
 // micro-batch candidate exceeds 1. Normalizing twice is a no-op; a
 // normalized scenario marshals bit-exactly stable JSON. Fields it cannot
-// interpret (an unknown network, a malformed grid) are left for Validate
-// to report.
+// interpret (an unknown network, a malformed grid, a negative count) are
+// left for Validate to report.
 func (s Scenario) Normalize() Scenario {
 	out := s
 	if key, err := nn.PresetKey(out.Network); err == nil {
@@ -481,7 +481,7 @@ func (s Scenario) Normalize() Scenario {
 		if p.Stages == 0 && p.Partition != nil {
 			p.Stages = len(p.Partition.Cuts) + 1 // cuts imply the stage count
 		}
-		if p.Stages <= 1 && p.Partition == nil && p.MaxPartitions == 0 {
+		if (p.Stages == 0 || p.Stages == 1) && p.Partition == nil && p.MaxPartitions == 0 {
 			out.Pipeline = nil // the degenerate block is the default
 		} else {
 			out.Pipeline = &p
@@ -500,14 +500,14 @@ func (s Scenario) Normalize() Scenario {
 	}
 	if out.Topology != nil {
 		t := *out.Topology
-		if len(t.Levels) == 0 && t.RanksPerNode > 0 && t.Nodes <= MaxProcs/t.RanksPerNode &&
+		if len(t.Levels) == 0 && t.RanksPerNode > 0 && t.Nodes >= 0 && t.Nodes <= MaxProcs/t.RanksPerNode &&
 			!(t.Nodes > 0 && out.Procs > 0 && out.Procs != t.Nodes*t.RanksPerNode) {
 			// Canonicalize the consistent two-level sugar onto the levels
 			// list: both spellings of one machine share one canonical
-			// form (and one plan-cache entry). Inconsistent sugar (a
-			// nodes×ranks_per_node/procs conflict, or a product over
-			// MaxProcs, which is never multiplied out) is left for
-			// Validate.
+			// form (and one plan-cache entry). Malformed sugar (a
+			// negative node count, a nodes×ranks_per_node/procs
+			// conflict, or a product over MaxProcs, which is never
+			// multiplied out) is left for Validate.
 			if out.Procs == 0 && t.Nodes > 0 {
 				out.Procs = t.Nodes * t.RanksPerNode
 			}
@@ -528,8 +528,10 @@ func (s Scenario) Normalize() Scenario {
 		}
 		out.Topology = &t
 	}
-	if g, err := grid.Parse(out.Grid); err == nil {
-		out.Grid = g.String()
+	if out.Grid != "" {
+		if g, err := grid.Parse(out.Grid); err == nil {
+			out.Grid = g.String()
+		}
 	}
 	if out.Search != nil {
 		se := *out.Search
@@ -627,10 +629,10 @@ func (s Scenario) lower(opts *planner.Options) error {
 			}
 		}
 	}
-	if _, err := s.Mode.MarshalText(); err != nil {
+	if err := s.Mode.Validate(); err != nil {
 		return invalid("mode", "%v", err)
 	}
-	if _, err := s.Objective.MarshalText(); err != nil {
+	if err := s.Objective.Validate(); err != nil {
 		return invalid("objective", "%v", err)
 	}
 	if s.Objective == planner.TimeToAccuracy {
@@ -651,14 +653,14 @@ func (s Scenario) lower(opts *planner.Options) error {
 		}
 	}
 	for _, p := range s.Placements {
-		if _, err := p.MarshalText(); err != nil {
+		if err := p.Validate(); err != nil {
 			return invalid("placements", "%v", err)
 		}
 	}
-	if _, err := s.Policy.MarshalText(); err != nil {
+	if err := s.Policy.Validate(); err != nil {
 		return invalid("policy", "%v", err)
 	}
-	if _, err := s.Schedule.MarshalText(); err != nil {
+	if err := s.Schedule.Validate(); err != nil {
 		return invalid("schedule", "%v", err)
 	}
 	divides := len(s.MicroBatches) == 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -397,6 +398,63 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if err := Default().Validate(); err != nil {
 		t.Fatalf("default scenario must validate, got %v", err)
+	}
+}
+
+// TestNormalizeKeepsInvalidCounts: Normalize leaves malformed counts in
+// place, so Canonical and Resolve (dnnplan -config, dnnserve) reject a
+// spec on the same field Validate names. Only the canonicalizations the
+// spec documents turn a Validate error into an accepted canonical form.
+func TestNormalizeKeepsInvalidCounts(t *testing.T) {
+	field := func(err error) string {
+		var ve *ValidationError
+		if !errors.As(err, &ve) {
+			return fmt.Sprintf("%v", err)
+		}
+		return ve.Field
+	}
+	const base = `"network":"alexnet","batch":2048,"procs":512`
+	for _, c := range []struct{ body, field string }{
+		{`"topology":{"nodes":-1,"ranks_per_node":16}`, "topology.nodes"},
+		{`"pipeline":{"stages":-3}`, "pipeline.stages"},
+		{`"pipeline":{"stages":-3,"partition":"auto"}`, "pipeline.stages"},
+		{`"pipeline_stages":-2`, "pipeline_stages"},
+		{`"pipeline":{"max_partitions":-1}`, "pipeline.max_partitions"},
+		{`"micro_batches":[-2,4]`, "micro_batches"},
+		{`"search":{"workers":-1}`, "search.workers"},
+		{`"objective":"tta","batch_sizes":[-4]`, "batch_sizes"},
+	} {
+		s, err := Decode([]byte("{" + base + "," + c.body + "}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, canonErr := s.Canonical()
+		_, resolveErr := s.Resolve()
+		if v, cf, rf := field(s.Validate()), field(canonErr), field(resolveErr); v != c.field || cf != c.field || rf != c.field {
+			t.Errorf("%s: Validate, Canonical, Resolve reject %q, %q, %q; want %q each", c.body, v, cf, rf, c.field)
+		}
+	}
+	// The documented canonicalizations: {batch} is the default batch
+	// list, the scenario's own network the default convergence preset,
+	// and M > 1 switches the timeline on.
+	for _, c := range []struct{ body, field string }{
+		{`"batch_sizes":[2048]`, "batch_sizes"},
+		{`"convergence":{"preset":"AlexNet"}`, "convergence"},
+		{`"micro_batches":[4]`, "micro_batches"},
+	} {
+		s, err := Decode([]byte("{" + base + "," + c.body + "}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := field(s.Validate()); got != c.field {
+			t.Errorf("%s: Validate rejects %q, want %q", c.body, got, c.field)
+		}
+		if _, err := s.Canonical(); err != nil {
+			t.Errorf("%s: Canonical: %v", c.body, err)
+		}
+		if _, err := s.Resolve(); err != nil {
+			t.Errorf("%s: Resolve: %v", c.body, err)
+		}
 	}
 }
 

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
+
+	"dnnparallel/internal/enum"
 )
 
 // Policy selects how much communication may overlap computation.
@@ -33,52 +34,24 @@ const (
 	PolicyFull
 )
 
-func (p Policy) String() string {
-	switch p {
-	case PolicyNone:
-		return "none"
-	case PolicyBackprop:
-		return "backprop"
-	case PolicyFull:
-		return "full"
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
-}
+var policies = enum.New("overlap policy", "policy",
+	[]string{"none", "backprop", "full"},
+	map[string]Policy{"serial": PolicyNone, "overlap": PolicyBackprop, "async": PolicyFull})
+
+func (p Policy) String() string { return policies.String(p) }
 
 // ParsePolicy converts a flag value into a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "none", "serial", "":
-		return PolicyNone, nil
-	case "backprop", "overlap":
-		return PolicyBackprop, nil
-	case "full", "async":
-		return PolicyFull, nil
-	}
-	return PolicyNone, fmt.Errorf("timeline: unknown overlap policy %q (want none|backprop|full)", s)
-}
+func ParsePolicy(s string) (Policy, error) { return policies.Parse(s) }
+
+// Validate returns MarshalText's error, or nil without allocating.
+func (p Policy) Validate() error { return policies.Validate(p) }
 
 // MarshalText implements encoding.TextMarshaler so a Policy embeds in
-// JSON specs as its canonical string. Out-of-range values error rather
-// than emitting an unparseable "Policy(n)".
-func (p Policy) MarshalText() ([]byte, error) {
-	switch p {
-	case PolicyNone, PolicyBackprop, PolicyFull:
-		return []byte(p.String()), nil
-	}
-	return nil, fmt.Errorf("timeline: cannot marshal invalid policy %d", int(p))
-}
+// JSON specs as its canonical string.
+func (p Policy) MarshalText() ([]byte, error) { return policies.Marshal(p) }
 
-// UnmarshalText implements encoding.TextUnmarshaler via ParsePolicy, so
-// String → Parse round-trips through JSON exactly.
-func (p *Policy) UnmarshalText(text []byte) error {
-	v, err := ParsePolicy(string(text))
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+// UnmarshalText implements encoding.TextUnmarshaler via ParsePolicy.
+func (p *Policy) UnmarshalText(text []byte) error { return policies.Unmarshal(p, text) }
 
 // LayerLevels carries the per-level split of each communication field
 // of a Layer, produced by pricing the layer against a hierarchical

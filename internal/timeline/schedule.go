@@ -33,7 +33,8 @@ package timeline
 import (
 	"fmt"
 	"sort"
-	"strings"
+
+	"dnnparallel/internal/enum"
 )
 
 // Shape selects the pipeline schedule shape.
@@ -52,48 +53,24 @@ const (
 	OneFOneB
 )
 
-func (s Shape) String() string {
-	switch s {
-	case GPipe:
-		return "gpipe"
-	case OneFOneB:
-		return "1f1b"
-	}
-	return fmt.Sprintf("Shape(%d)", int(s))
-}
+var shapes = enum.New("schedule shape", "schedule shape",
+	[]string{"gpipe", "1f1b"},
+	map[string]Shape{"fill-drain": GPipe, "one-forward-one-backward": OneFOneB, "interleaved": OneFOneB})
+
+func (s Shape) String() string { return shapes.String(s) }
 
 // ParseSchedule converts a flag value into a schedule Shape.
-func ParseSchedule(s string) (Shape, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "gpipe", "fill-drain", "":
-		return GPipe, nil
-	case "1f1b", "one-forward-one-backward", "interleaved":
-		return OneFOneB, nil
-	}
-	return GPipe, fmt.Errorf("timeline: unknown schedule shape %q (want gpipe|1f1b)", s)
-}
+func ParseSchedule(s string) (Shape, error) { return shapes.Parse(s) }
+
+// Validate returns MarshalText's error, or nil without allocating.
+func (s Shape) Validate() error { return shapes.Validate(s) }
 
 // MarshalText implements encoding.TextMarshaler so a Shape embeds in
-// JSON specs as its canonical string. Out-of-range values error rather
-// than emitting an unparseable "Shape(n)".
-func (s Shape) MarshalText() ([]byte, error) {
-	switch s {
-	case GPipe, OneFOneB:
-		return []byte(s.String()), nil
-	}
-	return nil, fmt.Errorf("timeline: cannot marshal invalid schedule shape %d", int(s))
-}
+// JSON specs as its canonical string.
+func (s Shape) MarshalText() ([]byte, error) { return shapes.Marshal(s) }
 
-// UnmarshalText implements encoding.TextUnmarshaler via ParseSchedule,
-// so String → Parse round-trips through JSON exactly.
-func (s *Shape) UnmarshalText(text []byte) error {
-	v, err := ParseSchedule(string(text))
-	if err != nil {
-		return err
-	}
-	*s = v
-	return nil
-}
+// UnmarshalText implements encoding.TextUnmarshaler via ParseSchedule.
+func (s *Shape) UnmarshalText(text []byte) error { return shapes.Unmarshal(s, text) }
 
 // Schedule describes a multi-micro-batch pipeline over the layer graph.
 type Schedule struct {
