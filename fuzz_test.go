@@ -25,6 +25,8 @@ func FuzzCanonical(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// An explicit single stage next to a pipeline block normalizes away.
+	f.Add([]byte(`{"network":"alexnet","batch":2048,"procs":512,"pipeline_stages":1,"pipeline":{"stages":2}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := DecodeScenario(data)
 		if err != nil {

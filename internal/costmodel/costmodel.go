@@ -117,16 +117,6 @@ type Breakdown struct {
 	LevelNames []string
 }
 
-// newBreakdown returns an empty breakdown sized for nlayers layer costs
-// (see resetBreakdown); every PriceStages call builds one. The planner's
-// closed-form search instead prices its leaves into one reused breakdown
-// per worker (FullIntegratedInto), and the plan it reports keeps one.
-func (e Env) newBreakdown(nlayers int) *Breakdown {
-	b := new(Breakdown)
-	e.resetBreakdown(b, nlayers)
-	return b
-}
-
 // resetBreakdown empties b for nlayers layer costs, keeping its storage
 // when it is large enough, and stamps the environment's level names when
 // pricing is topology-aware (nil on a flat machine). The capacity

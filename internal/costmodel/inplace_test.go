@@ -79,6 +79,17 @@ func memoizedResNet50(g grid.Grid) (*nn.Network, Env) {
 	return net, Env{Topo: topo, Placement: grid.RowMajor, Spans: memo}
 }
 
+// newBreakdown returns an empty breakdown sized for nlayers layer costs
+// (see resetBreakdown): what FullIntegrated and PriceStages allocate per
+// call, and the measured baseline of the allocation pins below. Neither
+// of the planner's searches builds one per leaf: both price their
+// leaves into per-worker scratch (FullIntegratedInto, PriceStagesInto).
+func (e Env) newBreakdown(nlayers int) *Breakdown {
+	b := new(Breakdown)
+	e.resetBreakdown(b, nlayers)
+	return b
+}
+
 // On a memoized three-level Env, the fused Auto pass — FullIntegrated
 // under ConvAssignment(net, Cheapest, Model) — allocates its breakdown
 // and nothing else (the pricer stays on the stack), and reading the

@@ -92,11 +92,23 @@ func IterationTotals(b *Breakdown, compSeconds float64, overlap bool) (comm, ite
 // their own lane. Flat breakdowns produce flat layers (single Network
 // lane).
 func TimelineLayers(b *Breakdown, times []compute.LayerTime) []timeline.Layer {
+	return new(StageScratch).timelineLayers(b, times)
+}
+
+// timelineLayers is TimelineLayers into sc's storage: the layers and
+// their level splits overwrite sc's, grown only when too short.
+func (sc *StageScratch) timelineLayers(b *Breakdown, times []compute.LayerTime) []timeline.Layer {
 	if len(b.Layers) != len(times) {
 		panic(fmt.Sprintf("costmodel: TimelineLayers got %d layer costs and %d layer times", len(b.Layers), len(times)))
 	}
-	depth := len(b.LevelNames)
-	out := make([]timeline.Layer, len(times))
+	n, depth := len(times), len(b.LevelNames)
+	if cap(sc.layers) < n {
+		sc.layers = make([]timeline.Layer, n)
+	}
+	out := sc.layers[:n]
+	if depth > 0 && cap(sc.levels) < n {
+		sc.levels = make([]timeline.LayerLevels, n)
+	}
 	for i, t := range times {
 		lc := &b.Layers[i]
 		if lc.Index != t.Index {
@@ -113,7 +125,8 @@ func TimelineLayers(b *Breakdown, times []compute.LayerTime) []timeline.Layer {
 			BwdHalo:    lc.BwdHalo.Total(),
 		}
 		if depth > 0 {
-			out[i].Levels = &timeline.LayerLevels{
+			lv := &sc.levels[i]
+			*lv = timeline.LayerLevels{
 				Names:      b.LevelNames,
 				AllGather:  lc.AllGather.Levels[:depth],
 				FwdHalo:    lc.FwdHalo.Levels[:depth],
@@ -121,6 +134,7 @@ func TimelineLayers(b *Breakdown, times []compute.LayerTime) []timeline.Layer {
 				GradReduce: lc.GradReduce.Levels[:depth],
 				BwdHalo:    lc.BwdHalo.Levels[:depth],
 			}
+			out[i].Levels = lv
 		}
 	}
 	return out

@@ -31,9 +31,10 @@
 // loop and timed with compute.GridLayerTimes' arithmetic, residual
 // included — at M = 1 the iteration is the paper's single bulk-synchronous
 // iteration bit for bit (property-tested), so the planner scores every
-// timeline candidate, M = 1 and S = 1 too, as one PriceStages, which
+// timeline candidate, M = 1 and S = 1 too, as one PriceStagesInto, which
 // resolves Cheapest layers on each stage's own block and derives the
-// stash column and the tightest footprint from one MemoryStages.
+// stash column and the tightest footprint from the per-stage
+// MemoryStages estimates.
 package costmodel
 
 import (
@@ -215,12 +216,36 @@ func (sp StagePricing) Simulate(policy timeline.Policy, spans bool) (StagePipeli
 	return sc, nil
 }
 
+// StageScratch is caller-owned storage for PriceStagesInto: the
+// breakdown, the per-layer compute split and the timeline input of one
+// priced iteration, the input's per-level splits included. Every call
+// overwrites it, reusing its storage; the zero value is ready to use. A
+// caller that prices many candidates and keeps only their scores (the
+// planner's timeline search) reuses one per goroutine.
+type StageScratch struct {
+	bd     Breakdown
+	times  []compute.LayerTime
+	layers []timeline.Layer
+	levels []timeline.LayerLevels
+}
+
 // PriceStages is StageIteration's pricing half: the Eq. 3–9 terms of
 // every stage's layers on the stage's own grid and rank offset (Cheapest
 // resolved there), the per-layer compute split, the boundary handoffs,
 // the stage table, the per-process footprint and the unsimulated
-// overhead — everything but the schedule.
+// overhead — everything but the schedule. It is PriceStagesInto a fresh
+// StageScratch.
 func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []grid.Grid,
+	assign Assignment, cm compute.Model, sched timeline.Schedule) (StagePricing, error) {
+	return e.PriceStagesInto(new(StageScratch), net, B, part, grids, assign, cm, sched)
+}
+
+// PriceStagesInto is PriceStages priced into the caller's scratch: the
+// returned Breakdown and Layers (level splits included) are sc's storage,
+// valid until sc prices again, and equal what PriceStages returns. The
+// stage table, and under Cheapest the resolved assignment, are the
+// result's own.
+func (e Env) PriceStagesInto(sc *StageScratch, net *nn.Network, B int, part stage.Partition, grids []grid.Grid,
 	assign Assignment, cm compute.Model, sched timeline.Schedule) (StagePricing, error) {
 	widx := net.WeightedLayers()
 	if err := part.Validate(); err != nil {
@@ -243,40 +268,41 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 	M := sched.MicroBatches
 	micro := B / M
 
-	// Stage rank blocks are consecutive: stage k occupies machine ranks
-	// [offsets[k], offsets[k]+grids[k].P()).
-	offsets := make([]int, S)
-	for k := 1; k < S; k++ {
-		offsets[k] = offsets[k-1] + grids[k-1].P()
-	}
-
 	// Per-layer collective pricing, each stage on its own grid at its own
 	// offset. At S = 1 this is exactly FullIntegrated (same loop). Within
 	// a stage, a layer class is priced and timed once (LayerClasses).
+	// Stage rank blocks are consecutive: stage k occupies machine ranks
+	// [RankOffset, RankOffset+grids[k].P()).
 	class := net.LayerClasses()
 	var cheapest bool
-	b := e.newBreakdown(len(widx))
-	times := make([]compute.LayerTime, 0, len(widx))
+	b := &sc.bd
+	e.resetBreakdown(b, len(widx))
+	if cap(sc.times) < len(widx) {
+		sc.times = make([]compute.LayerTime, 0, len(widx))
+	}
+	times := sc.times[:0]
 	stages := make([]StageCost, S)
+	offset := 0
 	for k := 0; k < S; k++ {
 		lo, hi := part.Bounds(k)
 		g := grids[k]
-		pr := e.pricerAt(g, offsets[k])
-		sc := &stages[k]
-		sc.Stage = k
-		sc.FirstLayer = widx[lo]
-		sc.LastLayer = widx[hi-1]
-		sc.Layers = hi - lo
-		sc.Grid = g
-		sc.RankOffset = offsets[k]
+		pr := e.pricerAt(g, offset)
+		st := &stages[k]
+		st.Stage = k
+		st.FirstLayer = widx[lo]
+		st.LastLayer = widx[hi-1]
+		st.Layers = hi - lo
+		st.Grid = g
+		st.RankOffset = offset
+		offset += g.P()
 		// A stage-first Model layer still pays the ∆X all-reduce: its
 		// assembled ∆X is what the backward handoff ships to the previous
 		// stage.
 		cheapest = priceLayers(b, net, lo, hi, micro, &pr, assign) || cheapest
 		for j := lo; j < hi; j++ {
 			li := widx[j]
-			sc.CommSeconds += b.Layers[j].TotalSeconds()
-			sc.ParamWords += float64(net.Layers[li].Weights())
+			st.CommSeconds += b.Layers[j].TotalSeconds()
+			st.ParamWords += float64(net.Layers[li].Weights())
 
 			// r is the first position of j's class in this stage.
 			r := max(class[j], lo)
@@ -291,9 +317,10 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 				t = cm.GridLayerTime(&net.Layers[li], li, micro, g)
 			}
 			times = append(times, t)
-			sc.CompSeconds += t.Fwd + t.Bwd
+			st.CompSeconds += t.Fwd + t.Bwd
 		}
 	}
+	sc.times = times
 
 	// The stash is each stage's activation footprint times its in-flight
 	// micro-batch count; the tightest stage governs feasibility.
@@ -302,7 +329,8 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 		resolved = b.Assignment()
 	}
 	var memoryWords float64
-	for k, m := range MemoryStages(net, B, part, grids, resolved, sched) {
+	for k := range stages {
+		m := stageMemory(net, micro, part, grids, resolved, sched, k)
 		stages[k].StashWords = m.ActivationWords
 		memoryWords = math.Max(memoryWords, m.TotalWords())
 	}
@@ -338,30 +366,29 @@ func (e Env) PriceStages(net *nn.Network, B int, part stage.Partition, grids []g
 	// cut, and returns the same-shaped ∆X on the way back. The cut's
 	// level is where the two adjacent rank blocks part ways in the
 	// hierarchy.
-	tl := TimelineLayers(b, times)
-	levelNames := e.Topo.LevelNames()
+	tl := sc.timelineLayers(b, times)
 	for k := 1; k < S; k++ {
 		lo := part.Starts[k]
 		li := widx[lo]
 		words := float64(micro) * float64(net.Layers[li].InSize())
-		sc := &stages[k]
-		sc.BoundaryWords = words
+		st := &stages[k]
+		st.BoundaryWords = words
 		if e.Flat() {
 			c := collective.PointToPoint(words, e.Topo.Machine())
 			tl[lo].FwdXfer = c.Total()
 			tl[lo].BwdXfer = c.Total()
 		} else {
-			lvl := BoundaryLevel(e.Topo, offsets[k]-1, offsets[k])
+			lvl := BoundaryLevel(e.Topo, st.RankOffset-1, st.RankOffset)
 			c := collective.PointToPointTopo(lvl, words, e.Topo)
 			tl[lo].FwdXfer = c.Total()
 			tl[lo].BwdXfer = c.Total()
 			tl[lo].XferLevel = lvl
-			sc.BoundaryLevel = lvl
-			if lvl < len(levelNames) {
-				sc.BoundaryLevelName = levelNames[lvl]
+			st.BoundaryLevel = lvl
+			if lvl < len(b.LevelNames) {
+				st.BoundaryLevelName = b.LevelNames[lvl]
 			}
 		}
-		sc.BoundarySeconds = tl[lo].FwdXfer + tl[lo].BwdXfer
+		st.BoundarySeconds = tl[lo].FwdXfer + tl[lo].BwdXfer
 	}
 
 	// At M = 1 the residual is paid exactly as GridLayerTimes sums it:
@@ -399,13 +426,19 @@ func MemoryStages(net *nn.Network, B int, part stage.Partition, grids []grid.Gri
 		panic(fmt.Sprintf("costmodel: MemoryStages needs a micro-batch count dividing B, got M=%d B=%d", M, B))
 	}
 	sched.Stages = part.Stages()
-	widx := net.WeightedLayers()
 	out := make([]MemoryEstimate, part.Stages())
 	for k := range out {
-		lo, hi := part.Bounds(k)
-		m := memoryLayers(net, B/M, grids[k], assign, widx[lo:hi])
-		m.ActivationWords *= float64(stageInFlight(sched, k))
-		out[k] = m
+		out[k] = stageMemory(net, B/M, part, grids, assign, sched, k)
 	}
 	return out
+}
+
+// stageMemory is stage k's MemoryStages footprint at micro-batch size
+// micro; sched.Stages must be the partition's stage count.
+func stageMemory(net *nn.Network, micro int, part stage.Partition, grids []grid.Grid,
+	assign Assignment, sched timeline.Schedule, k int) MemoryEstimate {
+	lo, hi := part.Bounds(k)
+	m := memoryLayers(net, micro, grids[k], assign, net.WeightedLayers()[lo:hi])
+	m.ActivationWords *= float64(stageInFlight(sched, k))
+	return m
 }

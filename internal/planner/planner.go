@@ -18,6 +18,7 @@ import (
 	"dnnparallel/internal/enum"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/nn"
+	"dnnparallel/internal/stage"
 	"dnnparallel/internal/timeline"
 )
 
@@ -74,14 +75,14 @@ type Plan struct {
 	// cost of the plan: Eq. 9 in closed form, the per-micro-batch stage
 	// costs when timeline-scored.
 	//
-	// A closed-form search keeps numbers, not breakdowns: its leaves are
-	// priced into per-worker scratch, and only the plan a search
-	// reports as best — Result.Best, its Result.All entry, the plan
-	// Evaluate returns — carries its own Breakdown and, under Auto, its
-	// resolved Assignment. Every other closed-form plan has a nil
-	// Breakdown, and under Auto a nil Assignment; re-price one with
-	// costmodel.Env.FullIntegrated (or EvaluateAt) when its terms are
-	// needed. Timeline-scored plans carry both.
+	// A search keeps numbers, not breakdowns: its leaves are priced
+	// into per-worker scratch, and only the plan a search reports as
+	// best — Result.Best, its Result.All entry, the plan Evaluate
+	// returns — carries its own Breakdown. Every other plan has a nil
+	// Breakdown, and a closed-form one under Auto a nil Assignment
+	// (timeline-scored plans keep theirs); re-price one with
+	// costmodel.Env.FullIntegrated or PriceStages (or EvaluateAt) when
+	// its terms are needed.
 	Assignment costmodel.Assignment
 	Breakdown  *costmodel.Breakdown
 
@@ -98,7 +99,8 @@ type Plan struct {
 	// classic plans, where Grid spans the whole machine). For Stages >
 	// 1, Grid is the shared per-stage grid (P = Stages × Grid.P()),
 	// Partition lists the stage-boundary cuts into the weighted-layer
-	// list, and PerStage carries the per-stage table — layers, params,
+	// list (plans of one search may share it: treat it as read-only),
+	// and PerStage carries the per-stage table — layers, params,
 	// compute, collective seconds, activation stash, and the boundary
 	// handoff volume with its topology-level attribution.
 	Stages    int
@@ -129,8 +131,12 @@ type Plan struct {
 	// ExposedCommSeconds is the communication the schedule could not hide
 	// behind computation (IterSeconds − CompSeconds, ≥ 0).
 	ExposedCommSeconds float64
-	// Timeline holds the per-layer schedule when Options.UseTimeline is
-	// set (nil otherwise).
+	// Timeline holds the simulated schedule of a priced plan when
+	// Options.UseTimeline is set (nil otherwise). Only the plan a search
+	// reports as best (as for Breakdown) carries its Spans, PerLayer and
+	// PerResource; every other plan carries timeline.Score's aggregates
+	// — makespan, compute, communication, exposed, drain and bubble
+	// seconds — without them.
 	Timeline *timeline.Result
 
 	Feasible bool
@@ -144,34 +150,6 @@ func (p Plan) String() string {
 	}
 	return fmt.Sprintf("grid %v: iter=%.4gs (comm %.4g + comp %.4g)",
 		p.Grid, p.IterSeconds, p.CommSeconds, p.CompSeconds)
-}
-
-// feasible reports whether grid g can run batch B of net under mode, and
-// if not, why. The constraints:
-//   - Pc ≤ B: the batch dimension cannot be split thinner than one sample
-//     (the strong-scaling limit of pure batch parallelism, Section 2.4);
-//   - ConvBatch needs P ≤ B (conv layers run pure batch over all P);
-//   - Domain needs Pr ≤ the spatial height of every domain layer's input
-//     (a sample cannot be split into more slabs than it has rows).
-func feasible(net *nn.Network, B int, g grid.Grid, mode Mode) (bool, string) {
-	if g.Pc > B {
-		return false, fmt.Sprintf("Pc=%d exceeds batch size %d", g.Pc, B)
-	}
-	if mode == ConvBatch && g.P() > B {
-		return false, fmt.Sprintf("conv-batch needs P ≤ B, got P=%d > B=%d", g.P(), B)
-	}
-	if mode == ConvDomain && g.Pr > 1 {
-		minH := math.MaxInt
-		for _, li := range net.ConvLayers() {
-			if h := net.Layers[li].In.H; h < minH {
-				minH = h
-			}
-		}
-		if g.Pr > minH {
-			return false, fmt.Sprintf("Pr=%d exceeds smallest conv input height %d", g.Pr, minH)
-		}
-	}
-	return true, ""
 }
 
 // Evaluate prices one (grid, mode) configuration over the placement,
@@ -211,21 +189,64 @@ func EvaluateAt(net *nn.Network, B int, g grid.Grid, pl grid.Placement, opts Opt
 	return p
 }
 
+// misfit names the first structural constraint a leaf violates — one
+// that needs no pricing — or fits. The constraints, in order:
+//   - Pc ≤ B: the batch dimension cannot be split thinner than one sample
+//     (the strong-scaling limit of pure batch parallelism, Section 2.4);
+//   - ConvBatch needs P ≤ B (conv layers run pure batch over all P);
+//   - ConvDomain needs Pr ≤ the smallest conv input height (a sample
+//     cannot be split into more slabs than it has rows);
+//   - Pc ≤ Options.MaxPc, the batch-parallelism cap, when set;
+//   - the micro-batch count M divides B, and B/M ≥ Pc.
+type misfit uint8
+
+const (
+	fits misfit = iota
+	pcOverBatch
+	convBatchOverBatch
+	domainOverHeight
+	pcOverCap
+	microNotDividing
+	microThinnerThanPc
+)
+
+// misfit decides the leaf's structural verdict from numbers alone;
+// structural labels it.
+func (s *search) misfit(lf *leaf) misfit {
+	g, B, M := lf.g, lf.B, lf.micro
+	switch {
+	case g.Pc > B:
+		return pcOverBatch
+	case s.opts.Mode == ConvBatch && g.P() > B:
+		return convBatchOverBatch
+	case s.opts.Mode == ConvDomain && g.Pr > 1 && g.Pr > s.minConvH:
+		return domainOverHeight
+	case s.opts.MaxPc > 0 && g.Pc > s.opts.MaxPc:
+		return pcOverCap
+	case M < 1 || B%M != 0:
+		return microNotDividing
+	case B/M < g.Pc:
+		return microThinnerThanPc
+	}
+	return fits
+}
+
 // structural returns why the leaf violates a constraint that needs no
-// pricing — the grid's feasibility, the batch-parallelism cap, and the
-// micro-batch tiling — or "" when it satisfies them all.
+// pricing (see misfit), or "" when it satisfies them all.
 func (s *search) structural(lf *leaf) string {
 	g, B, M := lf.g, lf.B, lf.micro
-	if ok, reason := feasible(s.net, B, g, s.opts.Mode); !ok {
-		return reason
-	}
-	if s.opts.MaxPc > 0 && g.Pc > s.opts.MaxPc {
+	switch s.misfit(lf) {
+	case pcOverBatch:
+		return fmt.Sprintf("Pc=%d exceeds batch size %d", g.Pc, B)
+	case convBatchOverBatch:
+		return fmt.Sprintf("conv-batch needs P ≤ B, got P=%d > B=%d", g.P(), B)
+	case domainOverHeight:
+		return fmt.Sprintf("Pr=%d exceeds smallest conv input height %d", g.Pr, s.minConvH)
+	case pcOverCap:
 		return fmt.Sprintf("Pc=%d exceeds the batch-parallelism cap %d", g.Pc, s.opts.MaxPc)
-	}
-	if M < 1 || B%M != 0 {
+	case microNotDividing:
 		return fmt.Sprintf("micro-batch count %d does not divide B=%d", M, B)
-	}
-	if B/M < g.Pc {
+	case microThinnerThanPc:
 		return fmt.Sprintf("micro-batch size %d is thinner than Pc=%d", B/M, g.Pc)
 	}
 	return ""
@@ -238,34 +259,39 @@ func (s *search) structural(lf *leaf) string {
 // resolves Auto's Cheapest conv layers. The call is:
 //   - in closed form (validate forces M = 1 and S = 1 there),
 //     costmodel.Env.FullIntegratedInto, the footprint costmodel.Memory;
-//   - for every timeline leaf, one costmodel.Env.PriceStages — the
+//   - for every timeline leaf, one costmodel.Env.PriceStagesInto — the
 //     trivial partition when S = 1, one micro-batch when M = 1 — which
 //     resolves each stage's conv layers at the micro-batch size and on
 //     the rank block the stage actually runs, and reports the tightest
 //     stage's footprint; then one scheduling call, accounted to the
 //     simulate phase.
 //
-// The memory limit is checked after pricing and before scheduling. A
-// closed-form leaf is priced into w's scratch breakdown and
-// resolved-assignment map. Unless report is set, the leaf is only
-// scored: the timeline without spans (timeline.Score), the closed form
-// keeping only the numbers (no Breakdown; no Assignment under Auto).
-// With report set, the timeline carries its spans and the closed-form
-// plan takes w's scratch over. run sets report only for the plans it
-// reports (see run). The search's level-span and gradient-price memo is
-// bit-identical to fresh pricing, and a scratch breakdown to a fresh
-// one, so plans depend on neither.
+// The memory limit is checked after pricing and before scheduling. The
+// leaf is priced into w's scratch: a breakdown and a resolved-assignment
+// map in closed form, a costmodel.StageScratch on the timeline. Unless
+// report is set, the leaf is only scored: the timeline without spans
+// (timeline.Score), no Breakdown, in closed form no Assignment under
+// Auto, and a structurally infeasible or memory-pruned leaf without its
+// Reason, which run labels on the slot winners only. With report set, the plan is
+// complete: the timeline carries its spans and its own breakdown, and
+// the closed-form plan takes w's scratch over. run sets report only for
+// the plan it reports as best (see run). The search's level-span and
+// gradient-price memo is bit-identical to fresh pricing, and scratch to
+// fresh storage, so plans depend on neither.
 func (s *search) evaluate(lf *leaf, w *worker, report bool) Plan {
 	o, net, st := &s.opts, s.net, &w.st
 	g, B, M, S := lf.g, lf.B, lf.micro, lf.S
 	st.Candidates++
-	p := Plan{Grid: g, Batch: B, Placement: lf.pl, Mode: o.Mode, MicroBatch: M, Schedule: o.Schedule, Stages: S}
+	p := Plan{Grid: g, Batch: B, Placement: lf.pl, Mode: o.Mode, MicroBatch: M, Schedule: o.Schedule, Stages: S,
+		Partition: cuts(lf.part)}
 	if S > 1 {
 		st.StageCandidates++
-		p.Partition = lf.part.Cuts()
 	}
-	if p.Reason = s.structural(lf); p.Reason != "" {
+	if s.misfit(lf) != fits {
 		st.InfeasiblePruned++
+		if report {
+			p.Reason = s.structural(lf)
+		}
 		return p
 	}
 	priceStart := time.Now()
@@ -296,26 +322,25 @@ func (s *search) evaluate(lf *leaf, w *worker, report bool) Plan {
 		}
 		p.MemoryWords = costmodel.Memory(net, B, g, assign).TotalWords()
 	} else {
-		grids := make([]grid.Grid, S)
-		for k := range grids {
-			grids[k] = g
+		w.grids = w.grids[:0]
+		for k := 0; k < S; k++ {
+			w.grids = append(w.grids, g)
 		}
 		sched := timeline.Schedule{Shape: o.Schedule, MicroBatches: M}
-		sp, err = env.PriceStages(net, B, lf.part, grids, assign, o.Compute, sched)
+		if report {
+			sp, err = env.PriceStages(net, B, lf.part, w.grids, assign, o.Compute, sched)
+		} else {
+			sp, err = env.PriceStagesInto(&w.stage, net, B, lf.part, w.grids, assign, o.Compute, sched)
+		}
 		assign = sp.Assignment
 		p.Assignment, p.MemoryWords = sp.Assignment, sp.MemoryWords
 	}
 	// The tightest stage governs feasibility: every process must fit its
 	// own stage's weights plus the stash its schedule position forces.
 	if o.MemoryLimitWords > 0 && p.MemoryWords > o.MemoryLimitWords {
-		stash := "" // the prune reason's prefix names what overflowed
-		if S > 1 {
-			stash = "stage stash: "
-		} else if M > 1 {
-			stash = "activation stash: "
+		if report {
+			p.Reason = s.overLimit(lf, p.MemoryWords)
 		}
-		p.Reason = fmt.Sprintf("%sper-process memory %.3g words exceeds limit %.3g",
-			stash, p.MemoryWords, o.MemoryLimitWords)
 		st.MemoryPruned++
 		st.PriceSeconds += time.Since(priceStart).Seconds()
 		return p
@@ -323,9 +348,6 @@ func (s *search) evaluate(lf *leaf, w *worker, report bool) Plan {
 	st.Priced++
 	if !o.UseTimeline {
 		st.PriceSeconds += time.Since(priceStart).Seconds()
-		if report {
-			p.Breakdown = bd
-		}
 		p.CompSeconds = o.Compute.GridIterTime(net, B, g)
 		p.CommSeconds, p.IterSeconds = costmodel.IterationTotals(bd, p.CompSeconds, o.Overlap)
 	} else {
@@ -347,7 +369,7 @@ func (s *search) evaluate(lf *leaf, w *worker, report bool) Plan {
 			p.Reason = fmt.Sprintf("%s simulation failed: %v", kind, err)
 			return p
 		}
-		p.Breakdown = sc.Breakdown // per-micro-batch costs, all stages in layer order
+		bd = sc.Breakdown // per-micro-batch costs, all stages in layer order
 		p.Timeline = sc.Result
 		p.BubbleFraction = sc.Result.BubbleFraction
 		if S > 1 {
@@ -363,12 +385,15 @@ func (s *search) evaluate(lf *leaf, w *worker, report bool) Plan {
 		p.CommSeconds = sc.Result.CommSeconds
 		p.CompSeconds = sc.Result.ComputeSeconds + sc.Overhead
 		if M == 1 && S == 1 {
-			p.CommSeconds = sc.Breakdown.TotalSeconds()
+			p.CommSeconds = bd.TotalSeconds()
 			p.CompSeconds = sc.Overhead
 			for _, l := range sp.Layers {
 				p.CompSeconds += l.FwdComp + l.BwdComp
 			}
 		}
+	}
+	if report {
+		p.Breakdown = bd
 	}
 	p.Feasible = true
 	if o.AddRedistribution {
@@ -388,6 +413,29 @@ func (s *search) evaluate(lf *leaf, w *worker, report bool) Plan {
 		p.TimeToAccuracySeconds = p.StepsToTarget * p.IterSeconds
 	}
 	return p
+}
+
+// overLimit returns why a leaf whose footprint of words exceeds the
+// memory limit is infeasible; the prefix names what overflowed.
+func (s *search) overLimit(lf *leaf, words float64) string {
+	stash := ""
+	if lf.S > 1 {
+		stash = "stage stash: "
+	} else if lf.micro > 1 {
+		stash = "activation stash: "
+	}
+	return fmt.Sprintf("%sper-process memory %.3g words exceeds limit %.3g", stash, words, s.opts.MemoryLimitWords)
+}
+
+// cuts returns part's stage-boundary cuts as plans report them (nil on
+// one stage), sharing the search-owned partition's storage rather than
+// copying it per leaf: plans of one search may share the slice, so treat
+// it as read-only.
+func cuts(part stage.Partition) []int {
+	if n := len(part.Starts); n > 1 {
+		return part.Starts[1:n:n]
+	}
+	return nil
 }
 
 // Result is the output of Optimize.

@@ -16,12 +16,12 @@
 // count, and the returned Result is bit-identical for any worker count,
 // including 1. Only the slot winners and one chunk of plans are held:
 // memory is O(slots + chunk), never a plan per leaf. Leaves are scored
-// without timeline spans (timeline.Score); after the fold each
-// multi-leaf slot's feasible winner is evaluated once more with spans, so
-// every reported plan carries its full schedule. Optimize enumerates
-// every factorization of P/S; Evaluate pins one grid (the machine then has
-// S × g.P() ranks per stage count) and EvaluateAt also pins the placement,
-// S = 1 and the base batch.
+// without timeline spans (timeline.Score); after the fold only the
+// search's best is evaluated once more in full (see Numbers in the
+// search below), so the reported plan carries its full schedule.
+// Optimize enumerates every factorization of P/S; Evaluate pins one grid
+// (the machine then has S × g.P() ranks per stage count) and EvaluateAt
+// also pins the placement, S = 1 and the base batch.
 //
 // Branch-and-bound: before pricing a leaf's communication or running the
 // timeline simulator, a monotone lower bound on its iteration time —
@@ -58,18 +58,27 @@
 // and placement sharing that block read by layer position. The memo is
 // dropped with the search.
 //
-// Numbers in the search: a closed-form leaf is priced into its worker's
-// scratch — one costmodel.Breakdown and, under Auto, one resolved
-// Assignment map per worker, overwritten by every leaf
-// (costmodel.Env.FullIntegratedInto, Breakdown.AssignInto) — and its
-// plan keeps only the numbers the fold, the bounds and the report read:
-// the communication and iteration totals, the footprint and the Eq. 6
-// redistribution. A warm worker scores a closed-form leaf without
-// allocating. The per-term breakdown is read only off the plan the
-// search reports as best, so after the fold that one leaf is evaluated
-// once more, like the spans rerun above, and keeps the scratch it was
-// priced into as its own breakdown; a search of one leaf evaluates it in
-// full the first time.
+// Numbers in the search: every leaf is priced into its worker's scratch,
+// overwritten by every leaf, and its plan keeps only the numbers the
+// fold, the bounds and the report read. A closed-form leaf uses one
+// costmodel.Breakdown and, under Auto, one resolved Assignment map per
+// worker (costmodel.Env.FullIntegratedInto, Breakdown.AssignInto) and
+// keeps the communication and iteration totals, the footprint and the
+// Eq. 6 redistribution; a warm worker scores it without allocating. A
+// timeline leaf uses one costmodel.StageScratch per worker — breakdown,
+// layer times and simulator input, level splits included
+// (costmodel.Env.PriceStagesInto) — and keeps timeline.Score's
+// aggregates, its per-stage table and, under Auto, its resolved
+// Assignment; a warm worker allocates only those. A structurally
+// infeasible or bound-pruned leaf is decided from numbers (the smallest
+// conv input height is found once per search); its Reason, like a
+// memory-pruned leaf's, is formatted only if it wins its slot, after
+// the fold. The per-term breakdown and the spans are read only off the
+// plan the search reports as best, so after the fold that one leaf is
+// evaluated once more in full: its own breakdown and, on the timeline,
+// its spans and per-layer and per-lane statistics (a closed-form best
+// keeps the scratch it was priced into). A search of one leaf evaluates
+// it in full the first time.
 package planner
 
 import (
@@ -194,29 +203,31 @@ type leaf struct {
 // slot is one entry of Result.All, a (batch size, stage count, grid)
 // tuple whose leaves fold into one reported plan, the search's winners
 // entry of the same index. win is the index of the winning leaf so far
-// (-1 before the first fold); pseudo slots (S values that do not divide
-// P, partition errors) own no leaves and report their pre-built
-// infeasible plan.
+// (-1 before the first fold) and inc the incumbent it was evaluated
+// against, from which run labels a pruned winner; pseudo slots (S values
+// that do not divide P, partition errors) own no leaves and report their
+// pre-built infeasible plan.
 type slot struct {
 	// pure marks the 1×P pure-batch baseline at the base batch size,
 	// whose leaves are exempt from bounding: Result.PureBatch is the
 	// reference the paper's speedups are quoted against, so it must
 	// always be fully priced.
 	pure bool
-	// single marks a slot of one leaf: that leaf is the winner, so it is
-	// evaluated with spans the first time.
-	single bool
-	win    int
+	win  int
+	inc  float64
 }
 
 // worker is one pool worker's private state: its telemetry shard and
-// the scratch its closed-form leaves are priced into, a breakdown and
-// (under Auto) a resolved-assignment map that every leaf overwrites and
-// a reported plan takes over.
+// the scratch its leaves are priced into, overwritten by every leaf — in
+// closed form a breakdown and (under Auto) a resolved-assignment map,
+// which a reported plan takes over; on the timeline a stage scratch and
+// the per-stage grid list.
 type worker struct {
 	st     SearchStats
 	bd     costmodel.Breakdown
 	assign costmodel.Assignment
+	stage  costmodel.StageScratch
+	grids  []grid.Grid
 }
 
 // search is one Optimize invocation's engine state.
@@ -232,6 +243,9 @@ type search struct {
 	assign costmodel.Assignment
 	cc     *computeCache
 	floors map[floorKey]float64
+	// minConvH is the smallest conv input height (math.MaxInt without
+	// conv layers), the ConvDomain structural check's limit.
+	minConvH int
 	// spans memoizes the level-span classification of every (grid,
 	// placement, rank offset) the leaves price and the gradient
 	// all-reduce price of every (rank block, offset, weighted layer),
@@ -273,6 +287,12 @@ func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search 
 		floors:   make(map[floorKey]float64),
 		batches:  opts.Batches(B),
 		tightest: math.Inf(1),
+		minConvH: math.MaxInt,
+	}
+	for _, li := range net.WeightedLayers() {
+		if l := &net.Layers[li]; l.Kind == nn.Conv {
+			s.minConvH = min(s.minConvH, l.In.H)
+		}
 	}
 	if conv, ok := map[Mode]costmodel.Strategy{Uniform: costmodel.Model, ConvBatch: costmodel.BatchOnly,
 		ConvDomain: costmodel.Domain, Auto: costmodel.Cheapest}[opts.Mode]; ok {
@@ -386,7 +406,7 @@ func (s *search) enumerate(st *SearchStats) {
 			}
 			for _, g := range grids(S) {
 				st.GridsEnumerated++
-				si, first := len(s.slots), len(s.leaves)
+				si := len(s.slots)
 				for _, pl := range gridPlacements(pls, g) {
 					// Stage k's rank block starts at k·g.P().
 					for k := 0; k < S; k++ {
@@ -398,8 +418,7 @@ func (s *search) enumerate(st *SearchStats) {
 						}
 					}
 				}
-				s.slots = append(s.slots, slot{pure: S == 1 && B == s.B && g.IsPureBatch(),
-					single: len(s.leaves)-first == 1, win: -1})
+				s.slots = append(s.slots, slot{pure: S == 1 && B == s.B && g.IsPureBatch(), win: -1})
 				s.winners = append(s.winners, Plan{})
 			}
 		}
@@ -452,7 +471,7 @@ func (s *search) prefillBounds() {
 // it a true lower bound on the campaign cost and lets cheap-iteration
 // batch sizes prune expensive ones.
 func (s *search) lowerBound(lf *leaf) (float64, bool) {
-	if s.structural(lf) != "" {
+	if s.misfit(lf) != fits {
 		return 0, false
 	}
 	o := &s.opts
@@ -487,45 +506,63 @@ func (s *search) lowerBound(lf *leaf) (float64, bool) {
 // evalLeaf evaluates leaf i against the frozen incumbent on worker w.
 // The leaf's lower bound was computed once by run()'s ordering pass
 // (s.lbs/s.lbOK); re-deriving it here would double the bound cost for
-// zero information.
+// zero information. A pruned leaf's placeholder carries no Reason: run
+// labels it only if it wins its slot.
 func (s *search) evalLeaf(i int, incumbent float64, w *worker) Plan {
 	lf := &s.leaves[i]
-	st := &w.st
-	if s.lbs != nil && !s.slots[lf.slot].pure {
-		if lb := s.lbs[i]; s.lbOK[i] && lb*boundSlack > incumbent {
-			st.Candidates++
-			if lf.S > 1 {
-				st.StageCandidates++
-			}
-			st.Bounded++
-			kind := "compute"
-			if s.opts.Objective == TimeToAccuracy {
-				kind = "time-to-accuracy"
-			}
-			p := Plan{Grid: lf.g, Batch: lf.B, Placement: lf.pl, Mode: s.opts.Mode, MicroBatch: lf.micro,
-				Schedule: s.opts.Schedule, Stages: lf.S,
-				Reason: fmt.Sprintf("pruned: %s lower bound %.4gs exceeds incumbent best %.4gs",
-					kind, lb, incumbent)}
-			if lf.S > 1 {
-				p.Partition = lf.part.Cuts()
-			}
-			return p
+	if _, pruned := s.pruned(i, incumbent); pruned {
+		st := &w.st
+		st.Candidates++
+		if lf.S > 1 {
+			st.StageCandidates++
 		}
+		st.Bounded++
+		return Plan{Grid: lf.g, Batch: lf.B, Placement: lf.pl, Mode: s.opts.Mode, MicroBatch: lf.micro,
+			Schedule: s.opts.Schedule, Stages: lf.S, Partition: cuts(lf.part)}
 	}
-	// A leaf is evaluated in full the first time when that plan is the
-	// one reported: a timeline leaf alone in its slot, a closed-form leaf
-	// alone in the search.
-	report := s.slots[lf.slot].single
-	if !s.opts.UseTimeline {
-		report = len(s.leaves) == 1
+	// A search of one leaf reports it: it is evaluated in full the first
+	// time.
+	return s.evaluate(lf, w, len(s.leaves) == 1)
+}
+
+// pruned reports whether leaf i's lower bound, returned, exceeds the
+// frozen incumbent: never for the pure-batch baseline, a structurally
+// infeasible leaf or a search without bounds.
+func (s *search) pruned(i int, incumbent float64) (float64, bool) {
+	if s.lbs == nil || s.slots[s.leaves[i].slot].pure || !s.lbOK[i] {
+		return 0, false
 	}
-	return s.evaluate(lf, w, report)
+	return s.lbs[i], s.lbs[i]*boundSlack > incumbent
+}
+
+// label sets the Reason of an infeasible slot winner that was scored
+// without one: a leaf pruned by its bound, one that fails a structural
+// constraint, or one whose footprint exceeds the memory limit (the only
+// verdicts evaluate leaves unlabeled). Only the winners, never every
+// leaf, pay for the formatting.
+func (s *search) label(si int) {
+	sl, p := &s.slots[si], &s.winners[si]
+	if sl.win < 0 || p.Feasible || p.Reason != "" {
+		return
+	}
+	lf := &s.leaves[sl.win]
+	if lb, pruned := s.pruned(sl.win, sl.inc); pruned {
+		kind := "compute"
+		if s.opts.Objective == TimeToAccuracy {
+			kind = "time-to-accuracy"
+		}
+		p.Reason = fmt.Sprintf("pruned: %s lower bound %.4gs exceeds incumbent best %.4gs", kind, lb, sl.inc)
+		return
+	}
+	if p.Reason = s.structural(lf); p.Reason == "" {
+		p.Reason = s.overLimit(lf, p.MemoryWords)
+	}
 }
 
 // run evaluates every leaf across the worker pool, chunk by chunk,
-// folds each chunk's plans into their slots' winners, re-evaluates the
-// reported plans in full, and merges the per-worker telemetry shards
-// into st.
+// folds each chunk's plans into their slots' winners, labels the
+// infeasible winners, re-evaluates the best in full, and merges the
+// per-worker telemetry shards into st.
 //
 // With bounds enabled on a search of more than one chunk, the leaves are
 // visited in ascending lower-bound order (stable on the enumeration
@@ -608,6 +645,7 @@ func (s *search) run(st *SearchStats) {
 		// points where pruning decisions may observe new information.
 		// The incumbent lives in objective units (iteration seconds, or
 		// campaign seconds under TimeToAccuracy), matching the bounds.
+		frozen := incumbent
 		for p := lo; p < hi; p++ {
 			pl := &buf[p-lo]
 			if pl.Feasible {
@@ -615,44 +653,41 @@ func (s *search) run(st *SearchStats) {
 					incumbent = c
 				}
 			}
-			s.fold(order[p], pl)
+			s.fold(order[p], pl, frozen)
 		}
 	}
 	for i := range pool {
 		st.merge(pool[i].st)
 	}
-	// Full records only for reported plans. The leaves of multi-leaf
-	// timeline slots were scored without spans, so each such slot's
-	// feasible winner is evaluated once more with spans; closed-form
-	// leaves were scored into scratch, so the search's best, unless it
-	// was the only leaf, is evaluated once more with its own breakdown
-	// and resolved assignment. Evaluation is a pure function of the
-	// leaf, so the plan is the scored one plus its Spans, PerLayer and
-	// PerResource, or its Breakdown and Assignment. The reruns are
-	// charged to the simulate phase and count no candidate or
-	// simulation. They reuse the first worker's scratch, which no leaf
-	// needs any more.
+	for si := range s.slots {
+		s.label(si)
+	}
+	// Full records only for the reported best. Every leaf was scored
+	// into scratch — a timeline leaf without spans or breakdown, a
+	// closed-form leaf without breakdown (or, under Auto, assignment) —
+	// so the search's best, unless it was the only leaf, is evaluated
+	// once more in full. Evaluation is a pure function of the leaf, so
+	// the plan is the scored one plus its Spans, PerLayer, PerResource
+	// and Breakdown on the timeline, its Breakdown and Assignment in
+	// closed form. The rerun is charged to the simulate phase and counts
+	// no candidate or simulation (the first worker's shard is merged
+	// already); it reuses that worker's scratch, which no leaf needs any
+	// more.
 	simStart := time.Now()
-	rerun := worker{bd: pool[0].bd, assign: pool[0].assign}
-	if s.opts.UseTimeline {
-		for i, sl := range s.slots {
-			if w := &s.winners[i]; !sl.single && sl.win >= 0 && w.Timeline != nil {
-				*w = s.evaluate(&s.leaves[sl.win], &rerun, true)
-			}
-		}
-	} else if bi := s.best(nil); bi >= 0 && n > 1 {
-		s.winners[bi] = s.evaluate(&s.leaves[s.slots[bi].win], &rerun, true)
+	if bi := s.best(nil); bi >= 0 && n > 1 {
+		s.winners[bi] = s.evaluate(&s.leaves[s.slots[bi].win], &pool[0], true)
 	}
 	st.SimulateSeconds += time.Since(simStart).Seconds()
 }
 
-// fold folds leaf i's plan into its slot's winner. The order is total:
-// feasible before infeasible, then (between feasible plans) lower
-// IterSeconds, then smaller MicroBatch, then lower leaf index — so the
-// winner does not depend on the visit order, and an all-infeasible slot
-// reports its first leaf. It also tracks the tightest footprint the
-// memory limit rejected.
-func (s *search) fold(i int, p *Plan) {
+// fold folds leaf i's plan, evaluated against the frozen incumbent inc,
+// into its slot's winner. The order is total: feasible before
+// infeasible, then (between feasible plans) lower IterSeconds, then
+// smaller MicroBatch, then lower leaf index — so the winner does not
+// depend on the visit order, and an all-infeasible slot reports its
+// first leaf. It also tracks the tightest footprint the memory limit
+// rejected.
+func (s *search) fold(i int, p *Plan, inc float64) {
 	if !p.Feasible && p.MemoryWords > s.opts.MemoryLimitWords && p.MemoryWords < s.tightest {
 		// The exact prune condition of the evaluator: a footprint was
 		// derived and exceeded the limit.
@@ -660,7 +695,7 @@ func (s *search) fold(i int, p *Plan) {
 	}
 	si := s.leaves[i].slot
 	if sl, w := &s.slots[si], &s.winners[si]; sl.win < 0 || precedes(p, i, w, sl.win) {
-		*w, sl.win = *p, i
+		*w, sl.win, sl.inc = *p, i, inc
 	}
 }
 

@@ -16,7 +16,10 @@ import (
 // TestSlotFoldOrder pins the slot fold's total order at several worker
 // counts: an exact tie between placements reports the earlier placement
 // (row-major), and a slot none of whose leaves is feasible reports its
-// lowest-index leaf's plan and reason.
+// lowest-index leaf's plan and reason. A column-major EvaluateAt reports
+// its plan in full, so it ties the search's best entry exactly and every
+// other entry, which keeps only the schedule's scores, once reduced to
+// them.
 func TestSlotFoldOrder(t *testing.T) {
 	net := nn.AlexNet()
 	const B, P = 256, 16
@@ -38,6 +41,7 @@ func TestSlotFoldOrder(t *testing.T) {
 			}
 			ties := 0
 			for _, p := range res.All {
+				best := reflect.DeepEqual(p, res.Best)
 				if p.Placement != grid.RowMajor {
 					t.Fatalf("S=%d grid %v reports %v; an exact placement tie must keep row-major", p.Stages, p.Grid, p.Placement)
 				}
@@ -46,6 +50,12 @@ func TestSlotFoldOrder(t *testing.T) {
 				}
 				col := EvaluateAt(net, B, p.Grid, grid.ColMajor, o)
 				col.Placement = grid.RowMajor
+				if !best {
+					if p.Timeline.Spans != nil || p.Breakdown != nil {
+						t.Fatalf("grid %v: a non-best entry carries spans or a breakdown", p.Grid)
+					}
+					col = scoredOnly(col)
+				}
 				if !reflect.DeepEqual(col, p) {
 					t.Fatalf("grid %v: the column-major plan must tie the row-major one exactly", p.Grid)
 				}
@@ -120,9 +130,11 @@ func TestSearchRetainsNoPerLeafPlans(t *testing.T) {
 }
 
 // TestReportedPlansCarrySpans checks that leaves are scored without
-// spans while every reported plan carries them: each feasible slot
-// winner is the plan its leaf scores to, plus the schedule's spans and
-// per-layer and per-lane statistics.
+// spans while the reported plan, the search's best, carries them: the
+// best is the plan its leaf scores to plus the schedule's spans,
+// per-layer and per-lane statistics and its breakdown; every other
+// feasible slot winner is exactly the plan its leaf scores to, and its
+// leaf evaluated in full is that plan plus the same records.
 func TestReportedPlansCarrySpans(t *testing.T) {
 	o := DefaultOptions()
 	o.UseTimeline = true
@@ -138,6 +150,7 @@ func TestReportedPlansCarrySpans(t *testing.T) {
 	if st.TimelineSimulated != st.Priced {
 		t.Errorf("TimelineSimulated = %d, Priced = %d: the winners' rerun must not count", st.TimelineSimulated, st.Priced)
 	}
+	bi := s.best(nil)
 	feasible := 0
 	for i, sl := range s.slots {
 		w := s.winners[i]
@@ -145,20 +158,24 @@ func TestReportedPlansCarrySpans(t *testing.T) {
 			continue
 		}
 		feasible++
-		tl := w.Timeline
-		if len(tl.Spans) == 0 || len(tl.PerLayer) != len(net.WeightedLayers()) || len(tl.PerResource) == 0 {
-			t.Fatalf("slot %d (%v S=%d): reported plan lacks spans or statistics", i, w.Grid, w.Stages)
-		}
 		var scratch worker
 		scored := s.evaluate(&s.leaves[sl.win], &scratch, false)
-		if scored.Timeline.Spans != nil || scored.Timeline.PerLayer != nil {
-			t.Fatalf("slot %d: a scored leaf carries spans", i)
+		if scored.Timeline.Spans != nil || scored.Timeline.PerLayer != nil || scored.Breakdown != nil {
+			t.Fatalf("slot %d: a scored leaf carries spans or a breakdown", i)
 		}
-		bare := *tl
-		bare.Spans, bare.PerLayer, bare.PerResource = nil, nil, nil
-		w.Timeline = &bare
-		if !reflect.DeepEqual(w, scored) {
-			t.Fatalf("slot %d: reported plan differs from its scored leaf beyond the spans\nreported %+v\nscored   %+v", i, w, scored)
+		full := w
+		if i != bi {
+			if !reflect.DeepEqual(w, scored) {
+				t.Fatalf("slot %d: non-best winner differs from its scored leaf\nreported %+v\nscored   %+v", i, w, scored)
+			}
+			full = s.evaluate(&s.leaves[sl.win], &scratch, true)
+		}
+		tl := full.Timeline
+		if len(tl.Spans) == 0 || len(tl.PerLayer) != len(net.WeightedLayers()) || len(tl.PerResource) == 0 || full.Breakdown == nil {
+			t.Fatalf("slot %d (%v S=%d best=%v): full plan lacks spans, statistics or breakdown", i, w.Grid, w.Stages, i == bi)
+		}
+		if !reflect.DeepEqual(scoredOnly(full), scored) {
+			t.Fatalf("slot %d: full plan differs from its scored leaf beyond the spans and breakdown\nfull   %+v\nscored %+v", i, full, scored)
 		}
 	}
 	if feasible < 2 {

@@ -94,6 +94,41 @@ func TestPipelineCanonicalKey(t *testing.T) {
 	}
 }
 
+// TestExplicitSingleStageBesidePipelineBlock: "pipeline_stages": 1 next
+// to a pipeline block is the default stage count spelled out, the same
+// question as the block alone, so both bodies canonicalize to the same
+// bytes (one dnnserve cache entry) and resolve to the same search.
+func TestExplicitSingleStageBesidePipelineBlock(t *testing.T) {
+	const base = `"network":"alexnet","batch":2048,"procs":512`
+	for _, block := range []string{`{"stages":2}`, `{"stages":4,"max_partitions":8}`, `{"partition":[6]}`} {
+		var keys [2][]byte
+		var opts [2]any
+		for i, body := range []string{
+			"{" + base + `,"pipeline_stages":1,"pipeline":` + block + "}",
+			"{" + base + `,"pipeline":` + block + "}",
+		} {
+			s, err := Decode([]byte(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if keys[i], err = s.Canonical(); err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			r, err := s.Resolve()
+			if err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			opts[i] = r.Options
+		}
+		if !bytes.Equal(keys[0], keys[1]) {
+			t.Errorf("pipeline %s: an explicit single stage changes the canonical key:\n%s\n%s", block, keys[0], keys[1])
+		}
+		if !reflect.DeepEqual(opts[0], opts[1]) {
+			t.Errorf("pipeline %s: an explicit single stage changes the resolved options", block)
+		}
+	}
+}
+
 // TestPartitionSpecJSON pins the wire form: "auto" renders as the
 // literal string, cuts as a bare array, and anything else is rejected.
 func TestPartitionSpecJSON(t *testing.T) {

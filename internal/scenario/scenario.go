@@ -46,6 +46,13 @@ type LinkSpec struct {
 	BandwidthGBs float64 `json:"bandwidth_gbs,omitempty"`
 }
 
+// valid reports whether the spec can resolve to a physical link: no
+// negative latency or bandwidth (0 keeps the default). An absent spec
+// is valid.
+func (l *LinkSpec) valid() bool {
+	return l == nil || l.AlphaSeconds >= 0 && l.BandwidthGBs >= 0
+}
+
 // link resolves the spec against a default link.
 func (l *LinkSpec) link(def machine.Link) machine.Link {
 	if l == nil {
@@ -464,10 +471,11 @@ func (s Scenario) Normalize() Scenario {
 			out.Convergence = &c
 		}
 	}
-	if out.PipelineStages > 0 && out.Pipeline == nil {
+	if out.PipelineStages == 1 || out.PipelineStages > 1 && out.Pipeline == nil {
 		// Canonicalize the legacy sugar onto the pipeline block (S = 1 is
-		// the default and normalizes away entirely); both spellings of one
-		// question share one canonical form — and one plan-cache entry.
+		// the default and normalizes away entirely, next to a pipeline
+		// block too); both spellings of one question share one canonical
+		// form — and one plan-cache entry.
 		if out.PipelineStages > 1 {
 			out.Pipeline = &PipelineSpec{Stages: out.PipelineStages}
 		}
@@ -501,13 +509,14 @@ func (s Scenario) Normalize() Scenario {
 	if out.Topology != nil {
 		t := *out.Topology
 		if len(t.Levels) == 0 && t.RanksPerNode > 0 && t.Nodes >= 0 && t.Nodes <= MaxProcs/t.RanksPerNode &&
-			!(t.Nodes > 0 && out.Procs > 0 && out.Procs != t.Nodes*t.RanksPerNode) {
+			!(t.Nodes > 0 && out.Procs > 0 && out.Procs != t.Nodes*t.RanksPerNode) && t.Intra.valid() && t.Inter.valid() {
 			// Canonicalize the consistent two-level sugar onto the levels
 			// list: both spellings of one machine share one canonical
 			// form (and one plan-cache entry). Malformed sugar (a
 			// negative node count, a nodes×ranks_per_node/procs
-			// conflict, or a product over MaxProcs, which is never
-			// multiplied out) is left for Validate.
+			// conflict, a product over MaxProcs, which is never
+			// multiplied out, or a negative intra/inter link) is left for
+			// Validate, which names the field the client wrote.
 			if out.Procs == 0 && t.Nodes > 0 {
 				out.Procs = t.Nodes * t.RanksPerNode
 			}
@@ -615,6 +624,15 @@ func (s Scenario) lower(opts *planner.Options) error {
 		} else {
 			if t.RanksPerNode < 1 {
 				return invalid("topology.ranks_per_node", "need ≥ 1 rank per node, got %d", t.RanksPerNode)
+			}
+			for _, ln := range []struct {
+				field string
+				spec  *LinkSpec
+			}{{"topology.intra", t.Intra}, {"topology.inter", t.Inter}} {
+				if !ln.spec.valid() {
+					return invalid(ln.field, "need alpha_seconds ≥ 0 and bandwidth_gbs ≥ 0 (0 keeps the default), got %g and %g",
+						ln.spec.AlphaSeconds, ln.spec.BandwidthGBs)
+				}
 			}
 			opts.Topology = t.resolve()
 			if err := opts.Topology.Validate(); err != nil {

@@ -458,6 +458,42 @@ func TestNormalizeKeepsInvalidCounts(t *testing.T) {
 	}
 }
 
+// TestSugarTopologyFieldsAgree: for malformed two-level topology sugar,
+// Validate on the raw spec and Canonical (dnnserve's cache key, which
+// validates the normalized spec) reject on the same field, and it is
+// one the client wrote — a bad intra/inter link is not reported on the
+// levels list Normalize would have rewritten it into.
+func TestSugarTopologyFieldsAgree(t *testing.T) {
+	const base = `"network":"alexnet","batch":2048,"procs":512`
+	for _, c := range []struct{ topo, field string }{
+		{`{"ranks_per_node":16,"intra":{"bandwidth_gbs":-1}}`, "topology.intra"},
+		{`{"ranks_per_node":16,"intra":{"alpha_seconds":-1e-6}}`, "topology.intra"},
+		{`{"ranks_per_node":16,"inter":{"bandwidth_gbs":-6}}`, "topology.inter"},
+		{`{"nodes":32,"ranks_per_node":16,"inter":{"alpha_seconds":-2e-6}}`, "topology.inter"},
+		{`{"ranks_per_node":16,"intra":{"bandwidth_gbs":-1},"inter":{"bandwidth_gbs":-1}}`, "topology.intra"},
+		{`{"nodes":-1,"ranks_per_node":16}`, "topology.nodes"},
+		{`{"nodes":3,"ranks_per_node":16}`, "topology.nodes"},
+		{`{"nodes":4097,"ranks_per_node":4096}`, "topology.nodes"},
+		{`{"ranks_per_node":0,"intra":{"bandwidth_gbs":60}}`, "topology.ranks_per_node"},
+		{`{"ranks_per_node":-4}`, "topology.ranks_per_node"},
+		{`{"ranks_per_node":16,"levels":[{"bandwidth_gbs":6}]}`, "topology.levels"},
+	} {
+		body := "{" + base + `,"topology":` + c.topo + "}"
+		s, err := Decode([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, canonErr := s.Canonical()
+		var v, cf *ValidationError
+		if !errors.As(s.Validate(), &v) || !errors.As(canonErr, &cf) {
+			t.Fatalf("%s: want a *ValidationError from Validate and Canonical, got %v and %v", c.topo, s.Validate(), canonErr)
+		}
+		if v.Field != c.field || cf.Field != c.field {
+			t.Errorf("%s: Validate rejects %q, Canonical %q; want %q from both", c.topo, v.Field, cf.Field, c.field)
+		}
+	}
+}
+
 // TestDecodeRejectsUnknownFields: a typo must not silently plan a
 // different scenario.
 func TestDecodeRejectsUnknownFields(t *testing.T) {

@@ -47,6 +47,7 @@ var interfaceMethods = map[string]bool{
 // it, keyed "pkg.Func" or "pkg.Type.Method".
 var exempt = map[string]string{
 	// Fixtures and oracles that tests of other packages import.
+	"costmodel.MemoryStages":        "per-stage footprint estimate the planner tests re-derive plan footprints with",
 	"grid.SpanOf":                   "rank-list span oracle of the collective tests",
 	"nn.Model.ApplySGD":             "serial SGD reference of the checkpoint tests and root benchmarks",
 	"nn.Model.SetWeights":           "seeds identical weights into the engines the checkpoint tests resume",
