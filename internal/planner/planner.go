@@ -99,8 +99,7 @@ type Plan struct {
 	// classic plans, where Grid spans the whole machine). For Stages >
 	// 1, Grid is the shared per-stage grid (P = Stages × Grid.P()),
 	// Partition lists the stage-boundary cuts into the weighted-layer
-	// list (plans of one search may share it: treat it as read-only),
-	// and PerStage carries the per-stage table — layers, params,
+	// list, and PerStage carries the per-stage table — layers, params,
 	// compute, collective seconds, activation stash, and the boundary
 	// handoff volume with its topology-level attribution.
 	Stages    int
@@ -266,18 +265,19 @@ func (s *search) structural(lf *leaf) string {
 //     stage's footprint; then one scheduling call, accounted to the
 //     simulate phase.
 //
-// The memory limit is checked after pricing and before scheduling. The
-// leaf is priced into w's scratch: a breakdown and a resolved-assignment
-// map in closed form, a costmodel.StageScratch on the timeline. Unless
-// report is set, the leaf is only scored: the timeline without spans
-// (timeline.Score), no Breakdown, in closed form no Assignment under
-// Auto, and a structurally infeasible or memory-pruned leaf without its
-// Reason, which run labels on the slot winners only. With report set, the plan is
-// complete: the timeline carries its spans and its own breakdown, and
-// the closed-form plan takes w's scratch over. run sets report only for
-// the plan it reports as best (see run). The search's level-span and
-// gradient-price memo is bit-identical to fresh pricing, and scratch to
-// fresh storage, so plans depend on neither.
+// The memory limit is checked after pricing and before scheduling. A
+// structurally infeasible or memory-pruned leaf is returned without its
+// Reason: run labels the slot winners only (search.label). The leaf is
+// priced into w's scratch: a breakdown and a resolved-assignment map in
+// closed form, a costmodel.StageScratch on the timeline. Unless report
+// is set, the leaf is only scored: the timeline without spans
+// (timeline.Score), no Breakdown, and in closed form no Assignment under
+// Auto. With report set, the plan is complete: the timeline carries its
+// spans and its own breakdown, and the closed-form plan takes w's
+// scratch over. run sets report only for the plan it reports as best
+// (see run). The search's level-span and gradient-price memo is
+// bit-identical to fresh pricing, and scratch to fresh storage, so plans
+// depend on neither.
 func (s *search) evaluate(lf *leaf, w *worker, report bool) Plan {
 	o, net, st := &s.opts, s.net, &w.st
 	g, B, M, S := lf.g, lf.B, lf.micro, lf.S
@@ -289,9 +289,6 @@ func (s *search) evaluate(lf *leaf, w *worker, report bool) Plan {
 	}
 	if s.misfit(lf) != fits {
 		st.InfeasiblePruned++
-		if report {
-			p.Reason = s.structural(lf)
-		}
 		return p
 	}
 	priceStart := time.Now()
@@ -338,9 +335,6 @@ func (s *search) evaluate(lf *leaf, w *worker, report bool) Plan {
 	// The tightest stage governs feasibility: every process must fit its
 	// own stage's weights plus the stash its schedule position forces.
 	if o.MemoryLimitWords > 0 && p.MemoryWords > o.MemoryLimitWords {
-		if report {
-			p.Reason = s.overLimit(lf, p.MemoryWords)
-		}
 		st.MemoryPruned++
 		st.PriceSeconds += time.Since(priceStart).Seconds()
 		return p
@@ -429,8 +423,7 @@ func (s *search) overLimit(lf *leaf, words float64) string {
 
 // cuts returns part's stage-boundary cuts as plans report them (nil on
 // one stage), sharing the search-owned partition's storage rather than
-// copying it per leaf: plans of one search may share the slice, so treat
-// it as read-only.
+// copying it per leaf; run gives every reported plan its own copy.
 func cuts(part stage.Partition) []int {
 	if n := len(part.Starts); n > 1 {
 		return part.Starts[1:n:n]

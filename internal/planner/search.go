@@ -560,9 +560,9 @@ func (s *search) label(si int) {
 }
 
 // run evaluates every leaf across the worker pool, chunk by chunk,
-// folds each chunk's plans into their slots' winners, labels the
-// infeasible winners, re-evaluates the best in full, and merges the
-// per-worker telemetry shards into st.
+// folds each chunk's plans into their slots' winners, merges the
+// per-worker telemetry shards into st, re-evaluates the best in full,
+// and labels the infeasible winners.
 //
 // With bounds enabled on a search of more than one chunk, the leaves are
 // visited in ascending lower-bound order (stable on the enumeration
@@ -659,9 +659,6 @@ func (s *search) run(st *SearchStats) {
 	for i := range pool {
 		st.merge(pool[i].st)
 	}
-	for si := range s.slots {
-		s.label(si)
-	}
 	// Full records only for the reported best. Every leaf was scored
 	// into scratch — a timeline leaf without spans or breakdown, a
 	// closed-form leaf without breakdown (or, under Auto, assignment) —
@@ -678,6 +675,14 @@ func (s *search) run(st *SearchStats) {
 		s.winners[bi] = s.evaluate(&s.leaves[s.slots[bi].win], &pool[0], true)
 	}
 	st.SimulateSeconds += time.Since(simStart).Seconds()
+	// The winners leave the search as its reported plans: label the
+	// infeasible ones and give each its own copy of the cuts its leaves
+	// share with the search's partition.
+	for si := range s.slots {
+		s.label(si)
+		p := &s.winners[si]
+		p.Partition = append([]int(nil), p.Partition...)
+	}
 }
 
 // fold folds leaf i's plan, evaluated against the frozen incumbent inc,

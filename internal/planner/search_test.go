@@ -16,10 +16,11 @@ import (
 // TestSlotFoldOrder pins the slot fold's total order at several worker
 // counts: an exact tie between placements reports the earlier placement
 // (row-major), and a slot none of whose leaves is feasible reports its
-// lowest-index leaf's plan and reason. A column-major EvaluateAt reports
-// its plan in full, so it ties the search's best entry exactly and every
-// other entry, which keeps only the schedule's scores, once reduced to
-// them.
+// lowest-index leaf's plan and reason. EvaluateAt reports its plan in
+// full, so on every grid the column-major plan ties the row-major one
+// exactly, spans and breakdown included; it also ties the search's best
+// entry exactly and every other entry, which keeps only the schedule's
+// scores, once reduced to them.
 func TestSlotFoldOrder(t *testing.T) {
 	net := nn.AlexNet()
 	const B, P = 256, 16
@@ -50,6 +51,9 @@ func TestSlotFoldOrder(t *testing.T) {
 				}
 				col := EvaluateAt(net, B, p.Grid, grid.ColMajor, o)
 				col.Placement = grid.RowMajor
+				if row := EvaluateAt(net, B, p.Grid, grid.RowMajor, o); !reflect.DeepEqual(col, row) {
+					t.Fatalf("grid %v: the full column-major plan must tie the full row-major one exactly", p.Grid)
+				}
 				if !best {
 					if p.Timeline.Spans != nil || p.Breakdown != nil {
 						t.Fatalf("grid %v: a non-best entry carries spans or a breakdown", p.Grid)

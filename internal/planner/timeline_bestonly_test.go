@@ -423,6 +423,34 @@ func TestOneLeafTimelineSearchIsFull(t *testing.T) {
 	}
 }
 
+// TestReportedPlansOwnTheirCuts: leaves share the search's partition
+// storage, but every Result.All entry owns its Partition, so writing one
+// plan's cuts leaves every other plan's intact.
+func TestReportedPlansOwnTheirCuts(t *testing.T) {
+	o := opts(Auto)
+	o.UseTimeline, o.TimelinePolicy = true, timeline.PolicyBackprop
+	o.StageCounts = []int{2, 4}
+	o.MaxPartitions = 3
+	o.MicroBatches = []int{1, 2}
+	res, err := Optimize(nn.AlexNet(), 256, 32, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := map[*int]int{}
+	for i, p := range res.All {
+		if len(p.Partition) == 0 {
+			continue
+		}
+		if j, ok := owners[&p.Partition[0]]; ok {
+			t.Fatalf("entries %d and %d share their Partition storage", j, i)
+		}
+		owners[&p.Partition[0]] = i
+	}
+	if len(owners) < 2 {
+		t.Fatalf("weak sample: %d staged entries", len(owners))
+	}
+}
+
 var sinkAssign costmodel.Assignment
 
 // TestTimelineLeafAllocations pins what scoring a timeline leaf on a
