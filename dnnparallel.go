@@ -363,6 +363,9 @@ func Plan(s Scenario) (*PlanResult, error) {
 func fillPlanResult(out *PlanResult, res *planner.Result, r scenario.Resolved) {
 	out.Raw = res
 	out.Best = summarize(res.Best, r.Net)
+	if len(res.All) > 0 {
+		out.All = make([]PlanSummary, 0, len(res.All))
+	}
 	for _, p := range res.All {
 		out.All = append(out.All, summarize(p, nil))
 	}

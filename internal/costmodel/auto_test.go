@@ -115,10 +115,11 @@ func TestAutoIntegratedParity(t *testing.T) {
 			}
 		}
 
-		memo := NewSpanMemo(topo, net)
+		memo := NewSpanMemo(topo, net, 3, 3)
 		for k := 0; k < 3; k++ {
 			memo.Fill(g, pl, k*g.P())
 		}
+		memo.Seal()
 		fresh := Env{Topo: topo, Placement: pl}
 		memoized := Env{Topo: topo, Placement: pl, Spans: memo}
 		auto := ConvAssignment(net, Cheapest, Model)

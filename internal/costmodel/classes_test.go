@@ -76,7 +76,7 @@ func freshStages(e Env, net *nn.Network, micro int, part stage.Partition, grids 
 }
 
 // freshGrads prices the whole-block ∆W all-reduce of every position of
-// net on the rank block of g at offset, as SpanMemo.Fill does.
+// net on the rank block of g at offset, as SpanMemo.Seal does per class.
 func freshGrads(topo machine.Topology, net *nn.Network, g grid.Grid, offset int) []gradPrice {
 	pr := Env{Topo: topo}.pricerAt(g, offset)
 	var out []gradPrice
@@ -165,18 +165,22 @@ func TestLayerClassesPriceExactly(t *testing.T) {
 		L := len(widx)
 		parts := []stage.Partition{stage.Balanced(L, 2), stage.Balanced(L, 3)}
 		for _, topo := range topos {
-			memo, twinMemo := NewSpanMemo(topo, net), NewSpanMemo(topo, twin)
-			for _, g := range grids {
-				for _, pl := range grid.Placements() {
-					for off := 0; off < 3*g.P(); off += g.P() {
-						memo.Fill(g, pl, off)
-						twinMemo.Fill(g, pl, off)
+			memo, twinMemo := NewSpanMemo(topo, net, 0, 0), NewSpanMemo(topo, twin, 0, 0)
+			for _, m := range []*SpanMemo{memo, twinMemo} {
+				for _, g := range grids {
+					for _, pl := range grid.Placements() {
+						for off := 0; off < 3*g.P(); off += g.P() {
+							m.Fill(g, pl, off)
+						}
 					}
 				}
+				m.Seal()
+			}
+			for _, g := range grids {
 				for off := 0; off < 3*g.P(); off += g.P() {
 					want := freshGrads(topo, net, g, off)
 					for _, m := range []*SpanMemo{memo, twinMemo} {
-						if got := m.grads[blockKey{g.P(), off}]; !reflect.DeepEqual(got, want) {
+						if got := m.positionGrads(g.P(), off); !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s on %s, block %d at %d: memoized gradient prices differ from fresh ones",
 								net.Name, topo.Name, g.P(), off)
 						}
@@ -293,4 +297,19 @@ func TestFirstPositionNeverShared(t *testing.T) {
 			t.Fatalf("%s: Integrated differs from fresh pricing", topo.Name)
 		}
 	}
+}
+
+// positionGrads returns the table's gradient price of every weighted
+// layer position on the block of ranks ranks at offset (nil when the
+// table has no such block): each position reads its class's price.
+func (m *SpanMemo) positionGrads(ranks, offset int) []gradPrice {
+	b := m.block(ranks, offset)
+	if b < 0 {
+		return nil
+	}
+	out := make([]gradPrice, len(m.class))
+	for k, c := range m.class {
+		out[k] = m.blocks[b].grad[c]
+	}
+	return out
 }

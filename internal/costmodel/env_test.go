@@ -220,20 +220,22 @@ func TestSpanMemoNeverChangesPrices(t *testing.T) {
 	nodes := machine.CoriKNLNodes(16)
 	other := machine.CoriKNLNodes(12)
 	g := grid.Grid{Pr: 8, Pc: 16}
-	memo := NewSpanMemo(nodes, net)
-	wrong := NewSpanMemo(other, net)
+	memo := NewSpanMemo(nodes, net, 0, 0)
+	wrong := NewSpanMemo(other, net, 0, 0)
 	for _, pl := range grid.Placements() {
 		for _, off := range []int{0, 128, 200} {
 			memo.Fill(g, pl, off)
 			wrong.Fill(g, pl, off)
 		}
 	}
+	memo.Seal()
+	wrong.Seal()
 	for _, pl := range grid.Placements() {
 		fresh := Env{Topo: nodes, Placement: pl}
 		for _, env := range []Env{
 			{Topo: nodes, Placement: pl, Spans: memo},
 			{Topo: nodes, Placement: pl, Spans: wrong},
-			{Topo: nodes, Placement: pl, Spans: NewSpanMemo(nodes, net)}, // every key a miss
+			{Topo: nodes, Placement: pl, Spans: NewSpanMemo(nodes, net, 0, 0)}, // every key a miss
 		} {
 			for _, off := range []int{0, 128, 200} {
 				want, got := fresh.pricerAt(g, off), env.pricerAt(g, off)
@@ -269,9 +271,9 @@ func TestGradMemoNeverChangesPrices(t *testing.T) {
 		slow.Levels[i].Link.Beta *= 2
 	}
 	g := grid.Grid{Pr: 4, Pc: 32} // 128-rank block; stage 1 starts at 128
-	filled := NewSpanMemo(topo, net)
-	wrongLinks := NewSpanMemo(slow, net)
-	otherNet := NewSpanMemo(topo, nn.VGG16())
+	filled := NewSpanMemo(topo, net, 0, 0)
+	wrongLinks := NewSpanMemo(slow, net, 0, 0)
+	otherNet := NewSpanMemo(topo, nn.VGG16(), 0, 0)
 	for _, m := range []*SpanMemo{filled, wrongLinks, otherNet} {
 		for _, pl := range grid.Placements() {
 			for _, off := range []int{0, 128} {
@@ -280,13 +282,14 @@ func TestGradMemoNeverChangesPrices(t *testing.T) {
 			m.Fill(grid.Grid{Pr: 1, Pc: 256}, pl, 0)
 			m.Fill(grid.Grid{Pr: 256, Pc: 1}, pl, 0)
 		}
+		m.Seal()
 	}
 	nw := len(net.WeightedLayers())
 	usable := func(m *SpanMemo, pl grid.Placement, off int) int {
 		pr := Env{Topo: topo, Placement: pl, Spans: m}.pricerAt(g, off)
 		n := 0
 		for k, li := range net.WeightedLayers() {
-			if k < len(pr.grad) && pr.grad[k].words == float64(net.Layers[li].Weights()) {
+			if k < len(pr.gradClass) && pr.grad[pr.gradClass[k]].words == float64(net.Layers[li].Weights()) {
 				n++
 			}
 		}
@@ -320,7 +323,7 @@ func TestGradMemoNeverChangesPrices(t *testing.T) {
 	for _, pl := range grid.Placements() {
 		fresh := Env{Topo: topo, Placement: pl}
 		for name, m := range map[string]*SpanMemo{
-			"filled": filled, "wrong links": wrongLinks, "other net": otherNet, "empty": NewSpanMemo(topo, net),
+			"filled": filled, "wrong links": wrongLinks, "other net": otherNet, "empty": NewSpanMemo(topo, net, 0, 0),
 		} {
 			env := Env{Topo: topo, Placement: pl, Spans: m}
 			for _, pair := range []struct {

@@ -74,8 +74,9 @@ func TestModelLayerCostOverwritesEveryField(t *testing.T) {
 func memoizedResNet50(g grid.Grid) (*nn.Network, Env) {
 	net := nn.ResNet50Proxy()
 	topo := threeLevel()
-	memo := NewSpanMemo(topo, net)
+	memo := NewSpanMemo(topo, net, 1, 1)
 	memo.Fill(g, grid.RowMajor, 0)
+	memo.Seal()
 	return net, Env{Topo: topo, Placement: grid.RowMajor, Spans: memo}
 }
 

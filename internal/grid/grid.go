@@ -48,7 +48,12 @@ func Parse(s string) (Grid, error) {
 func (g Grid) P() int { return g.Pr * g.Pc }
 
 // String renders "PrxPc".
-func (g Grid) String() string { return fmt.Sprintf("%dx%d", g.Pr, g.Pc) }
+func (g Grid) String() string {
+	var buf [41]byte
+	b := strconv.AppendInt(buf[:0], int64(g.Pr), 10)
+	b = append(b, 'x')
+	return string(strconv.AppendInt(b, int64(g.Pc), 10))
+}
 
 // IsPureBatch reports whether the grid degenerates to pure batch
 // parallelism (Pr = 1).

@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -168,5 +170,19 @@ func TestNewValidation(t *testing.T) {
 	}
 	if g.String() != "2x3" {
 		t.Fatalf("String = %q", g.String())
+	}
+}
+
+// Grid labels, built with strconv, are byte-identical to the
+// fmt.Sprintf("%dx%d") they replaced, for negative, zero and extreme
+// dimensions.
+func TestStringMatchesFmt(t *testing.T) {
+	for _, v := range []int{0, 1, -1, 7, 64, 4096, -4096, math.MaxInt, math.MinInt} {
+		for _, w := range []int{0, 3, -12, 512, math.MaxInt} {
+			g := Grid{Pr: v, Pc: w}
+			if got, want := g.String(), fmt.Sprintf("%dx%d", g.Pr, g.Pc); got != want {
+				t.Fatalf("Grid.String = %q, want %q", got, want)
+			}
+		}
 	}
 }

@@ -242,18 +242,12 @@ func classifyAP(first, stride, n int, sizes []int, levels []LevelStat) {
 	}
 }
 
-// compareSpans orders spans deterministically (Ranks, then per-level
-// stats innermost first) so worst-case selection over a deduplicated
+// compareLevels orders two shapes of equal depth by their per-level
+// stats, innermost first, so worst-case selection over a deduplicated
 // span list cannot depend on group enumeration order.
-func compareSpans(a, b LevelSpan) int {
-	if a.Ranks != b.Ranks {
-		return a.Ranks - b.Ranks
-	}
-	if len(a.Levels) != len(b.Levels) {
-		return len(a.Levels) - len(b.Levels)
-	}
-	for i := range a.Levels {
-		x, y := a.Levels[i], b.Levels[i]
+func compareLevels(a, b []LevelStat) int {
+	for i := range a {
+		x, y := a[i], b[i]
 		switch {
 		case x.Groups != y.Groups:
 			return x.Groups - y.Groups
@@ -268,62 +262,122 @@ func compareSpans(a, b LevelSpan) int {
 	return 0
 }
 
-// progression describes the collective groups of one grid dimension
-// under a placement: group k (k < count) holds the n machine ranks
-// offset + k·step + j·stride, j < n — an ascending arithmetic
-// progression, because every placement is affine in (r, c).
-type progression struct {
-	count, step, n, stride int
+// Progression describes the collective groups of one grid dimension
+// under a placement: group k (k < Count) holds the N machine ranks
+// offset + k·Step + j·Stride, j < N — an ascending arithmetic
+// progression, because every placement is affine in (r, c). The
+// row-major column groups of an a×b grid are the column-major row groups
+// of the b×a grid, one Progression. A rank block of R ranks is the
+// one-group Progression{Count: 1, Step: 1, N: R, Stride: 1}. A Step that
+// one group cannot use (Count 1) and a Stride that one rank cannot use
+// (N 1) are 1, so equal groups are equal Progressions.
+type Progression struct {
+	Count, Step, N, Stride int
 }
 
-// colGroups returns the column groups' progression (Pr ranks each, one
+// progression returns the Progression of count groups of n ranks.
+func progression(count, step, n, stride int) Progression {
+	if count == 1 {
+		step = 1
+	}
+	if n == 1 {
+		stride = 1
+	}
+	return Progression{Count: count, Step: step, N: n, Stride: stride}
+}
+
+// ColGroups returns the column groups' progression (Pr ranks each, one
 // group per column c) under a placement: process (r, c) sits at machine
 // rank r·Pc + c row-major, c·Pr + r column-major.
-func (g Grid) colGroups(pl Placement) progression {
+func (g Grid) ColGroups(pl Placement) Progression {
 	if pl == ColMajor {
-		return progression{count: g.Pc, step: g.Pr, n: g.Pr, stride: 1}
+		return progression(g.Pc, g.Pr, g.Pr, 1)
 	}
-	return progression{count: g.Pc, step: 1, n: g.Pr, stride: g.Pc}
+	return progression(g.Pc, 1, g.Pr, g.Pc)
 }
 
-// rowGroups returns the row groups' progression (Pc ranks each, one
+// RowGroups returns the row groups' progression (Pc ranks each, one
 // group per row r) under a placement.
-func (g Grid) rowGroups(pl Placement) progression {
+func (g Grid) RowGroups(pl Placement) Progression {
 	if pl == ColMajor {
-		return progression{count: g.Pr, step: 1, n: g.Pc, stride: g.Pr}
+		return progression(g.Pr, 1, g.Pc, g.Pr)
 	}
-	return progression{count: g.Pr, step: g.Pc, n: g.Pc, stride: 1}
+	return progression(g.Pr, g.Pc, g.Pc, 1)
 }
 
-// spans classifies every group of the progression at a rank offset and
-// returns the distinct shapes in compareSpans order. The distinct
-// shapes' Levels share one slab: each group is classified straight into
-// the slab's free tail, which is kept only when the shape is new (the
+// AppendShapes classifies every group of the progression at a rank
+// offset and appends the Levels of its distinct shapes to stats,
+// len(sizes) LevelStats per shape, in ascending order (per level,
+// innermost first: Groups, MaxRanks, Fanout, Planes — the order
+// ColGroupSpansAt returns them in). Non-outermost sizes must be ≥ 1 and
+// the offset non-negative. Each group is classified straight into the
+// free tail of stats, which is kept only when the shape is new (the
 // distinct shapes are few, so the linear duplicate scan is cheaper than
 // sorting all groups). Shapes repeat with the groups' period (see
 // shapePeriod), so only the first period's groups are classified.
-func (pg progression) spans(fn string, sizes []int, offset int) []LevelSpan {
+func (pg Progression) AppendShapes(stats []LevelStat, sizes []int, offset int) []LevelStat {
+	checkSizes("AppendShapes", sizes)
+	checkRank("AppendShapes", offset)
+	L, base := len(sizes), len(stats)
+	for k := 0; k < shapePeriod(sizes, pg.Step, pg.Count); k++ {
+		stats = slices.Grow(stats, L)
+		tail := stats[len(stats) : len(stats)+L]
+		classifyAP(offset+k*pg.Step, pg.Stride, pg.N, sizes, tail)
+		at := base
+		for at < len(stats) && compareLevels(stats[at:at+L], tail) < 0 {
+			at += L
+		}
+		if at < len(stats) && compareLevels(stats[at:at+L], tail) == 0 {
+			continue
+		}
+		// Insert the new shape at its place in order.
+		stats = stats[:len(stats)+L]
+		for j := len(stats) - L; j > at; j -= L {
+			for i := j; i < j+L; i++ {
+				stats[i], stats[i-L] = stats[i-L], stats[i]
+			}
+		}
+	}
+	return stats
+}
+
+// NeighborsLevel returns the innermost level whose groups contain every
+// pair of consecutive ranks within every group of the progression at a
+// rank offset (see ColNeighborsLevelAt).
+func (pg Progression) NeighborsLevel(sizes []int, offset int) int {
+	if len(sizes) == 0 {
+		panic("grid: NeighborsLevel needs at least one level size")
+	}
+	checkRank("NeighborsLevel", offset)
+	top := len(sizes) - 1
+	level := 0
+	// Halo levels repeat with the groups' period, like their spans.
+	for k := 0; k < shapePeriod(sizes, pg.Step, pg.Count) && level < top; k++ {
+		a := offset + k*pg.Step
+		for j := 1; j < pg.N && level < top; j++ {
+			b := a + pg.Stride
+			l := 0
+			for l < top && levelUnit(a, sizes[l]) != levelUnit(b, sizes[l]) {
+				l++
+			}
+			level = max(level, l)
+			a = b
+		}
+	}
+	return level
+}
+
+// spans returns the distinct level spans of the progression's groups at
+// a rank offset (see AppendShapes), their Levels backed by one slab.
+func (pg Progression) spans(fn string, sizes []int, offset int) []LevelSpan {
 	checkSizes(fn, sizes)
 	checkRank(fn, offset)
 	L := len(sizes)
-	slab := make([]LevelStat, 0, 4*L)
-	for k := 0; k < shapePeriod(sizes, pg.step, pg.count); k++ {
-		slab = slices.Grow(slab, L)
-		tail := slab[len(slab) : len(slab)+L]
-		classifyAP(offset+k*pg.step, pg.stride, pg.n, sizes, tail)
-		seen := false
-		for d := 0; d < len(slab) && !seen; d += L {
-			seen = slices.Equal(slab[d:d+L], tail)
-		}
-		if !seen {
-			slab = slab[:len(slab)+L]
-		}
-	}
+	slab := pg.AppendShapes(make([]LevelStat, 0, 4*L), sizes, offset)
 	out := make([]LevelSpan, len(slab)/L)
 	for d := range out {
-		out[d] = LevelSpan{Ranks: pg.n, Levels: slab[d*L : (d+1)*L : (d+1)*L]}
+		out[d] = LevelSpan{Ranks: pg.N, Levels: slab[d*L : (d+1)*L : (d+1)*L]}
 	}
-	slices.SortFunc(out, compareSpans)
 	return out
 }
 
@@ -367,7 +421,7 @@ func gcd(a, b int) int {
 // node or rack boundaries, so the spans (and hence the Eq. 3–9 prices)
 // genuinely depend on where the block starts.
 func (g Grid) ColGroupSpansAt(sizes []int, pl Placement, offset int) []LevelSpan {
-	return g.colGroups(pl).spans("ColGroupSpansAt", sizes, offset)
+	return g.ColGroups(pl).spans("ColGroupSpansAt", sizes, offset)
 }
 
 // RowGroupSpansAt returns the distinct level spans of the Pr row groups
@@ -375,7 +429,7 @@ func (g Grid) ColGroupSpansAt(sizes []int, pl Placement, offset int) []LevelSpan
 // grid whose rank block starts at machine rank `offset` (see
 // ColGroupSpansAt).
 func (g Grid) RowGroupSpansAt(sizes []int, pl Placement, offset int) []LevelSpan {
-	return g.rowGroups(pl).spans("RowGroupSpansAt", sizes, offset)
+	return g.RowGroups(pl).spans("RowGroupSpansAt", sizes, offset)
 }
 
 // AllSpanAt returns the level span of a grid's whole rank block — the
@@ -402,21 +456,5 @@ func (g Grid) ColNeighborsLevelAt(sizes []int, pl Placement, offset int) int {
 		panic("grid: ColNeighborsLevelAt needs at least one level size")
 	}
 	checkRank("ColNeighborsLevelAt", offset)
-	pg := g.colGroups(pl)
-	top := len(sizes) - 1
-	level := 0
-	// Halo levels repeat with the column groups' period, like their spans.
-	for k := 0; k < shapePeriod(sizes, pg.step, pg.count) && level < top; k++ {
-		a := offset + k*pg.step
-		for j := 1; j < pg.n && level < top; j++ {
-			b := a + pg.stride
-			l := 0
-			for l < top && levelUnit(a, sizes[l]) != levelUnit(b, sizes[l]) {
-				l++
-			}
-			level = max(level, l)
-			a = b
-		}
-	}
-	return level
+	return g.ColGroups(pl).NeighborsLevel(sizes, offset)
 }

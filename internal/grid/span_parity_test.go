@@ -51,6 +51,31 @@ func referenceSpanOf(ranks []int, sizes []int) LevelSpan {
 	return s
 }
 
+// compareSpans orders spans by Ranks, then per-level stats innermost
+// first: the order the reference sorts its deduplicated spans in.
+func compareSpans(a, b LevelSpan) int {
+	if a.Ranks != b.Ranks {
+		return a.Ranks - b.Ranks
+	}
+	if len(a.Levels) != len(b.Levels) {
+		return len(a.Levels) - len(b.Levels)
+	}
+	for i := range a.Levels {
+		x, y := a.Levels[i], b.Levels[i]
+		switch {
+		case x.Groups != y.Groups:
+			return x.Groups - y.Groups
+		case x.MaxRanks != y.MaxRanks:
+			return x.MaxRanks - y.MaxRanks
+		case x.Fanout != y.Fanout:
+			return x.Fanout - y.Fanout
+		case x.Planes != y.Planes:
+			return x.Planes - y.Planes
+		}
+	}
+	return 0
+}
+
 // referenceGroupSpans classifies every row (rows=true) or column group
 // by listing its ranks through MachineRank, then sorts and dedupes the
 // spans — the pre-progression implementation of *GroupSpansAt.

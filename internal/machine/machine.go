@@ -16,7 +16,10 @@
 //     the flat numbers exactly.
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // WordBytes is the size of one communicated word. The paper's platform
 // constants (1/β = 6 GB/s) are byte-based; all volume terms in the cost
@@ -66,8 +69,13 @@ func (m Machine) Validate() error {
 // BandwidthBytes returns the link bandwidth in bytes per second.
 func (m Machine) BandwidthBytes() float64 { return WordBytes / m.Beta }
 
-// String formats the machine like Table 1.
+// String formats the machine like Table 1, its numbers as %.3g
+// (strconv's 'g' format at precision 3).
 func (m Machine) String() string {
-	return fmt.Sprintf("%s: alpha=%.3gs, 1/beta=%.3g GB/s, peak=%.3g TFLOP/s",
-		m.Name, m.Alpha, m.BandwidthBytes()/1e9, m.PeakFlops/1e12)
+	b := make([]byte, 0, len(m.Name)+64)
+	b = append(append(b, m.Name...), ": alpha="...)
+	b = append(strconv.AppendFloat(b, m.Alpha, 'g', 3, 64), "s, 1/beta="...)
+	b = append(strconv.AppendFloat(b, m.BandwidthBytes()/1e9, 'g', 3, 64), " GB/s, peak="...)
+	b = append(strconv.AppendFloat(b, m.PeakFlops/1e12, 'g', 3, 64), " TFLOP/s"...)
+	return string(b)
 }

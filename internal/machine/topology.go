@@ -2,7 +2,7 @@ package machine
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Link is the α–β description of one link level of a hierarchical
@@ -247,22 +247,24 @@ func (t Topology) String() string {
 	if t.Depth() == 1 {
 		return t.Machine().String()
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:", t.Name)
+	b := make([]byte, 0, len(t.Name)+64*len(t.Levels)+32)
+	b = append(append(b, t.Name...), ':')
 	for i, lv := range t.Levels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		name := lv.Name
-		if name == "" {
-			name = fmt.Sprintf("l%d", i)
+		b = append(b, ' ')
+		if lv.Name == "" {
+			b = strconv.AppendInt(append(b, 'l'), int64(i), 10)
+		} else {
+			b = append(b, lv.Name...)
 		}
-		fmt.Fprintf(&b, " %s", name)
 		if lv.GroupSize > 0 {
-			fmt.Fprintf(&b, "[%d ranks]", lv.GroupSize)
+			b = append(strconv.AppendInt(append(b, '['), int64(lv.GroupSize), 10), " ranks]"...)
 		}
-		fmt.Fprintf(&b, " alpha=%.3gs 1/beta=%.3g GB/s", lv.Link.Alpha, lv.Link.BandwidthBytes()/1e9)
+		b = append(strconv.AppendFloat(append(b, " alpha="...), lv.Link.Alpha, 'g', 3, 64), "s 1/beta="...)
+		b = append(strconv.AppendFloat(b, lv.Link.BandwidthBytes()/1e9, 'g', 3, 64), " GB/s"...)
 	}
-	fmt.Fprintf(&b, ", peak=%.3g TFLOP/s", t.PeakFlops/1e12)
-	return b.String()
+	b = append(strconv.AppendFloat(append(b, ", peak="...), t.PeakFlops/1e12, 'g', 3, 64), " TFLOP/s"...)
+	return string(b)
 }

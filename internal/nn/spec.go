@@ -11,7 +11,10 @@
 //     parallelization is gradient-exact versus serial SGD.
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Shape is a spatial activation shape: height × width × channels.
 // Fully-connected activations use H = W = 1.
@@ -22,7 +25,14 @@ type Shape struct {
 // Size returns the number of activations d = H·W·C.
 func (s Shape) Size() int { return s.H * s.W * s.C }
 
-func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.H, s.W, s.C) }
+func (s Shape) String() string {
+	var buf [62]byte
+	b := strconv.AppendInt(buf[:0], int64(s.H), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(s.W), 10)
+	b = append(b, 'x')
+	return string(strconv.AppendInt(b, int64(s.C), 10))
+}
 
 // LayerKind enumerates the layer types of Section 2.1.
 type LayerKind int

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -202,5 +204,18 @@ func TestVGG16TrainFLOPs(t *testing.T) {
 	f := n.TrainFLOPsPerSample()
 	if f < 80e9 || f > 105e9 {
 		t.Fatalf("VGG16 train FLOPs/sample = %.3g, want ≈93e9", f)
+	}
+}
+
+// Shape labels, built with strconv, are byte-identical to the
+// fmt.Sprintf("%dx%dx%d") they replaced, for negative, zero and extreme
+// sizes.
+func TestShapeStringMatchesFmt(t *testing.T) {
+	vals := []int{0, 1, -1, 13, 224, -4096, math.MaxInt, math.MinInt}
+	for i, h := range vals {
+		s := Shape{H: h, W: vals[(i+3)%len(vals)], C: vals[(i+5)%len(vals)]}
+		if got, want := s.String(), fmt.Sprintf("%dx%dx%d", s.H, s.W, s.C); got != want {
+			t.Fatalf("Shape.String = %q, want %q", got, want)
+		}
 	}
 }

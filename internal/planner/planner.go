@@ -275,8 +275,7 @@ func (s *search) structural(lf *leaf) string {
 // Auto. With report set, the plan is complete: the timeline carries its
 // spans and its own breakdown, and the closed-form plan takes w's
 // scratch over. run sets report only for the plan it reports as best
-// (see run). The search's level-span and gradient-price memo is
-// bit-identical to fresh pricing, and scratch to fresh storage, so plans
+// (see run). The search's span table is bit-identical to fresh pricing, and scratch to fresh storage, so plans
 // depend on neither.
 func (s *search) evaluate(lf *leaf, w *worker, report bool) Plan {
 	o, net, st := &s.opts, s.net, &w.st
@@ -474,9 +473,9 @@ func Optimize(net *nn.Network, B, P int, opts Options) (Result, error) {
 	return optimize(net, B, P, opts, true)
 }
 
-// optimize is Optimize with the per-search level-span memo switchable:
+// optimize is Optimize with the per-search span table switchable:
 // memoSpans=false classifies every candidate's placement afresh, the
-// reference the memo's parity tests compare against.
+// reference the table's parity tests compare against.
 func optimize(net *nn.Network, B, P int, opts Options, memoSpans bool) (Result, error) {
 	if err := opts.validate(B, P); err != nil {
 		return Result{}, err

@@ -49,14 +49,22 @@
 // one chunk, the only kind that bounds — the compute.Model.GridLayerTimes
 // aggregates the lower bounds read once per (grid, micro-batch size)
 // after enumeration, shared read-only by every placement × partition
-// leaf. On a hierarchical topology the level spans of every (grid,
-// placement, stage rank offset) are classified once during enumeration
-// (costmodel.SpanMemo) and read by every leaf's
-// pricing, the Auto choice included, and redistribution; the same memo
-// holds the whole-block ∆W all-reduce price of every weighted layer per
-// (rank block, offset), which Domain and BatchOnly layers of every grid
-// and placement sharing that block read by layer position. The memo is
-// dropped with the search.
+// leaf. On a hierarchical topology the search owns one span table
+// (costmodel.SpanMemo), filled during enumeration — for the first batch
+// size only, since the stage rank blocks and grids are the same for
+// every batch size — and sealed before any leaf is priced. Each distinct
+// (group progression, stage rank offset) is classified once, a grid's
+// column groups sharing their entry with its transpose's row groups;
+// each stage rank block holds its whole-block span and the ∆W
+// all-reduce price of every weighted layer class, which the Domain and
+// BatchOnly layers of every grid and placement on that block read. Every
+// leaf's pricing, the Auto choice and redistribution included, finds
+// its entries by scanning the few blocks and one block's progressions,
+// without hashing, and the table's level stats, spans and prices live
+// in arenas sized when it is sealed: a fixed handful of allocations per
+// search, whatever its grid or leaf count. The table is dropped with
+// the search (a process-wide one grows the live heap; see ROADMAP
+// item 8).
 //
 // Numbers in the search: every leaf is priced into its worker's scratch,
 // overwritten by every leaf, and its plan keeps only the numbers the
@@ -246,13 +254,15 @@ type search struct {
 	// minConvH is the smallest conv input height (math.MaxInt without
 	// conv layers), the ConvDomain structural check's limit.
 	minConvH int
-	// spans memoizes the level-span classification of every (grid,
-	// placement, rank offset) the leaves price and the gradient
-	// all-reduce price of every (rank block, offset, weighted layer),
-	// filled during the serial enumeration and read lock-free by the
-	// workers like cc; nil on a uniform topology, whose pricing never
-	// classifies.
-	spans *costmodel.SpanMemo
+	// spans is the search's span table: the level spans of every
+	// collective group progression the leaves price per rank offset, and
+	// per rank block its span and the gradient all-reduce price of every
+	// weighted layer class, filled and sealed during the serial
+	// enumeration and read lock-free by the workers like cc; nil on a
+	// uniform topology, whose pricing never classifies, and when
+	// memoSpans is off.
+	spans     *costmodel.SpanMemo
+	memoSpans bool
 	// batches is the batch search space (Options.Batches(B)); grid,
 	// when set, pins the per-stage grid of every stage count in place of
 	// the factorizations of P/S, the machine then having S × grid.P()
@@ -289,6 +299,7 @@ func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search 
 		tightest: math.Inf(1),
 		minConvH: math.MaxInt,
 	}
+	s.memoSpans = memoSpans && !s.topo.Uniform()
 	for _, li := range net.WeightedLayers() {
 		if l := &net.Layers[li]; l.Kind == nn.Conv {
 			s.minConvH = min(s.minConvH, l.In.H)
@@ -297,9 +308,6 @@ func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search 
 	if conv, ok := map[Mode]costmodel.Strategy{Uniform: costmodel.Model, ConvBatch: costmodel.BatchOnly,
 		ConvDomain: costmodel.Domain, Auto: costmodel.Cheapest}[opts.Mode]; ok {
 		s.assign = costmodel.ConvAssignment(net, conv, costmodel.Model) // FC layers are Model in every mode
-	}
-	if memoSpans && !s.topo.Uniform() {
-		s.spans = costmodel.NewSpanMemo(s.topo, net)
 	}
 	if opts.Objective == TimeToAccuracy {
 		s.steps = make(map[int]float64, len(s.batches))
@@ -322,14 +330,14 @@ func (s *search) objectiveScale(B int) float64 {
 
 // enumerate builds the slot and leaf lists in the serial search order —
 // batch sizes, then stage counts, then grid factorizations, then
-// placements × partitions × micro-batches — pre-filling the level-span
-// memo, and counting the enumeration-side telemetry (batches, grids,
+// placements × partitions × micro-batches — filling and sealing the span
+// table, and counting the enumeration-side telemetry (batches, grids,
 // stage counts, partitions, and the pseudo-slot candidates) into st. The
 // candidate partitions per stage count are batch-independent, so they
 // are enumerated once, before the batch sweep; their counts size the
-// slot and leaf lists exactly (Options.space). S = 1 is the stage count
-// whose one partition is the whole network: it never consults
-// Options.Partition and adds nothing to the partition and
+// slot and leaf lists exactly (Options.space) and the span table. S = 1
+// is the stage count whose one partition is the whole network: it never
+// consults Options.Partition and adds nothing to the partition and
 // stage-candidate counts.
 func (s *search) enumerate(st *SearchStats) {
 	o := s.opts
@@ -350,7 +358,7 @@ func (s *search) enumerate(st *SearchStats) {
 	}
 	partsBy := make(map[int]partsMemo, len(counts))
 	var layerCosts []float64
-	nSlots, nLeaves := 0, 0
+	nSlots, nLeaves, nBlocks, nFills := 0, 0, 0, 0
 	for _, S := range counts {
 		pm, ok := partsBy[S]
 		if !ok {
@@ -377,6 +385,13 @@ func (s *search) enumerate(st *SearchStats) {
 		sp := o.space(s.B, s.P, S, len(pm.parts), s.grid)
 		nSlots += sp.Grids * sp.BatchSizes
 		nLeaves += sp.leaves()
+		// Stage k's rank block starts at k·P/S; every (grid, placement)
+		// fills each block once.
+		nBlocks += S
+		nFills += S * sp.GridPlacements
+	}
+	if s.memoSpans {
+		s.spans = costmodel.NewSpanMemo(s.topo, s.net, nBlocks, nFills)
 	}
 	s.slots = make([]slot, 0, nSlots)
 	s.winners = make([]Plan, 0, nSlots)
@@ -397,7 +412,7 @@ func (s *search) enumerate(st *SearchStats) {
 	}
 	st.BatchSizesSearched = len(s.batches)
 	st.StageCountsSearched += len(counts)
-	for _, B := range s.batches {
+	for bi, B := range s.batches {
 		for _, S := range counts {
 			pm := partsBy[S]
 			if pm.err != nil {
@@ -408,9 +423,12 @@ func (s *search) enumerate(st *SearchStats) {
 				st.GridsEnumerated++
 				si := len(s.slots)
 				for _, pl := range gridPlacements(pls, g) {
-					// Stage k's rank block starts at k·g.P().
-					for k := 0; k < S; k++ {
-						s.spans.Fill(g, pl, k*g.P())
+					// Stage k's rank block starts at k·g.P(); the blocks
+					// and grids are the same for every batch size.
+					if bi == 0 {
+						for k := 0; k < S; k++ {
+							s.spans.Fill(g, pl, k*g.P())
+						}
 					}
 					for _, part := range pm.parts {
 						for _, m := range micros {
@@ -423,6 +441,7 @@ func (s *search) enumerate(st *SearchStats) {
 			}
 		}
 	}
+	s.spans.Seal()
 }
 
 // prefillBounds memoizes what the lower bounds read, once per key over

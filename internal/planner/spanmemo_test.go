@@ -111,3 +111,49 @@ func TestSpanMemoParity(t *testing.T) {
 		})
 	}
 }
+
+// tableAllocs returns the allocations the span table adds to one
+// enumeration of the search for net at batch B on P processes: those of
+// an enumeration that fills and seals the table less those of one
+// without it.
+func tableAllocs(net *nn.Network, B, P int, opts Options) float64 {
+	enumerate := func(memo bool) float64 {
+		return testing.AllocsPerRun(20, func() {
+			var st SearchStats
+			newSearch(net, B, P, opts, memo).enumerate(&st)
+		})
+	}
+	return enumerate(true) - enumerate(false)
+}
+
+// TestSpanTableAllocations: filling and sealing the span table of a
+// P = 128 three-level ResNet50 search makes a small fixed number of
+// allocations — its arenas, not one per grid, entry or leaf: P = 32 and
+// 64, three stage counts and a micro-batch sweep make exactly as many.
+func TestSpanTableAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under -race")
+	}
+	net := nn.ResNet50Proxy()
+	opts := DefaultOptions()
+	opts.Topology = rackTaper()
+	base := tableAllocs(net, 512, 128, opts)
+	t.Logf("P=128 table: %v allocations", base)
+	if base < 1 || base > 12 {
+		t.Fatalf("filling the P=128 table makes %v allocations, want 1 to 12", base)
+	}
+	staged := opts
+	staged.UseTimeline = true
+	staged.StageCounts = []int{1, 2, 4}
+	staged.MicroBatches = []int{1, 2, 4}
+	staged.Schedule = timeline.OneFOneB
+	for _, c := range []struct {
+		name string
+		P    int
+		opts Options
+	}{{"P=32", 32, opts}, {"P=64", 64, opts}, {"P=128 staged", 128, staged}} {
+		if got := tableAllocs(net, 512, c.P, c.opts); got != base {
+			t.Fatalf("%s: filling the table makes %v allocations, P=128 makes %v", c.name, got, base)
+		}
+	}
+}

@@ -254,6 +254,9 @@ func summarize(p planner.Plan, net *nn.Network) PlanSummary {
 			lis = append(lis, li)
 		}
 		sort.Ints(lis)
+		if len(lis) > 0 {
+			s.Assignment = make([]LayerStrategy, 0, len(lis))
+		}
 		for _, li := range lis {
 			l := &net.Layers[li]
 			s.Assignment = append(s.Assignment, LayerStrategy{

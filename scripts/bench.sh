@@ -13,7 +13,7 @@
 # search on the same scenario (the tta_search_overhead record). Last,
 # the span_classification, fused_auto_pricing, unified_evaluator,
 # layer_classes, in_place_collectives, single_leaf_retired,
-# cheapest_strategy and fixed_work_once records:
+# cheapest_strategy, fixed_work_once and span_table records:
 # the flat, hierarchical (two- and three-level, AlexNet and ResNet50,
 # closed-form and three-level timeline-scored), pipelined and
 # stage-partitioned façade searches, the decode → plan → marshal mix of
@@ -56,9 +56,10 @@ while [ "$i" -le 6 ]; do
 done
 # Span classification, fused Auto pricing, the unified evaluator, layer classes,
 # in-place collectives, the retired single-iteration scorer, the Cheapest
-# strategy and the once-per-request fixed work (span_classification,
-# fused_auto_pricing, unified_evaluator, layer_classes, in_place_collectives,
-# single_leaf_retired, cheapest_strategy and fixed_work_once records). A
+# strategy, the once-per-request fixed work and the per-search span table
+# (span_classification, fused_auto_pricing, unified_evaluator,
+# layer_classes, in_place_collectives, single_leaf_retired,
+# cheapest_strategy, fixed_work_once and span_table records). A
 # benchmark a baseline tree predates simply prints no line for that side.
 span='BenchmarkPlanScenario$|BenchmarkPlanScenarioTwoLevel$|BenchmarkPlanScenarioThreeLevel$|BenchmarkPlanScenarioTimelineThreeLevel$|BenchmarkPlanScenarioResNet50ThreeLevel$|BenchmarkPlanScenarioPipeline$|BenchmarkPlanScenarioStages$|BenchmarkPlanScenarioHierMix$'
 rungs='grid:BenchmarkColGroupSpansAt$ collective:BenchmarkAllReduceTopoThreeLevel$ costmodel:BenchmarkAutoIntegratedResNet50ThreeLevel$'
