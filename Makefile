@@ -17,11 +17,13 @@ race:
 bench:
 	./scripts/bench.sh
 
-# verify runs the gates CI runs on every push: gofmt, vet, the
+# verify runs the quick gates of CI's push job: gofmt, vet, the
 # dead-exports check, the tests, the pinned-grid smoke (the reported best
-# of a one-grid search carries its per-level breakdown), and vet + test
-# of the perfbench module (its own go.mod, which the root ./... never
-# builds).
+# of a one-grid search carries its per-level breakdown), vet + test of
+# the perfbench module (its own go.mod, which the root ./... never
+# builds) and the bench compile smoke (every benchmark runs once). It
+# leaves out CI's -race steps (`make race` runs the plain one), the
+# FuzzCanonical fuzzing and the binaries + scenario smoke.
 verify: build
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
@@ -30,3 +32,4 @@ verify: build
 	$(GO) run ./cmd/dnnplan -config examples/scenarios/alexnet-rack.json -grid 16x32 | grep -q 'Per-level communication'
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

@@ -45,26 +45,28 @@
 // pruning off entirely for callers who want every candidate priced.
 //
 // Memoization: the per-layer compute costs the partition enumeration
-// balances are evaluated once per search, and — in a search of more than
-// one chunk, the only kind that bounds — the compute.Model.GridLayerTimes
-// aggregates the lower bounds read once per (grid, micro-batch size)
-// after enumeration, shared read-only by every placement × partition
-// leaf. On a hierarchical topology the search owns one span table
-// (costmodel.SpanMemo), filled during enumeration — for the first batch
-// size only, since the stage rank blocks and grids are the same for
-// every batch size — and sealed before any leaf is priced. Each distinct
-// (group progression, stage rank offset) is classified once, a grid's
-// column groups sharing their entry with its transpose's row groups;
-// each stage rank block holds its whole-block span and the ∆W
+// balances are evaluated once per search, and each stage count's grids
+// and partitions once per search, whatever the batch sweep. A search of
+// more than one chunk — the only kind that bounds — computes every
+// leaf's lower bound in one pass over the leaves in enumeration order
+// (search.lowerBounds), keeping only the current slot's
+// compute.Model.GridLayerTimes aggregates per micro-batch size, its S(B)
+// and the current placement's ∆W floor; a one-chunk search holds no
+// bound state at all. On a hierarchical topology the search owns one
+// span table (costmodel.SpanMemo), filled during enumeration — for the
+// first batch size only, since the stage rank blocks and grids are the
+// same for every batch size — and sealed before any leaf is priced. Each
+// distinct (group progression, stage rank offset) is classified once, a
+// grid's column groups sharing their entry with its transpose's row
+// groups; each stage rank block holds its whole-block span and the ∆W
 // all-reduce price of every weighted layer class, which the Domain and
 // BatchOnly layers of every grid and placement on that block read. Every
-// leaf's pricing, the Auto choice and redistribution included, finds
-// its entries by scanning the few blocks and one block's progressions,
-// without hashing, and the table's level stats, spans and prices live
-// in arenas sized when it is sealed: a fixed handful of allocations per
-// search, whatever its grid or leaf count. The table is dropped with
-// the search (a process-wide one grows the live heap; see ROADMAP
-// item 8).
+// leaf's pricing, the Auto choice and redistribution included, finds its
+// entries by scanning the few blocks and one block's progressions,
+// without hashing, and the table's level stats, spans and prices live in
+// arenas sized when it is sealed: a fixed handful of allocations per
+// search, whatever its grid or leaf count. The table is dropped with the
+// search (a process-wide one grows the live heap; see ROADMAP item 8).
 //
 // Numbers in the search: every leaf is priced into its worker's scratch,
 // overwritten by every leaf, and its plan keeps only the numbers the
@@ -98,7 +100,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dnnparallel/internal/compute"
 	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/grid"
 	"dnnparallel/internal/machine"
@@ -113,9 +114,8 @@ import (
 // pruned, and that set must not change with parallelism. A search with
 // at most one chunk of leaves (e.g. the paper's flat 10-grid sweep)
 // never prunes — its only chunk sees the +Inf incumbent — so it computes
-// no bounds at all: no compute memo, no ∆W floors, no bound pass and no
-// bound-order sort (the fold is a total order, so the visit order cannot
-// change its Result).
+// no bounds at all: no bound pass and no bound-order sort (the fold is a
+// total order, so the visit order cannot change its Result).
 const boundChunk = 16
 
 // boundSlack relaxes the lower bound by a hair before comparing it to
@@ -127,72 +127,17 @@ const boundChunk = 16
 // costs no meaningful pruning power.
 const boundSlack = 1 - 1e-9
 
-// timesKey identifies one memoized per-layer compute split.
-type timesKey struct{ pr, pc, b int }
-
 // gridTimes holds the aggregates the lower bounds read from one
-// compute.Model.GridLayerTimes result: prefix sums of the per-layer
-// fwd+bwd seconds (prefix[k] covers weighted layers [0, k)), the
-// direction-split prefixes the stage-chain bound needs, and the residual
-// overhead.
+// compute.Model.GridLayerTimes result at micro-batch size b: prefix sums
+// of the per-layer fwd+bwd seconds (prefix[k] covers weighted layers
+// [0, k)), the direction-split prefixes the stage-chain bound needs, and
+// the residual overhead.
 type gridTimes struct {
+	b        int
 	overhead float64
 	prefix   []float64
 	fwdPre   []float64
 	bwdPre   []float64
-}
-
-// computeCache memoizes the lower-bound aggregates of GridLayerTimes
-// across the leaves that share (grid, batch). The map is written only
-// during the serial enumeration phase and read concurrently by the
-// worker pool.
-type computeCache struct {
-	cm  compute.Model
-	net *nn.Network
-	m   map[timesKey]*gridTimes
-}
-
-func newComputeCache(cm compute.Model, net *nn.Network) *computeCache {
-	return &computeCache{cm: cm, net: net, m: make(map[timesKey]*gridTimes)}
-}
-
-func (c *computeCache) build(g grid.Grid, b int) *gridTimes {
-	times, ov := c.cm.GridLayerTimes(c.net, b, g)
-	gt := &gridTimes{overhead: ov,
-		prefix: make([]float64, len(times)+1),
-		fwdPre: make([]float64, len(times)+1),
-		bwdPre: make([]float64, len(times)+1)}
-	for i, t := range times {
-		gt.prefix[i+1] = gt.prefix[i] + t.Fwd + t.Bwd
-		gt.fwdPre[i+1] = gt.fwdPre[i] + t.Fwd
-		gt.bwdPre[i+1] = gt.bwdPre[i] + t.Bwd
-	}
-	return gt
-}
-
-// fill populates the entry for (g, b); enumeration-phase only.
-func (c *computeCache) fill(g grid.Grid, b int) {
-	k := timesKey{g.Pr, g.Pc, b}
-	if _, ok := c.m[k]; !ok {
-		c.m[k] = c.build(g, b)
-	}
-}
-
-// peek returns the entry for (g, b), computing a fresh one — without
-// storing it, so concurrent readers never see a write — on a miss.
-// Cached and fresh entries are bit-identical (GridLayerTimes is pure),
-// so a miss can never change a result, only waste the memoization.
-func (c *computeCache) peek(g grid.Grid, b int) *gridTimes {
-	if gt, ok := c.m[timesKey{g.Pr, g.Pc, b}]; ok {
-		return gt
-	}
-	return c.build(g, b)
-}
-
-// floorKey identifies one memoized ∆W communication floor.
-type floorKey struct {
-	pr, pc int
-	pl     grid.Placement
 }
 
 // leaf is one fully specified candidate: a (batch size, stage count,
@@ -240,17 +185,14 @@ type worker struct {
 
 // search is one Optimize invocation's engine state.
 type search struct {
-	net    *nn.Network
-	B, P   int // B is the base batch size (Optimize's argument)
-	opts   Options
-	topo   machine.Topology // opts.topology(), resolved once
-	bounds bool
+	net  *nn.Network
+	B, P int // B is the base batch size (Optimize's argument)
+	opts Options
+	topo machine.Topology // opts.topology(), resolved once
 	// assign is the mode's requested Eq. 9 assignment, grid-independent
 	// and read by every leaf: conv layers Cheapest under Auto, resolved
 	// by each leaf's pricing pass.
 	assign costmodel.Assignment
-	cc     *computeCache
-	floors map[floorKey]float64
 	// minConvH is the smallest conv input height (math.MaxInt without
 	// conv layers), the ConvDomain structural check's limit.
 	minConvH int
@@ -258,7 +200,7 @@ type search struct {
 	// collective group progression the leaves price per rank offset, and
 	// per rank block its span and the gradient all-reduce price of every
 	// weighted layer class, filled and sealed during the serial
-	// enumeration and read lock-free by the workers like cc; nil on a
+	// enumeration and read lock-free by the workers; nil on a
 	// uniform topology, whose pricing never classifies, and when
 	// memoSpans is off.
 	spans     *costmodel.SpanMemo
@@ -266,23 +208,20 @@ type search struct {
 	// batches is the batch search space (Options.Batches(B)); grid,
 	// when set, pins the per-stage grid of every stage count in place of
 	// the factorizations of P/S, the machine then having S × grid.P()
-	// ranks. steps memoizes Curve.Steps per batch size under the
-	// TimeToAccuracy objective (nil under Iteration), converting
-	// iteration-time lower bounds and incumbents into objective units.
+	// ranks.
 	batches []int
 	grid    *grid.Grid
-	steps   map[int]float64
 	slots   []slot
 	winners []Plan
 	leaves  []leaf
 	// tightest is the smallest per-process footprint among the leaves
 	// the memory limit rejected (+Inf when none), for infeasibleError.
 	tightest float64
-	// lbs/lbOK hold the per-leaf lower bounds computed once by run()'s
-	// ordering pass; evalLeaf reads them instead of re-deriving the bound
-	// per leaf. Nil when bounds are disabled or the search is one chunk.
-	lbs  []float64
-	lbOK []bool
+	// lbs holds the per-leaf lower bounds computed once by run()'s
+	// ordering pass (lowerBounds); evalLeaf reads them instead of
+	// re-deriving the bound per leaf. Nil when bounds are disabled or the
+	// search is one chunk.
+	lbs []float64
 }
 
 func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search {
@@ -292,9 +231,6 @@ func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search 
 		P:        P,
 		opts:     opts,
 		topo:     opts.topology(),
-		bounds:   !opts.DisableBounds,
-		cc:       newComputeCache(opts.Compute, net),
-		floors:   make(map[floorKey]float64),
 		batches:  opts.Batches(B),
 		tightest: math.Inf(1),
 		minConvH: math.MaxInt,
@@ -309,23 +245,7 @@ func newSearch(net *nn.Network, B, P int, opts Options, memoSpans bool) *search 
 		ConvDomain: costmodel.Domain, Auto: costmodel.Cheapest}[opts.Mode]; ok {
 		s.assign = costmodel.ConvAssignment(net, conv, costmodel.Model) // FC layers are Model in every mode
 	}
-	if opts.Objective == TimeToAccuracy {
-		s.steps = make(map[int]float64, len(s.batches))
-		for _, b := range s.batches {
-			s.steps[b] = opts.Curve.Steps(b)
-		}
-	}
 	return s
-}
-
-// objectiveScale returns the factor converting a leaf's iteration-time
-// lower bound into objective units: S(B) under TimeToAccuracy, exactly 1
-// under Iteration.
-func (s *search) objectiveScale(B int) float64 {
-	if s.steps == nil {
-		return 1
-	}
-	return s.steps[B]
 }
 
 // enumerate builds the slot and leaf lists in the serial search order —
@@ -344,15 +264,12 @@ func (s *search) enumerate(st *SearchStats) {
 	micros := o.microBatches()
 	pls := o.placements()
 	counts := o.stageCounts()
-	grids := func(S int) []grid.Grid {
-		if s.grid != nil {
-			return []grid.Grid{*s.grid}
-		}
-		return grid.Factorizations(s.P / S)
-	}
-	// A stage count that does not divide P, or whose partitions fail,
-	// owns one pseudo slot per batch size.
+	// A stage count's grids (the factorizations of P/S, or the pinned
+	// grid) and partitions are batch-independent. A stage count that does
+	// not divide P, or whose partitions fail, owns one pseudo slot per
+	// batch size.
 	type partsMemo struct {
+		grids []grid.Grid
 		parts []stage.Partition
 		err   error
 	}
@@ -375,6 +292,11 @@ func (s *search) enumerate(st *SearchStats) {
 				if pm.err == nil {
 					st.PartitionsEnumerated += len(pm.parts)
 				}
+			}
+			if s.grid != nil {
+				pm.grids = []grid.Grid{*s.grid}
+			} else if pm.err == nil {
+				pm.grids = grid.Factorizations(s.P / S)
 			}
 			partsBy[S] = pm
 		}
@@ -419,7 +341,7 @@ func (s *search) enumerate(st *SearchStats) {
 				pseudo(B, S, pm.err.Error())
 				continue
 			}
-			for _, g := range grids(S) {
+			for _, g := range pm.grids {
 				st.GridsEnumerated++
 				si := len(s.slots)
 				for _, pl := range gridPlacements(pls, g) {
@@ -444,39 +366,11 @@ func (s *search) enumerate(st *SearchStats) {
 	s.spans.Seal()
 }
 
-// prefillBounds memoizes what the lower bounds read, once per key over
-// the enumerated leaves: the compute aggregates of every (grid,
-// micro-batch size) and the ∆W floor of every single-stage (grid,
-// placement). The ∆W floor sharpens the bound only where the closed
-// form serializes communication after compute (no overlap, no
-// timeline), and only on a uniform topology, where FCGradReduceSeconds
-// is a closed form. On a hierarchical topology the floor costs a
-// level-span scan per (grid, placement) — measured at roughly a third of
-// pricing the candidate outright, for exactly one M=1 leaf each — so the
-// compute-only bound stands alone there.
-func (s *search) prefillBounds() {
-	o := &s.opts
-	needFloors := !o.UseTimeline && !o.Overlap && s.topo.Uniform()
-	for i := range s.leaves {
-		lf := &s.leaves[i]
-		if lf.micro >= 1 && lf.B%lf.micro == 0 {
-			s.cc.fill(lf.g, lf.B/lf.micro)
-		}
-		if lf.S != 1 || !needFloors {
-			continue
-		}
-		k := floorKey{lf.g.Pr, lf.g.Pc, lf.pl}
-		if _, ok := s.floors[k]; !ok {
-			env := costmodel.Env{Topo: s.topo, Placement: lf.pl}
-			s.floors[k] = env.FCGradReduceSeconds(s.net, lf.g)
-		}
-	}
-}
-
-// lowerBound returns a monotone lower bound on the leaf's objective
-// cost, or ok=false when the leaf fails a structural constraint (it then
-// flows through the full evaluation to be classified InfeasiblePruned
-// with its exact reason, exactly as without bounds).
+// lowerBounds returns a monotone lower bound on every leaf's objective
+// cost, in one pass over the leaves in enumeration order. A leaf that
+// fails a structural constraint keeps bound 0: every cost is ≥ 0, so it
+// is never pruned and flows through the full evaluation to be classified
+// InfeasiblePruned with its exact reason, exactly as without bounds.
 //
 // The bound is compute-only plus terms the schedule provably cannot
 // hide: every simulated or closed-form iteration is at least its longest
@@ -489,42 +383,102 @@ func (s *search) prefillBounds() {
 // scaled by S(B) — the candidate's exact steps multiplier — which keeps
 // it a true lower bound on the campaign cost and lets cheap-iteration
 // batch sizes prune expensive ones.
-func (s *search) lowerBound(lf *leaf) (float64, bool) {
-	if s.misfit(lf) != fits {
-		return 0, false
-	}
+//
+// What the bounds read is kept for the current slot only: the
+// compute.Model.GridLayerTimes aggregates of each micro-batch size on
+// the slot's grid, S(B), and the ∆W floor of the current placement. The
+// floor is taken only on one stage in the non-overlapped closed form on
+// a uniform topology, where FCGradReduceSeconds is a closed form; on a
+// hierarchical topology it costs a level-span scan per (grid, placement)
+// — measured at roughly a third of pricing the candidate outright, for
+// exactly one M=1 leaf each — so the compute-only bound stands alone
+// there.
+func (s *search) lowerBounds() []float64 {
 	o := &s.opts
-	g := lf.g
-	gt := s.cc.peek(g, lf.B/lf.micro)
+	serial := !o.UseTimeline && !o.Overlap
 	fixed := o.Compute.FixedIter
-	M := float64(lf.micro)
-	// For every stage k there is a dependency chain no schedule can
-	// compress — micro-batch 1's forward must traverse the stages before
-	// k before k's lane can start, k's lane then serially executes all M
-	// micro-batches of its own slice, and its last operation is some
-	// micro-batch's backward, which still has to propagate back through
-	// the stages before k. The bound is the longest such chain over k.
-	// A single micro-batch also traverses every stage forward and
-	// backward serially, so the whole-network per-micro compute is a
-	// second schedule-independent chain.
-	chain := gt.prefix[len(gt.prefix)-1]
-	for k := 0; k < lf.S; k++ {
-		lo, hi := lf.part.Bounds(k)
-		c := gt.fwdPre[lo] + M*(gt.prefix[hi]-gt.prefix[lo]) + gt.bwdPre[lo]
-		if c > chain {
-			chain = c
+	lbs := make([]float64, len(s.leaves))
+	var times []gridTimes
+	var scale, floor float64
+	for i := range s.leaves {
+		lf := &s.leaves[i]
+		newSlot := i == 0 || lf.slot != s.leaves[i-1].slot
+		if newSlot {
+			times, scale = times[:0], 1
+			if o.Objective == TimeToAccuracy {
+				scale = o.Curve.Steps(lf.B)
+			}
+		}
+		if newSlot || lf.pl != s.leaves[i-1].pl {
+			floor = 0
+			if serial && lf.S == 1 && s.topo.Uniform() {
+				env := costmodel.Env{Topo: s.topo, Placement: lf.pl}
+				floor = env.FCGradReduceSeconds(s.net, lf.g)
+			}
+		}
+		if s.misfit(lf) != fits {
+			continue
+		}
+		gt := s.slotTimes(&times, lf.g, lf.B/lf.micro)
+		M := float64(lf.micro)
+		// For every stage k there is a dependency chain no schedule can
+		// compress — micro-batch 1's forward must traverse the stages
+		// before k before k's lane can start, k's lane then serially
+		// executes all M micro-batches of its own slice, and its last
+		// operation is some micro-batch's backward, which still has to
+		// propagate back through the stages before k. The bound is the
+		// longest such chain over k. A single micro-batch also traverses
+		// every stage forward and backward serially, so the whole-network
+		// per-micro compute is a second schedule-independent chain.
+		chain := gt.prefix[len(gt.prefix)-1]
+		for k := 0; k < lf.S; k++ {
+			lo, hi := lf.part.Bounds(k)
+			c := gt.fwdPre[lo] + M*(gt.prefix[hi]-gt.prefix[lo]) + gt.bwdPre[lo]
+			if c > chain {
+				chain = c
+			}
+		}
+		lb := chain + fixed + M*(gt.overhead-fixed)
+		if serial {
+			lb += floor
+		}
+		lbs[i] = lb * scale
+	}
+	return lbs
+}
+
+// slotTimes returns the bound aggregates of micro-batch size b on grid g
+// from times, the current slot's, appending them on first use; an entry
+// reuses the storage of a previous slot's entry at its position.
+func (s *search) slotTimes(times *[]gridTimes, g grid.Grid, b int) *gridTimes {
+	for j := range *times {
+		if (*times)[j].b == b {
+			return &(*times)[j]
 		}
 	}
-	lb := chain + fixed + M*(gt.overhead-fixed)
-	if !o.UseTimeline && !o.Overlap {
-		lb += s.floors[floorKey{g.Pr, g.Pc, lf.pl}]
+	n := len(*times)
+	if n < cap(*times) {
+		*times = (*times)[:n+1]
+	} else {
+		*times = append(*times, gridTimes{})
 	}
-	return lb * s.objectiveScale(lf.B), true
+	gt := &(*times)[n]
+	lt, ov := s.opts.Compute.GridLayerTimes(s.net, b, g)
+	gt.b, gt.overhead = b, ov
+	gt.prefix = append(gt.prefix[:0], 0)
+	gt.fwdPre = append(gt.fwdPre[:0], 0)
+	gt.bwdPre = append(gt.bwdPre[:0], 0)
+	for k, t := range lt {
+		gt.prefix = append(gt.prefix, gt.prefix[k]+t.Fwd+t.Bwd)
+		gt.fwdPre = append(gt.fwdPre, gt.fwdPre[k]+t.Fwd)
+		gt.bwdPre = append(gt.bwdPre, gt.bwdPre[k]+t.Bwd)
+	}
+	return gt
 }
 
 // evalLeaf evaluates leaf i against the frozen incumbent on worker w.
 // The leaf's lower bound was computed once by run()'s ordering pass
-// (s.lbs/s.lbOK); re-deriving it here would double the bound cost for
+// (s.lbs); re-deriving it here would double the bound cost for
 // zero information. A pruned leaf's placeholder carries no Reason: run
 // labels it only if it wins its slot.
 func (s *search) evalLeaf(i int, incumbent float64, w *worker) Plan {
@@ -545,10 +499,11 @@ func (s *search) evalLeaf(i int, incumbent float64, w *worker) Plan {
 }
 
 // pruned reports whether leaf i's lower bound, returned, exceeds the
-// frozen incumbent: never for the pure-batch baseline, a structurally
-// infeasible leaf or a search without bounds.
+// frozen incumbent: never for the pure-batch baseline, a search without
+// bounds or a structurally infeasible leaf (its bound 0 exceeds no
+// incumbent).
 func (s *search) pruned(i int, incumbent float64) (float64, bool) {
-	if s.lbs == nil || s.slots[s.leaves[i].slot].pure || !s.lbOK[i] {
+	if s.lbs == nil || s.slots[s.leaves[i].slot].pure {
 		return 0, false
 	}
 	return s.lbs[i], s.lbs[i]*boundSlack > incumbent
@@ -600,18 +555,11 @@ func (s *search) run(st *SearchStats) {
 	for i := range order {
 		order[i] = i
 	}
-	if s.bounds && n > boundChunk {
-		s.prefillBounds()
-		s.lbs = make([]float64, n)
-		s.lbOK = make([]bool, n)
-		for i := range s.leaves {
-			// Structurally infeasible leaves keep lb = 0: they sort to
-			// the front, where their (cheap, never-priced) classification
-			// cannot delay the incumbent.
-			if lb, ok := s.lowerBound(&s.leaves[i]); ok {
-				s.lbs[i], s.lbOK[i] = lb, true
-			}
-		}
+	if !s.opts.DisableBounds && n > boundChunk {
+		// Structurally infeasible leaves keep lb = 0: they sort to the
+		// front, where their (cheap, never-priced) classification cannot
+		// delay the incumbent.
+		s.lbs = s.lowerBounds()
 		sort.SliceStable(order, func(a, b int) bool { return s.lbs[order[a]] < s.lbs[order[b]] })
 	}
 	workers := s.opts.Workers

@@ -189,10 +189,10 @@ func TestReportedPlansCarrySpans(t *testing.T) {
 
 // TestOneChunkSearchComputesNoBounds pins the one-chunk rule at its
 // boundary. A search of boundChunk leaves evaluates them all against the
-// +Inf incumbent, so it fills no compute memo and no ∆W floors and
-// computes no bounds, and its Result equals the same search with bounds
-// off at every worker count. One leaf more, and the memo, the floors and
-// the bounds are filled for every leaf.
+// +Inf incumbent, so it computes no bounds, and its Result equals the
+// same search with bounds off at every worker count. One leaf more, and
+// every leaf has its bound: > 0 when it fits, 0 when it fails a
+// structural constraint.
 func TestOneChunkSearchComputesNoBounds(t *testing.T) {
 	net := nn.AlexNet()
 	const B = 2048
@@ -209,9 +209,8 @@ func TestOneChunkSearchComputesNoBounds(t *testing.T) {
 			t.Fatalf("P=%d: %d leaves, want %d", tc.P, len(s.leaves), tc.leaves)
 		}
 		if tc.leaves <= boundChunk {
-			if len(s.cc.m) != 0 || len(s.floors) != 0 || s.lbs != nil || s.lbOK != nil {
-				t.Fatalf("P=%d: a one-chunk search filled %d memo entries, %d floors, lbs=%v",
-					tc.P, len(s.cc.m), len(s.floors), s.lbs)
+			if s.lbs != nil {
+				t.Fatalf("P=%d: a one-chunk search computed bounds %v", tc.P, s.lbs)
 			}
 			off := o
 			off.DisableBounds = true
@@ -229,16 +228,20 @@ func TestOneChunkSearchComputesNoBounds(t *testing.T) {
 			}
 			continue
 		}
-		if len(s.lbs) != len(s.leaves) || len(s.lbOK) != len(s.leaves) {
+		if len(s.lbs) != len(s.leaves) {
 			t.Fatalf("P=%d: %d bounds for %d leaves", tc.P, len(s.lbs), len(s.leaves))
 		}
-		for _, lf := range s.leaves {
-			if _, ok := s.cc.m[timesKey{lf.g.Pr, lf.g.Pc, lf.B}]; !ok {
-				t.Fatalf("P=%d grid %v: no compute memo entry", tc.P, lf.g)
+		misfits := 0
+		for i := range s.leaves {
+			lf, lb := &s.leaves[i], s.lbs[i]
+			if fit := s.misfit(lf) == fits; fit && !(lb > 0) || !fit && lb != 0 {
+				t.Fatalf("P=%d grid %v (fits=%v): bound %g", tc.P, lf.g, fit, lb)
+			} else if !fit {
+				misfits++
 			}
-			if _, ok := s.floors[floorKey{lf.g.Pr, lf.g.Pc, lf.pl}]; !ok {
-				t.Fatalf("P=%d grid %v: no ∆W floor", tc.P, lf.g)
-			}
+		}
+		if misfits == 0 || misfits == len(s.leaves) {
+			t.Fatalf("P=%d: %d of %d leaves misfit; the test needs both kinds", tc.P, misfits, len(s.leaves))
 		}
 	}
 }

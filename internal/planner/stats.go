@@ -40,18 +40,19 @@ type Improvement struct {
 //	EnumerateSeconds + PriceSeconds + SimulateSeconds ≤ WallSeconds
 //
 // EnumerateSeconds is measured directly around the candidate-generation
-// phase (work lists, memoized lower-bound compute aggregates, partition
-// enumeration);
+// phase (partition enumeration, slot and leaf lists, the span table);
 // PriceSeconds and SimulateSeconds are summed across the evaluation
 // workers and, when that cpu-time sum exceeds the evaluation phase's
 // wall clock (Options.Workers > 1), scaled down onto it so the split
-// stays a wall-clock attribution. The slack is the slot fold and loop
+// stays a wall-clock attribution. The slack is the evaluation phase's
+// serial work: in a search of more than one chunk the lower-bound pass
+// and the sort into bound order, then the slot fold and loop
 // bookkeeping. For every timeline candidate the Eq. 3–9 pricing at
 // micro-batch size B/M (costmodel.Env.PriceStages; B itself at M = 1)
 // is accounted to PriceSeconds and only the schedule to SimulateSeconds.
-// Leaves are scored without spans; the one re-simulation with spans of
-// each reported slot winner is charged to SimulateSeconds too, and
-// counts toward no candidate counter.
+// Leaves are scored without spans or breakdown; the one re-evaluation in
+// full of the search's best (with its spans on the timeline) is charged
+// to SimulateSeconds, and counts toward no candidate counter.
 //
 // All counts and the improvement trajectory are deterministic — they do
 // not depend on the worker count.

@@ -158,13 +158,8 @@ func timelineRef(net *nn.Network, B, P int, o Options) (Result, int) {
 		order[i] = i
 	}
 	var lbs []float64
-	var lbOK []bool
-	if s.bounds && n > boundChunk {
-		s.prefillBounds()
-		lbs, lbOK = make([]float64, n), make([]bool, n)
-		for i := range s.leaves {
-			lbs[i], lbOK[i] = s.lowerBound(&s.leaves[i]) // (0, false) when structurally infeasible
-		}
+	if !o.DisableBounds && n > boundChunk {
+		lbs = s.lowerBounds() // 0 when structurally infeasible
 		sort.SliceStable(order, func(a, b int) bool { return lbs[order[a]] < lbs[order[b]] })
 	}
 	winners := append([]Plan(nil), s.winners...)
@@ -182,7 +177,7 @@ func timelineRef(net *nn.Network, B, P int, o Options) (Result, int) {
 			if lf.S > 1 {
 				st.StageCandidates++
 			}
-			if lbs != nil && !s.slots[lf.slot].pure && lbOK[i] && lbs[i]*boundSlack > incumbent {
+			if lbs != nil && !s.slots[lf.slot].pure && lbs[i]*boundSlack > incumbent {
 				st.Bounded++
 				kind := "compute"
 				if o.Objective == TimeToAccuracy {
