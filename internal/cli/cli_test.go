@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -159,6 +162,50 @@ func TestPlanLevelsFlag(t *testing.T) {
 	}
 	if !strings.Contains(out, "net-node") {
 		t.Fatalf("gantt legend does not name the per-level lanes:\n%s", out)
+	}
+}
+
+// TestPlanLevelRowsSumToComm: the best plan's per-level table adds up to
+// its comm s/iter, in closed form and on the timeline, where the
+// breakdown prices one micro-batch and the levels come from the
+// simulated lanes.
+func TestPlanLevelRowsSumToComm(t *testing.T) {
+	for _, args := range [][]string{
+		{"-config", scenarioPath("alexnet-rack.json")},
+		{"-config", scenarioPath("alexnet-rack.json"), "-grid", "128x4", "-micro", "4", "-policy", "backprop"},
+	} {
+		out, errOut, code := runPlan(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errOut)
+		}
+		cells := regexp.MustCompile(`\s{2,}`)
+		lines := strings.Split(out, "\n")
+		comm, col, sum, levels := -1.0, -1, 0.0, 0
+		for i, line := range lines {
+			f := cells.Split(strings.TrimSpace(line), -1)
+			switch {
+			case col < 0 && strings.HasPrefix(line, "Grid"):
+				col = slices.Index(f, "comm s/iter")
+			case col >= 0 && comm < 0 && strings.HasSuffix(f[len(f)-1], "← best"):
+				comm, _ = strconv.ParseFloat(f[col], 64)
+			case strings.HasPrefix(line, "Per-level communication"):
+				for _, row := range lines[i+3:] {
+					if row == "" {
+						break
+					}
+					v, err := strconv.ParseFloat(cells.Split(row, -1)[1], 64)
+					if err != nil {
+						t.Fatalf("%v: level row %q: %v", args, row, err)
+					}
+					sum += v
+					levels++
+				}
+			}
+		}
+		// Each printed value carries four significant digits.
+		if levels != 3 || comm <= 0 || math.Abs(sum-comm) > 2e-3*comm {
+			t.Fatalf("%v: %d level rows sum to %g, best plan's comm s/iter %g:\n%s", args, levels, sum, comm, out)
+		}
 	}
 }
 

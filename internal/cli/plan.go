@@ -518,13 +518,24 @@ func RenderPlan(res *dnnparallel.PlanResult, gantt bool) string {
 	b.WriteString(report.Table([]string{"Layer", "Kind", "Output", "|W|", "Strategy"}, srows))
 
 	// On a non-uniform topology, show where the communication time goes:
-	// one row per link level, innermost first.
+	// one row per link level, innermost first. A timeline-scored plan's
+	// breakdown prices one micro-batch, so its levels are the simulated
+	// level lanes' busy times, summed over pipeline stages.
 	if res.Raw != nil {
 		if bd := res.Raw.Best.Breakdown; bd != nil && len(bd.LevelNames) > 0 {
-			total := bd.TotalSeconds()
+			levels, total := bd.LevelSeconds(), bd.TotalSeconds()
+			if tl := res.Raw.Best.Timeline; tl != nil {
+				clear(levels)
+				for _, rs := range tl.PerResource {
+					if i := int(rs.Resource.Base() - timeline.NetworkLevel(0)); i >= 0 && i < len(levels) {
+						levels[i] += rs.BusySeconds
+					}
+				}
+				total = tl.CommSeconds
+			}
 			fmt.Fprintf(&b, "\nPer-level communication of the best plan:\n")
 			var lrows [][]string
-			for i, secs := range bd.LevelSeconds() {
+			for i, secs := range levels {
 				share := "-"
 				if total > 0 {
 					share = fmt.Sprintf("%.1f%%", 100*secs/total)

@@ -10,7 +10,6 @@ import (
 	"dnnparallel"
 	"dnnparallel/internal/compute"
 	"dnnparallel/internal/experiments"
-	"dnnparallel/internal/machine"
 	"dnnparallel/internal/planner"
 	"dnnparallel/internal/report"
 	"dnnparallel/internal/timeline"
@@ -271,7 +270,7 @@ func SimMain(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprint(stdout, experiments.PipelineCSV(all))
 			}
 		case "verify":
-			reps, err := experiments.VerifyEngines(4, 8, 7, machine.CoriKNL())
+			reps, err := experiments.VerifyEngines(4, 8, 7, experiments.BandwidthOnly)
 			if err != nil {
 				return err
 			}
@@ -290,12 +289,6 @@ func SimMain(args []string, stdout, stderr io.Writer) int {
 				return err
 			}
 			fmt.Fprint(stdout, experiments.RenderOneByOne(row))
-		case "modelcheck":
-			rows, err := experiments.ModelCheck()
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(stdout, experiments.RenderModelCheck(rows))
 		case "convergence":
 			rows, err := experiments.Convergence(4, 11)
 			if err != nil {
@@ -312,7 +305,7 @@ func SimMain(args []string, stdout, stderr io.Writer) int {
 	names := []string{*exp}
 	if *exp == "all" {
 		names = []string{"table1", "fig4", "eq5", "fig6", "fig7", "fig8", "fig9", "fig10",
-			"timeline", "pipeline", "verify", "sensitivity", "memory", "onebyone", "modelcheck", "convergence"}
+			"timeline", "pipeline", "verify", "sensitivity", "memory", "onebyone", "convergence"}
 	}
 	for _, n := range names {
 		if err := run(n); err != nil {

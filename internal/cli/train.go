@@ -42,7 +42,7 @@ func TrainMain(args []string, stdout, stderr io.Writer) int {
 	batch := fs.Int("B", 16, "global minibatch size")
 	lr := fs.Float64("lr", 0.05, "learning rate")
 	seed := fs.Int64("seed", 42, "random seed")
-	verify := fs.Bool("verify", false, "run every engine and compare to serial SGD")
+	verify := fs.Bool("verify", false, "run every engine configuration and compare it to serial SGD and to the communication model")
 	momentum := fs.Float64("momentum", 0, "momentum coefficient (0 = plain SGD)")
 	saveTo := fs.String("save", "", "write a weight checkpoint to this path after training")
 	objectiveName := fs.String("objective", "", `planning objective: "iteration" (default: run the simulated training engines) or "time-to-accuracy"/"tta" — plan a training campaign instead, searching the global batch size for the lowest modeled time to the accuracy target`)

@@ -8,13 +8,14 @@
 //
 // All formulas follow the paper's conventions: sums run over weighted
 // layers (conv and FC); the activation all-gather sum runs over all
-// weighted layers; the ∆X all-reduce sum skips the first weighted layer
-// (no gradient is propagated past layer 1); volumes are in words.
+// weighted layers; the ∆X all-reduce sum, and a Domain conv's backward
+// halo, skip the first weighted layer (no gradient is propagated past
+// layer 1); volumes are in words.
 //
 // Layer classes: each per-layer term depends on the layer's geometry,
 // the grid, the batch and the rank placement, never on the layer's
 // name, and position matters only for the first weighted layer (no ∆X
-// all-reduce). nn.Network.LayerClasses groups equal weighted layers —
+// all-reduce, and no backward halo under Domain). nn.Network.LayerClasses groups equal weighted layers —
 // ResNet50Proxy's 50 fall into 18 classes, VGG16's 16 into 12 — and
 // every per-layer pricing loop prices a class once per call and copies
 // the result to later members with their own Index and Name:
@@ -222,8 +223,10 @@ func (b *Breakdown) BackwardSeconds() float64 {
 
 // domainLayerCost is the Eq. 7 / Eq. 9 per-layer domain cost with halo
 // volumes scaled by the local batch B/Pc and grad, the layer's gradient
-// all-reduce over all P processes.
-func domainLayerCost(net *nn.Network, li, B int, pr *pricer, grad collective.Cost) LayerCost {
+// all-reduce over all P processes. A conv that is the network's first
+// weighted layer (first) forms no ∆X, so it exchanges no backward halo
+// (Eq. 3's i ≥ 2 bound, as in modelLayerCost).
+func domainLayerCost(net *nn.Network, li, B int, pr *pricer, grad collective.Cost, first bool) LayerCost {
 	l := &net.Layers[li]
 	lc := LayerCost{Index: li, Name: l.Name, Strategy: Domain}
 	localB := float64(B) / float64(pr.g.Pc)
@@ -234,7 +237,7 @@ func domainLayerCost(net *nn.Network, li, B int, pr *pricer, grad collective.Cos
 		if fwdHalo > 0 {
 			lc.FwdHalo = pr.halo(fwdHalo)
 		}
-		if bwdHalo > 0 {
+		if bwdHalo > 0 && !first {
 			lc.BwdHalo = pr.halo(bwdHalo)
 		}
 	case nn.FC:
@@ -304,7 +307,7 @@ func layerCost(lc *LayerCost, net *nn.Network, k, li, B int, pr *pricer, s Strat
 	l := &net.Layers[li]
 	switch s {
 	case Domain:
-		*lc = domainLayerCost(net, li, B, pr, pr.gradReduce(k, float64(l.Weights())))
+		*lc = domainLayerCost(net, li, B, pr, pr.gradReduce(k, float64(l.Weights())), k == 0)
 	case BatchOnly:
 		*lc = batchOnlyLayerCost(net, li, pr.gradReduce(k, float64(l.Weights())))
 	case Cheapest:
@@ -315,7 +318,7 @@ func layerCost(lc *LayerCost, net *nn.Network, k, li, B int, pr *pricer, s Strat
 		}
 		grad := pr.gradReduce(k, float64(l.Weights()))
 		if domain {
-			if c := domainLayerCost(net, li, B, pr, grad); c.TotalSeconds() < lc.TotalSeconds() {
+			if c := domainLayerCost(net, li, B, pr, grad, k == 0); c.TotalSeconds() < lc.TotalSeconds() {
 				*lc = c
 			}
 		}
@@ -453,18 +456,21 @@ func (e Env) FullIntegratedInto(b *Breakdown, net *nn.Network, B int, g grid.Gri
 	priceLayers(b, net, 0, L, B, &pr, assign)
 }
 
-// RedistributionSeconds prices the Eq. 6 redistribution at every layer
-// boundary where the strategy changes: the activations must be
-// re-laid-out from the upstream distribution into the panels the layer
-// being switched into consumes. On a Pr × Pc grid this is a column-group
-// all-gather of that layer's local input panel — α⌈log Pr⌉ +
-// β·(B/Pc)·(Pr−1)/Pr·d_{i−1} per boundary, with d_{i−1} its InSize, after
-// any pooling between the two weighted layers (Eq. 6 with P = Pr on the
-// local batch; the paper's pure-model form is the Pc = 1 special case) —
-// charged once forward and once for the transposed backward
-// redistribution. It is the volume the executable engine's slab→full
-// relayout gathers. With Pr = 1 the layout is already compatible and the
-// cost vanishes.
+// RedistributionSeconds prices the Eq. 6 redistribution at every
+// weighted-layer boundary where the activation layout changes, as the
+// executable engine's layer walk (parallel.RunFullIntegrated) relays it
+// out. A layer holds its column group's activations as whole samples
+// (Model layers, Domain FC layers), as row slabs (Domain convs) or as a
+// B/P sample shard (BatchOnly). One relayout is one column-group
+// all-gather of the boundary panel — α⌈log Pr⌉ + β·(B/Pc)·(Pr−1)/Pr·d,
+// with d the InSize of the layer above the boundary, after any pooling
+// (Eq. 6 with P = Pr on the local batch; the paper's pure-model
+// form is the Pc = 1 special case): moving into whole samples gathers
+// forward and slices the ∆ backward, moving out of them slices forward
+// and gathers the ∆ backward. So a boundary costs no gather between two
+// whole-sample layers, one where exactly one side holds whole samples,
+// and two between slabs and a shard (through whole samples and back).
+// With Pr = 1 every layout is whole samples and the cost vanishes.
 //
 // part places the boundaries on a stage-partitioned pipeline whose
 // stages all run grid g, stage s on the rank block starting at s·g.P():
@@ -481,7 +487,11 @@ func (e Env) RedistributionSeconds(net *nn.Network, B int, g grid.Grid, assign A
 		if assign[widx[k]] == Cheapest {
 			panic("costmodel: redistribution of an unresolved cheapest layer")
 		}
-		if k == 0 || g.Pr == 1 || assign[widx[k-1]] == assign[widx[k]] {
+		if k == 0 || g.Pr == 1 {
+			continue
+		}
+		gathers := relayoutGathers(net, assign, widx[k-1], widx[k])
+		if gathers == 0 {
 			continue
 		}
 		s := 0
@@ -492,9 +502,32 @@ func (e Env) RedistributionSeconds(net *nn.Network, B int, g grid.Grid, assign A
 			pr, owner = e.pricerAt(g, s*g.P()), s
 		}
 		words := float64(B) / float64(g.Pc) * float64(net.Layers[widx[k]].InSize())
-		secs += 2 * pr.colAllGather(words).Total()
+		secs += float64(gathers) * pr.colAllGather(words).Total()
 	}
 	return secs
+}
+
+// relayoutGathers is the number of column-group all-gathers of the
+// boundary from weighted layer li into weighted layer lj under assign:
+// one per side that does not hold whole samples, none when both sides
+// hold the same layout.
+func relayoutGathers(net *nn.Network, assign Assignment, li, lj int) int {
+	// layout names a layout by the strategy that runs on it: Model for
+	// whole samples (Domain FC too), Domain for row slabs, BatchOnly for
+	// the sample shard.
+	layout := func(li int) Strategy {
+		if s := assign[li]; s == BatchOnly || s == Domain && net.Layers[li].Kind == nn.Conv {
+			return s
+		}
+		return Model
+	}
+	switch a, b := layout(li), layout(lj); {
+	case a == b:
+		return 0
+	case a == Model || b == Model:
+		return 1
+	}
+	return 2
 }
 
 // VolumeRatioBatchOverModel returns Eq. 5 for one convolutional layer: the

@@ -235,7 +235,7 @@ func TestConvBatchOnlyImprovesUniformGrid(t *testing.T) {
 // domainCost is layer li's Domain cost with its gradient all-reduce
 // priced afresh.
 func domainCost(net *nn.Network, li, B int, pr *pricer) LayerCost {
-	return domainLayerCost(net, li, B, pr, pr.allAllReduce(float64(net.Layers[li].Weights())))
+	return domainLayerCost(net, li, B, pr, pr.allAllReduce(float64(net.Layers[li].Weights())), false)
 }
 
 // TestDomainBeatsModelOnEarlyLayers: for AlexNet's early conv layers the
@@ -289,11 +289,12 @@ func TestDomainFCIsExpensive(t *testing.T) {
 }
 
 // TestRedistributeAsymptoticallyFree: Eq. 6 — the redistribution a plan
-// charges at a batch→model switch (RedistributionSeconds) is the
+// charges at a batch→model switch (RedistributionSeconds) is one
 // all-gather of the B·d panel the layer switched into consumes (its
-// InSize, after any pooling), forward and back; and it costs no more than
-// that layer's model-parallel step (the paper: the model-parallel step
-// costs "three times the cost of the redistribution").
+// InSize, after any pooling): the sample shard is gathered into whole
+// samples forward, and the ∆ is sliced back. It costs no more than that
+// layer's model-parallel step (the paper: the model-parallel step costs
+// "three times the cost of the redistribution").
 func TestRedistributeAsymptoticallyFree(t *testing.T) {
 	net := nn.AlexNet()
 	p, b := 64, 1024
@@ -315,11 +316,43 @@ func TestRedistributeAsymptoticallyFree(t *testing.T) {
 		}
 		redist := FlatEnv(knl()).RedistributionSeconds(net, b, g, assign, one)
 		gather := pr.colAllGather(float64(b) * float64(net.Layers[widx[k]].InSize())).Total()
-		if want := 2 * gather; redist != want {
-			t.Fatalf("layer %d: redistribution %g, want twice the all-gather of its B·d input panel %g", widx[k], redist, want)
+		if redist != gather {
+			t.Fatalf("layer %d: redistribution %g, want one all-gather of its B·d input panel %g", widx[k], redist, gather)
 		}
 		if layerCost := model.Layers[k].Total().Total(); redist > layerCost {
 			t.Fatalf("layer %d: redistribution %g exceeds model step %g", widx[k], redist, layerCost)
+		}
+	}
+}
+
+// TestRedistributionFollowsLayout: a boundary is priced by the layouts
+// on its two sides, not by the strategy names: none between two
+// whole-sample layers (Model, Domain FC), one gather where exactly one
+// side is row slabs (Domain conv) or a sample shard (BatchOnly), two
+// between slabs and a shard.
+func TestRedistributionFollowsLayout(t *testing.T) {
+	net := nn.AlexNet()
+	g := grid.Grid{Pr: 4, Pc: 8}
+	const B = 256
+	widx := net.WeightedLayers() // conv1–conv5, fc6–fc8
+	pr := FlatEnv(knl()).pricerFor(g)
+	gather := func(k int) float64 {
+		return pr.colAllGather(float64(B) / float64(g.Pc) * float64(net.Layers[widx[k]].InSize())).Total()
+	}
+	mixed := ConvAssignment(net, BatchOnly, Model)
+	mixed[widx[0]], mixed[widx[1]] = Domain, Domain
+	mixed[widx[6]] = Domain
+	for _, c := range []struct {
+		name   string
+		assign Assignment
+		want   float64
+	}{
+		{"uniform domain: conv5 → fc6 only", UniformAssignment(net, Domain), gather(5)},
+		{"model ↔ domain FC", Assignment{widx[6]: Domain}, 0},
+		{"slabs → shard → whole, whole ↔ domain FC", mixed, 2*gather(2) + gather(5)},
+	} {
+		if got := FlatEnv(knl()).RedistributionSeconds(net, B, g, c.assign, stage.Partition{}); got != c.want {
+			t.Errorf("%s: redistribution %g, want %g", c.name, got, c.want)
 		}
 	}
 }

@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"dnnparallel/internal/costmodel"
 	"dnnparallel/internal/machine"
+	"dnnparallel/internal/mpi"
+	"dnnparallel/internal/nn"
+	"dnnparallel/internal/parallel"
 	"dnnparallel/internal/planner"
 )
 
@@ -152,23 +157,107 @@ func TestBeyondBatchFig10(t *testing.T) {
 	}
 }
 
+// TestVerifyEnginesExactness: every executed configuration reproduces
+// serial SGD, and on the α = 0 machine its steady-state communication is
+// the model's to ±2% (the few words of the scalar loss reduction). The
+// exception is pure domain: the walk runs its FC layers replicated, so
+// its residual is exactly minus their priced terms.
 func TestVerifyEnginesExactness(t *testing.T) {
-	reps, err := VerifyEngines(3, 8, 5, machine.CoriKNL())
+	reps, err := VerifyEngines(3, 8, 5, BandwidthOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != 6 {
-		t.Fatalf("engine reports = %d, want 6", len(reps))
+	if len(reps) != 8 {
+		t.Fatalf("engine reports = %d, want 8", len(reps))
 	}
 	for _, r := range reps {
 		if r.MaxWeightDev > 1e-9 {
-			t.Fatalf("%s deviates from serial by %g", r.Name, r.MaxWeightDev)
+			t.Fatalf("%s on %v deviates from serial by %g", r.Name, r.Grid, r.MaxWeightDev)
 		}
 		if r.WordsOnWire == 0 {
-			t.Fatalf("%s reported no communication", r.Name)
+			t.Fatalf("%s on %v reported no communication", r.Name, r.Grid)
+		}
+		resid := r.Measured - r.Predicted
+		if unsent := unsentDomainFC(r); unsent > 0 {
+			if math.Abs(resid+unsent) > 1e-9*unsent {
+				t.Fatalf("%s on %v: measured − predicted = %.6g s/step, want minus its Domain FC terms %.6g",
+					r.Name, r.Grid, resid, unsent)
+			}
+			continue
+		}
+		if rel := resid / r.Predicted; math.Abs(rel) > 0.02 {
+			t.Fatalf("%s on %v: measured %.4g vs predicted %.4g (%+.2f%%)",
+				r.Name, r.Grid, r.Measured, r.Predicted, rel*100)
 		}
 	}
-	if out := RenderEngineReports(reps); !strings.Contains(out, "1.5D-fc") {
-		t.Fatal("engine report rendering incomplete")
+	out := RenderEngineReports(reps)
+	for _, eq := range []string{"Eq. 3", "Eq. 4", "Eq. 7", "Eq. 8", "Eq. 9"} {
+		if !strings.Contains(out, eq) {
+			t.Fatalf("engine check rendering lacks %s:\n%s", eq, out)
+		}
 	}
+}
+
+// TestVerifyEnginesLatencyResidual: with latency on, each configuration's
+// measured communication exceeds its prediction by exactly the terms the
+// model leaves out, each measured or counted alone: the per-step scalar
+// loss all-reduce over the row group (nothing at Pc = 1, where the row
+// group is one rank), one α per halo exchange when the column group has
+// interior slabs (Pr ≥ 3: they send to both neighbours, where one message
+// is priced), and minus the unsent Domain FC terms. The engine sends,
+// per layer, every other message the formulas charge, and no other.
+func TestVerifyEnginesLatencyResidual(t *testing.T) {
+	m := machine.Machine{Name: "latency", Alpha: 2e-6, Beta: 1e-9, PeakFlops: 1e12}
+	reps, err := VerifyEngines(3, 8, 5, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reps {
+		g := r.Grid
+		var loss float64
+		for _, s := range mpi.NewWorld(g.P(), m).Run(func(p *mpi.Proc) {
+			row, _ := g.Coords(p.Rank())
+			parallel.GlobalLoss(p.CommFrom(g.RowGroup(row)), 1, 1, 1)
+		}) {
+			loss = max(loss, s.CommTime)
+		}
+		want := loss + m.Alpha*float64(interiorHaloSends(r)) - unsentDomainFC(r)
+		if resid := r.Measured - r.Predicted; math.Abs(resid-want) > 1e-9*r.Measured {
+			t.Fatalf("%s on %v: measured − predicted = %.6g s/step, want %.6g (loss all-reduce %.6g)",
+				r.Name, g, resid, want, loss)
+		}
+	}
+}
+
+// unsentDomainFC is the priced communication of r's Domain FC layers,
+// which the walk runs replicated over the column group: their halo is the
+// whole panel it already holds, and their ∆W group is the row group,
+// one rank on the P × 1 grid.
+func unsentDomainFC(r EngineReport) float64 {
+	var secs float64
+	for _, lc := range costmodel.FlatEnv(r.Machine).FullIntegrated(r.Spec, r.Batch, r.Grid, r.Assign).Layers {
+		if lc.Strategy == costmodel.Domain && r.Spec.Layers[lc.Index].Kind == nn.FC {
+			secs += lc.TotalSeconds()
+		}
+	}
+	return secs
+}
+
+// interiorHaloSends counts the halo exchanges r runs per step in which an
+// interior slab sends a second message: every Domain conv's forward
+// exchange and, past the first layer, its backward one — when Pr ≥ 3.
+func interiorHaloSends(r EngineReport) int {
+	if r.Grid.Pr < 3 {
+		return 0
+	}
+	n := 0
+	for k, li := range r.Spec.WeightedLayers() {
+		if l := &r.Spec.Layers[li]; l.Kind == nn.Conv && r.Assign[li] == costmodel.Domain && l.KH/2 > 0 {
+			n++
+			if k > 0 {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"math"
 	"strings"
 	"testing"
-
-	"dnnparallel/internal/machine"
-	"dnnparallel/internal/mpi"
-	"dnnparallel/internal/parallel"
 )
 
 func TestSensitivitySweep(t *testing.T) {
@@ -79,55 +74,6 @@ func TestOneByOneStudy(t *testing.T) {
 	}
 	if out := RenderOneByOne(row); !strings.Contains(out, "ZERO halo") {
 		t.Fatal("one-by-one rendering incomplete")
-	}
-}
-
-func TestModelCheckAgreement(t *testing.T) {
-	rows, err := ModelCheck()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("modelcheck rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.RelError > 0.02 || r.RelError < -0.02 {
-			t.Fatalf("%s on %s: measured %.4g vs predicted %.4g (%.2f%%)",
-				r.Engine, r.Grid, r.Measured, r.Predicted, r.RelError*100)
-		}
-	}
-	if out := RenderModelCheck(rows); !strings.Contains(out, "Eq. 8") {
-		t.Fatal("modelcheck rendering incomplete")
-	}
-}
-
-// TestModelCheckLatencyResidual: with latency on, each ModelCheck
-// configuration's measured communication exceeds its prediction by
-// exactly the per-step scalar loss all-reduce over the row group, measured
-// alone (nothing at Pc = 1, where the row group is one rank): the engine
-// sends, per layer, every message the formulas charge, and no other.
-func TestModelCheckLatencyResidual(t *testing.T) {
-	m := machine.Machine{Name: "latency", Alpha: 2e-6, Beta: 1e-9, PeakFlops: 1e12}
-	rows, err := modelCheck(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range modelCheckRows {
-		g := r.g
-		var loss float64
-		for _, s := range mpi.NewWorld(g.P(), m).Run(func(p *mpi.Proc) {
-			row, _ := g.Coords(p.Rank())
-			parallel.GlobalLoss(p.CommFrom(g.RowGroup(row)), 1, 1, 1)
-		}) {
-			loss = max(loss, s.CommTime)
-		}
-		got := rows[i]
-		resid := got.Measured - got.Predicted
-		if math.Abs(resid-loss) > 1e-9*got.Measured {
-			t.Fatalf("%s on %v: measured − predicted = %.6g s/step, the loss all-reduce alone %.6g s",
-				got.Engine, g, resid, loss)
-		}
-		t.Logf("%s on %v: residual %.4g s/step", got.Engine, g, resid)
 	}
 }
 

@@ -17,8 +17,10 @@ import (
 // the Eq. 3/4/8 bandwidth predictions of costmodel.Env.FullIntegrated on
 // the same grid. Latency terms are zeroed (α = 0) to isolate the
 // bandwidth (volume) terms, the content of the paper's analysis; the only
-// latency the formulas leave out is the per-step scalar loss all-reduce
-// over the row group (experiments.ModelCheck states it).
+// latency the formulas leave out of these all-Model walks is the per-step
+// scalar loss all-reduce over the row group (experiments.VerifyEngines
+// checks every executed configuration against the model and names each
+// residual).
 
 // bwMachine has zero latency so only β terms matter.
 func bwMachine() machine.Machine {

@@ -18,8 +18,9 @@ import (
 // block. AlexNet under conv-domain on 8-rank nodes, S = 4 stages of 3x2
 // ranks, with the one boundary (conv5 → fc6, Domain → Model) inside
 // stage 1: its block, ranks 6–11, straddles two nodes, while stage 0's
-// block sits on one node and would underprice the all-gathers several
-// times over.
+// block sits on one node and would underprice the all-gather several
+// times over. The slabs → whole samples boundary is one all-gather
+// (forward; the ∆ is sliced back).
 func TestStagedRedistributionPricedOnOwningStage(t *testing.T) {
 	net := nn.AlexNet()
 	topo := machine.CoriKNLNodes(8)
@@ -41,7 +42,7 @@ func TestStagedRedistributionPricedOnOwningStage(t *testing.T) {
 	words := float64(B) / float64(g.Pc) * float64(fc6.InSize())
 	price := func(offset int) float64 {
 		spans := g.ColGroupSpansAt(topo.GroupSizes(), grid.RowMajor, offset)
-		return 2 * collective.MaxCost(spans, func(s grid.LevelSpan) collective.Cost {
+		return collective.MaxCost(spans, func(s grid.LevelSpan) collective.Cost {
 			return collective.AllGatherLeveled(s, words, topo) // topo is not uniform
 		}).Total()
 	}
